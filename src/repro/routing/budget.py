@@ -22,6 +22,15 @@ The **anytime extension** is the ``time_limit_seconds`` parameter: when the
 wall clock expires the search stops and returns the pivot path (the paper's
 "acceptable maximum run-time x" input).
 
+One loop, two pivot policies
+----------------------------
+:meth:`_BudgetSearch._run` is the only search loop.  ``route``,
+``route_multi_budget`` and ``route_kbest`` differ solely in pruning (b) —
+what "cannot beat the pivot" means — so each hands the loop a small policy
+object (:class:`_BudgetVectorPivots`, of which scalar PBR is the one-element
+case, or :class:`_KBestPivots`) and assembles its result type from what the
+policy collected.
+
 Hot-path design (see PERFORMANCE.md)
 ------------------------------------
 Labels are slotted parent-chain nodes with **no** per-label visited set: the
@@ -38,7 +47,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..core.models import CostCombiner
@@ -82,6 +91,10 @@ class PruningConfig:
             raise ValueError("max_frontier_size must be >= 1 when given")
 
 
+#: The optimistically fastest route and its cost distribution.
+_Fallback = tuple[tuple[Edge, ...], DiscreteDistribution]
+
+
 class _Label:
     """A partial path: head vertex, cost distribution, parent chain.
 
@@ -112,6 +125,131 @@ class _Label:
             node = node.parent
         edges.reverse()
         return tuple(edges)
+
+
+def _answer(
+    query: RoutingQuery,
+    label: _Label | None,
+    probability: float,
+    fallback: _Fallback | None,
+) -> RoutingResult:
+    """One result: the arrived ``label``, else the fallback route, else none."""
+    if label is not None:
+        return RoutingResult(query, label.path(), label.distribution, probability)
+    if fallback is None:
+        return RoutingResult(query, (), None, 0.0)
+    path, dist = fallback
+    return RoutingResult(query, path, dist, dist.prob_within(query.budget))
+
+
+class _BudgetVectorPivots:
+    """Pivot policy for an ascending budget vector — one pivot per budget.
+
+    A label survives while it can still improve the answer of *some*
+    budget.  Scalar PBR is the one-element vector: ``prunable`` then reduces
+    to the paper's ``bound <= pivot`` test without a single extra CDF read.
+    """
+
+    def __init__(self, budgets: tuple[int, ...]) -> None:
+        self.budgets = budgets
+        #: Labels fold at the largest budget (see ``_BudgetSearch._clip``);
+        #: the CDF below it — all any smaller budget reads — is untouched.
+        self.clip_budget = budgets[-1]
+        #: Best complete probability per budget (-1 = no positive-probability
+        #: arrival yet), and the label that achieved it.
+        self.pivots = [-1.0] * len(budgets)
+        self.best: list[_Label | None] = [None] * len(budgets)
+        #: Termination threshold ``pivots[0] == min(pivots)``: the heap is
+        #: ordered on the max-budget bound, every remaining label's bound at
+        #: budget i is <= that, so at or below the floor no budget's answer
+        #: can improve.
+        self.floor = -1.0
+
+    def prunable(self, dist: DiscreteDistribution, shift: int, bound: float) -> bool:
+        """Can no budget's answer still be beaten by this label?
+
+        ``bound`` is the label's (positive) bound at the largest budget.
+        """
+        pivots = self.pivots
+        if bound > pivots[-1]:
+            return False
+        budgets = self.budgets
+        for i in range(len(budgets) - 2, -1, -1):
+            bound = dist.prob_within(budgets[i] - shift)
+            if bound <= 0.0:
+                # CDF monotone: smaller budgets bound even lower.
+                return True
+            if bound > pivots[i]:
+                return False
+        return True
+
+    def arrive(self, label: _Label) -> bool:
+        """Record a complete path; True when some budget's pivot improved."""
+        dist = label.distribution
+        budgets = self.budgets
+        pivots = self.pivots
+        improved = False
+        for i in range(len(budgets) - 1, -1, -1):
+            probability = dist.prob_within(budgets[i])
+            if probability <= 0.0:
+                break
+            if probability > pivots[i]:
+                pivots[i] = probability
+                self.best[i] = label
+                improved = True
+        self.floor = pivots[0]
+        return improved
+
+    def unanswered(self) -> bool:
+        return any(label is None for label in self.best)
+
+
+class _KBestPivots:
+    """Pivot policy for the top-``k`` search: an antichain of arrivals.
+
+    The pruning threshold (``floor``) is the k-th largest *distinct* arrival
+    probability (-1 until k distinct values exist).  Distinct values are what
+    makes the threshold monotone and the pruning sound: an eviction replaces
+    frontier members with an equal-probability dominator (arrivals pop in
+    non-increasing probability order, so a dominator can never have a
+    strictly higher budget probability than its victims), which can shrink
+    the member count below k but never removes a probability value — so at
+    least k frontier members >= threshold always survive.
+    """
+
+    #: No folding: see :meth:`_BudgetSearch.route_kbest`.
+    clip_budget = None
+
+    def __init__(self, k: int, budget: int) -> None:
+        self.k = k
+        self.budget = budget
+        #: Non-dominated complete arrivals: (label, probability) pairs.
+        self.candidates: list[tuple[_Label, float]] = []
+        self.floor = -1.0
+
+    def prunable(self, dist: DiscreteDistribution, shift: int, bound: float) -> bool:
+        """Can this label no longer crack the top k?"""
+        return bound <= self.floor
+
+    def arrive(self, label: _Label) -> bool:
+        """Offer a complete path to the antichain; True when it was kept."""
+        dist = label.distribution
+        candidates = self.candidates
+        if any(weakly_dominates(kept.distribution, dist) for kept, _ in candidates):
+            return False
+        candidates[:] = [
+            (kept, p)
+            for kept, p in candidates
+            if not weakly_dominates(dist, kept.distribution)
+        ]
+        candidates.append((label, dist.prob_within(self.budget)))
+        distinct = sorted({p for _, p in candidates}, reverse=True)
+        if len(distinct) >= self.k:
+            self.floor = distinct[self.k - 1]
+        return True
+
+    def unanswered(self) -> bool:
+        return not self.candidates
 
 
 class _BudgetSearch:
@@ -167,8 +305,10 @@ class _BudgetSearch:
     # Internals
     # ------------------------------------------------------------------
 
-    def _clip(self, dist: DiscreteDistribution, budget: int) -> DiscreteDistribution:
-        """Fold all mass beyond ``budget`` into one cell.
+    def _clip(
+        self, dist: DiscreteDistribution, budget: int | None
+    ) -> DiscreteDistribution:
+        """Fold all mass beyond ``budget`` into one cell (``None`` = never fold).
 
         Exact for the objective *under convolution*: mass above the budget
         contributes nothing to ``P(cost <= budget)`` wherever it sits, and
@@ -178,7 +318,11 @@ class _BudgetSearch:
         corrupt their inputs — clipping is skipped unless the combiner
         declares ``exact_under_truncation``.
         """
-        if not self.combiner.exact_under_truncation or not self.clip_distributions:
+        if (
+            budget is None
+            or not self.combiner.exact_under_truncation
+            or not self.clip_distributions
+        ):
             return dist
         max_support = budget + 2 - dist.offset
         if max_support < 1:
@@ -219,41 +363,27 @@ class _BudgetSearch:
         return capable and self.network.num_edges >= COLUMNAR_AUTO_MIN_EDGES
 
     # ------------------------------------------------------------------
-    # Search
+    # The one label-search loop
     # ------------------------------------------------------------------
 
-    def route(
+    def _run(
         self,
         query: RoutingQuery,
-        *,
-        time_limit_seconds: float | None = None,
-        heuristic: OptimisticHeuristic | None = None,
-    ) -> RoutingResult:
-        """Answer one query; ``time_limit_seconds`` enables anytime mode.
+        policy: "_BudgetVectorPivots | _KBestPivots",
+        time_limit_seconds: float | None,
+        heuristic: OptimisticHeuristic | None,
+    ) -> tuple[SearchStats, _Fallback | None]:
+        """Best-first label search; ``policy`` owns the pivot rule.
 
-        Always returns a result: the optimal path when the search ran to
-        completion (``stats.completed``), the pivot path when the anytime
-        limit expired, and an empty path when the target is unreachable.
-
-        ``heuristic`` lets callers inject a pre-built (shared) optimistic
-        heuristic for the query target; by default one is taken from the
-        process-wide :meth:`OptimisticHeuristic.shared` cache, so repeated
-        queries to one destination pay for the reverse Dijkstra once.
-
-        Depending on :attr:`backend`, the query is answered by this scalar
-        label-at-a-time loop or by the batched generation-at-a-time core in
-        :mod:`repro.routing.columnar` (same probabilities to 2e-12; routes
-        identical up to equal-probability ties).
+        The loop owns everything the three public searches share — heap,
+        admission (deadline tick, heuristic probe, cost-shifted bound,
+        dominance frontier), the pop/terminate/expand cycle and the
+        simple-path walk — and asks ``policy`` only what "cannot beat the
+        pivot" means (see :class:`_BudgetVectorPivots`, :class:`_KBestPivots`).
+        Arrivals accumulate on ``policy``; the return value is the search's
+        stats plus the optimistically fastest route when the policy was left
+        without an answer (``None`` when not needed or no route exists).
         """
-        if self._columnar_applicable(query):
-            from .columnar import columnar_route
-
-            return columnar_route(
-                self,
-                query,
-                time_limit_seconds=time_limit_seconds,
-                heuristic=heuristic,
-            )
         start_time = time.perf_counter()
         stats = SearchStats()
         if heuristic is None:
@@ -263,9 +393,8 @@ class _BudgetSearch:
         h_table = heuristic.table
 
         if query.source not in h_table:
-            stats.completed = True
             stats.runtime_seconds = time.perf_counter() - start_time
-            return RoutingResult(query, (), None, 0.0, stats)
+            return stats, None
 
         pruning = self.pruning
         use_heuristic = pruning.use_heuristic
@@ -274,12 +403,12 @@ class _BudgetSearch:
         use_dominance = pruning.use_dominance
         budget = query.budget
         target = query.target
+        clip_budget = policy.clip_budget
+        prunable = policy.prunable
 
-        pivot: _Label | None = None
-        pivot_probability = -1.0
         frontiers: dict[int, ParetoFrontier] = {}
         counter = itertools.count()
-        heap: list[tuple[float, int, _Label]] = []
+        heap: list[tuple[float, int, _Label, int]] = []
         heappush = heapq.heappush
         deadline = (
             None
@@ -304,21 +433,16 @@ class _BudgetSearch:
                 return
             vertex = label.vertex
             dist = label.distribution
+            shift = 0
             if use_heuristic:
                 remaining = h_table.get(vertex)
                 if remaining is None:
                     stats.pruned_unreachable += 1
                     return
                 if use_cost_shifting:
-                    bound = dist.prob_within(budget - int(remaining))
-                else:
-                    bound = dist.prob_within(budget)
-            else:
-                bound = dist.prob_within(budget)
-            if bound <= 0.0:
-                stats.pruned_by_bound += 1
-                return
-            if use_pivot and bound <= pivot_probability:
+                    shift = int(remaining)
+            bound = dist.prob_within(budget - shift)
+            if bound <= 0.0 or (use_pivot and prunable(dist, shift, bound)):
                 stats.pruned_by_bound += 1
                 return
             if use_dominance and vertex != target:
@@ -329,14 +453,14 @@ class _BudgetSearch:
                 if not frontier.add(dist):
                     stats.pruned_by_dominance += 1
                     return
-            heappush(heap, (-bound, next(counter), label))
+            heappush(heap, (-bound, next(counter), label, shift))
 
         for edge in self.network.out_edges(query.source):
             if expired:
                 break
             if edge.target == query.source:
                 continue
-            dist = self._clip(self.combiner.edge_cost(edge), budget)
+            dist = self._clip(self.combiner.edge_cost(edge), clip_budget)
             consider(_Label(edge.target, dist, edge, None))
 
         out_edges = self.network.out_edges
@@ -345,20 +469,21 @@ class _BudgetSearch:
             if expired or (
                 deadline is not None and time.perf_counter() > deadline
             ):
-                stats.completed = False
+                expired = True
                 break
-            neg_bound, _, label = heapq.heappop(heap)
+            neg_bound, _, label, shift = heapq.heappop(heap)
             bound = -neg_bound
-            if use_pivot and bound <= pivot_probability:
-                # Best-first order: nothing left can beat the pivot.
+            if use_pivot and bound <= policy.floor:
+                # Best-first order: nothing left can beat the pivot(s).
                 stats.bound_terminations += 1
                 break
             if label.vertex == target:
-                probability = label.distribution.prob_within(budget)
-                if probability > pivot_probability:
-                    pivot = label
-                    pivot_probability = probability
+                if policy.arrive(label):
                     stats.pivot_updates += 1
+                continue
+            if use_pivot and prunable(label.distribution, shift, bound):
+                # Pivots may have moved since this label was queued.
+                stats.pruned_by_bound += 1
                 continue
             stats.labels_expanded += 1
             # Simple-path constraint: collect this label's path vertices by
@@ -374,34 +499,22 @@ class _BudgetSearch:
                     break
                 if edge.target in path_vertices:
                     continue
-                combined = self._clip(combine(label.distribution, edge), budget)
+                combined = self._clip(combine(label.distribution, edge), clip_budget)
                 consider(_Label(edge.target, combined, edge, label))
 
-        if expired:
-            stats.completed = False
+        stats.completed = not expired
         stats.runtime_seconds = time.perf_counter() - start_time
-        if pivot is None:
-            # No complete path beat probability 0 within the budget (or the
-            # anytime limit fired before any arrival) — fall back to the
-            # optimistically fastest path so callers always get a route.
-            fallback = self._fallback_route(query.source, query.target)
-            if fallback is None:
-                return RoutingResult(query, (), None, 0.0, stats)
-            path, dist = fallback
-            return RoutingResult(
-                query, path, dist, dist.prob_within(query.budget), stats
-            )
-        return RoutingResult(
-            query,
-            pivot.path(),
-            pivot.distribution,
-            pivot_probability,
-            stats,
+        # No complete path beat probability 0 within the budget (or the
+        # anytime limit fired before any arrival) — fall back to the
+        # optimistically fastest path so callers always get a route.
+        fallback = (
+            self._fallback_route(query.source, query.target)
+            if policy.unanswered()
+            else None
         )
+        return stats, fallback
 
-    def _fallback_route(
-        self, source: int, target: int
-    ) -> tuple[tuple[Edge, ...], DiscreteDistribution] | None:
+    def _fallback_route(self, source: int, target: int) -> _Fallback | None:
         """The optimistically fastest path and its cost, or None if none."""
         from ..network.paths import shortest_path
 
@@ -419,8 +532,46 @@ class _BudgetSearch:
         return tuple(path), PathCostComputer(self.combiner).cost(path)
 
     # ------------------------------------------------------------------
-    # Multi-budget search
+    # Public searches: a pivot policy plus result assembly
     # ------------------------------------------------------------------
+
+    def route(
+        self,
+        query: RoutingQuery,
+        *,
+        time_limit_seconds: float | None = None,
+        heuristic: OptimisticHeuristic | None = None,
+    ) -> RoutingResult:
+        """Answer one query; ``time_limit_seconds`` enables anytime mode.
+
+        Always returns a result: the optimal path when the search ran to
+        completion (``stats.completed``), the pivot path when the anytime
+        limit expired, and an empty path when the target is unreachable.
+
+        ``heuristic`` lets callers inject a pre-built (shared) optimistic
+        heuristic for the query target; by default one is taken from the
+        process-wide :meth:`OptimisticHeuristic.shared` cache, so repeated
+        queries to one destination pay for the reverse Dijkstra once.
+
+        Depending on :attr:`backend`, the query is answered by the scalar
+        label-at-a-time loop (as the one-element budget vector) or by the
+        batched generation-at-a-time core in :mod:`repro.routing.columnar`
+        (same probabilities to 2e-12; routes identical up to
+        equal-probability ties).
+        """
+        if self._columnar_applicable(query):
+            from .columnar import columnar_route
+
+            return columnar_route(
+                self,
+                query,
+                time_limit_seconds=time_limit_seconds,
+                heuristic=heuristic,
+            )
+        policy = _BudgetVectorPivots((query.budget,))
+        stats, fallback = self._run(query, policy, time_limit_seconds, heuristic)
+        result = _answer(query, policy.best[0], policy.pivots[0], fallback)
+        return replace(result, stats=stats)
 
     def route_multi_budget(
         self,
@@ -445,8 +596,6 @@ class _BudgetSearch:
         query.budget`` (the engine's ``route_multi_budget`` helper constructs
         both consistently).
         """
-        start_time = time.perf_counter()
-        stats = SearchStats()
         budgets = tuple(budgets)
         if not budgets or any(
             b <= a for a, b in zip(budgets, budgets[1:])
@@ -454,189 +603,15 @@ class _BudgetSearch:
             raise ValueError("budgets must be non-empty and strictly ascending")
         if budgets[-1] != query.budget:
             raise ValueError("query.budget must equal max(budgets)")
-        queries = tuple(
-            RoutingQuery(query.source, query.target, b) for b in budgets
+        policy = _BudgetVectorPivots(budgets)
+        stats, fallback = self._run(query, policy, time_limit_seconds, heuristic)
+        results = tuple(
+            _answer(RoutingQuery(query.source, query.target, b), label, p, fallback)
+            for b, label, p in zip(budgets, policy.best, policy.pivots)
         )
-        if heuristic is None:
-            heuristic = OptimisticHeuristic.shared(
-                self.network, self.combiner.costs, query.target
-            )
-        h_table = heuristic.table
-
-        if query.source not in h_table:
-            stats.completed = True
-            stats.runtime_seconds = time.perf_counter() - start_time
-            return MultiBudgetResult(
-                query=query,
-                budgets=budgets,
-                results=tuple(RoutingResult(q, (), None, 0.0) for q in queries),
-                stats=stats,
-            )
-
-        pruning = self.pruning
-        use_heuristic = pruning.use_heuristic
-        use_pivot = pruning.use_pivot
-        use_cost_shifting = pruning.use_cost_shifting
-        use_dominance = pruning.use_dominance
-        max_budget = budgets[-1]
-        target = query.target
-        num_budgets = len(budgets)
-        descending = range(num_budgets - 1, -1, -1)
-
-        #: Best complete probability per budget (-1 = no positive-probability
-        #: arrival yet), and the label that achieved it.
-        pivots = [-1.0] * num_budgets
-        best: list[_Label | None] = [None] * num_budgets
-        frontiers: dict[int, ParetoFrontier] = {}
-        counter = itertools.count()
-        heap: list[tuple[float, int, _Label]] = []
-        heappush = heapq.heappush
-        deadline = (
-            None
-            if time_limit_seconds is None
-            else start_time + time_limit_seconds
-        )
-        expired = False
-
-        def improvable(dist: DiscreteDistribution, shift: int) -> bool:
-            """Can any budget's answer still be beaten by this label?"""
-            for i in descending:
-                bound = dist.prob_within(budgets[i] - shift)
-                if bound <= 0.0:
-                    # CDF monotone: smaller budgets bound even lower.
-                    return False
-                if bound > pivots[i]:
-                    return True
-            return False
-
-        def consider(label: _Label) -> None:
-            nonlocal expired
-            stats.labels_generated += 1
-            if (
-                deadline is not None
-                and stats.labels_generated % _DEADLINE_CHECK_INTERVAL == 0
-                and time.perf_counter() > deadline
-            ):
-                expired = True
-                return
-            vertex = label.vertex
-            dist = label.distribution
-            shift = 0
-            if use_heuristic:
-                remaining = h_table.get(vertex)
-                if remaining is None:
-                    stats.pruned_unreachable += 1
-                    return
-                if use_cost_shifting:
-                    shift = int(remaining)
-            bound = dist.prob_within(max_budget - shift)
-            if bound <= 0.0:
-                stats.pruned_by_bound += 1
-                return
-            if use_pivot and not improvable(dist, shift):
-                stats.pruned_by_bound += 1
-                return
-            if use_dominance and vertex != target:
-                frontier = frontiers.get(vertex)
-                if frontier is None:
-                    frontier = ParetoFrontier(max_size=pruning.max_frontier_size)
-                    frontiers[vertex] = frontier
-                if not frontier.add(dist):
-                    stats.pruned_by_dominance += 1
-                    return
-            heappush(heap, (-bound, next(counter), label))
-
-        for edge in self.network.out_edges(query.source):
-            if expired:
-                break
-            if edge.target == query.source:
-                continue
-            dist = self._clip(self.combiner.edge_cost(edge), max_budget)
-            consider(_Label(edge.target, dist, edge, None))
-
-        out_edges = self.network.out_edges
-        combine = self.combiner.combine
-        while heap:
-            if expired or (
-                deadline is not None and time.perf_counter() > deadline
-            ):
-                stats.completed = False
-                break
-            neg_bound, _, label = heapq.heappop(heap)
-            bound = -neg_bound
-            if use_pivot and bound <= pivots[0]:
-                # Best-first on the max-budget bound: every remaining label's
-                # bound at budget i is <= this bound <= min(pivots), so no
-                # budget's answer can improve.
-                stats.bound_terminations += 1
-                break
-            if label.vertex == target:
-                dist = label.distribution
-                improved = False
-                for i in descending:
-                    probability = dist.prob_within(budgets[i])
-                    if probability <= 0.0:
-                        break
-                    if probability > pivots[i]:
-                        pivots[i] = probability
-                        best[i] = label
-                        improved = True
-                if improved:
-                    stats.pivot_updates += 1
-                continue
-            if use_pivot:
-                # Pivots may have moved since this label was queued.
-                shift = 0
-                if use_heuristic and use_cost_shifting:
-                    shift = int(h_table[label.vertex])
-                if not improvable(label.distribution, shift):
-                    stats.pruned_by_bound += 1
-                    continue
-            stats.labels_expanded += 1
-            path_vertices = {query.source}
-            node: _Label | None = label
-            while node is not None:
-                path_vertices.add(node.vertex)
-                node = node.parent
-            for edge in out_edges(label.vertex):
-                if expired:
-                    break
-                if edge.target in path_vertices:
-                    continue
-                combined = self._clip(combine(label.distribution, edge), max_budget)
-                consider(_Label(edge.target, combined, edge, label))
-
-        if expired:
-            stats.completed = False
-        stats.runtime_seconds = time.perf_counter() - start_time
-        fallback: tuple[tuple[Edge, ...], DiscreteDistribution] | None = None
-        if any(item is None for item in best):
-            fallback = self._fallback_route(query.source, query.target)
-        results = []
-        for i, member_query in enumerate(queries):
-            label = best[i]
-            if label is not None:
-                results.append(
-                    RoutingResult(
-                        member_query, label.path(), label.distribution, pivots[i]
-                    )
-                )
-            elif fallback is not None:
-                path, dist = fallback
-                results.append(
-                    RoutingResult(
-                        member_query, path, dist, dist.prob_within(budgets[i])
-                    )
-                )
-            else:
-                results.append(RoutingResult(member_query, (), None, 0.0))
         return MultiBudgetResult(
-            query=query, budgets=budgets, results=tuple(results), stats=stats
+            query=query, budgets=budgets, results=results, stats=stats
         )
-
-    # ------------------------------------------------------------------
-    # K-best search
-    # ------------------------------------------------------------------
 
     def route_kbest(
         self,
@@ -669,163 +644,11 @@ class _BudgetSearch:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        start_time = time.perf_counter()
-        stats = SearchStats()
-        if heuristic is None:
-            heuristic = OptimisticHeuristic.shared(
-                self.network, self.combiner.costs, query.target
-            )
-        h_table = heuristic.table
-
-        if query.source not in h_table:
-            stats.completed = True
-            stats.runtime_seconds = time.perf_counter() - start_time
-            return KBestResult(query=query, k=k, routes=(), stats=stats)
-
-        pruning = self.pruning
-        use_heuristic = pruning.use_heuristic
-        use_pivot = pruning.use_pivot
-        use_cost_shifting = pruning.use_cost_shifting
-        use_dominance = pruning.use_dominance
-        budget = query.budget
-        target = query.target
-
-        #: Non-dominated complete arrivals: (label, probability) pairs.
-        candidates: list[tuple[_Label, float]] = []
-        #: Pruning threshold: the k-th largest *distinct* arrival probability
-        #: (-1 until k distinct values exist).  Distinct values are what makes
-        #: the threshold monotone and the pruning sound: an eviction replaces
-        #: frontier members with an equal-probability dominator (arrivals pop
-        #: in non-increasing probability order, so a dominator can never have
-        #: a strictly higher budget probability than its victims), which can
-        #: shrink the member count below k but never removes a probability
-        #: value — so at least k frontier members >= threshold always survive.
-        threshold = -1.0
-        frontiers: dict[int, ParetoFrontier] = {}
-        counter = itertools.count()
-        heap: list[tuple[float, int, _Label]] = []
-        heappush = heapq.heappush
-        deadline = (
-            None
-            if time_limit_seconds is None
-            else start_time + time_limit_seconds
-        )
-        expired = False
-
-        def consider(label: _Label) -> None:
-            nonlocal expired
-            stats.labels_generated += 1
-            if (
-                deadline is not None
-                and stats.labels_generated % _DEADLINE_CHECK_INTERVAL == 0
-                and time.perf_counter() > deadline
-            ):
-                expired = True
-                return
-            vertex = label.vertex
-            dist = label.distribution
-            if use_heuristic:
-                remaining = h_table.get(vertex)
-                if remaining is None:
-                    stats.pruned_unreachable += 1
-                    return
-                if use_cost_shifting:
-                    bound = dist.prob_within(budget - int(remaining))
-                else:
-                    bound = dist.prob_within(budget)
-            else:
-                bound = dist.prob_within(budget)
-            if bound <= 0.0:
-                stats.pruned_by_bound += 1
-                return
-            if use_pivot and bound <= threshold:
-                stats.pruned_by_bound += 1
-                return
-            if use_dominance and vertex != target:
-                frontier = frontiers.get(vertex)
-                if frontier is None:
-                    frontier = ParetoFrontier(max_size=pruning.max_frontier_size)
-                    frontiers[vertex] = frontier
-                if not frontier.add(dist):
-                    stats.pruned_by_dominance += 1
-                    return
-            heappush(heap, (-bound, next(counter), label))
-
-        for edge in self.network.out_edges(query.source):
-            if expired:
-                break
-            if edge.target == query.source:
-                continue
-            consider(_Label(edge.target, self.combiner.edge_cost(edge), edge, None))
-
-        out_edges = self.network.out_edges
-        combine = self.combiner.combine
-        while heap:
-            if expired or (
-                deadline is not None and time.perf_counter() > deadline
-            ):
-                stats.completed = False
-                break
-            neg_bound, _, label = heapq.heappop(heap)
-            bound = -neg_bound
-            if use_pivot and bound <= threshold:
-                # Best-first order: nothing left can crack the top k.
-                stats.bound_terminations += 1
-                break
-            if label.vertex == target:
-                dist = label.distribution
-                if any(
-                    weakly_dominates(kept.distribution, dist)
-                    for kept, _ in candidates
-                ):
-                    continue
-                candidates[:] = [
-                    (kept, p)
-                    for kept, p in candidates
-                    if not weakly_dominates(dist, kept.distribution)
-                ]
-                candidates.append((label, dist.prob_within(budget)))
-                stats.pivot_updates += 1
-                distinct = sorted({p for _, p in candidates}, reverse=True)
-                if len(distinct) >= k:
-                    threshold = distinct[k - 1]
-                continue
-            stats.labels_expanded += 1
-            path_vertices = {query.source}
-            node: _Label | None = label
-            while node is not None:
-                path_vertices.add(node.vertex)
-                node = node.parent
-            for edge in out_edges(label.vertex):
-                if expired:
-                    break
-                if edge.target in path_vertices:
-                    continue
-                combined = combine(label.distribution, edge)
-                consider(_Label(edge.target, combined, edge, label))
-
-        if expired:
-            stats.completed = False
-        stats.runtime_seconds = time.perf_counter() - start_time
-        if not candidates:
-            # Mirror :meth:`route`: always give the caller a route when one
-            # exists, even at (near-)zero probability.
-            fallback = self._fallback_route(query.source, query.target)
-            if fallback is None:
-                return KBestResult(query=query, k=k, routes=(), stats=stats)
-            path, dist = fallback
-            route = RoutingResult(query, path, dist, dist.prob_within(budget))
-            return KBestResult(query=query, k=k, routes=(route,), stats=stats)
-        ranked = sorted(
-            range(len(candidates)), key=lambda i: (-candidates[i][1], i)
-        )[:k]
-        routes = tuple(
-            RoutingResult(
-                query,
-                candidates[i][0].path(),
-                candidates[i][0].distribution,
-                candidates[i][1],
-            )
-            for i in ranked
-        )
+        policy = _KBestPivots(k, query.budget)
+        stats, fallback = self._run(query, policy, time_limit_seconds, heuristic)
+        # Stable sort: equal probabilities stay in arrival order.
+        ranked = sorted(policy.candidates, key=lambda kept: -kept[1])[:k]
+        routes = tuple(_answer(query, label, p, None) for label, p in ranked)
+        if not routes and fallback is not None:
+            routes = (_answer(query, None, 0.0, fallback),)
         return KBestResult(query=query, k=k, routes=routes, stats=stats)

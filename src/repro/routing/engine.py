@@ -59,7 +59,7 @@ from .query import (
     RoutingQuery,
     RoutingResult,
     SearchStats,
-    budget_ticks_for_departure,
+    departure_budgets,
     normalize_budgets,
     normalize_departures,
     result_from_dict,
@@ -342,20 +342,8 @@ class DepartWhenStrategy(RoutingStrategy):
         if arrive_by_seconds is None:
             budgets = (query.budget,) * len(departures)
         else:
-            if (
-                isinstance(arrive_by_seconds, bool)
-                or not isinstance(arrive_by_seconds, numbers.Real)
-                or not math.isfinite(arrive_by_seconds)
-            ):
-                raise ValueError(
-                    f"arrive_by_seconds must be a finite number, got "
-                    f"{arrive_by_seconds!r}"
-                )
-            budgets = tuple(
-                budget_ticks_for_departure(
-                    departure, arrive_by_seconds, engine.resolution
-                )
-                for departure in departures
+            budgets = departure_budgets(
+                departures, arrive_by_seconds, engine.resolution
             )
         feasible = sorted({b for b in budgets if b >= 1})
         if not feasible:
@@ -772,31 +760,15 @@ class RoutingEngine:
         if budget is not None:
             query = RoutingQuery(source, target, budget)
         else:
-            if (
-                isinstance(arrive_by_seconds, bool)
-                or not isinstance(arrive_by_seconds, numbers.Real)
-                or not math.isfinite(arrive_by_seconds)
-            ):
-                raise ValueError(
-                    f"arrive_by_seconds must be a finite number, got "
-                    f"{arrive_by_seconds!r}"
-                )
-            feasible = [
-                ticks
-                for departure in departures
-                if (
-                    ticks := budget_ticks_for_departure(
-                        departure, arrive_by_seconds, self.resolution
-                    )
-                )
-                >= 1
-            ]
-            if not feasible:
+            largest = max(
+                departure_budgets(departures, arrive_by_seconds, self.resolution)
+            )
+            if largest < 1:
                 raise ValueError(
                     "every departure is at or past arrive_by_seconds; "
                     "nothing to search"
                 )
-            query = RoutingQuery(source, target, max(feasible))
+            query = RoutingQuery(source, target, largest)
         return self.route(
             query,
             strategy="depart_when",

@@ -31,6 +31,7 @@ __all__ = [
     "KBestResult",
     "DepartWhenResult",
     "budget_ticks_for_departure",
+    "departure_budgets",
     "normalize_budgets",
     "normalize_departures",
     "result_from_dict",
@@ -215,6 +216,30 @@ def budget_ticks_for_departure(
         return 0
     ticks = int(math.floor(window / float(resolution) * (1 + 1e-9)))
     return max(0, ticks)
+
+
+def departure_budgets(
+    departures: Iterable[float], arrive_by_seconds: Any, resolution: float
+) -> tuple[int, ...]:
+    """Per-departure tick budgets toward one arrive-by deadline (0 = infeasible).
+
+    The single place the deadline is validated: engine, strategy and service
+    all derive their budget vectors here, so a non-finite, boolean or
+    non-numeric ``arrive_by_seconds`` is the same ``ValueError`` (a wire
+    ``bad_request``) on every entry point.
+    """
+    if (
+        isinstance(arrive_by_seconds, bool)
+        or not isinstance(arrive_by_seconds, numbers.Real)
+        or not math.isfinite(arrive_by_seconds)
+    ):
+        raise ValueError(
+            f"arrive_by_seconds must be a finite number, got {arrive_by_seconds!r}"
+        )
+    return tuple(
+        budget_ticks_for_departure(departure, arrive_by_seconds, resolution)
+        for departure in departures
+    )
 
 
 @dataclass

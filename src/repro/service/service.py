@@ -48,10 +48,10 @@ from ..routing import (
     RoutingQuery,
     RoutingResult,
     SearchStats,
-    budget_ticks_for_departure,
     normalize_departures,
     result_from_dict,
 )
+from ..routing.query import departure_budgets
 from .cache import ResultCache, check_ttl_seconds, freeze_kwargs
 from .errors import DeadlineExceededError, NoRouteError, error_kind
 from .faults import CircuitBreaker
@@ -1145,15 +1145,12 @@ class RoutingService:
         for name, group in groups.items():
             name = self._resolve_slice(name)
             if arrive_by_seconds is not None:
-                resolution = self._engines[name].resolution
-                ticks = [
-                    budget_ticks_for_departure(
-                        departure, arrive_by_seconds, resolution
+                largest = max(
+                    departure_budgets(
+                        group, arrive_by_seconds, self._engines[name].resolution
                     )
-                    for departure in group
-                ]
-                feasible = [t for t in ticks if t >= 1]
-                if not feasible:
+                )
+                if largest < 1:
                     # The whole regime is past the deadline: synthesise the
                     # all-infeasible fragment locally, no search to run.
                     parts.append(
@@ -1166,7 +1163,7 @@ class RoutingService:
                         )
                     )
                     continue
-                group_query = RoutingQuery(source, target, max(feasible))
+                group_query = RoutingQuery(source, target, largest)
             else:
                 group_query = RoutingQuery(source, target, budget)
             served = self.route(

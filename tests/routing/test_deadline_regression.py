@@ -48,15 +48,33 @@ def _star_world(num_spokes: int):
     return network, costs, target
 
 
-def test_star_vertex_deadline_overrun_is_bounded():
+def _expired_search(search, entry_point, query):
+    """Run one entry point past its deadline -> (stats, the route it offers)."""
+    if entry_point == "route":
+        result = search.route(query, time_limit_seconds=0.0)
+        return result.stats, result
+    if entry_point == "route_multi_budget":
+        answer = search.route_multi_budget(
+            query, (query.budget // 2, query.budget), time_limit_seconds=0.0
+        )
+        return answer.stats, answer.results[-1]
+    answer = search.route_kbest(query, 2, time_limit_seconds=0.0)
+    return answer.stats, answer.best
+
+
+# Every public search is the one loop under a different pivot policy, so the
+# in-``consider`` clock check is pinned for each of them.
+@pytest.mark.parametrize(
+    "entry_point", ["route", "route_multi_budget", "route_kbest"]
+)
+def test_star_vertex_deadline_overrun_is_bounded(entry_point):
     """An already-expired deadline stops mid-expansion, not after it."""
     num_spokes = 4 * _DEADLINE_CHECK_INTERVAL  # hub expansion alone is 4 windows
     network, costs, target = _star_world(num_spokes)
     search = _BudgetSearch(network, ConvolutionModel(costs), backend="scalar")
-    result = search.route(
-        RoutingQuery(0, target, 100), time_limit_seconds=0.0
+    stats, result = _expired_search(
+        search, entry_point, RoutingQuery(0, target, 100)
     )
-    stats = result.stats
     assert not stats.completed
     # The clock fires at the first interval boundary; without the in-loop
     # check the hub expansion would generate all num_spokes labels.

@@ -9,7 +9,10 @@ invariants future hot-path work must not break:
   routes by descending probability, and returns an antichain under
   dominance;
 * batch answers equal individual answers, and reported probabilities are
-  consistent with the returned path distributions.
+  consistent with the returned path distributions;
+* scalar ``pbr`` *is* the one-element budget vector — same route, same
+  probability bit for bit, same search counters — under every pruning
+  combination (the identity that lets one loop serve both).
 
 The graphs always contain a 0 -> .. -> n-1 spine, so the main query pair is
 reachable by construction; extra random edges create the alternative-route
@@ -25,6 +28,19 @@ from repro.core import ConvolutionModel, EdgeCostTable
 from repro.histograms import DiscreteDistribution, dominates
 from repro.network import RoadNetwork
 from repro.routing import RoutingEngine, RoutingQuery
+from repro.routing.budget import PruningConfig, _BudgetSearch
+
+#: Every valid flag combination (cost shifting requires the heuristic).
+ALL_PRUNINGS = [
+    PruningConfig(
+        use_heuristic=h, use_pivot=p, use_cost_shifting=c, use_dominance=d
+    )
+    for h in (True, False)
+    for p in (True, False)
+    for c in (True, False)
+    for d in (True, False)
+    if h or not c
+]
 
 
 @st.composite
@@ -170,3 +186,24 @@ def test_found_probability_is_distribution_consistent(world):
             # A returned route is connected source -> target.
             vertices = result.path_vertices()
             assert vertices[0] == 0 and vertices[-1] == n - 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(worlds(), st.integers(min_value=3, max_value=30))
+def test_pbr_is_the_one_element_budget_vector(world, budget):
+    """route(q) == route_multi_budget(q, (q.budget,)), counters included."""
+    engine, n = world
+    query = RoutingQuery(0, n - 1, budget)
+    for pruning in ALL_PRUNINGS:
+        search = _BudgetSearch(
+            engine.network, engine.combiner, pruning=pruning, backend="scalar"
+        )
+        single = search.route(query)
+        vector = search.route_multi_budget(query, (budget,))
+        member = vector.results[0]
+        assert member.path == single.path, pruning
+        assert member.probability == single.probability, pruning  # bit for bit
+        counters = single.stats.to_dict()
+        shared = vector.stats.to_dict()
+        del counters["runtime_seconds"], shared["runtime_seconds"]
+        assert shared == counters, pruning

@@ -823,6 +823,21 @@ class TestServiceDepartWhen:
              "departure_times": []}
         )
         assert missing["ok"] is False
+        # Every entry point shares one arrive-by validation: non-finite,
+        # boolean and non-numeric deadlines are client errors on the wire
+        # (Infinity used to escape as an "internal" OverflowError; true and
+        # "900" used to be served as 1.0 s / 900 s).
+        for literal in ("Infinity", "NaN", "true", '"900"'):
+            document = json.loads(
+                service.handle_json(
+                    '{"op": "depart_when", "source": 0, "target": 24, '
+                    '"departure_times": [100.0, 200.0], '
+                    f'"arrive_by_seconds": {literal}}}'
+                )
+            )
+            assert document["ok"] is False, literal
+            assert document["error_kind"] == "bad_request", literal
+            assert "arrive_by_seconds" in document["error"], literal
 
 
 # ----------------------------------------------------------------------
