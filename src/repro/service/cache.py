@@ -28,11 +28,11 @@ from being served forever.
 
 from __future__ import annotations
 
-import math
-import numbers
 import threading
 import time
 from typing import Any, Callable, Hashable, Mapping
+
+from .errors import require_integer, require_number
 
 __all__ = ["ResultCache", "check_ttl_seconds", "freeze_kwargs"]
 
@@ -43,16 +43,14 @@ def check_ttl_seconds(
     """Validate a TTL (``None`` = no expiry): positive and finite, or raise.
 
     The one definition of a valid TTL, shared by the cache itself and the
-    service's per-request ``cache_ttl_seconds`` knob.
+    service's per-request ``cache_ttl_seconds`` knob — which arrives over
+    the wire, so a JSON ``true`` or ``"900"`` is rejected, not coerced.
     """
     if ttl_seconds is None:
         return None
-    ttl = float(ttl_seconds)
-    if not math.isfinite(ttl) or ttl <= 0:
-        raise ValueError(
-            f"{name} must be positive and finite, got {ttl_seconds!r}"
-        )
-    return ttl
+    return require_number(
+        ttl_seconds, f"{name} must be positive and finite", low=0, open_low=True
+    )
 
 
 def _mapping_item_order(item: tuple) -> tuple[str, str]:
@@ -128,15 +126,9 @@ class ResultCache:
         ttl_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if (
-            isinstance(max_entries, bool)
-            or not isinstance(max_entries, numbers.Integral)
-            or max_entries < 1
-        ):
-            raise ValueError(
-                f"max_entries must be a positive integer, got {max_entries!r}"
-            )
-        self.max_entries = int(max_entries)
+        self.max_entries = require_integer(
+            max_entries, "max_entries must be a positive integer", low=1
+        )
         self.default_ttl_seconds = check_ttl_seconds(ttl_seconds)
         self._clock = clock
         self._lock = threading.Lock()
@@ -250,14 +242,9 @@ class ResultCache:
         self._refund("hits", count)
 
     def _refund(self, counter: str, count: int) -> None:
-        if (
-            isinstance(count, bool)
-            or not isinstance(count, numbers.Integral)
-            or count < 0
-        ):
-            raise ValueError(
-                f"refund count must be a non-negative integer, got {count!r}"
-            )
+        count = require_integer(
+            count, "refund count must be a non-negative integer", low=0
+        )
         with self._lock:
             current = getattr(self, counter)
             if count > current:

@@ -24,13 +24,13 @@ tested:
 
 from __future__ import annotations
 
-import math
-import numbers
 import random
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
+
+from .errors import require_integer, require_number
 
 __all__ = ["CircuitBreaker", "FaultInjector", "InjectedFault", "RetryPolicy"]
 
@@ -44,14 +44,9 @@ class InjectedFault(RuntimeError):
 
 
 def _check_rate(value: Any, name: str) -> float:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or math.isnan(value)
-        or not 0.0 <= value <= 1.0
-    ):
-        raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
-    return float(value)
+    return require_number(
+        value, f"{name} must be a probability in [0, 1]", low=0.0, high=1.0
+    )
 
 
 @dataclass(frozen=True)
@@ -69,36 +64,20 @@ class RetryPolicy:
     multiplier: float = 2.0
 
     def __post_init__(self) -> None:
-        if (
-            isinstance(self.max_attempts, bool)
-            or not isinstance(self.max_attempts, numbers.Integral)
-            or self.max_attempts < 1
-        ):
-            raise ValueError(
-                f"max_attempts must be a positive integer, got {self.max_attempts!r}"
-            )
-        if (
-            isinstance(self.backoff_seconds, bool)
-            or not isinstance(self.backoff_seconds, numbers.Real)
-            or not math.isfinite(self.backoff_seconds)
-            or self.backoff_seconds < 0
-        ):
-            raise ValueError(
-                "backoff_seconds must be a non-negative finite number, got "
-                f"{self.backoff_seconds!r}"
-            )
-        if (
-            isinstance(self.multiplier, bool)
-            or not isinstance(self.multiplier, numbers.Real)
-            or not math.isfinite(self.multiplier)
-            or self.multiplier < 1
-        ):
-            raise ValueError(
-                f"multiplier must be a finite number >= 1, got {self.multiplier!r}"
-            )
-        object.__setattr__(self, "max_attempts", int(self.max_attempts))
-        object.__setattr__(self, "backoff_seconds", float(self.backoff_seconds))
-        object.__setattr__(self, "multiplier", float(self.multiplier))
+        max_attempts = require_integer(
+            self.max_attempts, "max_attempts must be a positive integer", low=1
+        )
+        backoff_seconds = require_number(
+            self.backoff_seconds,
+            "backoff_seconds must be a non-negative finite number",
+            low=0,
+        )
+        multiplier = require_number(
+            self.multiplier, "multiplier must be a finite number >= 1", low=1
+        )
+        object.__setattr__(self, "max_attempts", max_attempts)
+        object.__setattr__(self, "backoff_seconds", backoff_seconds)
+        object.__setattr__(self, "multiplier", multiplier)
 
     def delay_before_retry(self, retry_index: int) -> float:
         """Seconds to sleep before retry number ``retry_index`` (0-based)."""
@@ -127,27 +106,15 @@ class CircuitBreaker:
         cooldown_seconds: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if (
-            isinstance(failure_threshold, bool)
-            or not isinstance(failure_threshold, numbers.Integral)
-            or failure_threshold < 1
-        ):
-            raise ValueError(
-                "failure_threshold must be a positive integer, got "
-                f"{failure_threshold!r}"
-            )
-        if (
-            isinstance(cooldown_seconds, bool)
-            or not isinstance(cooldown_seconds, numbers.Real)
-            or not math.isfinite(cooldown_seconds)
-            or cooldown_seconds <= 0
-        ):
-            raise ValueError(
-                "cooldown_seconds must be a positive finite number, got "
-                f"{cooldown_seconds!r}"
-            )
-        self.failure_threshold = int(failure_threshold)
-        self.cooldown_seconds = float(cooldown_seconds)
+        self.failure_threshold = require_integer(
+            failure_threshold, "failure_threshold must be a positive integer", low=1
+        )
+        self.cooldown_seconds = require_number(
+            cooldown_seconds,
+            "cooldown_seconds must be a positive finite number",
+            low=0,
+            open_low=True,
+        )
         self._clock = clock
         self._lock = threading.Lock()
         self._state = self.CLOSED
@@ -260,27 +227,12 @@ class FaultInjector:
         self.crash_rate = _check_rate(crash_rate, "crash_rate")
         self.slow_rate = _check_rate(slow_rate, "slow_rate")
         self.poison_rate = _check_rate(poison_rate, "poison_rate")
-        if (
-            isinstance(slow_seconds, bool)
-            or not isinstance(slow_seconds, numbers.Real)
-            or not math.isfinite(slow_seconds)
-            or slow_seconds < 0
-        ):
-            raise ValueError(
-                f"slow_seconds must be a non-negative finite number, got "
-                f"{slow_seconds!r}"
-            )
-        if (
-            isinstance(clock_skew_seconds, bool)
-            or not isinstance(clock_skew_seconds, numbers.Real)
-            or not math.isfinite(clock_skew_seconds)
-        ):
-            raise ValueError(
-                f"clock_skew_seconds must be a finite number, got "
-                f"{clock_skew_seconds!r}"
-            )
-        self.slow_seconds = float(slow_seconds)
-        self.clock_skew_seconds = float(clock_skew_seconds)
+        self.slow_seconds = require_number(
+            slow_seconds, "slow_seconds must be a non-negative finite number", low=0
+        )
+        self.clock_skew_seconds = require_number(
+            clock_skew_seconds, "clock_skew_seconds must be a finite number"
+        )
         self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()

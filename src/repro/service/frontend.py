@@ -33,14 +33,13 @@ time.
 
 from __future__ import annotations
 
-import numbers
 import queue
 import threading
 import time
 from concurrent.futures import Future
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import FrontendClosedError, error_kind
+from .errors import FrontendClosedError, error_document, is_real, require_integer
 from .faults import FaultInjector, RetryPolicy
 from .service import RoutingService
 
@@ -64,11 +63,7 @@ def charge_queue_wait(
     queue-wait semantics cannot drift between the threaded and async paths.
     """
     raw = request.get("deadline_ms")
-    if (
-        raw is None
-        or isinstance(raw, bool)
-        or not isinstance(raw, numbers.Real)
-    ):
+    if raw is None or not is_real(raw):
         return request
     waited_ms = (clock() - arrival) * 1000.0
     adjusted = dict(request)
@@ -166,24 +161,13 @@ class ThreadedFrontend:
         clock: Callable[[], float] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if (
-            isinstance(num_workers, bool)
-            or not isinstance(num_workers, numbers.Integral)
-            or num_workers < 1
-        ):
-            raise ValueError(
-                f"num_workers must be a positive integer, got {num_workers!r}"
-            )
-        if (
-            isinstance(max_pending, bool)
-            or not isinstance(max_pending, numbers.Integral)
-            or max_pending < 0
-        ):
-            raise ValueError(
-                f"max_pending must be a non-negative integer, got {max_pending!r}"
-            )
         self.service = service
-        self.num_workers = int(num_workers)
+        self.num_workers = require_integer(
+            num_workers, "num_workers must be a positive integer", low=1
+        )
+        max_pending = require_integer(
+            max_pending, "max_pending must be a non-negative integer", low=0
+        )
         self.deliver = deliver
         self.faults = faults
         self.retry = RetryPolicy() if retry is None else retry
@@ -198,7 +182,7 @@ class ThreadedFrontend:
         self._clock = clock
         self._sleep = sleep
         self.stats = FrontendStats()
-        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=int(max_pending))
+        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=max_pending)
         self._workers: list[threading.Thread] = []
         self._state_lock = threading.Lock()
         self._started = False
@@ -396,11 +380,7 @@ class ThreadedFrontend:
                 return self.service.handle_request(to_serve)
             except Exception as exc:
                 last_error = exc
-        return {
-            "ok": False,
-            "error": f"{type(last_error).__name__}: {last_error}",
-            "error_kind": error_kind(last_error),
-        }
+        return error_document(last_error)
 
     def _worker_loop(self) -> None:
         while True:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import numbers
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +36,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from ..routing import RoutingQuery
-from .errors import FrontendClosedError, error_kind
+from .errors import (
+    FrontendClosedError,
+    decode_request,
+    error_document,
+    require_integer,
+    require_number,
+)
 from .frontend import FrontendStats, charge_queue_wait
 from .service import RoutingService
 
@@ -93,15 +98,9 @@ class DemandMatrix:
     """
 
     def __init__(self, *, max_pairs: int = 4096) -> None:
-        if (
-            isinstance(max_pairs, bool)
-            or not isinstance(max_pairs, numbers.Integral)
-            or max_pairs < 1
-        ):
-            raise ValueError(
-                f"max_pairs must be a positive integer, got {max_pairs!r}"
-            )
-        self.max_pairs = int(max_pairs)
+        self.max_pairs = require_integer(
+            max_pairs, "max_pairs must be a positive integer", low=1
+        )
         self._lock = threading.Lock()
         #: key -> [count, first-seen sequence number]
         self._pairs: dict[tuple, list[int]] = {}
@@ -128,17 +127,12 @@ class DemandMatrix:
         count: int = 1,
     ) -> None:
         """Count one (or ``count``) served requests for a request shape."""
-        if (
-            isinstance(count, bool)
-            or not isinstance(count, numbers.Integral)
-            or count < 1
-        ):
-            raise ValueError(f"count must be a positive integer, got {count!r}")
+        count = require_integer(count, "count must be a positive integer", low=1)
         key = (slice_name, strategy, int(source), int(target), int(budget))
         with self._lock:
             entry = self._pairs.get(key)
             if entry is None:
-                self._pairs[key] = [int(count), self._seq]
+                self._pairs[key] = [count, self._seq]
                 self._seq += 1
                 while len(self._pairs) > self.max_pairs:
                     coldest = min(
@@ -147,7 +141,7 @@ class DemandMatrix:
                     )
                     del self._pairs[coldest]
             else:
-                entry[0] += int(count)
+                entry[0] += count
 
     def record_response(
         self, request: Mapping[str, Any], response: Mapping[str, Any]
@@ -294,33 +288,15 @@ class CacheWarmer:
         yield_seconds: float = 0.0,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if (
-            isinstance(top_k, bool)
-            or not isinstance(top_k, numbers.Integral)
-            or top_k < 1
-        ):
-            raise ValueError(f"top_k must be a positive integer, got {top_k!r}")
-        if (
-            isinstance(concurrency, bool)
-            or not isinstance(concurrency, numbers.Integral)
-            or concurrency < 1
-        ):
-            raise ValueError(
-                f"concurrency must be a positive integer, got {concurrency!r}"
-            )
-        if (
-            isinstance(yield_seconds, bool)
-            or not isinstance(yield_seconds, numbers.Real)
-            or not yield_seconds >= 0
-        ):
-            raise ValueError(
-                f"yield_seconds must be a non-negative number, got {yield_seconds!r}"
-            )
         self.service = service
         self.demand = demand
-        self.top_k = int(top_k)
-        self.concurrency = int(concurrency)
-        self.yield_seconds = float(yield_seconds)
+        self.top_k = require_integer(top_k, "top_k must be a positive integer", low=1)
+        self.concurrency = require_integer(
+            concurrency, "concurrency must be a positive integer", low=1
+        )
+        self.yield_seconds = require_number(
+            yield_seconds, "yield_seconds must be a non-negative number", low=0, finite=False
+        )
         self._sleep = sleep
         self.stats = WarmerStats()
         self._warm_lock = threading.Lock()  # one warm run at a time
@@ -467,38 +443,20 @@ class AsyncFrontend:
         port: int | None = None,
         pipeline_depth: int = 64,
     ) -> None:
-        if (
-            isinstance(num_workers, bool)
-            or not isinstance(num_workers, numbers.Integral)
-            or num_workers < 1
-        ):
-            raise ValueError(
-                f"num_workers must be a positive integer, got {num_workers!r}"
-            )
-        if (
-            isinstance(max_pending, bool)
-            or not isinstance(max_pending, numbers.Integral)
-            or max_pending < 0
-        ):
-            raise ValueError(
-                f"max_pending must be a non-negative integer, got {max_pending!r}"
-            )
-        if (
-            isinstance(pipeline_depth, bool)
-            or not isinstance(pipeline_depth, numbers.Integral)
-            or pipeline_depth < 1
-        ):
-            raise ValueError(
-                f"pipeline_depth must be a positive integer, got {pipeline_depth!r}"
-            )
         self.service = service
-        self.num_workers = int(num_workers)
-        self.max_pending = int(max_pending)
+        self.num_workers = require_integer(
+            num_workers, "num_workers must be a positive integer", low=1
+        )
+        self.max_pending = require_integer(
+            max_pending, "max_pending must be a non-negative integer", low=0
+        )
         self.demand = demand
         self.warmer = warmer
         self.host = host
         self.port = port
-        self.pipeline_depth = int(pipeline_depth)
+        self.pipeline_depth = require_integer(
+            pipeline_depth, "pipeline_depth must be a positive integer", low=1
+        )
         self._clock = clock
         self.stats = FrontendStats()
         self._executor: ThreadPoolExecutor | None = None
@@ -607,6 +565,12 @@ class AsyncFrontend:
     ) -> dict[str, Any]:
         executor = self._executor
         if executor is None:
+            # close() won the race while this request waited on the
+            # ``max_pending`` semaphore: it was counted as submitted and will
+            # never run, so it is a cancellation — ``submitted == completed +
+            # cancelled + delivery_failures`` must hold at quiescence here
+            # exactly as it does on the threaded frontend.
+            self.stats._bump("cancelled")
             raise FrontendClosedError("frontend closed while the request was queued")
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(executor, self._serve, request, arrival)
@@ -650,15 +614,9 @@ class AsyncFrontend:
         nothing uncollected: every coroutine settles before the error
         propagates (``gather`` awaits them all).
         """
-        if (
-            isinstance(concurrency, bool)
-            or not isinstance(concurrency, numbers.Integral)
-            or concurrency < 1
-        ):
-            raise ValueError(
-                f"concurrency must be a positive integer, got {concurrency!r}"
-            )
-        gate = asyncio.Semaphore(int(concurrency))
+        gate = asyncio.Semaphore(
+            require_integer(concurrency, "concurrency must be a positive integer", low=1)
+        )
 
         async def one(request: Mapping[str, Any]) -> dict[str, Any]:
             async with gate:
@@ -685,33 +643,15 @@ class AsyncFrontend:
         speaks it.
         """
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return json.dumps(
-                {
-                    "ok": False,
-                    "error": f"JSONDecodeError: {exc}",
-                    "error_kind": error_kind(exc),
-                }
-            )
-        if not isinstance(request, Mapping):
-            return json.dumps(
-                {
-                    "ok": False,
-                    "error": "TypeError: request must be an object",
-                    "error_kind": "bad_request",
-                }
-            )
+            request = decode_request(line)
+        except (json.JSONDecodeError, TypeError) as exc:
+            return json.dumps(error_document(exc))
         try:
             response = await self.submit(request)
         except FrontendClosedError as exc:
             # A request that raced shutdown still gets an answer document
             # before its connection is torn down.
-            response = {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": error_kind(exc),
-            }
+            response = error_document(exc)
         return json.dumps(response)
 
     async def _handle_connection(
@@ -734,13 +674,7 @@ class AsyncFrontend:
                 try:
                     response_line = await task
                 except Exception as exc:
-                    response_line = json.dumps(
-                        {
-                            "ok": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "error_kind": error_kind(exc),
-                        }
-                    )
+                    response_line = json.dumps(error_document(exc))
                 writer.write(response_line.encode("utf-8") + b"\n")
                 await writer.drain()
 

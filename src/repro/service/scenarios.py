@@ -32,7 +32,6 @@ with a slice-specific state weighting
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -41,6 +40,7 @@ from ..core.costs import EdgeCostTable
 from ..histograms import DiscreteDistribution
 from ..network import RoadNetwork
 from ..trajectories import CongestionModel
+from .errors import is_real, require_integer, require_number
 
 __all__ = [
     "DAY_SECONDS",
@@ -70,14 +70,13 @@ def _require_finite_number(value: Any, what: str) -> float:
 
     Raises ``ValueError`` (mapped to ``bad_request`` by the service error
     taxonomy) instead of letting ``float(...)`` surface a ``TypeError``
-    with no context, or NaN slip through comparisons silently.
+    with no context, or NaN slip through comparisons silently.  Two
+    messages: "must be a number" for a non-number, "must be finite" for
+    NaN and the infinities.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_real(value):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    result = float(value)
-    if not math.isfinite(result):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return result
+    return require_number(value, f"{what} must be finite")
 
 
 @dataclass(frozen=True)
@@ -186,12 +185,14 @@ class ScenarioSchedule:
         # NaN/inf must fail loudly: ``nan % DAY_SECONDS`` is ``nan`` and
         # ``bisect_right`` would then resolve it to an arbitrary slice — a
         # garbage departure time silently served from the wrong cost table.
-        t = float(departure_time_seconds)
-        if not math.isfinite(t):
-            raise ValueError(
-                "departure time must be finite, got "
-                f"{departure_time_seconds!r}"
+        # Non-numbers stay a ``TypeError``, as the bare ``float()`` here
+        # used to raise for ``None`` — but ``True`` and ``"900"``, which
+        # that ``float()`` coerced to 1 s and 900 s, are rejected with it.
+        if not is_real(departure_time_seconds):
+            raise TypeError(
+                f"departure time must be a number, got {departure_time_seconds!r}"
             )
+        t = require_number(departure_time_seconds, "departure time must be finite")
         t %= DAY_SECONDS
         return self.slices[bisect_right(self._starts, t) - 1].name
 
@@ -309,9 +310,8 @@ class TimePlan:
     approach_delays: Mapping[int, DiscreteDistribution] = field(hash=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.node, bool) or not isinstance(self.node, numbers.Integral):
-            raise ValueError(f"time plan node must be an integer, got {self.node!r}")
-        object.__setattr__(self, "node", int(self.node))
+        node = require_integer(self.node, "time plan node must be an integer")
+        object.__setattr__(self, "node", node)
         start = _require_finite_number(self.start, "time plan start")
         end = _require_finite_number(self.end, "time plan end")
         if not 0 <= start < end <= DAY_SECONDS:
@@ -327,12 +327,9 @@ class TimePlan:
             )
         checked: dict[int, DiscreteDistribution] = {}
         for edge_id, delay in self.approach_delays.items():
-            if (
-                isinstance(edge_id, bool)
-                or not isinstance(edge_id, numbers.Integral)
-                or edge_id < 0
-            ):
-                raise ValueError(f"time plan approach edge id {edge_id!r} is invalid")
+            edge_id = require_integer(
+                edge_id, "time plan approach edge id is invalid", low=0
+            )
             if not isinstance(delay, DiscreteDistribution):
                 raise ValueError(
                     f"approach {edge_id}: delay must be a DiscreteDistribution, "
@@ -343,7 +340,7 @@ class TimePlan:
                     f"approach {edge_id}: delay support must be non-negative, "
                     f"min is {delay.min_value}"
                 )
-            checked[int(edge_id)] = delay
+            checked[edge_id] = delay
         object.__setattr__(self, "approach_delays", checked)
 
     @classmethod
@@ -505,12 +502,9 @@ class TemporalCostProfile:
             raise ValueError(
                 f"schedule references slices with no anchor table: {sorted(missing)}"
             )
-        if isinstance(interpolation_points, bool) or not isinstance(
-            interpolation_points, numbers.Integral
-        ):
-            raise ValueError(
-                f"interpolation_points must be an integer, got {interpolation_points!r}"
-            )
+        interpolation_points = require_integer(
+            interpolation_points, "interpolation_points must be an integer"
+        )
         if interpolation_points < 0:
             raise ValueError("interpolation_points must be >= 0")
         transition = _require_finite_number(transition_seconds, "transition_seconds")
@@ -527,7 +521,7 @@ class TemporalCostProfile:
             )
         self.schedule = schedule
         self.anchor_tables = tables
-        self.interpolation_points = int(interpolation_points)
+        self.interpolation_points = interpolation_points
         self.transition_seconds = transition
         self.time_plans = tuple(time_plans)
         self.network: RoadNetwork = next(iter(tables.values())).network
@@ -713,7 +707,7 @@ class TemporalCostProfile:
         departure inside their active window could resolve to.
         """
         start = _require_finite_number(start, "window start")
-        if not (isinstance(end, numbers.Real) and not isinstance(end, bool)):
+        if not is_real(end):
             raise ValueError(f"window end must be a number, got {end!r}")
         end = float(end)
         if math.isnan(end) or end <= start:

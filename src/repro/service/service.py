@@ -27,8 +27,6 @@ serve repeated OD traffic:
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import threading
 import time
 from dataclasses import dataclass, field
@@ -53,7 +51,13 @@ from ..routing import (
 )
 from ..routing.query import departure_budgets
 from .cache import ResultCache, check_ttl_seconds, freeze_kwargs
-from .errors import DeadlineExceededError, NoRouteError, error_kind
+from .errors import (
+    DeadlineExceededError,
+    NoRouteError,
+    decode_request,
+    error_document,
+    require_number,
+)
 from .faults import CircuitBreaker
 from .scenarios import (
     ScenarioSchedule,
@@ -474,16 +478,13 @@ class RoutingService:
         breaker_cooldown_seconds: float = 1.0,
         coalesce_in_flight: bool = False,
     ) -> None:
-        if not (
-            isinstance(admission_min_compute_seconds, numbers.Real)
-            and not isinstance(admission_min_compute_seconds, bool)
-            and not math.isnan(admission_min_compute_seconds)
-            and admission_min_compute_seconds >= 0
-        ):
-            raise ValueError(
-                "admission_min_compute_seconds must be a non-negative number "
-                f"(inf = cache nothing), got {admission_min_compute_seconds!r}"
-            )
+        self.admission_min_compute_seconds = require_number(
+            admission_min_compute_seconds,
+            "admission_min_compute_seconds must be a non-negative number "
+            "(inf = cache nothing)",
+            low=0,
+            finite=False,
+        )
         self.network = network
         self.default_slice = slice_name
         self.schedule = schedule
@@ -501,7 +502,6 @@ class RoutingService:
         # version*, stored together with the version it was computed under.
         # No TTL — "stale but tagged" is the whole point of the rung.
         self._stale = ResultCache(max_entries=max_cache_entries, clock=clock)
-        self.admission_min_compute_seconds = float(admission_min_compute_seconds)
         # Validate the breaker knobs now (one throwaway instance) so a bad
         # configuration fails at construction, not on the first deadline.
         CircuitBreaker(
@@ -736,12 +736,24 @@ class RoutingService:
         deadline means "already expired" (queue wait ate it) and goes
         straight to the stale rung.  Enforcement is cooperative: the search
         checks the clock once per label expansion, so an overrun is bounded
-        by one expansion quantum.
+        by one expansion quantum.  A request *without* a deadline is the
+        same ladder with nothing to expire: its search always counts as
+        complete, no breaker is consulted, and a follower waits for its
+        leader unbounded — so the rungs below the first are unreachable.
 
         The whole lookup-compute-cache sequence holds the slice's read
         lock: concurrent requests proceed together, while a concurrent
         :meth:`apply_cost_update` waits — so the version read here tags
         exactly the cost table the answer was computed from.
+
+        Every request walks one pipeline, in this method: lookup (a fresh
+        hit returns first) → coalesce (join or lead the in-flight search
+        for the key) → search → admit.  The accounting lives in the one
+        ``except`` / ``finally`` around it, not at its exits: exactly one
+        recorded request per call; a counted miss stays counted when any
+        rung serves an answer (the fresh cache really did not have it) and
+        is refunded when the request fails outright; a flight this request
+        led but never completed is abandoned, releasing its followers.
         """
         name = self._resolve_slice(slice_name)
         engine = self._engines[name]
@@ -750,201 +762,101 @@ class RoutingService:
         # in the per-strategy latency map — that map stays bounded by the
         # strategy registry.
         engine.strategy(strategy)
-        ttl = self._check_request_ttl(cache_ttl_seconds)
-        if deadline_seconds is not None:
-            return self._route_with_deadline(
-                name,
-                engine,
-                query,
-                strategy,
-                self._check_deadline(deadline_seconds),
-                time_limit_seconds,
-                ttl,
-                kwargs,
-            )
+        ttl = check_ttl_seconds(cache_ttl_seconds, name="cache_ttl_seconds")
+        time_limit_seconds = self._check_time_limit(time_limit_seconds)
+        deadline_at = self._deadline_at(deadline_seconds)
         begin = time.perf_counter()
-        with self._slice_locks[name].read_locked():
-            version = engine.cost_version
-            extras = self._key_extras(time_limit_seconds, kwargs)
-            key = self._cache_key(name, strategy, query, extras, version)
-            flight: _SingleFlight | None = None
-            while True:
-                if key is not None:
-                    cached = self._cache.get(key)
-                    if cached is not None:
-                        self._record(strategy, time.perf_counter() - begin)
-                        return ServedResult(cached, True, version, name, strategy)
-                if key is None or not self.coalesce_in_flight:
-                    break
-                joined, is_leader = self._join_flight(key)
-                if is_leader:
-                    flight = joined
-                    break
-                # Follower: this request will never search — the leader's
-                # one search serves us all — so the lookup above was never
-                # real miss traffic.  Waiting here holds only this thread's
-                # read lock, which the leader does not need to finish.
-                self._cache.refund_miss()
-                joined.done.wait()
-                if joined.outcome == "ok":
-                    with self._stats_lock:
-                        self._coalesced += 1
-                    self._record(strategy, time.perf_counter() - begin)
-                    return ServedResult(
-                        joined.result, False, version, name, strategy,
-                        coalesced=True,
-                    )
-                # The leader abandoned (errored or degraded): retry from
-                # the cache; one retrying follower becomes the new leader.
-            compute_begin = time.perf_counter()
-            try:
-                try:
-                    result = engine.route(
-                        query,
-                        strategy=strategy,
-                        time_limit_seconds=time_limit_seconds,
-                        **kwargs,
-                    )
-                except BaseException:
-                    # The lookup above was never cache traffic — the request
-                    # failed, so refund its miss; the request itself still
-                    # counts.
+        key: tuple | None = None
+        flight: _SingleFlight | None = None
+        breaker: CircuitBreaker | None = None
+        # miss_counted: this request's fresh-cache miss is on the books.  A
+        # follower refunds it at join time instead (it never searches) and
+        # must not have it refunded again on its own ladder afterwards.
+        miss_counted = False
+        try:
+            with self._slice_locks[name].read_locked():
+                version = engine.cost_version
+                extras = self._key_extras(time_limit_seconds, kwargs)
+                key = self._cache_key(name, strategy, query, extras, version)
+                while True:
                     if key is not None:
-                        self._cache.refund_miss()
-                    raise
-                if flight is not None:
-                    # Release followers before the cache insert — they need
-                    # the answer object, not the cache entry.
-                    self._finish_flight(key, flight, outcome="ok", result=result)
-            finally:
-                self._record(strategy, time.perf_counter() - begin)
-                if flight is not None and not flight.done.is_set():
-                    self._finish_flight(key, flight, outcome="abandoned")
-            if key is not None and result is not None:
-                # Admission judges pure search time, not queueing/lock wait.
-                self._admit(
-                    key,
-                    result,
-                    time.perf_counter() - compute_begin,
-                    ttl,
-                    stale_key=self._stale_key(name, strategy, query, extras),
-                    version=version,
-                )
-            return ServedResult(result, False, version, name, strategy)
-
-    def _route_with_deadline(
-        self,
-        name: str,
-        engine: RoutingEngine,
-        query: RoutingQuery,
-        strategy: str,
-        deadline_seconds: float,
-        time_limit_seconds: float | None,
-        ttl: float | None,
-        kwargs: Mapping[str, Any],
-    ) -> ServedResult:
-        """The degradation ladder (see :meth:`route` for the contract).
-
-        Every return path records exactly one request under ``strategy``
-        and leaves the cache counters exact: a ladder outcome that serves
-        an answer keeps its miss counted (the fresh cache really did not
-        have it), while a request that fails outright refunds it.
-        """
-        begin = time.perf_counter()
-        deadline_at = self._clock() + deadline_seconds
-        with self._slice_locks[name].read_locked():
-            version = engine.cost_version
-            extras = self._key_extras(time_limit_seconds, kwargs)
-            key = self._cache_key(name, strategy, query, extras, version)
-            stale_key = self._stale_key(name, strategy, query, extras)
-            if key is not None:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    # Rung 0: a fresh hit beats any deadline.
-                    self._record(strategy, time.perf_counter() - begin)
-                    return ServedResult(cached, True, version, name, strategy)
-            breaker = self._breaker(strategy)
-            flight: _SingleFlight | None = None
-            # refundable: this request's fresh-cache miss is still on the
-            # books and must be refunded if no rung serves an answer.  A
-            # follower refunds it at join time instead (it never searches)
-            # and must not refund again on its own ladder afterwards.
-            refundable = key is not None
-            if key is not None and self.coalesce_in_flight:
-                joined, is_leader = self._join_flight(key)
-                if is_leader:
-                    flight = joined
-                else:
-                    # Follower: wait for the leader's answer only as long
-                    # as our own deadline allows.  A follower whose wait
-                    # times out (or whose leader abandons, or whose leader
-                    # completed with no shareable answer) walks its own
-                    # ladder with whatever budget is left — it never
-                    # blocks past its deadline.
+                        cached = self._cache.get(key)
+                        if cached is not None:
+                            # Rung 0: a fresh hit beats any deadline.
+                            return ServedResult(cached, True, version, name, strategy)
+                        miss_counted = True
+                    if deadline_at is not None:
+                        breaker = self._breaker(strategy)
+                    if key is None or not self.coalesce_in_flight:
+                        break
+                    joined, is_leader = self._join_flight(key)
+                    if is_leader:
+                        flight = joined
+                        break
+                    # Follower: this request will never search — the leader's
+                    # one search serves us all — so the lookup above was never
+                    # real miss traffic.  Waiting here holds only this thread's
+                    # read lock, which the leader does not need to finish.  A
+                    # deadline bounds the wait to the budget that is left.
                     self._cache.refund_miss()
-                    refundable = False
-                    wait_for = deadline_at - self._clock()
+                    miss_counted = False
+                    wait_for = None if deadline_at is None else deadline_at - self._clock()
                     if (
-                        wait_for > 0
+                        (wait_for is None or wait_for > 0)
                         and joined.done.wait(wait_for)
                         and joined.outcome == "ok"
-                        and joined.result is not None
+                        and (joined.result is not None or deadline_at is None)
                     ):
                         with self._stats_lock:
                             self._coalesced += 1
-                        self._record(strategy, time.perf_counter() - begin)
                         return ServedResult(
                             joined.result, False, version, name, strategy,
                             coalesced=True,
                         )
-            try:
-                remaining = deadline_at - self._clock()
-                if remaining > 0 and breaker.allow():
-                    # Rung 1: the bounded primary search.  Strategies that
-                    # support a time limit get the remaining budget as a
-                    # cooperative limit; ones that cannot run as-is and are
-                    # judged by their (always-completed) stats afterwards.
-                    if engine.supports_time_limit(strategy):
-                        limit = (
-                            remaining
-                            if time_limit_seconds is None
-                            else min(remaining, time_limit_seconds)
-                        )
-                    else:
-                        limit = time_limit_seconds
+                    if deadline_at is not None:
+                        # A deadline follower whose wait timed out (or whose
+                        # leader abandoned, or completed with no shareable
+                        # answer) walks its own ladder with whatever budget
+                        # is left — it never blocks past its deadline.
+                        break
+                    # The leader abandoned (errored or degraded): retry from
+                    # the cache; one retrying follower becomes the new leader.
+                remaining = None if deadline_at is None else deadline_at - self._clock()
+                if remaining is not None and remaining <= 0:
+                    # The deadline expired before any search could start
+                    # (typically queue wait) — that is a deadline miss too, but
+                    # not the strategy's failure: the breaker stays untouched.
+                    with self._stats_lock:
+                        self._deadline_misses += 1
+                    return self._serve_stale(name, strategy, key, deadline_seconds)
+                if breaker is None or breaker.allow():
+                    # Rung 1: the primary search.  Under a deadline,
+                    # strategies that support a time limit get the remaining
+                    # budget as a cooperative limit; ones that cannot run
+                    # as-is and are judged by their (always-completed) stats
+                    # afterwards.
+                    limit = time_limit_seconds
+                    if remaining is not None and engine.supports_time_limit(strategy):
+                        limit = remaining if limit is None else min(remaining, limit)
                     compute_begin = time.perf_counter()
-                    try:
-                        result = engine.route(
-                            query,
-                            strategy=strategy,
-                            time_limit_seconds=limit,
-                            **kwargs,
-                        )
-                    except BaseException:
-                        if refundable:
-                            self._cache.refund_miss()
-                        self._record(strategy, time.perf_counter() - begin)
-                        raise
-                    if result is not None and result.stats.completed:
+                    result = engine.route(
+                        query, strategy=strategy, time_limit_seconds=limit, **kwargs
+                    )
+                    if deadline_at is None or (result is not None and result.stats.completed):
                         # The search finished within its budget: a normal
                         # answer, cacheable (a completed bounded search is
                         # bit-identical to an unbounded one) and shareable
                         # with any followers waiting on this flight.
-                        breaker.record_success()
+                        if breaker is not None:
+                            breaker.record_success()
                         if flight is not None:
-                            self._finish_flight(
-                                key, flight, outcome="ok", result=result
-                            )
-                        if key is not None:
-                            self._admit(
-                                key,
-                                result,
-                                time.perf_counter() - compute_begin,
-                                ttl,
-                                stale_key=stale_key,
-                                version=version,
-                            )
-                        self._record(strategy, time.perf_counter() - begin)
+                            # Release followers before the cache insert — they
+                            # need the answer object, not the cache entry.
+                            self._finish_flight(key, flight, outcome="ok", result=result)
+                        if key is not None and result is not None:
+                            # Admission judges pure search time, not
+                            # queueing/lock wait.
+                            self._admit(key, result, time.perf_counter() - compute_begin, ttl)
                         return ServedResult(result, False, version, name, strategy)
                     # The deadline bit: count the miss, feed the breaker.
                     breaker.record_failure()
@@ -955,81 +867,60 @@ class RoutingService:
                         # depends on how far the search got, not on the query)
                         # and never fanned out (followers have their own
                         # deadlines and ladders).
-                        with self._stats_lock:
-                            self._served_degraded += 1
-                        self._record(strategy, time.perf_counter() - begin)
-                        return ServedResult(
-                            result,
-                            False,
-                            version,
-                            name,
-                            strategy,
-                            degraded=True,
-                            fallback_strategy="anytime",
-                        )
-                elif remaining <= 0:
-                    # The deadline expired before any search could start
-                    # (typically queue wait) — that is a deadline miss too, but
-                    # not the strategy's failure: the breaker stays untouched.
-                    with self._stats_lock:
-                        self._deadline_misses += 1
-                    return self._serve_stale(
-                        name, strategy, key if refundable else None, stale_key,
-                        begin, deadline_seconds=deadline_seconds,
-                    )
+                        return self._degraded(result, version, name, strategy, "anytime")
                 # Rung 2: the deterministic fallback (skipped when it *is* the
                 # requested strategy — it just ran above).  Open breaker lands
                 # here directly: fast, bounded, good enough until the probe
                 # says the primary recovered.
                 if strategy != "expected_time":
-                    try:
-                        fallback = engine.route(query, strategy="expected_time")
-                    except BaseException:
-                        if refundable:
-                            self._cache.refund_miss()
-                        self._record(strategy, time.perf_counter() - begin)
-                        raise
+                    fallback = engine.route(query, strategy="expected_time")
                     if fallback is not None and fallback.found:
-                        with self._stats_lock:
-                            self._served_degraded += 1
-                        self._record(strategy, time.perf_counter() - begin)
-                        return ServedResult(
-                            fallback,
-                            False,
-                            version,
-                            name,
-                            strategy,
-                            degraded=True,
-                            fallback_strategy="expected_time",
+                        return self._degraded(
+                            fallback, version, name, strategy, "expected_time"
                         )
-                    if fallback is not None and not fallback.found:
+                    if fallback is not None:
                         # Definitive: even the deterministic fallback cannot
                         # reach the target — no rung below can either.
-                        if refundable:
-                            self._cache.refund_miss()
-                        self._record(strategy, time.perf_counter() - begin)
                         raise NoRouteError(
                             f"no route from {query.source} to {query.target} "
                             f"exists on slice {name!r}"
                         )
-                return self._serve_stale(
-                    name, strategy, key if refundable else None, stale_key,
-                    begin, deadline_seconds=deadline_seconds,
-                )
-            finally:
-                # Any exit that did not hand followers a completed answer
-                # releases them to retry on their own.
-                if flight is not None and not flight.done.is_set():
-                    self._finish_flight(key, flight, outcome="abandoned")
+                return self._serve_stale(name, strategy, key, deadline_seconds)
+        except BaseException:
+            # No rung served an answer, so the lookup above was never cache
+            # traffic: refund its miss.  The request itself still counts.
+            if miss_counted:
+                self._cache.refund_miss()
+            raise
+        finally:
+            self._record(strategy, time.perf_counter() - begin)
+            if flight is not None and not flight.done.is_set():
+                self._finish_flight(key, flight, outcome="abandoned")
+
+    def _degraded(
+        self,
+        answer: ServiceAnswer,
+        version: int,
+        name: str,
+        strategy: str,
+        rung: str,
+    ) -> ServedResult:
+        """Count and label one degraded answer (``rung`` names what served it)."""
+        from_cache = rung == "stale_cache"  # it *is* a cached answer — an old one
+        with self._stats_lock:
+            self._served_degraded += 1
+            if from_cache:
+                self._served_stale += 1
+        return ServedResult(
+            answer, from_cache, version, name, strategy,
+            degraded=True, fallback_strategy=rung,
+        )
 
     def _serve_stale(
         self,
         name: str,
         strategy: str,
         key: tuple | None,
-        stale_key: tuple | None,
-        begin: float,
-        *,
         deadline_seconds: float,
     ) -> ServedResult:
         """Rung 3: a stale-but-tagged entry, or :class:`DeadlineExceededError`.
@@ -1037,30 +928,14 @@ class RoutingService:
         The served document carries the *old* cost version the answer was
         computed under — stale is explicit, never silent.
         """
-        if stale_key is not None:
-            stale = self._stale.get(stale_key)
-            if stale is not None:
-                answer, stale_version = stale
-                with self._stats_lock:
-                    self._served_degraded += 1
-                    self._served_stale += 1
-                self._record(strategy, time.perf_counter() - begin)
-                return ServedResult(
-                    answer,
-                    True,
-                    stale_version,
-                    name,
-                    strategy,
-                    degraded=True,
-                    fallback_strategy="stale_cache",
-                )
-        if key is not None:
-            self._cache.refund_miss()
-        self._record(strategy, time.perf_counter() - begin)
-        raise DeadlineExceededError(
-            f"deadline of {deadline_seconds * 1000.0:.1f} ms expired with "
-            f"no answer on any degradation rung (strategy {strategy!r})"
-        )
+        stale = None if key is None else self._stale.get(key[:-1])
+        if stale is None:
+            raise DeadlineExceededError(
+                f"deadline of {deadline_seconds * 1000.0:.1f} ms expired with "
+                f"no answer on any degradation rung (strategy {strategy!r})"
+            )
+        answer, stale_version = stale
+        return self._degraded(answer, stale_version, name, strategy, "stale_cache")
 
     def route_at(
         self,
@@ -1241,17 +1116,13 @@ class RoutingService:
         name = self._resolve_slice(slice_name)
         engine = self._engines[name]
         engine.strategy(strategy)  # unknown names raise before any counting
-        ttl = self._check_request_ttl(cache_ttl_seconds)
-        if deadline_seconds is not None:
-            deadline_seconds = self._check_deadline(deadline_seconds)
-        deadline_at = (
-            None
-            if deadline_seconds is None
-            else self._clock() + deadline_seconds
-        )
+        ttl = check_ttl_seconds(cache_ttl_seconds, name="cache_ttl_seconds")
+        time_limit_seconds = self._check_time_limit(time_limit_seconds)
+        deadline_at = self._deadline_at(deadline_seconds)
         query_list = list(queries)
         begin = time.perf_counter()
         degraded = False
+        stats = SearchStats.aggregate(())
         with self._slice_locks[name].read_locked():
             version = engine.cost_version
             results: list[ServiceAnswer | None] = [None] * len(query_list)
@@ -1266,38 +1137,22 @@ class RoutingService:
                     results[index] = cached
                 else:
                     miss_indices.append(index)
-            if miss_indices:
+            remaining: float | None = None
+            if miss_indices and deadline_at is not None:
+                remaining = deadline_at - self._clock()
+            if remaining is not None and remaining <= 0:
+                # Expired before any search began: serve the hits,
+                # leave every miss unanswered, flag the batch.
+                with self._stats_lock:
+                    self._deadline_misses += 1
+                if extras is not None:
+                    self._cache.refund_miss(len(miss_indices))
+                degraded = True
+            elif miss_indices:
                 limit = time_limit_seconds
-                if deadline_at is not None:
-                    remaining = deadline_at - self._clock()
-                    if remaining <= 0:
-                        # Expired before any search began: serve the hits,
-                        # leave every miss unanswered, flag the batch.
-                        with self._stats_lock:
-                            self._deadline_misses += 1
-                        self._cache.refund_miss(
-                            sum(1 for i in miss_indices if keys[i] is not None)
-                        )
-                        self._record(strategy, time.perf_counter() - begin)
-                        return ServedBatch(
-                            batch=BatchResult(
-                                results=tuple(results),
-                                stats=SearchStats.aggregate(()),
-                            ),
-                            cache_hits=len(query_list) - len(miss_indices),
-                            cache_misses=len(miss_indices),
-                            cost_version=version,
-                            slice_name=name,
-                            strategy=strategy,
-                            degraded=True,
-                        )
-                    if engine.supports_time_limit(strategy):
-                        per_member = remaining / len(miss_indices)
-                        limit = (
-                            per_member
-                            if limit is None
-                            else min(limit, per_member)
-                        )
+                if remaining is not None and engine.supports_time_limit(strategy):
+                    per_member = remaining / len(miss_indices)
+                    limit = per_member if limit is None else min(limit, per_member)
                 compute_begin = time.perf_counter()
                 try:
                     sub_batch = engine.route_many(
@@ -1309,13 +1164,11 @@ class RoutingService:
                     )
                 except BaseException:
                     # The caller receives nothing, so none of this batch's
-                    # lookups — hit or miss — were real cache traffic.
-                    looked_up = sum(1 for key in keys if key is not None)
-                    missed = sum(
-                        1 for index in miss_indices if keys[index] is not None
-                    )
-                    self._cache.refund_miss(missed)
-                    self._cache.refund_hit(looked_up - missed)
+                    # lookups — hit or miss — were real cache traffic.  (The
+                    # extras are per batch: every member was looked up, or none.)
+                    if extras is not None:
+                        self._cache.refund_miss(len(miss_indices))
+                        self._cache.refund_hit(len(query_list) - len(miss_indices))
                     self._record(strategy, time.perf_counter() - begin)
                     raise
                 mean_compute = (
@@ -1331,23 +1184,12 @@ class RoutingService:
                         degraded = True
                         continue
                     if keys[index] is not None:
-                        self._admit(
-                            keys[index],
-                            result,
-                            mean_compute,
-                            ttl,
-                            stale_key=self._stale_key(
-                                name, strategy, query_list[index], extras
-                            ),
-                            version=version,
-                        )
+                        self._admit(keys[index], result, mean_compute, ttl)
                 if degraded:
                     with self._stats_lock:
                         self._deadline_misses += 1
                         self._served_degraded += 1
                 stats = sub_batch.stats
-            else:
-                stats = SearchStats.aggregate(())
             self._record(strategy, time.perf_counter() - begin)
             return ServedBatch(
                 batch=BatchResult(results=tuple(results), stats=stats),
@@ -1491,15 +1333,7 @@ class RoutingService:
         was jumped over expires without ever touching a table.  Returns
         the ordered list of lifecycle events.
         """
-        if (
-            not isinstance(now_seconds, numbers.Real)
-            or isinstance(now_seconds, bool)
-            or not math.isfinite(now_seconds)
-        ):
-            raise ValueError(
-                f"now_seconds must be a finite number, got {now_seconds!r}"
-            )
-        now = float(now_seconds)
+        now = require_number(now_seconds, "now_seconds must be a finite number")
         events: list[dict[str, Any]] = []
         with self._incident_lock:
             if now < self._incident_clock:
@@ -1882,124 +1716,27 @@ class RoutingService:
     def handle_request(self, request: Mapping[str, Any]) -> dict[str, Any]:
         """Serve one JSON-ready request document.
 
-        Operations (the ``op`` field): ``"route"``, ``"route_at"``,
-        ``"route_many"``, ``"apply_update"``, ``"stats"`` and
-        ``"snapshot"``; see the test suite and
-        ``examples/routing_service.py`` for the exact shapes.  Routing
-        requests may carry ``deadline_ms``, the degradation-ladder time
-        budget (:meth:`route`'s ``deadline_seconds`` in milliseconds).
-        Success responses carry ``"ok": true`` plus the corresponding
-        kind-tagged document; malformed or failing requests come back as
+        The ``op`` field selects a handler from :attr:`_WIRE_OPS` — that
+        table *is* the list of operations: the dispatch, this docstring and
+        the unknown-op message all read it.  See the handlers (``_op_*``),
+        the test suite and ``examples/routing_service.py`` for the exact
+        shapes.  Routing requests may carry ``deadline_ms``, the
+        degradation-ladder time budget (:meth:`route`'s
+        ``deadline_seconds`` in milliseconds).  Success responses carry
+        ``"ok": true`` plus the corresponding kind-tagged document;
+        malformed or failing requests come back as
         ``{"ok": false, "error": ..., "error_kind": ...}`` instead of
         raising — a service answers every request.  ``error_kind`` is one
         of the stable codes documented in :mod:`repro.service.errors`.
         """
         try:
             op = request.get("op")
-            if op == "route" or op == "route_at":
-                query = RoutingQuery.from_dict(request["query"])
-                kwargs = self._wire_kwargs(request)
-                common = {
-                    "strategy": request.get("strategy", "pbr"),
-                    "time_limit_seconds": request.get("time_limit_seconds"),
-                    "cache_ttl_seconds": request.get("cache_ttl_seconds"),
-                    "deadline_seconds": self._deadline_from_wire(
-                        request.get("deadline_ms")
-                    ),
-                    **kwargs,
-                }
-                if op == "route_at":
-                    if request.get("slice") is not None:
-                        raise ValueError(
-                            "route_at selects the slice from the schedule; "
-                            "pin a slice explicitly with op='route' instead "
-                            "of passing 'slice'"
-                        )
-                    served = self.route_at(
-                        query, request["departure_time_seconds"], **common
-                    )
-                else:
-                    served = self.route(
-                        query, slice_name=request.get("slice"), **common
-                    )
-                return {"ok": True, **served.to_dict()}
-            if op == "route_many":
-                served = self.route_many(
-                    [RoutingQuery.from_dict(item) for item in request["queries"]],
-                    strategy=request.get("strategy", "pbr"),
-                    slice_name=request.get("slice"),
-                    time_limit_seconds=request.get("time_limit_seconds"),
-                    workers=request.get("workers"),
-                    cache_ttl_seconds=request.get("cache_ttl_seconds"),
-                    deadline_seconds=self._deadline_from_wire(
-                        request.get("deadline_ms")
-                    ),
-                    **self._wire_kwargs(request),
-                )
-                return {"ok": True, **served.to_dict()}
-            if op == "apply_update":
-                update = CostUpdate.from_dict(request["update"])
-                target = self._update_target(update, request.get("slice"))
-                version = self.apply_cost_update(update, slice_name=target)
-                return {
-                    "ok": True,
-                    "kind": "update_applied",
-                    "slice": target,
-                    "cost_version": version,
-                    "num_edges": len(update),
-                }
-            if op == "stats":
-                return {"ok": True, **self.stats().to_dict()}
-            if op == "learning_stats":
-                return {"ok": True, **self.learning_stats().to_dict()}
-            if op == "snapshot":
-                include_cache = request.get("include_cache", False)
-                if not isinstance(include_cache, bool):
-                    raise ValueError(
-                        "include_cache must be a boolean, got "
-                        f"{include_cache!r}"
-                    )
-                return {"ok": True, **self.snapshot(include_cache=include_cache)}
-            if op == "depart_when":
-                if request.get("kwargs"):
-                    raise ValueError(
-                        "op 'depart_when' takes no kwargs; departure_times, "
-                        "budget and arrive_by_seconds are top-level fields"
-                    )
-                served = self.depart_when(
-                    request["source"],
-                    request["target"],
-                    request["departure_times"],
-                    budget=request.get("budget"),
-                    arrive_by_seconds=request.get("arrive_by_seconds"),
-                    time_limit_seconds=request.get("time_limit_seconds"),
-                    cache_ttl_seconds=request.get("cache_ttl_seconds"),
-                )
-                return {"ok": True, **served.to_dict()}
-            if op == "schedule_incident":
-                incident = ScheduledIncident.from_dict(request["incident"])
-                self.schedule_incident(incident)
-                return {
-                    "ok": True,
-                    "kind": "incident_scheduled",
-                    "incident_id": incident.incident_id,
-                    "clock": self.incident_clock,
-                }
-            if op == "advance_clock":
-                events = self.advance_clock(request["now_seconds"])
-                return {
-                    "ok": True,
-                    "kind": "clock_advanced",
-                    "clock": self.incident_clock,
-                    "events": events,
-                }
-            if op == "incidents":
-                return {"ok": True, "kind": "incidents", **self.incidents()}
-            raise ValueError(
-                f"unknown op {op!r}; expected route/route_at/route_many/"
-                "depart_when/apply_update/schedule_incident/advance_clock/"
-                "incidents/stats/learning_stats/snapshot"
-            )
+            # Only strings can name an op; the guard also keeps an
+            # unhashable ``op`` ([] / {}) an "unknown op", not a lookup error.
+            handler = self._WIRE_OPS.get(op) if isinstance(op, str) else None
+            if handler is None:
+                raise ValueError(f"unknown op {op!r}; expected {'/'.join(self._WIRE_OPS)}")
+            return {"ok": True, **handler(self, request)}
         except Exception as exc:
             # The always-answer contract: *any* failure — malformed
             # documents, strategy validation, even a crashed pool worker —
@@ -2007,33 +1744,127 @@ class RoutingService:
             # takes the serving loop down with it.  KeyboardInterrupt and
             # friends are deliberately NOT caught: an operator's ^C must
             # stop the loop, not become an error document.
-            return {
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_kind": error_kind(exc),
-            }
+            return error_document(exc)
 
     def handle_json(self, line: str) -> str:
         """:meth:`handle_request` over JSON text (one request per call)."""
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return json.dumps(
-                {
-                    "ok": False,
-                    "error": f"JSONDecodeError: {exc}",
-                    "error_kind": error_kind(exc),
-                }
-            )
-        if not isinstance(request, Mapping):
-            return json.dumps(
-                {
-                    "ok": False,
-                    "error": "TypeError: request must be an object",
-                    "error_kind": "bad_request",
-                }
-            )
+            request = decode_request(line)
+        except (json.JSONDecodeError, TypeError) as exc:
+            return json.dumps(error_document(exc))
         return json.dumps(self.handle_request(request))
+
+    def _wire_route_args(
+        self, request: Mapping[str, Any]
+    ) -> tuple[RoutingQuery, dict[str, Any]]:
+        """The query and keyword arguments ``route`` and ``route_at`` share."""
+        return RoutingQuery.from_dict(request["query"]), {
+            "strategy": request.get("strategy", "pbr"),
+            "time_limit_seconds": request.get("time_limit_seconds"),
+            "cache_ttl_seconds": request.get("cache_ttl_seconds"),
+            "deadline_seconds": self._deadline_from_wire(request.get("deadline_ms")),
+            **self._wire_kwargs(request),
+        }
+
+    def _op_route(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        query, common = self._wire_route_args(request)
+        return self.route(query, slice_name=request.get("slice"), **common).to_dict()
+
+    def _op_route_at(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        query, common = self._wire_route_args(request)
+        if request.get("slice") is not None:
+            raise ValueError(
+                "route_at selects the slice from the schedule; pin a slice "
+                "explicitly with op='route' instead of passing 'slice'"
+            )
+        return self.route_at(query, request["departure_time_seconds"], **common).to_dict()
+
+    def _op_route_many(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        return self.route_many(
+            [RoutingQuery.from_dict(item) for item in request["queries"]],
+            strategy=request.get("strategy", "pbr"),
+            slice_name=request.get("slice"),
+            time_limit_seconds=request.get("time_limit_seconds"),
+            workers=request.get("workers"),
+            cache_ttl_seconds=request.get("cache_ttl_seconds"),
+            deadline_seconds=self._deadline_from_wire(request.get("deadline_ms")),
+            **self._wire_kwargs(request),
+        ).to_dict()
+
+    def _op_depart_when(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        if request.get("kwargs"):
+            raise ValueError(
+                "op 'depart_when' takes no kwargs; departure_times, "
+                "budget and arrive_by_seconds are top-level fields"
+            )
+        if request.get("deadline_ms") is not None:
+            # Rejected, not dropped: nothing below reads a deadline, so
+            # accepting the field would buy the client an unbounded search.
+            raise ValueError(
+                "op 'depart_when' does not support deadline_ms; bound the "
+                "search with time_limit_seconds instead"
+            )
+        return self.depart_when(
+            request["source"],
+            request["target"],
+            request["departure_times"],
+            budget=request.get("budget"),
+            arrive_by_seconds=request.get("arrive_by_seconds"),
+            time_limit_seconds=request.get("time_limit_seconds"),
+            cache_ttl_seconds=request.get("cache_ttl_seconds"),
+        ).to_dict()
+
+    def _op_apply_update(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        update = CostUpdate.from_dict(request["update"])
+        target = self._update_target(update, request.get("slice"))
+        version = self.apply_cost_update(update, slice_name=target)
+        return {
+            "kind": "update_applied",
+            "slice": target,
+            "cost_version": version,
+            "num_edges": len(update),
+        }
+
+    def _op_schedule_incident(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        incident = ScheduledIncident.from_dict(request["incident"])
+        self.schedule_incident(incident)
+        return {
+            "kind": "incident_scheduled",
+            "incident_id": incident.incident_id,
+            "clock": self.incident_clock,
+        }
+
+    def _op_advance_clock(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        events = self.advance_clock(request["now_seconds"])
+        return {
+            "kind": "clock_advanced",
+            "clock": self.incident_clock,
+            "events": events,
+        }
+
+    def _op_snapshot(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        include_cache = request.get("include_cache", False)
+        if not isinstance(include_cache, bool):
+            raise ValueError(f"include_cache must be a boolean, got {include_cache!r}")
+        return self.snapshot(include_cache=include_cache)
+
+    #: The wire protocol's operations, written once: ``op`` name → handler
+    #: returning the success document (``"ok": true`` is added by
+    #: :meth:`handle_request`).  Insertion order is the order the
+    #: unknown-op message lists them in.
+    _WIRE_OPS: dict[str, Callable[["RoutingService", Mapping[str, Any]], dict[str, Any]]] = {
+        "route": _op_route,
+        "route_at": _op_route_at,
+        "route_many": _op_route_many,
+        "depart_when": _op_depart_when,
+        "apply_update": _op_apply_update,
+        "schedule_incident": _op_schedule_incident,
+        "advance_clock": _op_advance_clock,
+        "incidents": lambda self, request: {"kind": "incidents", **self.incidents()},
+        "stats": lambda self, request: self.stats().to_dict(),
+        "learning_stats": lambda self, request: self.learning_stats().to_dict(),
+        "snapshot": _op_snapshot,
+    }
 
     # ------------------------------------------------------------------
     # Internals
@@ -2064,20 +1895,15 @@ class RoutingService:
         """``deadline_ms`` → seconds, validated *before* the division.
 
         Checked here because ``True / 1000.0`` is a perfectly ordinary
-        float — by the time :meth:`_check_deadline` saw it, a boolean
+        float — by the time :meth:`_deadline_at` saw it, a boolean
         payload would have become a legal-looking deadline.
         """
         if raw is None:
             return None
-        if (
-            isinstance(raw, bool)
-            or not isinstance(raw, numbers.Real)
-            or math.isnan(raw)
-        ):
-            raise ValueError(
-                f"deadline_ms must be a number of milliseconds, got {raw!r}"
-            )
-        return float(raw) / 1000.0
+        return (
+            require_number(raw, "deadline_ms must be a number of milliseconds", finite=False)
+            / 1000.0
+        )
 
     def _key_extras(
         self,
@@ -2116,27 +1942,35 @@ class RoutingService:
             version,
         )
 
-    def _check_request_ttl(self, cache_ttl_seconds: float | None) -> float | None:
-        """Validate a per-request TTL (``None`` = use the service default)."""
-        return check_ttl_seconds(cache_ttl_seconds, name="cache_ttl_seconds")
+    @staticmethod
+    def _check_time_limit(time_limit_seconds: float | None) -> float | None:
+        """Validate a wall-clock search limit (``None`` = unlimited).
 
-    def _check_deadline(self, deadline_seconds: float) -> float:
-        """Validate a request deadline.
-
-        Non-positive deadlines are *valid* — a frontend that subtracts
-        queue wait can legitimately hand the service an already-expired
-        budget, which routes straight to the stale rung.  Only
-        non-numbers and NaN are rejected.
+        The engine applies the same rule, but only after ``True`` has
+        passed for ``1.0`` — wire input is checked before it gets there.
         """
-        if (
-            isinstance(deadline_seconds, bool)
-            or not isinstance(deadline_seconds, numbers.Real)
-            or math.isnan(deadline_seconds)
-        ):
-            raise ValueError(
-                f"deadline must be a number of seconds, got {deadline_seconds!r}"
-            )
-        return float(deadline_seconds)
+        if time_limit_seconds is None:
+            return None
+        return require_number(
+            time_limit_seconds,
+            "time_limit_seconds must be a positive finite number",
+            low=0,
+            open_low=True,
+        )
+
+    def _deadline_at(self, deadline_seconds: float | None) -> float | None:
+        """The service-clock instant a request's deadline expires at.
+
+        ``None`` stays ``None`` (no deadline).  Non-positive deadlines are
+        *valid* — a frontend that subtracts queue wait can legitimately
+        hand the service an already-expired budget, which routes straight
+        to the stale rung.  Only non-numbers and NaN are rejected.
+        """
+        if deadline_seconds is None:
+            return None
+        return self._clock() + require_number(
+            deadline_seconds, "deadline must be a number of seconds", finite=False
+        )
 
     def _join_flight(self, key: tuple) -> tuple[_SingleFlight, bool]:
         """Join (or open) the in-flight search for ``key``.
@@ -2189,49 +2023,25 @@ class RoutingService:
                 )
             return breaker
 
-    def _stale_key(
-        self,
-        slice_name: str,
-        strategy: str,
-        query: RoutingQuery,
-        extras: tuple | None,
-    ) -> tuple | None:
-        """The version-*less* key for the stale store (``None`` = unkeyable).
-
-        Exactly the cache key minus its version component, so the store
-        always holds the most recently admitted answer for the request
-        shape across every cost-table version.
-        """
-        if extras is None:
-            return None
-        return (
-            slice_name,
-            strategy,
-            query.source,
-            query.target,
-            query.budget,
-            extras,
-        )
-
     def _admit(
         self,
-        key: Any,
+        key: tuple,
         result: ServiceAnswer,
         compute_seconds: float,
         request_ttl: float | None,
-        *,
-        stale_key: tuple | None = None,
-        version: int | None = None,
     ) -> None:
         """Cache ``result`` if the admission policy accepts it.
 
         An answer computed faster than ``admission_min_compute_seconds`` is
         cheaper to recompute than to store — caching it can only displace
-        an answer worth keeping, so it is skipped (and counted).  When the
-        caller supplies the versionless ``stale_key``, the answer also
-        refreshes the degradation ladder's stale store together with the
-        ``version`` it was computed under (same admission bar: an answer
-        too cheap to cache is too cheap to be worth serving stale).
+        an answer worth keeping, so it is skipped (and counted).  The
+        answer also refreshes the degradation ladder's stale store, under
+        the version-*less* key — exactly the cache key minus its trailing
+        version component, so the store always holds the most recently
+        admitted answer for the request shape across every cost-table
+        version — together with the version it was computed under (same
+        admission bar: an answer too cheap to cache is too cheap to be
+        worth serving stale).
         """
         if compute_seconds < self.admission_min_compute_seconds:
             with self._stats_lock:
@@ -2241,8 +2051,7 @@ class RoutingService:
             self._cache.put(key, result, ttl_seconds=request_ttl)
         else:
             self._cache.put(key, result)
-        if stale_key is not None and version is not None:
-            self._stale.put(stale_key, (result, version))
+        self._stale.put(key[:-1], (result, key[-1]))
 
     def _record(self, strategy: str, elapsed_seconds: float) -> None:
         # Read-modify-write on two counters; the lock keeps concurrent

@@ -25,13 +25,13 @@ nothing but ordinary cost updates.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from ..histograms import DiscreteDistribution
 from ..network import Edge
 from ..trajectories import CongestionModel
+from .errors import is_real, require_integer, require_number
 
 __all__ = ["CostUpdate", "ScheduledIncident"]
 
@@ -63,29 +63,18 @@ class CostUpdate:
         if not self.costs:
             raise ValueError("a cost update needs at least one edge")
         if self.sequence is not None:
-            if (
-                isinstance(self.sequence, bool)
-                or not isinstance(self.sequence, numbers.Integral)
-                or self.sequence < 0
-            ):
-                raise ValueError(
-                    "sequence must be a non-negative integer or None, got "
-                    f"{self.sequence!r}"
-                )
-            object.__setattr__(self, "sequence", int(self.sequence))
+            sequence = require_integer(
+                self.sequence, "sequence must be a non-negative integer or None", low=0
+            )
+            object.__setattr__(self, "sequence", sequence)
         validated: dict[int, DiscreteDistribution] = {}
         for edge_id, distribution in self.costs.items():
             # Negative ids would wrap onto real edges at apply time
             # (list indexing); reject them here, at the feed boundary.
             # Numpy integers are fine and normalise to plain ints.
-            if (
-                isinstance(edge_id, bool)
-                or not isinstance(edge_id, numbers.Integral)
-                or edge_id < 0
-            ):
-                raise TypeError(
-                    f"edge id must be a non-negative integer, got {edge_id!r}"
-                )
+            edge_id = require_integer(
+                edge_id, "edge id must be a non-negative integer", low=0, error=TypeError
+            )
             if not isinstance(distribution, DiscreteDistribution):
                 raise TypeError(
                     f"edge {edge_id}: expected a DiscreteDistribution, got "
@@ -99,7 +88,7 @@ class CostUpdate:
                     f"edge {edge_id}: cost histograms must not contain "
                     f"negative travel times (min {distribution.min_value})"
                 )
-            validated[int(edge_id)] = distribution
+            validated[edge_id] = distribution
         object.__setattr__(self, "costs", validated)
 
     def __len__(self) -> int:
@@ -160,19 +149,17 @@ class CostUpdate:
         """
         costs: dict[int, DiscreteDistribution] = {}
         for edge_id, payload in data["costs"].items():
-            offset = payload["offset"]
-            if isinstance(offset, bool) or not isinstance(offset, numbers.Integral):
-                raise ValueError(
-                    f"edge {edge_id}: histogram offset must be a grid "
-                    f"integer, got {offset!r}"
-                )
+            offset = require_integer(
+                payload["offset"],
+                f"edge {edge_id}: histogram offset must be a grid integer",
+            )
             probs = [float(p) for p in payload["probs"]]
             total = math.fsum(probs)
             if abs(total - 1.0) > 1e-6:
                 raise ValueError(
                     f"edge {edge_id}: cost histogram mass is {total!r}, not 1"
                 )
-            costs[int(edge_id)] = DiscreteDistribution(int(offset), probs)
+            costs[int(edge_id)] = DiscreteDistribution(offset, probs)
         return cls(
             costs=costs,
             slice_name=data.get("slice"),
@@ -219,7 +206,7 @@ class ScheduledIncident:
                 f"incident_id must be a non-empty string, got {self.incident_id!r}"
             )
         for label, value in (("start_time", self.start_time), ("end_time", self.end_time)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not is_real(value):
                 raise ValueError(f"{label} must be a number, got {value!r}")
         start = float(self.start_time)
         end = float(self.end_time)
@@ -245,29 +232,16 @@ class ScheduledIncident:
             validated = CostUpdate(costs=self.costs).costs
             object.__setattr__(self, "costs", validated)
         else:
-            if (
-                isinstance(self.scale, bool)
-                or not isinstance(self.scale, numbers.Real)
-                or not math.isfinite(self.scale)
-                or self.scale <= 0
-            ):
-                raise ValueError(
-                    f"scale must be a positive finite number, got {self.scale!r}"
-                )
-            object.__setattr__(self, "scale", float(self.scale))
+            scale = require_number(
+                self.scale, "scale must be a positive finite number", low=0, open_low=True
+            )
+            object.__setattr__(self, "scale", scale)
             if not self.edge_ids:
                 raise ValueError("a scaled incident needs at least one edge id")
-            ids: list[int] = []
-            for edge_id in self.edge_ids:
-                if (
-                    isinstance(edge_id, bool)
-                    or not isinstance(edge_id, numbers.Integral)
-                    or edge_id < 0
-                ):
-                    raise ValueError(
-                        f"edge id must be a non-negative integer, got {edge_id!r}"
-                    )
-                ids.append(int(edge_id))
+            ids = [
+                require_integer(edge_id, "edge id must be a non-negative integer", low=0)
+                for edge_id in self.edge_ids
+            ]
             object.__setattr__(self, "edge_ids", tuple(dict.fromkeys(ids)))
         if self.slices is not None:
             names = tuple(self.slices)
@@ -339,15 +313,18 @@ class ScheduledIncident:
         slices: Sequence[str] | None = None,
     ) -> "ScheduledIncident":
         """A slowdown: listed edges' travel times stretched by ``factor``."""
-        if not (isinstance(factor, numbers.Real) and factor > 1):
-            raise ValueError(
-                f"a capacity drop needs a slowdown factor > 1, got {factor!r}"
-            )
+        factor = require_number(
+            factor,
+            "a capacity drop needs a slowdown factor > 1",
+            low=1,
+            open_low=True,
+            finite=False,
+        )
         return cls(
             incident_id=incident_id,
             start_time=start_time,
             end_time=end_time,
-            scale=float(factor),
+            scale=factor,
             edge_ids=tuple(edge_ids),
             slices=tuple(slices) if slices is not None else None,
         )

@@ -18,6 +18,7 @@ The resilience contract locked down here:
   :class:`FrontendClosedError` makes the close/submit race loud.
 """
 
+import functools
 import threading
 import time
 
@@ -437,6 +438,311 @@ class TestServiceBreakerRecovery:
             fresh_service(world, breaker_failure_threshold=0)
         with pytest.raises(ValueError, match="cooldown_seconds"):
             fresh_service(world, breaker_cooldown_seconds=-1.0)
+
+
+# ----------------------------------------------------------------------
+# The one pipeline: every exit keeps the books
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def scratch_strategies():
+    """Two throwaway strategies: one takes any ``blob`` kwarg, one crashes."""
+
+    @register_strategy("blob_for_pipeline_test")
+    class Blob(RoutingStrategy):
+        def route(self, engine, query, *, time_limit_seconds=None, blob=None):
+            return engine.route(query, strategy="pbr")
+
+    @register_strategy("explode_for_pipeline_test")
+    class Explode(RoutingStrategy):
+        supports_time_limit = True
+
+        def route(self, engine, query, *, time_limit_seconds=None):
+            raise RuntimeError("search crashed")
+
+    yield
+    engine_module._STRATEGIES.pop("blob_for_pipeline_test", None)
+    engine_module._STRATEGIES.pop("explode_for_pipeline_test", None)
+
+
+def _lead_then_follow(service, lead, follow, *, release_on_join, crash_leader=False):
+    """Run ``lead`` on a thread and, once its search is in flight, ``follow``.
+
+    The leader's (first) engine search blocks until the follower has
+    joined its flight — a follower's first act is refunding its miss —
+    when ``release_on_join``, else until ``follow`` has returned; then it
+    runs for real, or raises when ``crash_leader``.  Later searches run
+    free.  Returns what ``lead`` raised, if anything.
+    """
+    engine = service.engine()
+    real_route = engine.route
+    entered, release = threading.Event(), threading.Event()
+    first = [True]
+
+    def gated_route(query, **kwargs):
+        if first[0]:
+            first[0] = False
+            entered.set()
+            assert release.wait(10.0), "the leader was never released"
+            if crash_leader:
+                raise RuntimeError("injected search crash")
+        return real_route(query, **kwargs)
+
+    engine.route = gated_route
+    if release_on_join:
+        real_refund = service._cache.refund_miss
+
+        def refund_then_release(count=1):
+            real_refund(count)
+            release.set()
+
+        service._cache.refund_miss = refund_then_release
+    raised = []
+
+    def leading():
+        try:
+            lead()
+        except Exception as exc:  # noqa: BLE001 - handed back to the test
+            raised.append(exc)
+
+    thread = threading.Thread(target=leading)
+    thread.start()
+    try:
+        assert entered.wait(10.0), "the leader never reached the engine"
+        follow()
+    finally:
+        release.set()
+        thread.join(10.0)
+    assert not thread.is_alive(), "the leader never finished"
+    return raised
+
+
+class TestEveryPipelineExitKeepsTheBooks:
+    """One row per way out of :meth:`RoutingService.route`.
+
+    Whatever the exit, the call is recorded exactly once, ``hits + misses
+    + coalesced`` grows by exactly the lookups that served an answer (a
+    failed request's miss is refunded; a follower's is refunded when it
+    joins, and an answer from its own ladder afterwards is not lookup
+    traffic), and no flight is left published.  Each scenario returns
+    ``(service, act, calls, served_lookups, raises)``.
+    """
+
+    def fresh_hit(self, world):
+        service = fresh_service(world)
+        service.route(QUERY)
+        return service, lambda: service.route(QUERY), 1, 1, None
+
+    def plain_miss(self, world):
+        service = fresh_service(world)
+        return service, lambda: service.route(QUERY), 1, 1, None
+
+    def time_limited_cache_bypass(self, world):
+        service = fresh_service(world)
+        service.route(QUERY)  # even with a fresh entry: no lookup at all
+        return service, lambda: service.route(QUERY, time_limit_seconds=5.0), 1, 0, None
+
+    def unfreezable_kwargs(self, world):
+        service = fresh_service(world)
+
+        def act():
+            service.route(
+                QUERY, strategy="blob_for_pipeline_test", blob=bytearray(b"unhashable")
+            )
+
+        return service, act, 1, 0, None
+
+    def search_raises(self, world):
+        service = fresh_service(world)
+        strategy = "explode_for_pipeline_test"
+        return service, lambda: service.route(QUERY, strategy=strategy), 1, 0, RuntimeError
+
+    def search_raises_under_a_deadline(self, world):
+        service = fresh_service(world)
+
+        def act():
+            service.route(
+                QUERY, strategy="explode_for_pipeline_test", deadline_seconds=30.0
+            )
+
+        return service, act, 1, 0, RuntimeError
+
+    def expected_time_raises_under_a_deadline(self, world):
+        service = fresh_service(world)
+        engine = service.engine()
+        real_route = engine.route
+
+        def fallback_crashes(query, *, strategy="pbr", **kwargs):
+            if strategy == "expected_time":
+                raise RuntimeError("fallback crashed")
+            return real_route(query, strategy=strategy, **kwargs)
+
+        engine.route = fallback_crashes
+
+        def act():
+            service.route(
+                QUERY, strategy="decline_for_resilience_test", deadline_seconds=30.0
+            )
+
+        return service, act, 1, 0, RuntimeError
+
+    def follower_shares_the_leaders_answer(self, world):
+        service = fresh_service(world, coalesce_in_flight=True)
+        served = []
+
+        def act():
+            raised = _lead_then_follow(
+                service,
+                lambda: served.append(service.route(QUERY)),
+                lambda: served.append(service.route(QUERY)),
+                release_on_join=True,
+            )
+            assert raised == []
+            assert sorted(s.coalesced for s in served) == [False, True]
+            assert served[0].result is served[1].result
+
+        return service, act, 2, 2, None  # the leader's miss + one coalesced
+
+    def follower_re_leads_after_an_abandoned_flight(self, world):
+        service = fresh_service(world, coalesce_in_flight=True)
+        served = []
+
+        def act():
+            (crash,) = _lead_then_follow(
+                service,
+                lambda: service.route(QUERY),
+                lambda: served.append(service.route(QUERY)),
+                release_on_join=True,
+                crash_leader=True,
+            )
+            assert isinstance(crash, RuntimeError)
+            assert served[0].found and not served[0].coalesced
+
+        return service, act, 2, 1, None  # only the re-leading lookup stays
+
+    def rung1_complete(self, world):
+        service = fresh_service(world)
+        return service, lambda: service.route(QUERY, deadline_seconds=30.0), 1, 1, None
+
+    def rung1_anytime_pivot(self, world):
+        service = fresh_service(world, clock=FakeClock())
+
+        def act():
+            served = service.route(QUERY, deadline_seconds=1e-9)
+            assert served.fallback_strategy == "anytime"
+
+        return service, act, 1, 1, None
+
+    def expired_serves_stale(self, world):
+        network, model, _ = world
+        service = fresh_service(world)
+        service.route(QUERY)
+        service.apply_cost_update(
+            {e.id: model.edge_marginal(e) for e in network.edges[:3]}
+        )
+
+        def act():
+            served = service.route(QUERY, deadline_seconds=-1.0)
+            assert served.fallback_strategy == "stale_cache"
+
+        return service, act, 1, 1, None
+
+    def expired_raises_deadline_exceeded(self, world):
+        service = fresh_service(world)
+        act = functools.partial(service.route, QUERY, deadline_seconds=-1.0)
+        return service, act, 1, 0, DeadlineExceededError
+
+    def open_breaker_serves_expected_time(self, world):
+        service = fresh_service(
+            world, clock=FakeClock(), breaker_failure_threshold=1
+        )
+        name = "decline_for_resilience_test"
+        service.route(QUERY, strategy=name, deadline_seconds=5.0)  # trips it
+        assert service.stats().breakers[name] == "open"
+
+        def act():
+            served = service.route(QUERY, strategy=name, deadline_seconds=5.0)
+            assert served.fallback_strategy == "expected_time"
+            assert service.stats().deadline_misses == 1  # primary never ran
+
+        return service, act, 1, 1, None
+
+    def no_route(self, world):
+        network, costs = disconnected_world()
+        service = RoutingService(network, ConvolutionModel(costs))
+        act = functools.partial(
+            service.route,
+            RoutingQuery(0, 2, 10_000),
+            strategy="decline_for_resilience_test",
+            deadline_seconds=30.0,
+        )
+        return service, act, 1, 0, NoRouteError
+
+    def deadline_follower_times_out(self, world):
+        # The frozen service clock keeps the follower's budget positive
+        # after its (real-time) wait on the flight timed out, so it goes on
+        # to search for itself — without leading, and without a lookup on
+        # the books: it refunded its miss when it joined.
+        service = fresh_service(
+            world, coalesce_in_flight=True, clock=FakeClock()
+        )
+        served = {}
+
+        def act():
+            raised = _lead_then_follow(
+                service,
+                lambda: served.update(leader=service.route(QUERY)),
+                lambda: served.update(
+                    follower=service.route(QUERY, deadline_seconds=0.05)
+                ),
+                release_on_join=False,
+            )
+            assert raised == []
+            follower = served["follower"]
+            assert follower.found and not follower.coalesced
+            assert not follower.degraded and not follower.cache_hit
+            assert not served["leader"].coalesced
+
+        return service, act, 2, 1, None  # the leader's miss alone
+
+    @pytest.mark.parametrize(
+        "exit_name",
+        [
+            "fresh_hit",
+            "plain_miss",
+            "time_limited_cache_bypass",
+            "unfreezable_kwargs",
+            "search_raises",
+            "search_raises_under_a_deadline",
+            "expected_time_raises_under_a_deadline",
+            "follower_shares_the_leaders_answer",
+            "follower_re_leads_after_an_abandoned_flight",
+            "rung1_complete",
+            "rung1_anytime_pivot",
+            "expired_serves_stale",
+            "expired_raises_deadline_exceeded",
+            "open_breaker_serves_expected_time",
+            "no_route",
+            "deadline_follower_times_out",
+        ],
+    )
+    def test_exit(self, world, declining_strategy, scratch_strategies, exit_name):
+        service, act, calls, served_lookups, raises = getattr(self, exit_name)(world)
+
+        def lookups(stats):
+            return stats.cache_hits + stats.cache_misses + stats.coalesced
+
+        before = service.stats()
+        if raises is None:
+            act()
+        else:
+            with pytest.raises(raises):
+                act()
+        after = service.stats()
+        assert after.requests - before.requests == calls
+        assert lookups(after) - lookups(before) == served_lookups
+        assert service._flights == {}
 
 
 # ----------------------------------------------------------------------

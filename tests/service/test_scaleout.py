@@ -639,6 +639,53 @@ class TestAsyncFrontend:
 
         asyncio.run(scenario())
 
+    def test_close_winning_the_race_counts_the_queued_request_cancelled(
+        self, world
+    ):
+        """``max_pending=1``: a second submit is counted, then parks on the
+        semaphore; ``close()`` detaches the executor before it gets a slot.
+        The request never runs, so it must end up ``cancelled`` — at
+        quiescence ``submitted == completed + cancelled +
+        delivery_failures``, as on the threaded frontend's same race."""
+        service = fresh_service(world)
+        engine = service.engine()
+        real_route = engine.route
+        entered, release = threading.Event(), threading.Event()
+
+        def gated_route(query, **kwargs):
+            entered.set()
+            assert release.wait(10.0), "the first request was never released"
+            return real_route(query, **kwargs)
+
+        engine.route = gated_route
+        request = {"op": "route", "query": HOT_QUERIES[0].to_dict()}
+
+        async def scenario():
+            frontend = await AsyncFrontend(
+                service, num_workers=1, max_pending=1
+            ).start()
+            first = asyncio.ensure_future(frontend.submit(request))
+            while not entered.is_set():  # first holds the one pending slot
+                await asyncio.sleep(0.001)
+            second = asyncio.ensure_future(frontend.submit(request))
+            await asyncio.sleep(0)  # second: submitted, parked on the semaphore
+            closing = asyncio.ensure_future(frontend.close())
+            await asyncio.sleep(0)  # close(): executor detached, now draining
+            release.set()
+            outcomes = await asyncio.gather(first, second, return_exceptions=True)
+            await closing
+            return outcomes, frontend.stats.read()
+
+        (first, second), counters = asyncio.run(scenario())
+        assert first["ok"] is True
+        assert isinstance(second, FrontendClosedError)
+        assert counters["submitted"] == 2 and counters["completed"] == 1
+        assert counters["submitted"] == (
+            counters["completed"]
+            + counters["cancelled"]
+            + counters["delivery_failures"]
+        )
+
     def test_tcp_pipelining_returns_responses_in_request_order(self, world):
         """Many lines written before any response is read come back in
         request order — including the error document for a garbage line,

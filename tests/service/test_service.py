@@ -14,6 +14,7 @@ The serving contract locked down here:
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.service import (
     CostUpdate,
     ResultCache,
     RoutingService,
+    ScheduledIncident,
     freeze_kwargs,
     time_sliced_cost_tables,
 )
@@ -608,6 +610,11 @@ class TestWireProtocol:
         [
             ({"op": "warp"}, "unknown op"),
             ({}, "unknown op"),
+            # Only a string can name an op: anything else — unhashable
+            # values included — is an unknown op, never an internal error.
+            ({"op": []}, "unknown op"),
+            ({"op": {}}, "unknown op"),
+            ({"op": 7}, "unknown op"),
             ({"op": "route"}, "KeyError"),
             ({"op": "route", "query": {"source": 0}}, "KeyError"),
             (
@@ -637,6 +644,129 @@ class TestWireProtocol:
         assert fragment in response["error"]
         # Every malformed request carries the stable dispatch code.
         assert response["error_kind"] == "bad_request"
+
+    #: Today's operations, in the order the unknown-op message lists them,
+    #: each with the ``kind`` its success document is tagged with.
+    OP_KINDS = {
+        "route": "served",
+        "route_at": "served",
+        "route_many": "served_batch",
+        "depart_when": "served",
+        "apply_update": "update_applied",
+        "schedule_incident": "incident_scheduled",
+        "advance_clock": "clock_advanced",
+        "incidents": "incidents",
+        "stats": "service_stats",
+        "learning_stats": "learning_stats",
+        "snapshot": "service_snapshot",
+    }
+
+    def test_the_op_table_is_the_contract(self, world):
+        """Every op answers a minimal valid document with its documented
+        kind, and the unknown-op message lists exactly the table's keys —
+        an op cannot be added, dropped or reordered without this failing."""
+        network, model, _ = world
+        service = RoutingService.from_time_slices(
+            network, time_sliced_cost_tables(network, model)
+        )
+        service.attach_learning(
+            lambda: SimpleNamespace(to_dict=lambda: {"kind": "learning_stats"})
+        )
+        edge = network.edges[0]
+        incident = ScheduledIncident.closure("op-table", [edge.id], 10.0, 20.0)
+        minimal = {
+            "route": {"query": QUERY.to_dict()},
+            "route_at": {"query": QUERY.to_dict(), "departure_time_seconds": 8 * 3600.0},
+            "route_many": {"queries": [QUERY.to_dict()]},
+            "depart_when": {
+                "source": QUERY.source,
+                "target": QUERY.target,
+                "departure_times": [8 * 3600.0, 8.5 * 3600.0],
+                "budget": QUERY.budget,
+            },
+            "apply_update": {
+                "update": CostUpdate(costs={edge.id: model.edge_marginal(edge)}).to_dict()
+            },
+            "schedule_incident": {"incident": incident.to_dict()},
+            "advance_clock": {"now_seconds": 5.0},
+            "incidents": {},
+            "stats": {},
+            "learning_stats": {},
+            "snapshot": {},
+        }
+        assert list(RoutingService._WIRE_OPS) == list(self.OP_KINDS)
+        assert set(minimal) == set(self.OP_KINDS)
+        for op, kind in self.OP_KINDS.items():
+            response = service.handle_request({"op": op, **minimal[op]})
+            assert response["ok"] is True, (op, response)
+            assert response["kind"] == kind, op
+        unknown = service.handle_request({"op": "warp"})
+        assert unknown["error"] == (
+            "ValueError: unknown op 'warp'; expected route/route_at/route_many/"
+            "depart_when/apply_update/schedule_incident/advance_clock/"
+            "incidents/stats/learning_stats/snapshot"
+        )
+
+    @pytest.mark.parametrize("bad", [True, "900", float("nan")])
+    @pytest.mark.parametrize(
+        "field, named",
+        [
+            ("cache_ttl_seconds", "cache_ttl_seconds"),
+            ("time_limit_seconds", "time_limit_seconds"),
+            ("departure_time_seconds", "departure time"),
+        ],
+    )
+    def test_wire_numbers_are_validated_not_coerced(self, world, field, named, bad):
+        """``true`` used to be served as 1 s and ``"900"`` as 900 s (a
+        15-minute TTL, the ``night`` slice): a number field holding a
+        boolean, a string or NaN is a bad request on every op carrying it."""
+        network, model, _ = world
+        service = RoutingService.from_time_slices(
+            network, time_sliced_cost_tables(network, model)
+        )
+        documents = [
+            {"op": "route_at", "query": QUERY.to_dict(), "departure_time_seconds": 8 * 3600.0}
+        ]
+        if field != "departure_time_seconds":
+            documents += [
+                {"op": "route", "query": QUERY.to_dict()},
+                {"op": "route_many", "queries": [QUERY.to_dict()]},
+                {
+                    "op": "depart_when",
+                    "source": QUERY.source,
+                    "target": QUERY.target,
+                    "departure_times": [8 * 3600.0],
+                    "budget": QUERY.budget,
+                },
+            ]
+        for document in documents:
+            assert service.handle_request(document)["ok"] is True, document
+            response = json.loads(service.handle_json(json.dumps({**document, field: bad})))
+            assert response["ok"] is False, (document["op"], response)
+            assert response["error_kind"] == "bad_request", response
+            assert named in response["error"]
+        assert service.stats().requests == len(documents)  # only the valid ones
+
+    def test_depart_when_rejects_a_deadline_it_cannot_honour(self, world):
+        """``deadline_ms`` on ``depart_when`` was silently dropped — a 50 ms
+        deadline bought an unbounded search.  Unsupported is said out loud,
+        exactly as ``kwargs`` is rejected on this op."""
+        network, model, _ = world
+        service = RoutingService.from_time_slices(
+            network, time_sliced_cost_tables(network, model)
+        )
+        document = {
+            "op": "depart_when",
+            "source": QUERY.source,
+            "target": QUERY.target,
+            "departure_times": [8 * 3600.0],
+            "budget": QUERY.budget,
+        }
+        assert service.handle_request({**document, "deadline_ms": None})["ok"] is True
+        response = service.handle_request({**document, "deadline_ms": 50.0})
+        assert response["ok"] is False
+        assert response["error_kind"] == "bad_request"
+        assert "deadline_ms" in response["error"]
 
     def test_bad_json_becomes_error_document(self, world):
         service = fresh_service(world)
