@@ -164,10 +164,7 @@ class EdgeCostTable:
             "resolution": self.resolution,
             "version": version,
             "costs": {
-                str(edge_id): {
-                    "offset": dist.offset,
-                    "probs": [float(p) for p in dist.probs],
-                }
+                str(edge_id): dist.to_payload()
                 for edge_id, dist in sorted(table.items())
             },
         }

@@ -497,6 +497,10 @@ class DiscreteDistribution:
         _, p, q = self.aligned_with(other)
         return bool(np.allclose(p, q, atol=atol, rtol=0.0))
 
+    def to_payload(self) -> dict:
+        """The JSON-ready ``{offset, probs}`` form every wire document embeds."""
+        return {"offset": self.offset, "probs": [float(p) for p in self.probs]}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscreteDistribution):
             return NotImplemented

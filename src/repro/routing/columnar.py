@@ -43,7 +43,7 @@ as the scalar core for the same pivot state.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
+import weakref
 
 import numpy as np
 
@@ -80,12 +80,12 @@ _CHUNK_BYTES = 32 << 20
 #: generation is enough to chase the scalar core's pivot trajectory.
 _DIVES_PER_GENERATION = 4
 
-#: Entries kept in the module-level CSR / kernel caches.  Keys embed object
-#: ids, so values hold strong references to keep those ids stable.
-_CACHE_SIZE = 4
-
-_CSR_CACHE: "OrderedDict[tuple[int, int], _Csr]" = OrderedDict()
-_KERNEL_CACHE: "OrderedDict[tuple[int, int, int, int], _EdgeKernels]" = OrderedDict()
+#: One CSR per live network and one kernel block per live cost table, as
+#: ``owner -> (tag, block)`` cells.  Weak keys: a dead table pins nothing (so
+#: a block must never reference its owner).  The tag is the versions the block
+#: was built at: a stale block is replaced, not kept beside the fresh one.
+_CSR_CELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_KERNEL_CELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class _Csr:
@@ -97,7 +97,6 @@ class _Csr:
     """
 
     __slots__ = (
-        "network",
         "order",
         "index_of",
         "indptr",
@@ -107,7 +106,6 @@ class _Csr:
     )
 
     def __init__(self, network) -> None:
-        self.network = network
         order = sorted(network.vertex_ids())
         self.order = order
         self.index_of = {v: i for i, v in enumerate(order)}
@@ -130,11 +128,10 @@ class _Csr:
 class _EdgeKernels:
     """All edge cost pmfs as one (offsets, probs, totals) block, by edge id."""
 
-    __slots__ = ("network", "costs", "offsets", "probs", "totals", "min_ticks")
+    __slots__ = ("network", "offsets", "probs", "totals", "min_ticks")
 
     def __init__(self, network, combiner) -> None:
-        self.network = network
-        self.costs = combiner.costs
+        self.network = network  # keeps the ``id(network)`` in the cell's tag stable
         dists = [combiner.edge_cost(edge) for edge in network.edges]
         support = max((d.support_size for d in dists), default=1)
         count = len(dists)
@@ -151,32 +148,24 @@ class _EdgeKernels:
         self.min_ticks = self.offsets + np.argmax(self.probs > 0.0, axis=1)
 
 
-def _cache_get(cache: OrderedDict, key, build):
-    entry = cache.get(key)
-    if entry is None:
-        entry = build()
-        cache[key] = entry
-        while len(cache) > _CACHE_SIZE:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return entry
+def _cell(cells: weakref.WeakKeyDictionary, owner, tag, build):
+    # Lock-free on purpose: each dict operation is atomic, and two threads
+    # racing a first build both build — either block is right.
+    cell = cells.get(owner)
+    if cell is None or cell[0] != tag:
+        cell = cells[owner] = (tag, build())
+    return cell[1]
 
 
 def _csr_for(network) -> _Csr:
-    key = (id(network), getattr(network, "version", 0))
-    return _cache_get(_CSR_CACHE, key, lambda: _Csr(network))
+    version = getattr(network, "version", 0)
+    return _cell(_CSR_CELLS, network, version, lambda: _Csr(network))
 
 
 def _kernels_for(network, combiner) -> _EdgeKernels:
     costs = combiner.costs
-    key = (
-        id(network),
-        getattr(network, "version", 0),
-        id(costs),
-        getattr(costs, "version", 0),
-    )
-    return _cache_get(_KERNEL_CACHE, key, lambda: _EdgeKernels(network, combiner))
+    tag = (id(network), getattr(network, "version", 0), getattr(costs, "version", 0))
+    return _cell(_KERNEL_CELLS, costs, tag, lambda: _EdgeKernels(network, combiner))
 
 
 def _dense_bounds(heuristic: OptimisticHeuristic, csr: _Csr) -> np.ndarray:

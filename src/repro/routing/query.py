@@ -342,12 +342,7 @@ class RoutingResult:
             "path": [edge.id for edge in self.path],
             "path_vertices": self.path_vertices(),
             "distribution": (
-                None
-                if self.distribution is None
-                else {
-                    "offset": self.distribution.offset,
-                    "probs": [float(p) for p in self.distribution.probs],
-                }
+                None if self.distribution is None else self.distribution.to_payload()
             ),
             "probability": float(self.probability),
             "found": self.found,

@@ -1,12 +1,14 @@
-"""A threaded serving frontend: a worker pool over one request queue.
+"""The frontend core and its threaded transport: one worker pool, one serve step.
 
 :class:`RoutingService` is thread-safe but passive — something must pump
-requests into it.  :class:`ThreadedFrontend` is that something for a
-multi-client deployment: callers :meth:`~ThreadedFrontend.submit` wire
-request documents (the same JSON-ready shapes
-:meth:`~repro.service.RoutingService.handle_request` speaks) and get a
-:class:`~concurrent.futures.Future` back; N worker threads drain the
-queue, drive the shared service, and deliver each response.
+requests into it.  :class:`FrontendCore` is that something, once: it owns
+the worker pool (a stdlib :class:`~concurrent.futures.ThreadPoolExecutor`)
+and its lifecycle, the :class:`FrontendStats` accounting, the clock, and
+the one serve step every request goes through.  The two frontends are
+transports over it: :class:`ThreadedFrontend` (here) hands callers a
+:class:`~concurrent.futures.Future` per wire request document, and
+:class:`~repro.service.scaleout.AsyncFrontend` hands them a coroutine and
+a TCP listener.
 
 What the pool buys under CPython's GIL is *overlap*, not parallel search:
 while one worker waits on response delivery (the ``deliver`` hook — a
@@ -17,33 +19,27 @@ sustains a large client count.  The service below it guarantees the rest:
 per-slice read-write locks keep every answer snapshot-consistent with the
 cost-table version it is tagged with, however many workers are in flight.
 
-The frontend inherits the service's always-answer contract and hardens
-it: a worker never dies on a bad request — malformed documents come back
-as ``{"ok": false, ...}`` error documents through the future, a failing
-``deliver`` hook marks only that one future, and an exception that
-escapes the service anyway (in practice only an injected fault from a
-:class:`~repro.service.faults.FaultInjector`) is retried under the
-frontend's :class:`~repro.service.faults.RetryPolicy` before it becomes
-an ``error_kind: "internal"`` document.  A request's ``deadline_ms`` is
-charged for its queue wait: the service sees only the budget that is
-actually left, so a request that aged out in the queue degrades
-immediately instead of burning a worker on a search it cannot finish in
-time.
+The core inherits the service's always-answer contract and hardens it
+(:meth:`FrontendCore._serve`): whatever is submitted — a request that is
+not even an object included — comes back as a document, and a request's
+``deadline_ms`` is charged for its queue wait, so one that aged out in
+the queue degrades immediately instead of burning a worker on a search it
+cannot finish in time.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from concurrent.futures import Future
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from typing import Any
 
 from .errors import FrontendClosedError, error_document, is_real, require_integer
 from .faults import FaultInjector, RetryPolicy
 from .service import RoutingService
 
-__all__ = ["FrontendStats", "ThreadedFrontend", "charge_queue_wait"]
+__all__ = ["FrontendCore", "FrontendStats", "ThreadedFrontend", "charge_queue_wait"]
 
 
 def charge_queue_wait(
@@ -54,15 +50,14 @@ def charge_queue_wait(
     """Charge the time since ``arrival`` against the request's ``deadline_ms``.
 
     The client's deadline started ticking at submission, not when a worker
-    (or executor slot) finally picked the request up — so the service must
-    receive the budget that is actually left.  The adjusted budget may be
-    negative: the service treats an expired budget as a valid request that
-    goes straight to the stale rung.  Requests without a numeric deadline
-    pass through untouched (a malformed one fails validation at the
-    service, as it would have anyway).  Shared by every frontend so the
-    queue-wait semantics cannot drift between the threaded and async paths.
+    finally picked the request up — so the service must receive the budget
+    that is actually left.  The adjusted budget may be negative: the
+    service treats an expired budget as a valid request that goes straight
+    to the stale rung.  Requests without a numeric deadline pass through
+    untouched (a malformed one — not even an object, say — fails
+    validation at the service, as it would have anyway).
     """
-    raw = request.get("deadline_ms")
+    raw = request.get("deadline_ms") if isinstance(request, Mapping) else None
     if raw is None or not is_real(raw):
         return request
     waited_ms = (clock() - arrival) * 1000.0
@@ -71,44 +66,181 @@ def charge_queue_wait(
     return adjusted
 
 
-class FrontendStats:
-    """Cumulative counters for one frontend (atomic snapshot via ``read``)."""
+class Counters:
+    """Cumulative counters behind one lock (atomic snapshot via ``read``);
+    a subclass names them in ``FIELDS``, in the order ``read`` reports them."""
+
+    FIELDS: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.delivery_failures = 0
-        self.cancelled = 0
-        self.retries = 0
+        for field in self.FIELDS:
+            setattr(self, field, 0)
 
-    def _bump(self, field: str) -> None:
+    def _bump(self, field: str, by: int = 1) -> None:
         with self._lock:
-            setattr(self, field, getattr(self, field) + 1)
-
-    def _retract(self, field: str) -> None:
-        """Un-count one event (the rare "counted, then never happened" path).
-
-        Only :meth:`ThreadedFrontend.submit` uses it, for a request that was
-        counted as submitted and then withdrawn before any worker could see
-        it — the request never existed as far as every other counter is
-        concerned, so the submission must not stay on the books.
-        """
-        with self._lock:
-            setattr(self, field, getattr(self, field) - 1)
+            setattr(self, field, getattr(self, field) + by)
 
     def read(self) -> dict[str, int]:
         with self._lock:
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "delivery_failures": self.delivery_failures,
-                "cancelled": self.cancelled,
-                "retries": self.retries,
-            }
+            return {field: getattr(self, field) for field in self.FIELDS}
 
 
-class ThreadedFrontend:
+class FrontendStats(Counters):
+    """One frontend's counters.  At quiescence ``submitted == completed +
+    cancelled + delivery_failures``; no snapshot shows more outcomes than
+    submissions."""
+
+    FIELDS = ("submitted", "completed", "delivery_failures", "cancelled", "retries")
+
+
+class FrontendCore:
+    """The request pump both frontends stand on.
+
+    Not a frontend by itself: a transport subclasses it, adds its own
+    ``start`` / ``close`` / ``submit`` shapes (blocking or coroutine) and its
+    own backpressure, and calls :meth:`_admit` → :meth:`_dispatch` →
+    :meth:`_serve`.  The parameters are documented on
+    :class:`ThreadedFrontend`, which exposes all of them.
+    """
+
+    def __init__(
+        self,
+        service: RoutingService,
+        *,
+        num_workers: int,
+        max_pending: int,
+        faults: FaultInjector | None = None,
+        retry: RetryPolicy | None = None,
+        clock: Callable[[], float] | None = None,
+        sleep: Callable[[float], None] = time.sleep,
+    ) -> None:
+        self.service = service
+        self.num_workers = require_integer(
+            num_workers, "num_workers must be a positive integer", low=1
+        )
+        self.max_pending = require_integer(
+            max_pending, "max_pending must be a non-negative integer", low=0
+        )
+        self.faults = faults
+        self.retry = RetryPolicy() if retry is None else retry
+        if not isinstance(self.retry, RetryPolicy):
+            raise TypeError(
+                f"retry must be a RetryPolicy, got {type(self.retry).__name__}"
+            )
+        if clock is None:
+            # Under injected clock skew the frontend must *feel* the skew,
+            # or the deadline arithmetic under test would read true time.
+            clock = faults.now if faults is not None else time.monotonic
+        self._clock = clock
+        self._sleep = sleep
+        self.stats = FrontendStats()
+        self._pool: ThreadPoolExecutor | None = None
+        self._state_lock = threading.Lock()
+        self._closed = False
+
+    # ------------------------------------------------------------------
+    # Pool lifecycle
+    # ------------------------------------------------------------------
+
+    def _open(self) -> bool:
+        """Construct the pool; ``False`` when it is already running."""
+        with self._state_lock:
+            if self._closed:
+                raise FrontendClosedError("frontend is closed and cannot restart")
+            if self._pool is not None:
+                return False
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.num_workers, thread_name_prefix="routing-frontend"
+            )
+            return True
+
+    def _stop_accepting(self) -> bool:
+        """Begin close: from here the pool refuses every hand-off.  ``False``
+        when there is nothing to shut down (closed already, never started)."""
+        with self._state_lock:
+            if self._closed:
+                return False
+            self._closed = True
+            if self._pool is None:
+                return False
+            self._pool.shutdown(wait=False)
+            return True
+
+    def _join(self, drain: bool) -> None:
+        """Finish close: serve (``drain``) or cancel what is queued, then
+        wait for every worker to exit."""
+        self._pool.shutdown(wait=True, cancel_futures=not drain)
+
+    # ------------------------------------------------------------------
+    # Intake and hand-off
+    # ------------------------------------------------------------------
+
+    def _admit(self) -> float:
+        """Refuse unless running; count the submission and stamp its arrival."""
+        if self._pool is None or self._closed:
+            raise FrontendClosedError(
+                "frontend is not accepting requests (start() it first; "
+                "closed frontends stay closed)"
+            )
+        # Counted *before* the hand-off: the moment the pool has the request
+        # a fast worker can complete it, and a stats snapshot taken in that
+        # window must never show completed > submitted.
+        self.stats._bump("submitted")
+        return self._clock()
+
+    def _dispatch(
+        self,
+        work: Callable[[Mapping[str, Any], float], dict[str, Any]],
+        request: Mapping[str, Any],
+        arrival: float,
+    ) -> "Future[dict[str, Any]]":
+        """Hand one admitted request to the pool.  If close() began since
+        :meth:`_admit`, the executor settles the race atomically: the request
+        either landed before shutdown (and will be served, or cancelled by
+        ``close(drain=False)``) or is refused here — loudly, never as a
+        forever-pending future."""
+        try:
+            return self._pool.submit(work, request, arrival)
+        except RuntimeError:
+            if not self._closed:
+                raise  # not the shutdown refusal (e.g. no thread to start)
+            raise FrontendClosedError(
+                "frontend closed while the request was queued"
+            ) from None
+
+    def _serve(self, request: Mapping[str, Any], arrival: float) -> dict[str, Any]:
+        """The serve step: one request through queue-wait charging, fault
+        injection and retry-with-backoff, answered as a document.
+
+        The service's own ``handle_request`` already answers every failure
+        as a document, so the only exceptions this loop sees escape
+        *around* the service — injected crashes from the fault harness (or
+        a genuine frontend bug).  Each attempt is charged the wait since
+        ``arrival`` and rolls fresh fault dice; exhausted retries become an
+        ``error_kind: "internal"`` document, honouring the always-answer
+        contract end to end.  ``KeyboardInterrupt`` / ``SystemExit`` are
+        not ``Exception`` and pass through: an operator's ^C must never
+        become an error document.
+        """
+        last_error: Exception | None = None
+        for attempt in range(self.retry.max_attempts):
+            if attempt:
+                self.stats._bump("retries")
+                delay = self.retry.delay_before_retry(attempt - 1)
+                if delay > 0:
+                    self._sleep(delay)
+            try:
+                to_serve = charge_queue_wait(request, arrival, self._clock)
+                if self.faults is not None:
+                    to_serve = self.faults.before_request(to_serve)
+                return self.service.handle_request(to_serve)
+            except Exception as exc:
+                last_error = exc
+        return error_document(last_error)
+
+
+class ThreadedFrontend(FrontendCore):
     """Drive one :class:`RoutingService` from a pool of worker threads.
 
     Parameters
@@ -147,8 +279,6 @@ class ThreadedFrontend:
     default: every accepted request is served before the workers exit.
     """
 
-    _STOP = object()  # queue sentinel, one per worker at shutdown
-
     def __init__(
         self,
         service: RoutingService,
@@ -161,53 +291,24 @@ class ThreadedFrontend:
         clock: Callable[[], float] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self.service = service
-        self.num_workers = require_integer(
-            num_workers, "num_workers must be a positive integer", low=1
-        )
-        max_pending = require_integer(
-            max_pending, "max_pending must be a non-negative integer", low=0
+        super().__init__(
+            service,
+            num_workers=num_workers,
+            max_pending=max_pending,
+            faults=faults,
+            retry=retry,
+            clock=clock,
+            sleep=sleep,
         )
         self.deliver = deliver
-        self.faults = faults
-        self.retry = RetryPolicy() if retry is None else retry
-        if not isinstance(self.retry, RetryPolicy):
-            raise TypeError(
-                f"retry must be a RetryPolicy, got {type(self.retry).__name__}"
-            )
-        if clock is None:
-            # Under injected clock skew the frontend must *feel* the skew,
-            # or the deadline arithmetic under test would read true time.
-            clock = faults.now if faults is not None else time.monotonic
-        self._clock = clock
-        self._sleep = sleep
-        self.stats = FrontendStats()
-        self._queue: "queue.Queue[Any]" = queue.Queue(maxsize=max_pending)
-        self._workers: list[threading.Thread] = []
-        self._state_lock = threading.Lock()
-        self._started = False
-        self._closed = False
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
+        # Requests handed to the pool that no worker has picked up yet;
+        # guarded by ``_room``, which only a bounded frontend ever touches.
+        self._queued = 0
+        self._room = threading.Condition() if self.max_pending else None
 
     def start(self) -> "ThreadedFrontend":
-        """Spawn the worker pool (idempotent until :meth:`close`)."""
-        with self._state_lock:
-            if self._closed:
-                raise FrontendClosedError("frontend is closed and cannot restart")
-            if self._started:
-                return self
-            self._started = True
-            for index in range(self.num_workers):
-                worker = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"routing-frontend-{index}",
-                    daemon=True,
-                )
-                worker.start()
-                self._workers.append(worker)
+        """Start the worker pool (idempotent until :meth:`close`)."""
+        self._open()
         return self
 
     def close(self, *, drain: bool = True) -> None:
@@ -217,37 +318,15 @@ class ThreadedFrontend:
         stops.  ``drain=False`` cancels queued-but-unstarted requests
         (their futures report cancelled) and stops as soon as each worker
         finishes its current request.  Either way, :meth:`submit` rejects
-        new work the moment close begins, and close is idempotent.
+        new work the moment close begins — a submitter blocked on
+        backpressure included — and close is idempotent.
         """
-        with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
-            started = self._started
-        if not started:
+        if not self._stop_accepting():
             return
-        if not drain:
-            # Pull pending work off the queue and cancel it; workers may
-            # race us for items — both outcomes (served or cancelled) are
-            # valid under drain=False.
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if item is not self._STOP:
-                    # We are this item's only consumer (we popped it), so we
-                    # count the cancellation even when the future was already
-                    # cancelled by someone who did not own the item (e.g.
-                    # map_requests' prefix cleanup) — exactly-once per item.
-                    _, future, _ = item
-                    future.cancel()
-                    self.stats._bump("cancelled")
-        for _ in self._workers:
-            self._queue.put(self._STOP)
-        for worker in self._workers:
-            worker.join()
-        self._workers.clear()
+        if self._room is not None:
+            with self._room:
+                self._room.notify_all()
+        self._join(drain)
 
     def __enter__(self) -> "ThreadedFrontend":
         return self.start()
@@ -267,50 +346,37 @@ class ThreadedFrontend:
         frontend was never started or is closing — a dropped-on-the-floor
         request must be loud, not a forever-pending future.
         """
-        with self._state_lock:
-            if not self._started or self._closed:
-                raise FrontendClosedError(
-                    "frontend is not accepting requests (start() it first; "
-                    "closed frontends stay closed)"
-                )
-        future: "Future[dict[str, Any]]" = Future()
-        item = (request, future, self._clock())
-        # Count the submission *before* the put: the moment the item is on
-        # the queue a fast worker can complete it, and a stats snapshot
-        # taken in that window must never show completed > submitted.
-        self.stats._bump("submitted")
-        self._queue.put(item)
-        # close() may have begun between the check above and the put.  If it
-        # did, our item either (a) landed before close's sentinels/drain and
-        # a worker will still serve it, or (b) will never be picked up.  For
-        # (b) we withdraw our exact item, un-count the submission (it never
-        # existed as far as any worker is concerned), and fail loudly
-        # instead of handing back a forever-pending future.
-        with self._state_lock:
-            closed_underfoot = self._closed
-        if closed_underfoot:
-            with self._queue.mutex:
-                try:
-                    self._queue.queue.remove(item)
-                    withdrawn = True
-                    self._queue.not_full.notify()
-                except ValueError:
-                    withdrawn = False
-            if withdrawn:
-                future.cancel()
-                self.stats._retract("submitted")
-                raise FrontendClosedError(
-                    "frontend closed while the request was queued"
-                )
-            if future.cancelled():
-                # close(drain=False)'s sweep beat us to the item and already
-                # counted the cancellation — the submission stands, the
-                # request just reports cancelled like any other swept one.
-                raise FrontendClosedError(
-                    "frontend closed while the request was queued"
-                )
-            # Otherwise a worker owns the item and will serve it.
+        arrival = self._admit()
+        try:
+            if self._room is not None:
+                with self._room:
+                    # close() wakes us too; the pool then refuses the hand-off.
+                    while self._queued >= self.max_pending and not self._closed:
+                        self._room.wait()
+                    self._queued += 1
+            future = self._dispatch(self._work, request, arrival)
+        except FrontendClosedError:
+            # Refused after it was counted: no worker will ever see it, so
+            # the submission must not stay on the books.
+            self.stats._bump("submitted", -1)
+            raise
+        future.add_done_callback(self._count_if_cancelled)
         return future
+
+    def _count_if_cancelled(self, future: Future) -> None:
+        # A cancelled future never reaches a worker, whoever cancelled it
+        # (close(drain=False), or a caller holding the future).  The
+        # executor settles run-or-cancel atomically, so this and the pickup
+        # in _work see each request exactly once between them.
+        if future.cancelled():
+            self._left_queue()
+            self.stats._bump("cancelled")
+
+    def _left_queue(self) -> None:
+        if self._room is not None:
+            with self._room:  # one more request may queue
+                self._queued -= 1
+                self._room.notify()
 
     def request(self, request: Mapping[str, Any]) -> dict[str, Any]:
         """Synchronous convenience: :meth:`submit` and wait for the answer."""
@@ -333,12 +399,8 @@ class ThreadedFrontend:
             for request in list(requests):
                 futures.append(self.submit(request))
         except FrontendClosedError:
-            for future in futures:
-                if not future.cancel():
-                    try:
-                        future.result()
-                    except Exception:
-                        pass  # settled is all we need; the caller sees the close
+            # Settled is all we need; the caller sees the close.
+            wait([future for future in futures if not future.cancel()])
             raise
         return [future.result() for future in futures]
 
@@ -346,75 +408,16 @@ class ThreadedFrontend:
     # Worker side
     # ------------------------------------------------------------------
 
-    def _against_queue_wait(
-        self, request: Mapping[str, Any], arrival: float
-    ) -> Mapping[str, Any]:
-        """Charge the time spent queued against the request's deadline.
-
-        Delegates to the module-level :func:`charge_queue_wait` — one
-        definition of queue-wait charging shared with the async frontend.
-        """
-        return charge_queue_wait(request, arrival, self._clock)
-
-    def _serve(self, request: Mapping[str, Any]) -> dict[str, Any]:
-        """One request through fault injection and retry-with-backoff.
-
-        The service's own ``handle_request`` already answers every failure
-        as a document, so the only exceptions this loop sees escape
-        *around* the service — injected crashes from the fault harness (or
-        a genuine frontend bug).  Each attempt rolls fresh fault dice;
-        exhausted retries become an ``error_kind: "internal"`` document,
-        honouring the always-answer contract end to end.
-        """
-        last_error: Exception | None = None
-        for attempt in range(self.retry.max_attempts):
-            if attempt:
-                self.stats._bump("retries")
-                delay = self.retry.delay_before_retry(attempt - 1)
-                if delay > 0:
-                    self._sleep(delay)
+    def _work(self, request: Mapping[str, Any], arrival: float) -> dict[str, Any]:
+        self._left_queue()
+        response = self._serve(request, arrival)
+        if self.deliver is not None:
             try:
-                to_serve = request
-                if self.faults is not None:
-                    to_serve = self.faults.before_request(request)
-                return self.service.handle_request(to_serve)
-            except Exception as exc:
-                last_error = exc
-        return error_document(last_error)
-
-    def _worker_loop(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is self._STOP:
-                return
-            request, future, arrival = item
-            if not future.set_running_or_notify_cancel():
-                # Cancelled while queued (a caller cancelled the future
-                # directly — close(drain=False)'s sweep counts the items it
-                # pops itself and we never see those).  We are the only
-                # consumer of this item, so counting here is exactly-once.
-                self.stats._bump("cancelled")
-                continue
-            try:
-                response = self._serve(self._against_queue_wait(request, arrival))
-            except BaseException as exc:  # pragma: no cover - _serve answers
-                # every Exception; this is belt-and-braces so a worker can
-                # never die and silently shrink the pool...
-                future.set_exception(exc)
-                if not isinstance(exc, Exception):
-                    # ...but KeyboardInterrupt / SystemExit must still
-                    # unwind the thread, never be swallowed into a zombie
-                    # worker that looks alive and serves nothing.
-                    raise
-                continue
-            if self.deliver is not None:
-                try:
-                    self.deliver(request, response)
-                except BaseException as exc:
-                    self.stats._bump("delivery_failures")
-                    future.set_exception(exc)
-                    if not isinstance(exc, Exception):
-                        raise
-                    continue
-            future.set_result(response)
-            self.stats._bump("completed")
+                self.deliver(request, response)
+            except BaseException:
+                # The executor stores what we raise in this request's
+                # future and the worker lives on.
+                self.stats._bump("delivery_failures")
+                raise
+        self.stats._bump("completed")
+        return response

@@ -6,10 +6,10 @@ frontend that holds up under production-shaped load:
 * :class:`AsyncFrontend` — an asyncio frontend speaking the existing JSON
   wire protocol (newline-delimited JSON over TCP), with searches running
   in a thread-pool executor so the event loop never blocks.  Thousands of
-  idle client connections cost coroutines, not threads; a request's
-  ``deadline_ms`` is charged for its queue wait with exactly the
-  :class:`~repro.service.frontend.ThreadedFrontend` semantics (the shared
-  :func:`~repro.service.frontend.charge_queue_wait`).
+  idle client connections cost coroutines, not threads; the pool, the
+  accounting and the serve step are the
+  :class:`~repro.service.frontend.FrontendCore` it shares with
+  :class:`~repro.service.frontend.ThreadedFrontend`.
 * :class:`DemandMatrix` — a bounded top-K census of the OD pairs actually
   being served, buildable live from traffic (the frontend feeds it) or
   offline from a recorded workload.
@@ -28,6 +28,7 @@ degradation machinery — rather than standing beside it.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import threading
 import time
@@ -43,7 +44,7 @@ from .errors import (
     require_integer,
     require_number,
 )
-from .frontend import FrontendStats, charge_queue_wait
+from .frontend import Counters, FrontendCore
 from .service import RoutingService
 
 __all__ = [
@@ -229,30 +230,10 @@ class DemandMatrix:
 # ----------------------------------------------------------------------
 
 
-class WarmerStats:
+class WarmerStats(Counters):
     """Cumulative warmer counters (atomic snapshot via ``read``)."""
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.runs = 0
-        self.warmed = 0
-        self.warm_hits = 0
-        self.warm_errors = 0
-        self.aborted = 0
-
-    def _bump(self, field: str) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + 1)
-
-    def read(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "runs": self.runs,
-                "warmed": self.warmed,
-                "warm_hits": self.warm_hits,
-                "warm_errors": self.warm_errors,
-                "aborted": self.aborted,
-            }
+    FIELDS = ("runs", "warmed", "warm_hits", "warm_errors", "aborted")
 
 
 class CacheWarmer:
@@ -396,18 +377,15 @@ class CacheWarmer:
 # ----------------------------------------------------------------------
 
 
-class AsyncFrontend:
+class AsyncFrontend(FrontendCore):
     """An asyncio frontend over one :class:`RoutingService`.
 
-    The async sibling of :class:`~repro.service.frontend.ThreadedFrontend`
-    — same wire protocol, same always-answer contract, same
-    :class:`FrontendStats` — built for connection scale: clients are
-    coroutines (or TCP connections), and only the searches themselves
-    occupy the ``num_workers`` executor threads.  A request's
-    ``deadline_ms`` is charged for the time between submission and
-    executor pickup via the shared
-    :func:`~repro.service.frontend.charge_queue_wait`, so queue wait
-    degrades a request exactly as it does on the threaded path.
+    The async transport over :class:`~repro.service.frontend.FrontendCore`
+    (same pool, serve step and :class:`~repro.service.frontend.FrontendStats`
+    as :class:`~repro.service.frontend.ThreadedFrontend`), built for
+    connection scale: clients are coroutines (or TCP connections), and
+    only the searches themselves occupy the ``num_workers`` executor
+    threads.
 
     ``max_pending`` (0 = unbounded) bounds submitted-but-unfinished
     requests with an :class:`asyncio.Semaphore` — backpressure, not an
@@ -443,12 +421,8 @@ class AsyncFrontend:
         port: int | None = None,
         pipeline_depth: int = 64,
     ) -> None:
-        self.service = service
-        self.num_workers = require_integer(
-            num_workers, "num_workers must be a positive integer", low=1
-        )
-        self.max_pending = require_integer(
-            max_pending, "max_pending must be a non-negative integer", low=0
+        super().__init__(
+            service, num_workers=num_workers, max_pending=max_pending, clock=clock
         )
         self.demand = demand
         self.warmer = warmer
@@ -457,15 +431,11 @@ class AsyncFrontend:
         self.pipeline_depth = require_integer(
             pipeline_depth, "pipeline_depth must be a positive integer", low=1
         )
-        self._clock = clock
-        self.stats = FrontendStats()
-        self._executor: ThreadPoolExecutor | None = None
         self._warm_executor: ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
-        self._pending: asyncio.Semaphore | None = None
+        #: The ``max_pending`` semaphore once started; unbounded until then.
+        self._pending: Any = contextlib.nullcontext()
         self._background: set[asyncio.Future] = set()
-        self._started = False
-        self._closed = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -473,14 +443,8 @@ class AsyncFrontend:
 
     async def start(self) -> "AsyncFrontend":
         """Spin up the executor (and TCP listener, when ``port`` is set)."""
-        if self._closed:
-            raise FrontendClosedError("frontend is closed and cannot restart")
-        if self._started:
+        if not self._open():
             return self
-        self._started = True
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.num_workers, thread_name_prefix="routing-async"
-        )
         if self.warmer is not None:
             # One thread: warms for successive updates run in arrival
             # order, never as a thundering herd of warm threads.
@@ -497,10 +461,7 @@ class AsyncFrontend:
 
     async def close(self) -> None:
         """Stop accepting work, finish in-flight requests, release threads."""
-        if self._closed:
-            return
-        self._closed = True
-        if not self._started:
+        if not self._stop_accepting():
             return
         if self._server is not None:
             self._server.close()
@@ -509,10 +470,8 @@ class AsyncFrontend:
         if self._background:
             await asyncio.gather(*list(self._background), return_exceptions=True)
         loop = asyncio.get_running_loop()
-        executor, self._executor = self._executor, None
         warm_executor, self._warm_executor = self._warm_executor, None
-        if executor is not None:
-            await loop.run_in_executor(None, executor.shutdown)
+        await loop.run_in_executor(None, self._join, True)
         if warm_executor is not None:
             await loop.run_in_executor(None, warm_executor.shutdown)
 
@@ -542,45 +501,24 @@ class AsyncFrontend:
         semaphore.  Raises :class:`FrontendClosedError` when the frontend
         was never started or is closing.
         """
-        if not self._started or self._closed:
-            raise FrontendClosedError(
-                "frontend is not accepting requests (start() it first; "
-                "closed frontends stay closed)"
-            )
-        self.stats._bump("submitted")
-        arrival = self._clock()
-        if self._pending is not None:
+        arrival = self._admit()
+        try:
             async with self._pending:
-                response = await self._run(request, arrival)
-        else:
-            response = await self._run(request, arrival)
+                response = await asyncio.wrap_future(
+                    self._dispatch(self._serve, request, arrival)
+                )
+        except FrontendClosedError:
+            # close() won the race while this request waited on the
+            # ``max_pending`` semaphore: it was counted as submitted and will
+            # never run, so it is a cancellation — the books must balance at
+            # quiescence here exactly as they do on the threaded frontend.
+            self.stats._bump("cancelled")
+            raise
         if self.demand is not None:
             self.demand.record_response(request, response)
         self._maybe_schedule_warm(request, response)
         self.stats._bump("completed")
         return response
-
-    async def _run(
-        self, request: Mapping[str, Any], arrival: float
-    ) -> dict[str, Any]:
-        executor = self._executor
-        if executor is None:
-            # close() won the race while this request waited on the
-            # ``max_pending`` semaphore: it was counted as submitted and will
-            # never run, so it is a cancellation — ``submitted == completed +
-            # cancelled + delivery_failures`` must hold at quiescence here
-            # exactly as it does on the threaded frontend.
-            self.stats._bump("cancelled")
-            raise FrontendClosedError("frontend closed while the request was queued")
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(executor, self._serve, request, arrival)
-
-    def _serve(self, request: Mapping[str, Any], arrival: float) -> dict[str, Any]:
-        # Executor-thread side: the wait between submission and this
-        # pickup is the async frontend's queue wait.
-        return self.service.handle_request(
-            charge_queue_wait(request, arrival, self._clock)
-        )
 
     def _maybe_schedule_warm(
         self, request: Mapping[str, Any], response: Mapping[str, Any]
@@ -589,8 +527,8 @@ class AsyncFrontend:
         if (
             self.warmer is None
             or self._warm_executor is None
+            or not response.get("ok")  # also: only an object can be answered ok
             or request.get("op") != "apply_update"
-            or not response.get("ok")
         ):
             return
         loop = asyncio.get_running_loop()

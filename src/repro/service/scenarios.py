@@ -260,10 +260,6 @@ class ScenarioSchedule:
         return f"ScenarioSchedule({parts})"
 
 
-def _distribution_to_payload(dist: DiscreteDistribution) -> dict:
-    return {"offset": dist.offset, "probs": [float(p) for p in dist.probs]}
-
-
 def _distribution_from_payload(payload: Any, what: str) -> DiscreteDistribution:
     if not isinstance(payload, Mapping):
         raise ValueError(f"{what} must be an offset/probs mapping")
@@ -395,7 +391,7 @@ class TimePlan:
             "start": self.start,
             "end": self.end,
             "approach_delays": {
-                str(edge_id): _distribution_to_payload(delay)
+                str(edge_id): delay.to_payload()
                 for edge_id, delay in sorted(self.approach_delays.items())
             },
         }

@@ -129,10 +129,7 @@ class CostUpdate:
             "source": self.source,
             "sequence": self.sequence,
             "costs": {
-                str(edge_id): {
-                    "offset": dist.offset,
-                    "probs": [float(p) for p in dist.probs],
-                }
+                str(edge_id): dist.to_payload()
                 for edge_id, dist in sorted(self.costs.items())
             },
         }
@@ -344,10 +341,7 @@ class ScheduledIncident:
         }
         if self.costs is not None:
             document["costs"] = {
-                str(edge_id): {
-                    "offset": dist.offset,
-                    "probs": [float(p) for p in dist.probs],
-                }
+                str(edge_id): dist.to_payload()
                 for edge_id, dist in sorted(self.costs.items())
             }
         else:

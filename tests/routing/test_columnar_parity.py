@@ -35,6 +35,7 @@ from repro.routing.budget import PruningConfig, _BudgetSearch
 from repro.routing.columnar import COLUMNAR_AUTO_MIN_EDGES
 from repro.routing.heuristics import OptimisticHeuristic
 from repro.routing.landmarks import LandmarkTable
+from repro.service import CostUpdate
 
 #: Every valid flag combination (cost shifting requires the heuristic).
 ALL_PRUNINGS = [
@@ -273,3 +274,127 @@ class TestWindowKernels:
         for i in range(5):
             for j in range(4):
                 assert out[i, j] == bool(np.all(a[i] >= b[j] - 1e-12))
+
+
+class TestKernelCells:
+    """One kernel block per live cost table, however many tables take turns."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        from repro.routing import columnar
+
+        builds = []
+
+        class Counting(columnar._EdgeKernels):
+            __slots__ = ()
+
+            def __init__(self, network, combiner):
+                builds.append(combiner.costs)
+                super().__init__(network, combiner)
+
+        monkeypatch.setattr(columnar, "_EdgeKernels", Counting)
+        return builds
+
+    @staticmethod
+    def _tables(network, count):
+        tables = []
+        for shift in range(count):
+            costs = EdgeCostTable(network, resolution=1.0)
+            for edge in network.edges:
+                costs.set_cost(edge.id, DiscreteDistribution(1 + shift, [0.5, 0.5]))
+            tables.append(costs)
+        return tables
+
+    def test_round_robin_over_six_slices_builds_each_block_once(self, monkeypatch):
+        """Regression: a 4-entry LRU rebuilt the block on *every* request
+        once six slices took turns (18 builds for 18 requests)."""
+        from repro.network import grid_network
+        from repro.service import RoutingService, ScenarioSchedule, TimeSlice
+
+        network = grid_network(24, 24, seed=1)
+        assert network.num_edges >= COLUMNAR_AUTO_MIN_EDGES  # columnar under "auto"
+        names = [f"s{i}" for i in range(6)]
+        service = RoutingService.from_time_slices(
+            network,
+            dict(zip(names, self._tables(network, 6))),
+            schedule=ScenarioSchedule(
+                [TimeSlice(n, i * 14400.0, (i + 1) * 14400.0) for i, n in enumerate(names)]
+            ),
+        )
+        builds = self._count_builds(monkeypatch)
+        for turn in range(18):
+            served = service.route(
+                RoutingQuery(0, 3, 40 + turn // 6), slice_name=names[turn % 6]
+            )
+            assert served.result.found and not served.cache_hit
+        assert len(builds) == 6
+        # A version bump replaces that table's block; the others stay.
+        service.apply_cost_update(
+            CostUpdate(costs={0: DiscreteDistribution(2, [1.0])}), slice_name="s0"
+        )
+        for name in names:
+            service.route(RoutingQuery(0, 3, 50), slice_name=name)
+        assert len(builds) == 7
+
+    def test_blocks_survive_heuristic_clears_and_die_with_their_table(self, monkeypatch):
+        import gc
+
+        from repro.routing import columnar
+        from repro.routing.heuristics import clear_heuristic_cache
+
+        network, _ = _tiny_world()
+        (costs,) = self._tables(network, 1)
+        builds = self._count_builds(monkeypatch)
+        search = _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
+        search.route(RoutingQuery(0, 2, 20))
+        clear_heuristic_cache()
+        search.route(RoutingQuery(0, 2, 21))
+        assert len(builds) == 1
+        assert costs in columnar._KERNEL_CELLS
+        before = len(columnar._KERNEL_CELLS)
+        del search, costs, builds[:]
+        clear_heuristic_cache()  # the heuristic LRU holds its tables strongly
+        gc.collect()
+        assert len(columnar._KERNEL_CELLS) == before - 1  # a dead table pins nothing
+
+    def test_two_threads_over_more_than_four_tables(self, monkeypatch):
+        """The old LRU's unlocked ``get`` → ``move_to_end`` could lose its
+        key to an eviction in between (``KeyError``, served as internal)."""
+        import sys
+        import threading
+
+        network, _ = _tiny_world()
+        tables = self._tables(network, 6)
+        searches = [
+            _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
+            for costs in tables
+        ]
+        expected = [s.route(RoutingQuery(0, 2, 20)).probability for s in searches]
+        builds = self._count_builds(monkeypatch)
+        for shift, costs in enumerate(tables):  # a bump each: racing first builds
+            costs.set_cost(0, DiscreteDistribution(1 + shift, [0.5, 0.5]))
+        errors = []
+
+        def hammer(offset):
+            try:
+                for turn in range(300):
+                    index = (turn + offset) % len(searches)
+                    result = searches[index].route(RoutingQuery(0, 2, 20))
+                    assert result.probability == expected[index]
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,)) for k in (0, 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # Racing first builds may both build; after that, never again.
+        assert len(tables) <= len(builds) <= 2 * len(tables)

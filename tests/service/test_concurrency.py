@@ -793,36 +793,71 @@ class TestThreadedFrontend:
         assert all(future.cancelled() for future in pending)
         assert frontend.stats.read()["cancelled"] == len(pending)
 
+    def test_caller_cancelled_request_frees_its_slot_and_is_counted(self, world):
+        """A caller may cancel the future it holds while the request is still
+        queued: no worker will ever run it, so it must give its
+        ``max_pending`` slot back and land on the books as cancelled."""
+        service = fresh_service(world)
+        worker_busy = threading.Event()
+        release_worker = threading.Event()
+
+        def deliver(request, response):
+            worker_busy.set()
+            release_worker.wait(10.0)
+
+        frontend = ThreadedFrontend(
+            service, num_workers=1, max_pending=1, deliver=deliver
+        ).start()
+        running = frontend.submit({"op": "stats"})
+        assert worker_busy.wait(10.0)  # the only worker is now stuck
+        queued = frontend.submit({"op": "stats"})  # fills the bounded queue
+        assert queued.cancel()
+        after = []
+        submitter = threading.Thread(
+            target=lambda: after.append(frontend.submit({"op": "stats"}))
+        )
+        submitter.start()
+        submitter.join(10.0)
+        assert not submitter.is_alive(), "the cancelled request kept its slot"
+        release_worker.set()
+        assert running.result(timeout=10)["ok"]
+        assert after[0].result(timeout=10)["ok"]
+        frontend.close()
+        counts = frontend.stats.read()
+        assert (counts["submitted"], counts["completed"], counts["cancelled"]) == (3, 2, 1)
+
     @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
     def test_invalid_worker_counts_rejected(self, world, bad):
         with pytest.raises(ValueError, match="num_workers"):
             ThreadedFrontend(fresh_service(world), num_workers=bad)
 
     def test_submission_is_counted_before_the_request_can_complete(self, world):
-        """Regression: ``submitted`` must be bumped *before* the queue put.
-        The race window is forced deterministically: the put wrapper holds
-        submit() right after the item lands and waits for the worker to
-        finish it — a snapshot taken then showed ``completed=1,
-        submitted=0`` pre-fix."""
+        """Regression: ``submitted`` must be bumped *before* the hand-off to
+        the pool.  The race window is forced deterministically from the
+        worker's side: the ``deliver`` gate runs at the earliest moment a
+        worker holds the answer, and the snapshot it takes showed
+        ``submitted=0`` pre-fix; the snapshot at completion showed
+        ``completed=1, submitted=0``."""
         service = fresh_service(world)
-        frontend = ThreadedFrontend(service, num_workers=1).start()
-        real_put = frontend._queue.put
+        at_delivery = []
+
+        def deliver(request, response):
+            at_delivery.append(frontend.stats.read())
+
+        frontend = ThreadedFrontend(service, num_workers=1, deliver=deliver).start()
         in_window = []
-
-        def lingering_put(item, *args, **kwargs):
-            real_put(item, *args, **kwargs)
-            if item is not ThreadedFrontend._STOP and not in_window:
-                deadline = time.monotonic() + 10.0
-                while time.monotonic() < deadline:
-                    counts = frontend.stats.read()
-                    if counts["completed"] >= 1:
-                        in_window.append(counts)
-                        break
-                    time.sleep(0.001)
-
-        frontend._queue.put = lingering_put
-        assert frontend.submit({"op": "stats"}).result(timeout=10)["ok"]
+        future = frontend.submit({"op": "stats"})
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            counts = frontend.stats.read()
+            if counts["completed"] >= 1:
+                in_window.append(counts)
+                break
+            time.sleep(0.001)
+        assert future.result(timeout=10)["ok"]
         frontend.close()
+        assert at_delivery and at_delivery[0]["submitted"] == 1
+        assert at_delivery[0]["completed"] == 0
         assert in_window, "the worker never completed inside the race window"
         assert in_window[0]["submitted"] >= in_window[0]["completed"] == 1
 
@@ -888,7 +923,7 @@ class TestThreadedFrontend:
 
         def mapper():
             # 1st request occupies the worker (stuck in deliver), 2nd
-            # fills the bounded queue, 3rd blocks in the queue put —
+            # fills the bounded queue, 3rd blocks on the full queue —
             # where close() catches it.
             try:
                 frontend.map_requests([{"op": "stats"}] * 4)
@@ -901,7 +936,7 @@ class TestThreadedFrontend:
         mapping = threading.Thread(target=mapper)
         mapping.start()
         deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline and frontend._queue.qsize() < 1:
+        while time.monotonic() < deadline and len(frontend.issued) < 2:
             time.sleep(0.001)
         time.sleep(0.05)  # let the third submit block on the full queue
         closer = threading.Thread(target=lambda: frontend.close(drain=False))

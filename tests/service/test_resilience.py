@@ -39,6 +39,7 @@ from repro.service import (
     RetryPolicy,
     RoutingService,
     ThreadedFrontend,
+    charge_queue_wait,
     error_kind,
 )
 from repro.trajectories import CongestionModel
@@ -928,24 +929,20 @@ class TestFrontendResilience:
 
     def test_against_queue_wait_charges_elapsed_time(self, world):
         clock = FakeClock()
-        frontend = ThreadedFrontend(fresh_service(world), num_workers=1,
-                                    clock=clock)
         clock.now = 7.0  # 7 s after the request's arrival stamp
-        adjusted = frontend._against_queue_wait(
-            {"op": "route", "deadline_ms": 10_000.0}, arrival=0.0
+        adjusted = charge_queue_wait(
+            {"op": "route", "deadline_ms": 10_000.0}, 0.0, clock
         )
         assert adjusted["deadline_ms"] == pytest.approx(3_000.0)
         # Negative budgets pass through: the service's stale rung wants
         # them, a clamp here would hide the overrun.
-        starved = frontend._against_queue_wait(
-            {"op": "route", "deadline_ms": 50.0}, arrival=0.0
-        )
+        starved = charge_queue_wait({"op": "route", "deadline_ms": 50.0}, 0.0, clock)
         assert starved["deadline_ms"] == pytest.approx(-6_950.0)
         # No deadline / malformed deadline: untouched (service validates).
         plain = {"op": "route"}
-        assert frontend._against_queue_wait(plain, arrival=0.0) is plain
+        assert charge_queue_wait(plain, 0.0, clock) is plain
         weird = {"op": "route", "deadline_ms": "soon"}
-        assert frontend._against_queue_wait(weird, arrival=0.0) is weird
+        assert charge_queue_wait(weird, 0.0, clock) is weird
 
     def test_queue_wait_is_charged_against_the_deadline(self, world):
         """A request that aged out while queued reaches the service with a
@@ -1028,24 +1025,26 @@ class TestFrontendClosedError:
         assert issubclass(FrontendClosedError, RuntimeError)
 
     def test_close_submit_race_is_loud_not_a_pending_future(self, world):
-        """close() beginning between submit's accept check and its queue
-        put must raise FrontendClosedError, not strand a forever-pending
-        future.  The race window is forced deterministically by closing
-        from inside the queue put itself."""
+        """close() beginning between submit's accept check and its hand-off
+        to the pool must raise FrontendClosedError, not strand a
+        forever-pending future.  The race window is forced deterministically
+        by closing from inside the arrival stamp, which submit takes after
+        it accepted the request and before it hands it over."""
         service = fresh_service(world)
-        frontend = ThreadedFrontend(service, num_workers=1).start()
-        real_put = frontend._queue.put
         state = {"raced": False}
 
-        def racing_put(item, *args, **kwargs):
-            if not state["raced"] and item is not ThreadedFrontend._STOP:
+        def racing_clock():
+            if not state["raced"]:
                 state["raced"] = True
                 frontend.close(drain=False)  # close wins the race
-            return real_put(item, *args, **kwargs)
+            return 0.0
 
-        frontend._queue.put = racing_put
+        frontend = ThreadedFrontend(
+            service, num_workers=1, clock=racing_clock
+        ).start()
         with pytest.raises(FrontendClosedError, match="queued"):
             frontend.submit({"op": "stats"})
+        assert state["raced"]
         # The withdrawn request never existed on the books: submit retracts
         # its own submission instead of leaving a cancelled count with no
         # matching submitted one (which would break
@@ -1126,7 +1125,7 @@ class TestErrorKinds:
         inside a request must propagate, not become an error document."""
         service = fresh_service(world)
 
-        class Interrupting:
+        class Interrupting(dict):  # an object, so it gets as far as the lookup
             def get(self, key, default=None):
                 raise KeyboardInterrupt
 
