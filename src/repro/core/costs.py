@@ -203,19 +203,34 @@ class EdgeCostTable:
         """Atomically replace this table's contents with a :meth:`to_dict` dump.
 
         The in-place counterpart of :meth:`from_dict` for live tables a
-        service engine already wraps: the dumped histograms *and version*
-        are validated off to the side and then published as one new
+        service engine already wraps, in two steps a caller restoring
+        several tables can take apart (decode them all, then publish them
+        all): :meth:`decode` validates the dumped histograms *and version*
+        off to the side, :meth:`publish` installs them as one new
         ``(table, version)`` cell — concurrent readers see either the old
-        table or the restored one, never a mixture.  The dump's resolution
-        must match this table's.  Returns the restored version.
+        table or the restored one, never a mixture.  Returns the restored
+        version.
+        """
+        return self.publish(self.decode(data))
+
+    def decode(
+        self, data: Mapping[str, Any]
+    ) -> tuple[dict[int, DiscreteDistribution], int]:
+        """Validate a :meth:`to_dict` dump against this table, touching nothing.
+
+        Returns the cell :meth:`publish` installs.  The dump's resolution
+        must match this table's.
         """
         if float(data["resolution"]) != self.resolution:
             raise ValueError(
                 f"cost_table dump has resolution {data['resolution']!r}, "
                 f"this table serves {self.resolution!r}"
             )
-        rebuilt = EdgeCostTable.from_dict(self.network, data)
-        self._versioned = rebuilt._versioned
+        return EdgeCostTable.from_dict(self.network, data)._versioned
+
+    def publish(self, cell: tuple[dict[int, DiscreteDistribution], int]) -> int:
+        """Install a cell :meth:`decode` returned; cannot fail.  Returns its version."""
+        self._versioned = cell
         return self.version
 
     def copy(self) -> "EdgeCostTable":

@@ -43,32 +43,17 @@ __all__ = [
 
 _FORMAT_VERSION = 1
 
-#: Format version of the service-snapshot envelope.  Must match the value
-#: :meth:`repro.service.RoutingService.snapshot` stamps into documents
-#: (the service module keeps its own copy to avoid importing this module's
-#: heavyweight model-persistence dependencies on the request path).
-_SERVICE_SNAPSHOT_FORMAT = 2
-
-#: Formats this build can still read (format 1 predates the temporal
-#: section; the service restores it with incident state reset).
-_ACCEPTED_SNAPSHOT_FORMATS = frozenset({1, 2})
-
 
 def _check_service_snapshot(document: Mapping[str, Any]) -> None:
-    """Reject anything that is not a readable-format service snapshot."""
-    if not isinstance(document, Mapping):
-        raise ValueError("a service snapshot must be a JSON object")
-    if document.get("kind") != "service_snapshot":
-        raise ValueError(
-            "expected a service_snapshot document, got "
-            f"kind={document.get('kind')!r}"
-        )
-    if document.get("format_version") not in _ACCEPTED_SNAPSHOT_FORMATS:
-        raise ValueError(
-            "unsupported service snapshot format: "
-            f"{document.get('format_version')!r} "
-            f"(this build reads formats {sorted(_ACCEPTED_SNAPSHOT_FORMATS)})"
-        )
+    """Reject anything that is not a readable-format service snapshot.
+
+    The format belongs to :mod:`repro.service.snapshots`; imported here,
+    not at module level, because ``repro.core`` must stay importable
+    without the serving layer (which itself imports ``repro.core``).
+    """
+    from ..service.snapshots import check_envelope
+
+    check_envelope(document)
 
 
 def save_service_snapshot(

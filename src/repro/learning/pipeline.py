@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 from ..service import RoutingService
@@ -119,21 +119,7 @@ class LearningStats:
         """JSON-ready representation (exact :meth:`from_dict` round-trip)."""
         return {
             "kind": "learning_stats",
-            "trips_ingested": self.trips_ingested,
-            "trips_matched": self.trips_matched,
-            "trips_deduped": self.trips_deduped,
-            "trips_rejected": self.trips_rejected,
-            "batches_ingested": self.batches_ingested,
-            "estimations_run": self.estimations_run,
-            "edges_estimated": self.edges_estimated,
-            "gate_passes": self.gate_passes,
-            "gate_failures": self.gate_failures,
-            "updates_published": self.updates_published,
-            "edges_published": self.edges_published,
-            "last_sequence": self.last_sequence,
-            "ingest_seconds": self.ingest_seconds,
-            "estimation_seconds": self.estimation_seconds,
-            "publish_seconds": self.publish_seconds,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "dedup_rate": self.dedup_rate,
             "gate_pass_rate": self.gate_pass_rate,
             "mean_publish_seconds": self.mean_publish_seconds,
@@ -141,23 +127,16 @@ class LearningStats:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LearningStats":
+        # Every field is required and read back as its default's type
+        # (int counters, float seconds) — except the nullable sequence.
+        values = {
+            f.name: type(f.default)(data[f.name])
+            for f in fields(cls)
+            if f.name != "last_sequence"
+        }
         last_sequence = data.get("last_sequence")
         return cls(
-            trips_ingested=int(data["trips_ingested"]),
-            trips_matched=int(data["trips_matched"]),
-            trips_deduped=int(data["trips_deduped"]),
-            trips_rejected=int(data["trips_rejected"]),
-            batches_ingested=int(data["batches_ingested"]),
-            estimations_run=int(data["estimations_run"]),
-            edges_estimated=int(data["edges_estimated"]),
-            gate_passes=int(data["gate_passes"]),
-            gate_failures=int(data["gate_failures"]),
-            updates_published=int(data["updates_published"]),
-            edges_published=int(data["edges_published"]),
-            last_sequence=None if last_sequence is None else int(last_sequence),
-            ingest_seconds=float(data["ingest_seconds"]),
-            estimation_seconds=float(data["estimation_seconds"]),
-            publish_seconds=float(data["publish_seconds"]),
+            **values, last_sequence=None if last_sequence is None else int(last_sequence)
         )
 
 
@@ -343,20 +322,4 @@ class LearningPipeline:
     def stats(self) -> LearningStats:
         """A point-in-time snapshot of the pipeline's counters."""
         with self._lock:
-            return LearningStats(
-                trips_ingested=self._stats.trips_ingested,
-                trips_matched=self._stats.trips_matched,
-                trips_deduped=self._stats.trips_deduped,
-                trips_rejected=self._stats.trips_rejected,
-                batches_ingested=self._stats.batches_ingested,
-                estimations_run=self._stats.estimations_run,
-                edges_estimated=self._stats.edges_estimated,
-                gate_passes=self._stats.gate_passes,
-                gate_failures=self._stats.gate_failures,
-                updates_published=self._stats.updates_published,
-                edges_published=self._stats.edges_published,
-                last_sequence=self._stats.last_sequence,
-                ingest_seconds=self._stats.ingest_seconds,
-                estimation_seconds=self._stats.estimation_seconds,
-                publish_seconds=self._stats.publish_seconds,
-            )
+            return replace(self._stats)

@@ -38,6 +38,7 @@ from typing import Any
 from .errors import FrontendClosedError, error_document, is_real, require_integer
 from .faults import FaultInjector, RetryPolicy
 from .service import RoutingService
+from .sync import Counters
 
 __all__ = ["FrontendCore", "FrontendStats", "ThreadedFrontend", "charge_queue_wait"]
 
@@ -64,26 +65,6 @@ def charge_queue_wait(
     adjusted = dict(request)
     adjusted["deadline_ms"] = float(raw) - waited_ms
     return adjusted
-
-
-class Counters:
-    """Cumulative counters behind one lock (atomic snapshot via ``read``);
-    a subclass names them in ``FIELDS``, in the order ``read`` reports them."""
-
-    FIELDS: tuple[str, ...] = ()
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for field in self.FIELDS:
-            setattr(self, field, 0)
-
-    def _bump(self, field: str, by: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + by)
-
-    def read(self) -> dict[str, int]:
-        with self._lock:
-            return {field: getattr(self, field) for field in self.FIELDS}
 
 
 class FrontendStats(Counters):

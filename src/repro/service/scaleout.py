@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import json
 import threading
 import time
@@ -44,8 +45,9 @@ from .errors import (
     require_integer,
     require_number,
 )
-from .frontend import Counters, FrontendCore
+from .frontend import FrontendCore
 from .service import RoutingService
+from .sync import Counters
 
 __all__ = [
     "AsyncFrontend",
@@ -323,25 +325,21 @@ class CacheWarmer:
             self.stats._bump("runs")
             attempted = 0
             aborted = False
-            if self.concurrency > 1 and len(entries) > 1:
-                with ThreadPoolExecutor(
-                    max_workers=self.concurrency,
-                    thread_name_prefix="cache-warmer",
-                ) as pool:
-                    for entry in entries:
-                        if self.service.cost_version(name) != target_version:
-                            aborted = True
-                            break
-                        pool.submit(self._replay, entry, name, target_version)
-                        attempted += 1
-                        if self.yield_seconds > 0:
-                            self._sleep(self.yield_seconds)
-            else:
+            with contextlib.ExitStack() as stack:
+                replay = self._replay  # inline unless a pool is worth having
+                if self.concurrency > 1 and len(entries) > 1:
+                    pool = stack.enter_context(
+                        ThreadPoolExecutor(
+                            max_workers=self.concurrency,
+                            thread_name_prefix="cache-warmer",
+                        )
+                    )
+                    replay = functools.partial(pool.submit, self._replay)
                 for entry in entries:
                     if self.service.cost_version(name) != target_version:
                         aborted = True
                         break
-                    self._replay(entry, name, target_version)
+                    replay(entry, name, target_version)
                     attempted += 1
                     if self.yield_seconds > 0:
                         self._sleep(self.yield_seconds)

@@ -30,7 +30,7 @@ import json
 import threading
 import time
 from collections.abc import Mapping  # the abc, not typing's alias: 3x cheaper to isinstance
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterable, Iterator
 
 from ..core.costs import EdgeCostTable
@@ -60,12 +60,15 @@ from .errors import (
     require_number,
 )
 from .faults import CircuitBreaker
-from .scenarios import (
-    ScenarioSchedule,
-    TemporalCostProfile,
-    _distribution_from_payload,
+from .incidents import IncidentController
+from .scenarios import ScenarioSchedule, TemporalCostProfile
+from .snapshots import (
+    ACCEPTED_SNAPSHOT_FORMATS,
+    SERVICE_SNAPSHOT_FORMAT,
+    _encode_key_part,
+    decode_snapshot,
 )
-from .sync import ReadWriteLock
+from .sync import Counters, ReadWriteLock
 from .updates import CostUpdate, ScheduledIncident
 
 __all__ = [
@@ -82,45 +85,8 @@ __all__ = [
 #: Name of the slice a plain single-table service routes on.
 DEFAULT_SLICE = "default"
 
-#: Format version stamped into :meth:`RoutingService.snapshot` documents.
-#: Kept in sync with ``repro.core.persistence._SERVICE_SNAPSHOT_FORMAT``
-#: (duplicated, not imported: persistence pulls the whole model-training
-#: dependency chain, which has no business on the serving path).
-#: Format 2 added the ``temporal`` section (incident clock, pending and
-#: active incidents, temporal-profile spec); format-1 documents are still
-#: accepted by :meth:`RoutingService.restore` with temporal state reset.
-SERVICE_SNAPSHOT_FORMAT = 2
-
-#: Snapshot format versions :meth:`RoutingService.restore` accepts.
-ACCEPTED_SNAPSHOT_FORMATS = frozenset({1, 2})
-
 #: Any single-query answer the service can serve.
 ServiceAnswer = RoutingResult | MultiBudgetResult | KBestResult | DepartWhenResult
-
-
-def _encode_key_part(value: Any) -> dict[str, Any]:
-    """JSON-encode one cache-key component, structure-preserving.
-
-    JSON has no tuples or frozensets, but cache keys are built from both
-    (:func:`~repro.service.cache.freeze_kwargs`), so each node is tagged:
-    ``{"t": [...]}`` tuple, ``{"f": [...]}`` frozenset, ``{"v": leaf}``
-    scalar.  Frozenset members are sorted by their encoded form purely for
-    a deterministic dump (sets are unordered on decode anyway).
-    """
-    if isinstance(value, tuple):
-        return {"t": [_encode_key_part(item) for item in value]}
-    if isinstance(value, frozenset):
-        return {"f": sorted((_encode_key_part(item) for item in value), key=repr)}
-    return {"v": value}
-
-
-def _decode_key_part(payload: Mapping[str, Any]) -> Any:
-    """Invert :func:`_encode_key_part` (exact round-trip)."""
-    if "t" in payload:
-        return tuple(_decode_key_part(item) for item in payload["t"])
-    if "f" in payload:
-        return frozenset(_decode_key_part(item) for item in payload["f"])
-    return payload["v"]
 
 
 @dataclass(frozen=True)
@@ -324,23 +290,7 @@ class ServiceStats:
     def to_dict(self) -> dict[str, Any]:
         return {
             "kind": "service_stats",
-            "requests": self.requests,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "cache_expirations": self.cache_expirations,
-            "cache_entries": self.cache_entries,
-            "admission_skips": self.admission_skips,
-            "updates_applied": self.updates_applied,
-            "deadline_misses": self.deadline_misses,
-            "served_degraded": self.served_degraded,
-            "served_stale": self.served_stale,
-            "coalesced": self.coalesced,
-            "breaker_trips": self.breaker_trips,
-            "incidents_activated": self.incidents_activated,
-            "incidents_cleared": self.incidents_cleared,
-            "incidents_pending": self.incidents_pending,
-            "incidents_active": self.incidents_active,
+            **{name: getattr(self, name) for name in _STAT_COUNTERS},
             "breakers": dict(sorted(self.breakers.items())),
             "hit_rate": self.hit_rate,
             "strategies": {
@@ -352,28 +302,11 @@ class ServiceStats:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ServiceStats":
         return cls(
-            requests=int(data["requests"]),
-            cache_hits=int(data["cache_hits"]),
-            cache_misses=int(data["cache_misses"]),
-            cache_evictions=int(data["cache_evictions"]),
-            # Absent in pre-TTL/admission documents: default to zero so old
-            # recorded stats stay readable.
-            cache_expirations=int(data.get("cache_expirations", 0)),
-            cache_entries=int(data["cache_entries"]),
-            admission_skips=int(data.get("admission_skips", 0)),
-            updates_applied=int(data["updates_applied"]),
-            # Absent in pre-resilience documents: zero / no breakers.
-            deadline_misses=int(data.get("deadline_misses", 0)),
-            served_degraded=int(data.get("served_degraded", 0)),
-            served_stale=int(data.get("served_stale", 0)),
-            # Absent in pre-scaleout documents: no coalescing happened.
-            coalesced=int(data.get("coalesced", 0)),
-            breaker_trips=int(data.get("breaker_trips", 0)),
-            # Absent in pre-temporal documents: no incidents existed.
-            incidents_activated=int(data.get("incidents_activated", 0)),
-            incidents_cleared=int(data.get("incidents_cleared", 0)),
-            incidents_pending=int(data.get("incidents_pending", 0)),
-            incidents_active=int(data.get("incidents_active", 0)),
+            **{
+                name: int(data[name] if name in _STAT_ALWAYS_PRESENT else data.get(name, 0))
+                for name in _STAT_COUNTERS
+            },
+            # Absent in pre-resilience documents: no breakers.
             breakers={
                 str(name): str(state)
                 for name, state in data.get("breakers", {}).items()
@@ -383,6 +316,55 @@ class ServiceStats:
                 for name, payload in data.get("strategies", {}).items()
             },
         )
+
+
+#: :class:`ServiceStats`' integer fields, in declaration (= wire) order.
+_STAT_COUNTERS = tuple(
+    f.name for f in fields(ServiceStats) if f.name not in ("breakers", "strategies")
+)
+
+#: The ones every ``service_stats`` document has carried; the later ones
+#: (TTL/admission, resilience, scale-out, temporal) default to zero on
+#: read so old recorded stats stay readable.
+_STAT_ALWAYS_PRESENT = frozenset(
+    {"requests", "cache_hits", "cache_misses", "cache_evictions",
+     "cache_entries", "updates_applied"}
+)
+
+
+class _ServiceCounters(Counters):
+    """The service's own cumulative counts plus the per-strategy latency map.
+
+    One lock covers both, so a request is accounted with one acquisition
+    and every :meth:`read` shows ``requests == Σ strategies[*].requests``.
+    """
+
+    FIELDS = (
+        "requests", "admission_skips", "updates_applied", "deadline_misses",
+        "served_degraded", "served_stale", "coalesced",
+    )
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.strategies: dict[str, StrategyLatency] = {}
+
+    def record_request(self, strategy: str, elapsed_seconds: float) -> None:
+        with self._lock:
+            self.requests += 1
+            latency = self.strategies.get(strategy)
+            if latency is None:
+                latency = self.strategies[strategy] = StrategyLatency()
+            latency.record(elapsed_seconds)
+
+    def read(self) -> dict[str, Any]:
+        """``FIELDS`` plus ``strategies`` (copied), keyed as ``ServiceStats`` names them."""
+        with self._lock:
+            counts: dict[str, Any] = {name: getattr(self, name) for name in self.FIELDS}
+            counts["strategies"] = {
+                name: StrategyLatency(latency.requests, latency.total_seconds)
+                for name, latency in self.strategies.items()
+            }
+            return counts
 
 
 class _SingleFlight:
@@ -518,31 +500,19 @@ class RoutingService:
         self.coalesce_in_flight = bool(coalesce_in_flight)
         self._flights: dict[tuple, _SingleFlight] = {}
         self._flights_lock = threading.Lock()
-        self._coalesced = 0
+        self._counters = _ServiceCounters()
+        # What is left beside the counters: the breaker map and the feed
+        # position.  A leaf lock like the counters' own.
         self._stats_lock = threading.Lock()
-        self._latency: dict[str, StrategyLatency] = {}
-        self._requests = 0
-        self._updates_applied = 0
         self._last_update_sequence: int | None = None
-        self._admission_skips = 0
-        self._deadline_misses = 0
-        self._served_degraded = 0
-        self._served_stale = 0
         self._learning_stats_provider: Callable[[], Any] | None = None
         # Time-varying networks: the profile this service was compiled from
-        # (None for plain services) and the scheduled-incident state.  The
-        # incident clock shares the departure-time axis (seconds, wrapping
-        # daily for slice resolution).  ``_incident_lock`` serialises the
-        # scheduler; hold order is incident lock → slice write lock →
-        # stats lock, and nothing acquires the incident lock while holding
-        # either inner lock.
+        # (None for plain services) and the scheduled-incident controller,
+        # whose clock shares the departure-time axis (seconds, wrapping
+        # daily for slice resolution).  It reaches a table only through
+        # :meth:`_swap` (lock order: see :mod:`repro.service.incidents`).
         self.temporal_profile: TemporalCostProfile | None = None
-        self._incident_lock = threading.Lock()
-        self._incident_clock = 0.0
-        self._pending_incidents: dict[str, ScheduledIncident] = {}
-        self._active_incidents: dict[str, dict[str, Any]] = {}
-        self._incidents_activated = 0
-        self._incidents_cleared = 0
+        self._incidents = IncidentController(self._incident_targets, self._swap)
         self.add_slice(slice_name, combiner)
 
     @classmethod
@@ -554,14 +524,7 @@ class RoutingService:
         schedule: ScenarioSchedule | None = None,
         default_slice: str | None = None,
         combiner_factory: Callable[[EdgeCostTable], CostCombiner] = ConvolutionModel,
-        pruning: PruningConfig | None = None,
-        max_cache_entries: int = 4096,
-        cache_ttl_seconds: float | None = None,
-        admission_min_compute_seconds: float = 0.0,
-        clock: Callable[[], float] = time.monotonic,
-        breaker_failure_threshold: int = 5,
-        breaker_cooldown_seconds: float = 1.0,
-        coalesce_in_flight: bool = False,
+        **options: Any,
     ) -> "RoutingService":
         """Build a scenario service from named per-slice cost tables.
 
@@ -571,6 +534,9 @@ class RoutingService:
         (convolution by default).  The default slice is ``default_slice`` or
         the first table; ``schedule`` defaults to
         :meth:`ScenarioSchedule.default` and must name only known slices.
+        ``options`` are the constructor's serving options (``pruning`` …
+        ``coalesce_in_flight``), forwarded as given: their defaults and
+        their validation live there, once.
         """
         if not slice_tables:
             raise ValueError("need at least one slice table")
@@ -584,14 +550,7 @@ class RoutingService:
             combiner_factory(slice_tables[first]),
             slice_name=first,
             schedule=schedule,
-            pruning=pruning,
-            max_cache_entries=max_cache_entries,
-            cache_ttl_seconds=cache_ttl_seconds,
-            admission_min_compute_seconds=admission_min_compute_seconds,
-            clock=clock,
-            breaker_failure_threshold=breaker_failure_threshold,
-            breaker_cooldown_seconds=breaker_cooldown_seconds,
-            coalesce_in_flight=coalesce_in_flight,
+            **options,
         )
         for name, table in slice_tables.items():
             if name != first:
@@ -608,17 +567,7 @@ class RoutingService:
         cls,
         network: RoadNetwork,
         profile: TemporalCostProfile,
-        *,
-        default_slice: str | None = None,
-        combiner_factory: Callable[[EdgeCostTable], CostCombiner] = ConvolutionModel,
-        pruning: PruningConfig | None = None,
-        max_cache_entries: int = 4096,
-        cache_ttl_seconds: float | None = None,
-        admission_min_compute_seconds: float = 0.0,
-        clock: Callable[[], float] = time.monotonic,
-        breaker_failure_threshold: int = 5,
-        breaker_cooldown_seconds: float = 1.0,
-        coalesce_in_flight: bool = False,
+        **options: Any,
     ) -> "RoutingService":
         """Build a service from a :class:`TemporalCostProfile`.
 
@@ -630,7 +579,9 @@ class RoutingService:
         no plans) serves the very anchor tables and schedule it was built
         from, bit for bit.  The profile is kept on ``temporal_profile`` so
         snapshots can carry its spec and incidents can resolve their
-        time windows to regime slices.
+        time windows to regime slices.  ``options`` are
+        :meth:`from_time_slices`'s ``default_slice`` / ``combiner_factory``
+        and the constructor's serving options, forwarded as given.
         """
         if not isinstance(profile, TemporalCostProfile):
             raise TypeError(
@@ -640,16 +591,7 @@ class RoutingService:
             network,
             profile.tables(),
             schedule=profile.expanded_schedule(),
-            default_slice=default_slice,
-            combiner_factory=combiner_factory,
-            pruning=pruning,
-            max_cache_entries=max_cache_entries,
-            cache_ttl_seconds=cache_ttl_seconds,
-            admission_min_compute_seconds=admission_min_compute_seconds,
-            clock=clock,
-            breaker_failure_threshold=breaker_failure_threshold,
-            breaker_cooldown_seconds=breaker_cooldown_seconds,
-            coalesce_in_flight=coalesce_in_flight,
+            **options,
         )
         service.temporal_profile = profile
         return service
@@ -807,8 +749,7 @@ class RoutingService:
                         and joined.outcome == "ok"
                         and (joined.result is not None or deadline_at is None)
                     ):
-                        with self._stats_lock:
-                            self._coalesced += 1
+                        self._counters._bump("coalesced")
                         return ServedResult(
                             joined.result, False, version, name, strategy,
                             coalesced=True,
@@ -826,8 +767,7 @@ class RoutingService:
                     # The deadline expired before any search could start
                     # (typically queue wait) — that is a deadline miss too, but
                     # not the strategy's failure: the breaker stays untouched.
-                    with self._stats_lock:
-                        self._deadline_misses += 1
+                    self._counters._bump("deadline_misses")
                     return self._serve_stale(name, strategy, key, deadline_seconds)
                 if breaker is None or breaker.allow():
                     # Rung 1: the primary search.  Under a deadline,
@@ -860,8 +800,7 @@ class RoutingService:
                         return ServedResult(result, False, version, name, strategy)
                     # The deadline bit: count the miss, feed the breaker.
                     breaker.record_failure()
-                    with self._stats_lock:
-                        self._deadline_misses += 1
+                    self._counters._bump("deadline_misses")
                     if result is not None and result.found:
                         # Rung 1 answer: the anytime pivot — never cached (it
                         # depends on how far the search got, not on the query)
@@ -893,7 +832,7 @@ class RoutingService:
                 self._cache.refund_miss()
             raise
         finally:
-            self._record(strategy, time.perf_counter() - begin)
+            self._counters.record_request(strategy, time.perf_counter() - begin)
             if flight is not None and not flight.done.is_set():
                 self._finish_flight(key, flight, outcome="abandoned")
 
@@ -907,10 +846,9 @@ class RoutingService:
     ) -> ServedResult:
         """Count and label one degraded answer (``rung`` names what served it)."""
         from_cache = rung == "stale_cache"  # it *is* a cached answer — an old one
-        with self._stats_lock:
-            self._served_degraded += 1
-            if from_cache:
-                self._served_stale += 1
+        self._counters._bump("served_degraded")
+        if from_cache:
+            self._counters._bump("served_stale")
         return ServedResult(
             answer, from_cache, version, name, strategy,
             degraded=True, fallback_strategy=rung,
@@ -1143,8 +1081,7 @@ class RoutingService:
             if remaining is not None and remaining <= 0:
                 # Expired before any search began: serve the hits,
                 # leave every miss unanswered, flag the batch.
-                with self._stats_lock:
-                    self._deadline_misses += 1
+                self._counters._bump("deadline_misses")
                 if extras is not None:
                     self._cache.refund_miss(len(miss_indices))
                 degraded = True
@@ -1169,7 +1106,7 @@ class RoutingService:
                     if extras is not None:
                         self._cache.refund_miss(len(miss_indices))
                         self._cache.refund_hit(len(query_list) - len(miss_indices))
-                    self._record(strategy, time.perf_counter() - begin)
+                    self._counters.record_request(strategy, time.perf_counter() - begin)
                     raise
                 mean_compute = (
                     time.perf_counter() - compute_begin
@@ -1186,11 +1123,10 @@ class RoutingService:
                     if keys[index] is not None:
                         self._admit(keys[index], result, mean_compute, ttl)
                 if degraded:
-                    with self._stats_lock:
-                        self._deadline_misses += 1
-                        self._served_degraded += 1
+                    self._counters._bump("deadline_misses")
+                    self._counters._bump("served_degraded")
                 stats = sub_batch.stats
-            self._record(strategy, time.perf_counter() - begin)
+            self._counters.record_request(strategy, time.perf_counter() - begin)
             return ServedBatch(
                 batch=BatchResult(results=tuple(results), stats=stats),
                 cache_hits=len(query_list) - len(miss_indices),
@@ -1230,30 +1166,50 @@ class RoutingService:
         """
         mapping = update.costs if isinstance(update, CostUpdate) else update
         sequence = update.sequence if isinstance(update, CostUpdate) else None
-        target = self._update_target(update, slice_name)
-        engine = self._engines[target]
-        # The write side of the slice lock: wait for in-flight requests
-        # (whose answers stay correct under the version they already read),
-        # then swap.  Writer preference in the lock keeps a busy request
-        # stream from starving the feed.  The feed-position check lives
-        # under the same lock so concurrent replays cannot double-apply.
-        with self._slice_locks[target].write_locked():
+        return self._swap(
+            self._update_target(update, slice_name), lambda table: mapping, sequence=sequence
+        )
+
+    def _swap(
+        self,
+        name: str,
+        deltas_from: Callable[[EdgeCostTable], Mapping[int, DiscreteDistribution]],
+        *,
+        sequence: int | None = None,
+    ) -> int:
+        """The one place a live cost table changes; returns the new version.
+
+        Takes the write side of the slice lock — waiting for in-flight
+        requests (whose answers stay correct under the version they already
+        read), with the lock's writer preference keeping a busy request
+        stream from starving the feed — lets ``deltas_from`` read the table
+        as it is at swap time, installs what it returns under one version
+        bump, and counts the swap.  Feed updates, incident activation (its
+        callback captures the preimage) and incident clearing all come
+        through here.
+
+        ``sequence`` is a numbered feed event's position.  The check and
+        the advance live under the same lock so concurrent replays cannot
+        double-apply: an event at or below the feed position is skipped
+        (the current version comes back, nothing is counted).
+        """
+        table = self._engines[name].combiner.costs
+        with self._slice_locks[name].write_locked():
             if sequence is not None:
                 with self._stats_lock:
                     last = self._last_update_sequence
                 if last is not None and sequence <= last:
                     # Already applied (snapshot taken at or after this
                     # event): the replay is a no-op, not a double bump.
-                    return engine.cost_version
-            new_version = engine.combiner.costs.apply_deltas(mapping)
+                    return table.version
+            version = table.apply_deltas(deltas_from(table))
             if sequence is not None:
                 # Advance the feed position only once the batch really
                 # landed — a rejected batch must stay replayable.
                 with self._stats_lock:
                     self._last_update_sequence = sequence
-        with self._stats_lock:
-            self._updates_applied += 1
-        return new_version
+        self._counters._bump("updates_applied")
+        return version
 
     def _update_target(
         self,
@@ -1270,14 +1226,13 @@ class RoutingService:
         return self._resolve_slice(slice_name)
 
     # ------------------------------------------------------------------
-    # Scheduled incidents
+    # Scheduled incidents (:mod:`repro.service.incidents` holds the state)
     # ------------------------------------------------------------------
 
     @property
     def incident_clock(self) -> float:
         """The service's current incident time (seconds, monotone)."""
-        with self._incident_lock:
-            return self._incident_clock
+        return self._incidents.clock
 
     def _incident_targets(self, incident: ScheduledIncident) -> tuple[str, ...]:
         """Resolve (and validate) which slices an incident lands on.
@@ -1285,8 +1240,16 @@ class RoutingService:
         Explicit ``slices`` win; otherwise a temporal-profile service fans
         the incident across every regime whose time-of-day interval
         intersects the incident window (profile × active incidents), and a
-        plain service targets its default slice.
+        plain service targets its default slice.  An edge id the network
+        does not have is refused here too (the incident itself only
+        guarantees non-negative integers), as ``apply_deltas`` would at
+        activation — by which time it is too late to refuse the request.
         """
+        unknown = [e for e in incident.affected_edge_ids if e >= self.network.num_edges]
+        if unknown:
+            raise IndexError(
+                f"incident {incident.incident_id!r} names unknown edge ids {unknown}"
+            )
         if incident.slices is not None:
             return tuple(self._resolve_slice(name) for name in incident.slices)
         if self.temporal_profile is not None:
@@ -1301,23 +1264,10 @@ class RoutingService:
         Nothing changes until :meth:`advance_clock` passes the incident's
         ``start_time``; an incident whose window is already entirely in
         the past (``end_time`` at or before the current clock) is
-        rejected.  Incident ids are unique across pending *and* active.
+        rejected, as is one naming a slice or an edge this service does
+        not have.  Incident ids are unique across pending *and* active.
         """
-        if not isinstance(incident, ScheduledIncident):
-            raise TypeError(
-                f"expected a ScheduledIncident, got {type(incident).__name__}"
-            )
-        self._incident_targets(incident)  # unknown slices raise here
-        with self._incident_lock:
-            iid = incident.incident_id
-            if iid in self._pending_incidents or iid in self._active_incidents:
-                raise ValueError(f"incident {iid!r} is already scheduled")
-            if incident.end_time <= self._incident_clock:
-                raise ValueError(
-                    f"incident {iid!r} ends at {incident.end_time}, at or "
-                    f"before the current clock {self._incident_clock}"
-                )
-            self._pending_incidents[iid] = incident
+        self._incidents.schedule(incident)
 
     def advance_clock(self, now_seconds: float) -> list[dict[str, Any]]:
         """Move the incident clock forward, activating and clearing.
@@ -1333,105 +1283,14 @@ class RoutingService:
         was jumped over expires without ever touching a table.  Returns
         the ordered list of lifecycle events.
         """
-        now = require_number(now_seconds, "now_seconds must be a finite number")
-        events: list[dict[str, Any]] = []
-        with self._incident_lock:
-            if now < self._incident_clock:
-                raise ValueError(
-                    f"the incident clock is monotone: {now} < current "
-                    f"{self._incident_clock}"
-                )
-            for iid in sorted(self._active_incidents):
-                entry = self._active_incidents[iid]
-                if entry["incident"].end_time <= now:
-                    self._revert_incident(iid, entry)
-                    events.append(
-                        {
-                            "incident_id": iid,
-                            "event": "cleared",
-                            "slices": list(entry["targets"]),
-                        }
-                    )
-            for iid in sorted(self._pending_incidents):
-                incident = self._pending_incidents[iid]
-                if incident.end_time <= now:
-                    # The clock jumped past the whole window: the incident
-                    # never touched a table, so there is nothing to revert.
-                    del self._pending_incidents[iid]
-                    events.append({"incident_id": iid, "event": "expired"})
-                elif incident.start_time <= now:
-                    del self._pending_incidents[iid]
-                    targets = self._incident_targets(incident)
-                    self._activate_incident(incident, targets)
-                    events.append(
-                        {
-                            "incident_id": iid,
-                            "event": "activated",
-                            "slices": list(targets),
-                        }
-                    )
-            self._incident_clock = now
-        return events
-
-    def _activate_incident(
-        self, incident: ScheduledIncident, targets: tuple[str, ...]
-    ) -> None:
-        """Capture preimages and apply the incident (incident lock held)."""
-        preimages: dict[str, dict[int, DiscreteDistribution]] = {}
-        for name in targets:
-            table = self._engines[name].combiner.costs
-            with self._slice_locks[name].write_locked():
-                # cost() falls back to the free-flow point mass for edges
-                # never observed, so the preimage is cost()-identical to
-                # the pre-incident table even where it materialises an
-                # implicit default.
-                current = {
-                    edge_id: table.cost(self.network.edge(edge_id))
-                    for edge_id in incident.affected_edge_ids
-                }
-                table.apply_deltas(incident.effective_costs(current))
-                preimages[name] = current
-            with self._stats_lock:
-                self._updates_applied += 1
-        self._active_incidents[incident.incident_id] = {
-            "incident": incident,
-            "targets": targets,
-            "preimages": preimages,
-        }
-        with self._stats_lock:
-            self._incidents_activated += 1
-
-    def _revert_incident(self, iid: str, entry: dict[str, Any]) -> None:
-        """Re-apply captured preimages and retire the incident."""
-        for name, preimage in entry["preimages"].items():
-            with self._slice_locks[name].write_locked():
-                self._engines[name].combiner.costs.apply_deltas(preimage)
-            with self._stats_lock:
-                self._updates_applied += 1
-        del self._active_incidents[iid]
-        with self._stats_lock:
-            self._incidents_cleared += 1
+        return self._incidents.advance(now_seconds)
 
     def incidents(self) -> dict[str, Any]:
         """The incident scheduler's observable state (JSON-ready)."""
-        with self._incident_lock:
-            return {
-                "clock": self._incident_clock,
-                "pending": [
-                    self._pending_incidents[iid].to_dict()
-                    for iid in sorted(self._pending_incidents)
-                ],
-                "active": [
-                    {
-                        "incident": entry["incident"].to_dict(),
-                        "slices": list(entry["targets"]),
-                    }
-                    for _, entry in sorted(self._active_incidents.items())
-                ],
-            }
+        return self._incidents.to_dict()
 
     # ------------------------------------------------------------------
-    # Snapshot / restore
+    # Snapshot / restore (:mod:`repro.service.snapshots` holds the format)
     # ------------------------------------------------------------------
 
     def snapshot(self, *, include_cache: bool = False) -> dict[str, Any]:
@@ -1439,67 +1298,33 @@ class RoutingService:
 
         Captures every slice's cost table *with its exact version*
         (:meth:`EdgeCostTable.to_dict`), the update-feed position
-        (highest :attr:`CostUpdate.sequence` applied), and — with
-        ``include_cache`` — a dump of the live result-cache entries.
-        Each table is read under its slice's read lock, so per-slice
-        state is coherent; cross-slice coherence against a concurrent
-        feed is the caller's to arrange (blue/green snapshots are taken
-        with the feed quiesced or replayed over the restored copy, which
-        the sequence skip makes idempotent).
+        (highest :attr:`CostUpdate.sequence` applied), the incident
+        scheduler's state, and — with ``include_cache`` — a dump of the
+        live result-cache entries.  Each table is read under its slice's
+        read lock, so per-slice state is coherent; cross-slice coherence
+        against a concurrent feed is the caller's to arrange (blue/green
+        snapshots are taken with the feed quiesced or replayed over the
+        restored copy, which the sequence skip makes idempotent).
 
         Persist with :func:`repro.core.persistence.save_service_snapshot`;
         hand the loaded document to :meth:`restore`.
         """
         slices: dict[str, Any] = {}
-        for name in self._engines:
+        for name, engine in self._engines.items():
             with self._slice_locks[name].read_locked():
-                slices[name] = {
-                    "cost_table": self._engines[name].combiner.costs.to_dict(),
-                }
+                slices[name] = {"cost_table": engine.combiner.costs.to_dict()}
         with self._stats_lock:
             feed_position = self._last_update_sequence
-            updates_applied = self._updates_applied
-        with self._incident_lock:
-            temporal = {
-                "clock": self._incident_clock,
-                "pending": [
-                    self._pending_incidents[iid].to_dict()
-                    for iid in sorted(self._pending_incidents)
-                ],
-                "active": [
-                    {
-                        "incident": entry["incident"].to_dict(),
-                        "targets": list(entry["targets"]),
-                        # Preimages ride along so a restored successor can
-                        # still clear the incident bit-identically.
-                        "preimages": {
-                            name: {
-                                str(edge_id): dist.to_payload()
-                                for edge_id, dist in sorted(preimage.items())
-                            }
-                            for name, preimage in sorted(
-                                entry["preimages"].items()
-                            )
-                        },
-                    }
-                    for _, entry in sorted(self._active_incidents.items())
-                ],
-            }
+        profile = self.temporal_profile
         document: dict[str, Any] = {
             "kind": "service_snapshot",
             "format_version": SERVICE_SNAPSHOT_FORMAT,
             "default_slice": self.default_slice,
-            "schedule": (
-                None if self.schedule is None else self.schedule.to_dict()
-            ),
-            "profile": (
-                None
-                if self.temporal_profile is None
-                else self.temporal_profile.to_dict()
-            ),
-            "temporal": temporal,
+            "schedule": None if self.schedule is None else self.schedule.to_dict(),
+            "profile": None if profile is None else profile.to_dict(),
+            "temporal": self._incidents.to_dict(durable=True),
             "feed_position": feed_position,
-            "updates_applied": updates_applied,
+            "updates_applied": self._counters.read()["updates_applied"],
             "slices": slices,
         }
         if include_cache:
@@ -1510,122 +1335,42 @@ class RoutingService:
         return document
 
     def restore(self, document: Mapping[str, Any]) -> None:
-        """Adopt a :meth:`snapshot` document's state, slice by slice.
+        """Adopt a :meth:`snapshot` document's state: decode, then commit.
 
         The service must be *shaped* like the one that snapshotted — same
         network, same slice names, same default slice and schedule
         (construct the successor exactly like the predecessor, then
-        restore).  Each slice's cost table is swapped in under the slice's
-        write lock with its dumped version, the feed position is adopted,
-        both caches are cleared, and any cache dump is re-installed — so
-        a restored successor answers byte-for-byte like the predecessor
-        did at snapshot time.  Replaying the update feed afterwards
-        brings it current: events at or below the feed position are
-        skipped (see :meth:`apply_cost_update`), later ones apply once.
+        restore).  The whole document is decoded and validated first
+        (:func:`~repro.service.snapshots.decode_snapshot`); a document
+        rejected there — whichever section is at fault — leaves this
+        service exactly as it was.  The commit cannot reject anything:
+        each slice's cost table is swapped in under the slice's write lock
+        with its dumped version, the feed position and incident state are
+        adopted, both caches are cleared, and any cache dump is
+        re-installed — so a restored successor answers byte-for-byte like
+        the predecessor did at snapshot time.  Replaying the update feed
+        afterwards brings it current: events at or below the feed position
+        are skipped (see :meth:`apply_cost_update`), later ones apply once.
         """
-        if document.get("kind") != "service_snapshot":
-            raise ValueError(
-                "expected a service_snapshot document, got "
-                f"kind={document.get('kind')!r}"
-            )
-        if document.get("format_version") not in ACCEPTED_SNAPSHOT_FORMATS:
-            raise ValueError(
-                "unsupported service snapshot format: "
-                f"{document.get('format_version')!r} (this build reads "
-                f"formats {sorted(ACCEPTED_SNAPSHOT_FORMATS)})"
-            )
-        slices = document["slices"]
-        if set(slices) != set(self._engines):
-            raise ValueError(
-                f"snapshot covers slices {sorted(slices)}, this service "
-                f"has {sorted(self._engines)}; construct the successor "
-                "with the same slices before restoring"
-            )
-        if document.get("default_slice") != self.default_slice:
-            raise ValueError(
-                f"snapshot default slice {document.get('default_slice')!r} "
-                f"!= this service's {self.default_slice!r}"
-            )
-        dumped_schedule = document.get("schedule")
-        restored_schedule = (
-            None
-            if dumped_schedule is None
-            else ScenarioSchedule.from_dict(dumped_schedule)
+        state = decode_snapshot(
+            document,
+            tables={name: engine.combiner.costs for name, engine in self._engines.items()},
+            default_slice=self.default_slice,
+            schedule=self.schedule,
+            profile=self.temporal_profile,
+            decode_incidents=self._incidents.decode,
         )
-        if restored_schedule != self.schedule:
-            raise ValueError("snapshot schedule differs from this service's")
-        own_profile = (
-            None
-            if self.temporal_profile is None
-            else self.temporal_profile.to_dict()
-        )
-        if "profile" in document and document["profile"] != own_profile:
-            raise ValueError(
-                "snapshot temporal profile differs from this service's; "
-                "construct the successor from the same profile"
-            )
-        for name, payload in slices.items():
+        for name, cell in state.cells.items():
             with self._slice_locks[name].write_locked():
-                self._engines[name].combiner.costs.restore(
-                    payload["cost_table"]
-                )
-        feed_position = document.get("feed_position")
+                self._engines[name].combiner.costs.publish(cell)
         with self._stats_lock:
-            self._last_update_sequence = (
-                None if feed_position is None else int(feed_position)
-            )
-        # Adopt the incident scheduler's state.  The dumped cost tables
-        # already include every active incident's effect, so only the
-        # bookkeeping (clock, pending windows, preimages for clearing) is
-        # rebuilt here.  Format-1 documents predate incidents: reset.
-        temporal = document.get("temporal")
-        with self._incident_lock:
-            if temporal is None:
-                self._incident_clock = 0.0
-                self._pending_incidents = {}
-                self._active_incidents = {}
-            else:
-                self._incident_clock = float(temporal["clock"])
-                self._pending_incidents = {
-                    incident.incident_id: incident
-                    for payload in temporal.get("pending", ())
-                    for incident in (ScheduledIncident.from_dict(payload),)
-                }
-                active: dict[str, dict[str, Any]] = {}
-                for entry in temporal.get("active", ()):
-                    incident = ScheduledIncident.from_dict(entry["incident"])
-                    targets = tuple(entry["targets"])
-                    for name in targets:
-                        self._resolve_slice(name)
-                    preimages = {
-                        name: {
-                            int(edge_id): _distribution_from_payload(
-                                payload,
-                                f"incident {incident.incident_id!r} "
-                                f"preimage for edge {edge_id}",
-                            )
-                            for edge_id, payload in mapping.items()
-                        }
-                        for name, mapping in entry["preimages"].items()
-                    }
-                    if set(preimages) != set(targets):
-                        raise ValueError(
-                            f"incident {incident.incident_id!r} preimages "
-                            "do not cover its target slices"
-                        )
-                    active[incident.incident_id] = {
-                        "incident": incident,
-                        "targets": targets,
-                        "preimages": preimages,
-                    }
-                self._active_incidents = active
+            self._last_update_sequence = state.feed_position
+        self._incidents.adopt(state.incidents)
         # Entries cached before the restore were keyed under this service's
         # own version history, which the restore just replaced.
         self._cache.clear()
         self._stale.clear()
-        for entry in document.get("cache", ()):
-            key = _decode_key_part(entry["key"])
-            answer = result_from_dict(entry["result"], self.network)
+        for key, answer in state.cache:
             self._cache.put(key, answer)
             # The stale key is the cache key minus its trailing version —
             # the dump warms the degradation ladder's last rung too.
@@ -1639,47 +1384,28 @@ class RoutingService:
         """A point-in-time snapshot of the service's serving counters.
 
         The cache counters arrive as one atomic snapshot
-        (:meth:`ResultCache.counters`) and the request/latency counters are
-        read under the stats lock, so each group is internally consistent
-        even while worker threads keep serving.
+        (:meth:`ResultCache.counters`), the incident gauges as another and
+        the request/latency counters as a third, so each group is
+        internally consistent even while worker threads keep serving.
         """
         hits, misses, evictions, expirations, entries = self._cache.counters()
-        # Incident lock strictly before the stats lock (the scheduler holds
-        # them in that order; taking them inverted here could deadlock).
-        with self._incident_lock:
-            incidents_pending = len(self._pending_incidents)
-            incidents_active = len(self._active_incidents)
+        # The incident gauges strictly before the stats locks (the scheduler
+        # holds them in that order; taking them inverted could deadlock).
+        gauges = self._incidents.gauges()
         with self._stats_lock:
-            return ServiceStats(
-                requests=self._requests,
-                cache_hits=hits,
-                cache_misses=misses,
-                cache_evictions=evictions,
-                cache_expirations=expirations,
-                cache_entries=entries,
-                admission_skips=self._admission_skips,
-                updates_applied=self._updates_applied,
-                deadline_misses=self._deadline_misses,
-                served_degraded=self._served_degraded,
-                served_stale=self._served_stale,
-                coalesced=self._coalesced,
-                breaker_trips=sum(b.trips for b in self._breakers.values()),
-                incidents_activated=self._incidents_activated,
-                incidents_cleared=self._incidents_cleared,
-                incidents_pending=incidents_pending,
-                incidents_active=incidents_active,
-                breakers={
-                    name: breaker.state
-                    for name, breaker in self._breakers.items()
-                },
-                strategies={
-                    name: StrategyLatency(
-                        requests=latency.requests,
-                        total_seconds=latency.total_seconds,
-                    )
-                    for name, latency in self._latency.items()
-                },
-            )
+            breakers = {name: breaker.state for name, breaker in self._breakers.items()}
+            breaker_trips = sum(breaker.trips for breaker in self._breakers.values())
+        return ServiceStats(
+            **self._counters.read(),
+            **gauges,
+            cache_hits=hits,
+            cache_misses=misses,
+            cache_evictions=evictions,
+            cache_expirations=expirations,
+            cache_entries=entries,
+            breaker_trips=breaker_trips,
+            breakers=breakers,
+        )
 
     def clear_cache(self) -> None:
         """Drop every cached answer (counters survive; engines untouched)."""
@@ -2046,22 +1772,10 @@ class RoutingService:
         worth serving stale).
         """
         if compute_seconds < self.admission_min_compute_seconds:
-            with self._stats_lock:
-                self._admission_skips += 1
+            self._counters._bump("admission_skips")
             return
         if request_ttl is not None:
             self._cache.put(key, result, ttl_seconds=request_ttl)
         else:
             self._cache.put(key, result)
         self._stale.put(key[:-1], (result, key[-1]))
-
-    def _record(self, strategy: str, elapsed_seconds: float) -> None:
-        # Read-modify-write on two counters; the lock keeps concurrent
-        # workers from losing increments (and the latency map bounded and
-        # uncorrupted).
-        with self._stats_lock:
-            self._requests += 1
-            latency = self._latency.get(strategy)
-            if latency is None:
-                latency = self._latency[strategy] = StrategyLatency()
-            latency.record(elapsed_seconds)

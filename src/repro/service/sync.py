@@ -1,7 +1,8 @@
 """Synchronisation primitives for the serving layer.
 
-One primitive lives here: a writer-preferring :class:`ReadWriteLock`.  The
-serving layer's traffic is overwhelmingly reads (route requests) with rare
+Two primitives live here: :class:`Counters`, the one way the layer keeps
+cumulative counts under threads, and a writer-preferring
+:class:`ReadWriteLock`.  The serving layer's traffic is overwhelmingly reads (route requests) with rare
 writes (live cost updates), and the correctness contract is *snapshot
 consistency*: a request reads the cost-table version once, computes
 against that table, and caches/tags under that version — so no update may
@@ -23,7 +24,27 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
-__all__ = ["ReadWriteLock"]
+__all__ = ["Counters", "ReadWriteLock"]
+
+
+class Counters:
+    """Cumulative counters behind one lock (atomic snapshot via ``read``);
+    a subclass names them in ``FIELDS``, in the order ``read`` reports them."""
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        for field in self.FIELDS:
+            setattr(self, field, 0)
+
+    def _bump(self, field: str, by: int = 1) -> None:
+        with self._lock:
+            setattr(self, field, getattr(self, field) + by)
+
+    def read(self) -> dict[str, int]:
+        with self._lock:
+            return {field: getattr(self, field) for field in self.FIELDS}
 
 
 class ReadWriteLock:

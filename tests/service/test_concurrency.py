@@ -20,6 +20,7 @@ assert invariants that hold for every interleaving rather than trying to
 provoke one specific schedule — that is what makes them deterministic.
 """
 
+import sys
 import threading
 import time
 
@@ -73,8 +74,12 @@ def assert_same_answer(mine, reference, where=""):
     assert mine.distribution == reference.distribution, where
 
 
-def run_threads(workers):
-    """Start, then join, asserting no worker raised (failures re-raise)."""
+def run_threads(workers, watchdog_seconds=None):
+    """Start, then join, asserting no worker raised (failures re-raise).
+
+    With ``watchdog_seconds`` the joins share that deadline and a thread
+    still alive past it fails the test (a deadlock) instead of hanging it.
+    """
     errors = []
 
     def wrap(fn):
@@ -86,11 +91,14 @@ def run_threads(workers):
 
         return runner
 
-    threads = [threading.Thread(target=wrap(fn)) for fn in workers]
+    daemon = watchdog_seconds is not None  # a hung thread must not hang exit too
+    threads = [threading.Thread(target=wrap(fn), daemon=daemon) for fn in workers]
     for thread in threads:
         thread.start()
+    deadline = None if watchdog_seconds is None else time.monotonic() + watchdog_seconds
     for thread in threads:
-        thread.join()
+        thread.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+    assert not any(thread.is_alive() for thread in threads), "deadlock: a thread never finished"
     if errors:
         raise errors[0]
 
@@ -704,6 +712,183 @@ class TestTemporalConcurrency:
         assert_same_answer(
             final.result, cold[("peak", peak_base)].route(query), "cleared"
         )
+
+
+# ----------------------------------------------------------------------
+# One swap site: the live feed, the incident clock, readers and stats()
+# all at once
+# ----------------------------------------------------------------------
+
+
+class TestOneSwapSite:
+    """Feed updates, incident activation and incident clearing all reach a
+    table through the service's one swap site.  Run them against each
+    other — and against readers and a ``stats()`` hammer, which take the
+    same locks from the other side — and the lock order (incident →
+    slice-write → stats) must neither deadlock nor lose a swap."""
+
+    NUM_ROUTERS = 4
+    NUM_FEED_UPDATES = 10
+    NUM_CYCLES = 6
+    WATCHDOG_SECONDS = 30.0
+
+    def test_feed_incidents_readers_and_stats_compose(self, world):
+        network, model, _ = world
+        service = RoutingService.from_time_slices(
+            network, time_sliced_cost_tables(network, model)
+        )
+        slices = ("peak", "off_peak")  # "night" only ever sees readers
+        live = {name: service.engine(name).combiner.costs for name in service.slice_names}
+        base = {name: table.copy() for name, table in live.items()}
+        base_version = {name: table.version for name, table in live.items()}
+
+        # Every table a slice ever serves, by version.  apply_deltas runs
+        # under the slice's write lock, so the cell read right after it is
+        # exactly the one that call published.
+        cells = {name: {table.version: table.versioned[0]} for name, table in live.items()}
+
+        def record(name, table):
+            apply_deltas = table.apply_deltas
+
+            def recording(updates):
+                version = apply_deltas(updates)
+                cells[name][version] = table.versioned[0]
+                return version
+
+            table.apply_deltas = recording
+
+        for name, table in live.items():
+            record(name, table)
+
+        # The feed and the incidents touch disjoint edges: clearing
+        # re-applies the preimage, so an edge both wrote to would (by
+        # design) lose the feed's value and the twin below would differ.
+        incident_edges = [edge.id for edge in network.edges[:4]]
+        feed = [
+            CostUpdate(
+                model.cost_update(network.edges[10 + 3 * i : 13 + 3 * i], 1 + i % 2),
+                slice_name=slices[i % 2],
+                sequence=i + 1,
+            )
+            for i in range(self.NUM_FEED_UPDATES)
+        ]
+
+        stop = threading.Event()
+        start = threading.Barrier(self.NUM_ROUTERS + 3)
+        # The last of the two writers to finish — or fail — stops the rest.
+        writers_done = threading.Barrier(2, action=stop.set)
+        recorded, events, snapshots = [], [], []
+        lock = threading.Lock()
+
+        def router(offset):
+            def body():
+                start.wait()
+                mine = []
+                while not stop.is_set() and len(mine) < 5_000:
+                    name = service.slice_names[(offset + len(mine)) % 3]
+                    query = HOT_QUERIES[(offset + len(mine)) % len(HOT_QUERIES)]
+                    mine.append((name, query, service.route(query, slice_name=name)))
+                with lock:
+                    recorded.extend(mine)
+
+            return body
+
+        def feeder():
+            start.wait()
+            for update in feed:
+                time.sleep(0.005)
+                service.apply_cost_update(update)
+
+        def clock_driver():
+            start.wait()
+            for cycle in range(self.NUM_CYCLES):
+                opens = 10.0 * cycle + 1.0
+                targets = slices if cycle % 2 else slices[:1]
+                if cycle % 3:
+                    incident = ScheduledIncident.capacity_drop(
+                        f"c{cycle}", incident_edges, 1.5, opens, opens + 2.0, slices=targets
+                    )
+                else:
+                    incident = ScheduledIncident.closure(
+                        f"c{cycle}", incident_edges[:2], opens, opens + 2.0, slices=targets
+                    )
+                service.schedule_incident(incident)
+                events.extend(service.advance_clock(opens + 1.0))  # activates
+                time.sleep(0.005)
+                events.extend(service.advance_clock(opens + 3.0))  # clears
+
+        def stats_hammer():
+            # Each snapshot is coherent within its groups (checked here, not
+            # kept: a wedged run must not pile snapshots up until the watchdog).
+            start.wait()
+            while not stop.is_set():
+                seen = service.stats()
+                assert seen.requests == sum(s.requests for s in seen.strategies.values())
+                assert seen.incidents_activated - seen.incidents_cleared == seen.incidents_active
+                snapshots.append(seen.updates_applied)
+
+        def writer(body):
+            def run():
+                try:
+                    body()
+                finally:
+                    writers_done.wait()
+
+            return run
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            run_threads(
+                [writer(feeder), writer(clock_driver), stats_hammer]
+                + [router(o) for o in range(self.NUM_ROUTERS)],
+                watchdog_seconds=self.WATCHDOG_SECONDS,
+            )
+        finally:
+            sys.setswitchinterval(switch_interval)
+
+        # Every swap happened, exactly once, and was counted.
+        activated = [e for e in events if e["event"] == "activated"]
+        cleared = [e for e in events if e["event"] == "cleared"]
+        assert len(activated) == len(cleared) == self.NUM_CYCLES
+        swaps = len(feed) + sum(len(e["slices"]) for e in activated + cleared)
+        stats = service.stats()
+        assert stats.updates_applied == swaps
+        assert sum(len(by_version) - 1 for by_version in cells.values()) == swaps
+        for name, table in live.items():
+            assert table.version == base_version[name] + len(cells[name]) - 1
+        assert (stats.incidents_activated, stats.incidents_cleared) == (
+            self.NUM_CYCLES, self.NUM_CYCLES
+        )
+        assert (stats.incidents_pending, stats.incidents_active) == (0, 0)
+        assert stats.cache_hits + stats.cache_misses == len(recorded) == stats.requests
+
+        # stats() really ran beside the swaps, and never saw a count go back.
+        assert snapshots == sorted(snapshots) and len(set(snapshots)) >= 2
+
+        # Every answer equals a cold engine over the table its tag names.
+        engines, cold = {}, {}
+        for name, query, served in recorded:
+            key = (name, served.cost_version)
+            if key not in engines:
+                table = base[name].copy()
+                table.apply_deltas(dict(cells[name][served.cost_version]))
+                engines[key] = RoutingEngine(network, ConvolutionModel(table))
+            if (key, query) not in cold:
+                cold[key, query] = engines[key].route(query)
+            assert_same_answer(served.result, cold[key, query], (key, query))
+        assert len({key for key in engines if key[0] == "peak"}) >= 2
+
+        # With every incident cleared, the tables are what the feed alone
+        # would have made them: revert identity, composed with live updates.
+        for name, table in live.items():
+            twin = base[name].copy()
+            for update in feed:
+                if update.slice_name == name:
+                    twin.apply_deltas(update.costs)
+            for edge in network.edges:
+                assert table.cost(edge) == twin.cost(edge), (name, edge.id)
+                assert list(table.cost(edge).probs) == list(twin.cost(edge).probs)
 
 
 # ----------------------------------------------------------------------

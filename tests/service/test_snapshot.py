@@ -23,17 +23,18 @@ from repro.core import ConvolutionModel, EdgeCostTable
 from repro.core.persistence import load_service_snapshot, save_service_snapshot
 from repro.histograms import DiscreteDistribution
 from repro.network import grid_network
-from repro.routing import RoutingQuery
+from repro.routing import RoutingEngine, RoutingQuery
 from repro.service import (
     SERVICE_SNAPSHOT_FORMAT,
     CostUpdate,
     DAY_SECONDS,
     RoutingService,
     ScenarioSchedule,
+    ScheduledIncident,
     TimeSlice,
     time_sliced_cost_tables,
 )
-from repro.service.service import _decode_key_part, _encode_key_part
+from repro.service.snapshots import _decode_key_part, _encode_key_part
 from repro.trajectories import CongestionModel
 
 NETWORK = grid_network(5, 5, seed=2)
@@ -313,6 +314,127 @@ class TestRestoreRejections:
         )
         with pytest.raises(ValueError, match="schedule"):
             successor.restore(predecessor.snapshot())
+
+
+def slower_everywhere(sequence: int) -> CostUpdate:
+    """Every edge six ticks later: no answer survives it unchanged."""
+    return CostUpdate(
+        {
+            edge.id: DiscreteDistribution(
+                MODEL.edge_marginal(edge).offset + 6,
+                list(MODEL.edge_marginal(edge).probs),
+            )
+            for edge in NETWORK.edges
+        },
+        sequence=sequence,
+    )
+
+
+def cold_answer(service: RoutingService, name: str, query: RoutingQuery):
+    """The installed table's version, and a cold engine's answer over a copy of it."""
+    installed = service.engine(name).combiner.costs
+    cold = RoutingEngine(NETWORK, ConvolutionModel(installed.copy()))
+    return installed.version, cold.route(query)
+
+
+#: One defect per section ``restore`` reads after the envelope: the state
+#: is decoded in this order, so each later defect used to find more of the
+#: service already overwritten.
+CORRUPTIONS = {
+    "second-slice-cost-table": lambda doc: doc["slices"][list(doc["slices"])[1]][
+        "cost_table"
+    ].update(version=True),
+    "feed-position": lambda doc: doc.update(feed_position="three"),
+    "temporal-entry": lambda doc: doc["temporal"]["active"][0].update(preimages={}),
+    "pending-incident-unknown-edge": lambda doc: doc["temporal"]["pending"].append(
+        ScheduledIncident.closure("p", [10**6], 200.0, 300.0).to_dict()
+    ),
+    "cache-entry": lambda doc: doc["cache"][0].update(result={"kind": "mystery"}),
+}
+
+
+class TestRejectedRestoreIsTheIdentity:
+    """Decode-then-commit: a document ``restore`` rejects — whichever
+    section is at fault — leaves the service exactly as it was."""
+
+    @staticmethod
+    def build() -> RoutingService:
+        return RoutingService.from_time_slices(
+            NETWORK, time_sliced_cost_tables(NETWORK, MODEL)
+        )
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+    def test_rejected_restore_changes_nothing(self, corrupt):
+        predecessor = self.build()
+        default = predecessor.default_slice
+        predecessor.apply_cost_update(slower_everywhere(sequence=9))
+        predecessor.schedule_incident(
+            ScheduledIncident.closure("i1", [NETWORK.edges[0].id], 0.5, 100.0)
+        )
+        predecessor.advance_clock(1.0)
+        predecessor.route(QUERY)
+        document = json_round_trip(predecessor.snapshot(include_cache=True))
+        corrupt(document)
+
+        # The successor has a history of its own, at the same version on
+        # the default slice — so an answer it cached is *keyed* like one
+        # the predecessor's table would produce, and only the table under
+        # it tells them apart.
+        successor = self.build()
+        successor.apply_cost_update(shifted_update(1, sequence=1))
+        successor.apply_cost_update(shifted_update(2, sequence=2))
+        assert successor.cost_version(default) == predecessor.cost_version(default)
+        successor.schedule_incident(
+            ScheduledIncident.closure("own", [NETWORK.edges[1].id], 50.0, 60.0)
+        )
+        successor.advance_clock(0.25)
+        for name in successor.slice_names:
+            successor.route(QUERY, slice_name=name)
+        before = successor.snapshot(include_cache=True)
+        incidents = successor.incidents()
+
+        with pytest.raises((ValueError, IndexError)):
+            successor.restore(document)
+
+        assert successor.snapshot(include_cache=True) == before
+        assert successor.incidents() == incidents
+        for name in successor.slice_names:
+            served = successor.route(QUERY, slice_name=name)
+            version, cold = cold_answer(successor, name, QUERY)
+            assert served.cache_hit and served.cost_version == version
+            assert_same_answer(served.result, cold, name)
+
+    def test_half_applied_restore_served_a_stranded_answer_over_the_wire(self):
+        """The reproduction this contract came from, request by request: a
+        snapshot whose only defect is one incident's empty ``preimages``
+        used to swap the tables, move the clock and bake the closure in
+        before raising — and the successor then answered the same query
+        from its cache with a probability no table it held could give."""
+        request = {"op": "route", "query": QUERY.to_dict()}
+        successor = fresh_service()
+        successor.apply_cost_update(shifted_update(1))
+        successor.apply_cost_update(shifted_update(2))
+        first = successor.handle_request(request)
+        assert first["ok"] and not first["cache_hit"]
+
+        predecessor = fresh_service()
+        predecessor.apply_cost_update(slower_everywhere(sequence=1))
+        path = [edge.id for edge in predecessor.route(QUERY).result.path]
+        predecessor.schedule_incident(ScheduledIncident.closure("i1", path, 0.5, 9.0))
+        predecessor.advance_clock(1.0)
+        assert predecessor.cost_version() == successor.cost_version() == 2
+        document = json_round_trip(predecessor.snapshot())
+        document["temporal"]["active"][0]["preimages"] = {}
+        with pytest.raises(ValueError, match="'i1' preimages do not cover"):
+            successor.restore(document)
+
+        again = successor.handle_request(request)
+        version, cold = cold_answer(successor, successor.default_slice, QUERY)
+        assert again["cache_hit"] and again["cost_version"] == version == 2
+        assert again["result"]["probability"] == cold.probability
+        assert again["result"]["probability"] == first["result"]["probability"]
+        assert successor.incident_clock == 0.0
+        assert successor.handle_request({"op": "incidents"})["active"] == []
 
 
 # ----------------------------------------------------------------------

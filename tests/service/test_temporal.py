@@ -675,6 +675,44 @@ class TestIncidentLifecycle:
         with pytest.raises(ValueError, match="finite"):
             service.advance_clock(float("nan"))
 
+    def test_unknown_edge_is_refused_at_schedule_time_over_the_wire(
+        self, world, tables
+    ):
+        """An edge id the network lacks used to be accepted, and then
+        failed ``advance_clock`` half-way: the incident sorted before it
+        was already activated, its event lost, the clock unmoved and the
+        bad incident silently gone from ``pending``."""
+        network, _ = world
+        service, _ = fresh_profile_service(world, tables)
+
+        def schedule(incident):
+            return service.handle_request(
+                {"op": "schedule_incident", "incident": incident.to_dict()}
+            )
+
+        good = ScheduledIncident.closure(
+            "good", [network.edges[0].id], 0.5, 9.0, slices=["peak"]
+        )
+        bad = ScheduledIncident.closure("zzz-bad", [1_000_000], 0.5, 9.0, slices=["peak"])
+        assert schedule(good)["ok"]
+        refused = schedule(bad)
+        assert refused["ok"] is False and refused["error_kind"] == "bad_request"
+        assert "1000000" in refused["error"]
+        scaled = ScheduledIncident.capacity_drop(
+            "zzz-scaled", [network.num_edges], 2.0, 0.5, 9.0, slices=["peak"]
+        )
+        assert schedule(scaled)["error_kind"] == "bad_request"
+
+        advanced = service.handle_request({"op": "advance_clock", "now_seconds": 1.0})
+        assert advanced["ok"] and advanced["clock"] == 1.0
+        assert advanced["events"] == [
+            {"incident_id": "good", "event": "activated", "slices": ["peak"]}
+        ]
+        state = service.handle_request({"op": "incidents"})
+        assert state["pending"] == []
+        assert [a["incident"]["incident_id"] for a in state["active"]] == ["good"]
+        assert service.stats().incidents_activated == 1
+
     def test_jumped_over_incidents_expire_without_touching_tables(
         self, world, tables
     ):
@@ -846,12 +884,25 @@ class TestServiceDepartWhen:
 
 
 class TestTemporalSnapshot:
-    def test_round_trip_with_pending_and_active_incidents(self, world, tables):
+    @pytest.mark.parametrize("effect", ["closure", "scaled"])
+    def test_round_trip_with_pending_and_active_incidents(
+        self, world, tables, effect
+    ):
         network, _ = world
         service, profile = fresh_profile_service(world, tables)
-        active = ScheduledIncident.closure(
-            "live", [network.edges[2].id], 10.0, 1_000.0, slices=["peak"]
-        )
+        pristine = tables["peak"].copy()
+        if effect == "closure":
+            active = ScheduledIncident.closure(
+                "live", [network.edges[2].id], 10.0, 1_000.0, slices=["peak"]
+            )
+        else:
+            # A scaled incident's effect exists only relative to its
+            # preimage: clearing it on the successor is bit-identical only
+            # if the dump carried the displaced histograms exactly.
+            active = ScheduledIncident.capacity_drop(
+                "live", [network.edges[2].id, network.edges[3].id], 1.75,
+                10.0, 1_000.0, slices=["peak"],
+            )
         pending = ScheduledIncident.capacity_drop(
             "later", [network.edges[6].id], 1.5, 5_000.0, 6_000.0,
             slices=["off_peak"],
@@ -890,6 +941,12 @@ class TestTemporalSnapshot:
         mine = service.route(query, slice_name="peak")
         theirs = successor.route(query, slice_name="peak")
         assert_same_answer(mine.result, theirs.result, "after clearing")
+        # Cleared on a service that never saw the activation, the table is
+        # the pre-incident one again, float for float.
+        restored = successor.engine("peak").combiner.costs
+        for edge in network.edges:
+            assert restored.cost(edge) == pristine.cost(edge)
+            assert list(restored.cost(edge).probs) == list(pristine.cost(edge).probs)
         # And both still activate the pending one.
         assert (
             service.advance_clock(5_500.0) == successor.advance_clock(5_500.0)
