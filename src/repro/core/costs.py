@@ -12,6 +12,7 @@ import math
 import numbers
 from typing import Any, Mapping
 
+from ..derived import Memo, rebind
 from ..histograms import DiscreteDistribution
 from ..network import Edge, RoadNetwork
 from ..trajectories import TrajectoryStore
@@ -43,6 +44,7 @@ class EdgeCostTable:
         # readers that need coherence snapshot the cell once via `versioned`.
         self._versioned: tuple[dict[int, DiscreteDistribution], int] = ({}, 0)
         self._free_flow: dict[int, DiscreteDistribution] = {}
+        self._derived: tuple | None = None  # (cell, network, topology, memo)
 
     @property
     def _table(self) -> dict[int, DiscreteDistribution]:
@@ -52,9 +54,10 @@ class EdgeCostTable:
     def version(self) -> int:
         """Mutation counter; bumped by :meth:`set_cost` / :meth:`apply_deltas`.
 
-        Consumers that memoise derived state (heuristic tables, combiner edge
-        caches, the serving layer's result cache) key on it so edits
-        invalidate them without any registration protocol.
+        It names an answer's snapshot (the serving layer tags and keys its
+        results with it), but :meth:`publish` may re-install a number the
+        table has carried before, so it never decides whether *derived*
+        state is fresh — the identity of the cell does (:meth:`derived`).
         """
         return self._versioned[1]
 
@@ -68,6 +71,28 @@ class EdgeCostTable:
         Treat the mapping as read-only.
         """
         return self._versioned
+
+    def derived(self, network: RoadNetwork) -> Memo:
+        """The holder of everything computed from the current publication cell.
+
+        Bound (lazily, so publishing stays O(1)) to the *identity* of the
+        ``(histograms, version)`` cell — every publication creates a new
+        tuple, so a re-installed version number is never mistaken for the
+        state it numbered before — and to the searched ``network`` (normally
+        this table's own) at its topology version.  Publishing to a live
+        table also drops the binding, so the previous version's derived
+        state is unreachable at once (:mod:`repro.derived`).
+        """
+        cell, topology = self._versioned, network.version
+        bound = self._derived
+        while bound is None or not (
+            bound[0] is cell and bound[1] is network and bound[2] == topology
+        ):
+            bound = rebind(self, bound, (cell, network, topology))
+        return bound[3]
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {**self.__dict__, "_derived": None}  # derived state never pickles
 
     @classmethod
     def from_store(
@@ -111,14 +136,15 @@ class EdgeCostTable:
         table, version = self._versioned
         table[edge_id] = distribution
         self._versioned = (table, version + 1)
+        self._derived = None
 
     def apply_deltas(self, updates: Mapping[int, DiscreteDistribution]) -> int:
         """Install a batch of edge histograms under a *single* version bump.
 
         This is the hot-swap entry point for live cost feeds (see
-        :mod:`repro.service`): consumers that memoise derived state key on
-        :attr:`version`, so one bump per feed batch invalidates them exactly
-        once instead of once per edge.  The batch is validated up front and
+        :mod:`repro.service`): one publication per feed batch drops derived
+        state (:meth:`derived`) and strands answers cached under the old
+        :attr:`version` once, not per edge.  The batch is validated up front and
         applied atomically from the caller's perspective — either every edge
         in ``updates`` is installed and the version moves by one, or the
         table is untouched (unknown edges / non-distribution values raise
@@ -144,6 +170,7 @@ class EdgeCostTable:
                 )
         table, version = self._versioned
         self._versioned = ({**table, **updates}, version + 1)
+        self._derived = None
         return self.version
 
     def to_dict(self) -> dict[str, Any]:
@@ -231,6 +258,7 @@ class EdgeCostTable:
     def publish(self, cell: tuple[dict[int, DiscreteDistribution], int]) -> int:
         """Install a cell :meth:`decode` returned; cannot fail.  Returns its version."""
         self._versioned = cell
+        self._derived = None
         return self.version
 
     def copy(self) -> "EdgeCostTable":

@@ -52,38 +52,12 @@ class CostCombiner(abc.ABC):
 
     def __init__(self, costs: EdgeCostTable) -> None:
         self.costs = costs
-        # One publication cell holding (version, memo) so the pair can never
-        # tear: the old two-attribute form (clear, then re-stamp the version)
-        # let a concurrent reader insert a stale-version cost into a memo
-        # already stamped with the new version.  Replacing the whole cell
-        # means each memo dict only ever holds costs read under its own
-        # version.  (Mid-*compute* table mutation is excluded one layer up:
-        # the serving layer serialises `apply_deltas` against in-flight
-        # requests — see repro.service.)
-        self._edge_cache_cell: tuple[int, dict[int, DiscreteDistribution]] = (
-            costs.version,
-            {},
-        )
 
     def edge_cost(self, edge: Edge) -> DiscreteDistribution:
-        """Cost distribution of a single edge.
-
-        Memoised per edge id (distributions are immutable); the memo is
-        dropped wholesale whenever the cost table's mutation ``version``
-        moves, so ``set_cost`` / ``apply_deltas`` edits are always observed.
-        """
-        table, version = self.costs.versioned
-        cache_version, cache = self._edge_cache_cell
-        if version != cache_version:
-            cache = {}
-            self._edge_cache_cell = (version, cache)
-        cached = cache.get(edge.id)
-        if cached is None:
-            cached = table.get(edge.id)
-            if cached is None:
-                cached = self.costs.free_flow_cost(edge)
-            cache[edge.id] = cached
-        return cached
+        """Cost distribution of a single edge: one coherent read of the
+        cost table's current publication cell, so ``set_cost`` /
+        ``apply_deltas`` / ``publish`` edits are always observed."""
+        return self.costs.cost(edge)
 
     @abc.abstractmethod
     def combine(

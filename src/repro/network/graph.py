@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+from ..derived import Memo, rebind
 from .categories import RoadCategory
 from .types import Edge, EdgePair, Vertex
 
@@ -31,10 +32,10 @@ class RoadNetwork:
         self._in: dict[int, list[Edge]] = {}
         self._by_endpoints: dict[tuple[int, int], Edge] = {}
         #: Mutation counter; bumped whenever a vertex or edge is added.
-        #: Consumers that memoise graph-derived state (e.g. the shared
-        #: optimistic-heuristic tables) key on it so topology edits
-        #: invalidate them automatically.
+        #: Graph-derived state (vertex indexing, CSR arrays) hangs off
+        #: :meth:`derived`, which a topology edit drops.
         self.version = 0
+        self._derived: tuple | None = None  # (version, memo)
 
     # ------------------------------------------------------------------
     # Construction
@@ -52,6 +53,7 @@ class RoadNetwork:
         self._out[vertex_id] = []
         self._in[vertex_id] = []
         self.version += 1
+        self._derived = None
         return vertex
 
     def add_edge(
@@ -84,7 +86,19 @@ class RoadNetwork:
         self._in[target].append(edge)
         self._by_endpoints[(source, target)] = edge
         self.version += 1
+        self._derived = None
         return edge
+
+    def derived(self) -> Memo:
+        """The holder of everything computed from the current topology version."""
+        version = self.version
+        bound = self._derived
+        while bound is None or bound[0] != version:
+            bound = rebind(self, bound, (version,))
+        return bound[1]
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_derived": None}  # derived state never pickles
 
     # ------------------------------------------------------------------
     # Accessors

@@ -550,7 +550,7 @@ class _BudgetSearch:
 
         ``heuristic`` lets callers inject a pre-built (shared) optimistic
         heuristic for the query target; by default one is taken from the
-        process-wide :meth:`OptimisticHeuristic.shared` cache, so repeated
+        cost table's :meth:`OptimisticHeuristic.shared` cache, so repeated
         queries to one destination pay for the reverse Dijkstra once.
 
         Depending on :attr:`backend`, the query is answered by the scalar

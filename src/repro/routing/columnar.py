@@ -43,14 +43,13 @@ as the scalar core for the same pivot state.
 from __future__ import annotations
 
 import time
-import weakref
 
 import numpy as np
 
 from ..histograms import DiscreteDistribution
 from ..histograms.dominance import DOMINANCE_TOL
 from ..histograms.operations import batched_window_convolve, trim_window_rows
-from .heuristics import OptimisticHeuristic
+from .heuristics import OptimisticHeuristic, vertex_indexing
 from .query import RoutingQuery, RoutingResult, SearchStats
 
 __all__ = [
@@ -80,24 +79,17 @@ _CHUNK_BYTES = 32 << 20
 #: generation is enough to chase the scalar core's pivot trajectory.
 _DIVES_PER_GENERATION = 4
 
-#: One CSR per live network and one kernel block per live cost table, as
-#: ``owner -> (tag, block)`` cells.  Weak keys: a dead table pins nothing (so
-#: a block must never reference its owner).  The tag is the versions the block
-#: was built at: a stale block is replaced, not kept beside the fresh one.
-_CSR_CELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_KERNEL_CELLS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 class _Csr:
     """Compressed out-adjacency over a dense vertex indexing.
 
-    Vertices are indexed by ascending vertex id; per-vertex edge runs keep
+    Vertices are indexed by :func:`~repro.routing.heuristics.vertex_indexing`
+    (the lower-bound vectors' indexing); per-vertex edge runs keep
     the network's ``out_edges`` order so the columnar core generates children
     in the same per-vertex order as the scalar loop.
     """
 
     __slots__ = (
-        "order",
         "index_of",
         "indptr",
         "edge_ids",
@@ -106,9 +98,7 @@ class _Csr:
     )
 
     def __init__(self, network) -> None:
-        order = sorted(network.vertex_ids())
-        self.order = order
-        self.index_of = {v: i for i, v in enumerate(order)}
+        order, self.index_of = vertex_indexing(network)
         num = len(order)
         self.num_vertices = num
         indptr = np.zeros(num + 1, dtype=np.int64)
@@ -128,10 +118,9 @@ class _Csr:
 class _EdgeKernels:
     """All edge cost pmfs as one (offsets, probs, totals) block, by edge id."""
 
-    __slots__ = ("network", "offsets", "probs", "totals", "min_ticks")
+    __slots__ = ("offsets", "probs", "totals", "min_ticks")
 
     def __init__(self, network, combiner) -> None:
-        self.network = network  # keeps the ``id(network)`` in the cell's tag stable
         dists = [combiner.edge_cost(edge) for edge in network.edges]
         support = max((d.support_size for d in dists), default=1)
         count = len(dists)
@@ -148,40 +137,16 @@ class _EdgeKernels:
         self.min_ticks = self.offsets + np.argmax(self.probs > 0.0, axis=1)
 
 
-def _cell(cells: weakref.WeakKeyDictionary, owner, tag, build):
-    # Lock-free on purpose: each dict operation is atomic, and two threads
-    # racing a first build both build — either block is right.
-    cell = cells.get(owner)
-    if cell is None or cell[0] != tag:
-        cell = cells[owner] = (tag, build())
-    return cell[1]
-
-
 def _csr_for(network) -> _Csr:
-    version = getattr(network, "version", 0)
-    return _cell(_CSR_CELLS, network, version, lambda: _Csr(network))
+    """One CSR per topology version, on the network's holder."""
+    return network.derived().get("csr", lambda: _Csr(network))
 
 
 def _kernels_for(network, combiner) -> _EdgeKernels:
-    costs = combiner.costs
-    tag = (id(network), getattr(network, "version", 0), getattr(costs, "version", 0))
-    return _cell(_KERNEL_CELLS, costs, tag, lambda: _EdgeKernels(network, combiner))
-
-
-def _dense_bounds(heuristic: OptimisticHeuristic, csr: _Csr) -> np.ndarray:
-    """The heuristic table as a dense vector (inf = cannot reach target)."""
-    cached = getattr(heuristic, "_columnar_bounds", None)
-    if cached is not None and cached[0] is csr:
-        return cached[1]
-    bounds = np.full(csr.num_vertices, np.inf)
-    index_of = csr.index_of
-    for vertex, remaining in heuristic.table.items():
-        i = index_of.get(vertex)
-        if i is not None:
-            bounds[i] = remaining
-    bounds.flags.writeable = False
-    heuristic._columnar_bounds = (csr, bounds)
-    return bounds
+    """One kernel block per published cost-table cell, on the table's holder."""
+    return combiner.costs.derived(network).get(
+        "edge_kernels", lambda: _EdgeKernels(network, combiner)
+    )
 
 
 class _LabelArena:
@@ -424,7 +389,7 @@ def columnar_route(
             heuristic = OptimisticHeuristic.shared(
                 network, combiner.costs, query.target
             )
-        bounds = _dense_bounds(heuristic, csr)
+        bounds = heuristic.bounds
 
     if not np.isfinite(bounds[source_i]):
         # Provably unreachable (exact heuristic: not settled by the reverse

@@ -553,9 +553,9 @@ class RoutingEngine:
 
     One engine per (network, combiner) pair; it is what a routing service
     instantiates once and serves all traffic through.  All strategies share
-    the engine's search state, the combiner's per-edge cost memo, and the
-    process-wide optimistic-heuristic LRU, so heavy traffic to popular
-    destinations pays the per-target setup cost once.
+    the engine's search state and the cost table's per-version
+    optimistic-heuristic LRU, so heavy traffic to popular destinations pays
+    the per-target setup cost once.
     """
 
     def __init__(

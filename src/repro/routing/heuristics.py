@@ -11,21 +11,22 @@ The reverse Dijkstra is the only super-linear setup cost of a PBR query, and
 repeated queries to the same destination — every anytime sweep, every
 experiment workload pass, multi-user traffic to popular targets — would
 otherwise rebuild it from scratch.  :meth:`OptimisticHeuristic.shared`
-therefore memoises heuristics in a process-wide LRU keyed by
-``(network, cost table, cost-table version, target)``; see PERFORMANCE.md
-for the invalidation contract.
+therefore memoises heuristics in a bounded LRU that hangs off the cost
+table's current version (:meth:`~repro.core.costs.EdgeCostTable.derived`)
+and is dropped with it; see PERFORMANCE.md "Heuristic cache".
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
+import numpy as np
+
 from ..core.costs import EdgeCostTable
+from ..derived import Memo, clear_bounded
 from ..histograms import DiscreteDistribution
 from ..network import RoadNetwork
-from ..network.paths import reverse_dijkstra
+from ..network.paths import dijkstra, reverse_dijkstra
 
 __all__ = [
     "OptimisticHeuristic",
@@ -35,32 +36,19 @@ __all__ = [
 ]
 
 #: Maximum number of shared precomputation entries kept alive by
-#: :func:`shared_versioned` (per-destination heuristic tables and per-k
-#: landmark tables count against the same budget).
+#: :func:`shared_versioned` *per cost-table version* (per-destination
+#: heuristics and per-k landmark tables count against the same budget).
 HEURISTIC_CACHE_SIZE = 128
-
-#: LRU of shared precomputations.  Values hold strong references to their
-#: network and cost table, which keeps the ``id()``-based keys stable for
-#: exactly as long as the entry lives.  Keys: ``(id(network), id(costs),
-#: network.version, costs.version, slot)`` — the slot is the target vertex
-#: for per-destination heuristics, or a type-discriminating tuple such as
-#: ``("landmarks", k)`` for tables shared across every target.
-_SHARED: "OrderedDict[tuple[int, int, int, int, Hashable], Any]" = OrderedDict()
-
-#: Guards every structural operation on :data:`_SHARED`.  The LRU mixes
-#: ``move_to_end`` / ``del`` / ``popitem`` — interleaved from two serving
-#: threads those corrupt the order dict or raise spurious ``KeyError``s.
-#: The reverse Dijkstra itself is built *outside* the lock so concurrent
-#: misses for distinct targets proceed in parallel (two threads racing the
-#: same key may both build; one result wins, the other is garbage — cheap
-#: compared to serialising every build behind one global mutex).
-_SHARED_LOCK = threading.Lock()
 
 
 def clear_heuristic_cache() -> None:
-    """Drop every shared precomputation (tests and long-lived servers)."""
-    with _SHARED_LOCK:
-        _SHARED.clear()
+    """Drop every shared lower-bound precomputation in the process (tests
+    and long-lived servers); CSR arrays and kernel blocks stay."""
+    clear_bounded()
+
+
+def _lower_bounds_memo() -> Memo:
+    return Memo(bound=lambda: HEURISTIC_CACHE_SIZE)  # read at every insert
 
 
 def shared_versioned(
@@ -69,86 +57,94 @@ def shared_versioned(
     slot: Hashable,
     build: Callable[[], Any],
 ) -> Any:
-    """Fetch-or-build one entry of the process-wide versioned LRU.
+    """Fetch-or-build one entry of ``costs``'s bounded lower-bound memo.
 
-    Entries are keyed by object identity of ``(network, costs)`` plus both
-    mutation ``version`` counters, so adding vertices/edges or editing
-    histograms (``set_cost`` / ``apply_deltas``) transparently misses onto a
-    fresh build while stale-version entries are evicted eagerly (they can
-    never be hit again and would otherwise pin dead tables until LRU churn).
-
-    ``slot`` distinguishes entry flavours for one ``(network, costs)`` pair;
-    ``build`` runs *outside* the lock on a miss, so concurrent misses for
-    distinct slots proceed in parallel (two threads racing one slot may both
-    build; one result wins, the loser is garbage — cheap compared to
-    serialising every build behind one global mutex).
+    The memo belongs to the table's current version as searched over
+    ``network`` (:meth:`EdgeCostTable.derived`), so topology edits and
+    histogram publications (``set_cost`` / ``apply_deltas`` / ``publish``)
+    miss onto a fresh build and strand nothing: the previous version's
+    entries went with its memo.  ``slot`` is the target vertex for
+    per-destination heuristics, or a type-discriminating tuple such as
+    ``("landmarks", k)`` for tables shared across every target.  Builds are
+    single-flight per slot and run outside the lock (:class:`Memo`).
     """
-    ids = (id(network), id(costs))
-    versions = (getattr(network, "version", 0), getattr(costs, "version", 0))
-    key = (*ids, *versions, slot)
-    with _SHARED_LOCK:
-        cached = _SHARED.get(key)
-        if cached is not None:
-            _SHARED.move_to_end(key)
-            return cached
-        stale = [
-            k
-            for k in _SHARED
-            if (k[0], k[1]) == ids and (k[2], k[3]) != versions
-        ]
-        for k in stale:
-            del _SHARED[k]
-    value = build()
-    with _SHARED_LOCK:
-        winner = _SHARED.setdefault(key, value)
-        _SHARED.move_to_end(key)
-        while len(_SHARED) > HEURISTIC_CACHE_SIZE:
-            _SHARED.popitem(last=False)
-        return winner
+    return costs.derived(network).get("lower_bounds", _lower_bounds_memo).get(slot, build)
+
+
+def vertex_indexing(network: RoadNetwork) -> tuple[list[int], dict[int, int]]:
+    """The one dense vertex indexing: ascending vertex ids, and its inverse."""
+
+    def build() -> tuple[list[int], dict[int, int]]:
+        order = sorted(network.vertex_ids())
+        return order, {v: i for i, v in enumerate(order)}
+
+    return network.derived().get("vertex_indexing", build)
+
+
+def min_tick_bounds(
+    network: RoadNetwork, costs: EdgeCostTable, vertex: int, *, forward: bool = False
+) -> np.ndarray:
+    """Minimum possible ticks from every vertex *to* ``vertex`` (``forward``:
+    from ``vertex`` to every vertex), as a dense bound vector.
+
+    Every lower-bound table has this one format — float64 over
+    :func:`vertex_indexing`, ``inf`` = cannot reach — and this one producer:
+    the per-target heuristic and both landmark directions call it.
+    """
+
+    def weight(edge) -> float:
+        return float(costs.min_ticks(edge))
+
+    if forward:
+        distances, _ = dijkstra(network, vertex, weight=weight)
+    else:
+        distances = reverse_dijkstra(network, vertex, weight=weight)
+    order, index_of = vertex_indexing(network)
+    bounds = np.full(len(order), np.inf)
+    bounds[[index_of[v] for v in distances]] = list(distances.values())
+    return bounds
 
 
 class OptimisticHeuristic:
-    """Per-destination table of optimistic remaining costs (ticks)."""
+    """Per-destination vector of optimistic remaining costs (ticks)."""
 
     def __init__(self, network: RoadNetwork, costs: EdgeCostTable, target: int) -> None:
-        self.network = network
-        self.costs = costs
         self.target = target
-        self._table = reverse_dijkstra(
-            network, target, weight=lambda edge: float(costs.min_ticks(edge))
-        )
+        #: ``bounds[i]``: minimum ticks from vertex ``vertex_indexing[i]`` to
+        #: the target; ``inf`` when it cannot reach it.  Read-only.
+        self.bounds = min_tick_bounds(network, costs, target)
+        self.bounds.flags.writeable = False
+        self._order = vertex_indexing(network)[0]
+        self._table: dict[int, float] | None = None
 
     @classmethod
     def shared(
         cls, network: RoadNetwork, costs: EdgeCostTable, target: int
     ) -> "OptimisticHeuristic":
-        """A cached heuristic for ``(network, costs, target)``.
-
-        Cache entries are keyed by object identity plus both mutation
-        ``version`` counters (the network's and the cost table's), so adding
-        vertices/edges or editing histograms (``set_cost``) transparently
-        misses onto a fresh reverse Dijkstra while stale entries age out of
-        the LRU.  The fetch-or-build (and the build-outside-the-lock policy)
-        lives in :func:`shared_versioned`, which the columnar core's landmark
-        tables share.
-        """
+        """A cached heuristic for ``(network, costs, target)``: one entry of
+        :func:`shared_versioned`'s memo, which landmark tables share."""
         return shared_versioned(
             network, costs, target, lambda: cls(network, costs, target)
         )
 
     @property
     def table(self) -> dict[int, float]:
-        """The raw ``vertex -> optimistic remaining ticks`` map.
+        """The ``vertex -> optimistic remaining ticks`` map of reachable vertices.
 
-        Exposed for the search hot loop, which wants one dictionary probe per
-        label instead of separate ``reachable``/``remaining_ticks`` calls.
-        Treat it as read-only.
+        A view of :attr:`bounds` derived on first use, for the scalar search
+        loop, which wants one dictionary probe per label instead of separate
+        ``reachable``/``remaining_ticks`` calls.  Treat it as read-only.
         """
-        return self._table
+        table = self._table
+        if table is None:
+            table = self._table = {
+                v: d for v, d in zip(self._order, self.bounds.tolist()) if d != np.inf
+            }
+        return table
 
     def reachable(self, vertex_id: int) -> bool:
         """True when the destination is reachable from ``vertex_id``."""
-        return vertex_id in self._table
+        return vertex_id in self.table
 
     def remaining_ticks(self, vertex_id: int) -> int:
         """Lower bound on ticks from ``vertex_id`` to the destination.
@@ -156,7 +152,7 @@ class OptimisticHeuristic:
         Raises ``KeyError`` for vertices that cannot reach the destination;
         call :meth:`reachable` first.
         """
-        return int(self._table[vertex_id])
+        return int(self.table[vertex_id])
 
     def upper_bound_probability(
         self,
@@ -173,7 +169,7 @@ class OptimisticHeuristic:
         it the bound degrades to ``P(cost so far <= budget)`` (still sound,
         strictly looser — this is what the rule-(c) ablation measures).
         """
-        remaining = self._table.get(vertex_id)
+        remaining = self.table.get(vertex_id)
         if remaining is None:
             return 0.0
         if use_shift:

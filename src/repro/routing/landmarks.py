@@ -20,21 +20,20 @@ reaches ``L`` but ``v`` does not, then ``v`` cannot reach ``t``.
 Landmarks are selected by deterministic farthest-point traversal seeded at
 the smallest vertex id (ties broken towards smaller ids), so two processes
 building the table for one network agree exactly.  Tables are shared through
-the same versioned LRU as the optimistic heuristic
+the same per-version bounded memo as the optimistic heuristic
 (:func:`~repro.routing.heuristics.shared_versioned`) under the slot
-``("landmarks", k)``.
+``("landmarks", k)``, and their rows are the same dense bound vectors
+(:func:`~repro.routing.heuristics.min_tick_bounds`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from ..core.costs import EdgeCostTable
+from ..derived import Memo
 from ..network import RoadNetwork
-from ..network.paths import dijkstra, reverse_dijkstra
-from .heuristics import shared_versioned
+from .heuristics import min_tick_bounds, shared_versioned, vertex_indexing
 
 __all__ = ["LandmarkTable", "DEFAULT_NUM_LANDMARKS"]
 
@@ -54,32 +53,11 @@ class LandmarkTable:
     ) -> None:
         if k < 1:
             raise ValueError("k must be >= 1")
-        self.network = network
-        self.costs = costs
-        order = sorted(network.vertex_ids())
+        order, self.index_of = vertex_indexing(network)
         if not order:
             raise ValueError("network has no vertices")
         self.vertex_order = order
-        self.index_of = {v: i for i, v in enumerate(order)}
-        num = len(order)
-        k = min(k, num)
-
-        def weight(edge):
-            return float(costs.min_ticks(edge))
-
-        def forward_row(vertex: int) -> np.ndarray:
-            dist, _ = dijkstra(network, vertex, weight=weight)
-            row = np.full(num, np.inf)
-            for v, d in dist.items():
-                row[self.index_of[v]] = d
-            return row
-
-        def reverse_row(vertex: int) -> np.ndarray:
-            dist = reverse_dijkstra(network, vertex, weight=weight)
-            row = np.full(num, np.inf)
-            for v, d in dist.items():
-                row[self.index_of[v]] = d
-            return row
+        k = min(k, len(order))
 
         # Farthest-point selection: seed a probe Dijkstra at the smallest
         # vertex id, take the farthest finite vertex as the first landmark,
@@ -88,10 +66,10 @@ class LandmarkTable:
         # dust never wins over a genuinely far reachable vertex; exact ties
         # resolve to the smallest vertex id (np.argmax takes the first, and
         # ``order`` is ascending).
-        probe = forward_row(order[0])
+        probe = min_tick_bounds(network, costs, order[0], forward=True)
         score = np.where(np.isfinite(probe), probe, -1.0)
         chosen: list[int] = [order[int(np.argmax(score))]]
-        rows_from = [forward_row(chosen[0])]
+        rows_from = [min_tick_bounds(network, costs, chosen[0], forward=True)]
         min_score = np.where(np.isfinite(rows_from[0]), rows_from[0], -1.0)
         while len(chosen) < k:
             min_score[[self.index_of[v] for v in chosen]] = -np.inf
@@ -102,7 +80,7 @@ class LandmarkTable:
                 break
             vertex = order[best]
             chosen.append(vertex)
-            row = forward_row(vertex)
+            row = min_tick_bounds(network, costs, vertex, forward=True)
             rows_from.append(row)
             np.minimum(
                 min_score, np.where(np.isfinite(row), row, -1.0), out=min_score
@@ -111,8 +89,8 @@ class LandmarkTable:
         #: ``dist_from[l, i]``: minimum ticks landmark ``l`` -> vertex ``i``.
         self.dist_from = np.vstack(rows_from)
         #: ``dist_to[l, i]``: minimum ticks vertex ``i`` -> landmark ``l``.
-        self.dist_to = np.vstack([reverse_row(v) for v in chosen])
-        self._bounds_cache: "OrderedDict[int, np.ndarray]" = OrderedDict()
+        self.dist_to = np.vstack([min_tick_bounds(network, costs, v) for v in chosen])
+        self._bounds = Memo(bound=lambda: _BOUNDS_CACHE_SIZE)
 
     @classmethod
     def shared(
@@ -120,9 +98,9 @@ class LandmarkTable:
     ) -> "LandmarkTable":
         """A cached table for ``(network, costs, k)``.
 
-        Shares the optimistic heuristic's process-wide versioned LRU (slot
-        ``("landmarks", k)``), so cost-table hot-swaps invalidate landmark
-        tables through the same mechanism as per-target heuristics.
+        Shares the optimistic heuristic's per-version bounded memo (slot
+        ``("landmarks", k)``), so cost-table hot-swaps drop landmark tables
+        through the same mechanism as per-target heuristics.
         """
         return shared_versioned(
             network,
@@ -139,10 +117,9 @@ class LandmarkTable:
         target.  Vectors are memoised per target (bounded LRU) — repeated
         queries to one destination pay the triangle-inequality pass once.
         """
-        cached = self._bounds_cache.get(target)
-        if cached is not None:
-            self._bounds_cache.move_to_end(target)
-            return cached
+        return self._bounds.get(target, lambda: self._bounds_to(target))
+
+    def _bounds_to(self, target: int) -> np.ndarray:
         ti = self.index_of[target]
         to_target = self.dist_to[:, ti : ti + 1]  # dist(t, L), (k, 1)
         from_target = self.dist_from[:, ti : ti + 1]  # dist(L, t), (k, 1)
@@ -164,7 +141,4 @@ class LandmarkTable:
         )
         np.maximum(bounds, 0.0, out=bounds)
         bounds.flags.writeable = False
-        self._bounds_cache[target] = bounds
-        while len(self._bounds_cache) > _BOUNDS_CACHE_SIZE:
-            self._bounds_cache.popitem(last=False)
         return bounds

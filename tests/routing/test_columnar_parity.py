@@ -338,6 +338,7 @@ class TestKernelCells:
 
     def test_blocks_survive_heuristic_clears_and_die_with_their_table(self, monkeypatch):
         import gc
+        import weakref
 
         from repro.routing import columnar
         from repro.routing.heuristics import clear_heuristic_cache
@@ -347,15 +348,15 @@ class TestKernelCells:
         builds = self._count_builds(monkeypatch)
         search = _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
         search.route(RoutingQuery(0, 2, 20))
+        # Blocks are slotted (no weakrefs); their arrays live exactly as long.
+        block = weakref.ref(columnar._kernels_for(network, search.combiner).probs)
         clear_heuristic_cache()
         search.route(RoutingQuery(0, 2, 21))
         assert len(builds) == 1
-        assert costs in columnar._KERNEL_CELLS
-        before = len(columnar._KERNEL_CELLS)
+        assert block() is not None
         del search, costs, builds[:]
-        clear_heuristic_cache()  # the heuristic LRU holds its tables strongly
         gc.collect()
-        assert len(columnar._KERNEL_CELLS) == before - 1  # a dead table pins nothing
+        assert block() is None  # a dead table pins nothing
 
     def test_two_threads_over_more_than_four_tables(self, monkeypatch):
         """The old LRU's unlocked ``get`` → ``move_to_end`` could lose its
@@ -398,3 +399,47 @@ class TestKernelCells:
         assert errors == []
         # Racing first builds may both build; after that, never again.
         assert len(tables) <= len(builds) <= 2 * len(tables)
+
+
+def test_landmark_bounds_memo_is_safe_under_threads():
+    """``bounds_to`` is a bounded LRU on a table shared process-wide: its
+    ``get`` → ``move_to_end`` used to race a concurrent ``popitem`` with no
+    lock.  More targets than it holds, four threads, a short switch
+    interval: no exception, and every vector equals the single-threaded one."""
+    import sys
+    import threading
+
+    from repro.network import grid_network
+    from repro.routing import landmarks
+
+    network = grid_network(9, 9, seed=4)
+    assert network.num_vertices > landmarks._BOUNDS_CACHE_SIZE
+    costs = EdgeCostTable(network, resolution=1.0)
+    for edge in network.edges:
+        costs.set_cost(edge.id, DiscreteDistribution(1 + edge.id % 3, [0.5, 0.5]))
+    reference = LandmarkTable(network, costs, k=4)
+    expected = {t: reference.bounds_to(t).copy() for t in reference.vertex_order}
+    table = LandmarkTable.shared(network, costs, k=4)
+    targets = list(expected)
+    errors = []
+
+    def hammer(offset):
+        try:
+            for turn in range(4 * len(targets)):
+                target = targets[(turn * 7 + offset) % len(targets)]
+                assert np.array_equal(table.bounds_to(target), expected[target])
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer, args=(k,), daemon=True) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

@@ -6,6 +6,9 @@ dominance pruning's result-neutrality, and the exactness of budget truncation
 under the convolution combiner.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from repro.routing import (
     clear_heuristic_cache,
 )
 from repro.routing import heuristics as heuristics_module
+from repro.routing.budget import _BudgetSearch
 from repro.trajectories import CongestionModel
 
 
@@ -83,23 +87,48 @@ class TestHeuristicCache:
         assert result.found
         assert result.path_vertices() == [2, 0, 1]
 
+    def test_republished_version_number_invalidates(self):
+        """``publish`` may install a cell numbered like one the table has
+        carried before: freshness is the cell's identity, never its number."""
+        net = grid_network(5, 5, seed=2)
+        costs = EdgeCostTable(net, resolution=1.0)
+        for edge in net.edges:
+            costs.set_cost(edge.id, DiscreteDistribution(2, [0.5, 0.5]))
+        rollback = costs.to_dict()
+        costs.apply_deltas({e.id: DiscreteDistribution(9, [1.0]) for e in net.edges[:20]})
+        search = _BudgetSearch(net, ConvolutionModel(costs), backend="columnar")
+        query = RoutingQuery(0, 24, 22)
+        stale_number = costs.version
+        stale_answer = search.route(query)  # builds bounds and kernel block
+        corrected = EdgeCostTable.from_dict(net, rollback)
+        corrected.apply_deltas({e.id: DiscreteDistribution(1, [1.0]) for e in net.edges[:20]})
+        assert costs.publish(costs.decode(corrected.to_dict())) == stale_number
+
+        fresh_costs = EdgeCostTable.from_dict(net, costs.to_dict())
+        fresh_heuristic = OptimisticHeuristic(net, fresh_costs, target=24)
+        assert OptimisticHeuristic.shared(net, costs, target=24).table == fresh_heuristic.table
+        fresh = _BudgetSearch(net, ConvolutionModel(fresh_costs), backend="columnar").route(query)
+        served = search.route(query)
+        assert served.probability == fresh.probability != stale_answer.probability
+        assert served.path == fresh.path and served.distribution == fresh.distribution
+
     def test_stale_versions_evicted_on_refresh(self, world):
         net, conv = world
-        for target in (20, 21, 22):
-            OptimisticHeuristic.shared(net, conv.costs, target=target)
-        before = len(heuristics_module._SHARED)
+        stale = [
+            weakref.ref(OptimisticHeuristic.shared(net, conv.costs, target=target))
+            for target in (20, 21, 22)
+        ]
         conv.costs.set_cost(1, DiscreteDistribution.point(400))
-        OptimisticHeuristic.shared(net, conv.costs, target=20)
-        # The refresh dropped every old-version entry for this pair instead
-        # of letting them linger until LRU churn.
-        assert len(heuristics_module._SHARED) == before - 2
+        gc.collect()
+        # The publication itself dropped every old-version entry: nothing
+        # lingers until LRU churn, or even until the next request.
+        assert [ref() for ref in stale] == [None, None, None]
 
     def test_lru_bound(self, world, monkeypatch):
         net, conv = world
         monkeypatch.setattr(heuristics_module, "HEURISTIC_CACHE_SIZE", 3)
         clear_heuristic_cache()
         kept = [OptimisticHeuristic.shared(net, conv.costs, target=t) for t in range(4)]
-        assert len(heuristics_module._SHARED) == 3
         # Target 0 was evicted (least recently used); re-requesting rebuilds.
         assert OptimisticHeuristic.shared(net, conv.costs, target=0) is not kept[0]
         # Target 3 is still resident.

@@ -28,7 +28,7 @@ import pytest
 
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.network import grid_network
-from repro.routing import RoutingEngine, RoutingQuery
+from repro.routing import OptimisticHeuristic, RoutingEngine, RoutingQuery
 from repro.service import (
     CostUpdate,
     FrontendClosedError,
@@ -889,6 +889,94 @@ class TestOneSwapSite:
             for edge in network.edges:
                 assert table.cost(edge) == twin.cost(edge), (name, edge.id)
                 assert list(table.cost(edge).probs) == list(twin.cost(edge).probs)
+
+
+# ----------------------------------------------------------------------
+# Derived state: one build per version, however many threads ask
+# ----------------------------------------------------------------------
+
+
+class TestDerivedStateSingleFlight:
+    """Kernel blocks and heuristics hang off their cost-table version
+    through one single-flight memo: racing threads share one build, and a
+    failed build neither leaves an entry nor wedges its waiters."""
+
+    NUM_THREADS = 4
+    WATCHDOG_SECONDS = 30.0
+
+    @staticmethod
+    def _slow_counted(monkeypatch, cls, fail_first=False):
+        """Wrap ``cls.__init__``: count calls, and hold each long enough
+        (GIL released) that every racing thread arrives mid-build."""
+        calls = []
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(threading.get_ident())
+            first = len(calls) == 1
+            time.sleep(0.05)
+            if fail_first and first:
+                raise RuntimeError("injected build failure")
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+        return calls
+
+    def test_racing_threads_share_one_kernel_block_and_one_heuristic(
+        self, world, monkeypatch
+    ):
+        from repro.routing import columnar
+
+        network, model, base = world
+        costs = base.copy()
+        engine = RoutingEngine(network, ConvolutionModel(costs), backend="columnar")
+        query = RoutingQuery(0, 24, 40)
+        engine.route(query)  # warm at the old version: the bump must strand it
+        costs.apply_deltas(model.cost_update(network.edges[:5], 1))
+        kernel_builds = self._slow_counted(monkeypatch, columnar._EdgeKernels)
+        heuristic_builds = self._slow_counted(monkeypatch, OptimisticHeuristic)
+        barrier = threading.Barrier(self.NUM_THREADS)
+        answers = []
+
+        def worker():
+            barrier.wait()
+            answers.append(engine.route(query))
+
+        run_threads([worker] * self.NUM_THREADS, watchdog_seconds=self.WATCHDOG_SECONDS)
+        assert len(kernel_builds) == 1 and len(heuristic_builds) == 1
+        monkeypatch.undo()
+        cold = RoutingEngine(
+            network, ConvolutionModel(costs.copy()), backend="columnar"
+        ).route(query)
+        assert len(answers) == self.NUM_THREADS
+        for answer in answers:
+            assert_same_answer(answer, cold)
+
+    def test_failed_build_reaches_its_caller_only_and_a_waiter_rebuilds(
+        self, world, monkeypatch
+    ):
+        network, _, base = world
+        costs = base.copy()
+        builds = self._slow_counted(monkeypatch, OptimisticHeuristic, fail_first=True)
+        barrier = threading.Barrier(self.NUM_THREADS)
+        outcomes = []
+
+        def worker():
+            barrier.wait()
+            try:
+                outcomes.append(OptimisticHeuristic.shared(network, costs, 24))
+            except RuntimeError as exc:
+                outcomes.append(exc)
+
+        run_threads([worker] * self.NUM_THREADS, watchdog_seconds=self.WATCHDOG_SECONDS)
+        failures = [o for o in outcomes if isinstance(o, RuntimeError)]
+        built = [o for o in outcomes if not isinstance(o, RuntimeError)]
+        assert len(failures) == 1 and len(built) == self.NUM_THREADS - 1
+        assert len(builds) == 2  # the failure, then exactly one rebuild
+        assert all(heuristic is built[0] for heuristic in built)
+        assert OptimisticHeuristic.shared(network, costs, 24) is built[0]
+        monkeypatch.undo()
+        assert built[0].table == OptimisticHeuristic(network, costs, 24).table
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,8 @@ from repro.core import ConvolutionModel, EdgeCostTable
 from repro.core.persistence import load_service_snapshot, save_service_snapshot
 from repro.histograms import DiscreteDistribution
 from repro.network import grid_network
-from repro.routing import RoutingEngine, RoutingQuery
+from repro.routing import OptimisticHeuristic, RoutingEngine, RoutingQuery
+from repro.routing.heuristics import clear_heuristic_cache
 from repro.service import (
     SERVICE_SNAPSHOT_FORMAT,
     CostUpdate,
@@ -489,6 +490,74 @@ class TestBlueGreenHandover:
         service.apply_cost_update(shifted_update(1, sequence=5))
         before = service.cost_version()
         assert service.apply_cost_update(shifted_update(2)) == before + 1
+
+
+class TestRestoreIntoADivergedHistory:
+    """``restore`` may re-install a version *number* the live table has
+    carried before, over different histograms.  Everything derived from the
+    earlier holder of that number (lower bounds, kernel block, edge costs)
+    must be gone: the served answer equals a cold engine's at the same tag."""
+
+    def test_rollback_then_corrected_feed_on_the_columnar_path(self):
+        network = grid_network(36, 36, seed=1)  # 5,040 edges: columnar under "auto"
+        costs = EdgeCostTable(network, resolution=1.0)
+        for edge in network.edges:
+            costs.set_cost(edge.id, DiscreteDistribution(3, [0.5, 0.5]))
+        service = RoutingService(network, ConvolutionModel(costs))
+        query = RoutingQuery(0, network.num_vertices - 1, 230)
+        last_night = json_round_trip(service.snapshot())
+
+        def feed(ticks: int) -> CostUpdate:
+            return CostUpdate({e: DiscreteDistribution(ticks, [1.0]) for e in range(400)})
+
+        bad = service.apply_cost_update(feed(9))
+        assert service.route(query).result.probability < 0.01  # builds v+1 state
+        service.restore(last_night)
+        assert service.apply_cost_update(feed(2)) == bad  # the same number again
+        clear_heuristic_cache()  # must not be what saves the answer — nor suffice
+
+        served = service.route(query)
+        installed = service.engine().combiner.costs
+        cold = RoutingEngine(network, ConvolutionModel(installed.copy())).route(query)
+        assert not served.cache_hit and served.cost_version == bad
+        assert cold.probability == 1.0
+        assert_same_answer(served.result, cold)
+
+    def test_replica_restored_from_a_peer_with_a_different_feed_on_the_scalar_path(self):
+        def replica() -> RoutingService:
+            costs = EdgeCostTable(NETWORK, resolution=1.0)
+            for edge in NETWORK.edges:
+                costs.set_cost(edge.id, DiscreteDistribution(2, [0.5, 0.5]))
+            return RoutingService(NETWORK, ConvolutionModel(costs))
+
+        leaving_home = [edge.id for edge in NETWORK.out_edges(0)]
+        peer, mine = replica(), replica()
+        peer.apply_cost_update(
+            CostUpdate({e: DiscreteDistribution(3, [0.5, 0.5]) for e in leaving_home})
+        )
+        mine.apply_cost_update(
+            CostUpdate({e: DiscreteDistribution(40, [1.0]) for e in leaving_home})
+        )
+        assert mine.cost_version() == peer.cost_version()  # same number, different tables
+        assert mine.route(RoutingQuery(0, 24, 60)).result.found  # builds h(0) = 54
+        mine.restore(json_round_trip(peer.snapshot()))
+
+        engine = mine.engine()
+        installed = engine.combiner.costs
+        fresh = OptimisticHeuristic(NETWORK, installed, 24)
+        assert engine.heuristic_for(24).table == fresh.table  # h(0) = 17, admissible
+        for edge_id in leaving_home:
+            edge = NETWORK.edge(edge_id)
+            assert engine.combiner.edge_cost(edge) is installed.cost(edge)
+        probabilities = []
+        for budget in range(17, 26):
+            query = RoutingQuery(0, 24, budget)
+            version, cold = cold_answer(mine, mine.default_slice, query)
+            served = mine.route(query)
+            assert served.cost_version == version
+            assert_same_answer(served.result, cold, f"budget {budget}")
+            probabilities.append(served.result.probability)
+        assert probabilities[0] > 0.0 and probabilities[-1] == 1.0
 
 
 # ----------------------------------------------------------------------

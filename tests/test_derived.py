@@ -1,0 +1,201 @@
+"""Derived state lives and dies with the version it was computed from.
+
+Unit tests of the one holder (:class:`repro.derived.Memo`) and of the
+lifetime rule its two owners implement: an owner's memo belongs to one
+version, a new version — whatever its *number* — starts empty, and nothing
+derived from the previous one stays reachable from the owner.
+"""
+
+import gc
+import pickle
+import threading
+import weakref
+
+import pytest
+
+from repro.core import ConvolutionModel, EdgeCostTable
+from repro.derived import Memo, clear_bounded
+from repro.histograms import DiscreteDistribution
+from repro.network import grid_network
+from repro.routing import OptimisticHeuristic, RoutingQuery
+from repro.routing.budget import _BudgetSearch
+from repro.routing.columnar import _csr_for, _kernels_for
+from repro.routing.heuristics import vertex_indexing
+from repro.routing.landmarks import LandmarkTable
+
+
+def in_thread(fn, watchdog_seconds=10.0):
+    """Run ``fn`` off-thread: a deadlock fails the test instead of hanging it."""
+    outcome = []
+    thread = threading.Thread(target=lambda: outcome.append(fn()), daemon=True)
+    thread.start()
+    thread.join(watchdog_seconds)
+    assert not thread.is_alive(), "deadlock: the call never returned"
+    return outcome[0]
+
+
+def built_world(rows=6, cols=6):
+    network = grid_network(rows, cols, seed=1)
+    costs = EdgeCostTable(network, resolution=1.0)
+    for edge in network.edges:
+        costs.set_cost(edge.id, DiscreteDistribution(2 + edge.id % 3, [0.5, 0.5]))
+    return network, costs
+
+
+def warm(network, costs):
+    """Build every kind of table-derived state; weakrefs to each, by name."""
+    search = _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
+    target = network.num_vertices - 1
+    assert search.route(RoutingQuery(0, target, 60)).found
+    return {
+        "heuristic": weakref.ref(OptimisticHeuristic.shared(network, costs, target)),
+        "landmarks": weakref.ref(LandmarkTable.shared(network, costs, k=2)),
+        # ``_EdgeKernels`` is slotted (no weakrefs); its arrays live exactly as long.
+        "kernels": weakref.ref(_kernels_for(network, search.combiner).probs),
+    }
+
+
+class TestMemo:
+    def test_builds_once_and_returns_the_resident_value(self):
+        memo, builds = Memo(), []
+        first = memo.get("k", lambda: builds.append(1) or object())
+        assert memo.get("k", lambda: builds.append(1) or object()) is first
+        assert builds == [1]
+
+    def test_falsy_and_none_values_are_entries_too(self):
+        memo, builds = Memo(), []
+        for _ in range(2):
+            assert memo.get("none", lambda: builds.append(1)) is None
+            assert memo.get("zero", lambda: builds.append(1) or 0) == 0
+        assert len(builds) == 2
+
+    def test_a_build_may_ask_for_another_key(self):
+        memo = Memo()
+        value = in_thread(lambda: memo.get("outer", lambda: memo.get("inner", lambda: 20) + 1))
+        assert value == 21 and memo.get("inner", lambda: None) == 20
+
+    def test_distinct_keys_build_in_parallel(self):
+        """Each build waits for the *other* to have started: serialising
+        builds behind one lock would deadlock here (the watchdog fails it)."""
+        memo = Memo()
+        started = {"a": threading.Event(), "b": threading.Event()}
+
+        def build(mine, other):
+            started[mine].set()
+            assert started[other].wait(10.0)
+            return mine
+
+        second = threading.Thread(
+            target=lambda: memo.get("b", lambda: build("b", "a")), daemon=True
+        )
+        second.start()
+        assert in_thread(lambda: memo.get("a", lambda: build("a", "b"))) == "a"
+        second.join(10.0)
+        assert not second.is_alive()
+
+    def test_failed_build_leaves_no_entry(self):
+        memo = Memo()
+        with pytest.raises(ZeroDivisionError):
+            memo.get("k", lambda: 1 // 0)
+        assert in_thread(lambda: memo.get("k", lambda: "rebuilt")) == "rebuilt"
+
+    def test_bounded_memo_is_an_lru_with_a_live_bound(self):
+        bound = [2]
+        memo = Memo(bound=lambda: bound[0])
+        for key in "abc":
+            memo.get(key, key.upper)
+        assert memo.get("c", lambda: "rebuilt") == "C"  # resident
+        assert memo.get("a", lambda: "rebuilt") == "rebuilt"  # evicted: now {c, a}
+        bound[0] = 3  # read at every insert, never captured
+        memo.get("d", lambda: "D")
+        assert memo.get("c", lambda: "rebuilt") == "C"
+
+    def test_clear_bounded_spares_unbounded_memos(self):
+        bounded, unbounded = Memo(bound=lambda: 8), Memo()
+        bounded.get("k", lambda: 1)
+        unbounded.get("k", lambda: 1)
+        clear_bounded()
+        assert bounded.get("k", lambda: 2) == 2
+        assert unbounded.get("k", lambda: 2) == 1
+
+
+class TestLifetime:
+    """After any publication or topology edit, nothing derived from the
+    previous version is reachable from its owner — no request needed."""
+
+    @staticmethod
+    def _alive(refs):
+        gc.collect()
+        return sorted(name for name, ref in refs.items() if ref() is not None)
+
+    @pytest.mark.parametrize("publication", ["set_cost", "apply_deltas", "publish", "restore"])
+    def test_every_publication_drops_the_tables_derived_state(self, publication):
+        network, costs = built_world()
+        refs = warm(network, costs)
+        assert self._alive(refs) == ["heuristic", "kernels", "landmarks"]
+        dump = costs.to_dict()  # the same histograms under the same number
+        if publication == "set_cost":
+            costs.set_cost(0, DiscreteDistribution.point(7))
+        elif publication == "apply_deltas":
+            costs.apply_deltas({0: DiscreteDistribution.point(7)})
+        elif publication == "publish":
+            costs.publish(costs.decode(dump))
+        else:
+            costs.restore(dump)
+        assert self._alive(refs) == []
+
+    def test_clear_heuristic_cache_drops_bounds_and_keeps_blocks(self):
+        from repro.routing import clear_heuristic_cache
+
+        network, costs = built_world()
+        refs = warm(network, costs)
+        csr = _csr_for(network)
+        clear_heuristic_cache()
+        assert self._alive(refs) == ["kernels"]
+        assert _csr_for(network) is csr
+
+    def test_topology_edit_drops_the_networks_derived_state(self):
+        network, costs = built_world()
+        table_refs = warm(network, costs)
+        # ``_Csr`` is slotted (no weakrefs); its arrays live exactly as long.
+        refs = {"csr": weakref.ref(_csr_for(network).indptr)}
+        order, index_of = vertex_indexing(network)
+        stale_size = len(order)
+        del order, index_of
+        network.add_vertex(10_000, 1.0, 1.0)
+        assert self._alive(refs) == []
+        assert len(vertex_indexing(network)[0]) == stale_size + 1
+        # Table-owned state was built for the old topology: the table cannot
+        # see the edit, so it is dropped the next time anything asks.
+        fresh = OptimisticHeuristic.shared(network, costs, network.num_vertices - 2)
+        assert len(fresh.bounds) == stale_size + 1
+        assert self._alive(table_refs) == []
+
+    def test_a_foreign_network_gets_blocks_built_for_itself(self):
+        network, costs = built_world()
+        bigger = grid_network(7, 7, seed=1)
+        own = _kernels_for(network, ConvolutionModel(costs))
+        foreign = _kernels_for(bigger, ConvolutionModel(costs))
+        assert len(own.offsets) == network.num_edges
+        assert len(foreign.offsets) == bigger.num_edges
+
+
+class TestOwnersPickleWithoutDerivedState:
+    def test_warm_owners_pickle_no_larger_than_cold_ones(self):
+        network, costs = built_world()
+        for edge in network.edges:
+            costs.cost(edge).cdf()  # a distribution's own CDF memo does pickle
+        cold_network, cold_costs = len(pickle.dumps(network)), len(pickle.dumps(costs))
+        warm(network, costs)
+        assert len(pickle.dumps(network)) <= cold_network
+        assert len(pickle.dumps(costs)) <= cold_costs
+
+    def test_an_unpickled_table_rebuilds_its_own_state(self):
+        network, costs = built_world()
+        warm(network, costs)
+        twin_network, twin_costs = pickle.loads(pickle.dumps((network, costs)))
+        assert twin_costs.network is twin_network
+        target = network.num_vertices - 1
+        mine = OptimisticHeuristic.shared(network, costs, target)
+        twin = OptimisticHeuristic.shared(twin_network, twin_costs, target)
+        assert twin is not mine and twin.table == mine.table
