@@ -16,8 +16,9 @@ import numpy as np
 
 from ..core.costs import EdgeCostTable
 from ..network import RoadNetwork
-from ..network.paths import dijkstra, reverse_dijkstra
+from ..network.paths import dijkstra
 from ..routing import RoutingQuery
+from ..routing.heuristics import min_tick_bounds, vertex_indexing
 from .config import DistanceBand
 
 __all__ = ["BandedQuery", "WorkloadGenerator"]
@@ -66,13 +67,9 @@ class WorkloadGenerator:
             if not candidates:
                 continue
             target = int(self._rng.choice(candidates))
-            min_ticks_map = reverse_dijkstra(
-                self.network,
-                target,
-                weight=lambda edge: float(self.costs.min_ticks(edge)),
-            )
-            optimistic = min_ticks_map.get(source)
-            if optimistic is None or optimistic < 1:
+            bounds = min_tick_bounds(self.network, self.costs, target)
+            optimistic = bounds[vertex_indexing(self.network)[1][source]]
+            if not 1 <= optimistic < math.inf:
                 continue
             budget = int(math.ceil(self.budget_factor * optimistic))
             return BandedQuery(

@@ -1,19 +1,22 @@
 """Optimistic remaining-cost heuristic (PBR pruning rule (a)).
 
 An A*-inspired lower bound: ``h(v)`` is the minimum *possible* travel time
-(in ticks) from ``v`` to the destination, computed by a reverse Dijkstra over
-each edge's minimum histogram value.  Because no path realisation can beat
-``h``, shifting a label's distribution by ``h(v)`` (rule (c), cost shifting)
-yields an upper bound on the label's achievable arrival probability that is
-sound for pruning against the pivot path.
+(in ticks) from ``v`` to the destination, a shortest-path search from the
+destination over each edge's minimum histogram value.  Because no path
+realisation can beat ``h``, shifting a label's distribution by ``h(v)``
+(rule (c), cost shifting) yields an upper bound on the label's achievable
+arrival probability that is sound for pruning against the pivot path.
 
-The reverse Dijkstra is the only super-linear setup cost of a PBR query, and
-repeated queries to the same destination — every anytime sweep, every
-experiment workload pass, multi-user traffic to popular targets — would
-otherwise rebuild it from scratch.  :meth:`OptimisticHeuristic.shared`
-therefore memoises heuristics in a bounded LRU that hangs off the cost
-table's current version (:meth:`~repro.core.costs.EdgeCostTable.derived`)
-and is dropped with it; see PERFORMANCE.md "Heuristic cache".
+Two things are built, both on the holder of the cost table's current
+publication cell (:meth:`~repro.core.costs.EdgeCostTable.derived`), so
+``set_cost`` / ``apply_deltas`` / ``publish`` / a topology edit drop both.
+Once per cell, the **min-tick graph** (:func:`_build_min_tick_graphs`):
+unbounded like the CSR and the kernel block, so
+:func:`clear_heuristic_cache` keeps it.  Once per destination, one array
+Dijkstra over it (:func:`min_tick_bounds`), which
+:meth:`OptimisticHeuristic.shared` memoises in a bounded LRU — every anytime
+sweep, workload pass and popular target would otherwise repeat it; see
+PERFORMANCE.md "Heuristic cache".
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from __future__ import annotations
 from typing import Any, Callable, Hashable
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from ..core.costs import EdgeCostTable
 from ..derived import Memo, clear_bounded
 from ..histograms import DiscreteDistribution
 from ..network import RoadNetwork
-from ..network.paths import dijkstra, reverse_dijkstra
 
 __all__ = [
     "OptimisticHeuristic",
@@ -81,6 +84,36 @@ def vertex_indexing(network: RoadNetwork) -> tuple[list[int], dict[int, int]]:
     return network.derived().get("vertex_indexing", build)
 
 
+def _build_min_tick_graphs(
+    network: RoadNetwork, costs: EdgeCostTable
+) -> tuple[csr_matrix, csr_matrix]:
+    """The cell's min-tick graph, forward and transposed: CSR over
+    :func:`vertex_indexing`, entry ``[u, v]`` = the lightest ``u -> v`` edge's
+    :meth:`~repro.core.costs.EdgeCostTable.min_ticks`.
+
+    Three traps.  COO -> CSR *sums* duplicates, so parallel edges are
+    min-reduced first.  The matrix must be built sparse: there an explicit
+    ``0.0`` is a zero-tick *edge*, where dense input would read it as no
+    edge.  And a vertex pair with no entry stays unreachable (``inf``).
+    Raises ``ValueError("negative weight on edge <id>")`` when any edge's
+    minimum is negative, reached or not.
+    """
+    index_of = vertex_indexing(network)[1]
+    edges, count = network.edges, network.num_edges
+    ticks = np.fromiter((costs.min_ticks(e) for e in edges), np.float64, count)
+    if count and ticks.min() < 0:
+        raise ValueError(f"negative weight on edge {edges[int(np.argmax(ticks < 0))].id}")
+    rows = np.fromiter((index_of[e.source] for e in edges), np.int64, count)
+    cols = np.fromiter((index_of[e.target] for e in edges), np.int64, count)
+    # Sorted by (row, col, ticks): the first of each run is its lightest.
+    by = np.lexsort((ticks, cols, rows))
+    rows, cols, ticks = rows[by], cols[by], ticks[by]
+    keep = np.ones(count, dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    forward = csr_matrix((ticks[keep], (rows[keep], cols[keep])), shape=(len(index_of),) * 2)
+    return forward, forward.T.tocsr()
+
+
 def min_tick_bounds(
     network: RoadNetwork, costs: EdgeCostTable, vertex: int, *, forward: bool = False
 ) -> np.ndarray:
@@ -89,20 +122,20 @@ def min_tick_bounds(
 
     Every lower-bound table has this one format — float64 over
     :func:`vertex_indexing`, ``inf`` = cannot reach — and this one producer:
-    the per-target heuristic and both landmark directions call it.
+    the per-target heuristic, both landmark directions and the workload
+    generator call it.  It is one ``scipy.sparse.csgraph.dijkstra`` over the
+    min-tick graph the first call per publication cell builds (single-flight,
+    on the cell's holder) — forward CSR for ``forward``, its transpose
+    otherwise.  Integer ticks summed in float64 are exact, so the vector is
+    bit-equal to the pure-Python search in ``network/paths.py``, which stays
+    as the parity reference.  ``KeyError`` for a vertex the network lacks;
+    ``ValueError("negative weight on edge <id>")`` from the graph build.
     """
-
-    def weight(edge) -> float:
-        return float(costs.min_ticks(edge))
-
-    if forward:
-        distances, _ = dijkstra(network, vertex, weight=weight)
-    else:
-        distances = reverse_dijkstra(network, vertex, weight=weight)
-    order, index_of = vertex_indexing(network)
-    bounds = np.full(len(order), np.inf)
-    bounds[[index_of[v] for v in distances]] = list(distances.values())
-    return bounds
+    source = vertex_indexing(network)[1][vertex]
+    graphs = costs.derived(network).get(
+        "min_tick_graphs", lambda: _build_min_tick_graphs(network, costs)
+    )
+    return csgraph.dijkstra(graphs[0 if forward else 1], directed=True, indices=source)
 
 
 class OptimisticHeuristic:

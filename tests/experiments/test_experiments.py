@@ -13,6 +13,7 @@ from repro.experiments import (
     render_table,
 )
 from repro.network import grid_network
+from repro.network.paths import reverse_dijkstra
 from repro.trajectories import CongestionModel
 
 
@@ -88,6 +89,33 @@ class TestWorkloads:
         generator = WorkloadGenerator(net, costs, budget_factor=1.4, seed=1)
         for banded in generator.generate_band(DistanceBand(0.3, 1.5), 5):
             assert banded.query.budget >= banded.optimistic_ticks
+
+    @pytest.mark.parametrize(
+        "seed, sampled",
+        [
+            (1, [(30, 7, 13, 10), (48, 53, 20, 15), (2, 11, 6, 4), (52, 40, 17, 13)]),
+            (2, [(53, 38, 11, 8), (6, 21, 10, 7), (26, 22, 19, 14), (28, 35, 6, 4)]),
+        ],
+    )
+    def test_sampling_is_pinned_and_its_floor_is_the_reference_search(
+        self, world, seed, sampled
+    ):
+        """(source, target, budget, optimistic) as recorded while the generator
+        still ran its own ``reverse_dijkstra``: reading the one bound producer
+        instead may not move a draw (the benchmark's plans hang off it)."""
+        net, costs = world
+        queries = WorkloadGenerator(net, costs, seed=seed).generate_band(
+            DistanceBand(0.3, 1.5), 4
+        )
+        assert [
+            (q.query.source, q.query.target, q.query.budget, q.optimistic_ticks)
+            for q in queries
+        ] == sampled
+        for q in queries:
+            reference = reverse_dijkstra(
+                net, q.query.target, weight=lambda e: float(costs.min_ticks(e))
+            )
+            assert q.optimistic_ticks == reference[q.query.source]
 
     def test_deterministic_given_seed(self, world):
         net, costs = world

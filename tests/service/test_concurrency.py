@@ -24,6 +24,7 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import ConvolutionModel, EdgeCostTable
@@ -951,6 +952,45 @@ class TestDerivedStateSingleFlight:
         assert len(answers) == self.NUM_THREADS
         for answer in answers:
             assert_same_answer(answer, cold)
+
+    def test_heuristics_to_different_targets_share_one_min_tick_graph(
+        self, world, monkeypatch
+    ):
+        """The per-cell graph under the per-target searches: four targets
+        asked for at once after a bump cost four searches and *one* graph."""
+        from repro.routing import heuristics
+
+        network, model, base = world
+        costs = base.copy()
+        targets = [24, 3, 4, 22]
+        OptimisticHeuristic.shared(network, costs, 24)  # the bump must strand it
+        costs.apply_deltas(model.cost_update(network.edges[:5], 1))
+        builds = []
+        build = heuristics._build_min_tick_graphs
+
+        def counted(*args):
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # GIL released: every racing thread arrives mid-build
+            return build(*args)
+
+        monkeypatch.setattr(heuristics, "_build_min_tick_graphs", counted)
+        barrier = threading.Barrier(len(targets))
+        bounds = {}
+
+        def worker(target):
+            barrier.wait()
+            bounds[target] = OptimisticHeuristic.shared(network, costs, target).bounds
+
+        run_threads(
+            [lambda t=t: worker(t) for t in targets], watchdog_seconds=self.WATCHDOG_SECONDS
+        )
+        assert len(builds) == 1
+        monkeypatch.undo()
+        cold = costs.copy()
+        for target in targets:
+            assert np.array_equal(
+                bounds[target], heuristics.min_tick_bounds(network, cold, target)
+            )
 
     def test_failed_build_reaches_its_caller_only_and_a_waiter_rebuilds(
         self, world, monkeypatch

@@ -510,14 +510,22 @@ class TestRestoreIntoADivergedHistory:
         def feed(ticks: int) -> CostUpdate:
             return CostUpdate({e: DiscreteDistribution(ticks, [1.0]) for e in range(400)})
 
+        def resident_graph():
+            """Forward min-tick weights of the live cell; the route built them."""
+            live = service.engine().combiner.costs.derived(network)
+            return live.get("min_tick_graphs", lambda: pytest.fail("not built"))[0].data
+
         bad = service.apply_cost_update(feed(9))
         assert service.route(query).result.probability < 0.01  # builds v+1 state
+        assert set(resident_graph().tolist()) == {3.0, 9.0}
         service.restore(last_night)
         assert service.apply_cost_update(feed(2)) == bad  # the same number again
         clear_heuristic_cache()  # must not be what saves the answer — nor suffice
 
         served = service.route(query)
         installed = service.engine().combiner.costs
+        # The number is the bad feed's; the graph is the corrected cell's own.
+        assert set(resident_graph().tolist()) == {2.0, 3.0}
         cold = RoutingEngine(network, ConvolutionModel(installed.copy())).route(query)
         assert not served.cache_hit and served.cost_version == bad
         assert cold.probability == 1.0

@@ -20,7 +20,7 @@ from repro.network import grid_network
 from repro.routing import OptimisticHeuristic, RoutingQuery
 from repro.routing.budget import _BudgetSearch
 from repro.routing.columnar import _csr_for, _kernels_for
-from repro.routing.heuristics import vertex_indexing
+from repro.routing.heuristics import min_tick_bounds, vertex_indexing
 from repro.routing.landmarks import LandmarkTable
 
 
@@ -42,6 +42,13 @@ def built_world(rows=6, cols=6):
     return network, costs
 
 
+def min_tick_graphs(network, costs):
+    """The resident per-cell min-tick graph; asking for it must not build one."""
+    return costs.derived(network).get(
+        "min_tick_graphs", lambda: pytest.fail("no min-tick graph on this cell")
+    )
+
+
 def warm(network, costs):
     """Build every kind of table-derived state; weakrefs to each, by name."""
     search = _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
@@ -52,6 +59,8 @@ def warm(network, costs):
         "landmarks": weakref.ref(LandmarkTable.shared(network, costs, k=2)),
         # ``_EdgeKernels`` is slotted (no weakrefs); its arrays live exactly as long.
         "kernels": weakref.ref(_kernels_for(network, search.combiner).probs),
+        # The heuristic's build left it; scipy matrices take no weakrefs.
+        "graph": weakref.ref(min_tick_graphs(network, costs)[0].data),
     }
 
 
@@ -132,7 +141,7 @@ class TestLifetime:
     def test_every_publication_drops_the_tables_derived_state(self, publication):
         network, costs = built_world()
         refs = warm(network, costs)
-        assert self._alive(refs) == ["heuristic", "kernels", "landmarks"]
+        assert self._alive(refs) == ["graph", "heuristic", "kernels", "landmarks"]
         dump = costs.to_dict()  # the same histograms under the same number
         if publication == "set_cost":
             costs.set_cost(0, DiscreteDistribution.point(7))
@@ -151,7 +160,7 @@ class TestLifetime:
         refs = warm(network, costs)
         csr = _csr_for(network)
         clear_heuristic_cache()
-        assert self._alive(refs) == ["kernels"]
+        assert self._alive(refs) == ["graph", "kernels"]
         assert _csr_for(network) is csr
 
     def test_topology_edit_drops_the_networks_derived_state(self):
@@ -170,6 +179,17 @@ class TestLifetime:
         fresh = OptimisticHeuristic.shared(network, costs, network.num_vertices - 2)
         assert len(fresh.bounds) == stale_size + 1
         assert self._alive(table_refs) == []
+
+    def test_add_edge_strands_the_min_tick_graph(self):
+        network, costs = built_world()
+        refs = warm(network, costs)
+        far = network.num_vertices - 1
+        before = min_tick_bounds(network, costs, far)[0]
+        shortcut = network.add_edge(0, far, length=1.0)  # free flow: one tick
+        assert costs.min_ticks(shortcut) == 1 < before
+        # The table cannot see the edit; the next ask does, and rebuilds.
+        assert min_tick_bounds(network, costs, far)[0] == 1.0
+        assert self._alive(refs) == []
 
     def test_a_foreign_network_gets_blocks_built_for_itself(self):
         network, costs = built_world()
