@@ -64,10 +64,6 @@ class DependenceClassifier:
         self._fitted = False
         self._constant_label: int | None = None
 
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted
-
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "DependenceClassifier":
         """Train from feature rows and 0/1 labels (1 = use estimation).
 
@@ -103,9 +99,20 @@ class DependenceClassifier:
 
     def should_estimate(self, features: np.ndarray) -> bool:
         """Decision for a single combination."""
-        return bool(
-            self.estimation_probability(features)[0] >= self.config.threshold
-        )
+        return bool(self.decide_rows(features)[0])
+
+    def decide_rows(self, features: np.ndarray) -> np.ndarray:
+        """Decisions for a Hybrid Model block: row ``i``'s probability is bit
+        for bit the one-row call's, whatever else is in the block."""
+        if not self._fitted:
+            raise RuntimeError("DependenceClassifier is not fitted")
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        if self._constant_label is not None:
+            probs = np.full(features.shape[0], float(self._constant_label))
+        else:
+            scaled = self._scaler.transform(features)
+            probs = self._model.predict_proba_rows(scaled)[:, USE_ESTIMATION]
+        return probs >= self.config.threshold
 
     def decide_batch(self, features: np.ndarray) -> np.ndarray:
         """Vectorised decisions (bool array) for a feature batch."""

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..histograms import DiscreteDistribution, delay_profile, from_delay_profile
+from ..histograms import DiscreteDistribution, from_delay_profile
 from ..ml import MlpConfig, MlpDistributionRegressor, StandardScaler
 
 
@@ -57,10 +57,6 @@ class DistributionEstimator:
         self._scaler = StandardScaler()
         self._mlp = MlpDistributionRegressor(self.config.mlp)
         self._fitted = False
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._fitted
 
     # ------------------------------------------------------------------
     # Target construction
@@ -126,30 +122,28 @@ class DistributionEstimator:
         edge_cost: DiscreteDistribution,
     ) -> DiscreteDistribution:
         """Predicted combined cost distribution, re-anchored at the optimistic
-        minimum of the combination.
-
-        Each predicted bin's mass is spread uniformly over the ``width``
-        ticks it covers, so wide-bin predictions stay smooth instead of
-        spiking at bin boundaries.
+        minimum of the combination: the one-row :meth:`predict_distributions`.
         """
-        profile = self.predict_profiles(np.atleast_2d(features))[0]
-        anchor = pre.min_value + edge_cost.min_value
-        width = self.bin_width(pre, edge_cost)
-        if width == 1:
-            return from_delay_profile(profile, anchor)
-        expanded = np.repeat(profile / width, width)
-        return from_delay_profile(expanded, anchor)
+        return self.predict_distributions(features, pre, [edge_cost])[0]
 
-    # ------------------------------------------------------------------
-    # Reference combiner
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def convolution_profile(
+    def predict_distributions(
+        self,
+        features: np.ndarray,
         pre: DiscreteDistribution,
-        edge_cost: DiscreteDistribution,
-        *,
-        num_bins: int,
-    ) -> np.ndarray:
-        """The independence baseline expressed in the same bin space."""
-        return delay_profile(pre.convolve(edge_cost), num_bins=num_bins)
+        edge_costs: list[DiscreteDistribution],
+    ) -> list[DiscreteDistribution]:
+        """Predicted cost of ``pre`` then each edge, one feature row per edge,
+        from one MLP pass whose rows are bit for bit one-row passes.  Each
+        bin's mass is spread uniformly over the ``width`` ticks it covers, so
+        wide-bin predictions stay smooth instead of spiking at boundaries.
+        """
+        if not self._fitted:
+            raise RuntimeError("DistributionEstimator is not fitted")
+        out = []
+        profiles = self._mlp.predict_rows(self._scaler.transform(features))
+        for profile, edge_cost in zip(profiles, edge_costs):
+            width = self.bin_width(pre, edge_cost)
+            if width > 1:
+                profile = np.repeat(profile / width, width)
+            out.append(from_delay_profile(profile, pre.min_value + edge_cost.min_value))
+        return out

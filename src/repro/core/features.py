@@ -16,7 +16,8 @@ feature vector describing:
 
 The same extractor serves training pairs (pre-path = first edge) and routing
 (pre-path = the accumulated virtual edge), which is exactly what makes the
-paper's virtual-edge trick work.
+paper's virtual-edge trick work.  A vector is two halves, the pre-path's and
+the edge's; the Hybrid Model builds the second once per published cost cell.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class PairFeatureExtractor:
     ) -> None:
         self.network = network
         self.config = config or FeatureConfig()
-        self._stats = intersection_stats or {}
+        self.set_intersection_stats(intersection_stats or {})
 
     @property
     def num_features(self) -> int:
@@ -79,8 +80,10 @@ class PairFeatureExtractor:
         return 5 + 2 * self.config.profile_bins + 5 + len(_CATEGORIES) + 4
 
     def set_intersection_stats(self, stats: dict[int, IntersectionStats]) -> None:
-        """Install historical dependence evidence (training-time product)."""
+        """Install historical dependence evidence (training-time product) and
+        a new :attr:`token`, the key of the Hybrid Model's edge-row store."""
         self._stats = stats
+        self.token = object()  # after the stats: whoever sees it reads them
 
     def intersection_stats(self, vertex_id: int) -> IntersectionStats:
         """Stats for one intersection; zeros when never observed."""
@@ -100,6 +103,10 @@ class PairFeatureExtractor:
         may not peek at ground truth, so the caller passes whatever cost
         table routing itself uses).
         """
+        return np.concatenate([self.pre_features(pre), self.edge_features(edge, edge_cost)])
+
+    def pre_features(self, pre: DiscreteDistribution) -> np.ndarray:
+        """The leading half of :meth:`extract`: the pre-path's summary and shape."""
         pre_profile, pre_width = shape_profile(pre, num_bins=self.config.profile_bins)
         pre_summary = [
             pre.mean() - pre.min_value,
@@ -108,7 +115,10 @@ class PairFeatureExtractor:
             pre.entropy(),
             float(pre_width),
         ]
+        return np.concatenate([np.asarray(pre_summary, dtype=np.float64), pre_profile])
 
+    def edge_features(self, edge: Edge, edge_cost: DiscreteDistribution) -> np.ndarray:
+        """The trailing half of :meth:`extract`: edge, category and intersection."""
         edge_profile, edge_width = shape_profile(
             edge_cost, num_bins=self.config.profile_bins
         )
@@ -131,8 +141,6 @@ class PairFeatureExtractor:
         ]
         return np.concatenate(
             [
-                np.asarray(pre_summary, dtype=np.float64),
-                pre_profile,
                 np.asarray(edge_numeric, dtype=np.float64),
                 edge_profile,
                 category,

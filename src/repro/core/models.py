@@ -3,7 +3,9 @@
 A *cost combiner* answers two questions for path-cost computation:
 
 * ``edge_cost(edge)`` — the cost distribution of a path's first edge,
-* ``combine(pre, edge)`` — the cost distribution of "pre-path then edge".
+* ``combine(pre, edge)`` — the cost distribution of "pre-path then edge",
+  and ``combine_edges(pre, edges)`` — the same for a label's whole out-edge
+  block at once, which is how the search asks.
 
 :class:`ConvolutionModel` is the classical independence baseline;
 :class:`EstimationModel` always trusts the learned estimator; and
@@ -14,8 +16,14 @@ classifier arbitrate per intersection crossing.
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass
+from functools import partial
+from typing import ClassVar, Sequence
 
+import numpy as np
+
+from ..derived import Memo
 from ..histograms import DiscreteDistribution
 from ..network import Edge
 from .classifier import DependenceClassifier
@@ -65,6 +73,13 @@ class CostCombiner(abc.ABC):
     ) -> DiscreteDistribution:
         """Cost distribution of traversing ``pre``-path then ``edge``."""
 
+    def combine_edges(
+        self, pre: DiscreteDistribution, edges: Sequence[Edge]
+    ) -> list[DiscreteDistribution]:
+        """``combine(pre, edge)`` for each of ``edges``, in order: the search
+        asks once per expanded label, so a learned combiner can batch."""
+        return [self.combine(pre, edge) for edge in edges]
+
 
 class ConvolutionModel(CostCombiner):
     """The classical baseline: every intersection treated as independent."""
@@ -78,10 +93,17 @@ class ConvolutionModel(CostCombiner):
 
 @dataclass
 class HybridStats:
-    """Counts of combiner decisions during a computation (observability)."""
+    """Counts of combiner decisions during a computation (observability);
+    each block's counts land as one update under the class's lock."""
 
+    _lock: ClassVar[threading.Lock] = threading.Lock()
     convolutions: int = 0
     estimations: int = 0
+
+    def add(self, convolutions: int, estimations: int) -> None:
+        with self._lock:
+            self.convolutions += convolutions
+            self.estimations += estimations
 
     @property
     def total(self) -> int:
@@ -94,27 +116,9 @@ class HybridStats:
         return self.estimations / self.total
 
     def reset(self) -> None:
-        self.convolutions = 0
-        self.estimations = 0
-
-
-class EstimationModel(CostCombiner):
-    """Always use the learned estimator (ablation / upper-trust variant)."""
-
-    def __init__(
-        self,
-        costs: EdgeCostTable,
-        estimator: DistributionEstimator,
-        features: PairFeatureExtractor,
-    ) -> None:
-        super().__init__(costs)
-        self.estimator = estimator
-        self.features = features
-
-    def combine(self, pre: DiscreteDistribution, edge: Edge) -> DiscreteDistribution:
-        edge_cost = self.edge_cost(edge)
-        vector = self.features.extract(pre, edge, edge_cost)
-        return self.estimator.predict_distribution(vector, pre, edge_cost)
+        with self._lock:
+            self.convolutions = 0
+            self.estimations = 0
 
 
 class HybridModel(CostCombiner):
@@ -124,6 +128,12 @@ class HybridModel(CostCombiner):
     (pre-path, next-edge) features; convolution is used when the intersection
     looks independent, the estimation model otherwise.  Decision counts are
     recorded in :attr:`stats`.
+
+    :meth:`combine_edges` answers a label's out-edges as one block (see
+    PERFORMANCE.md "Hybrid expansion blocks"); ``combine`` is its one-edge
+    case.  Each edge's half of the feature rows is built once per published
+    cost cell, in a store on the table's holder keyed on the extractor's
+    ``token``.
     """
 
     def __init__(
@@ -140,10 +150,47 @@ class HybridModel(CostCombiner):
         self.stats = HybridStats()
 
     def combine(self, pre: DiscreteDistribution, edge: Edge) -> DiscreteDistribution:
-        edge_cost = self.edge_cost(edge)
-        vector = self.features.extract(pre, edge, edge_cost)
-        if self.classifier.should_estimate(vector):
-            self.stats.estimations += 1
-            return self.estimator.predict_distribution(vector, pre, edge_cost)
-        self.stats.convolutions += 1
-        return pre.convolve(edge_cost)
+        return self.combine_edges(pre, (edge,))[0]
+
+    def combine_edges(
+        self, pre: DiscreteDistribution, edges: Sequence[Edge]
+    ) -> list[DiscreteDistribution]:
+        if not edges:
+            return []
+        extractor = self.features
+        store = self.costs.derived(extractor.network).get(("edge_rows", extractor.token), Memo)
+        costs = [self.edge_cost(edge) for edge in edges]
+        rows = [
+            store.get(edge.id, partial(extractor.edge_features, edge, cost))
+            for edge, cost in zip(edges, costs)
+        ]
+        head = extractor.pre_features(pre)
+        matrix = np.empty((len(rows), extractor.num_features))
+        matrix[:, : head.size] = head
+        matrix[:, head.size :] = rows
+        estimate = self.classifier.decide_rows(matrix).tolist()
+        picked = [i for i, chosen in enumerate(estimate) if chosen]
+        estimated = iter(
+            self.estimator.predict_distributions(matrix[picked], pre, [costs[i] for i in picked])
+            if picked
+            else ()
+        )
+        self.stats.add(len(edges) - len(picked), len(picked))
+        return [
+            next(estimated) if chosen else pre.convolve(cost)
+            for chosen, cost in zip(estimate, costs)
+        ]
+
+
+class EstimationModel(HybridModel):
+    """Always use the learned estimator (ablation / upper-trust variant): the
+    Hybrid Model under a classifier that always answers "estimate"."""
+
+    def __init__(
+        self,
+        costs: EdgeCostTable,
+        estimator: DistributionEstimator,
+        features: PairFeatureExtractor,
+    ) -> None:
+        always = DependenceClassifier().fit(np.zeros((1, 1)), np.ones(1, dtype=np.int64))
+        super().__init__(costs, estimator, always, features)

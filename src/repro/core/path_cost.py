@@ -66,7 +66,3 @@ class PathCostComputer:
                 )
             current = self._clip(self.combiner.combine(current, edge))
             yield current
-
-    def probability_within(self, path: Sequence[Edge], budget_ticks: int) -> float:
-        """``P(path cost <= budget)`` under this combiner's model."""
-        return self.cost(path).prob_within(budget_ticks)

@@ -238,6 +238,15 @@ class MlpDistributionRegressor(_MlpBase, Regressor):
         assert self.network is not None
         return softmax(self.network.predict_logits(check_2d(X)))
 
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict` with each row passed as its own ``(1, d)`` matrix:
+        numpy loops the one-row BLAS call, so row ``i`` is bit for bit the
+        one-row call's (``X @ W`` on a block may pick a kernel that rounds
+        otherwise)."""
+        check_fitted(self)
+        assert self.network is not None
+        return softmax(self.network.predict_logits(check_2d(X)[:, None, :])[:, 0])
+
 
 class MlpClassifier(_MlpBase, Classifier):
     """Softmax MLP classifier over integer class labels."""

@@ -66,11 +66,11 @@ __all__ = ["PruningConfig"]
 
 #: Anytime deadline granularity: inside a single expansion the wall clock is
 #: re-checked every this-many *generated* labels.  Checking only per heap pop
-#: let one high-out-degree vertex (or one expensive convolution batch) blow
-#: ``time_limit_seconds`` by a whole expansion; checking every label would
-#: put a ``perf_counter`` call on the admission fast path.  At 256 the worst
-#: overrun is bounded by 256 admissions (~tens of microseconds), far below
-#: any serving deadline.
+#: let one high-out-degree vertex blow ``time_limit_seconds`` by a whole
+#: expansion's admissions; checking every label would put a ``perf_counter``
+#: call on the admission fast path.  An expansion's combines run as one block
+#: before its admissions, so the worst overrun is 256 admissions (~tens of
+#: microseconds) plus one expansion block, far below any serving deadline.
 _DEADLINE_CHECK_INTERVAL = 256
 
 
@@ -464,7 +464,7 @@ class _BudgetSearch:
             consider(_Label(edge.target, dist, edge, None))
 
         out_edges = self.network.out_edges
-        combine = self.combiner.combine
+        combine_edges = self.combiner.combine_edges
         while heap:
             if expired or (
                 deadline is not None and time.perf_counter() > deadline
@@ -494,12 +494,13 @@ class _BudgetSearch:
             while node is not None:
                 path_vertices.add(node.vertex)
                 node = node.parent
-            for edge in out_edges(label.vertex):
+            # One combiner call per expansion: learned combiners share one
+            # feature matrix and one model pass across the block.
+            edges = [e for e in out_edges(label.vertex) if e.target not in path_vertices]
+            for edge, combined in zip(edges, combine_edges(label.distribution, edges)):
                 if expired:
                     break
-                if edge.target in path_vertices:
-                    continue
-                combined = self._clip(combine(label.distribution, edge), clip_budget)
+                combined = self._clip(combined, clip_budget)
                 consider(_Label(edge.target, combined, edge, label))
 
         stats.completed = not expired

@@ -179,6 +179,11 @@ class TestEstimator:
         ec = DiscreteDistribution.point(3)
         dist = est.predict_distribution(np.zeros(3), pre, ec)
         assert dist.min_value >= 10  # anchored at pre.min + edge.min
+        # The block form anchors each row at its own edge's minimum.
+        far = DiscreteDistribution.point(30)
+        block = est.predict_distributions(np.zeros((2, 3)), pre, [ec, far])
+        assert block[0] == dist
+        assert block[1].min_value >= 37
 
     def test_wide_bins_spread_uniformly(self):
         est = DistributionEstimator(
@@ -197,6 +202,8 @@ class TestEstimator:
         est = DistributionEstimator()
         with pytest.raises(RuntimeError):
             est.predict_profiles(np.zeros((1, 3)))
+        with pytest.raises(RuntimeError):
+            est.predict_distributions(np.zeros((1, 3)), DiscreteDistribution.point(1), [])
 
     def test_wrong_target_width(self):
         est = DistributionEstimator(EstimatorConfig(num_bins=8))
@@ -225,8 +232,10 @@ class TestClassifier:
         X = np.zeros((10, 2))
         clf = DependenceClassifier().fit(X, np.ones(10, dtype=int))
         assert clf.should_estimate(np.zeros(2))
+        assert clf.decide_rows(np.zeros((3, 2))).tolist() == [True] * 3
         clf0 = DependenceClassifier().fit(X, np.zeros(10, dtype=int))
         assert not clf0.should_estimate(np.zeros(2))
+        assert clf0.decide_rows(np.zeros((3, 2))).tolist() == [False] * 3
 
     def test_threshold_shifts_decisions(self):
         X, y = self._features()
@@ -246,6 +255,8 @@ class TestClassifier:
     def test_unfitted(self):
         with pytest.raises(RuntimeError):
             DependenceClassifier().should_estimate(np.zeros(2))
+        with pytest.raises(RuntimeError):
+            DependenceClassifier().decide_rows(np.zeros((2, 2)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 """Integration tests: the full pipeline from corpus to routed answer.
 
-A single module-scoped world (network + traffic + corpus + trained hybrid)
-is shared across the tests to keep the suite fast while still exercising
-every cross-module seam the experiments rely on.
+A single world (network + traffic + corpus + trained hybrid, the session's
+``trained_world`` in ``tests/conftest.py``) is shared across the tests to
+keep the suite fast while still exercising every cross-module seam the
+experiments rely on.
 """
 
 import numpy as np
@@ -18,36 +19,13 @@ from repro.core import (
 from repro.core.estimator import EstimatorConfig
 from repro.histograms import kl_divergence
 from repro.ml import MlpConfig
-from repro.network import grid_network
 from repro.routing import RoutingEngine, RoutingQuery
-from repro.trajectories import (
-    STRUCTURED_CONFIG,
-    CongestionModel,
-    TrajectoryStore,
-    TripGenerator,
-)
+from repro.trajectories import TrajectoryStore
 
 
 @pytest.fixture(scope="module")
-def world():
-    network = grid_network(7, 7, spacing=250.0, seed=5)
-    traffic = CongestionModel(network, STRUCTURED_CONFIG, seed=6)
-    store = TrajectoryStore()
-    store.add_all(TripGenerator(network, traffic, seed=7).generate(8000))
-    config = TrainingConfig(
-        num_train_pairs=300,
-        num_test_pairs=70,
-        min_pair_samples=40,
-        num_virtual_examples=400,
-        virtual_max_prepath=16,
-        refinement_rounds=2,
-        estimator=EstimatorConfig(
-            num_bins=32, mlp=MlpConfig(hidden_sizes=(64, 64), max_epochs=80, seed=0)
-        ),
-        seed=0,
-    )
-    trained = train_hybrid(network, store, config, traffic_model=traffic)
-    return network, traffic, store, trained
+def world(trained_world):
+    return trained_world
 
 
 class TestTrainingPipeline:

@@ -9,13 +9,26 @@ derived from the previous one stays reachable from the owner.
 import gc
 import pickle
 import threading
+import time
 import weakref
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from repro.core import ConvolutionModel, EdgeCostTable
+from repro.core import (
+    ConvolutionModel,
+    DependenceClassifier,
+    DistributionEstimator,
+    EdgeCostTable,
+    EstimatorConfig,
+    HybridModel,
+    IntersectionStats,
+    PairFeatureExtractor,
+)
 from repro.derived import Memo, clear_bounded
 from repro.histograms import DiscreteDistribution
+from repro.ml import MlpConfig
 from repro.network import grid_network
 from repro.routing import OptimisticHeuristic, RoutingQuery
 from repro.routing.budget import _BudgetSearch
@@ -49,12 +62,35 @@ def min_tick_graphs(network, costs):
     )
 
 
+def learned(network, costs):
+    """A Hybrid Model with untrained-but-fitted parts (both decisions occur)."""
+    extractor = PairFeatureExtractor(network)
+    width = extractor.num_features
+    estimator = DistributionEstimator(
+        EstimatorConfig(num_bins=4, mlp=MlpConfig(hidden_sizes=(4,), max_epochs=2))
+    )
+    estimator.fit(np.zeros((10, width)), np.full((10, 4), 0.25))
+    rows = np.random.default_rng(0).normal(size=(8, width))
+    classifier = DependenceClassifier().fit(rows, (rows[:, 0] > 0).astype(int))
+    return HybridModel(costs, estimator, classifier, extractor)
+
+
+def edge_rows(network, hybrid):
+    """The resident edge-row store of ``hybrid``'s extractor; asking must not build one."""
+    return hybrid.costs.derived(network).get(
+        ("edge_rows", hybrid.features.token), lambda: pytest.fail("no edge-row store")
+    )
+
+
 def warm(network, costs):
     """Build every kind of table-derived state; weakrefs to each, by name."""
     search = _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
     target = network.num_vertices - 1
     assert search.route(RoutingQuery(0, target, 60)).found
+    hybrid = learned(network, costs)
+    assert len(hybrid.combine_edges(costs.cost(network.edges[0]), network.out_edges(1))) > 0
     return {
+        "edge_rows": weakref.ref(edge_rows(network, hybrid)),
         "heuristic": weakref.ref(OptimisticHeuristic.shared(network, costs, target)),
         "landmarks": weakref.ref(LandmarkTable.shared(network, costs, k=2)),
         # ``_EdgeKernels`` is slotted (no weakrefs); its arrays live exactly as long.
@@ -141,7 +177,7 @@ class TestLifetime:
     def test_every_publication_drops_the_tables_derived_state(self, publication):
         network, costs = built_world()
         refs = warm(network, costs)
-        assert self._alive(refs) == ["graph", "heuristic", "kernels", "landmarks"]
+        assert self._alive(refs) == ["edge_rows", "graph", "heuristic", "kernels", "landmarks"]
         dump = costs.to_dict()  # the same histograms under the same number
         if publication == "set_cost":
             costs.set_cost(0, DiscreteDistribution.point(7))
@@ -160,7 +196,7 @@ class TestLifetime:
         refs = warm(network, costs)
         csr = _csr_for(network)
         clear_heuristic_cache()
-        assert self._alive(refs) == ["graph", "kernels"]
+        assert self._alive(refs) == ["edge_rows", "graph", "kernels"]
         assert _csr_for(network) is csr
 
     def test_topology_edit_drops_the_networks_derived_state(self):
@@ -198,6 +234,61 @@ class TestLifetime:
         foreign = _kernels_for(bigger, ConvolutionModel(costs))
         assert len(own.offsets) == network.num_edges
         assert len(foreign.offsets) == bigger.num_edges
+
+
+class TestEdgeRowStore:
+    """The learned combiners' per-edge feature halves: built once per
+    published cell and per extractor state, on the table's holder."""
+
+    def test_racing_threads_build_each_row_once(self):
+        network, costs = built_world()
+        hybrid = learned(network, costs)
+        builds, build = Counter(), hybrid.features.edge_features
+
+        def slow_build(edge, cost):
+            builds[edge.id] += 1
+            time.sleep(0.002)  # every racer arrives while the first builds
+            return build(edge, cost)
+
+        hybrid.features.edge_features = slow_build
+        edges, pre = network.edges[:12], costs.cost(network.edges[0])
+        barrier = threading.Barrier(4)
+
+        def race():
+            barrier.wait()
+            return hybrid.combine_edges(pre, edges)
+
+        racers = [threading.Thread(target=race, daemon=True) for _ in range(4)]
+        for racer in racers:
+            racer.start()
+        for racer in racers:
+            racer.join(10.0)
+            assert not racer.is_alive(), "deadlock: a racer never returned"
+        assert builds == {edge.id: 1 for edge in edges}
+
+    def test_new_intersection_stats_are_never_served_from_old_rows(self):
+        network, costs = built_world()
+        hybrid = learned(network, costs)
+        vertex = 7
+        edges, pre = network.out_edges(vertex), costs.cost(network.in_edges(vertex)[0])
+
+        def fresh():
+            return np.vstack([hybrid.features.edge_features(e, costs.cost(e)) for e in edges])
+
+        def served():
+            """Combine the block, then read back the rows it was served from."""
+            hybrid.combine_edges(pre, edges)
+            store = edge_rows(network, hybrid)
+            return np.vstack([store.get(e.id, lambda: pytest.fail("not built")) for e in edges])
+
+        before = fresh()
+        assert np.array_equal(served(), before)
+        old = edge_rows(network, hybrid)
+        hybrid.features.set_intersection_stats({vertex: IntersectionStats(0.9, 4, 300)})
+        after = fresh()
+        assert not np.array_equal(after, before)
+        assert np.array_equal(served(), after)
+        assert edge_rows(network, hybrid) is not old
 
 
 class TestOwnersPickleWithoutDerivedState:
