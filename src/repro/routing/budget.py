@@ -24,12 +24,14 @@ wall clock expires the search stops and returns the pivot path (the paper's
 
 One loop, two pivot policies
 ----------------------------
-:meth:`_BudgetSearch._run` is the only search loop.  ``route``,
+:meth:`_BudgetSearch._run` is the only scalar search loop.  ``route``,
 ``route_multi_budget`` and ``route_kbest`` differ solely in pruning (b) —
 what "cannot beat the pivot" means — so each hands the loop a small policy
 object (:class:`_BudgetVectorPivots`, of which scalar PBR is the one-element
 case, or :class:`_KBestPivots`) and assembles its result type from what the
-policy collected.
+policy collected.  Budget vectors (``route`` included) run on the columnar
+core of :mod:`repro.routing.columnar` instead when the search's backend
+picks it; ``route_kbest`` always runs here.
 
 Hot-path design (see PERFORMANCE.md)
 ------------------------------------
@@ -284,7 +286,8 @@ class _BudgetSearch:
         self.network = network
         self.combiner = combiner
         self.pruning = pruning or PruningConfig()
-        #: Search-core selection for single-budget ``route`` queries.
+        #: Search-core selection for ``route`` and ``route_multi_budget``
+        #: (``kbest`` always runs the scalar loop).
         #: ``"scalar"`` is the label-at-a-time reference core; ``"columnar"``
         #: forces the generation-at-a-time numpy core (raises when the
         #: combiner cannot support it); ``"auto"`` picks columnar only on
@@ -331,7 +334,8 @@ class _BudgetSearch:
         return dist.truncate(max_support)
 
     def _columnar_applicable(self, query: RoutingQuery) -> bool:
-        """Whether this ``route`` query should run on the columnar core.
+        """Whether this budget-vector query (``query.budget`` is the vector's
+        maximum) should run on the columnar core.
 
         The columnar core needs a combiner whose ``combine`` is a plain
         convolution (``vectorized_convolution``), a bounded budget window for
@@ -532,6 +536,40 @@ class _BudgetSearch:
 
         return tuple(path), PathCostComputer(self.combiner).cost(path)
 
+    def _budget_vector(
+        self,
+        query: RoutingQuery,
+        budgets: tuple[int, ...],
+        time_limit_seconds: float | None,
+        heuristic: OptimisticHeuristic | None,
+    ) -> tuple[SearchStats, tuple[RoutingResult, ...]]:
+        """One search over an ascending budget vector, on either core.
+
+        Returns the search's stats and one result per budget; member
+        results carry empty stats.
+        """
+        if self._columnar_applicable(query):
+            from .columnar import columnar_route
+
+            return columnar_route(
+                self,
+                query,
+                budgets,
+                time_limit_seconds=time_limit_seconds,
+                heuristic=heuristic,
+            )
+        policy = _BudgetVectorPivots(budgets)
+        stats, fallback = self._run(query, policy, time_limit_seconds, heuristic)
+        return stats, tuple(
+            _answer(
+                query if b == query.budget else RoutingQuery(query.source, query.target, b),
+                label,
+                p,
+                fallback,
+            )
+            for b, label, p in zip(budgets, policy.best, policy.pivots)
+        )
+
     # ------------------------------------------------------------------
     # Public searches: a pivot policy plus result assembly
     # ------------------------------------------------------------------
@@ -560,18 +598,9 @@ class _BudgetSearch:
         (same probabilities to 2e-12; routes identical up to
         equal-probability ties).
         """
-        if self._columnar_applicable(query):
-            from .columnar import columnar_route
-
-            return columnar_route(
-                self,
-                query,
-                time_limit_seconds=time_limit_seconds,
-                heuristic=heuristic,
-            )
-        policy = _BudgetVectorPivots((query.budget,))
-        stats, fallback = self._run(query, policy, time_limit_seconds, heuristic)
-        result = _answer(query, policy.best[0], policy.pivots[0], fallback)
+        stats, (result,) = self._budget_vector(
+            query, (query.budget,), time_limit_seconds, heuristic
+        )
         return replace(result, stats=stats)
 
     def route_multi_budget(
@@ -591,7 +620,10 @@ class _BudgetSearch:
         can still improve the answer of *some* budget.  Per-budget answers
         match independent :meth:`route` runs (identical probabilities; routes
         identical up to equal-probability ties, which the two exploration
-        orders may break differently).
+        orders may break differently).  The vector runs on whichever core
+        :meth:`route` would pick for ``query`` (:meth:`route` *is* the
+        one-element vector); the columnar core agrees with the scalar loop
+        per budget to 2e-12.
 
         ``budgets`` must be ascending, unique, with ``budgets[-1] ==
         query.budget`` (the engine's ``route_multi_budget`` helper constructs
@@ -604,11 +636,8 @@ class _BudgetSearch:
             raise ValueError("budgets must be non-empty and strictly ascending")
         if budgets[-1] != query.budget:
             raise ValueError("query.budget must equal max(budgets)")
-        policy = _BudgetVectorPivots(budgets)
-        stats, fallback = self._run(query, policy, time_limit_seconds, heuristic)
-        results = tuple(
-            _answer(RoutingQuery(query.source, query.target, b), label, p, fallback)
-            for b, label, p in zip(budgets, policy.best, policy.pivots)
+        stats, results = self._budget_vector(
+            query, budgets, time_limit_seconds, heuristic
         )
         return MultiBudgetResult(
             query=query, budgets=budgets, results=results, stats=stats

@@ -2,22 +2,27 @@
 
 The scalar core in :mod:`repro.routing.budget` pops one label at a time from
 a best-first heap; every convolution, CDF read and dominance check is a
-separate Python call.  This module answers the same single-budget ``route``
-query by expanding **whole frontier generations at once**:
+separate Python call.  This module answers the same queries over an
+ascending budget vector — ``route_multi_budget`` and ``depart_when``, with
+single-budget ``route`` as the one-element vector, exactly as the scalar loop
+treats it — by expanding **whole frontier generations at once**:
 
 * every label is a dense pmf row on the absolute tick grid ``[0, W)`` with
-  ``W = budget + 2`` — the window *is* the scalar core's ``_clip`` (head
-  ticks exact, all mass at or beyond ``budget + 1`` folded into the last
-  cell);
+  ``W = max(budgets) + 2`` — the window *is* the scalar core's ``_clip`` at
+  ``clip_budget`` (head ticks exact, all mass at or beyond ``max(budgets) +
+  1`` folded into the last cell), so every smaller budget's CDF read is
+  untouched;
 * a generation's children are produced by one batched shift-convolution of
   the parent block against the per-edge kernel block
   (:func:`repro.histograms.operations.batched_window_convolve`), chunked to
   bound peak memory;
-* bound/pivot screening is a matrix CDF read; stochastic dominance against
-  resident frontier rows is a matrix comparison
+* bound/pivot screening is a matrix CDF read, one column per budget: a label
+  survives while some budget's bound is positive and beats that budget's
+  pivot (``_BudgetVectorPivots.prunable``, vectorised); stochastic dominance
+  against resident frontier rows is a matrix comparison
   (:func:`repro.histograms.dominance.cdf_dominance_matrix`) that replicates
   :class:`~repro.histograms.ParetoFrontier.add` semantics sequentially per
-  vertex group;
+  vertex group — budget-independent, so shared by the whole vector;
 * labels live in an arena of parallel numpy arrays (vertex, parent index,
   edge id) instead of Python ``_Label`` chains — only the current
   generation's pmf rows are kept;
@@ -29,10 +34,12 @@ query by expanding **whole frontier generations at once**:
   cost-table version and shared across **all** targets.
 
 Because every pruning it applies is sound and it runs to exhaustion, the
-columnar core returns the same maximal probability as the scalar core (to
-float accumulation order, < 2e-12) and the same route up to
+columnar core returns the same maximal probability per budget as the scalar
+core (to float accumulation order, < 2e-12) and the same route up to
 equal-probability ties; `tests/routing/test_columnar_parity.py` locks this
-over random worlds for every pruning combination.
+over random worlds for every pruning combination.  ``kbest`` stays on the
+scalar loop: its antichain needs unclipped dominance, and a window row is
+clipped by construction.
 
 The generation order differs from the scalar core's best-first order in one
 beneficial way: a generation's target arrivals raise the pivot *before* its
@@ -354,15 +361,20 @@ def _admit_group(
 def columnar_route(
     search,
     query: RoutingQuery,
+    budgets: tuple[int, ...],
     *,
     time_limit_seconds: float | None = None,
     heuristic: OptimisticHeuristic | None = None,
-) -> RoutingResult:
-    """Answer one ``route`` query with the generation-at-a-time core.
+) -> tuple[SearchStats, tuple[RoutingResult, ...]]:
+    """Answer one query over an ascending budget vector, generation at a time.
 
+    ``budgets[-1] == query.budget``; single-budget ``route`` is the
+    one-element vector.  Returns the one search's stats and one result per
+    budget — its own arrival chain, its own dive path, or the shared
+    fallback route — with empty member stats, as the scalar loop's are.
     ``search`` is the owning :class:`~repro.routing.budget._BudgetSearch`;
     dispatch (combiner capability, backend selection, window bounds) already
-    happened in ``_BudgetSearch.route``.
+    happened there.
     """
     start_time = time.perf_counter()
     stats = SearchStats()
@@ -371,6 +383,11 @@ def columnar_route(
     pruning = search.pruning
     budget = query.budget
     width = budget + 2
+    budget_cols = np.asarray(budgets, dtype=np.int64)
+    member_queries = [
+        query if b == budget else RoutingQuery(query.source, query.target, b)
+        for b in budgets
+    ]
 
     csr = _csr_for(network)
     kernels = _kernels_for(network, combiner)
@@ -396,7 +413,7 @@ def columnar_route(
         # Dijkstra; landmarks: a triangle-inequality unreachability proof).
         stats.completed = True
         stats.runtime_seconds = time.perf_counter() - start_time
-        return RoutingResult(query, (), None, 0.0, stats)
+        return stats, tuple(RoutingResult(m, (), None, 0.0) for m in member_queries)
 
     use_heuristic = pruning.use_heuristic
     use_pivot = pruning.use_pivot
@@ -413,11 +430,22 @@ def columnar_route(
     arena = _LabelArena()
     store = _FrontierStore(width) if use_dominance else None
 
-    pivot_probability = -1.0
-    pivot_parent = -1
-    pivot_edge = -1
-    pivot_row: np.ndarray | None = None
+    #: Best complete probability per budget (-1 = none yet), and what
+    #: achieved it: an arrival ``(parent id, edge id, row)`` or a dive
+    #: ``(label id, vertex, None)`` — the label's chain plus the descent.
+    pivots = [-1.0] * len(budgets)
+    answers: list[tuple | None] = [None] * len(budgets)
     pivot_pruned_in_gen = False
+
+    def beats_pivots(label_bounds: np.ndarray) -> np.ndarray:
+        """Labels with some budget whose positive bound beats its pivot —
+        ``_BudgetVectorPivots.prunable``, negated and vectorised, largest
+        budget first (one column-wise pass per budget; the one-element
+        vector pays no reduction)."""
+        beats = label_bounds[:, -1] > max(pivots[-1], 0.0)
+        for i in range(len(pivots) - 1):
+            beats |= label_bounds[:, i] > max(pivots[i], 0.0)
+        return beats
 
     # ------------------------------------------------------------------
     # Incumbent seeding and diving (branch and bound).  The scalar
@@ -434,8 +462,9 @@ def columnar_route(
     #   optimistically-fastest route, screened against from generation 1;
     # * once per generation the best-bound label is *dived*: completed to
     #   the target along the descent and scored exactly via a dot product
-    #   with the memoised suffix tail, raising the incumbent toward the
-    #   optimum long before any arrival.
+    #   with the memoised suffix tail (one tail per budget, all cut from
+    #   the same suffix row), raising the incumbents toward the optimum
+    #   long before any arrival.
     #
     # Both are sound — the screen only ever discards labels that provably
     # cannot beat a real simple path (dives are rejected if the descent
@@ -452,10 +481,8 @@ def columnar_route(
     suffix_rows: dict[int, np.ndarray | None] = {target_i: target_row}
     #: v -> (edge id, next vertex) along the descent; filled with rows.
     suffix_next: dict[int, tuple[int, int]] = {}
-    #: v -> tail vector T with T[t] = P(suffix <= budget - t), or None.
-    suffix_tails: dict[int, np.ndarray | None] = {}
-    pivot_dive_parent = -1
-    pivot_dive_vertex = -1
+    #: v -> per-budget tails T with T[t] = P(suffix <= b - t), or None.
+    suffix_tails: dict[int, list[np.ndarray] | None] = {}
 
     def suffix_row_for(v: int) -> np.ndarray | None:
         """Window pmf of the descent suffix from ``v``, memoised."""
@@ -495,20 +522,30 @@ def columnar_route(
             suffix_next[u] = (e, w)
         return suffix_rows.get(v)
 
-    def tail_for(v: int) -> np.ndarray | None:
-        """T[t] = P(descent suffix from ``v`` <= budget - t), memoised."""
-        tail = suffix_tails.get(v, False)
-        if tail is not False:
-            return tail
+    def tails_for(v: int) -> list[np.ndarray] | None:
+        """Per budget b, T[t] = P(descent suffix from ``v`` <= b - t), memoised."""
+        tails = suffix_tails.get(v, False)
+        if tails is not False:
+            return tails
         row = suffix_row_for(v)
         if row is None:
             suffix_tails[v] = None
             return None
         head_cdf = np.cumsum(row[: width - 1])
-        tail = np.zeros(width)
-        tail[: budget + 1] = head_cdf[budget::-1]
-        suffix_tails[v] = tail
-        return tail
+        tails = []
+        for b in budgets:
+            tail = np.zeros(width)
+            tail[: b + 1] = head_cdf[b::-1]
+            tails.append(tail)
+        suffix_tails[v] = tails
+        return tails
+
+    def raise_pivots(scores: list[float], answer: tuple) -> None:
+        """Make ``answer`` the incumbent of every budget whose pivot it beats."""
+        for i, p in enumerate(scores):
+            if p > pivots[i]:
+                pivots[i] = p
+                answers[i] = answer
 
     def dive_is_simple(label_id: int, v: int) -> bool:
         """Does the descent from ``v`` avoid the label's prefix vertices?"""
@@ -528,12 +565,10 @@ def columnar_route(
         return True
 
     if dive_exact and source_i != target_i:
-        tail = tail_for(source_i)
-        if tail is not None:
-            # Seed: P(full descent path <= budget) — tail at zero elapsed.
-            pivot_probability = float(tail[0])
-            pivot_dive_parent = -1
-            pivot_dive_vertex = source_i
+        tails = tails_for(source_i)
+        if tails is not None:
+            # Seed: P(full descent path <= b) — each tail at zero elapsed.
+            raise_pivots([float(tail[0]) for tail in tails], (-1, source_i, None))
 
     def process_candidates(
         rows: np.ndarray,
@@ -542,14 +577,13 @@ def columnar_route(
         edges: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Screen one candidate block; returns admitted (rows, vertices,
-        ids, bounds).
+        ids, per-budget bounds).
 
         Mirrors the scalar ``consider`` pruning order — unreachable, bound,
-        pivot, dominance — with target arrivals folded into the pivot before
-        interior labels are screened against it.
+        pivot, dominance — with target arrivals folded into the pivots
+        before interior labels are screened against them.
         """
-        nonlocal pivot_probability, pivot_parent, pivot_edge, pivot_row
-        nonlocal pivot_pruned_in_gen, pivot_dive_parent, pivot_dive_vertex
+        nonlocal pivot_pruned_in_gen
         n = rows.shape[0]
         stats.labels_generated += n
         cdf = np.cumsum(rows, axis=1)
@@ -558,42 +592,44 @@ def columnar_route(
             unreachable = ~reachable[vertices]
             stats.pruned_unreachable += int(unreachable.sum())
             alive &= ~unreachable
-            if use_cost_shifting:
-                bound_col = budget - shift[vertices]
-            else:
-                bound_col = np.full(n, budget, dtype=np.int64)
+        if use_heuristic and use_cost_shifting:
+            bound_cols = budget_cols - shift[vertices][:, None]
         else:
-            bound_col = np.full(n, budget, dtype=np.int64)
-        bound = np.zeros(n, dtype=np.float64)
-        in_window = alive & (bound_col >= 0)
-        idx = np.flatnonzero(in_window)
-        bound[idx] = cdf[idx, bound_col[idx]]
-        fails = alive & (bound <= 0.0)
+            bound_cols = np.broadcast_to(budget_cols, (n, budget_cols.size))
+        # One CDF column per budget; the last is the largest budget's bound.
+        bound = cdf[np.arange(n)[:, None], np.maximum(bound_cols, 0)]
+        bound[bound_cols < 0] = 0.0
+        fails = alive & (bound[:, -1] <= 0.0)
         stats.pruned_by_bound += int(fails.sum())
         alive &= ~fails
-        # Target arrivals: fold into the pivot (descending probability, so
-        # pivot_updates counts strict improvements like the scalar pops do),
-        # then screen the generation's interior labels against the raised
-        # pivot — sound, and at least as much pruning as the scalar order.
+        # Target arrivals: fold into the pivots (descending largest-budget
+        # probability, each budget top-down as ``_BudgetVectorPivots.arrive``
+        # does, so pivot_updates counts improvements like the scalar pops
+        # do), then screen the generation's interior labels against the
+        # raised pivots — sound, and at least as much pruning as the scalar
+        # order.
         at_target = vertices == target_i
         arrivals = np.flatnonzero(alive & at_target)
         if arrivals.size:
             probs = cdf[arrivals, budget]
             for j in arrivals[np.argsort(-probs, kind="stable")]:
-                p = float(cdf[j, budget])
-                if p > pivot_probability:
-                    pivot_probability = p
-                    pivot_parent = int(parents[j])
-                    pivot_edge = int(edges[j])
-                    pivot_row = rows[j].copy()
-                    pivot_dive_parent = -1
-                    pivot_dive_vertex = -1
+                arrival = None
+                for i in range(len(budgets) - 1, -1, -1):
+                    p = float(cdf[j, budgets[i]])
+                    if p <= 0.0:
+                        break
+                    if p > pivots[i]:
+                        if arrival is None:
+                            arrival = (int(parents[j]), int(edges[j]), rows[j].copy())
+                        pivots[i] = p
+                        answers[i] = arrival
+                if arrival is not None:
                     stats.pivot_updates += 1
                 elif use_pivot:
                     stats.pruned_by_bound += 1
             alive &= ~at_target
         if use_pivot:
-            fails = alive & (bound <= pivot_probability)
+            fails = alive & ~beats_pivots(bound)
             pruned = int(fails.sum())
             if pruned:
                 stats.pruned_by_bound += pruned
@@ -651,7 +687,7 @@ def columnar_route(
         gen_rows = np.zeros((0, width))
         gen_vertices = np.zeros(0, dtype=np.int64)
         gen_ids = np.zeros(0, dtype=np.int64)
-        gen_bounds = np.zeros(0)
+        gen_bounds = np.zeros((0, len(budgets)))
 
     chunk_rows = max(256, _CHUNK_BYTES // (width * 8))
     indptr = csr.indptr
@@ -664,32 +700,35 @@ def columnar_route(
             expired = True
             break
         if dive_exact and use_pivot:
-            # Dive: complete the generation's best-bound label to the target
-            # along the min-tick descent and score the resulting real path
-            # exactly (dot of the label row against the memoised suffix
-            # tail).  A successful dive raises the incumbent, which then
-            # re-screens this very generation before its expensive
-            # expansion — the columnar analogue of the scalar core's
-            # best-first pivot chase.
-            num_dives = min(_DIVES_PER_GENERATION, int(gen_bounds.size))
-            top = np.argpartition(gen_bounds, -num_dives)[-num_dives:]
-            for j in top[np.argsort(-gen_bounds[top], kind="stable")]:
-                if gen_bounds[j] <= pivot_probability:
+            # Dive: complete the generation's best-bound labels (by the
+            # largest budget's bound) to the target along the min-tick
+            # descent and score the resulting real path exactly at every
+            # budget (dot of the label row against each memoised suffix
+            # tail — the same ``np.dot`` per budget, never one gemv over
+            # stacked tails, which may round differently).  A successful
+            # dive raises the incumbents, which then re-screen this very
+            # generation before its expensive expansion — the columnar
+            # analogue of the scalar core's best-first pivot chase.
+            top_bounds = gen_bounds[:, -1]
+            num_dives = min(_DIVES_PER_GENERATION, int(top_bounds.size))
+            top = np.argpartition(top_bounds, -num_dives)[-num_dives:]
+            for j in top[np.argsort(-top_bounds[top], kind="stable")]:
+                if top_bounds[j] <= pivots[0]:
+                    # Pivots ascend with the budget (every incumbent scores
+                    # at least as well at a larger budget), so no budget's
+                    # bound here or below can beat its pivot.
                     break
                 v = int(gen_vertices[j])
-                tail = tail_for(v)
-                if tail is None:
+                tails = tails_for(v)
+                if tails is None:
                     continue
-                p = float(np.dot(gen_rows[j], tail))
-                if p > pivot_probability and dive_is_simple(
+                scores = [float(np.dot(gen_rows[j], tail)) for tail in tails]
+                if any(map(float.__gt__, scores, pivots)) and dive_is_simple(
                     int(gen_ids[j]), v
                 ):
-                    pivot_probability = p
-                    pivot_dive_parent = int(gen_ids[j])
-                    pivot_dive_vertex = v
-                    pivot_row = None
+                    raise_pivots(scores, (int(gen_ids[j]), v, None))
                     stats.pivot_updates += 1
-            keep = gen_bounds > pivot_probability
+            keep = beats_pivots(gen_bounds)
             if not keep.all():
                 stats.pruned_by_bound += int((~keep).sum())
                 gen_rows = gen_rows[keep]
@@ -734,15 +773,13 @@ def columnar_route(
             c_parent_pos = parent_pos[lo:hi]
             c_parent_ids = gen_ids[c_parent_pos]
             # Simple-path constraint: lockstep walk up the parent chains.
+            # Every label of a generation has the same depth, so all chains
+            # reach the root together and the walk needs no per-row mask.
             conflict = c_vertices == source_i
-            cursor = c_parent_ids.copy()
-            while True:
-                active = np.flatnonzero((cursor >= 0) & ~conflict)
-                if active.size == 0:
-                    break
-                at = cursor[active]
-                conflict[active] |= arena.vertex[at] == c_vertices[active]
-                cursor[active] = arena.parent[at]
+            cursor = c_parent_ids
+            while cursor[0] >= 0:
+                conflict |= arena.vertex[cursor] == c_vertices
+                cursor = arena.parent[cursor]
             keep = np.flatnonzero(~conflict)
             if keep.size == 0:
                 continue
@@ -784,55 +821,59 @@ def columnar_route(
         stats.completed = False
     stats.runtime_seconds = time.perf_counter() - start_time
 
-    if pivot_row is None:
-        if pivot_dive_vertex >= 0:
-            # No arrival strictly beat the dive incumbent: the dive path —
-            # the label's prefix chain continued by the min-tick descent —
-            # is the answer.  Its window row is recomputed edge by edge so
-            # the returned distribution reproduces the reported probability
-            # exactly (the screening value was the mathematically equal dot
-            # product against the suffix tail).
-            edges_reversed = []
-            cursor = pivot_dive_parent
-            while cursor >= 0:
-                edges_reversed.append(int(arena.edge[cursor]))
-                cursor = int(arena.parent[cursor])
-            edge_ids = list(reversed(edges_reversed))
-            v = pivot_dive_vertex
-            while v != target_i:
-                e, v = suffix_next[v]
+    def realise(answer: tuple) -> tuple[tuple, DiscreteDistribution, np.ndarray]:
+        """Path, distribution and window row of one incumbent."""
+        cursor, last, row = answer
+        edge_ids = []
+        while cursor >= 0:
+            edge_ids.append(int(arena.edge[cursor]))
+            cursor = int(arena.parent[cursor])
+        edge_ids.reverse()
+        if row is not None:
+            edge_ids.append(last)
+        else:
+            # A dive path — the label's prefix chain continued by the
+            # min-tick descent from vertex ``last``.  Its window row is
+            # recomputed edge by edge so the returned distribution
+            # reproduces the reported probability exactly (the screening
+            # value was the mathematically equal dot product against the
+            # suffix tail).
+            while last != target_i:
+                e, last = suffix_next[last]
                 edge_ids.append(e)
-            row = np.zeros((1, width))
-            row[0, 0] = 1.0
+            block = np.zeros((1, width))
+            block[0, 0] = 1.0
             for e in edge_ids:
-                row = batched_window_convolve(
-                    row,
+                block = batched_window_convolve(
+                    block,
                     kernels.offsets[e : e + 1],
                     kernels.probs[e : e + 1],
                     kernels.totals[e : e + 1],
                 )
-                trim_window_rows(row)
-            path = tuple(network.edge(int(e)) for e in edge_ids)
-            distribution = DiscreteDistribution(0, row[0], normalize=False)
-            return RoutingResult(
-                query,
-                path,
-                distribution,
-                float(row[0, : budget + 1].sum()),
-                stats,
-            )
+                trim_window_rows(block)
+            row = block[0]
+        path = tuple(network.edge(e) for e in edge_ids)
+        return path, DiscreteDistribution(0, row, normalize=False), row
+
+    fallback = None
+    if any(answer is None for answer in answers):
         fallback = search._fallback_route(query.source, query.target)
-        if fallback is None:
-            return RoutingResult(query, (), None, 0.0, stats)
-        path, dist = fallback
-        return RoutingResult(
-            query, path, dist, dist.prob_within(budget), stats
-        )
-    edges_reversed = [pivot_edge]
-    cursor = pivot_parent
-    while cursor >= 0:
-        edges_reversed.append(int(arena.edge[cursor]))
-        cursor = int(arena.parent[cursor])
-    path = tuple(network.edge(e) for e in reversed(edges_reversed))
-    distribution = DiscreteDistribution(0, pivot_row, normalize=False)
-    return RoutingResult(query, path, distribution, pivot_probability, stats)
+    realised: dict[int, tuple] = {}
+    results = []
+    for member, answer, probability in zip(member_queries, answers, pivots):
+        if answer is None:
+            if fallback is None:
+                results.append(RoutingResult(member, (), None, 0.0))
+            else:
+                path, dist = fallback
+                results.append(
+                    RoutingResult(member, path, dist, dist.prob_within(member.budget))
+                )
+            continue
+        if id(answer) not in realised:
+            realised[id(answer)] = realise(answer)
+        path, distribution, row = realised[id(answer)]
+        if answer[2] is None:  # a dive: its own row, not the dot product
+            probability = float(row[: member.budget + 1].sum())
+        results.append(RoutingResult(member, path, distribution, probability))
+    return stats, tuple(results)

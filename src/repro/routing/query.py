@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..histograms import DiscreteDistribution
+from ..histograms import DOMINANCE_TOL, DiscreteDistribution
 from ..network import Edge, RoadNetwork
 
 __all__ = [
@@ -564,18 +564,27 @@ class DepartWhenResult:
     def best_index(self) -> int | None:
         """Index of the best departure, or ``None`` when nothing routes.
 
-        Highest arrival probability wins; exact ties go to the *latest*
-        departure — leaving later for the same reliability strictly
-        dominates under an arrive-by deadline (and is a harmless
-        deterministic pick in fixed-budget mode).
+        Highest arrival probability wins; ties go to the *latest* departure
+        — leaving later for the same reliability strictly dominates under an
+        arrive-by deadline (and is a harmless deterministic pick in
+        fixed-budget mode).  Probabilities within ``DOMINANCE_TOL`` of the
+        highest count as tied: convolution sums make a certain arrival come
+        out as 1.0 or 1.0000000000000002, and that noise must not buy an
+        earlier departure.
         """
-        best = None
-        for index, result in enumerate(self.results):
-            if result is None or not result.found:
-                continue
-            if best is None or result.probability >= self.results[best].probability:
-                best = index
-        return best
+        found = [
+            index
+            for index, result in enumerate(self.results)
+            if result is not None and result.found
+        ]
+        if not found:
+            return None
+        top = max(self.results[index].probability for index in found)
+        return max(
+            index
+            for index in found
+            if self.results[index].probability >= top - DOMINANCE_TOL
+        )
 
     @property
     def best(self) -> RoutingResult | None:

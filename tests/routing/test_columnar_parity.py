@@ -18,7 +18,7 @@ core is built from.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConvolutionModel, EdgeCostTable
@@ -30,7 +30,7 @@ from repro.histograms import (
     trim_window_rows,
 )
 from repro.network import RoadNetwork
-from repro.routing import RoutingQuery
+from repro.routing import RoutingEngine, RoutingQuery, SearchStats
 from repro.routing.budget import PruningConfig, _BudgetSearch
 from repro.routing.columnar import COLUMNAR_AUTO_MIN_EDGES
 from repro.routing.heuristics import OptimisticHeuristic
@@ -98,9 +98,12 @@ def _assert_parity(scalar_result, columnar_result, budget):
         assert columnar_result.probability == pytest.approx(
             columnar_result.distribution.prob_within(budget), abs=1e-12
         )
+        path = columnar_result.path
+        assert all(a.target == b.source for a, b in zip(path, path[1:]))
         vertices = columnar_result.path_vertices()
         assert vertices[0] == scalar_result.query.source
         assert vertices[-1] == scalar_result.query.target
+        assert len(set(vertices)) == len(vertices)  # simple
 
 
 @settings(max_examples=25, deadline=None)
@@ -117,6 +120,54 @@ def test_columnar_matches_scalar_all_prunings(world, pruning, budget):
     for source, target in [(0, n - 1), (0, n - 2), (1, n - 1)]:
         query = RoutingQuery(source, target, budget)
         _assert_parity(scalar.route(query), columnar.route(query), budget)
+
+
+budget_vectors = st.lists(
+    st.integers(min_value=2, max_value=45), min_size=1, max_size=4, unique=True
+).map(lambda budgets: tuple(sorted(budgets)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(worlds(), st.sampled_from(ALL_PRUNINGS), budget_vectors)
+def test_columnar_budget_vector_matches_scalar_all_prunings(world, pruning, budgets):
+    """One columnar search over the vector == one scalar search, budget by
+    budget: found flags, |dP| <= 2e-12, real simple source -> target paths."""
+    network, costs, n = world
+    combiner = ConvolutionModel(costs)
+    scalar = _BudgetSearch(network, combiner, pruning=pruning, backend="scalar")
+    columnar = _BudgetSearch(network, combiner, pruning=pruning, backend="columnar")
+    for source, target in [(0, n - 1), (0, n - 2), (1, n - 1)]:
+        query = RoutingQuery(source, target, budgets[-1])
+        reference = scalar.route_multi_budget(query, budgets)
+        answer = columnar.route_multi_budget(query, budgets)
+        assert answer.budgets == budgets
+        for budget, mine, theirs in zip(budgets, answer.results, reference.results):
+            assert mine.query == theirs.query == RoutingQuery(source, target, budget)
+            assert mine.stats == SearchStats()  # the one search's stats are shared
+            _assert_parity(theirs, mine, budget)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    worlds(),
+    st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=7, unique=True),
+    st.integers(min_value=8, max_value=50),
+)
+def test_columnar_depart_when_matches_scalar(world, departures, arrive_by):
+    assume(min(departures) < arrive_by)  # at least one feasible departure
+    network, costs, n = world
+    combiner = ConvolutionModel(costs)
+    answers = [
+        RoutingEngine(network, combiner, backend=backend).route_depart_when(
+            0, n - 1, [float(d) for d in departures], arrive_by_seconds=float(arrive_by)
+        )
+        for backend in ("scalar", "columnar")
+    ]
+    reference, answer = answers
+    assert answer.budgets == reference.budgets
+    for mine, theirs in zip(answer.probabilities, reference.probabilities):
+        assert abs(mine - theirs) <= 2e-12
+    assert answer.best_departure == reference.best_departure
 
 
 @settings(max_examples=20, deadline=None)
@@ -201,6 +252,47 @@ class TestBackendDispatch:
         search = _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
         with pytest.raises(ValueError, match="budget"):
             search.route(RoutingQuery(0, 2, 1 << 20))
+
+    def test_forced_columnar_budget_vector_rejects_like_route(self):
+        network, costs = _tiny_world()
+        incapable = [
+            (dict(pruning=PruningConfig(max_frontier_size=4)), 10),
+            (dict(clip_distributions=False), 10),
+            ({}, 1 << 20),  # oversized window
+        ]
+        for options, budget in incapable:
+            search = _BudgetSearch(
+                network, ConvolutionModel(costs), backend="columnar", **options
+            )
+            query = RoutingQuery(0, 2, budget)
+            with pytest.raises(ValueError) as single:
+                search.route(query)
+            with pytest.raises(ValueError) as vector:
+                search.route_multi_budget(query, (budget // 2, budget))
+            assert str(vector.value) == str(single.value), options
+
+    def test_kbest_on_a_forced_columnar_search_runs_the_scalar_loop(self, monkeypatch):
+        from repro.routing import columnar
+
+        network, costs = _tiny_world()
+        combiner = ConvolutionModel(costs)
+        query = RoutingQuery(0, 2, 10)
+        reference = _BudgetSearch(network, combiner, backend="scalar").route_kbest(query, 2)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("kbest must not reach the columnar core")
+
+        monkeypatch.setattr(columnar, "columnar_route", unreachable)
+        answer = _BudgetSearch(network, combiner, backend="columnar").route_kbest(query, 2)
+        assert answer.found
+        assert [r.probability for r in answer.routes] == [
+            r.probability for r in reference.routes
+        ]
+        assert [r.path for r in answer.routes] == [r.path for r in reference.routes]
+        with pytest.raises(AssertionError, match="columnar core"):
+            _BudgetSearch(network, combiner, backend="columnar").route_multi_budget(
+                query, (5, 10)
+            )
 
     def test_auto_stays_scalar_below_edge_threshold(self):
         network, costs = _tiny_world()

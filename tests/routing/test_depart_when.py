@@ -6,10 +6,11 @@ search, and every per-departure entry is bit-equal to the independent
 ``pbr`` answer at that departure's budget — sharing the Pareto frontier
 work never changes an answer.  Arrive-by mode maps each departure onto the
 budget grid with a floor (a departure at or past the deadline is
-infeasible, not an error); ties in the best pick go to the *latest*
-departure.
+infeasible, not an error); ties in the best pick — probabilities within
+the dominance tolerance — go to the *latest* departure.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -161,6 +162,32 @@ class TestDepartWhenVsBruteForce:
         answer = engine.route_depart_when(0, 24, [10.0, 20.0, 30.0], budget=60)
         assert answer.best_departure == 30.0
         assert answer.best_index == 2
+
+    def test_float_noise_is_a_tie_and_goes_to_the_latest_departure(self, engine):
+        """Convolution sums make a certain arrival 1.0 or 1.0000000000000002;
+        that last bit must not buy an earlier departure.  A strictly better
+        earlier departure — by more than the tolerance — still wins."""
+        route = engine.route(RoutingQuery(0, 24, 60))
+        assert route.found
+
+        def best(probabilities):
+            results = tuple(
+                dataclasses.replace(route, probability=p) for p in probabilities
+            )
+            answer = DepartWhenResult(
+                query=route.query,
+                departures=tuple(float(d) for d in range(len(results))),
+                budgets=(60,) * len(results),
+                results=results,
+            )
+            assert answer.to_dict()["best_departure"] == answer.best_departure
+            return answer.best_departure
+
+        assert best([1.0000000000000002, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]) == 6.0
+        assert best([0.5, 0.5 + 4e-16, 0.5 - 4e-16]) == 2.0
+        assert best([0.9, 0.5]) == 0.0
+        assert best([0.5 + 1e-9, 0.5]) == 0.0
+        assert best([0.25, 0.5 + 1e-9, 0.5, 0.5]) == 1.0
 
     def test_unreachable_target_routes_nowhere(self):
         from repro.network import RoadNetwork

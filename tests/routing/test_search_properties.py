@@ -10,14 +10,17 @@ invariants future hot-path work must not break:
   dominance;
 * batch answers equal individual answers, and reported probabilities are
   consistent with the returned path distributions;
-* scalar ``pbr`` *is* the one-element budget vector — same route, same
+* ``pbr`` *is* the one-element budget vector — same route, same
   probability bit for bit, same search counters — under every pruning
-  combination (the identity that lets one loop serve both).
+  combination and on both search cores (the identity that lets one loop,
+  and one columnar kernel, serve both).
 
 The graphs always contain a 0 -> .. -> n-1 spine, so the main query pair is
 reachable by construction; extra random edges create the alternative-route
 structure the search has to rank.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -191,19 +194,22 @@ def test_found_probability_is_distribution_consistent(world):
 @settings(max_examples=30, deadline=None)
 @given(worlds(), st.integers(min_value=3, max_value=30))
 def test_pbr_is_the_one_element_budget_vector(world, budget):
-    """route(q) == route_multi_budget(q, (q.budget,)), counters included."""
+    """route(q) == route_multi_budget(q, (q.budget,)), counters included,
+    on either search core."""
     engine, n = world
     query = RoutingQuery(0, n - 1, budget)
-    for pruning in ALL_PRUNINGS:
+    for backend, pruning in itertools.product(("scalar", "columnar"), ALL_PRUNINGS):
+        where = (backend, pruning)
         search = _BudgetSearch(
-            engine.network, engine.combiner, pruning=pruning, backend="scalar"
+            engine.network, engine.combiner, pruning=pruning, backend=backend
         )
         single = search.route(query)
         vector = search.route_multi_budget(query, (budget,))
         member = vector.results[0]
-        assert member.path == single.path, pruning
-        assert member.probability == single.probability, pruning  # bit for bit
+        assert member.path == single.path, where
+        assert member.probability == single.probability, where  # bit for bit
+        assert member.distribution == single.distribution, where
         counters = single.stats.to_dict()
         shared = vector.stats.to_dict()
         del counters["runtime_seconds"], shared["runtime_seconds"]
-        assert shared == counters, pruning
+        assert shared == counters, where
