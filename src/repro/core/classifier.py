@@ -15,6 +15,7 @@ historical dependence score).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -63,6 +64,7 @@ class DependenceClassifier:
             self._model = RandomForestClassifier(num_trees=30, seed=self.config.seed)
         self._fitted = False
         self._constant_label: int | None = None
+        self.token = object()
 
     def fit(self, features: np.ndarray, labels: np.ndarray) -> "DependenceClassifier":
         """Train from feature rows and 0/1 labels (1 = use estimation).
@@ -85,6 +87,7 @@ class DependenceClassifier:
             scaled = self._scaler.fit_transform(features)
             self._model.fit(scaled, labels)
         self._fitted = True
+        self.token = object()  # after the weights: whoever sees it reads them
         return self
 
     def estimation_probability(self, features: np.ndarray) -> np.ndarray:
@@ -102,16 +105,39 @@ class DependenceClassifier:
         return bool(self.decide_rows(features)[0])
 
     def decide_rows(self, features: np.ndarray) -> np.ndarray:
-        """Decisions for a Hybrid Model block: row ``i``'s probability is bit
-        for bit the one-row call's, whatever else is in the block."""
+        """Decisions for whole feature rows, each a :meth:`decide_block` of
+        its own with the seam at its end."""
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        return self.decide_block(features, features[:, :0], 0.0)
+
+    def logit_terms(self, halves: np.ndarray, start: int = 0) -> np.ndarray | None:
+        """Each row's share of the logistic logit from the feature columns
+        ``start ..`` (``StandardScaler.project``); ``None`` when the backend
+        has no linear logit (a forest, a constant)."""
         if not self._fitted:
             raise RuntimeError("DependenceClassifier is not fitted")
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        model = self._model
+        if self._constant_label is not None or not isinstance(model, LogisticRegression):
+            return None
+        return self._scaler.project(halves, model.coef_, model.intercept_, start)
+
+    def decide_block(
+        self, head: np.ndarray, tails: Sequence[np.ndarray], logits: Sequence[float] | float
+    ) -> np.ndarray:
+        """Decisions for the Hybrid Model block of feature rows
+        ``[head | tails[i]]``, ``logits[i]`` being ``tails[i]``'s
+        :meth:`logit_terms`: a logistic logit is one add and a sigmoid a row,
+        a forest scores the stacked rows one at a time, a constant reads
+        neither.  Row ``i`` is bit for bit its one-row block's."""
         if self._constant_label is not None:
-            probs = np.full(features.shape[0], float(self._constant_label))
+            return np.full(len(tails), self._constant_label == USE_ESTIMATION)
+        head = np.atleast_2d(head)
+        shares = self.logit_terms(head)
+        if shares is None:
+            heads = np.broadcast_to(head, (len(tails), head.shape[1]))
+            probs = self.estimation_probability(np.hstack([heads, np.asarray(tails)]))
         else:
-            scaled = self._scaler.transform(features)
-            probs = self._model.predict_proba_rows(scaled)[:, USE_ESTIMATION]
+            probs = LogisticRegression._sigmoid(shares + logits)
         return probs >= self.config.threshold
 
     def decide_batch(self, features: np.ndarray) -> np.ndarray:

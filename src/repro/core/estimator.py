@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..histograms import DiscreteDistribution, from_delay_profile
+from ..histograms import DiscreteDistribution, from_delay_profiles
 from ..ml import MlpConfig, MlpDistributionRegressor, StandardScaler
 
 
@@ -57,6 +57,7 @@ class DistributionEstimator:
         self._scaler = StandardScaler()
         self._mlp = MlpDistributionRegressor(self.config.mlp)
         self._fitted = False
+        self.token = object()
 
     # ------------------------------------------------------------------
     # Target construction
@@ -107,6 +108,7 @@ class DistributionEstimator:
         scaled = self._scaler.fit_transform(features)
         self._mlp.fit(scaled, targets)
         self._fitted = True
+        self.token = object()  # after the weights: whoever sees it reads them
         return self
 
     def predict_profiles(self, features: np.ndarray) -> np.ndarray:
@@ -132,18 +134,34 @@ class DistributionEstimator:
         pre: DiscreteDistribution,
         edge_costs: list[DiscreteDistribution],
     ) -> list[DiscreteDistribution]:
-        """Predicted cost of ``pre`` then each edge, one feature row per edge,
-        from one MLP pass whose rows are bit for bit one-row passes.  Each
-        bin's mass is spread uniformly over the ``width`` ticks it covers, so
-        wide-bin predictions stay smooth instead of spiking at boundaries.
-        """
+        """Predicted cost of ``pre`` then each edge, one whole feature row per
+        edge: :meth:`predict_block` with each row's seam at its end."""
+        return self.predict_block(self.first_layer_terms(features), pre, edge_costs)
+
+    def first_layer_terms(self, halves: np.ndarray, start: int = 0) -> np.ndarray:
+        """Each row's share of the MLP's first-layer pre-activation from the
+        feature columns ``start ..`` (``StandardScaler.project``)."""
         if not self._fitted:
             raise RuntimeError("DistributionEstimator is not fitted")
-        out = []
-        profiles = self._mlp.predict_rows(self._scaler.transform(features))
-        for profile, edge_cost in zip(profiles, edge_costs):
-            width = self.bin_width(pre, edge_cost)
-            if width > 1:
-                profile = np.repeat(profile / width, width)
-            out.append(from_delay_profile(profile, pre.min_value + edge_cost.min_value))
-        return out
+        network = self._mlp.network
+        return self._scaler.project(halves, network.weights[0], network.biases[0], start)
+
+    def predict_block(
+        self,
+        first: np.ndarray,
+        pre: DiscreteDistribution,
+        edge_costs: list[DiscreteDistribution],
+    ) -> list[DiscreteDistribution]:
+        """Predicted cost of ``pre`` then each edge from each row's first-layer
+        pre-activation, the sum of its halves' :meth:`first_layer_terms`: the
+        deeper layers take each row alone and one :func:`from_delay_profiles`
+        pass re-anchors them all.  Each bin's mass is spread uniformly over
+        the ``width`` ticks it covers, so wide-bin predictions stay smooth
+        instead of spiking at boundaries.
+        """
+        profiles = self._mlp.predict_from_first_layer(first)
+        widths = [self.bin_width(pre, edge_cost) for edge_cost in edge_costs]
+        return from_delay_profiles(
+            [np.repeat(p / w, w) if w > 1 else p for p, w in zip(profiles, widths)],
+            [pre.min_value + edge_cost.min_value for edge_cost in edge_costs],
+        )

@@ -107,13 +107,14 @@ class HybridStats:
 
     @property
     def total(self) -> int:
-        return self.convolutions + self.estimations
+        with self._lock:  # both counters of one update, never half of one
+            return self.convolutions + self.estimations
 
     @property
     def estimation_fraction(self) -> float:
-        if self.total == 0:
-            return 0.0
-        return self.estimations / self.total
+        with self._lock:
+            total = self.convolutions + self.estimations
+            return self.estimations / total if total else 0.0
 
     def reset(self) -> None:
         with self._lock:
@@ -131,9 +132,11 @@ class HybridModel(CostCombiner):
 
     :meth:`combine_edges` answers a label's out-edges as one block (see
     PERFORMANCE.md "Hybrid expansion blocks"); ``combine`` is its one-edge
-    case.  Each edge's half of the feature rows is built once per published
-    cost cell, in a store on the table's holder keyed on the extractor's
-    ``token``.
+    case.  Both learned stages open with a linear map of the feature row
+    ``[pre half | edge half]``, so they split at the seam: each edge's half
+    and its shares of both maps are built once per published cost cell, in
+    a store on the table's holder keyed on the ``token`` of the extractor
+    and of both stages, and a block adds its pre half's shares to them.
     """
 
     def __init__(
@@ -157,21 +160,22 @@ class HybridModel(CostCombiner):
     ) -> list[DiscreteDistribution]:
         if not edges:
             return []
-        extractor = self.features
-        store = self.costs.derived(extractor.network).get(("edge_rows", extractor.token), Memo)
+        extractor, classifier, estimator = self.features, self.classifier, self.estimator
+        key = ("edge_rows", extractor.token, classifier.token, estimator.token)
+        store = self.costs.derived(extractor.network).get(key, Memo)
         costs = [self.edge_cost(edge) for edge in edges]
-        rows = [
-            store.get(edge.id, partial(extractor.edge_features, edge, cost))
+        tails, logits, firsts = zip(*[
+            store.get(edge.id, partial(self._edge_row, edge, cost))
             for edge, cost in zip(edges, costs)
-        ]
-        head = extractor.pre_features(pre)
-        matrix = np.empty((len(rows), extractor.num_features))
-        matrix[:, : head.size] = head
-        matrix[:, head.size :] = rows
-        estimate = self.classifier.decide_rows(matrix).tolist()
+        ])
+        head = extractor.pre_features(pre)[None]
+        estimate = classifier.decide_block(head, tails, logits).tolist()
         picked = [i for i, chosen in enumerate(estimate) if chosen]
+        first = [firsts[i] for i in picked]
         estimated = iter(
-            self.estimator.predict_distributions(matrix[picked], pre, [costs[i] for i in picked])
+            estimator.predict_block(
+                estimator.first_layer_terms(head) + first, pre, [costs[i] for i in picked]
+            )
             if picked
             else ()
         )
@@ -180,6 +184,17 @@ class HybridModel(CostCombiner):
             next(estimated) if chosen else pre.convolve(cost)
             for chosen, cost in zip(estimate, costs)
         ]
+
+    def _edge_row(
+        self, edge: Edge, cost: DiscreteDistribution
+    ) -> tuple[np.ndarray, float | None, np.ndarray]:
+        """An edge's half of the feature row, with its shares of the classifier
+        logit (``None``: no linear logit) and of the MLP's first layer."""
+        features = self.features.edge_features(edge, cost)[None]
+        start = self.features.num_features - features.shape[1]
+        logit = self.classifier.logit_terms(features, start)
+        first = self.estimator.first_layer_terms(features, start)
+        return features[0], logit if logit is None else float(logit[0]), first[0]
 
 
 class EstimationModel(HybridModel):

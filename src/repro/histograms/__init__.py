@@ -29,6 +29,7 @@ from .operations import (
     shape_profile,
     delay_profile,
     from_delay_profile,
+    from_delay_profiles,
     mixture,
     project_onto_window,
     scale_values,
@@ -46,6 +47,7 @@ __all__ = [
     "delay_profile",
     "dominates",
     "from_delay_profile",
+    "from_delay_profiles",
     "hellinger",
     "js_divergence",
     "kl_divergence",

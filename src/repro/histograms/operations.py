@@ -8,6 +8,7 @@ harness.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "scale_values",
     "project_onto_window",
     "from_delay_profile",
+    "from_delay_profiles",
     "delay_profile",
     "shape_profile",
     "batched_window_convolve",
@@ -142,9 +144,7 @@ def scale_values(dist: DiscreteDistribution, factor: float) -> DiscreteDistribut
     return DiscreteDistribution.from_mapping(mapping)
 
 
-def project_onto_window(
-    probs: np.ndarray, offset: int, *, renormalize: bool = True
-) -> DiscreteDistribution:
+def project_onto_window(probs: np.ndarray, offset: int) -> DiscreteDistribution:
     """Build a distribution from a raw (possibly unnormalised) bin vector.
 
     The estimation model's softmax head outputs a probability vector over a
@@ -160,7 +160,7 @@ def project_onto_window(
             arr = np.ones(1)
         else:
             arr[0] = 1.0
-    return DiscreteDistribution(offset, arr, normalize=renormalize)
+    return DiscreteDistribution(offset, arr)
 
 
 def delay_profile(
@@ -187,7 +187,34 @@ def delay_profile(
 
 def from_delay_profile(profile: np.ndarray, offset: int) -> DiscreteDistribution:
     """Inverse of :func:`delay_profile`: re-anchor a shape vector at ``offset``."""
-    return project_onto_window(profile, offset)
+    return from_delay_profiles([profile], [offset])[0]
+
+
+def from_delay_profiles(
+    profiles: Sequence[np.ndarray], offsets: Sequence[int]
+) -> list[DiscreteDistribution]:
+    """``project_onto_window(profiles[i], offsets[i])`` for each row, bit for
+    bit: rows of one length are clipped and summed as one block, then each
+    gets that path's checks and decisions from its own total, and its own
+    array, so a surviving distribution never pins the block."""
+    out: list[DiscreteDistribution] = [None] * len(profiles)  # type: ignore[list-item]
+    groups: dict[int, list[int]] = {}
+    for i, profile in enumerate(profiles):
+        groups.setdefault(len(profile), []).append(i)
+    for size, rows in groups.items():
+        block = np.array([profiles[i] for i in rows], dtype=np.float64)
+        if size == 0:
+            block = np.zeros((len(rows), 1))
+        np.maximum(block, 0.0, out=block)  # clip: NaN stays, -0.0 becomes 0.0
+        for i, row, total in zip(rows, block, block.sum(axis=1).tolist()):
+            if not math.isfinite(total) and not np.isfinite(row).all():
+                raise ValueError("probabilities must be finite")
+            if total <= 0.0:
+                row[0] = 1.0  # every cell is zero: a point mass at the window start
+            elif not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
+                row /= total
+            out[i] = DiscreteDistribution._trusted(int(offsets[i]), row.copy())
+    return out
 
 
 def shape_profile(dist: DiscreteDistribution, *, num_bins: int) -> tuple[np.ndarray, int]:

@@ -81,9 +81,6 @@ class RandomForestClassifier(Classifier):
             out[:, : probs.shape[1]] += probs
         return out / len(self.trees_)
 
-    #: Trees score one row at a time, so every row is already block-invariant.
-    predict_proba_rows = predict_proba
-
 
 class RandomForestRegressor(Regressor):
     """Bagged CART regressors, mean-averaged."""

@@ -136,11 +136,3 @@ class LogisticRegression(Classifier):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         p1 = self._sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - p1, p1])
-
-    def predict_proba_rows(self, X: np.ndarray) -> np.ndarray:
-        """:meth:`predict_proba` as stacked one-row products: row ``i`` is bit
-        for bit the one-row call's (``X @ w`` on a block may round otherwise)."""
-        check_fitted(self)
-        logits = (check_2d(X)[:, None, :] @ self.coef_)[:, 0] + self.intercept_
-        p1 = self._sigmoid(logits)
-        return np.column_stack([1.0 - p1, p1])

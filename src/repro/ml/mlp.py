@@ -238,14 +238,18 @@ class MlpDistributionRegressor(_MlpBase, Regressor):
         assert self.network is not None
         return softmax(self.network.predict_logits(check_2d(X)))
 
-    def predict_rows(self, X: np.ndarray) -> np.ndarray:
-        """:meth:`predict` with each row passed as its own ``(1, d)`` matrix:
-        numpy loops the one-row BLAS call, so row ``i`` is bit for bit the
-        one-row call's (``X @ W`` on a block may pick a kernel that rounds
-        otherwise)."""
+    def predict_from_first_layer(self, Z: np.ndarray) -> np.ndarray:
+        """:meth:`predict` resumed at the first layer's pre-activations ``Z``
+        (one row per sample).  The deeper layers take each row as its own
+        ``(1, h)`` matrix: numpy loops the one-row BLAS call, so row ``i`` is
+        bit for bit the one-row call's (``Z @ W`` on a block may pick a
+        kernel that rounds otherwise)."""
         check_fitted(self)
         assert self.network is not None
-        return softmax(self.network.predict_logits(check_2d(X)[:, None, :])[:, 0])
+        network, h = self.network, np.asarray(Z, dtype=np.float64)[:, None, :]
+        for W, b in zip(network.weights[1:], network.biases[1:]):
+            h = network._act(h) @ W + b
+        return softmax(h[:, 0])
 
 
 class MlpClassifier(_MlpBase, Classifier):

@@ -1,13 +1,19 @@
 """The learned combiners answer a label's whole out-edge block at once.
 
-``combine_edges(pre, edges)`` builds one feature matrix, makes one
-classifier decision and one MLP pass per block.  Its contract is that
+A feature row is ``[pre half | edge half]`` and both learned stages open
+with a linear map behind an elementwise scaler, so ``combine_edges(pre,
+edges)`` splits them at the seam: the edge halves' shares of the classifier
+logit and of the MLP's first layer are built once per cost cell, and a
+block adds its pre half's shares to them, runs the deeper MLP layers on the
+estimated rows and re-anchors those in one pass.  Its contract is that
 batching is invisible: row ``i``'s answer is bit for bit what the same
 combination asked alone gives, so every route, exploration order and
-counter is what the per-edge formula produces.  Plain ``X @ W`` on a block
-breaks this (BLAS picks kernels that round differently), which is why the
-inference is a stack of one-row products; a red run here on a new machine
-names the BLAS that broke it (CI prints ``numpy.show_config()``).
+counter is what the per-edge split formula produces.  Plain ``X @ W`` on a
+block breaks this (BLAS picks kernels that round differently), which is
+why every product is one-row or stacked one-row; a red run here on a new
+machine names the BLAS that broke it (CI prints ``numpy.show_config()``).
+The split rounds differently from the fused matrix path training uses, and
+``TestSplitAgainstTheMatrixPath`` bounds by how much.
 """
 
 import pickle
@@ -22,28 +28,69 @@ from repro.core import (
     CostCombiner,
     DependenceClassifier,
     HybridModel,
+    HybridStats,
     PathCostComputer,
 )
 from repro.histograms import from_delay_profile
+from repro.ml import LogisticRegression
+from repro.ml.losses import softmax
 from repro.routing import RoutingEngine, RoutingQuery
 
 
-def reference_estimate(estimator, row, pre, cost):
-    """The estimator's one-row formula: one-row MLP pass, then the re-anchor."""
-    profile = estimator.predict_profiles(np.atleast_2d(row))[0]
+def split_products(scaler, weights, head, tail):
+    """The scaled halves of one row times their rows of ``weights``: one
+    one-row product per half, ``(head's, tail's)``."""
+    seam = head.size
+    return tuple(
+        ((half - scaler.mean_[cols]) / scaler.scale_[cols])[None] @ weights[cols]
+        for half, cols in ((head, slice(0, seam)), (tail, slice(seam, None)))
+    )
+
+
+def anchored(estimator, profile, pre, cost):
+    """The estimator's re-anchor of one predicted profile."""
     width = estimator.bin_width(pre, cost)
     if width > 1:
         profile = np.repeat(profile / width, width)
     return from_delay_profile(profile, pre.min_value + cost.min_value)
 
 
+def fused_estimate(estimator, row, pre, cost):
+    """The estimator's one-row formula on a whole row: one fused MLP pass."""
+    return anchored(estimator, estimator.predict_profiles(np.atleast_2d(row))[0], pre, cost)
+
+
+def reference_estimate(estimator, head, tail, pre, cost):
+    """The estimator's one-row split formula: the first layer as the sum of
+    the halves' products (the bias riding with the head's), the deeper
+    layers on that one row, then the re-anchor."""
+    network = estimator._mlp.network
+    lead, trail = split_products(estimator._scaler, network.weights[0], head, tail)
+    z = (lead + network.biases[0]) + trail
+    for W, b in zip(network.weights[1:], network.biases[1:]):
+        z = network._act(z) @ W + b
+    return anchored(estimator, softmax(z)[0], pre, cost)
+
+
+def reference_probability(classifier, head, tail):
+    """``P(use estimation)`` by the one-row split formula: the logit as the
+    sum of the halves' products (the intercept riding with the head's).  A
+    forest or a constant has no logit and reads the whole row."""
+    model = classifier._model
+    if classifier._constant_label is not None or not isinstance(model, LogisticRegression):
+        return float(classifier.estimation_probability(np.concatenate([head, tail]))[0])
+    lead, trail = split_products(classifier._scaler, model.coef_, head, tail)
+    return float(LogisticRegression._sigmoid((lead + model.intercept_) + trail)[0])
+
+
 def reference_combine(hybrid, pre, edge):
-    """The per-edge Hybrid formula: ``(distribution, estimated?)``."""
+    """The per-edge Hybrid formula, split at the seam: ``(distribution, estimated?)``."""
     cost = hybrid.costs.cost(edge)
-    row = hybrid.features.extract(pre, edge, cost)
+    head = hybrid.features.pre_features(pre)
+    tail = hybrid.features.edge_features(edge, cost)
     threshold = hybrid.classifier.config.threshold
-    if hybrid.classifier.estimation_probability(row)[0] >= threshold:
-        return reference_estimate(hybrid.estimator, row, pre, cost), True
+    if reference_probability(hybrid.classifier, head, tail) >= threshold:
+        return reference_estimate(hybrid.estimator, head, tail, pre, cost), True
     return pre.convolve(cost), False
 
 
@@ -82,6 +129,12 @@ def pres(world):
     return out
 
 
+@pytest.fixture(scope="module")
+def seam(world, pres):
+    """Where a feature row splits: the width of its pre half."""
+    return world[1].features.pre_features(pres[0]).size
+
+
 def random_blocks(world, pres):
     """``(pre, costs, X)`` blocks of every size 1..16 over random edges."""
     network, trained = world
@@ -116,29 +169,95 @@ class TestRowInvariance:
         }
 
     @pytest.mark.parametrize("backend", ["logistic", "forest", "constant"])
-    def test_classifier_block_rows_equal_one_row_calls(self, world, pres, classifiers, backend):
+    def test_classifier_block_rows_equal_one_row_calls(
+        self, world, pres, seam, classifiers, backend
+    ):
         classifier = classifiers[backend]
         threshold = classifier.config.threshold
         blocks = 0
         for _, _, X in random_blocks(world, pres):
             alone = np.concatenate([classifier.estimation_probability(row) for row in X])
             assert np.array_equal(classifier.decide_rows(X), alone >= threshold)
-            if backend != "constant":  # the probabilities behind those decisions
-                scaled = classifier._scaler.transform(X)
-                block = classifier._model.predict_proba_rows(scaled)[:, 1]
-                assert np.array_equal(block, alone), f"{backend}, k={len(X)}"
+            head, tails = X[0, :seam], X[:, seam:]
+            logits = classifier.logit_terms(tails, seam)
+            assert (logits is None) == (backend != "logistic")
+            split = np.array([reference_probability(classifier, head, tail) for tail in tails])
+            block = classifier.decide_block(head, tails, logits)
+            assert np.array_equal(block, split >= threshold), f"{backend}, k={len(X)}"
+            if logits is not None:  # the shares and probabilities behind those decisions
+                one_row = [classifier.logit_terms(tail[None], seam)[0] for tail in tails]
+                assert np.array_equal(logits, one_row), f"k={len(X)}"
+                shares = classifier.logit_terms(head[None]) + logits
+                assert np.array_equal(LogisticRegression._sigmoid(shares), split)
+            elif backend == "forest":  # the stacked rows a forest's block scores
+                assert np.array_equal(classifier.estimation_probability(X), split)
             blocks += 1
         assert blocks == 16 * len(pres)
 
-    def test_estimator_block_rows_equal_one_row_passes(self, world, pres):
+    def test_estimator_block_rows_equal_one_row_passes(self, world, pres, seam):
         _, trained = world
         estimator = trained.estimator
         for pre, costs, X in random_blocks(world, pres):
-            block = estimator.predict_distributions(X, pre, costs)
-            assert len(block) == len(X)
-            for i, (row, cost) in enumerate(zip(X, costs)):
-                reference = reference_estimate(estimator, row, pre, cost)
+            head, tails = X[0, :seam], X[:, seam:]
+            terms = estimator.first_layer_terms(tails, seam)
+            one_row = [estimator.first_layer_terms(tail[None], seam)[0] for tail in tails]
+            assert np.array_equal(terms, one_row), f"k={len(X)}"
+            block = estimator.predict_block(
+                estimator.first_layer_terms(head[None]) + terms, pre, costs
+            )
+            whole_rows = estimator.predict_distributions(X, pre, costs)
+            assert len(block) == len(whole_rows) == len(X)
+            for i, (row, tail, cost) in enumerate(zip(X, tails, costs)):
+                reference = reference_estimate(estimator, head, tail, pre, cost)
                 assert_same_distribution(block[i], reference, f"k={len(X)}, row {i}")
+                fused = fused_estimate(estimator, row, pre, cost)
+                assert_same_distribution(whole_rows[i], fused, f"k={len(X)}, row {i}")
+
+
+class TestSplitAgainstTheMatrixPath:
+    """The one deliberate re-baseline: a sum of two partial products rounds
+    differently from the one fused product training uses, so logits and
+    first-layer pre-activations may move in their last bits, and a decision
+    only where its probability sits on the threshold.  An ulp here is one of
+    the product's absolute scale ``sum_j |w_j * s_j| + |b|``, the scale a dot
+    product's rounding error is bounded by (a result that cancels to near
+    zero has far finer ulps of its own than its rounding ever had)."""
+
+    @staticmethod
+    def ulps(split, scaled, weights, bias):
+        fused = scaled @ weights + bias
+        scale = np.abs(scaled) @ np.abs(weights) + np.abs(bias)
+        return float((np.abs(split - fused) / np.spacing(scale)).max())
+
+    def test_split_stays_within_4_ulp_of_the_matrix_path(self, world, pres, seam):
+        _, trained = world
+        classifier, estimator = trained.classifier, trained.estimator
+        model, network = classifier._model, estimator._mlp.network
+        threshold = classifier.config.threshold
+        worst, rows, flips = [0.0, 0.0], 0, 0
+        for _, _, X in random_blocks(world, pres):
+            head, tails = X[0, :seam], X[:, seam:]
+            logits = classifier.logit_terms(tails, seam)
+            split = classifier.logit_terms(head[None]) + logits
+            scaled = classifier._scaler.transform(X)
+            assert np.array_equal(scaled @ model.coef_ + model.intercept_,
+                                  model.decision_function(scaled))  # the matrix path
+            worst[0] = max(worst[0], self.ulps(split, scaled, model.coef_, model.intercept_))
+            first = estimator.first_layer_terms(head[None])
+            first = first + estimator.first_layer_terms(tails, seam)
+            scaled = estimator._scaler.transform(X)
+            worst[1] = max(
+                worst[1], self.ulps(first, scaled, network.weights[0], network.biases[0])
+            )
+            probabilities = classifier.estimation_probability(X)
+            decided = classifier.decide_block(head, tails, logits)
+            flipped = decided != (probabilities >= threshold)
+            assert np.all(np.abs(probabilities[flipped] - threshold) <= 1e-12)
+            flips += int(flipped.sum())
+            rows += len(X)
+        print(f"\n{rows} rows: logit <= {worst[0]:g} ulp, first layer <= "
+              f"{worst[1]:g} ulp, {flips} decisions flipped")
+        assert worst[0] <= 4 and worst[1] <= 4
 
 
 # ----------------------------------------------------------------------
@@ -178,8 +297,9 @@ class TestBlockParity:
             edges = network.out_edges(vertex)
             for edge, mine in zip(edges, model.combine_edges(pre, edges)):
                 cost = trained.costs.cost(edge)
-                row = trained.features.extract(pre, edge, cost)
-                reference = reference_estimate(trained.estimator, row, pre, cost)
+                head = trained.features.pre_features(pre)
+                tail = trained.features.edge_features(edge, cost)
+                reference = reference_estimate(trained.estimator, head, tail, pre, cost)
                 assert_same_distribution(mine, reference, f"vertex {vertex}, edge {edge.id}")
 
     @pytest.mark.parametrize("model", ["hybrid", "estimation"])
@@ -306,6 +426,40 @@ class TestHybridStatsUnderThreads:
             threads * blocks * per_block[0], threads * blocks * per_block[1],
         )
         assert hybrid.stats.total == threads * blocks * len(edges)
+
+    def test_reads_never_see_half_an_update(self):
+        """``status`` reads ``estimation_fraction`` while workers combine: a
+        read between ``add``'s two increments would see a torn pair."""
+        stats, torn, done = HybridStats(), [], threading.Event()
+        stats.add(1, 1)
+
+        def write():
+            for _ in range(20_000):
+                stats.add(1, 1)
+
+        def read():
+            while not done.is_set():
+                total, fraction = stats.total, stats.estimation_fraction
+                if total % 2 or fraction != 0.5:
+                    torn.append((total, fraction))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            reader = threading.Thread(target=read)
+            writers = [threading.Thread(target=write) for _ in range(2)]
+            reader.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(60)
+            done.set()
+            reader.join(60)
+            assert not reader.is_alive() and not any(t.is_alive() for t in writers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert torn == []
+        assert (stats.convolutions, stats.estimations) == (40_001, 40_001)
 
     def test_stats_pickle_without_their_lock(self, world):
         _, trained = world

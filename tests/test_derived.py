@@ -75,11 +75,20 @@ def learned(network, costs):
     return HybridModel(costs, estimator, classifier, extractor)
 
 
+def refit(estimator, classifier, width, seed):
+    """Fit both stages on random rows of ``seed``; returns them."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(16, width))
+    estimator.fit(rows, rng.dirichlet(np.ones(estimator.config.num_bins), size=16))
+    classifier.fit(rows, (rows[:, 0] < 0.5).astype(int))
+    return estimator, classifier
+
+
 def edge_rows(network, hybrid):
-    """The resident edge-row store of ``hybrid``'s extractor; asking must not build one."""
-    return hybrid.costs.derived(network).get(
-        ("edge_rows", hybrid.features.token), lambda: pytest.fail("no edge-row store")
-    )
+    """The resident edge-row store of ``hybrid``'s extractor and trained stages;
+    asking must not build one."""
+    key = ("edge_rows", hybrid.features.token, hybrid.classifier.token, hybrid.estimator.token)
+    return hybrid.costs.derived(network).get(key, lambda: pytest.fail("no edge-row store"))
 
 
 def warm(network, costs):
@@ -279,7 +288,8 @@ class TestEdgeRowStore:
             """Combine the block, then read back the rows it was served from."""
             hybrid.combine_edges(pre, edges)
             store = edge_rows(network, hybrid)
-            return np.vstack([store.get(e.id, lambda: pytest.fail("not built")) for e in edges])
+            # Each entry is (edge half, its logit share, its first-layer share).
+            return np.vstack([store.get(e.id, lambda: pytest.fail("not built"))[0] for e in edges])
 
         before = fresh()
         assert np.array_equal(served(), before)
@@ -289,6 +299,33 @@ class TestEdgeRowStore:
         assert not np.array_equal(after, before)
         assert np.array_equal(served(), after)
         assert edge_rows(network, hybrid) is not old
+
+    def test_each_set_of_trained_stages_is_served_its_own_terms(self):
+        """A refinement round's shape: two models over one cell and one
+        extractor with different trained stages.  Each must be served the
+        shares of its own stages, and a stage refitted in place never its old
+        ones: every block equals a cold model's built from the same parts."""
+        network, costs = built_world()
+        first = learned(network, costs)
+        second = HybridModel(costs, *refit(DistributionEstimator(
+            EstimatorConfig(num_bins=4, mlp=MlpConfig(hidden_sizes=(4,), max_epochs=2))
+        ), DependenceClassifier(), first.features.num_features, seed=1), first.features)
+
+        def assert_served_like_cold(model):
+            cold_costs = EdgeCostTable.from_dict(network, costs.to_dict())
+            cold = HybridModel(cold_costs, model.estimator, model.classifier, model.features)
+            model.stats.reset()
+            for vertex in (7, 14, 21, 28):
+                pre, edges = costs.cost(network.in_edges(vertex)[0]), network.out_edges(vertex)
+                for mine, theirs in zip(model.combine_edges(pre, edges), cold.combine_edges(pre, edges)):
+                    assert mine.offset == theirs.offset, vertex
+                    assert np.array_equal(mine.probs, theirs.probs), vertex
+            assert model.stats.estimations > 0
+
+        for model in (first, second, first):
+            assert_served_like_cold(model)
+        refit(second.estimator, second.classifier, first.features.num_features, seed=2)
+        assert_served_like_cold(second)
 
 
 class TestOwnersPickleWithoutDerivedState:
