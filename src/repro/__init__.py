@@ -10,7 +10,7 @@ Subpackages
 ``repro.trajectories``
     Ground-truth congestion model, trip generation, map matching, corpus.
 ``repro.ml``
-    From-scratch NumPy ML stack (MLP, logistic regression, trees, forests).
+    From-scratch NumPy ML stack (MLP estimator, logistic classifier).
 ``repro.core``
     The paper's Hybrid Model: estimator + classifier + path-cost recursion.
 ``repro.routing``

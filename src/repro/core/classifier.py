@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..ml import Classifier, LogisticRegression, RandomForestClassifier, StandardScaler
+from ..ml import LogisticRegression, StandardScaler
 
 __all__ = ["ClassifierConfig", "DependenceClassifier"]
 
@@ -33,35 +33,27 @@ USE_CONVOLUTION = 0
 class ClassifierConfig:
     """Dependence-classifier settings.
 
-    ``backend`` selects the learner: ``"logistic"`` (default — fast,
-    deterministic, well-calibrated) or ``"forest"``.  ``threshold`` is the
-    estimation-probability cut-off; values above 0.5 bias the hybrid towards
-    convolution, which is the cheaper and safer default at independent
-    intersections.
+    The learner is a logistic regression (fast, deterministic,
+    well-calibrated).  ``threshold`` is the estimation-probability cut-off;
+    values above 0.5 bias the hybrid towards convolution, which is the
+    cheaper and safer default at independent intersections.
     """
 
-    backend: str = "logistic"
     threshold: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.backend not in ("logistic", "forest"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must be in (0, 1)")
 
 
 class DependenceClassifier:
-    """Binary classifier choosing convolution vs estimation per combination."""
+    """Binary classifier choosing convolution vs estimation per combination:
+    a logistic regression, or a constant when training saw one class."""
 
     def __init__(self, config: ClassifierConfig | None = None) -> None:
         self.config = config or ClassifierConfig()
         self._scaler = StandardScaler()
-        self._model: Classifier
-        if self.config.backend == "logistic":
-            self._model = LogisticRegression(l2=1e-3)
-        else:
-            self._model = RandomForestClassifier(num_trees=30, seed=self.config.seed)
+        self._model = LogisticRegression()
         self._fitted = False
         self._constant_label: int | None = None
         self.token = object()
@@ -112,13 +104,13 @@ class DependenceClassifier:
 
     def logit_terms(self, halves: np.ndarray, start: int = 0) -> np.ndarray | None:
         """Each row's share of the logistic logit from the feature columns
-        ``start ..`` (``StandardScaler.project``); ``None`` when the backend
-        has no linear logit (a forest, a constant)."""
+        ``start ..`` (``StandardScaler.project``); ``None`` for a constant,
+        which has no logit."""
         if not self._fitted:
             raise RuntimeError("DependenceClassifier is not fitted")
-        model = self._model
-        if self._constant_label is not None or not isinstance(model, LogisticRegression):
+        if self._constant_label is not None:
             return None
+        model = self._model
         return self._scaler.project(halves, model.coef_, model.intercept_, start)
 
     def decide_block(
@@ -126,18 +118,12 @@ class DependenceClassifier:
     ) -> np.ndarray:
         """Decisions for the Hybrid Model block of feature rows
         ``[head | tails[i]]``, ``logits[i]`` being ``tails[i]``'s
-        :meth:`logit_terms`: a logistic logit is one add and a sigmoid a row,
-        a forest scores the stacked rows one at a time, a constant reads
-        neither.  Row ``i`` is bit for bit its one-row block's."""
+        :meth:`logit_terms`: the logit is one add and a sigmoid a row, a
+        constant reads neither.  Row ``i`` is bit for bit its one-row
+        block's."""
         if self._constant_label is not None:
             return np.full(len(tails), self._constant_label == USE_ESTIMATION)
-        head = np.atleast_2d(head)
-        shares = self.logit_terms(head)
-        if shares is None:
-            heads = np.broadcast_to(head, (len(tails), head.shape[1]))
-            probs = self.estimation_probability(np.hstack([heads, np.asarray(tails)]))
-        else:
-            probs = LogisticRegression._sigmoid(shares + logits)
+        probs = LogisticRegression._sigmoid(self.logit_terms(np.atleast_2d(head)) + logits)
         return probs >= self.config.threshold
 
     def decide_batch(self, features: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..histograms import DiscreteDistribution
-from ..ml import MlpConfig
+from ..ml import MlpConfig, MlpNetwork
 from ..network import RoadNetwork
 from .classifier import ClassifierConfig, DependenceClassifier
 from .costs import EdgeCostTable
@@ -42,6 +42,8 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
+#: The classifier learner ``meta.json`` names; the only one there is.
+_CLASSIFIER_BACKEND = "logistic"
 
 
 def _check_service_snapshot(document: Mapping[str, Any]) -> None:
@@ -85,11 +87,7 @@ def load_service_snapshot(path: str | Path) -> dict[str, Any]:
 
 
 def save_hybrid(trained: TrainedHybrid, directory: str | Path) -> None:
-    """Persist a trained hybrid model (network itself is *not* stored).
-
-    Only the ``"logistic"`` classifier backend is serialisable; forest
-    backends raise ``ValueError`` (retrain instead — forests are cheap).
-    """
+    """Persist a trained hybrid model (network itself is *not* stored)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
@@ -109,12 +107,10 @@ def save_hybrid(trained: TrainedHybrid, directory: str | Path) -> None:
     arrays["est_scaler_scale"] = scaler.scale_
 
     classifier = trained.classifier
-    if classifier.config.backend != "logistic":
-        raise ValueError("only the logistic classifier backend is serialisable")
     if classifier._constant_label is None:
         model = classifier._model
-        arrays["clf_coef"] = model.coef_  # type: ignore[attr-defined]
-        arrays["clf_intercept"] = np.asarray([model.intercept_])  # type: ignore[attr-defined]
+        arrays["clf_coef"] = model.coef_
+        arrays["clf_intercept"] = np.asarray([model.intercept_])
         clf_scaler = classifier._scaler
         arrays["clf_scaler_mean"] = clf_scaler.mean_
         arrays["clf_scaler_scale"] = clf_scaler.scale_
@@ -156,7 +152,7 @@ def save_hybrid(trained: TrainedHybrid, directory: str | Path) -> None:
             "activation": estimator.config.mlp.activation,
         },
         "classifier": {
-            "backend": classifier.config.backend,
+            "backend": _CLASSIFIER_BACKEND,
             "threshold": classifier.config.threshold,
             "constant_label": classifier._constant_label,
         },
@@ -170,12 +166,16 @@ def load_hybrid(directory: str | Path, network: RoadNetwork) -> TrainedHybrid:
     """Load a hybrid saved by :func:`save_hybrid` onto ``network``.
 
     The caller must supply the same network the model was trained on (edge
-    ids must match; the network is not serialised with the model).
+    ids must match; the network is not serialised with the model).  A
+    classifier ``backend`` other than ``"logistic"`` raises ``ValueError``.
     """
     directory = Path(directory)
     meta = json.loads((directory / "meta.json").read_text())
     if meta.get("format_version") != _FORMAT_VERSION:
         raise ValueError(f"unsupported model format: {meta.get('format_version')!r}")
+    backend = meta["classifier"]["backend"]
+    if backend != _CLASSIFIER_BACKEND:
+        raise ValueError(f"unsupported classifier backend: {backend!r}")
     data = np.load(directory / "model.npz")
 
     estimator_config = EstimatorConfig(
@@ -187,8 +187,6 @@ def load_hybrid(directory: str | Path, network: RoadNetwork) -> TrainedHybrid:
     )
     estimator = DistributionEstimator(estimator_config)
     num_layers = sum(1 for key in data.files if key.startswith("mlp_weight_"))
-    from ..ml.mlp import MlpNetwork
-
     weights = [data[f"mlp_weight_{i}"] for i in range(num_layers)]
     mlp_network = MlpNetwork(
         weights[0].shape[0],
@@ -205,22 +203,16 @@ def load_hybrid(directory: str | Path, network: RoadNetwork) -> TrainedHybrid:
     estimator._fitted = True
 
     classifier = DependenceClassifier(
-        ClassifierConfig(
-            backend=meta["classifier"]["backend"],
-            threshold=float(meta["classifier"]["threshold"]),
-        )
+        ClassifierConfig(threshold=float(meta["classifier"]["threshold"]))
     )
     constant = meta["classifier"]["constant_label"]
     if constant is not None:
         classifier._constant_label = int(constant)
     else:
-        from ..ml import LogisticRegression
-
-        model = LogisticRegression()
+        model = classifier._model
         model.coef_ = data["clf_coef"]
         model.intercept_ = float(data["clf_intercept"][0])
         model._fitted = True
-        classifier._model = model
         classifier._scaler.mean_ = data["clf_scaler_mean"]
         classifier._scaler.scale_ = data["clf_scaler_scale"]
     classifier._fitted = True

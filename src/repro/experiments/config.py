@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core import ClassifierConfig, EstimatorConfig, FeatureConfig, TrainingConfig
+from ..core import EstimatorConfig, FeatureConfig, TrainingConfig
 from ..ml import MlpConfig
 from ..trajectories import STRUCTURED_CONFIG, CongestionConfig
 
@@ -91,7 +91,6 @@ def _training(num_train: int, num_test: int, *, min_pair_samples: int, epochs: i
             num_bins=48,
             mlp=MlpConfig(hidden_sizes=(64, 64), max_epochs=epochs, seed=0),
         ),
-        classifier=ClassifierConfig(backend="logistic"),
         features=FeatureConfig(profile_bins=16),
         seed=0,
     )

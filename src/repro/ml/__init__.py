@@ -1,72 +1,24 @@
-"""From-scratch NumPy ML stack.
+"""From-scratch NumPy ML stack: the Hybrid Model's two learned stages.
 
-MLP with softmax distribution head (the paper's estimation model backbone),
-logistic regression / decision trees / random forests (dependence-classifier
-candidates), losses, optimizers, preprocessing, metrics and model selection.
+A softmax MLP (:class:`MlpDistributionRegressor`, the paper's distribution
+estimation model) and a logistic regression (:class:`LogisticRegression`,
+the dependence classifier), each behind a :class:`StandardScaler`, plus the
+k-fold splitter and the accuracy metric their training paths use.  Losses
+and the Adam optimizer live in :mod:`.losses` and :mod:`.optimizers`.
 """
 
-from .base import Classifier, Estimator, Regressor
-from .forest import RandomForestClassifier, RandomForestRegressor
-from .linear import LogisticRegression, RidgeRegression
-from .losses import (
-    binary_cross_entropy,
-    cross_entropy_from_logits,
-    cross_entropy_gradient,
-    log_softmax,
-    mse,
-    softmax,
-)
-from .metrics import (
-    accuracy,
-    brier_score,
-    confusion_matrix,
-    f1_score,
-    log_loss,
-    mean_kl_to_targets,
-    precision,
-    recall,
-)
-from .mlp import MlpClassifier, MlpConfig, MlpDistributionRegressor, MlpNetwork
-from .model_selection import kfold_indices, train_test_split, train_test_split_indices
-from .optimizers import Adam, Momentum, Optimizer, Sgd
-from .preprocessing import OneHotEncoder, StandardScaler
-from .tree import DecisionTreeClassifier, DecisionTreeRegressor
+from .linear import LogisticRegression
+from .metrics import accuracy
+from .mlp import MlpConfig, MlpDistributionRegressor, MlpNetwork
+from .model_selection import kfold_indices
+from .preprocessing import StandardScaler
 
 __all__ = [
-    "Adam",
-    "Classifier",
-    "DecisionTreeClassifier",
-    "DecisionTreeRegressor",
-    "Estimator",
     "LogisticRegression",
-    "MlpClassifier",
     "MlpConfig",
     "MlpDistributionRegressor",
     "MlpNetwork",
-    "Momentum",
-    "OneHotEncoder",
-    "Optimizer",
-    "RandomForestClassifier",
-    "RandomForestRegressor",
-    "Regressor",
-    "RidgeRegression",
-    "Sgd",
     "StandardScaler",
     "accuracy",
-    "binary_cross_entropy",
-    "brier_score",
-    "confusion_matrix",
-    "cross_entropy_from_logits",
-    "cross_entropy_gradient",
-    "f1_score",
     "kfold_indices",
-    "log_loss",
-    "log_softmax",
-    "mean_kl_to_targets",
-    "mse",
-    "precision",
-    "recall",
-    "softmax",
-    "train_test_split",
-    "train_test_split_indices",
 ]

@@ -1,4 +1,4 @@
-"""Estimator interfaces for the from-scratch ML stack.
+"""Input checks shared by the from-scratch ML stack.
 
 No ML framework ships in the offline environment, so the hybrid model's
 learners (distribution-estimation MLP, dependence classifier) are built on a
@@ -7,11 +7,9 @@ small NumPy stack with a scikit-learn-style ``fit`` / ``predict`` contract.
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
-__all__ = ["Estimator", "Classifier", "Regressor", "check_2d", "check_fitted"]
+__all__ = ["check_2d", "check_fitted"]
 
 
 def check_2d(X: np.ndarray, *, name: str = "X") -> np.ndarray:
@@ -26,37 +24,7 @@ def check_2d(X: np.ndarray, *, name: str = "X") -> np.ndarray:
     return arr
 
 
-def check_fitted(estimator: "Estimator") -> None:
+def check_fitted(estimator: object) -> None:
     """Raise when ``fit`` has not been called yet."""
     if not getattr(estimator, "_fitted", False):
         raise RuntimeError(f"{type(estimator).__name__} is not fitted; call fit() first")
-
-
-class Estimator(abc.ABC):
-    """Base class: ``fit`` returns ``self``; predict-style calls require fit."""
-
-    _fitted: bool = False
-
-    @abc.abstractmethod
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "Estimator":
-        """Train on features ``X`` (n, d) and targets ``y``."""
-
-
-class Classifier(Estimator):
-    """A classifier additionally exposes class probabilities."""
-
-    @abc.abstractmethod
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class-probability matrix of shape (n, num_classes)."""
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Most probable class label per row."""
-        return np.argmax(self.predict_proba(X), axis=1)
-
-
-class Regressor(Estimator):
-    """A regressor predicts real-valued targets (possibly vector-valued)."""
-
-    @abc.abstractmethod
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted targets, shape (n,) or (n, k)."""

@@ -1,52 +1,25 @@
-"""Linear models: ridge regression and logistic regression.
-
-Logistic regression is the default *dependence classifier* of the hybrid
-model (a small, fast, well-calibrated baseline); ridge regression supports
-diagnostics and tests.
-"""
+"""Logistic regression: the hybrid model's dependence classifier (a small,
+fast, well-calibrated baseline)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, Regressor, check_2d, check_fitted
+from .base import check_2d, check_fitted
 from .losses import binary_cross_entropy
 
-__all__ = ["RidgeRegression", "LogisticRegression"]
+__all__ = ["LogisticRegression"]
+
+#: L2 penalty on the weights (the intercept is unpenalised).
+_L2 = 1e-3
+#: First step of each iteration's line search.
+_LEARNING_RATE = 1.0
+_MAX_ITER = 500
+#: Stop once an iteration improves the regularised loss by less than this.
+_TOL = 1e-7
 
 
-class RidgeRegression(Regressor):
-    """Closed-form L2-regularised least squares (intercept unpenalised)."""
-
-    def __init__(self, *, alpha: float = 1.0) -> None:
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        self.alpha = alpha
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "RidgeRegression":
-        X = check_2d(X)
-        y = np.asarray(y, dtype=np.float64).ravel()
-        if y.size != X.shape[0]:
-            raise ValueError("X and y must have the same number of rows")
-        n, d = X.shape
-        Xb = np.hstack([X, np.ones((n, 1))])
-        penalty = self.alpha * np.eye(d + 1)
-        penalty[-1, -1] = 0.0  # do not penalise the intercept
-        theta = np.linalg.solve(Xb.T @ Xb + penalty, Xb.T @ y)
-        self.coef_ = theta[:-1]
-        self.intercept_ = float(theta[-1])
-        self._fitted = True
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        check_fitted(self)
-        assert self.coef_ is not None
-        return check_2d(X) @ self.coef_ + self.intercept_
-
-
-class LogisticRegression(Classifier):
+class LogisticRegression:
     """Binary logistic regression trained by full-batch gradient descent.
 
     Deterministic (no minibatch shuffling), with L2 regularisation and a
@@ -55,27 +28,11 @@ class LogisticRegression(Classifier):
     every experiment run and must not be seed-sensitive.
     """
 
-    def __init__(
-        self,
-        *,
-        l2: float = 1e-3,
-        learning_rate: float = 1.0,
-        max_iter: int = 500,
-        tol: float = 1e-7,
-    ) -> None:
-        if l2 < 0:
-            raise ValueError("l2 must be non-negative")
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        self.l2 = l2
-        self.learning_rate = learning_rate
-        self.max_iter = max_iter
-        self.tol = tol
+    def __init__(self) -> None:
         self.coef_: np.ndarray | None = None
         self.intercept_: float = 0.0
         self.history_: list[float] = []
+        self._fitted = False
 
     @staticmethod
     def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -88,7 +45,7 @@ class LogisticRegression(Classifier):
 
     def _loss(self, X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float) -> float:
         probs = self._sigmoid(X @ w + b)
-        return binary_cross_entropy(probs, y) + 0.5 * self.l2 * float(w @ w)
+        return binary_cross_entropy(probs, y) + 0.5 * _L2 * float(w @ w)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "LogisticRegression":
         X = check_2d(X)
@@ -102,11 +59,11 @@ class LogisticRegression(Classifier):
         b = 0.0
         self.history_ = []
         loss = self._loss(X, y, w, b)
-        for _ in range(self.max_iter):
+        for _ in range(_MAX_ITER):
             probs = self._sigmoid(X @ w + b)
-            grad_w = X.T @ (probs - y) / n + self.l2 * w
+            grad_w = X.T @ (probs - y) / n + _L2 * w
             grad_b = float((probs - y).mean())
-            step = self.learning_rate
+            step = _LEARNING_RATE
             # Backtracking line search keeps the iteration monotone.
             for _ in range(30):
                 w_new = w - step * grad_w
@@ -120,7 +77,7 @@ class LogisticRegression(Classifier):
             improvement = loss - new_loss
             w, b, loss = w_new, b_new, new_loss
             self.history_.append(loss)
-            if improvement < self.tol:
+            if improvement < _TOL:
                 break
         self.coef_ = w
         self.intercept_ = b

@@ -16,9 +16,6 @@ __all__ = [
     "cross_entropy_from_logits",
     "cross_entropy_gradient",
     "binary_cross_entropy",
-    "binary_cross_entropy_gradient",
-    "mse",
-    "mse_gradient",
 ]
 
 _EPS = 1e-12
@@ -64,20 +61,3 @@ def binary_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     p = np.clip(probs, _EPS, 1.0 - _EPS)
     y = np.asarray(labels, dtype=np.float64)
     return float(-(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean())
-
-
-def binary_cross_entropy_gradient(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of BCE w.r.t. the *pre-sigmoid logit* (``p - y``) / n."""
-    y = np.asarray(labels, dtype=np.float64)
-    return (probs - y) / probs.shape[0]
-
-
-def mse(predictions: np.ndarray, targets: np.ndarray) -> float:
-    """Mean squared error."""
-    diff = predictions - targets
-    return float((diff * diff).mean())
-
-
-def mse_gradient(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Gradient of MSE w.r.t. the predictions."""
-    return 2.0 * (predictions - targets) / predictions.size

@@ -1,21 +1,10 @@
-"""Evaluation metrics for classifiers and distribution predictions."""
+"""Evaluation metrics for classifiers."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "accuracy",
-    "precision",
-    "recall",
-    "f1_score",
-    "confusion_matrix",
-    "log_loss",
-    "mean_kl_to_targets",
-    "brier_score",
-]
-
-_EPS = 1e-12
+__all__ = ["accuracy"]
 
 
 def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -27,81 +16,3 @@ def accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if t.size == 0:
         raise ValueError("need at least one label")
     return float((t == p).mean())
-
-
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray, *, num_classes: int | None = None) -> np.ndarray:
-    """``C[i, j]`` counts samples with true class ``i`` predicted as ``j``."""
-    t = np.asarray(y_true, dtype=np.int64).ravel()
-    p = np.asarray(y_pred, dtype=np.int64).ravel()
-    if t.size != p.size:
-        raise ValueError("label arrays must have equal length")
-    k = num_classes or int(max(t.max(initial=0), p.max(initial=0))) + 1
-    out = np.zeros((k, k), dtype=np.int64)
-    np.add.at(out, (t, p), 1)
-    return out
-
-
-def precision(y_true: np.ndarray, y_pred: np.ndarray, *, positive: int = 1) -> float:
-    """``TP / (TP + FP)``; 0 when nothing was predicted positive."""
-    t = np.asarray(y_true).ravel()
-    p = np.asarray(y_pred).ravel()
-    predicted = p == positive
-    if not predicted.any():
-        return 0.0
-    return float((t[predicted] == positive).mean())
-
-
-def recall(y_true: np.ndarray, y_pred: np.ndarray, *, positive: int = 1) -> float:
-    """``TP / (TP + FN)``; 0 when the class never occurs."""
-    t = np.asarray(y_true).ravel()
-    p = np.asarray(y_pred).ravel()
-    actual = t == positive
-    if not actual.any():
-        return 0.0
-    return float((p[actual] == positive).mean())
-
-
-def f1_score(y_true: np.ndarray, y_pred: np.ndarray, *, positive: int = 1) -> float:
-    """Harmonic mean of precision and recall."""
-    p = precision(y_true, y_pred, positive=positive)
-    r = recall(y_true, y_pred, positive=positive)
-    if p + r == 0.0:
-        return 0.0
-    return 2.0 * p * r / (p + r)
-
-
-def log_loss(y_true: np.ndarray, probabilities: np.ndarray) -> float:
-    """Mean negative log-likelihood of the true class."""
-    labels = np.asarray(y_true, dtype=np.int64).ravel()
-    probs = np.asarray(probabilities, dtype=np.float64)
-    if probs.ndim != 2 or probs.shape[0] != labels.size:
-        raise ValueError("probabilities must be (n, k) aligned with labels")
-    picked = np.clip(probs[np.arange(labels.size), labels], _EPS, 1.0)
-    return float(-np.log(picked).mean())
-
-
-def brier_score(y_true: np.ndarray, prob_positive: np.ndarray) -> float:
-    """Mean squared error of the positive-class probability (binary)."""
-    y = np.asarray(y_true, dtype=np.float64).ravel()
-    p = np.asarray(prob_positive, dtype=np.float64).ravel()
-    if y.size != p.size:
-        raise ValueError("arrays must have equal length")
-    return float(((p - y) ** 2).mean())
-
-
-def mean_kl_to_targets(targets: np.ndarray, predictions: np.ndarray) -> float:
-    """Mean ``KL(target_row || prediction_row)`` over a batch of histograms.
-
-    The vectorised batch version of the paper's model-quality metric, used on
-    the delay-profile matrices produced by the training pipeline.
-    """
-    t = np.asarray(targets, dtype=np.float64)
-    p = np.asarray(predictions, dtype=np.float64)
-    if t.shape != p.shape:
-        raise ValueError(f"shape mismatch: {t.shape} vs {p.shape}")
-    p = np.clip(p, _EPS, None)
-    p = p / p.sum(axis=1, keepdims=True)
-    mask = t > 0
-    ratio = np.zeros_like(t)
-    ratio[mask] = t[mask] * np.log(t[mask] / p[mask])
-    return float(ratio.sum(axis=1).mean())

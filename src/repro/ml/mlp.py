@@ -1,17 +1,13 @@
 """Multilayer perceptron with manual backpropagation.
 
-Two heads are provided:
-
-* :class:`MlpDistributionRegressor` — softmax output trained with soft-target
-  cross-entropy; this is the paper's *distribution estimation model*: input
-  features of an edge pair (or virtual-edge/edge pair), output a probability
-  vector over travel-time delay bins.
-* :class:`MlpClassifier` — the same network with class-index targets, used as
-  an alternative dependence classifier.
+:class:`MlpDistributionRegressor` is the paper's *distribution estimation
+model*: a softmax MLP trained with soft-target cross-entropy, taking the
+features of an edge pair (or virtual-edge/edge pair) and returning a
+probability vector over travel-time delay bins.
 
 Implementation notes: dense layers with ReLU or tanh, He/Xavier
-initialisation from an explicit seed, minibatch training with any
-:mod:`repro.ml.optimizers` optimizer, optional L2 regularisation and early
+initialisation from an explicit seed, minibatch training with
+:class:`~repro.ml.optimizers.Adam`, optional L2 regularisation and early
 stopping on a validation split.  Gradients are verified against finite
 differences in the test suite.
 """
@@ -22,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import Classifier, Regressor, check_2d, check_fitted
+from .base import check_2d, check_fitted
 from .losses import cross_entropy_from_logits, cross_entropy_gradient, softmax
-from .optimizers import Adam, Optimizer
+from .optimizers import Adam
 
-__all__ = ["MlpConfig", "MlpNetwork", "MlpDistributionRegressor", "MlpClassifier"]
+__all__ = ["MlpConfig", "MlpNetwork", "MlpDistributionRegressor"]
 
 
 @dataclass(frozen=True)
@@ -142,28 +138,39 @@ class MlpNetwork:
         return [*weight_grads, *bias_grads]
 
 
-class _MlpBase:
-    """Shared minibatch training loop for both heads."""
+class MlpDistributionRegressor:
+    """Softmax MLP trained against soft target distributions.
 
-    def __init__(self, config: MlpConfig | None = None, *, optimizer: Optimizer | None = None) -> None:
+    ``fit(X, Y)`` takes target rows that are probability vectors; ``predict``
+    returns predicted probability vectors (rows sum to 1).
+    """
+
+    def __init__(self, config: MlpConfig | None = None) -> None:
         self.config = config or MlpConfig()
-        self._optimizer = optimizer
         self.network: MlpNetwork | None = None
         self.history_: list[float] = []
         self._fitted = False
 
-    def _train(self, X: np.ndarray, targets: np.ndarray, output_size: int) -> None:
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "MlpDistributionRegressor":
+        X = check_2d(X)
+        targets = check_2d(y, name="y")
+        if X.shape[0] != targets.shape[0]:
+            raise ValueError("X and y must have the same number of rows")
+        if np.any(targets < 0):
+            raise ValueError("target distributions must be non-negative")
+        sums = targets.sum(axis=1)
+        if np.any(np.abs(sums - 1.0) > 1e-6):
+            raise ValueError("target rows must sum to 1")
         config = self.config
         rng = np.random.default_rng(config.seed)
         self.network = MlpNetwork(
             X.shape[1],
             config.hidden_sizes,
-            output_size,
+            targets.shape[1],
             activation=config.activation,
             seed=config.seed,
         )
-        optimizer = self._optimizer or Adam(learning_rate=config.learning_rate)
-        optimizer.reset()
+        optimizer = Adam(learning_rate=config.learning_rate)
 
         n = X.shape[0]
         if config.validation_fraction > 0.0 and n >= 10:
@@ -211,26 +218,6 @@ class _MlpBase:
             for current, best in zip(self.network.parameters, best_params):
                 current[...] = best
         self._fitted = True
-
-
-class MlpDistributionRegressor(_MlpBase, Regressor):
-    """Softmax MLP trained against soft target distributions.
-
-    ``fit(X, Y)`` takes target rows that are probability vectors; ``predict``
-    returns predicted probability vectors (rows sum to 1).
-    """
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "MlpDistributionRegressor":
-        X = check_2d(X)
-        Y = check_2d(y, name="y")
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError("X and y must have the same number of rows")
-        if np.any(Y < 0):
-            raise ValueError("target distributions must be non-negative")
-        sums = Y.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-6):
-            raise ValueError("target rows must sum to 1")
-        self._train(X, Y, Y.shape[1])
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -250,29 +237,3 @@ class MlpDistributionRegressor(_MlpBase, Regressor):
         for W, b in zip(network.weights[1:], network.biases[1:]):
             h = network._act(h) @ W + b
         return softmax(h[:, 0])
-
-
-class MlpClassifier(_MlpBase, Classifier):
-    """Softmax MLP classifier over integer class labels."""
-
-    def __init__(self, config: MlpConfig | None = None, *, optimizer: Optimizer | None = None) -> None:
-        super().__init__(config, optimizer=optimizer)
-        self.num_classes_: int | None = None
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "MlpClassifier":
-        X = check_2d(X)
-        labels = np.asarray(y, dtype=np.int64).ravel()
-        if labels.size != X.shape[0]:
-            raise ValueError("X and y must have the same number of rows")
-        if labels.min() < 0:
-            raise ValueError("labels must be non-negative integers")
-        self.num_classes_ = int(labels.max()) + 1
-        onehot = np.zeros((labels.size, self.num_classes_), dtype=np.float64)
-        onehot[np.arange(labels.size), labels] = 1.0
-        self._train(X, onehot, self.num_classes_)
-        return self
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        check_fitted(self)
-        assert self.network is not None
-        return softmax(self.network.predict_logits(check_2d(X)))

@@ -1,41 +1,12 @@
-"""Dataset splitting utilities (train/test split, k-fold)."""
+"""Dataset splitting: k-fold cross-validation indices."""
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, TypeVar
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["train_test_split_indices", "train_test_split", "kfold_indices"]
-
-T = TypeVar("T")
-
-
-def train_test_split_indices(
-    n: int, *, test_fraction: float = 0.2, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shuffled ``(train_idx, test_idx)`` index arrays.
-
-    Both sides are guaranteed non-empty for ``n >= 2``.
-    """
-    if n < 2:
-        raise ValueError("need at least two samples to split")
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    num_test = min(max(1, int(round(n * test_fraction))), n - 1)
-    return order[num_test:], order[:num_test]
-
-
-def train_test_split(
-    items: Sequence[T], *, test_fraction: float = 0.2, seed: int = 0
-) -> tuple[list[T], list[T]]:
-    """Split any sequence into shuffled train/test lists."""
-    train_idx, test_idx = train_test_split_indices(
-        len(items), test_fraction=test_fraction, seed=seed
-    )
-    return [items[i] for i in train_idx], [items[i] for i in test_idx]
+__all__ = ["kfold_indices"]
 
 
 def kfold_indices(

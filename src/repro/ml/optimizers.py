@@ -1,99 +1,42 @@
-"""Gradient-descent optimizers for the NumPy ML stack."""
+"""The gradient-descent optimizer the MLP trains with."""
 
 from __future__ import annotations
 
-import abc
-
 import numpy as np
 
-__all__ = ["Optimizer", "Sgd", "Momentum", "Adam"]
+__all__ = ["Adam"]
+
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
-class Optimizer(abc.ABC):
-    """Updates a list of parameter arrays in place from matching gradients."""
+class Adam:
+    """Adam (Kingma & Ba, 2015) with bias correction.
 
-    @abc.abstractmethod
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """Apply one update; ``params[i]`` is modified in place."""
+    ``step`` updates a list of parameter arrays in place from matching
+    gradients; a new instance starts with no accumulated state.
+    """
 
-    def reset(self) -> None:
-        """Clear accumulated state (between training runs)."""
-
-
-class Sgd(Optimizer):
-    """Plain stochastic gradient descent."""
-
-    def __init__(self, learning_rate: float = 0.01) -> None:
+    def __init__(self, learning_rate: float = 1e-3) -> None:
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.learning_rate = learning_rate
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g in zip(params, grads):
-            p -= self.learning_rate * g
-
-
-class Momentum(Optimizer):
-    """SGD with classical momentum."""
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.9) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: list[np.ndarray] | None = None
-
-    def reset(self) -> None:
-        self._velocity = None
-
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p in params]
-        for p, g, v in zip(params, grads, self._velocity):
-            v *= self.momentum
-            v -= self.learning_rate * g
-            p += v
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with bias correction."""
-
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must be in [0, 1)")
-        self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
         self._t = 0
 
-    def reset(self) -> None:
-        self._m = None
-        self._v = None
-        self._t = 0
-
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        """Apply one update; ``params[i]`` is modified in place."""
         if self._m is None or self._v is None:
             self._m = [np.zeros_like(p) for p in params]
             self._v = [np.zeros_like(p) for p in params]
         self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
+        bias1 = 1.0 - _BETA1**self._t
+        bias2 = 1.0 - _BETA2**self._t
         for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + self.epsilon)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            p -= self.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + _EPSILON)

@@ -1,4 +1,4 @@
-"""Feature preprocessing: standardisation and categorical encoding."""
+"""Feature preprocessing: standardisation."""
 
 from __future__ import annotations
 
@@ -6,14 +6,16 @@ import numpy as np
 
 from .base import check_2d
 
-__all__ = ["StandardScaler", "OneHotEncoder"]
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler:
     """Zero-mean / unit-variance feature scaling.
 
     Constant features get a scale of 1 so transforming them is a no-op
-    (instead of dividing by zero).
+    (instead of dividing by zero).  Fitting a matrix with no rows raises
+    ``ValueError``: its mean would be NaN, and every stage behind the
+    scaler would answer from it without a word.
     """
 
     def __init__(self) -> None:
@@ -22,6 +24,8 @@ class StandardScaler:
 
     def fit(self, X: np.ndarray) -> "StandardScaler":
         X = check_2d(X)
+        if X.shape[0] == 0:
+            raise ValueError("cannot fit a scaler on a matrix with no rows")
         self.mean_ = X.mean(axis=0)
         std = X.std(axis=0)
         std[std < 1e-12] = 1.0
@@ -56,42 +60,3 @@ class StandardScaler:
         scaled = (X - self.mean_[cols]) / self.scale_[cols]
         terms = (scaled[:, None, :] @ weights[cols])[:, 0]
         return terms + bias if start == 0 else terms
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("StandardScaler is not fitted")
-        X = check_2d(X)
-        return X * self.scale_ + self.mean_
-
-
-class OneHotEncoder:
-    """One-hot encoding of an integer/str categorical column.
-
-    Unknown categories at transform time map to the all-zero vector (rather
-    than erroring), since routing-time queries may touch road categories the
-    training pairs never covered.
-    """
-
-    def __init__(self) -> None:
-        self.categories_: list | None = None
-        self._index: dict | None = None
-
-    def fit(self, values: np.ndarray) -> "OneHotEncoder":
-        arr = np.asarray(values).ravel()
-        self.categories_ = sorted(set(arr.tolist()))
-        self._index = {c: i for i, c in enumerate(self.categories_)}
-        return self
-
-    def transform(self, values: np.ndarray) -> np.ndarray:
-        if self._index is None or self.categories_ is None:
-            raise RuntimeError("OneHotEncoder is not fitted")
-        arr = np.asarray(values).ravel()
-        out = np.zeros((arr.size, len(self.categories_)), dtype=np.float64)
-        for row, value in enumerate(arr.tolist()):
-            column = self._index.get(value)
-            if column is not None:
-                out[row, column] = 1.0
-        return out
-
-    def fit_transform(self, values: np.ndarray) -> np.ndarray:
-        return self.fit(values).transform(values)

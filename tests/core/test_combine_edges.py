@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    ClassifierConfig,
     CostCombiner,
     DependenceClassifier,
     HybridModel,
@@ -75,9 +74,9 @@ def reference_estimate(estimator, head, tail, pre, cost):
 def reference_probability(classifier, head, tail):
     """``P(use estimation)`` by the one-row split formula: the logit as the
     sum of the halves' products (the intercept riding with the head's).  A
-    forest or a constant has no logit and reads the whole row."""
+    constant has no logit and reads the whole row."""
     model = classifier._model
-    if classifier._constant_label is not None or not isinstance(model, LogisticRegression):
+    if classifier._constant_label is not None:
         return float(classifier.estimation_probability(np.concatenate([head, tail]))[0])
     lead, trail = split_products(classifier._scaler, model.coef_, head, tail)
     return float(LogisticRegression._sigmoid((lead + model.intercept_) + trail)[0])
@@ -157,18 +156,11 @@ class TestRowInvariance:
     @pytest.fixture(scope="class")
     def classifiers(self, world, pres):
         _, trained = world
-        rows = np.vstack([X for _, _, X in random_blocks(world, pres[:2])])[:120]
-        labels = trained.classifier.decide_batch(rows).astype(int)
-        labels[:2] = [0, 1]  # both classes, whatever the trained model says
-        forest = DependenceClassifier(ClassifierConfig(backend="forest"))
-        constant = DependenceClassifier().fit(rows[:4], np.ones(4, dtype=int))
-        return {
-            "logistic": trained.classifier,
-            "forest": forest.fit(rows, labels),
-            "constant": constant,
-        }
+        rows = np.vstack([X for _, _, X in random_blocks(world, pres[:1])])[:4]
+        constant = DependenceClassifier().fit(rows, np.ones(4, dtype=int))
+        return {"logistic": trained.classifier, "constant": constant}
 
-    @pytest.mark.parametrize("backend", ["logistic", "forest", "constant"])
+    @pytest.mark.parametrize("backend", ["logistic", "constant"])
     def test_classifier_block_rows_equal_one_row_calls(
         self, world, pres, seam, classifiers, backend
     ):
@@ -189,8 +181,6 @@ class TestRowInvariance:
                 assert np.array_equal(logits, one_row), f"k={len(X)}"
                 shares = classifier.logit_terms(head[None]) + logits
                 assert np.array_equal(LogisticRegression._sigmoid(shares), split)
-            elif backend == "forest":  # the stacked rows a forest's block scores
-                assert np.array_equal(classifier.estimation_probability(X), split)
             blocks += 1
         assert blocks == 16 * len(pres)
 

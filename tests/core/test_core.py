@@ -214,6 +214,13 @@ class TestEstimator:
         with pytest.raises(ValueError):
             EstimatorConfig(num_bins=1)
 
+    def test_fit_on_no_rows_raises(self):
+        est = DistributionEstimator(EstimatorConfig(num_bins=8))
+        with pytest.raises(ValueError, match="no rows"):
+            est.fit(np.zeros((0, 3)), np.zeros((0, 8)))
+        with pytest.raises(RuntimeError):
+            est.predict_profiles(np.zeros((1, 3)))
+
 
 class TestClassifier:
     def _features(self, n=200, seed=0):
@@ -243,11 +250,6 @@ class TestClassifier:
         high = DependenceClassifier(ClassifierConfig(threshold=0.9)).fit(X, y)
         assert low.decide_batch(X).sum() >= high.decide_batch(X).sum()
 
-    def test_forest_backend(self):
-        X, y = self._features(100)
-        clf = DependenceClassifier(ClassifierConfig(backend="forest")).fit(X, y)
-        assert 0.0 <= clf.estimation_probability(X[:5]).max() <= 1.0
-
     def test_bad_labels(self):
         with pytest.raises(ValueError):
             DependenceClassifier().fit(np.zeros((2, 1)), np.asarray([0, 2]))
@@ -260,9 +262,15 @@ class TestClassifier:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ClassifierConfig(backend="svm")
-        with pytest.raises(ValueError):
             ClassifierConfig(threshold=0.0)
+
+    def test_fit_on_no_rows_raises(self):
+        """No rows would fit a NaN scaler: every served decision "convolve"."""
+        clf = DependenceClassifier()
+        with pytest.raises(ValueError, match="no rows"):
+            clf.fit(np.zeros((0, 3)), np.zeros(0, int))
+        with pytest.raises(RuntimeError):
+            clf.decide_rows(np.zeros((2, 3)))
 
 
 class TestCombinersAndPathCost:

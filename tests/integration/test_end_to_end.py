@@ -6,6 +6,8 @@ keep the suite fast while still exercising every cross-module seam the
 experiments rely on.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,8 @@ class TestPersistence:
     def test_roundtrip_preserves_behaviour(self, world, tmp_path):
         network, _, _, trained = world
         save_hybrid(trained, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["classifier"]["backend"] == "logistic"  # files older readers parse
         reloaded = load_hybrid(tmp_path, network)
 
         assert reloaded.report == trained.report
@@ -142,6 +146,17 @@ class TestPersistence:
         b = RoutingEngine(network, reloaded.hybrid_model()).route(query)
         assert a.probability == pytest.approx(b.probability)
         assert a.path_vertices() == b.path_vertices()
+
+    @pytest.mark.parametrize("backend", ["forest", None, "Logistic"])
+    def test_an_unknown_classifier_backend_is_refused(self, world, tmp_path, backend):
+        network, _, _, trained = world
+        save_hybrid(trained, tmp_path)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["classifier"]["backend"] = backend
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"classifier backend: {backend!r}"):
+            load_hybrid(tmp_path, network)
 
 
 class TestCorpusFidelity:

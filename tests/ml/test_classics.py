@@ -1,29 +1,9 @@
-"""Unit tests for linear models, trees, forests, preprocessing, metrics."""
+"""Unit tests for logistic regression, preprocessing, metrics and k-fold."""
 
 import numpy as np
 import pytest
 
-from repro.ml import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    LogisticRegression,
-    OneHotEncoder,
-    RandomForestClassifier,
-    RandomForestRegressor,
-    RidgeRegression,
-    StandardScaler,
-    accuracy,
-    brier_score,
-    confusion_matrix,
-    f1_score,
-    kfold_indices,
-    log_loss,
-    mean_kl_to_targets,
-    precision,
-    recall,
-    train_test_split,
-    train_test_split_indices,
-)
+from repro.ml import LogisticRegression, StandardScaler, accuracy, kfold_indices
 
 
 def linear_dataset(n=300, seed=0):
@@ -37,7 +17,7 @@ class TestLogisticRegression:
     def test_separable_data(self):
         X, y = linear_dataset()
         clf = LogisticRegression().fit(X, y)
-        assert accuracy(y, clf.predict(X)) > 0.97
+        assert accuracy(y, np.argmax(clf.predict_proba(X), axis=1)) > 0.97
 
     def test_loss_monotone(self):
         X, y = linear_dataset()
@@ -57,101 +37,56 @@ class TestLogisticRegression:
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):
-            LogisticRegression().predict(np.zeros((1, 1)))
+            LogisticRegression().predict_proba(np.zeros((1, 1)))
+
+    def test_rejects_row_mismatch(self):
+        with pytest.raises(ValueError):
+            LogisticRegression().fit(np.zeros((3, 1)), np.asarray([0, 1]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LogisticRegression(l2=-1)
-        with pytest.raises(ValueError):
-            LogisticRegression(max_iter=0)
+        y = np.asarray([0, 1])
+        with pytest.raises(ValueError, match="non-finite"):
+            LogisticRegression().fit(np.asarray([[0.0], [np.nan]]), y)
+        with pytest.raises(ValueError, match="2-D"):
+            LogisticRegression().fit(np.zeros((2, 1, 1)), y)
+        clf = LogisticRegression().fit(np.asarray([[0.0], [1.0]]), y)
+        with pytest.raises(ValueError, match="non-finite"):
+            clf.predict_proba(np.asarray([[np.inf]]))
 
-
-class TestRidge:
-    def test_recovers_coefficients(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(200, 3))
-        y = X @ np.asarray([2.0, -1.0, 0.5]) + 4.0
-        reg = RidgeRegression(alpha=1e-8).fit(X, y)
-        assert np.allclose(reg.coef_, [2.0, -1.0, 0.5], atol=1e-6)
-        assert reg.intercept_ == pytest.approx(4.0, abs=1e-6)
-
-    def test_regularization_shrinks(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(50, 2))
-        y = X[:, 0] * 3
-        small = RidgeRegression(alpha=1e-8).fit(X, y)
-        large = RidgeRegression(alpha=100.0).fit(X, y)
-        assert abs(large.coef_[0]) < abs(small.coef_[0])
-
-
-class TestTrees:
-    def test_classifier_xor(self):
-        """Trees handle the XOR pattern logistic regression cannot."""
-        rng = np.random.default_rng(0)
-        X = rng.uniform(-1, 1, size=(400, 2))
-        y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
-        tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-        assert accuracy(y, tree.predict(X)) > 0.95
-
-    def test_depth_limit(self):
-        X, y = linear_dataset()
-        tree = DecisionTreeClassifier(max_depth=2).fit(X, y)
-        assert tree.depth <= 2
-
-    def test_min_samples_leaf(self):
-        X, y = linear_dataset(100)
-        tree = DecisionTreeClassifier(max_depth=10, min_samples_leaf=30).fit(X, y)
-        assert tree.num_leaves <= 100 // 30 + 1
-
-    def test_pure_node_is_leaf(self):
-        X = np.zeros((10, 1))
-        y = np.zeros(10, dtype=int)
-        tree = DecisionTreeClassifier().fit(X, y)
-        assert tree.depth == 0
-
-    def test_regressor_step_function(self):
-        X = np.linspace(0, 1, 100).reshape(-1, 1)
-        y = (X[:, 0] > 0.5) * 10.0
-        reg = DecisionTreeRegressor(max_depth=2).fit(X, y)
-        assert np.allclose(reg.predict(X), y, atol=0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(max_depth=0)
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(min_samples_split=1)
-
-
-class TestForests:
-    def test_classifier_beats_stump(self):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(-1, 1, size=(300, 2))
-        y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(int)
-        forest = RandomForestClassifier(num_trees=15, max_depth=5, seed=1).fit(X, y)
-        assert accuracy(y, forest.predict(X)) > 0.9
-
-    def test_proba_normalized(self):
-        X, y = linear_dataset(80)
-        forest = RandomForestClassifier(num_trees=5, seed=0).fit(X, y)
-        proba = forest.predict_proba(X)
-        assert np.allclose(proba.sum(axis=1), 1.0)
-
-    def test_regressor(self):
-        X = np.linspace(0, 1, 120).reshape(-1, 1)
-        y = np.sin(X[:, 0] * 6)
-        forest = RandomForestRegressor(num_trees=20, max_depth=6, seed=0).fit(X, y)
-        residual = np.abs(forest.predict(X) - y).mean()
-        assert residual < 0.15
-
-    def test_deterministic(self):
+    def test_decision_function_is_the_logit(self):
         X, y = linear_dataset(60)
-        a = RandomForestClassifier(num_trees=4, seed=3).fit(X, y).predict_proba(X)
-        b = RandomForestClassifier(num_trees=4, seed=3).fit(X, y).predict_proba(X)
-        assert np.allclose(a, b)
+        clf = LogisticRegression().fit(X, y)
+        logits = clf.decision_function(X)
+        assert np.array_equal(logits, X @ clf.coef_ + clf.intercept_)
+        assert np.array_equal(clf.predict_proba(X)[:, 1], LogisticRegression._sigmoid(logits))
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomForestClassifier(num_trees=0)
+    def test_refit_is_bit_identical(self):
+        X, y = linear_dataset(80, seed=3)
+        a = LogisticRegression().fit(X, y)
+        b = LogisticRegression().fit(X, y)
+        assert np.array_equal(a.coef_, b.coef_)
+        assert a.intercept_ == b.intercept_
+        assert a.history_ == b.history_
+
+    def test_intercept_learns_the_class_prior(self):
+        """With no signal in the features only the (unpenalised) intercept
+        moves, and it settles on the log-odds of the label frequency."""
+        y = np.asarray([1] * 40 + [0] * 10)
+        clf = LogisticRegression().fit(np.zeros((50, 2)), y)
+        assert np.array_equal(clf.coef_, np.zeros(2))
+        assert clf.predict_proba(np.zeros((1, 2)))[0, 1] == pytest.approx(0.8, abs=1e-3)
+
+    def test_sigmoid_saturates_without_overflow(self):
+        with np.errstate(over="raise", invalid="raise"):
+            out = LogisticRegression._sigmoid(np.asarray([-1000.0, 0.0, 1000.0]))
+        assert out.tolist() == [0.0, 0.5, 1.0]
+        z = np.linspace(-30, 30, 61)
+        assert np.allclose(LogisticRegression._sigmoid(-z), 1.0 - LogisticRegression._sigmoid(z))
+
+    def test_one_dimensional_input_is_one_row(self):
+        X, y = linear_dataset(40)
+        clf = LogisticRegression().fit(X, y)
+        assert np.array_equal(clf.predict_proba(X[0]), clf.predict_proba(X[:1]))
 
 
 class TestPreprocessing:
@@ -167,11 +102,6 @@ class TestPreprocessing:
         Z = StandardScaler().fit_transform(X)
         assert np.allclose(Z[:, 0], 0.0)
 
-    def test_scaler_roundtrip(self):
-        X = np.random.default_rng(1).normal(size=(20, 2))
-        scaler = StandardScaler().fit(X)
-        assert np.allclose(scaler.inverse_transform(scaler.transform(X)), X)
-
     def test_scaler_feature_count_mismatch(self):
         scaler = StandardScaler().fit(np.zeros((5, 3)))
         with pytest.raises(ValueError):
@@ -181,70 +111,67 @@ class TestPreprocessing:
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((1, 1)))
 
-    def test_onehot_known_and_unknown(self):
-        enc = OneHotEncoder().fit(np.asarray(["a", "b", "c"]))
-        out = enc.transform(np.asarray(["b", "z"]))
-        assert out[0].tolist() == [0.0, 1.0, 0.0]
-        assert out[1].tolist() == [0.0, 0.0, 0.0]
+    def test_scaler_rejects_a_matrix_with_no_rows(self):
+        scaler = StandardScaler()
+        with pytest.raises(ValueError, match="no rows"):
+            scaler.fit(np.zeros((0, 3)))
+        assert scaler.mean_ is None and scaler.scale_ is None
 
-    def test_onehot_unfitted(self):
+    def test_scaler_roundtrip(self):
+        X = np.random.default_rng(1).normal(size=(20, 2))
+        scaler = StandardScaler().fit(X)
+        assert np.allclose(scaler.transform(X) * scaler.scale_ + scaler.mean_, X)
+
+    def test_scaler_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            StandardScaler().fit(np.asarray([[1.0, np.nan], [2.0, 3.0]]))
+
+    def _projection_case(self, seed=0):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(2.0, 3.0, size=(30, 5))
+        scaler = StandardScaler().fit(X)
+        return scaler, X, rng.normal(size=(5, 3)), rng.normal(size=3)
+
+    def test_project_is_transform_then_affine(self):
+        scaler, X, W, b = self._projection_case()
+        assert np.allclose(scaler.project(X, W, b), scaler.transform(X) @ W + b, rtol=1e-12)
+
+    @pytest.mark.parametrize("seam", [1, 3, 4])
+    def test_project_halves_sum_to_the_whole(self, seam):
+        """The bias rides with the leading half only, so the halves add up."""
+        scaler, X, W, b = self._projection_case(seed=seam)
+        lead = scaler.project(X[:, :seam], W, b)
+        trail = scaler.project(X[:, seam:], W, b, start=seam)
+        assert np.allclose(lead + trail, scaler.project(X, W, b), rtol=1e-12)
+
+    def test_project_rows_equal_one_row_calls(self):
+        scaler, X, W, b = self._projection_case(seed=7)
+        block = scaler.project(X[:, 2:], W, b, start=2)
+        for i in range(len(X)):
+            assert np.array_equal(block[i], scaler.project(X[i : i + 1, 2:], W, b, start=2)[0])
+
+    def test_project_unfitted(self):
         with pytest.raises(RuntimeError):
-            OneHotEncoder().transform(np.asarray([1]))
+            StandardScaler().project(np.zeros((1, 2)), np.zeros((2, 1)), 0.0)
 
 
 class TestMetrics:
     def test_accuracy(self):
         assert accuracy([1, 0, 1], [1, 1, 1]) == pytest.approx(2 / 3)
 
-    def test_confusion_matrix(self):
-        cm = confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1])
-        assert cm.tolist() == [[1, 1], [0, 2]]
-
-    def test_precision_recall_f1(self):
-        y_true = [1, 1, 0, 0]
-        y_pred = [1, 0, 1, 0]
-        assert precision(y_true, y_pred) == pytest.approx(0.5)
-        assert recall(y_true, y_pred) == pytest.approx(0.5)
-        assert f1_score(y_true, y_pred) == pytest.approx(0.5)
-
-    def test_precision_no_positives(self):
-        assert precision([1, 1], [0, 0]) == 0.0
-        assert recall([0, 0], [1, 1]) == 0.0
-        assert f1_score([0, 0], [0, 0]) == 0.0
-
-    def test_log_loss_perfect(self):
-        probs = np.asarray([[0.0, 1.0], [1.0, 0.0]])
-        assert log_loss([1, 0], probs) == pytest.approx(0.0, abs=1e-9)
-
-    def test_brier(self):
-        assert brier_score([1, 0], [1.0, 0.0]) == 0.0
-        assert brier_score([1], [0.5]) == pytest.approx(0.25)
-
-    def test_mean_kl_zero_on_match(self):
-        T = np.asarray([[0.5, 0.5], [0.1, 0.9]])
-        assert mean_kl_to_targets(T, T) == pytest.approx(0.0, abs=1e-9)
-
-    def test_mean_kl_shape_mismatch(self):
+    def test_accuracy_length_mismatch(self):
         with pytest.raises(ValueError):
-            mean_kl_to_targets(np.ones((2, 2)), np.ones((3, 2)))
+            accuracy([1, 0], [1, 0, 1])
+
+    def test_accuracy_needs_a_label(self):
+        with pytest.raises(ValueError):
+            accuracy([], [])
+
+    def test_accuracy_ignores_shape(self):
+        assert accuracy(np.asarray([[1], [0], [0]]), np.asarray([1, 0, 1])) == pytest.approx(2 / 3)
 
 
 class TestModelSelection:
-    def test_split_disjoint_and_complete(self):
-        train, test = train_test_split_indices(50, test_fraction=0.2, seed=1)
-        assert len(train) + len(test) == 50
-        assert set(train.tolist()).isdisjoint(test.tolist())
-
-    def test_split_sequence(self):
-        train, test = train_test_split(list("abcdefghij"), test_fraction=0.3, seed=0)
-        assert len(train) == 7 and len(test) == 3
-
-    def test_split_validation(self):
-        with pytest.raises(ValueError):
-            train_test_split_indices(1)
-        with pytest.raises(ValueError):
-            train_test_split_indices(10, test_fraction=0.0)
-
     def test_kfold_partitions(self):
         folds = list(kfold_indices(23, folds=5, seed=0))
         assert len(folds) == 5
@@ -256,3 +183,20 @@ class TestModelSelection:
     def test_kfold_validation(self):
         with pytest.raises(ValueError):
             list(kfold_indices(3, folds=5))
+
+    def test_kfold_needs_two_folds(self):
+        with pytest.raises(ValueError):
+            list(kfold_indices(10, folds=1))
+
+    def test_kfold_fold_sizes_balanced(self):
+        folds = list(kfold_indices(23, folds=5, seed=2))
+        assert sorted(len(v) for _, v in folds) == [4, 4, 5, 5, 5]
+        for train, validation in folds:
+            assert sorted([*train.tolist(), *validation.tolist()]) == list(range(23))
+
+    def test_kfold_deterministic_given_seed(self):
+        def splits(seed):
+            return [v.tolist() for _, v in kfold_indices(20, folds=4, seed=seed)]
+
+        assert splits(3) == splits(3)
+        assert splits(3) != splits(4)
