@@ -50,7 +50,7 @@ _TOL = 1e-12
 DOMINANCE_TOL = _TOL
 
 #: Upper bound on the broadcast buffer of one :func:`cdf_dominance_matrix`
-#: chunk, in float64 cells (``chunk_rows * m * width``).
+#: chunk, in float64 cells (``chunk_rows * b.size``).
 _MATRIX_CHUNK_CELLS = 1 << 22
 
 
@@ -66,23 +66,31 @@ def cdf_dominance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     :func:`weakly_dominates` (beyond the grid both CDFs sit at their
     plateaus, which the last column compares).
 
+    Leading batch axes are allowed and must agree: ``(..., n, width)``
+    against ``(..., m, width)`` gives ``(..., n, m)``, one matrix per batch
+    entry — the columnar core screens a chunk's vertex groups in one call.
     The broadcast work is chunked over rows of ``a`` so the intermediate
-    ``(chunk, m, width)`` buffer stays small.
+    ``(..., chunk, m, width)`` buffer stays small.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+    if (
+        a.ndim < 2
+        or a.ndim != b.ndim
+        or a.shape[:-2] != b.shape[:-2]
+        or a.shape[-1] != b.shape[-1]
+    ):
         raise ValueError(
-            f"expected 2-D CDF blocks on one grid, got {a.shape} and {b.shape}"
+            f"expected CDF blocks on one grid, got {a.shape} and {b.shape}"
         )
-    n, m = a.shape[0], b.shape[0]
-    out = np.empty((n, m), dtype=bool)
-    step = max(1, _MATRIX_CHUNK_CELLS // max(1, m * a.shape[1]))
-    shifted = b - _TOL
+    n, m = a.shape[-2], b.shape[-2]
+    out = np.empty((*a.shape[:-2], n, m), dtype=bool)
+    step = max(1, _MATRIX_CHUNK_CELLS // max(1, b.size))
+    shifted = (b - _TOL)[..., None, :, :]
     for start in range(0, n, step):
-        block = a[start : start + step]
-        out[start : start + step] = np.all(
-            block[:, None, :] >= shifted[None, :, :], axis=2
+        block = a[..., start : start + step, None, :]
+        np.logical_and.reduce(
+            block >= shifted, axis=-1, out=out[..., start : start + step, :]
         )
     return out
 

@@ -51,27 +51,39 @@ def batched_window_convolve(
     conservation (``total - head``), which keeps each row's sum exactly
     ``parent_mass * kernel_mass``.
 
-    The kernel support loop runs over grid columns grouped by offset, so a
-    batch of same-offset kernels (the common case: one road category) costs
-    one strided multiply-add per support cell regardless of batch size.
+    Rows are sorted by offset (stably) and each equal-offset run is one
+    contiguous slice, so a batch of same-offset kernels (the common case: one
+    road category) costs one strided multiply-add per support cell however
+    many rows it holds, and a call pays one gather and one scatter in all; a
+    one-row call skips the sort.  Every output cell receives its products in
+    ascending support order starting from ``0.0``, whatever the batch.
     """
     n, width = parents.shape
-    out = np.zeros((n, width), dtype=np.float64)
-    support = kernel_probs.shape[1]
-    for off in np.unique(kernel_offsets):
-        rows = np.flatnonzero(kernel_offsets == off)
-        block = parents[rows]
-        probs = kernel_probs[rows]
-        acc = np.zeros((rows.size, width), dtype=np.float64)
-        for s in range(support):
-            t = int(off) + s
-            if t >= width - 1:
-                break
-            col = probs[:, s]
-            if not col.any():
-                continue
-            acc[:, t:] += col[:, None] * block[:, : width - t]
-        out[rows] = acc
+    if n > 1:
+        order = np.argsort(kernel_offsets, kind="stable")
+        offsets = kernel_offsets[order]
+        block, probs = parents[order], kernel_probs[order]
+        runs = [0, *(np.flatnonzero(offsets[1:] != offsets[:-1]) + 1).tolist(), n]
+    else:
+        offsets, block, probs, runs = kernel_offsets, parents, kernel_probs, [0, n]
+    acc = np.zeros((n, width), dtype=np.float64)
+    for a, b in zip(runs, runs[1:]):
+        if a == b:  # the one empty run of a (0, width) block
+            continue
+        off = int(offsets[a])
+        # Support cells at or past the fold cell only ever feed the fold cell,
+        # which is rebuilt below from mass conservation; all-zero cells are
+        # skipped (the shared kernel block pads every support to the longest).
+        live = probs[a:b, : max(width - 1 - off, 0)].any(axis=0).tolist()
+        for s, nonzero in enumerate(live):
+            if nonzero:
+                t = off + s
+                acc[a:b, t:] += probs[a:b, s, None] * block[a:b, : width - t]
+    if n > 1:
+        out = np.empty_like(acc)
+        out[order] = acc
+    else:
+        out = acc
     totals = parents.sum(axis=1) * kernel_totals
     head = out[:, : width - 1].sum(axis=1)
     np.maximum(totals - head, 0.0, out=totals)
@@ -88,12 +100,23 @@ def trim_window_rows(rows: np.ndarray) -> np.ndarray:
     dropped (set to exactly zero), so repeated convolutions do not accumulate
     sub-epsilon dust that would drift the columnar core away from the scalar
     core's probabilities.  Interior near-zero cells are kept, exactly as the
-    scalar trim keeps them.
+    scalar trim keeps them: each row keeps the span from its first to its
+    last cell above ``_MASS_EPSILON`` and is zeroed outside it (a row with no
+    such cell is zeroed whole).
     """
-    small = rows <= _MASS_EPSILON
-    leading = np.logical_and.accumulate(small, axis=1)
-    trailing = np.logical_and.accumulate(small[:, ::-1], axis=1)[:, ::-1]
-    rows[leading | trailing] = 0.0
+    n, width = rows.shape
+    if n == 1:
+        # The descent's one-row case: two slice writes, no mask.
+        big = np.flatnonzero(rows[0] > _MASS_EPSILON)
+        first, stop = (int(big[0]), int(big[-1]) + 1) if big.size else (width, width)
+        rows[0, :first] = 0.0
+        rows[0, stop:] = 0.0
+        return rows
+    big = rows > _MASS_EPSILON
+    first = np.where(big.any(axis=1), big.argmax(axis=1), width)[:, None]
+    stop = width - big[:, ::-1].argmax(axis=1)[:, None]
+    cols = np.arange(width)
+    rows[(cols < first) | (cols >= stop)] = 0.0
     return rows
 
 

@@ -19,8 +19,9 @@ treats it — by expanding **whole frontier generations at once**:
 * bound/pivot screening is a matrix CDF read, one column per budget: a label
   survives while some budget's bound is positive and beats that budget's
   pivot (``_BudgetVectorPivots.prunable``, vectorised); stochastic dominance
-  against resident frontier rows is a matrix comparison
-  (:func:`repro.histograms.dominance.cdf_dominance_matrix`) that replicates
+  against resident frontier rows is one batched matrix comparison per chunk
+  (:func:`repro.histograms.dominance.cdf_dominance_matrix` over every vertex
+  group's block) followed by a bitmask replay of
   :class:`~repro.histograms.ParetoFrontier.add` semantics sequentially per
   vertex group — budget-independent, so shared by the whole vector;
 * labels live in an arena of parallel numpy arrays (vertex, parent index,
@@ -54,7 +55,7 @@ import time
 import numpy as np
 
 from ..histograms import DiscreteDistribution
-from ..histograms.dominance import DOMINANCE_TOL
+from ..histograms.dominance import cdf_dominance_matrix
 from ..histograms.operations import batched_window_convolve, trim_window_rows
 from .heuristics import OptimisticHeuristic, vertex_indexing
 from .query import RoutingQuery, RoutingResult, SearchStats
@@ -206,20 +207,21 @@ class _FrontierStore:
         self._free = list(range(cap - 1, -1, -1))
         self.by_vertex: dict[int, list[int]] = {}
 
-    def _alloc(self) -> int:
-        if not self._free:
+    def allocate(self, vertex: int, count: int) -> list[int]:
+        """Move ``count`` rows from the free list to ``vertex``'s residents
+        and return them; the caller fills them once it has made every
+        allocation (growing replaces ``matrix``)."""
+        free = self._free
+        while len(free) < count:
             cap = self.matrix.shape[0]
             grown = np.empty((cap * 2, self.matrix.shape[1]), dtype=np.float64)
             grown[:cap] = self.matrix
             self.matrix = grown
-            self._free = list(range(cap * 2 - 1, cap - 1, -1))
-        return self._free.pop()
-
-    def insert(self, vertex: int, row: np.ndarray) -> int:
-        i = self._alloc()
-        self.matrix[i] = row
-        self.by_vertex.setdefault(vertex, []).append(i)
-        return i
+            free[:0] = range(cap * 2 - 1, cap - 1, -1)
+        rows = free[len(free) - count :]
+        del free[len(free) - count :]
+        self.by_vertex.setdefault(vertex, []).extend(rows)
+        return rows
 
     def evict(self, vertex: int, rows: list[int]) -> None:
         live = self.by_vertex[vertex]
@@ -228,134 +230,132 @@ class _FrontierStore:
             self._free.append(i)
 
 
-def _admit_group(
-    store: _FrontierStore, vertex: int, cand_cdf: np.ndarray, lo: int = 0
+def _admit_chunk(
+    store: _FrontierStore,
+    cdf: np.ndarray,
+    candidates: np.ndarray,
+    vertices: np.ndarray,
 ) -> np.ndarray:
-    """Sequentially admit one vertex's candidates, ParetoFrontier-style.
+    """Admit one chunk's candidates into the frontier, ParetoFrontier-style.
 
-    Replays :meth:`ParetoFrontier.add` for each candidate in order using
-    precomputed pairwise dominance matrices: a candidate is rejected when a
-    *live* resident (or an earlier-kept candidate still in the frontier)
-    weakly dominates it, and an admitted candidate evicts every resident it
-    weakly dominates.  Returns the admitted mask; an admitted-then-evicted
-    candidate stays admitted (it was already queued for expansion — exactly
-    the scalar core's behaviour, where eviction never reaches the heap).
+    ``candidates`` index rows of ``cdf`` in generation order; ``vertices``
+    holds each one's vertex.  Per vertex, the candidates replay
+    :meth:`ParetoFrontier.add` in order: one is rejected when a *live* row —
+    a resident, or an earlier candidate still kept — weakly dominates it, and
+    an admitted one evicts every live row it weakly dominates.  Returns the
+    admitted mask over ``candidates``; an admitted-then-evicted candidate
+    stays admitted (it was already queued for expansion — exactly the scalar
+    core's behaviour, where eviction never reaches the heap).  A copy of a
+    row already kept is rejected by it (weak dominance is reflexive), and a
+    copy of a rejected row re-tests the live state like any other candidate.
 
-    ``lo`` is a caller-supplied column such that every candidate CDF is
-    exactly zero on ``[0, lo)`` (the group's earliest support tick).  The
-    pairwise broadcasts then compare only ``[lo:]``: below ``lo`` any row
-    trivially dominates a zero CDF, and the one direction that is *not*
-    trivial — a candidate dominating a resident with earlier support — is
-    restored exactly by requiring the resident's CDF at ``lo - 1`` to be
-    within tolerance of zero.  Mid-search generations sit deep in the
-    window, so this typically halves the dominance compare work.
+    Vertices are independent (each has its own frontier), so the screen runs
+    for the whole chunk before any replay.  Each vertex group's block is its
+    candidates, then its residents; groups are bucketed by block size
+    rounded up to a power of two (padding at most doubles a side), and each
+    bucket is one :func:`cdf_dominance_matrix` call over the columns
+    ``[lo - 1, stop)``, which give the full-width verdicts:
+
+    * ``lo`` is the chunk's earliest candidate support tick.  Below it every
+      candidate CDF is exactly zero, so any row dominates a candidate there,
+      and a candidate dominates a resident there iff the resident's CDF is
+      within tolerance of zero — which, CDFs being monotone, column
+      ``lo - 1`` alone decides;
+    * past the last column where some row is short of its plateau (its last
+      column), every row is constant, so column ``stop - 1`` speaks for the
+      rest.
+
+    The replay runs on Python ints, one bit per block position: the live set
+    is a bitmask, a candidate is rejected when the mask of rows dominating it
+    meets the live set, and an admitted one clears the rows it dominates.
     """
-    resident_rows = store.by_vertex.get(vertex) or []
-    count = cand_cdf.shape[0]
-    num_res = len(resident_rows)
-    admitted = np.zeros(count, dtype=bool)
-    if count == 1:
-        # Fast path for the overwhelmingly common one-candidate group: the
-        # same reject/evict/insert sequence without pairwise matrices.
-        row = cand_cdf[0]
-        if resident_rows:
-            resident = store.matrix[resident_rows]
-            if (resident[:, lo:] >= row[lo:] - DOMINANCE_TOL).all(axis=1).any():
-                return admitted
-            dominated = (row[lo:] >= resident[:, lo:] - DOMINANCE_TOL).all(axis=1)
-            if lo > 0:
-                dominated &= resident[:, lo - 1] <= DOMINANCE_TOL
-            if dominated.any():
-                store.evict(
-                    vertex,
-                    [r for r, d in zip(resident_rows, dominated) if d],
-                )
-        store.insert(vertex, row)
-        admitted[0] = True
-        return admitted
-    # Equal-probability path enumerations (ubiquitous on grids) make many
-    # candidates bitwise-identical rows; the pairwise matrices only need the
-    # distinct ones.  The replay below walks candidates in original order
-    # through a uid indirection, which reproduces the sequential semantics
-    # exactly: the first copy of a row decides, an admitted copy's diagonal
-    # self-dominance then rejects every later copy (as the scalar frontier
-    # would), and a copy of a rejected row automatically re-tests the *live*
-    # state, so intervening evictions behave identically too.
-    uid_of: dict[bytes, int] = {}
-    inverse = np.empty(count, dtype=np.int64)
-    firsts: list[int] = []
-    for j in range(count):
-        key = cand_cdf[j].tobytes()
-        u = uid_of.get(key)
-        if u is None:
-            u = len(firsts)
-            uid_of[key] = u
-            firsts.append(j)
-        inverse[j] = u
-    num_uniq = len(firsts)
-    uniq_cdf = cand_cdf[firsts] if num_uniq < count else cand_cdf
-    # One all-pairs broadcast over [residents; unique candidates] replaces
-    # three separate matrix calls — per-call numpy overhead dominates at
-    # search group sizes.
-    if resident_rows:
-        block = np.vstack((store.matrix[resident_rows], uniq_cdf))
-    else:
-        block = uniq_cdf
-    sliced = block[:, lo:]
-    pairwise = (sliced[:, None, :] >= (sliced - DOMINANCE_TOL)[None, :, :]).all(
-        axis=2
-    )
-    res_dominates = pairwise[:num_res, num_res:]
-    cand_dominates = pairwise[num_res:, :num_res]
-    if lo > 0 and num_res:
-        # Below ``lo`` candidates are zero while residents may not be: a
-        # candidate only dominates a resident whose early mass is ~zero too.
-        cand_dominates = cand_dominates & (
-            block[:num_res, lo - 1] <= DOMINANCE_TOL
-        )
-    cand_cross = pairwise[num_res:, num_res:]
-    res_alive = np.ones(num_res, dtype=bool)
-    kept_front: list[int] = []
-    # Event-driven replay: per-candidate rejection tests are O(1) lookups in
-    # two running "dominated by a live resident / front member" vectors,
-    # updated vectorially only when the frontier actually changes (an
-    # admission ORs one row in; an eviction recomputes from the survivors).
-    # Exact same sequential semantics as testing against the live sets.
-    res_dom_any = (
-        res_dominates.any(axis=0)
-        if num_res
-        else np.zeros(num_uniq, dtype=bool)
-    )
-    front_dom_any = np.zeros(num_uniq, dtype=bool)
-    for j in range(count):
-        u = int(inverse[j])
-        if res_dom_any[u] or front_dom_any[u]:
-            continue
-        if num_res:
-            hits = cand_dominates[u] & res_alive
-            if hits.any():
-                res_alive &= ~hits
-                res_dom_any = res_dominates[res_alive].any(axis=0)
-        if kept_front:
-            kept = ~cand_cross[u, kept_front]
-            if not kept.all():
-                kept_front = [i for i, k in zip(kept_front, kept) if k]
-                front_dom_any = (
-                    cand_cross[kept_front].any(axis=0)
-                    if kept_front
-                    else np.zeros(num_uniq, dtype=bool)
-                )
-        front_dom_any |= cand_cross[u]
-        kept_front.append(u)
-        admitted[j] = True
-    if not res_alive.all():
-        store.evict(
-            vertex,
-            [r for r, alive in zip(resident_rows, res_alive) if not alive],
-        )
-    for u in kept_front:
-        store.insert(vertex, uniq_cdf[u])
-    return admitted
+    count = candidates.size
+    order = np.argsort(vertices, kind="stable")
+    rows = candidates[order].tolist()
+    verts = vertices[order].tolist()
+    # (vertex, first sorted position, candidate count, resident rows).
+    groups = []
+    a = 0
+    for b in range(1, count + 1):
+        if b == count or verts[b] != verts[a]:
+            groups.append((verts[a], a, b - a, store.by_vertex.get(verts[a]) or []))
+            a = b
+
+    # A group whose block is a single row needs no screen: that row
+    # dominates only itself.  The others read their blocks by slot from one
+    # source — the chunk's candidates in sorted order, then residents.
+    masks: list[tuple[list[int], list[int]] | None] = [None] * len(groups)
+    buckets: dict[int, list[tuple[int, int]]] = {}
+    res_rows: list[int] = []
+    for g, (_, _, size, residents) in enumerate(groups):
+        if residents or size > 1:
+            size += len(residents)
+            span = 1 << (size - 1).bit_length()
+            buckets.setdefault(span, []).append((g, len(res_rows)))
+            res_rows += residents
+    if buckets:
+        source = cdf[rows]
+        start = max(int(np.argmax((source > 0.0).any(axis=0))) - 1, 0)
+        if res_rows:
+            source = np.concatenate((source, store.matrix[res_rows]))
+        short = np.flatnonzero((source != source[:, -1:]).any(axis=0))
+        stop = int(short[-1]) + 2 if short.size else 1
+        for size, members in buckets.items():
+            slots: list[int] = []
+            for g, r in members:
+                _, a, nu, residents = groups[g]
+                slots += range(a, a + nu)
+                slots += range(count + r, count + r + len(residents))
+                slots += [a] * (size - nu - len(residents))
+            block = source[slots, start:stop].reshape(len(members), size, -1)
+            dom = cdf_dominance_matrix(block, block)
+            for (g, _), col, row in zip(
+                members, _bit_rows(dom.transpose(0, 2, 1)), _bit_rows(dom)
+            ):
+                masks[g] = (col, row)
+
+    lone = ([1], [1])
+    admitted: list[int] = []
+    dst: list[int] = []
+    src: list[int] = []
+    for (vertex, a, nu, residents), screen in zip(groups, masks):
+        dominated_by, dominates = screen or lone
+        everyone = (1 << len(residents)) - 1
+        live = everyone << nu
+        kept: list[int] = []
+        for u in range(nu):
+            if dominated_by[u] & live:
+                continue
+            evicted = dominates[u] & live
+            if evicted:
+                live ^= evicted
+                if evicted & ((1 << nu) - 1):
+                    kept = [w for w in kept if not evicted >> w & 1]
+            live |= 1 << u
+            kept.append(u)
+            admitted.append(a + u)
+        if live >> nu != everyone:
+            store.evict(
+                vertex, [r for i, r in enumerate(residents) if not live >> (nu + i) & 1]
+            )
+        if kept:
+            dst += store.allocate(vertex, len(kept))
+            src += [rows[a + u] for u in kept]
+    if dst:
+        store.matrix[dst] = cdf[src]
+    mask = np.zeros(count, dtype=bool)
+    mask[order[admitted]] = True
+    return mask
+
+
+def _bit_rows(bits: np.ndarray) -> list:
+    """``bits[..., i, :]`` as Python ints, bit ``k`` read from column ``k``:
+    one machine word per row up to 64 columns, the row's bytes beyond."""
+    packed = np.ascontiguousarray(np.packbits(bits, axis=-1, bitorder="little"))
+    step = packed.shape[-1]
+    if step in (1, 2, 4, 8):
+        return packed.view(f"<u{step}")[..., 0].tolist()
+    return [[int.from_bytes(row.tobytes(), "little") for row in part] for part in packed]
 
 
 def columnar_route(
@@ -637,28 +637,10 @@ def columnar_route(
                 alive &= ~fails
         if use_dominance and alive.any():
             idx = np.flatnonzero(alive)
-            group_order = np.argsort(vertices[idx], kind="stable")
-            ordered = idx[group_order]
-            ordered_vertices = vertices[ordered]
-            # Column where each row's support starts: dominance compares can
-            # skip the all-zero CDF prefix shared by a group (see
-            # _admit_group's ``lo``).
-            first_nz = np.argmax(rows > 0.0, axis=1)
-            cut = np.flatnonzero(
-                np.diff(ordered_vertices, prepend=ordered_vertices[0] - 1)
-            )
-            for g, start in enumerate(cut):
-                end = cut[g + 1] if g + 1 < cut.size else ordered.size
-                members = ordered[start:end]
-                kept = _admit_group(
-                    store,
-                    int(ordered_vertices[start]),
-                    cdf[members],
-                    int(first_nz[members].min()),
-                )
-                rejected = members[~kept]
-                stats.pruned_by_dominance += int(rejected.size)
-                alive[rejected] = False
+            kept = _admit_chunk(store, cdf, idx, vertices[idx])
+            rejected = idx[~kept]
+            stats.pruned_by_dominance += int(rejected.size)
+            alive[rejected] = False
         sel = np.flatnonzero(alive)
         ids = arena.append(vertices[sel], parents[sel], edges[sel])
         return rows[sel], vertices[sel], ids, bound[sel]

@@ -76,7 +76,9 @@ def worlds(draw):
     costs = EdgeCostTable(network, resolution=1.0)
     for u, v in sorted(pairs):
         edge = network.add_edge(u, v, length=100.0)
-        offset = draw(st.integers(min_value=1, max_value=5))
+        # Offset 0 is legal: zero-tick edges reach the convolution's t = 0
+        # column and the descent's zero-tick-cycle guard.
+        offset = draw(st.integers(min_value=0, max_value=5))
         size = draw(st.integers(min_value=1, max_value=4))
         weights = draw(
             st.lists(
@@ -168,6 +170,26 @@ def test_columnar_depart_when_matches_scalar(world, departures, arrive_by):
     for mine, theirs in zip(answer.probabilities, reference.probabilities):
         assert abs(mine - theirs) <= 2e-12
     assert answer.best_departure == reference.best_departure
+
+
+def test_zero_tick_descent_cycle_matches_scalar():
+    """A zero-tick 2-cycle on the min-tick descent (1 -> 2 -> 1 -> ...) stalls
+    the dive oracle at the ``len(chain) > num_vertices`` guard; the search
+    still answers as the scalar loop does."""
+    network = RoadNetwork()
+    for i in range(4):
+        network.add_vertex(i, float(i) * 100.0, 0.0)
+    costs = EdgeCostTable(network, resolution=1.0)
+    # Vertex 2 lists 2 -> 1 before 2 -> 3, so the descent picks the cycle.
+    for u, v, offset in [(0, 1, 1), (1, 2, 0), (2, 1, 0), (2, 3, 1), (0, 3, 4)]:
+        edge = network.add_edge(u, v, length=100.0)
+        costs.set_cost(edge.id, DiscreteDistribution(offset, np.array([0.6, 0.4])))
+    combiner = ConvolutionModel(costs)
+    for budget in range(2, 9):
+        query = RoutingQuery(0, 3, budget)
+        scalar = _BudgetSearch(network, combiner, backend="scalar").route(query)
+        columnar = _BudgetSearch(network, combiner, backend="columnar").route(query)
+        _assert_parity(scalar, columnar, budget)
 
 
 @settings(max_examples=20, deadline=None)
