@@ -162,21 +162,29 @@ class ResultCache:
         expiration and a miss — exactly as if it had never been cached.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                value, deadline = entry
-                if deadline is not None and self._clock() >= deadline:
-                    del self._entries[key]
+            value = self._hit(key)
+            if value is None:
+                if self._entries.pop(key, None) is not None:  # present, expired
                     self.expirations += 1
-                else:
-                    # dicts preserve insertion order; re-inserting implements
-                    # LRU recency without an OrderedDict dependency.
-                    del self._entries[key]
-                    self._entries[key] = entry
-                    self.hits += 1
-                    return value
-            self.misses += 1
+                self.misses += 1
+            return value
+
+    def get_hit(self, key: Hashable) -> Any | None:
+        """:meth:`get` counting only a hit: otherwise ``None``, nothing moved
+        or dropped, for a caller whose fallback :meth:`get` counts the miss."""
+        with self._lock:
+            return self._hit(key)
+
+    def _hit(self, key: Hashable) -> Any | None:  # lock held
+        entry = self._entries.get(key)
+        if entry is None or (entry[1] is not None and self._clock() >= entry[1]):
             return None
+        # dicts preserve insertion order; re-inserting implements LRU
+        # recency without an OrderedDict dependency.
+        del self._entries[key]
+        self._entries[key] = entry
+        self.hits += 1
+        return entry[0]
 
     def put(
         self,

@@ -108,12 +108,16 @@ def error_document(exc: BaseException) -> dict[str, Any]:
 def decode_request(line: str) -> Mapping[str, Any]:
     """Parse one JSON request line into a request document.
 
-    Raises ``json.JSONDecodeError`` (a ``ValueError``) for unparseable
-    text and ``TypeError`` for JSON that is not an object — both
-    ``bad_request`` through :func:`error_document`, whichever frontend
-    speaks the wire.
+    The one place parse failures are decided: unparseable text raises
+    ``ValueError`` (``json.JSONDecodeError``, the integer digit limit, or
+    nesting deeper than the parser recurses) and JSON that is not an
+    object ``TypeError`` — callers catch those two, both ``bad_request``
+    through :func:`error_document`, whichever frontend speaks the wire.
     """
-    request = json.loads(line)
+    try:
+        request = json.loads(line)
+    except RecursionError:
+        raise ValueError("request is nested too deeply to parse") from None
     if not isinstance(request, Mapping):
         raise TypeError("request must be an object")
     return request

@@ -4,8 +4,8 @@ Three pieces that turn one :class:`~repro.service.RoutingService` into a
 frontend that holds up under production-shaped load:
 
 * :class:`AsyncFrontend` — an asyncio frontend speaking the existing JSON
-  wire protocol (newline-delimited JSON over TCP), with searches running
-  in a thread-pool executor so the event loop never blocks.  Thousands of
+  wire protocol (newline-delimited JSON over TCP): fresh cache hits are
+  answered on the event loop, searches on a thread-pool executor.  Thousands of
   idle client connections cost coroutines, not threads; the pool, the
   accounting and the serve step are the
   :class:`~repro.service.frontend.FrontendCore` it shares with
@@ -574,14 +574,41 @@ class AsyncFrontend(FrontendCore):
     async def handle_line(self, line: str) -> str:
         """One JSON request line to one JSON response line.
 
-        Parse-failure documents match :meth:`RoutingService.handle_json`
-        exactly — the wire contract is the service's, whichever frontend
-        speaks it.
+        Response lines match :meth:`RoutingService.handle_json` exactly —
+        the wire contract is the service's, whichever frontend speaks it.
+        """
+        answer = self._answer_inline(line)
+        if isinstance(answer, str):
+            return answer
+        return await self._serve_line(answer)
+
+    def _answer_inline(self, line: str) -> str | Mapping[str, Any]:
+        """Decode ``line``: the response line for a parse failure or a fresh
+        cache hit (:meth:`RoutingService.probe_hit`), answered on the calling
+        loop thread, else the request for :meth:`_serve_line`.
+
+        A hit is accounted as :meth:`submit` accounts a request, but takes
+        no ``max_pending`` slot: it occupies no worker.  A closed frontend
+        probes nothing, so :meth:`submit` refuses the request as any other.
         """
         try:
             request = decode_request(line)
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             return json.dumps(error_document(exc))
+        if self._pool is None or self._closed:
+            return request
+        hit = self.service.probe_hit(request)
+        if hit is None:
+            return request
+        envelope, response_line = hit
+        self._admit()
+        if self.demand is not None:
+            self.demand.record_response(request, envelope)
+        self.stats._bump("completed")
+        return response_line
+
+    async def _serve_line(self, request: Mapping[str, Any]) -> str:
+        """One decoded request through :meth:`submit`, as a response line."""
         try:
             response = await self.submit(request)
         except FrontendClosedError as exc:
@@ -595,20 +622,22 @@ class AsyncFrontend(FrontendCore):
     ) -> None:
         """One client connection: pipelined requests, ordered responses.
 
-        Each request line starts executing immediately (up to
-        ``pipeline_depth`` per connection); a single writer coroutine
-        awaits the response tasks in arrival order, so responses line up
-        with requests without any client-side correlation ids.
+        Each request line is decoded once, on arrival: a fresh cache hit is
+        answered there and then (:meth:`_answer_inline`), anything else
+        starts executing immediately (up to ``pipeline_depth`` per
+        connection).  A single writer coroutine awaits the responses in
+        arrival order, so they line up with requests without any
+        client-side correlation ids.
         """
         in_order: asyncio.Queue = asyncio.Queue(maxsize=self.pipeline_depth)
 
         async def write_responses() -> None:
             while True:
-                task = await in_order.get()
-                if task is None:
+                response = await in_order.get()
+                if response is None:
                     return
-                try:
-                    response_line = await task
+                try:  # a line answered on arrival, or the task serving it
+                    response_line = response if isinstance(response, str) else await response
                 except Exception as exc:
                     response_line = json.dumps(error_document(exc))
                 writer.write(response_line.encode("utf-8") + b"\n")
@@ -623,7 +652,10 @@ class AsyncFrontend(FrontendCore):
                 text = line.decode("utf-8", errors="replace").strip()
                 if not text:
                     continue
-                await in_order.put(asyncio.create_task(self.handle_line(text)))
+                answer = self._answer_inline(text)
+                if not isinstance(answer, str):
+                    answer = asyncio.create_task(self._serve_line(answer))
+                await in_order.put(answer)
         except (ConnectionResetError, BrokenPipeError):
             pass  # client went away; drain what we have and close
         finally:

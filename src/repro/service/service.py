@@ -27,6 +27,7 @@ serve repeated OD traffic:
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from collections.abc import Mapping  # the abc, not typing's alias: 3x cheaper to isinstance
@@ -697,16 +698,10 @@ class RoutingService:
         is refunded when the request fails outright; a flight this request
         led but never completed is abandoned, releasing its followers.
         """
-        name = self._resolve_slice(slice_name)
+        name, ttl, time_limit_seconds, deadline_at, extras = self._prologue(
+            strategy, slice_name, time_limit_seconds, cache_ttl_seconds, deadline_seconds, **kwargs
+        )
         engine = self._engines[name]
-        # Resolve the strategy before any counting: an unknown name (wire
-        # input is untrusted) must raise here, not leave a permanent entry
-        # in the per-strategy latency map — that map stays bounded by the
-        # strategy registry.
-        engine.strategy(strategy)
-        ttl = check_ttl_seconds(cache_ttl_seconds, name="cache_ttl_seconds")
-        time_limit_seconds = self._check_time_limit(time_limit_seconds)
-        deadline_at = self._deadline_at(deadline_seconds)
         begin = time.perf_counter()
         key: tuple | None = None
         flight: _SingleFlight | None = None
@@ -717,16 +712,14 @@ class RoutingService:
         miss_counted = False
         try:
             with self._slice_locks[name].read_locked():
-                version = engine.cost_version
-                extras = self._key_extras(time_limit_seconds, kwargs)
-                key = self._cache_key(name, strategy, query, extras, version)
                 while True:
-                    if key is not None:
-                        cached = self._cache.get(key)
-                        if cached is not None:
-                            # Rung 0: a fresh hit beats any deadline.
-                            return ServedResult(cached, True, version, name, strategy)
-                        miss_counted = True
+                    version, key, cached = self._lookup(
+                        name, strategy, query, extras, self._cache.get
+                    )
+                    if cached is not None:
+                        # Rung 0: a fresh hit beats any deadline.
+                        return ServedResult(cached[0], True, version, name, strategy)
+                    miss_counted = key is not None
                     if deadline_at is not None:
                         breaker = self._breaker(strategy)
                     if key is None or not self.coalesce_in_flight:
@@ -1051,12 +1044,10 @@ class RoutingService:
         do not walk the single-query degradation ladder — partial answers
         plus the flag are the batch-shaped degradation.
         """
-        name = self._resolve_slice(slice_name)
+        name, ttl, time_limit_seconds, deadline_at, extras = self._prologue(
+            strategy, slice_name, time_limit_seconds, cache_ttl_seconds, deadline_seconds, **kwargs
+        )
         engine = self._engines[name]
-        engine.strategy(strategy)  # unknown names raise before any counting
-        ttl = check_ttl_seconds(cache_ttl_seconds, name="cache_ttl_seconds")
-        time_limit_seconds = self._check_time_limit(time_limit_seconds)
-        deadline_at = self._deadline_at(deadline_seconds)
         query_list = list(queries)
         begin = time.perf_counter()
         degraded = False
@@ -1066,13 +1057,12 @@ class RoutingService:
             results: list[ServiceAnswer | None] = [None] * len(query_list)
             keys: list[Any | None] = [None] * len(query_list)
             miss_indices: list[int] = []
-            extras = self._key_extras(time_limit_seconds, kwargs)
             for index, query in enumerate(query_list):
-                key = self._cache_key(name, strategy, query, extras, version)
-                keys[index] = key
-                cached = self._cache.get(key) if key is not None else None
+                _, keys[index], cached = self._lookup(
+                    name, strategy, query, extras, self._cache.get
+                )
                 if cached is not None:
-                    results[index] = cached
+                    results[index] = cached[0]
                 else:
                     miss_indices.append(index)
             remaining: float | None = None
@@ -1330,7 +1320,7 @@ class RoutingService:
         if include_cache:
             document["cache"] = [
                 {"key": _encode_key_part(key), "result": answer.to_dict()}
-                for key, answer in self._cache.items()
+                for key, (answer, _) in self._cache.items()
             ]
         return document
 
@@ -1371,10 +1361,9 @@ class RoutingService:
         self._cache.clear()
         self._stale.clear()
         for key, answer in state.cache:
-            self._cache.put(key, answer)
-            # The stale key is the cache key minus its trailing version —
-            # the dump warms the degradation ladder's last rung too.
-            self._stale.put(key[:-1], (answer, key[-1]))
+            # Admitted as if freshly searched (no bar is above infinity): the
+            # entry gets its encoded result, and the stale rung is warmed too.
+            self._admit(key, answer, math.inf, None)
 
     # ------------------------------------------------------------------
     # Observability
@@ -1478,9 +1467,49 @@ class RoutingService:
         """:meth:`handle_request` over JSON text (one request per call)."""
         try:
             request = decode_request(line)
-        except (json.JSONDecodeError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             return json.dumps(error_document(exc))
+        hit = self.probe_hit(request)
+        if hit is not None:
+            return hit[1]
         return json.dumps(self.handle_request(request))
+
+    def probe_hit(self, request: Any) -> tuple[dict[str, Any], str] | None:
+        """A ``route`` request's fresh cache hit, answered without blocking.
+
+        :meth:`route`'s prologue and lookup stage with the slice read lock
+        only *tried*.  A hit is counted as :meth:`route` counts one and comes
+        back as ``(envelope, line)``: the response document minus its
+        ``result``, and ``json.dumps(handle_request(request))`` byte for byte
+        — ``json.dumps`` nests a dict's encoding unchanged, so the envelope's
+        ``null`` result is replaced by the JSON :meth:`_admit` stored.
+        Anything else (another op, an uncacheable or invalid request, a
+        miss, a writer holding or awaiting the lock) is ``None`` with no
+        counter moved: the full pipeline serves and counts it.
+        """
+        try:
+            if not isinstance(request, Mapping) or request.get("op") != "route":
+                return None
+            query, common = self._wire_route_args(request)
+            strategy = common["strategy"]
+            name, _, _, _, extras = self._prologue(slice_name=request.get("slice"), **common)
+            begin = time.perf_counter()
+            lock = self._slice_locks[name]
+            if not lock.try_acquire_read():
+                return None
+            try:
+                version, _, cached = self._lookup(
+                    name, strategy, query, extras, self._cache.get_hit
+                )
+            finally:
+                lock.release_read()
+        except Exception:
+            return None  # the full pipeline answers it, error document and all
+        if cached is None:
+            return None
+        self._counters.record_request(strategy, time.perf_counter() - begin)
+        envelope = {"ok": True, **ServedResult(None, True, version, name, strategy).to_dict()}
+        return envelope, json.dumps(envelope)[: -len("null}")] + cached[1] + "}"
 
     def _wire_route_args(
         self, request: Mapping[str, Any]
@@ -1633,42 +1662,52 @@ class RoutingService:
             / 1000.0
         )
 
-    def _key_extras(
+    def _prologue(
         self,
+        strategy: str,
+        slice_name: str | None,
         time_limit_seconds: float | None,
-        kwargs: Mapping[str, Any],
-    ) -> tuple | None:
-        """The request's frozen kwargs, or ``None`` when uncacheable.
+        cache_ttl_seconds: float | None,
+        deadline_seconds: float | None,
+        **kwargs: Any,
+    ) -> tuple[str, float | None, float | None, float | None, tuple | None]:
+        """Every check a request passes before its lookup, raising before
+        any counting: ``(slice, ttl, time limit, deadline instant, extras)``.
 
-        Query-independent, so batch serving computes it once per call.
+        The strategy is resolved here: an unknown name (wire input is
+        untrusted) must raise, not leave a permanent entry in the
+        per-strategy latency map — that map stays bounded by the registry.
+        ``extras`` (the frozen kwargs, a key component) is ``None`` when the
+        request is uncacheable: under a wall-clock limit, or with kwargs
+        that cannot be frozen.
         """
-        if time_limit_seconds is not None:
-            return None
+        name = self._resolve_slice(slice_name)
+        self._engines[name].strategy(strategy)
+        ttl = check_ttl_seconds(cache_ttl_seconds, name="cache_ttl_seconds")
+        time_limit_seconds = self._check_time_limit(time_limit_seconds)
+        deadline_at = self._deadline_at(deadline_seconds)
         try:
-            return freeze_kwargs(kwargs)
+            extras = None if time_limit_seconds is not None else freeze_kwargs(kwargs)
         except TypeError:
-            return None
+            extras = None
+        return name, ttl, time_limit_seconds, deadline_at, extras
 
-    def _cache_key(
+    def _lookup(
         self,
-        slice_name: str,
+        name: str,
         strategy: str,
         query: RoutingQuery,
         extras: tuple | None,
-        version: int,
-    ) -> tuple | None:
-        """The cache key for one request, or ``None`` when uncacheable."""
+        get: Callable[[tuple], Any],
+    ) -> tuple[int, tuple | None, tuple[ServiceAnswer, str] | None]:
+        """The lookup stage, slice read lock held: ``(version, cache key,
+        (answer, its JSON) or None)``, the key ``None`` when uncacheable.
+        ``get`` is the cache read, which decides what is counted."""
+        version = self._engines[name].cost_version
         if extras is None:
-            return None
-        return (
-            slice_name,
-            strategy,
-            query.source,
-            query.target,
-            query.budget,
-            extras,
-            version,
-        )
+            return version, None, None
+        key = (name, strategy, query.source, query.target, query.budget, extras, version)
+        return version, key, get(key)
 
     @staticmethod
     def _check_time_limit(time_limit_seconds: float | None) -> float | None:
@@ -1769,13 +1808,15 @@ class RoutingService:
         admitted answer for the request shape across every cost-table
         version — together with the version it was computed under (same
         admission bar: an answer too cheap to cache is too cheap to be
-        worth serving stale).
+        worth serving stale).  The cache entry is ``(result, its JSON)``,
+        encoded once here for :meth:`probe_hit`: the text dies with its entry.
         """
         if compute_seconds < self.admission_min_compute_seconds:
             self._counters._bump("admission_skips")
             return
+        entry = (result, json.dumps(result.to_dict()))
         if request_ttl is not None:
-            self._cache.put(key, result, ttl_seconds=request_ttl)
+            self._cache.put(key, entry, ttl_seconds=request_ttl)
         else:
-            self._cache.put(key, result)
+            self._cache.put(key, entry)
         self._stale.put(key[:-1], (result, key[-1]))

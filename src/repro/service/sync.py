@@ -72,6 +72,16 @@ class ReadWriteLock:
                 self._cond.wait()
             self._active_readers += 1
 
+    def try_acquire_read(self) -> bool:
+        """:meth:`acquire_read` that never waits: ``False`` when a writer
+        holds or awaits the lock, or another thread is inside it right now."""
+        if not self._cond.acquire(blocking=False):
+            return False
+        acquired = not (self._writer_active or self._writers_waiting)
+        self._active_readers += acquired
+        self._cond.release()
+        return acquired
+
     def release_read(self) -> None:
         with self._cond:
             if self._active_readers <= 0:

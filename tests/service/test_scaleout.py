@@ -15,7 +15,12 @@ The contract locked down here:
 * the **AsyncFrontend** speaks the existing wire protocol (same error
   documents as ``handle_json``), charges queue wait against
   ``deadline_ms`` like the threaded frontend, orders pipelined TCP
-  responses, and kicks the warmer after wire cost updates.
+  responses, and kicks the warmer after wire cost updates;
+* the **inline hit path** (:meth:`RoutingService.probe_hit`) answers a
+  fresh hit with the very bytes the full pipeline would send, declines
+  everything else without moving a counter or waiting on a writer, and
+  keeps both accounting identities exact while racing live updates; the
+  encoded result it splices lives and dies with its cache entry.
 
 Like test_concurrency.py, threads/coroutines only interleave here; every
 assertion is an invariant of *all* interleavings, with explicit events
@@ -24,9 +29,13 @@ gating the one schedule a test needs to provoke.
 
 import asyncio
 import json
+import sys
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.network import grid_network
@@ -774,3 +783,348 @@ class TestAsyncFrontend:
                     await frontend.map_requests([], concurrency=0)
 
         asyncio.run(bad_concurrency())
+
+
+# ----------------------------------------------------------------------
+# The inline hit path
+# ----------------------------------------------------------------------
+
+#: A slice name ``json.dumps`` must escape, so the spliced envelope is
+#: exercised on more than plain ASCII.
+ODD_SLICE = 'rush "hour" ü'
+
+
+def probe_service(world, **kwargs):
+    service = fresh_service(world, **kwargs)
+    service.add_slice(ODD_SLICE, ConvolutionModel(world[2].copy()))
+    return service
+
+
+@st.composite
+def route_requests(draw):
+    """Cacheable wire ``route`` requests: every strategy shape and slice,
+    with and without a TTL, a generous or an already-expired deadline."""
+    query = draw(st.sampled_from(HOT_QUERIES))
+    request = {"op": "route", "query": query.to_dict()}
+    shape = draw(st.sampled_from([None, "pbr", "kbest", "multi_budget", "expected_time"]))
+    if shape == "kbest":
+        request.update(strategy="kbest", kwargs={"k": draw(st.integers(1, 3))})
+    elif shape == "multi_budget":
+        budgets = [query.budget - 6, query.budget]
+        request.update(strategy="multi_budget", kwargs={"budgets": budgets})
+    elif shape is not None:
+        request["strategy"] = shape
+    slice_name = draw(st.sampled_from([None, "default", ODD_SLICE]))
+    if slice_name is not None:
+        request["slice"] = slice_name
+    if draw(st.booleans()):
+        request["cache_ttl_seconds"] = 600.0
+    deadline_ms = draw(st.sampled_from([None, 5_000.0, -5.0]))
+    if deadline_ms is not None:
+        request["deadline_ms"] = deadline_ms
+    return request
+
+
+class TestInlineHits:
+    @settings(max_examples=30)
+    @given(requests=st.lists(route_requests(), min_size=1, max_size=5))
+    def test_a_hit_line_is_byte_for_byte_the_full_pipelines(self, world, requests):
+        service = probe_service(world)
+        for request in requests:
+            # ``deadline_ms`` is not part of the key: cache without it, so an
+            # expired budget cannot keep the first answer out of the cache.
+            service.handle_request({k: v for k, v in request.items() if k != "deadline_ms"})
+            hit = service.probe_hit(request)
+            assert hit is not None, request
+            envelope, line = hit
+            assert line == json.dumps(service.handle_request(request))
+            assert line == service.handle_json(json.dumps(request))
+            assert {**json.loads(line), "result": None} == envelope
+
+    def test_restored_entries_answer_inline_with_the_same_bytes(self, world):
+        service = probe_service(world)
+        requests = [{"op": "route", "query": q.to_dict()} for q in HOT_QUERIES]
+        for request in requests:
+            service.handle_request(request)
+        successor = probe_service(world)
+        successor.restore(json.loads(json.dumps(service.snapshot(include_cache=True))))
+        for request in requests:
+            line = successor.probe_hit(request)[1]
+            assert line == service.probe_hit(request)[1]
+            assert line == json.dumps(successor.handle_request(request))
+
+    def test_everything_but_a_fresh_hit_is_declined_without_counting(self, world):
+        clock = FakeClock()
+        service = fresh_service(world, clock=clock)
+        hot = {"op": "route", "query": HOT_QUERIES[0].to_dict()}
+        service.handle_request(hot)
+        short_lived = {**hot, "query": HOT_QUERIES[1].to_dict(), "cache_ttl_seconds": 1.0}
+        service.handle_request(short_lived)
+        clock.now = 5.0  # the second entry is past its TTL
+        declined = [
+            {**hot, "query": HOT_QUERIES[2].to_dict()},  # never cached
+            short_lived,  # expired
+            {**hot, "time_limit_seconds": 1.0},  # uncacheable
+            {**hot, "time_limit_seconds": -1.0},
+            {**hot, "deadline_ms": True},
+            {**hot, "deadline_ms": "soon"},
+            {**hot, "kwargs": {"strategy": "kbest"}},  # a reserved field
+            {**hot, "kwargs": ["k"]},
+            {**hot, "slice": "nowhere"},
+            {**hot, "slice": ["default"]},
+            {**hot, "strategy": "no-such-strategy"},
+            {**hot, "strategy": ["pbr"]},
+            {**hot, "cache_ttl_seconds": -1.0},
+            {**hot, "query": {"source": 0}},
+            {"op": "route_many", "queries": [hot["query"]]},
+            {"op": "route_at", "query": hot["query"], "departure_time_seconds": 0.0},
+            {"op": "stats"},
+            {"query": hot["query"]},
+            [hot],
+            "route",
+            None,
+            7,
+        ]
+        before = service.stats().to_dict()
+        for request in declined:
+            assert service.probe_hit(request) is None, request
+        assert service.stats().to_dict() == before
+        # The full pipeline then counts what the probe left alone.
+        service.handle_request(short_lived)
+        stats = service.stats()
+        assert (stats.cache_misses, stats.cache_expirations) == (3, 1)
+        assert service.probe_hit(hot) is not None
+
+    def test_a_writer_holding_or_awaiting_the_lock_is_never_waited_for(self, world):
+        service = fresh_service(world)
+        hot = {"op": "route", "query": HOT_QUERIES[0].to_dict()}
+        service.handle_request(hot)
+        lock = service._slice_locks[service.default_slice]
+        before = service.stats().to_dict()
+
+        def probe_from_another_thread():
+            outcome = []
+            thread = threading.Thread(target=lambda: outcome.append(service.probe_hit(hot)))
+            thread.start()
+            thread.join(5.0)
+            assert not thread.is_alive(), "the probe waited on the slice lock"
+            return outcome[0]
+
+        lock.acquire_write()
+        try:
+            assert probe_from_another_thread() is None
+        finally:
+            lock.release_write()
+        lock.acquire_read()
+        writer = threading.Thread(target=lambda: (lock.acquire_write(), lock.release_write()))
+        writer.start()
+        try:
+            for _ in range(5_000):
+                if lock._writers_waiting:
+                    break
+                time.sleep(0.001)
+            assert lock._writers_waiting == 1
+            assert probe_from_another_thread() is None
+        finally:
+            lock.release_read()
+            writer.join(5.0)
+        assert service.stats().to_dict() == before
+        assert service.probe_hit(hot) is not None
+
+    def test_inline_hits_racing_updates_keep_books_and_answers_exact(self, world):
+        """TCP clients, in-process ``handle_json`` callers and a live feed
+        at once: both accounting identities hold exactly, and every answer
+        equals a cold engine at the version it is tagged with."""
+        network, model, costs = world
+        service = fresh_service(world)
+        base_version = service.cost_version()
+        num_states = model.config.num_states
+        updates = [
+            model.cost_update(network.edges[i * 5 : i * 5 + 5], (i + 1) % num_states)
+            for i in range(6)
+        ]
+        lines = [json.dumps({"op": "route", "query": q.to_dict()}) for q in HOT_QUERIES]
+        answered = []
+        answered_lock = threading.Lock()
+        stop = threading.Event()
+        real_probe = service.probe_hit
+        loop_thread_hits = []
+
+        def counting_probe(request):
+            hit = real_probe(request)
+            if hit is not None and threading.current_thread() is threading.main_thread():
+                loop_thread_hits.append(1)
+            return hit
+
+        service.probe_hit = counting_probe
+
+        def json_caller():
+            mine = []
+            while not stop.is_set():
+                line = lines[len(mine) % len(lines)]
+                mine.append((line, service.handle_json(line)))
+            with answered_lock:
+                answered.extend(mine)
+
+        def updater():
+            for update in updates:
+                time.sleep(0.03)
+                service.apply_cost_update(update)
+            stop.set()
+
+        async def tcp_client(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            mine = []
+            while not stop.is_set():
+                batch = [lines[(len(mine) + k) % len(lines)] for k in range(8)]
+                writer.write(("\n".join(batch) + "\n").encode())
+                await writer.drain()
+                for line in batch:
+                    raw = await asyncio.wait_for(reader.readline(), timeout=30)
+                    mine.append((line, raw.decode().rstrip("\n")))
+            writer.close()
+            await writer.wait_closed()
+            return mine
+
+        async def scenario():
+            threads = [threading.Thread(target=json_caller) for _ in range(2)]
+            threads.append(threading.Thread(target=updater))
+            async with AsyncFrontend(service, num_workers=2, port=0) as frontend:
+                port = frontend.addresses[0][1]
+                for thread in threads:
+                    thread.start()
+                clients = await asyncio.gather(tcp_client(port), tcp_client(port))
+                for thread in threads:
+                    await asyncio.get_running_loop().run_in_executor(None, thread.join, 30.0)
+                    assert not thread.is_alive()
+            return [item for client in clients for item in client], frontend.stats.read()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads as finely as possible
+        try:
+            over_tcp, counters = asyncio.run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        answered.extend(over_tcp)
+        assert loop_thread_hits, "no hit was ever answered on the loop thread"
+        assert counters["submitted"] == len(over_tcp)
+        assert counters["submitted"] == (
+            counters["completed"] + counters["cancelled"] + counters["delivery_failures"]
+        )
+        assert service.cost_version() == base_version + len(updates)
+        stats = service.stats()
+        assert stats.cache_hits + stats.cache_misses + stats.coalesced == len(answered)
+
+        tables = {base_version: costs.copy()}
+        replay = costs.copy()
+        for i, update in enumerate(updates):
+            replay.apply_deltas(update)
+            tables[base_version + i + 1] = replay.copy()
+        cold = {}
+        versions = set()
+        for line, response in answered:
+            document = json.loads(response)
+            assert document["ok"] is True, response
+            version = document["cost_version"]
+            versions.add(version)
+            query = RoutingQuery.from_dict(json.loads(line)["query"])
+            if (version, query) not in cold:
+                engine = RoutingEngine(network, ConvolutionModel(tables[version]))
+                cold[version, query] = json.loads(json.dumps(engine.route(query).to_dict()))
+            expected = cold[version, query]
+            for field in ("path", "probability", "distribution", "found"):
+                assert document["result"][field] == expected[field], (version, line)
+        assert len(versions) > 1
+
+
+class TestEncodedResultLifetime:
+    """The encoded result :meth:`RoutingService.probe_hit` splices is part of
+    its cache entry: nothing else keeps it, so nothing outlives the entry."""
+
+    @staticmethod
+    def encoded(service, query):
+        (entry,) = [
+            entry for key, entry in service._cache.items()
+            if key[2:5] == (query.source, query.target, query.budget)
+        ]
+        return entry[1]
+
+    def test_lru_eviction_releases_it(self, world):
+        service = fresh_service(world, max_cache_entries=2)
+        service.route(HOT_QUERIES[0])
+        text = self.encoded(service, HOT_QUERIES[0])
+        service.route(HOT_QUERIES[1])
+        service.route(HOT_QUERIES[2])
+        assert service.stats().cache_evictions == 1
+        assert sys.getrefcount(text) == 2  # ``text`` and the call's argument
+
+    def test_ttl_expiry_releases_it(self, world):
+        clock = FakeClock()
+        service = fresh_service(world, clock=clock)
+        service.route(HOT_QUERIES[0], cache_ttl_seconds=1.0)
+        text = self.encoded(service, HOT_QUERIES[0])
+        clock.now = 5.0
+        again = service.route(HOT_QUERIES[0], cache_ttl_seconds=1.0)
+        assert again.cache_hit is False
+        assert service.stats().cache_expirations == 1
+        assert sys.getrefcount(text) == 2
+
+    def test_clear_cache_releases_it(self, world):
+        service = fresh_service(world)
+        service.route(HOT_QUERIES[0])
+        text = self.encoded(service, HOT_QUERIES[0])
+        service.clear_cache()
+        assert sys.getrefcount(text) == 2
+
+    def test_the_snapshot_dump_is_the_answer_not_the_text(self, world):
+        """Formats 1 and 2 are unchanged: the dump is each answer's
+        document, which the stored text encodes exactly."""
+        service = fresh_service(world)
+        for query in HOT_QUERIES:
+            service.route(query)
+        dump = service.snapshot(include_cache=True)["cache"]
+        assert [json.dumps(item["result"]) for item in dump] == [
+            text for _, (_, text) in service._cache.items()
+        ]
+        assert {"key", "result"} == {name for item in dump for name in item}
+
+
+class TestParseFailures:
+    """Every line ``json.loads`` cannot turn into a document is a
+    ``bad_request`` — through ``handle_json``, ``handle_line`` and TCP."""
+
+    LINES = {
+        "nested-5000-deep": "[" * 5000 + "]" * 5000,
+        "nested-inside-a-request": '{"op": "route", "query": ' + "[" * 5000 + "]" * 5000 + "}",
+        "5000-digit-integer": (
+            '{"op": "route", "query": {"source": ' + "9" * 5000 + ', "target": 1, "budget": 3}}'
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LINES))
+    def test_handle_json_answers_bad_request(self, world, name):
+        document = json.loads(fresh_service(world).handle_json(self.LINES[name]))
+        assert document["ok"] is False
+        assert document["error_kind"] == "bad_request"
+
+    @pytest.mark.parametrize("name", sorted(LINES))
+    def test_handle_line_and_tcp_answer_bad_request(self, world, name):
+        service = fresh_service(world)
+        line = self.LINES[name]
+
+        async def scenario():
+            async with AsyncFrontend(service, port=0) as frontend:
+                direct = await frontend.handle_line(line)
+                reader, writer = await asyncio.open_connection(*frontend.addresses[0])
+                writer.write((line + "\n" + json.dumps({"op": "stats"}) + "\n").encode())
+                await writer.drain()
+                wire = [await asyncio.wait_for(reader.readline(), timeout=30) for _ in range(2)]
+                writer.close()
+                await writer.wait_closed()
+                return direct, wire
+
+        direct, (answer, after) = asyncio.run(scenario())
+        assert direct == service.handle_json(line)
+        assert answer.decode().rstrip("\n") == direct
+        assert json.loads(direct)["error_kind"] == "bad_request"
+        assert json.loads(after)["kind"] == "service_stats"  # the connection lives on
