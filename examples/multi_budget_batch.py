@@ -1,4 +1,4 @@
-"""Multi-budget batch serving: budget sweeps, k-best alternatives, workers.
+"""Multi-budget batch serving: budget sweeps, k-best alternatives, batches.
 
 The paper's evaluation sweeps whole budget ranges over whole query
 workloads.  This example shows the engine-side support for that shape of
@@ -9,8 +9,9 @@ traffic:
   minutes earlier buy me?");
 * ``route_kbest`` — the top-k non-dominated routes, so a dispatcher can
   offer alternatives instead of a single take-it-or-leave-it path;
-* ``route_many(workers=2)`` — the same batch sharded by target across a
-  multiprocessing pool, with results identical to the serial run.
+* ``route_many`` — a batch answered serially, grouped by target so each
+  target's heuristic is built once, with found / no-route / unanswered
+  outcome counters.
 
 No model training here — edge marginals come straight from the congestion
 ground truth, so the example runs in seconds::
@@ -58,7 +59,7 @@ def main() -> None:
             f"{len(route.path)} edges via {route.path_vertices()[1:4]}..."
         )
 
-    # 4. Batch serving, serial vs sharded across two worker processes.
+    # 4. Batch serving: one target-grouped serial pass over the batch.
     queries = [
         RoutingQuery(s, t, b)
         for s, t, b in [
@@ -66,20 +67,13 @@ def main() -> None:
             (0, 56, 60), (2, 56, 65), (63, 7, 80), (14, 7, 40),
         ]
     ]
-    serial = engine.route_many(queries)
-    parallel = engine.route_many(queries, workers=2)
-    identical = all(
-        a is not None and b is not None
-        and a.path == b.path and a.probability == b.probability
-        for a, b in zip(serial, parallel)
-    )
+    batch = engine.route_many(queries)
     print(
         f"\nbatch of {len(queries)} queries: "
-        f"{serial.num_found} found, {serial.num_no_route} without a route, "
-        f"{serial.num_unanswered} unanswered"
+        f"{batch.num_found} found, {batch.num_no_route} without a route, "
+        f"{batch.num_unanswered} unanswered"
     )
-    print(f"workers=2 answers identical to serial: {identical}")
-    print(f"aggregated labels generated: {parallel.stats.labels_generated}")
+    print(f"aggregated labels generated: {batch.stats.labels_generated}")
 
 
 if __name__ == "__main__":

@@ -8,28 +8,23 @@ from .config import PRESETS, DistanceBand, ExperimentPreset, get_preset
 from .dependence import DependenceResult, run_dependence_experiment
 from .efficiency import EfficiencyRow, EfficiencyTable, run_efficiency_experiment
 from .model_eval import ModelEvaluation, evaluate_model
-from .quality import QualityCell, QualityRow, QualityTable, run_quality_experiment
-from .runner import ReproductionRunner, get_runner
-from .tables import format_percent, format_seconds, render_table
-from .throughput import (
+from .quality import (
     BudgetSweepRow,
     BudgetSweepTable,
-    CachedServingRow,
-    CachedServingTable,
-    ThroughputRow,
-    ThroughputTable,
+    QualityCell,
+    QualityRow,
+    QualityTable,
     run_budget_sweep_experiment,
-    run_cached_serving_experiment,
-    run_throughput_experiment,
+    run_quality_experiment,
 )
+from .runner import ReproductionRunner, get_runner
+from .tables import format_percent, format_seconds, render_table
 from .workloads import BandedQuery, WorkloadGenerator
 
 __all__ = [
     "BandedQuery",
     "BudgetSweepRow",
     "BudgetSweepTable",
-    "CachedServingRow",
-    "CachedServingTable",
     "DependenceResult",
     "DistanceBand",
     "EfficiencyRow",
@@ -41,8 +36,6 @@ __all__ = [
     "QualityRow",
     "QualityTable",
     "ReproductionRunner",
-    "ThroughputRow",
-    "ThroughputTable",
     "WorkloadGenerator",
     "evaluate_model",
     "format_percent",
@@ -51,9 +44,7 @@ __all__ = [
     "get_runner",
     "render_table",
     "run_budget_sweep_experiment",
-    "run_cached_serving_experiment",
     "run_dependence_experiment",
     "run_efficiency_experiment",
     "run_quality_experiment",
-    "run_throughput_experiment",
 ]

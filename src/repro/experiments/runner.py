@@ -22,14 +22,11 @@ from .config import DistanceBand, ExperimentPreset, get_preset
 from .dependence import DependenceResult, run_dependence_experiment
 from .efficiency import EfficiencyTable, run_efficiency_experiment
 from .model_eval import ModelEvaluation, evaluate_model
-from .quality import QualityTable, run_quality_experiment
-from .throughput import (
+from .quality import (
     BudgetSweepTable,
-    CachedServingTable,
-    ThroughputTable,
+    QualityTable,
     run_budget_sweep_experiment,
-    run_cached_serving_experiment,
-    run_throughput_experiment,
+    run_quality_experiment,
 )
 from .workloads import BandedQuery, WorkloadGenerator
 
@@ -171,15 +168,6 @@ class ReproductionRunner:
             self.network, engine.combiner, self.workload, engine=engine
         )
 
-    def run_throughput(
-        self, *, workers: tuple[int, ...] = (1, 2, 4), model: str = "convolution"
-    ) -> ThroughputTable:
-        """Batch serving: the whole workload through ``route_many`` per worker count."""
-        engine = self.engine(model)
-        return run_throughput_experiment(
-            self.network, engine.combiner, self.workload, workers=workers, engine=engine
-        )
-
     def run_budget_sweep(
         self,
         *,
@@ -190,15 +178,6 @@ class ReproductionRunner:
         engine = self.engine(model)
         return run_budget_sweep_experiment(
             self.network, engine.combiner, self.workload, factors=factors, engine=engine
-        )
-
-    def run_cached_serving(
-        self, *, passes: int = 3, model: str = "convolution"
-    ) -> CachedServingTable:
-        """Repeated-OD serving through the result-cached RoutingService."""
-        engine = self.engine(model)
-        return run_cached_serving_experiment(
-            self.network, engine.combiner, self.workload, passes=passes, engine=engine
         )
 
 

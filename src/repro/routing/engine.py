@@ -16,8 +16,6 @@ trip-dispatch stacks do:
 * :meth:`RoutingEngine.route_many` serves batch workloads, grouping
   queries by target so the heuristic LRU stays hot, and returns a
   :class:`BatchResult` with aggregated :class:`SearchStats`;
-  ``workers=N`` shards the batch by target across a multiprocessing pool
-  (each worker rebuilds the engine from a pickled spec);
 * :meth:`RoutingEngine.route_stream` yields improving anytime pivots over
   an ascending sweep of wall-clock limits, sharing one heuristic across
   the whole sweep;
@@ -41,9 +39,7 @@ from __future__ import annotations
 
 import abc
 import math
-import multiprocessing
 import numbers
-import pickle
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -499,51 +495,6 @@ class BatchResult:
 
 
 # ----------------------------------------------------------------------
-# Worker-side machinery for route_many(workers=N)
-# ----------------------------------------------------------------------
-
-#: Per-process engine rebuilt by :func:`_worker_init`; lives for the pool's
-#: lifetime so every shard served by one worker shares heuristic/CDF caches.
-_WORKER_ENGINE: "RoutingEngine | None" = None
-
-
-def _worker_init(payload: bytes) -> None:
-    """Pool initializer: reconstruct the engine from its pickled spec."""
-    global _WORKER_ENGINE
-    network, combiner, pruning, backend, landmarks = pickle.loads(payload)
-    _WORKER_ENGINE = RoutingEngine(
-        network, combiner, pruning=pruning, backend=backend, landmarks=landmarks
-    )
-
-
-def _worker_route_shard(
-    task: tuple[
-        list[int], list[dict[str, int]], str, float | None, dict[str, Any]
-    ],
-) -> list[tuple[int, dict[str, Any] | None]]:
-    """Serve one target-grouped shard inside a pool worker.
-
-    Results travel back as ``to_dict`` documents (floats round-trip exactly
-    through pickle) and are re-materialised against the parent's network, so
-    parallel answers are identical to serial ones.
-    """
-    indices, query_dicts, strategy, time_limit_seconds, kwargs = task
-    engine = _WORKER_ENGINE
-    if engine is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker engine was never initialised")
-    out: list[tuple[int, dict[str, Any] | None]] = []
-    for index, query_dict in zip(indices, query_dicts):
-        result = engine.route(
-            RoutingQuery.from_dict(query_dict),
-            strategy=strategy,
-            time_limit_seconds=time_limit_seconds,
-            **kwargs,
-        )
-        out.append((index, None if result is None else result.to_dict()))
-    return out
-
-
-# ----------------------------------------------------------------------
 # The facade
 # ----------------------------------------------------------------------
 
@@ -570,12 +521,10 @@ class RoutingEngine:
         self.network = network
         self.combiner = combiner
         self.pruning = pruning or PruningConfig()
-        #: Search-core selection (``"auto"`` / ``"scalar"`` / ``"columnar"``)
-        #: and the optional ALT landmark count, forwarded to the search; see
-        #: :class:`~repro.routing.budget._BudgetSearch` and PERFORMANCE.md
-        #: "Columnar search core".
-        self.backend = backend
-        self.landmarks = landmarks
+        # ``backend`` (``"auto"`` / ``"scalar"`` / ``"columnar"``) and the
+        # optional ALT landmark count are forwarded to the search; see
+        # :class:`~repro.routing.budget._BudgetSearch` and PERFORMANCE.md
+        # "Columnar search core".
         self._search = _BudgetSearch(
             network,
             combiner,
@@ -783,7 +732,6 @@ class RoutingEngine:
         *,
         strategy: str = "pbr",
         time_limit_seconds: float | None = None,
-        workers: int | None = None,
         **kwargs: Any,
     ) -> BatchResult:
         """Answer a batch of queries, amortising shared caches across them.
@@ -796,116 +744,25 @@ class RoutingEngine:
         strategy-specific ``kwargs`` (e.g. the oracle's ``max_edges``) apply
         to every member, exactly as in :meth:`route`.  An empty batch
         returns zero results and zeroed aggregate stats.
-
-        ``workers=N`` (N > 1) shards the batch across a ``multiprocessing``
-        pool: whole target groups are packed onto workers (largest group
-        first), so each reverse Dijkstra is built exactly once in exactly
-        one process, and each worker reconstructs the engine from a pickled
-        ``(network, combiner, pruning, backend, landmarks)`` spec.  Results are identical to the
-        serial path — answers travel back as wire documents and are
-        re-materialised against this engine's network — and ``stats`` sums
-        the per-shard searches.  Custom strategies must be registered at
-        import time to exist in spawned workers (forked workers inherit the
-        parent registry either way).
         """
         query_list = list(queries)
-        if workers is not None:
-            if (
-                isinstance(workers, bool)
-                or not isinstance(workers, numbers.Integral)
-                or workers < 1
-            ):
-                raise ValueError(
-                    f"workers must be a positive integer, got {workers!r}"
-                )
-            workers = int(workers)
-        if workers is not None and workers > 1 and len(query_list) > 1:
-            results = self._route_many_parallel(
-                query_list, workers, strategy, time_limit_seconds, kwargs
+        order = sorted(range(len(query_list)), key=lambda i: query_list[i].target)
+        routed = {
+            index: self.route(
+                query_list[index],
+                strategy=strategy,
+                time_limit_seconds=time_limit_seconds,
+                **kwargs,
             )
-        else:
-            order = sorted(
-                range(len(query_list)), key=lambda i: query_list[i].target
-            )
-            routed = {
-                index: self.route(
-                    query_list[index],
-                    strategy=strategy,
-                    time_limit_seconds=time_limit_seconds,
-                    **kwargs,
-                )
-                for index in order
-            }
-            results = tuple(routed[index] for index in range(len(query_list)))
+            for index in order
+        }
+        results = tuple(routed[index] for index in range(len(query_list)))
         return BatchResult(
             results=results,
             stats=SearchStats.aggregate(
                 result.stats for result in results if result is not None
             ),
         )
-
-    def _route_many_parallel(
-        self,
-        query_list: list[RoutingQuery],
-        workers: int,
-        strategy: str,
-        time_limit_seconds: float | None,
-        kwargs: dict[str, Any],
-    ) -> tuple[StrategyAnswer, ...]:
-        """Shard ``query_list`` by target across a worker pool.
-
-        Shards never split a target group, preserving the heuristic-reuse
-        guarantee per shard; groups are packed largest-first onto the least
-        loaded shard so worker wall-clocks stay balanced.
-        """
-        groups: dict[int, list[int]] = {}
-        for index, query in enumerate(query_list):
-            groups.setdefault(query.target, []).append(index)
-        num_shards = min(workers, len(groups))
-        if num_shards < 2:
-            # A single shard cannot parallelise anything; the pool would
-            # only add spawn + pickle + wire-format overhead.
-            return tuple(
-                self.route(
-                    query,
-                    strategy=strategy,
-                    time_limit_seconds=time_limit_seconds,
-                    **kwargs,
-                )
-                for query in query_list
-            )
-        shards: list[list[int]] = [[] for _ in range(num_shards)]
-        loads = [0] * num_shards
-        for _, indices in sorted(
-            groups.items(), key=lambda item: (-len(item[1]), item[0])
-        ):
-            lightest = loads.index(min(loads))
-            shards[lightest].extend(indices)
-            loads[lightest] += len(indices)
-        tasks = [
-            (
-                shard,
-                [query_list[i].to_dict() for i in shard],
-                strategy,
-                time_limit_seconds,
-                kwargs,
-            )
-            for shard in shards
-        ]
-        spec = pickle.dumps(
-            (self.network, self.combiner, self.pruning, self.backend, self.landmarks),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        results: list[StrategyAnswer] = [None] * len(query_list)
-        context = multiprocessing.get_context()
-        with context.Pool(
-            processes=num_shards, initializer=_worker_init, initargs=(spec,)
-        ) as pool:
-            for shard_answers in pool.map(_worker_route_shard, tasks):
-                for index, document in shard_answers:
-                    if document is not None:
-                        results[index] = result_from_dict(document, self.network)
-        return tuple(results)
 
     def route_stream(
         self,

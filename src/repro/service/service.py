@@ -58,6 +58,7 @@ from .errors import (
     NoRouteError,
     decode_request,
     error_document,
+    require_integer,
     require_number,
 )
 from .faults import CircuitBreaker
@@ -1019,7 +1020,6 @@ class RoutingService:
         strategy: str = "pbr",
         slice_name: str | None = None,
         time_limit_seconds: float | None = None,
-        workers: int | None = None,
         cache_ttl_seconds: float | None = None,
         deadline_seconds: float | None = None,
         **kwargs: Any,
@@ -1027,14 +1027,13 @@ class RoutingService:
         """Serve a batch: answer hits from cache, route only the misses.
 
         The miss subset goes through :meth:`RoutingEngine.route_many`
-        (keeping its target grouping and optional ``workers`` sharding);
-        results come back in input order, and every freshly computed
-        cacheable answer is inserted for the next request.  Like
-        :meth:`route`, the whole batch holds the slice's read lock, so one
-        ``cost_version`` tags every member — a mid-batch update cannot
-        split the batch across two tables.  Admission judges each member
-        by the batch's mean per-miss search time (per-member wall clocks
-        do not exist when workers shard the batch).
+        (keeping its target grouping); results come back in input order,
+        and every freshly computed cacheable answer is inserted for the
+        next request.  Like :meth:`route`, the whole batch holds the
+        slice's read lock, so one ``cost_version`` tags every member — a
+        mid-batch update cannot split the batch across two tables.
+        Admission judges each member by the batch's mean per-miss search
+        time.
 
         ``deadline_seconds`` bounds the whole batch: the remaining budget
         at dispatch time is split evenly across the miss members as their
@@ -1086,7 +1085,6 @@ class RoutingService:
                         [query_list[index] for index in miss_indices],
                         strategy=strategy,
                         time_limit_seconds=limit,
-                        workers=workers,
                         **kwargs,
                     )
                 except BaseException:
@@ -1537,12 +1535,17 @@ class RoutingService:
         return self.route_at(query, request["departure_time_seconds"], **common).to_dict()
 
     def _op_route_many(self, request: Mapping[str, Any]) -> dict[str, Any]:
+        # Batches are serial; ``workers`` is still validated (on every
+        # request, hit or miss) and then ignored, so old clients keep working.
+        if request.get("workers") is not None:
+            require_integer(
+                request["workers"], "workers must be a positive integer", low=1
+            )
         return self.route_many(
             [RoutingQuery.from_dict(item) for item in request["queries"]],
             strategy=request.get("strategy", "pbr"),
             slice_name=request.get("slice"),
             time_limit_seconds=request.get("time_limit_seconds"),
-            workers=request.get("workers"),
             cache_ttl_seconds=request.get("cache_ttl_seconds"),
             deadline_seconds=self._deadline_from_wire(request.get("deadline_ms")),
             **self._wire_kwargs(request),

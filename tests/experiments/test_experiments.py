@@ -196,54 +196,37 @@ class TestEngineConsistency:
             )
 
 
-class TestCachedServingExperiment:
+class TestBudgetSweep:
     @pytest.fixture(scope="class")
     def world(self):
-        from repro.routing import RoutingEngine
-
         net = grid_network(4, 4, spacing=250.0, seed=1)
         model = CongestionModel(net, seed=2)
         costs = EdgeCostTable(net, resolution=5.0)
         for edge in net.edges:
             costs.set_cost(edge.id, model.edge_marginal(edge))
-        combiner = ConvolutionModel(costs)
         generator = WorkloadGenerator(net, costs, seed=0)
-        band = DistanceBand(0.2, 1.2)
-        workload = {band: generator.generate_band(band, 3)}
-        return net, combiner, workload, RoutingEngine(net, combiner)
+        bands = (DistanceBand(0.2, 0.6), DistanceBand(0.6, 1.2))
+        workload = {band: generator.generate_band(band, 3) for band in bands}
+        return net, ConvolutionModel(costs), workload
 
-    def test_passes_fill_then_hit(self, world):
-        from repro.experiments import run_cached_serving_experiment
+    def test_probability_monotone_in_budget_factor(self, world):
+        from repro.experiments import run_budget_sweep_experiment
 
-        net, combiner, workload, engine = world
-        table = run_cached_serving_experiment(
-            net, combiner, workload, passes=3, engine=engine
-        )
-        assert len(table.rows) == 3
-        first, *rest = table.rows
-        assert first.cache_misses == table.num_queries
-        assert first.cache_hits == 0
-        for row in rest:
-            assert row.cache_hits == table.num_queries
-            assert row.cache_misses == 0
-            assert row.hit_rate == 1.0
-        assert table.steady_state is table.rows[-1]
-        assert 0.0 < table.overall_hit_rate < 1.0
-        assert "Cached serving" in table.render()
+        net, combiner, workload = world
+        factors = (1.1, 1.3, 1.6, 2.0)
+        table = run_budget_sweep_experiment(net, combiner, workload, factors=factors)
+        assert [row.band for row in table.rows] == list(workload)
+        for row in table.rows:
+            assert row.factors == factors
+            assert row.num_queries == 3
+            # More budget never hurts: monotone within every band's row.
+            probs = row.mean_probabilities
+            assert all(b >= a - 1e-9 for a, b in zip(probs, probs[1:]))
+        assert "Arrival probability vs budget factor" in table.render()
 
-    def test_rejects_single_pass(self, world):
-        from repro.experiments import run_cached_serving_experiment
+    def test_factors_must_exceed_one(self, world):
+        from repro.experiments import run_budget_sweep_experiment
 
-        net, combiner, workload, engine = world
-        with pytest.raises(ValueError, match="passes"):
-            run_cached_serving_experiment(
-                net, combiner, workload, passes=1, engine=engine
-            )
-
-    def test_rejects_mismatched_engine(self, world):
-        from repro.experiments import run_cached_serving_experiment
-
-        net, combiner, workload, engine = world
-        other = ConvolutionModel(combiner.costs)
-        with pytest.raises(ValueError, match="disagrees"):
-            run_cached_serving_experiment(net, other, workload, engine=engine)
+        net, combiner, workload = world
+        with pytest.raises(ValueError, match="exceed 1"):
+            run_budget_sweep_experiment(net, combiner, workload, factors=(1.0, 1.5))

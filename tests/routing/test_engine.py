@@ -1,7 +1,6 @@
 """Tests for the RoutingEngine facade: strategies, batch, stream, wire format."""
 
 import json
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -444,8 +443,9 @@ class TestKBestStrategy:
         assert [r.path for r in restored] == [r.path for r in answer]
 
 
-class TestRouteManyWorkers:
-    """The multiprocessing path must be a pure accelerator: same answers."""
+class TestRouteManySerial:
+    """Batches are serial and target-grouped: every member is exactly the
+    answer :meth:`RoutingEngine.route` gives it alone."""
 
     BATCH = [
         (0, 24, 40),
@@ -459,29 +459,29 @@ class TestRouteManyWorkers:
     def _queries(self):
         return [RoutingQuery(s, t, b) for s, t, b in self.BATCH]
 
-    def test_workers_matches_serial_exactly(self, engine):
-        serial = engine.route_many(self._queries())
-        parallel = engine.route_many(self._queries(), workers=2)
-        assert len(parallel) == len(serial)
-        for mine, reference in zip(parallel, serial):
+    def test_members_equal_route_per_query(self, engine):
+        queries = self._queries()
+        batch = engine.route_many(queries)
+        alone = [engine.route(query) for query in queries]
+        assert len(batch) == len(alone)
+        for mine, reference in zip(batch, alone):
+            assert mine.query == reference.query
             assert mine.path == reference.path
             assert mine.probability == reference.probability
-        assert parallel.stats.labels_generated == serial.stats.labels_generated
-        assert parallel.stats.completed
-
-    def test_workers_beyond_target_groups_are_capped(self, engine):
-        # 6 queries over 4 distinct targets: a 16-worker request must not
-        # split a target group (or crash on empty shards).
-        parallel = engine.route_many(self._queries(), workers=16)
-        serial = engine.route_many(self._queries())
-        assert [r.path for r in parallel] == [r.path for r in serial]
-
-    def test_workers_with_strategy_kwargs(self, engine):
-        queries = [RoutingQuery(0, 24, 40), RoutingQuery(1, 24, 40)]
-        parallel = engine.route_many(
-            queries, strategy="multi_budget", budgets=[20, 40], workers=2
+        assert batch.stats.labels_generated == sum(
+            r.stats.labels_generated for r in alone
         )
-        for query, answer in zip(queries, parallel):
+        assert batch.num_found == sum(r.found for r in alone)
+        assert batch.stats.completed
+
+    def test_single_query_batch(self, engine):
+        batch = engine.route_many([RoutingQuery(0, 24, 40)])
+        assert batch[0].path == engine.route(RoutingQuery(0, 24, 40)).path
+
+    def test_strategy_kwargs_reach_every_member(self, engine):
+        queries = [RoutingQuery(0, 24, 40), RoutingQuery(1, 24, 40)]
+        batch = engine.route_many(queries, strategy="multi_budget", budgets=[20, 40])
+        for query, answer in zip(queries, batch):
             reference = engine.route(
                 query, strategy="multi_budget", budgets=[20, 40]
             )
@@ -489,93 +489,46 @@ class TestRouteManyWorkers:
             assert [m.path for m in answer] == [m.path for m in reference]
             assert answer.probabilities == reference.probabilities
 
-    @pytest.mark.parametrize("bad", [0, -2, 1.5, True])
-    def test_bad_workers_rejected(self, engine, bad):
-        with pytest.raises(ValueError, match="workers"):
-            engine.route_many([RoutingQuery(0, 24, 40)], workers=bad)
+    def test_workers_is_not_a_parameter(self, engine):
+        # The sharded path is gone; the old keyword must fail loudly, not
+        # be silently accepted.
+        with pytest.raises(TypeError, match="workers"):
+            engine.route_many(self._queries(), workers=2)
 
-    def test_single_query_batch_stays_serial(self, engine):
-        batch = engine.route_many([RoutingQuery(0, 24, 40)], workers=4)
-        assert batch[0].path == engine.route(RoutingQuery(0, 24, 40)).path
-
-    def test_single_target_batch_skips_the_pool(self, engine, monkeypatch):
-        # One target group = one shard = nothing to parallelise: the pool
-        # (spawn + pickle overhead) must not be paid.
-        import multiprocessing
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not be called
-            raise AssertionError("a single-shard batch must not build a pool")
-
-        monkeypatch.setattr(
-            type(multiprocessing.get_context()), "Pool", boom, raising=True
-        )
-        queries = [RoutingQuery(s, 24, 40 + s) for s in (0, 1, 2, 3)]
-        batch = engine.route_many(queries, workers=4)
-        serial = engine.route_many(queries)
-        assert [r.path for r in batch] == [r.path for r in serial]
-
-    def test_workers_one_is_the_serial_path(self, engine):
-        batch = engine.route_many(self._queries(), workers=1)
-        serial = engine.route_many(self._queries())
-        assert [r.path for r in batch] == [r.path for r in serial]
-
-
-class TestRouteManyEdgeCases:
-    """The sharded path under degenerate inputs and mid-shard failures."""
-
-    def test_empty_batch_with_workers(self, engine):
-        batch = engine.route_many([], workers=4)
-        assert len(batch) == 0
-        assert batch.stats.labels_generated == 0
-        assert batch.stats.completed
-
-    def test_workers_far_beyond_target_groups(self, engine):
-        # Two target groups cannot occupy more than two shards; a huge
-        # worker request must neither crash nor change answers or stats.
-        queries = [RoutingQuery(s, t, 40 + s) for s, t in
-                   [(0, 24), (1, 24), (5, 3), (6, 3)]]
-        parallel = engine.route_many(queries, workers=64)
-        serial = engine.route_many(queries)
-        assert [r.path for r in parallel] == [r.path for r in serial]
-        assert parallel.stats.labels_generated == serial.stats.labels_generated
-        assert parallel.num_found == serial.num_found
-
-    def test_worker_validation_error_surfaces(self, engine):
-        # kbest validates k inside the worker: the pool must re-raise the
-        # failure in the parent instead of hanging or answering partially.
+    def test_validation_error_mid_batch_surfaces(self, engine):
+        # kbest validates k per member: the batch re-raises instead of
+        # answering partially.
         queries = [RoutingQuery(0, 24, 40), RoutingQuery(5, 3, 35)]
         with pytest.raises(ValueError, match="k=<positive int>"):
-            engine.route_many(queries, strategy="kbest", workers=2)
+            engine.route_many(queries, strategy="kbest")
 
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="test-local strategies reach pool workers only via fork",
-    )
-    def test_worker_raising_mid_shard_surfaces_the_error(self, engine):
+    def test_strategy_raising_partway_surfaces_the_error(self, engine):
+        routed = []
+
         @register_strategy("explode_on_target_3")
         class ExplodeOnTarget3(RoutingStrategy):
-            """Succeeds until it meets target 3 partway through a shard."""
+            """Succeeds until it meets target 3 partway through the batch."""
 
             def route(self, eng, query, *, time_limit_seconds=None):
                 if query.target == 3:
                     raise RuntimeError("boom at target 3")
+                routed.append(query.target)
                 return eng.route(query, strategy="pbr")
 
-        # Target 3's group lands mid-shard (groups pack largest-first, and
-        # both shards hold several groups), so the worker fails *after*
-        # producing earlier answers — exactly the partial-shard case.
+        # Target groups run in ascending target order, so target 2's group
+        # is answered before target 3's raises: a genuinely partial batch.
         queries = [
             RoutingQuery(0, 24, 40),
             RoutingQuery(1, 24, 41),
             RoutingQuery(5, 3, 35),
             RoutingQuery(20, 4, 50),
             RoutingQuery(2, 22, 38),
+            RoutingQuery(21, 2, 45),
         ]
         try:
             with pytest.raises(RuntimeError, match="boom at target 3"):
-                engine.route_many(
-                    queries, strategy="explode_on_target_3", workers=2
-                )
+                engine.route_many(queries, strategy="explode_on_target_3")
+            assert routed == [2]
         finally:
             engine_module._STRATEGIES.pop("explode_on_target_3", None)
 

@@ -948,12 +948,15 @@ class TestInlineHits:
         answered_lock = threading.Lock()
         stop = threading.Event()
         real_probe = service.probe_hit
-        loop_thread_hits = []
+        loop_thread_hits = []  # the cost version of each hit the loop thread answered
+        loop_hit = threading.Condition()
 
         def counting_probe(request):
             hit = real_probe(request)
             if hit is not None and threading.current_thread() is threading.main_thread():
-                loop_thread_hits.append(1)
+                with loop_hit:
+                    loop_thread_hits.append(hit[0]["cost_version"])
+                    loop_hit.notify_all()
             return hit
 
         service.probe_hit = counting_probe
@@ -966,10 +969,18 @@ class TestInlineHits:
             with answered_lock:
                 answered.extend(mine)
 
+        def await_loop_hit():
+            # Paced by events, not sleeps: however slow a miss is, each
+            # version stays live until the loop thread has answered a hit at it.
+            version = service.cost_version()
+            with loop_hit:
+                loop_hit.wait_for(lambda: version in loop_thread_hits, timeout=30.0)
+
         def updater():
             for update in updates:
-                time.sleep(0.03)
+                await_loop_hit()
                 service.apply_cost_update(update)
+            await_loop_hit()
             stop.set()
 
         async def tcp_client(port):
@@ -1006,7 +1017,8 @@ class TestInlineHits:
         finally:
             sys.setswitchinterval(interval)
         answered.extend(over_tcp)
-        assert loop_thread_hits, "no hit was ever answered on the loop thread"
+        every_version = set(range(base_version, base_version + len(updates) + 1))
+        assert set(loop_thread_hits) == every_version, "a version had no hit on the loop thread"
         assert counters["submitted"] == len(over_tcp)
         assert counters["submitted"] == (
             counters["completed"] + counters["cancelled"] + counters["delivery_failures"]

@@ -71,6 +71,18 @@ def assert_same_answer(mine, reference, where=""):
     assert mine.distribution == reference.distribution, where
 
 
+def zero_runtimes(document):
+    """``document`` with every ``runtime_seconds`` zeroed: wall clocks vary."""
+    if isinstance(document, dict):
+        return {
+            key: 0.0 if key == "runtime_seconds" else zero_runtimes(value)
+            for key, value in document.items()
+        }
+    if isinstance(document, list):
+        return [zero_runtimes(item) for item in document]
+    return document
+
+
 # ----------------------------------------------------------------------
 # The cache itself
 # ----------------------------------------------------------------------
@@ -574,6 +586,62 @@ class TestWireProtocol:
         assert first["cache_misses"] == 2
         assert second["cache_hits"] == 2
         assert second["batch"]["results"] == first["batch"]["results"]
+
+    BATCH_FIVE_TARGETS = [
+        RoutingQuery(0, 24, 40),
+        RoutingQuery(5, 3, 35),
+        RoutingQuery(20, 4, 50),
+        RoutingQuery(2, 22, 38),
+        RoutingQuery(21, 2, 45),
+        RoutingQuery(1, 24, 41),
+    ]
+
+    def test_route_many_never_forks_and_ignores_workers(self, world, monkeypatch):
+        """``workers`` is accepted for old clients, starts no process, and
+        changes no byte of the answer."""
+        import multiprocessing.process
+        import os
+
+        started = []
+
+        def refuse(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("route_many must not start a process")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        # Every multiprocessing context's Process subclasses BaseProcess.
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        queries = [query.to_dict() for query in self.BATCH_FIVE_TARGETS]
+        plain = fresh_service(world).handle_json(
+            json.dumps({"op": "route_many", "queries": queries})
+        )
+        sharded = fresh_service(world).handle_json(
+            json.dumps({"op": "route_many", "queries": queries, "workers": 1000})
+        )
+        assert started == []
+        assert json.loads(sharded)["ok"] is True
+        assert json.dumps(zero_runtimes(json.loads(sharded))) == json.dumps(
+            zero_runtimes(json.loads(plain))
+        )
+
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, True])
+    @pytest.mark.parametrize("all_hit", [False, True], ids=["cold", "all_hit"])
+    def test_bad_workers_rejected_whether_the_batch_hits_or_misses(
+        self, world, bad, all_hit
+    ):
+        service = fresh_service(world)
+        queries = [query.to_dict() for query in self.BATCH_FIVE_TARGETS[:2]]
+        if all_hit:
+            warm = service.handle_request({"op": "route_many", "queries": queries})
+            assert warm["cache_misses"] == 2
+        response = service.handle_request(
+            {"op": "route_many", "queries": queries, "workers": bad}
+        )
+        assert response["ok"] is False
+        assert response["error_kind"] == "bad_request"
+        assert response["error"] == (
+            f"ValueError: workers must be a positive integer, got {bad!r}"
+        )
 
     def test_apply_update_op_and_post_update_answer(self, world):
         network, _, costs = world
