@@ -11,6 +11,7 @@ Runs in well under a minute::
 
 from repro.core import TrainingConfig, train_hybrid
 from repro.core.estimator import EstimatorConfig
+from repro.experiments import render_table
 from repro.ml import MlpConfig
 from repro.network import grid_network
 from repro.routing import RoutingEngine
@@ -90,6 +91,22 @@ def main() -> None:
         f"{batch.stats.runtime_seconds * 1000:.1f} ms"
     )
     print(f"wire format keys: {sorted(batch.results[0].to_dict())}")
+
+    # 8. The anytime extension (experiment E8): a stream of improving answers
+    #    under growing wall-clock limits, each one the pivot path when the
+    #    search had not finished.  More time never yields a worse answer, and
+    #    the stream converges to the unbounded optimum.
+    limits = [0.001, 0.005, 0.02, 0.1, 0.5]
+    rows = [
+        [
+            f"{limit:g}",
+            f"{bounded.probability:.4f}",
+            "completed" if bounded.stats.completed else "timed out",
+        ]
+        for limit, bounded in zip(limits, engine.route_stream(query, limits))
+    ]
+    rows.append(["unbounded", f"{result.probability:.4f}", "completed"])
+    print(render_table(["Limit (s)", "P(on time)", "Search"], rows))
 
 
 if __name__ == "__main__":

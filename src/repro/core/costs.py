@@ -226,20 +226,6 @@ class EdgeCostTable:
         table._versioned = (costs, int(version))
         return table
 
-    def restore(self, data: Mapping[str, Any]) -> int:
-        """Atomically replace this table's contents with a :meth:`to_dict` dump.
-
-        The in-place counterpart of :meth:`from_dict` for live tables a
-        service engine already wraps, in two steps a caller restoring
-        several tables can take apart (decode them all, then publish them
-        all): :meth:`decode` validates the dumped histograms *and version*
-        off to the side, :meth:`publish` installs them as one new
-        ``(table, version)`` cell — concurrent readers see either the old
-        table or the restored one, never a mixture.  Returns the restored
-        version.
-        """
-        return self.publish(self.decode(data))
-
     def decode(
         self, data: Mapping[str, Any]
     ) -> tuple[dict[int, DiscreteDistribution], int]:
@@ -356,10 +342,6 @@ class EdgeCostTable:
     def has_observed_cost(self, edge_id: int) -> bool:
         """True when the edge has a corpus-derived histogram."""
         return edge_id in self._table
-
-    @property
-    def num_observed(self) -> int:
-        return len(self._table)
 
     def free_flow_cost(self, edge: Edge) -> DiscreteDistribution:
         """Deterministic fallback: a point mass at the free-flow tick count.

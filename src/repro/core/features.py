@@ -147,12 +147,3 @@ class PairFeatureExtractor:
                 np.asarray(intersection, dtype=np.float64),
             ]
         )
-
-    def extract_batch(
-        self,
-        items: list[tuple[DiscreteDistribution, Edge, DiscreteDistribution]],
-    ) -> np.ndarray:
-        """Stack feature vectors for a batch of combinations."""
-        if not items:
-            raise ValueError("need at least one item")
-        return np.vstack([self.extract(pre, edge, cost) for pre, edge, cost in items])

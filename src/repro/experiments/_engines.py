@@ -1,10 +1,10 @@
 """Shared validation for experiment drivers that accept a RoutingEngine.
 
 Drivers take explicit ``network``/``combiner`` (and sometimes ``pruning``)
-arguments for standalone use plus an optional pre-warmed engine from the
-orchestration runner.  A mismatch between the two would measure one
-configuration while the rendered table claims another, so it is rejected
-here rather than silently resolved in the engine's favour.
+arguments for standalone use plus an optional pre-warmed engine (the
+benches pass the orchestration runner's).  A mismatch between the two would
+measure one configuration while the rendered table claims another, so it is
+rejected here rather than silently resolved in the engine's favour.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ def require_matching_engine(
     combiner: CostCombiner,
     *,
     pruning: PruningConfig | None = None,
-    name: str = "engine",
 ) -> RoutingEngine:
     """Validate that ``engine`` wraps exactly the explicit arguments.
 
@@ -36,7 +35,7 @@ def require_matching_engine(
         or (pruning is not None and engine.pruning != pruning)
     ):
         raise ValueError(
-            f"{name} disagrees with the explicit network/combiner/pruning "
+            "engine disagrees with the explicit network/combiner/pruning "
             "arguments; pass engine.combiner (etc.) or drop the engine"
         )
     return engine

@@ -111,27 +111,14 @@ def run_quality_experiment(
     workload: dict[DistanceBand, list[BandedQuery]],
     *,
     anytime_limits: tuple[float, ...] = (),
-    hybrid_engine: RoutingEngine | None = None,
-    convolution_engine: RoutingEngine | None = None,
 ) -> QualityTable:
     """Regenerate the Quality table on a prepared workload.
 
     The convolution baseline always runs unbounded (it is the reference
     policy); the hybrid runs unbounded for P∞ and once per anytime limit.
-    The optional ``*_engine`` arguments let the orchestration runner pass
-    its shared :class:`RoutingEngine` instances (warm caches); a supplied
-    engine must wrap exactly the explicit network/combiner arguments.
     """
-    if hybrid_engine is None:
-        hybrid_engine = RoutingEngine(network, hybrid)
-    else:
-        require_matching_engine(hybrid_engine, network, hybrid, name="hybrid_engine")
-    if convolution_engine is None:
-        convolution_engine = RoutingEngine(network, convolution)
-    else:
-        require_matching_engine(
-            convolution_engine, network, convolution, name="convolution_engine"
-        )
+    hybrid_engine = RoutingEngine(network, hybrid)
+    convolution_engine = RoutingEngine(network, convolution)
 
     rows = []
     for band, queries in workload.items():

@@ -2,9 +2,9 @@
 
 :class:`ReproductionRunner` assembles the full stack for a preset — network,
 ground-truth traffic model, trajectory corpus, trained hybrid — lazily and
-exactly once, then exposes one method per paper artefact.  Benches and
-examples share runners through :func:`get_runner` so a pytest-benchmark
-session pays the corpus/training cost once.
+exactly once, and hands out one warm :class:`RoutingEngine` per model for the
+table drivers.  Benches and examples share runners through :func:`get_runner`
+so a pytest-benchmark session pays the corpus/training cost once.
 """
 
 from __future__ import annotations
@@ -20,14 +20,7 @@ from ..trajectories import (
 )
 from .config import DistanceBand, ExperimentPreset, get_preset
 from .dependence import DependenceResult, run_dependence_experiment
-from .efficiency import EfficiencyTable, run_efficiency_experiment
 from .model_eval import ModelEvaluation, evaluate_model
-from .quality import (
-    BudgetSweepTable,
-    QualityTable,
-    run_budget_sweep_experiment,
-    run_quality_experiment,
-)
 from .workloads import BandedQuery, WorkloadGenerator
 
 __all__ = ["ReproductionRunner", "get_runner"]
@@ -144,40 +137,6 @@ class ReproductionRunner:
             self.store,
             self.traffic_model,
             min_samples=self.preset.training.min_pair_samples,
-        )
-
-    def run_quality(self) -> QualityTable:
-        """E5: the Quality table (P∞ and anytime columns)."""
-        hybrid_engine = self.engine("hybrid")
-        convolution_engine = self.engine("convolution")
-        return run_quality_experiment(
-            self.network,
-            hybrid_engine.combiner,
-            convolution_engine.combiner,
-            self.traffic_model,
-            self.workload,
-            anytime_limits=self.preset.anytime_limits,
-            hybrid_engine=hybrid_engine,
-            convolution_engine=convolution_engine,
-        )
-
-    def run_efficiency(self) -> EfficiencyTable:
-        """E6: mean PBR runtime per distance band."""
-        engine = self.engine("hybrid")
-        return run_efficiency_experiment(
-            self.network, engine.combiner, self.workload, engine=engine
-        )
-
-    def run_budget_sweep(
-        self,
-        *,
-        factors: tuple[float, ...] = (1.1, 1.3, 1.6, 2.0),
-        model: str = "convolution",
-    ) -> BudgetSweepTable:
-        """Budget-vs-reliability sweep via one multi-budget search per query."""
-        engine = self.engine(model)
-        return run_budget_sweep_experiment(
-            self.network, engine.combiner, self.workload, factors=factors, engine=engine
         )
 
 

@@ -1,7 +1,7 @@
 """Travel-time histogram algebra.
 
 Uniform-grid discrete distributions with exact convolution, cost shifting,
-stochastic dominance, distribution metrics (KL et al.) and 2-D joints for
+stochastic dominance, the KL-divergence metric and 2-D joints for
 edge-pair dependence analysis — the substrate under both the hybrid model and
 probabilistic budget routing.
 """
@@ -12,22 +12,13 @@ from .dominance import (
     ParetoFrontier,
     cdf_dominance_matrix,
     dominates,
-    non_dominated,
     weakly_dominates,
 )
 from .joint import JointDistribution
-from .metrics import (
-    cross_entropy,
-    hellinger,
-    js_divergence,
-    kl_divergence,
-    total_variation,
-    wasserstein,
-)
+from .metrics import kl_divergence
 from .operations import (
     batched_window_convolve,
     shape_profile,
-    delay_profile,
     from_delay_profile,
     from_delay_profiles,
     mixture,
@@ -43,21 +34,14 @@ __all__ = [
     "ParetoFrontier",
     "batched_window_convolve",
     "cdf_dominance_matrix",
-    "cross_entropy",
-    "delay_profile",
     "dominates",
     "from_delay_profile",
     "from_delay_profiles",
-    "hellinger",
-    "js_divergence",
     "kl_divergence",
     "mixture",
-    "non_dominated",
     "project_onto_window",
     "scale_values",
     "shape_profile",
-    "total_variation",
     "trim_window_rows",
-    "wasserstein",
     "weakly_dominates",
 ]

@@ -17,14 +17,11 @@ relies on exact and cheap:
 * ``P(cost <= budget)`` — the objective of probabilistic budget routing — is a
   prefix sum.
 
-Coarse presentation-level histograms such as the paper's 10-minute buckets are
-produced with :meth:`DiscreteDistribution.rebin`.
-
 Hot-path design (see PERFORMANCE.md)
 ------------------------------------
 Instances are immutable, which lets every distribution lazily cache its
 prefix-sum: :meth:`cdf` is computed once, and :meth:`cdf_at`,
-:meth:`prob_within`, :meth:`quantile` and :meth:`sample` become O(1)/O(log n)
+:meth:`prob_within` and :meth:`sample` become O(1)/O(log n)
 array reads afterwards.  Construction has a zero-copy fast path for trusted
 internal arrays (already read-only float64 with ``normalize=False``), and
 :meth:`convolve` switches to an FFT above a support-size crossover.
@@ -296,10 +293,6 @@ class DiscreteDistribution:
         p = self._probs[self._probs > _MASS_EPSILON]
         return float(-np.dot(p, np.log(p)))
 
-    def mode(self) -> int:
-        """Tick with the highest probability (smallest on ties)."""
-        return self._offset + int(np.argmax(self._probs))
-
     # ------------------------------------------------------------------
     # CDF, quantiles and the routing objective
     # ------------------------------------------------------------------
@@ -330,17 +323,6 @@ class DiscreteDistribution:
     def prob_within(self, budget: int) -> float:
         """``P(travel time <= budget)`` — the PBR objective for one path."""
         return self.cdf_at(budget)
-
-    def quantile(self, q: float) -> int:
-        """Smallest tick ``t`` such that ``P(X <= t) >= q``."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile level must be in [0, 1]")
-        if q == 0.0:
-            return self.min_value
-        cum = self.cdf()
-        idx = int(np.searchsorted(cum, q - 1e-12, side="left"))
-        idx = min(idx, self._probs.size - 1)
-        return self._offset + idx
 
     # ------------------------------------------------------------------
     # Algebraic operations
@@ -385,30 +367,6 @@ class DiscreteDistribution:
 
     __radd__ = __add__
 
-    def rebin(self, factor: int, *, anchor: int = 0) -> "DiscreteDistribution":
-        """Coarsen to buckets of ``factor`` ticks.
-
-        Mass of tick ``t`` goes into the bucket whose representative tick is
-        ``anchor + floor((t - anchor) / factor) * factor`` — the bucket's left
-        boundary, matching the paper's ``[40, 50)``-style bucket notation.
-        """
-        if factor < 1:
-            raise ValueError("rebin factor must be >= 1")
-        if factor == 1:
-            return self
-        ticks = self._offset + np.arange(self._probs.size)
-        buckets = anchor + ((ticks - anchor) // factor) * factor
-        lo = int(buckets[0])
-        idx = (buckets - lo) // factor
-        out = np.zeros(int(idx[-1]) + 1, dtype=np.float64)
-        np.add.at(out, idx, self._probs)
-        # Resulting distribution lives on the coarse grid expressed in the
-        # original tick unit: cells are spaced ``factor`` apart, so expand to
-        # the fine grid by placing mass at the bucket boundary.
-        fine = np.zeros((out.size - 1) * factor + 1, dtype=np.float64)
-        fine[::factor] = out
-        return DiscreteDistribution._trusted(lo, fine)
-
     def truncate(self, max_support: int) -> "DiscreteDistribution":
         """Bound the support size, folding excess tail mass into the last cell.
 
@@ -423,14 +381,6 @@ class DiscreteDistribution:
         head = self._probs[:max_support].copy()
         head[-1] += float(self._probs[max_support:].sum())
         return DiscreteDistribution._trusted(self._offset, head)
-
-    def normalize_tail(self, max_support: int) -> "DiscreteDistribution":
-        """Bound the support size by *dropping* the tail and renormalising."""
-        if max_support < 1:
-            raise ValueError("max_support must be >= 1")
-        if self._probs.size <= max_support:
-            return self
-        return DiscreteDistribution(self._offset, self._probs[:max_support], normalize=True)
 
     def window_row(self, width: int) -> np.ndarray:
         """Dense pmf over the absolute ticks ``[0, width)``, tail folded.

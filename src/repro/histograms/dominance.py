@@ -27,7 +27,7 @@ turning membership and eviction into single broadcast comparisons.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "cdf_dominance_matrix",
     "dominates",
     "weakly_dominates",
-    "non_dominated",
     "ParetoFrontier",
 ]
 
@@ -161,20 +160,6 @@ def dominates(p: DiscreteDistribution, q: DiscreteDistribution) -> bool:
     return _strictly_better_somewhere(p, q)
 
 
-def non_dominated(
-    distributions: Sequence[DiscreteDistribution],
-) -> list[DiscreteDistribution]:
-    """Filter a set of distributions down to its Pareto frontier.
-
-    A distribution survives when no *other* distribution weakly dominates it,
-    except that among exact duplicates the first occurrence is kept.
-    """
-    frontier = ParetoFrontier()
-    for candidate in distributions:
-        frontier.add(candidate)
-    return list(frontier)
-
-
 class ParetoFrontier:
     """Mutable Pareto set of non-dominated distributions at a search vertex.
 
@@ -268,21 +253,6 @@ class ParetoFrontier:
     # ------------------------------------------------------------------
     # Dominance queries
     # ------------------------------------------------------------------
-
-    def is_dominated(self, candidate: DiscreteDistribution) -> bool:
-        """True when some resident weakly dominates ``candidate``."""
-        if not self._members:
-            return False
-        if candidate.min_value < self._lo:
-            # Every resident's CDF is still zero at ``candidate.min`` where
-            # the candidate's is already positive: nobody dominates it.
-            return False
-        matrix = self._matrix[: len(self._members)]
-        row, overhang = self._fill_row(candidate)
-        dominated = np.all(matrix >= row - _TOL, axis=1)
-        if overhang:
-            dominated &= matrix[:, -1] >= candidate.cdf()[-1] - _TOL
-        return bool(dominated.any())
 
     def add(self, candidate: DiscreteDistribution) -> bool:
         """Try to insert ``candidate``; returns ``True`` when it was kept.

@@ -5,7 +5,7 @@ edges has a *joint* distribution ``P(t1, t2)``; the true path cost is the
 distribution of ``t1 + t2`` under that joint.  Convolution replaces the joint
 with the product of its marginals — exact only under independence.  The
 :class:`JointDistribution` lets us compute both, quantify how far apart they
-are, and measure dependence (mutual information, correlation, chi-square),
+are, and measure dependence (mutual information, chi-square),
 which drives the paper's "~75 % of edge pairs are dependent" statistic.
 """
 
@@ -101,20 +101,8 @@ class JointDistribution:
     # ------------------------------------------------------------------
 
     @property
-    def offset1(self) -> int:
-        return self._offset1
-
-    @property
-    def offset2(self) -> int:
-        return self._offset2
-
-    @property
     def probs(self) -> np.ndarray:
         return self._probs
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._probs.shape  # type: ignore[return-value]
 
     def prob_at(self, t1: int, t2: int) -> float:
         """``P(t1, t2)`` for exact tick values."""
@@ -152,16 +140,6 @@ class JointDistribution:
         """Convolution of the marginals — the independence approximation."""
         return self.marginal_first().convolve(self.marginal_second())
 
-    def conditional_second(self, t1: int) -> DiscreteDistribution:
-        """``P(t2 | t1)`` for a given first-edge travel time."""
-        i = int(t1) - self._offset1
-        if i < 0 or i >= self._probs.shape[0]:
-            raise ValueError(f"t1={t1} outside joint support")
-        row = self._probs[i]
-        if float(row.sum()) <= 0.0:
-            raise ValueError(f"t1={t1} has zero marginal probability")
-        return DiscreteDistribution(self._offset2, row, normalize=True)
-
     # ------------------------------------------------------------------
     # Dependence measures
     # ------------------------------------------------------------------
@@ -175,24 +153,6 @@ class JointDistribution:
         return float(
             np.sum(self._probs[mask] * np.log(self._probs[mask] / prod[mask]))
         )
-
-    def correlation(self) -> float:
-        """Pearson correlation between the two travel times.
-
-        Returns 0 when either marginal is degenerate (zero variance).
-        """
-        t1 = self._offset1 + np.arange(self._probs.shape[0], dtype=np.float64)
-        t2 = self._offset2 + np.arange(self._probs.shape[1], dtype=np.float64)
-        p1 = self._probs.sum(axis=1)
-        p2 = self._probs.sum(axis=0)
-        mu1 = float(np.dot(t1, p1))
-        mu2 = float(np.dot(t2, p2))
-        var1 = float(np.dot((t1 - mu1) ** 2, p1))
-        var2 = float(np.dot((t2 - mu2) ** 2, p2))
-        if var1 <= _MASS_EPSILON or var2 <= _MASS_EPSILON:
-            return 0.0
-        cov = float((t1 - mu1) @ self._probs @ (t2 - mu2))
-        return cov / math.sqrt(var1 * var2)
 
     def chi_square_statistic(self, num_samples: int) -> tuple[float, int]:
         """Pearson chi-square statistic against independence.

@@ -1,38 +1,23 @@
-"""Distance measures between travel-time distributions.
+"""Distance between travel-time distributions.
 
 The paper evaluates its estimation model with the KL-divergence between the
-model output and ground-truth trajectories; this module provides that metric
-plus the symmetric and transport-style metrics used in the wider stochastic-
-routing literature, all defined on :class:`~repro.histograms.DiscreteDistribution`
-pairs aligned onto a common grid.
+model output and ground-truth trajectories; this module provides that metric,
+defined on :class:`~repro.histograms.DiscreteDistribution` pairs aligned onto
+a common grid.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .distribution import DiscreteDistribution
 
-__all__ = [
-    "kl_divergence",
-    "js_divergence",
-    "total_variation",
-    "hellinger",
-    "wasserstein",
-    "cross_entropy",
-]
+__all__ = ["kl_divergence"]
 
 #: Additive smoothing applied to the reference distribution in KL-style
 #: metrics so that ground-truth mass outside the model's support yields a
 #: large-but-finite penalty instead of ``inf``.
 DEFAULT_SMOOTHING = 1e-9
-
-
-def _aligned(p: DiscreteDistribution, q: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
-    _, pa, qa = p.aligned_with(q)
-    return pa, qa
 
 
 def kl_divergence(
@@ -47,56 +32,8 @@ def kl_divergence(
     ``q`` is smoothed with ``smoothing`` uniform mass so the divergence stays
     finite when the model misses part of the true support.
     """
-    pa, qa = _aligned(p, q)
+    _, pa, qa = p.aligned_with(q)
     qa = qa + smoothing
     qa = qa / qa.sum()
     mask = pa > 0
     return float(np.sum(pa[mask] * np.log(pa[mask] / qa[mask])))
-
-
-def cross_entropy(
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    *,
-    smoothing: float = DEFAULT_SMOOTHING,
-) -> float:
-    """``H(p, q) = H(p) + KL(p || q)`` in nats."""
-    pa, qa = _aligned(p, q)
-    qa = qa + smoothing
-    qa = qa / qa.sum()
-    mask = pa > 0
-    return float(-np.sum(pa[mask] * np.log(qa[mask])))
-
-
-def js_divergence(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Jensen–Shannon divergence (symmetric, bounded by ``ln 2``)."""
-    pa, qa = _aligned(p, q)
-    m = 0.5 * (pa + qa)
-    out = 0.0
-    for a in (pa, qa):
-        mask = a > 0
-        out += 0.5 * float(np.sum(a[mask] * np.log(a[mask] / m[mask])))
-    return out
-
-
-def total_variation(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Total-variation distance, ``0.5 * sum |p - q|`` in ``[0, 1]``."""
-    pa, qa = _aligned(p, q)
-    return float(0.5 * np.abs(pa - qa).sum())
-
-
-def hellinger(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Hellinger distance in ``[0, 1]``."""
-    pa, qa = _aligned(p, q)
-    return float(math.sqrt(max(0.0, 0.5 * np.sum((np.sqrt(pa) - np.sqrt(qa)) ** 2))))
-
-
-def wasserstein(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """1-Wasserstein (earth mover's) distance in ticks.
-
-    On a one-dimensional grid this is the L1 distance between CDFs, which is
-    the natural "how many minutes of probability mass moved" measure for
-    travel-time histograms.
-    """
-    pa, qa = _aligned(p, q)
-    return float(np.abs(np.cumsum(pa) - np.cumsum(qa)).sum())

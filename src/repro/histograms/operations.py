@@ -21,7 +21,6 @@ __all__ = [
     "project_onto_window",
     "from_delay_profile",
     "from_delay_profiles",
-    "delay_profile",
     "shape_profile",
     "batched_window_convolve",
     "trim_window_rows",
@@ -186,30 +185,8 @@ def project_onto_window(probs: np.ndarray, offset: int) -> DiscreteDistribution:
     return DiscreteDistribution(offset, arr)
 
 
-def delay_profile(
-    dist: DiscreteDistribution, *, num_bins: int
-) -> np.ndarray:
-    """Express ``dist`` as a fixed-length vector of delay-beyond-minimum bins.
-
-    Bin ``i`` holds ``P(X = min + i)`` for ``i < num_bins - 1``; the final bin
-    accumulates the entire remaining tail.  This is the target representation
-    the distribution-estimation model is trained on: it removes the absolute
-    offset (which varies per edge pair) and leaves only the *shape*.
-    """
-    if num_bins < 1:
-        raise ValueError("num_bins must be >= 1")
-    out = np.zeros(num_bins, dtype=np.float64)
-    probs = dist.probs
-    head = min(probs.size, num_bins - 1) if num_bins > 1 else 0
-    out[:head] = probs[:head]
-    out[-1] += float(probs[head:].sum()) if head < probs.size else 0.0
-    if num_bins == 1:
-        out[0] = 1.0
-    return out
-
-
 def from_delay_profile(profile: np.ndarray, offset: int) -> DiscreteDistribution:
-    """Inverse of :func:`delay_profile`: re-anchor a shape vector at ``offset``."""
+    """Re-anchor one delay-beyond-minimum shape vector at ``offset``."""
     return from_delay_profiles([profile], [offset])[0]
 
 
@@ -245,8 +222,8 @@ def shape_profile(dist: DiscreteDistribution, *, num_bins: int) -> tuple[np.ndar
 
     The support ``[min, max]`` is divided into ``num_bins`` chunks of
     ``width = ceil(support / num_bins)`` ticks; the returned vector holds the
-    mass of each chunk and always sums to 1.  Unlike :func:`delay_profile`
-    this never saturates on wide distributions (the chunk width grows
+    mass of each chunk and always sums to 1.  Unlike a one-bin-per-tick delay
+    profile this never saturates on wide distributions (the chunk width grows
     instead), which is what lets a model trained on short pre-paths read the
     shape of a long virtual edge.
 

@@ -97,14 +97,6 @@ class EstimationResult:
     def __len__(self) -> int:
         return len(self.estimates)
 
-    @property
-    def converged_fraction(self) -> float:
-        """Fraction of estimated edges whose mean settled within tolerance."""
-        if not self.estimates:
-            return 1.0
-        settled = sum(1 for e in self.estimates.values() if e.converged)
-        return settled / len(self.estimates)
-
     def histograms(self) -> dict[int, DiscreteDistribution]:
         """The publishable per-edge histograms (feeds ``CostUpdate``)."""
         return {

@@ -226,9 +226,3 @@ class TripIngestor:
             num_rejected=num_rejected,
             elapsed_seconds=time.perf_counter() - begin,
         )
-
-    @property
-    def dedup_hit_rate(self) -> float:
-        """Fraction of raw traces served from the OD-signature cache."""
-        lookups = self._cache_hits + self._cache_misses
-        return self._cache_hits / lookups if lookups else 0.0

@@ -97,11 +97,6 @@ class CostPublisher:
         self.source = source
         self._next_sequence = int(start_sequence)
 
-    @property
-    def next_sequence(self) -> int:
-        """The sequence number the next published update will carry."""
-        return self._next_sequence
-
     def publish(
         self, histograms: Mapping[int, DiscreteDistribution]
     ) -> list[PublishResult]:

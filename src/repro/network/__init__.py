@@ -1,8 +1,8 @@
 """Road-network substrate.
 
 Directed road graphs with category hierarchy, OSM XML import/export,
-deterministic synthetic generators (grid / ring-radial / random-geometric /
-hierarchical "denmark-like"), spatial indexing and JSON persistence.
+deterministic synthetic generators (grid / hierarchical "denmark-like" /
+hand-sized fixtures), spatial indexing and JSON persistence.
 """
 
 from .categories import FREE_FLOW_SPEED_KMH, RoadCategory
@@ -10,8 +10,6 @@ from .generators import (
     denmark_like_network,
     diamond_network,
     grid_network,
-    random_geometric_network,
-    ring_radial_network,
     two_edge_network,
 )
 from .graph import RoadNetwork
@@ -51,9 +49,7 @@ __all__ = [
     "network_to_dict",
     "point_segment_distance",
     "project_equirectangular",
-    "random_geometric_network",
     "read_osm",
-    "ring_radial_network",
     "save_network",
     "two_edge_network",
     "write_osm",

@@ -22,8 +22,6 @@ from .graph import RoadNetwork
 
 __all__ = [
     "grid_network",
-    "ring_radial_network",
-    "random_geometric_network",
     "denmark_like_network",
     "two_edge_network",
     "diamond_network",
@@ -82,126 +80,6 @@ def grid_network(
         category = _category_for_grid_line(c)
         for r in range(rows - 1):
             connect(r * cols + c, (r + 1) * cols + c, category)
-    return network
-
-
-def ring_radial_network(
-    *,
-    rings: int = 4,
-    spokes: int = 8,
-    ring_spacing: float = 800.0,
-    seed: int = 0,
-) -> RoadNetwork:
-    """A ring-and-radial city: concentric ring roads crossed by radial spokes.
-
-    The centre vertex has high degree, outer rings are faster (ring roads),
-    radials are secondaries — the topology where pivot-path pruning shines.
-    """
-    if rings < 1 or spokes < 3:
-        raise ValueError("need >= 1 ring and >= 3 spokes")
-    network = RoadNetwork()
-    network.add_vertex(0, 0.0, 0.0)
-    vid = 1
-    ring_vertex: dict[tuple[int, int], int] = {}
-    for ring in range(1, rings + 1):
-        radius = ring * ring_spacing
-        for spoke in range(spokes):
-            angle = 2 * math.pi * spoke / spokes
-            network.add_vertex(vid, radius * math.cos(angle), radius * math.sin(angle))
-            ring_vertex[(ring, spoke)] = vid
-            vid += 1
-    for spoke in range(spokes):
-        previous = 0
-        for ring in range(1, rings + 1):
-            current = ring_vertex[(ring, spoke)]
-            network.add_edge(previous, current, category=RoadCategory.SECONDARY)
-            network.add_edge(current, previous, category=RoadCategory.SECONDARY)
-            previous = current
-    for ring in range(1, rings + 1):
-        category = RoadCategory.PRIMARY if ring == rings else RoadCategory.TERTIARY
-        for spoke in range(spokes):
-            u = ring_vertex[(ring, spoke)]
-            v = ring_vertex[(ring, (spoke + 1) % spokes)]
-            network.add_edge(u, v, category=category)
-            network.add_edge(v, u, category=category)
-    return network
-
-
-def random_geometric_network(
-    num_vertices: int,
-    *,
-    extent: float = 5_000.0,
-    target_degree: float = 3.0,
-    seed: int = 0,
-) -> RoadNetwork:
-    """A connected random geometric graph over a square extent.
-
-    Vertices are uniform in ``[0, extent]^2``; each vertex connects to its
-    nearest neighbours until the average out-degree reaches ``target_degree``,
-    then a spanning pass stitches disconnected components together, so the
-    result is always strongly connected (every edge is bidirectional).
-    """
-    if num_vertices < 2:
-        raise ValueError("need at least 2 vertices")
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(0, extent, size=num_vertices)
-    ys = rng.uniform(0, extent, size=num_vertices)
-    network = RoadNetwork()
-    for i in range(num_vertices):
-        network.add_vertex(i, float(xs[i]), float(ys[i]))
-
-    k = max(1, int(round(target_degree / 2)))
-    coords = np.column_stack([xs, ys])
-    added: set[tuple[int, int]] = set()
-
-    def connect(u: int, v: int) -> None:
-        if u == v or (u, v) in added:
-            return
-        category = RoadCategory.TERTIARY if rng.random() < 0.3 else RoadCategory.RESIDENTIAL
-        network.add_edge(u, v, category=category)
-        network.add_edge(v, u, category=category)
-        added.add((u, v))
-        added.add((v, u))
-
-    for i in range(num_vertices):
-        dists = np.hypot(coords[:, 0] - xs[i], coords[:, 1] - ys[i])
-        dists[i] = np.inf
-        for j in np.argsort(dists)[:k]:
-            connect(i, int(j))
-
-    # Union-find stitching: connect each component to its nearest outside
-    # vertex until one component remains.
-    parent = list(range(num_vertices))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
-    for u, v in added:
-        union(u, v)
-    while True:
-        roots = {find(i) for i in range(num_vertices)}
-        if len(roots) == 1:
-            break
-        root = next(iter(roots))
-        members = [i for i in range(num_vertices) if find(i) == root]
-        outside = [i for i in range(num_vertices) if find(i) != root]
-        best = None
-        best_dist = math.inf
-        for i in members:
-            dists = np.hypot(coords[outside, 0] - xs[i], coords[outside, 1] - ys[i])
-            j = int(np.argmin(dists))
-            if dists[j] < best_dist:
-                best_dist = float(dists[j])
-                best = (i, outside[j])
-        assert best is not None
-        connect(*best)
-        union(*best)
     return network
 
 

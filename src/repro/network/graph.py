@@ -8,7 +8,7 @@ the paper's hybrid model is trained per consecutive-edge pair.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ..derived import Memo, rebind
 from .categories import RoadCategory
@@ -148,10 +148,6 @@ class RoadNetwork:
     def in_degree(self, vertex_id: int) -> int:
         return len(self._in[vertex_id])
 
-    def neighbors(self, vertex_id: int) -> list[int]:
-        """Successor vertex ids."""
-        return [edge.target for edge in self._out[vertex_id]]
-
     # ------------------------------------------------------------------
     # Edge pairs and paths
     # ------------------------------------------------------------------
@@ -169,16 +165,6 @@ class RoadNetwork:
                     continue
                 yield EdgePair(first, second)
 
-    def pairs_at(self, vertex_id: int, *, exclude_u_turns: bool = True) -> list[EdgePair]:
-        """All edge pairs whose shared intersection is ``vertex_id``."""
-        pairs = []
-        for first in self._in[vertex_id]:
-            for second in self._out[vertex_id]:
-                if exclude_u_turns and second.target == first.source:
-                    continue
-                pairs.append(EdgePair(first, second))
-        return pairs
-
     def path_edges(self, vertex_path: Sequence[int]) -> list[Edge]:
         """Resolve a vertex sequence into its edge sequence.
 
@@ -192,10 +178,6 @@ class RoadNetwork:
             edges.append(edge)
         return edges
 
-    def path_length(self, edges: Iterable[Edge]) -> float:
-        """Total length in metres of an edge sequence."""
-        return sum(edge.length for edge in edges)
-
     def is_path(self, edges: Sequence[Edge]) -> bool:
         """True when consecutive edges share endpoints."""
         return all(a.target == b.source for a, b in zip(edges, edges[1:]))
@@ -203,18 +185,6 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     # Misc
     # ------------------------------------------------------------------
-
-    def euclidean_distance(self, u: int, v: int) -> float:
-        """Straight-line distance between two vertices in metres."""
-        return self._vertices[u].distance_to(self._vertices[v])
-
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        """``(min_x, min_y, max_x, max_y)`` over all vertices."""
-        if not self._vertices:
-            raise ValueError("network has no vertices")
-        xs = [v.x for v in self._vertices.values()]
-        ys = [v.y for v in self._vertices.values()]
-        return min(xs), min(ys), max(xs), max(ys)
 
     def __repr__(self) -> str:
         return f"RoadNetwork(vertices={self.num_vertices}, edges={self.num_edges})"

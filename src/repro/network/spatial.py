@@ -1,8 +1,7 @@
 """Spatial helpers: geodesic distance and a uniform grid index.
 
-The grid index answers the nearest-vertex queries used by the workload
-generator (snapping random query endpoints) and the map matcher (candidate
-edges near a GPS point) without an external spatial library.
+The grid index answers the map matcher's candidate queries (edges near a GPS
+point) without an external spatial library.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from collections import defaultdict
 from typing import Iterable
 
 from .graph import RoadNetwork
-from .types import Edge, Vertex
+from .types import Edge
 
 __all__ = ["haversine_m", "project_equirectangular", "GridIndex", "point_segment_distance"]
 
@@ -55,10 +54,10 @@ def point_segment_distance(
 
 
 class GridIndex:
-    """Uniform-grid spatial index over a road network's vertices and edges.
+    """Uniform-grid spatial index over a road network's edges.
 
     ``cell_size`` should be on the order of the typical query radius; lookups
-    expand ring by ring until a hit is found, so the index is correct for any
+    scan the rings of cells the radius covers, so the index is correct for any
     cell size and merely slower when mis-sized.
     """
 
@@ -67,10 +66,7 @@ class GridIndex:
             raise ValueError("cell_size must be positive")
         self._network = network
         self._cell_size = float(cell_size)
-        self._vertex_cells: dict[tuple[int, int], list[Vertex]] = defaultdict(list)
         self._edge_cells: dict[tuple[int, int], list[Edge]] = defaultdict(list)
-        for vertex in network.vertices():
-            self._vertex_cells[self._cell_of(vertex.x, vertex.y)].append(vertex)
         for edge in network.edges:
             for cell in self._cells_of_edge(edge):
                 self._edge_cells[cell].append(edge)
@@ -97,25 +93,6 @@ class GridIndex:
         for dy in range(-radius + 1, radius):
             yield (cx - radius, cy + dy)
             yield (cx + radius, cy + dy)
-
-    def nearest_vertex(self, x: float, y: float, *, max_radius_cells: int = 64) -> Vertex:
-        """Closest vertex to ``(x, y)``; raises when nothing within range."""
-        center = self._cell_of(x, y)
-        best: Vertex | None = None
-        best_dist = math.inf
-        for radius in range(max_radius_cells + 1):
-            for cell in self._ring(center, radius):
-                for vertex in self._vertex_cells.get(cell, ()):
-                    dist = math.hypot(vertex.x - x, vertex.y - y)
-                    if dist < best_dist:
-                        best, best_dist = vertex, dist
-            # Once a hit exists, one extra ring guarantees correctness
-            # (a nearer vertex can live in the next ring only).
-            if best is not None and best_dist <= radius * self._cell_size:
-                return best
-        if best is None:
-            raise ValueError(f"no vertex within {max_radius_cells} cells of ({x}, {y})")
-        return best
 
     def edges_within(self, x: float, y: float, radius: float) -> list[tuple[Edge, float]]:
         """Edges whose segment lies within ``radius`` metres of ``(x, y)``.

@@ -84,8 +84,3 @@ class EdgePair:
     def intersection(self) -> int:
         """Vertex id of the shared intersection."""
         return self.first.target
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """``(first_edge_id, second_edge_id)`` lookup key."""
-        return (self.first.id, self.second.id)

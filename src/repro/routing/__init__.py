@@ -2,13 +2,12 @@
 
 The public entry point is :class:`RoutingEngine` — one facade over the
 paper's best-first PBR search (with the four prunings), the anytime
-extension, the baselines (expected-time Dijkstra, exhaustive oracle), batch
-routing (optionally sharded across a worker pool), streaming anytime
-sweeps, multi-budget vectors and k-best route frontiers.  Strategies plug
-in through :func:`register_strategy`.
+extension, the baselines (expected-time Dijkstra, exhaustive oracle), serial
+target-grouped batch routing, streaming anytime sweeps, multi-budget vectors
+and k-best route frontiers.  Strategies plug in through
+:func:`register_strategy`.
 """
 
-from .anytime import AnytimePoint
 from .baselines import all_simple_paths, exhaustive_best_path, expected_time_path
 from .budget import PruningConfig
 from .engine import (
@@ -34,7 +33,6 @@ from .query import (
 )
 
 __all__ = [
-    "AnytimePoint",
     "BatchResult",
     "DepartWhenResult",
     "KBestResult",

@@ -28,7 +28,6 @@ from scipy.sparse import csgraph, csr_matrix
 
 from ..core.costs import EdgeCostTable
 from ..derived import Memo, clear_bounded
-from ..histograms import DiscreteDistribution
 from ..network import RoadNetwork
 
 __all__ = [
@@ -186,25 +185,3 @@ class OptimisticHeuristic:
         call :meth:`reachable` first.
         """
         return int(self.table[vertex_id])
-
-    def upper_bound_probability(
-        self,
-        distribution: DiscreteDistribution,
-        vertex_id: int,
-        budget: int,
-        *,
-        use_shift: bool = True,
-    ) -> float:
-        """Upper bound on the arrival probability of any completion.
-
-        With cost shifting the label's distribution is translated by the
-        optimistic remaining cost before evaluating the budget CDF; without
-        it the bound degrades to ``P(cost so far <= budget)`` (still sound,
-        strictly looser — this is what the rule-(c) ablation measures).
-        """
-        remaining = self.table.get(vertex_id)
-        if remaining is None:
-            return 0.0
-        if use_shift:
-            return distribution.prob_within(budget - int(remaining))
-        return distribution.prob_within(budget)

@@ -134,12 +134,6 @@ class RoutingQuery:
             )
         return cls(source, target, ticks)
 
-    def budget_seconds(self, resolution: float) -> float:
-        """The tick budget expressed in seconds at ``resolution`` s/tick."""
-        if resolution <= 0:
-            raise ValueError("resolution must be positive seconds per tick")
-        return self.budget * float(resolution)
-
     def to_dict(self) -> dict[str, int]:
         """JSON-ready representation (exact :meth:`from_dict` round-trip)."""
         return {"source": self.source, "target": self.target, "budget": self.budget}

@@ -294,10 +294,3 @@ class ResultCache:
                 self.expirations,
                 len(self._entries),
             )
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when none yet)."""
-        with self._lock:
-            lookups = self.hits + self.misses
-            return self.hits / lookups if lookups else 0.0

@@ -1,6 +1,6 @@
 """The :class:`RoutingService` — a serving layer over :class:`RoutingEngine`.
 
-The engine made one query fast and batches parallel; the service keeps
+The engine made one query fast and batches target-grouped; the service keeps
 answers hot *across* requests, the way production trip-dispatch stacks
 serve repeated OD traffic:
 
@@ -1432,7 +1432,7 @@ class RoutingService:
         The ``op`` field selects a handler from :attr:`_WIRE_OPS` — that
         table *is* the list of operations: the dispatch, this docstring and
         the unknown-op message all read it.  See the handlers (``_op_*``),
-        the test suite and ``examples/routing_service.py`` for the exact
+        the test suite and ``examples/serving.py`` for the exact
         shapes.  Routing requests may carry ``deadline_ms``, the
         degradation-ladder time budget (:meth:`route`'s
         ``deadline_seconds`` in milliseconds).  Success responses carry

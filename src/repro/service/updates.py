@@ -94,11 +94,6 @@ class CostUpdate:
     def __len__(self) -> int:
         return len(self.costs)
 
-    @property
-    def edge_ids(self) -> tuple[int, ...]:
-        """The updated edge ids, ascending."""
-        return tuple(sorted(self.costs))
-
     @classmethod
     def from_congestion(
         cls,
@@ -144,8 +139,11 @@ class CostUpdate:
         silently deflate every probability routed over that edge.  Such
         payloads are rejected here, not repaired.
         """
+        raw = data["costs"]
+        if not isinstance(raw, Mapping):
+            raise ValueError("update 'costs' must be a mapping")
         costs: dict[int, DiscreteDistribution] = {}
-        for edge_id, payload in data["costs"].items():
+        for edge_id, payload in raw.items():
             offset = require_integer(
                 payload["offset"],
                 f"edge {edge_id}: histogram offset must be a grid integer",

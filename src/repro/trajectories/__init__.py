@@ -12,7 +12,6 @@ from .statistics import (
     DependenceReport,
     PairDependence,
     dependence_report,
-    empirical_vs_truth_kl,
     pair_dependence,
 )
 from .store import TrajectoryStore
@@ -35,6 +34,5 @@ __all__ = [
     "TripGenerator",
     "dependence_report",
     "emit_gps",
-    "empirical_vs_truth_kl",
     "pair_dependence",
 ]

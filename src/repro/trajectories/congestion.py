@@ -216,14 +216,6 @@ class CongestionModel:
     # Dependence field
     # ------------------------------------------------------------------
 
-    def rho(self, vertex_id: int) -> float:
-        """State-persistence probability at intersection ``vertex_id``."""
-        return self._rho[vertex_id]
-
-    def is_dependent_vertex(self, vertex_id: int) -> bool:
-        """True when the intersection couples adjacent edge travel times."""
-        return self._rho[vertex_id] > 0.0
-
     def dependent_vertex_fraction(self) -> float:
         """Fraction of intersections with positive persistence."""
         values = list(self._rho.values())
@@ -444,11 +436,3 @@ class CongestionModel:
                 state = int(rng.choice(self.config.num_states, p=self._pi))
             times.append(self.edge_state_distribution(edge, state).sample(rng))
         return times
-
-    def seconds_to_ticks(self, seconds: float) -> int:
-        """Convert seconds to grid ticks (rounded)."""
-        return int(round(seconds / self.config.resolution))
-
-    def ticks_to_seconds(self, ticks: float) -> float:
-        """Convert grid ticks back to seconds."""
-        return float(ticks) * self.config.resolution

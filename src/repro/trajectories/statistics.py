@@ -2,9 +2,7 @@
 
 Implements the measurement behind the paper's headline data statistic —
 "approximately 75 % of all edge pairs with data are dependent" — as a
-chi-square independence test over each pair's empirical joint, plus helpers
-comparing empirical estimates against the congestion model's closed-form
-ground truth.
+chi-square independence test over each pair's empirical joint.
 """
 
 from __future__ import annotations
@@ -13,9 +11,7 @@ from dataclasses import dataclass
 
 from scipy import stats as scipy_stats
 
-from ..histograms import JointDistribution, kl_divergence
-from ..network import RoadNetwork
-from .congestion import CongestionModel
+from ..histograms import JointDistribution
 from .store import PairKey, TrajectoryStore
 
 __all__ = [
@@ -23,7 +19,6 @@ __all__ = [
     "pair_dependence",
     "dependence_report",
     "DependenceReport",
-    "empirical_vs_truth_kl",
 ]
 
 
@@ -97,24 +92,3 @@ def dependence_report(
         alpha=alpha,
         min_samples=min_samples,
     )
-
-
-def empirical_vs_truth_kl(
-    store: TrajectoryStore,
-    model: CongestionModel,
-    network: RoadNetwork,
-    key: PairKey,
-    *,
-    min_samples: int = 30,
-) -> float:
-    """``KL(truth || empirical)`` of one pair's total-cost distribution.
-
-    Measures how faithfully the sampled corpus reflects the generative
-    ground truth — a data-quality diagnostic for experiment configs.
-    """
-    from ..network.types import EdgePair
-
-    pair = EdgePair(network.edge(key[0]), network.edge(key[1]))
-    truth = model.pair_ground_truth(pair)
-    empirical = store.pair_total_cost(key, min_samples=min_samples)
-    return kl_divergence(truth, empirical)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Iterator
 
-from ..histograms import DiscreteDistribution, JointDistribution
+from ..histograms import DiscreteDistribution
 from .types import MatchedTrajectory
 
 __all__ = ["TrajectoryStore"]
@@ -82,10 +82,6 @@ class TrajectoryStore:
     def edge_sample_count(self, edge_id: int) -> int:
         return len(self._edge_samples.get(edge_id, ()))
 
-    def edge_samples(self, edge_id: int) -> list[int]:
-        """Raw travel-time samples (ticks) for one edge."""
-        return list(self._edge_samples.get(edge_id, ()))
-
     def edge_histogram(self, edge_id: int, *, min_samples: int = 1) -> DiscreteDistribution:
         """Empirical travel-time distribution of one edge.
 
@@ -112,21 +108,9 @@ class TrajectoryStore:
             if len(samples) >= min_samples
         )
 
-    def pair_sample_count(self, key: PairKey) -> int:
-        return len(self._pair_samples.get(key, ()))
-
     def pair_samples(self, key: PairKey) -> list[tuple[int, int]]:
         """Raw ``(t1, t2)`` traversal pairs (ticks) for one edge pair."""
         return list(self._pair_samples.get(key, ()))
-
-    def pair_joint(self, key: PairKey, *, min_samples: int = 1) -> JointDistribution:
-        """Empirical joint distribution of one edge pair."""
-        samples = self._pair_samples.get(key, ())
-        if len(samples) < min_samples:
-            raise ValueError(
-                f"pair {key} has {len(samples)} samples, need {min_samples}"
-            )
-        return JointDistribution.from_samples(samples)
 
     def pair_total_cost(self, key: PairKey, *, min_samples: int = 1) -> DiscreteDistribution:
         """Empirical distribution of ``t1 + t2`` for one edge pair."""

@@ -75,7 +75,41 @@ class TestEdgeCostTable:
         store = TrajectoryStore()
         store.add_all(TripGenerator(net, model, seed=1).generate(200))
         table = EdgeCostTable.from_store(net, store, resolution=5.0, min_samples=5)
-        assert table.num_observed > 0
+        assert any(table.has_observed_cost(edge.id) for edge in net.edges)
+
+
+    def test_free_flow_cost_is_memoised_and_at_least_one_tick(self, net):
+        table = EdgeCostTable(net, resolution=1e6)  # every edge rounds to 0 ticks
+        edge = net.edges[0]
+        cost = table.free_flow_cost(edge)
+        assert cost == DiscreteDistribution.point(1)
+        assert table.free_flow_cost(edge) is cost
+
+    def test_with_delays_convolves_onto_a_new_table(self, net, model):
+        observed, fallback, untouched = net.edges[:3]
+        table = EdgeCostTable(net, resolution=5.0)
+        table.set_cost(observed.id, model.edge_marginal(observed))
+        delay = DiscreteDistribution(0, [0.5, 0.5])
+        before = table.to_dict()
+        delayed = table.with_delays({observed.id: delay, fallback.id: delay})
+        assert delayed.cost(observed) == table.cost(observed).convolve(delay)
+        assert delayed.cost(fallback) == table.free_flow_cost(fallback).convolve(delay)
+        assert delayed.cost(untouched) == table.cost(untouched)
+        assert delayed.version == 1 and delayed.resolution == table.resolution
+        assert table.to_dict() == before  # the source table is untouched
+
+    def test_with_no_delays_is_an_equal_copy_at_version_one(self, net, costs):
+        copy = costs.with_delays({})
+        assert copy is not costs and copy.version == 1
+        assert all(copy.cost(edge) == costs.cost(edge) for edge in net.edges)
+
+    def test_with_delays_rejects_speed_ups_and_non_distributions(self, net, costs):
+        with pytest.raises(ValueError, match="non-negative"):
+            costs.with_delays({0: DiscreteDistribution.point(-1)})
+        with pytest.raises(TypeError, match="DiscreteDistribution"):
+            costs.with_delays({0: 3})
+        with pytest.raises(IndexError):
+            costs.with_delays({10_000: DiscreteDistribution.point(1)})
 
 
 class TestFeatures:
@@ -108,19 +142,6 @@ class TestFeatures:
             costs.cost(pair.first), pair.second, costs.cost(pair.second)
         )
         assert not np.allclose(with_stats, without)
-
-    def test_batch_extraction_stacks(self, net, costs):
-        extractor = PairFeatureExtractor(net)
-        pairs = list(net.edge_pairs())[:4]
-        items = [
-            (costs.cost(p.first), p.second, costs.cost(p.second)) for p in pairs
-        ]
-        batch = extractor.extract_batch(items)
-        assert batch.shape == (4, extractor.num_features)
-
-    def test_batch_empty_raises(self, net):
-        with pytest.raises(ValueError):
-            PairFeatureExtractor(net).extract_batch([])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -185,16 +185,6 @@ class TestEngineConsistency:
                 engine=engine,
             )
 
-    def test_quality_rejects_mismatched_engine(self, world):
-        from repro.experiments import run_quality_experiment
-
-        net, combiner, workload, engine = world
-        other = ConvolutionModel(combiner.costs)
-        with pytest.raises(ValueError, match="hybrid_engine disagrees"):
-            run_quality_experiment(
-                net, other, combiner, None, workload, hybrid_engine=engine
-            )
-
 
 class TestBudgetSweep:
     @pytest.fixture(scope="class")

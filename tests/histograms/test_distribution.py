@@ -106,10 +106,6 @@ class TestMoments:
     def test_entropy_point_mass_is_zero(self):
         assert DiscreteDistribution.point(5).entropy() == pytest.approx(0.0)
 
-    def test_mode(self):
-        d = DiscreteDistribution.from_mapping({1: 0.2, 2: 0.5, 3: 0.3})
-        assert d.mode() == 2
-
 
 class TestCdfAndQuantiles:
     def test_cdf_at(self):
@@ -127,20 +123,6 @@ class TestCdfAndQuantiles:
         assert p1.prob_within(59) == pytest.approx(0.9)
         assert p2.prob_within(59) == pytest.approx(0.8)
         assert p2.mean() < p1.mean()
-
-    def test_quantile(self):
-        d = DiscreteDistribution.from_mapping({1: 0.25, 2: 0.25, 3: 0.5})
-        assert d.quantile(0.25) == 1
-        assert d.quantile(0.5) == 2
-        assert d.quantile(1.0) == 3
-
-    def test_quantile_zero_is_min(self):
-        d = DiscreteDistribution.uniform(5, 9)
-        assert d.quantile(0.0) == 5
-
-    def test_quantile_out_of_range_raises(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution.point(1).quantile(1.5)
 
 
 class TestOperations:
@@ -172,21 +154,6 @@ class TestOperations:
         b = DiscreteDistribution.from_mapping({2: 0.6, 3: 0.4})
         assert a.convolve(b).allclose(b.convolve(a))
 
-    def test_rebin_to_paper_buckets(self):
-        d = DiscreteDistribution.from_mapping({42: 0.3, 55: 0.6, 61: 0.1})
-        coarse = d.rebin(10)
-        assert coarse.prob_at(40) == pytest.approx(0.3)
-        assert coarse.prob_at(50) == pytest.approx(0.6)
-        assert coarse.prob_at(60) == pytest.approx(0.1)
-
-    def test_rebin_factor_one_is_identity(self):
-        d = DiscreteDistribution.from_mapping({1: 0.5, 2: 0.5})
-        assert d.rebin(1) is d
-
-    def test_rebin_preserves_mass(self):
-        d = DiscreteDistribution.uniform(0, 17)
-        assert d.rebin(5).probs.sum() == pytest.approx(1.0)
-
     def test_truncate_folds_tail(self):
         d = DiscreteDistribution.uniform(0, 9)
         t = d.truncate(5)
@@ -197,13 +164,6 @@ class TestOperations:
     def test_truncate_noop_when_small(self):
         d = DiscreteDistribution.uniform(0, 3)
         assert d.truncate(10) is d
-
-    def test_normalize_tail_drops_and_renormalizes(self):
-        d = DiscreteDistribution.uniform(0, 9)
-        t = d.normalize_tail(5)
-        assert t.support_size == 5
-        assert t.probs.sum() == pytest.approx(1.0)
-        assert t.prob_at(0) == pytest.approx(0.2)
 
     def test_sample_within_support(self):
         d = DiscreteDistribution.from_mapping({3: 0.5, 8: 0.5})

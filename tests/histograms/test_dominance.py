@@ -6,7 +6,6 @@ from repro.histograms import (
     DiscreteDistribution,
     ParetoFrontier,
     dominates,
-    non_dominated,
     weakly_dominates,
 )
 
@@ -46,28 +45,6 @@ class TestDominance:
         assert dominates(a, b)
 
 
-class TestNonDominated:
-    def test_filters_dominated(self):
-        fast = d({10: 1.0})
-        slow = d({20: 1.0})
-        frontier = non_dominated([slow, fast])
-        assert frontier == [fast]
-
-    def test_keeps_incomparable(self):
-        risky = d({10: 0.5, 30: 0.5})
-        steady = d({18: 1.0})
-        frontier = non_dominated([risky, steady])
-        assert len(frontier) == 2
-
-    def test_duplicates_keep_one(self):
-        a = d({5: 1.0})
-        b = d({5: 1.0})
-        assert len(non_dominated([a, b])) == 1
-
-    def test_empty_input(self):
-        assert non_dominated([]) == []
-
-
 class TestParetoFrontier:
     def test_add_and_reject(self):
         frontier = ParetoFrontier()
@@ -98,9 +75,3 @@ class TestParetoFrontier:
     def test_max_size_validation(self):
         with pytest.raises(ValueError):
             ParetoFrontier(max_size=0)
-
-    def test_is_dominated_check(self):
-        frontier = ParetoFrontier()
-        frontier.add(d({10: 1.0}))
-        assert frontier.is_dominated(d({20: 1.0}))
-        assert not frontier.is_dominated(d({5: 1.0}))

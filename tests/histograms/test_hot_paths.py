@@ -17,7 +17,6 @@ from repro.histograms import (
     DiscreteDistribution,
     ParetoFrontier,
     dominates,
-    non_dominated,
     weakly_dominates,
 )
 from repro.histograms.operations import shape_profile
@@ -134,29 +133,6 @@ class TestFrontierEquivalence:
                 assert frontier.add(candidate) == naive.add(candidate)
                 assert list(frontier) == naive.members
 
-    def test_is_dominated_matches_naive(self):
-        rng = np.random.default_rng(7)
-        for _ in range(150):
-            frontier = ParetoFrontier()
-            naive = NaiveFrontier()
-            for _ in range(20):
-                candidate = _random_distribution(rng)
-                frontier.add(candidate)
-                naive.add(candidate)
-            probe = _random_distribution(rng, max_offset=60)
-            expected = any(naive_weakly_dominates(k, probe) for k in naive.members)
-            assert frontier.is_dominated(probe) == expected
-
-    def test_non_dominated_matches_pairwise_filter(self):
-        rng = np.random.default_rng(21)
-        for _ in range(60):
-            batch = [_random_distribution(rng) for _ in range(15)]
-            naive = NaiveFrontier()
-            for d in batch:
-                naive.add(d)
-            assert non_dominated(batch) == naive.members
-
-
 # ----------------------------------------------------------------------
 # Cached-CDF distribution methods
 # ----------------------------------------------------------------------
@@ -184,17 +160,6 @@ class TestCachedCdf:
         assert not first.flags.writeable
         with pytest.raises(ValueError):
             first[0] = 0.0
-
-    @given(distributions(), st.floats(min_value=0.0, max_value=1.0))
-    @settings(max_examples=200)
-    def test_quantile_matches_naive(self, d, q):
-        if q == 0.0:
-            expected = d.min_value
-        else:
-            cum = np.cumsum(d.probs)
-            idx = int(np.searchsorted(cum, q - 1e-12, side="left"))
-            expected = d.offset + min(idx, d.support_size - 1)
-        assert d.quantile(q) == expected
 
     def test_shift_shares_probability_array(self):
         d = DiscreteDistribution.from_mapping({10: 0.5, 12: 0.5})

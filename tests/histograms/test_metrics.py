@@ -1,18 +1,10 @@
-"""Unit tests for distribution metrics."""
+"""Unit tests for the KL-divergence metric."""
 
 import math
 
 import pytest
 
-from repro.histograms import (
-    DiscreteDistribution,
-    cross_entropy,
-    hellinger,
-    js_divergence,
-    kl_divergence,
-    total_variation,
-    wasserstein,
-)
+from repro.histograms import DiscreteDistribution, kl_divergence
 
 
 def d(mapping):
@@ -40,41 +32,3 @@ class TestKl:
         value = kl_divergence(a, b)
         assert math.isfinite(value)
         assert value > 5.0
-
-    def test_cross_entropy_decomposition(self):
-        a = d({1: 0.5, 2: 0.5})
-        b = d({1: 0.25, 2: 0.75})
-        assert cross_entropy(a, b) == pytest.approx(
-            a.entropy() + kl_divergence(a, b), abs=1e-6
-        )
-
-
-class TestOtherMetrics:
-    def test_js_of_identical_is_zero(self):
-        a = d({3: 1.0})
-        assert js_divergence(a, a) == pytest.approx(0.0, abs=1e-12)
-
-    def test_js_of_disjoint_is_ln2(self):
-        assert js_divergence(d({1: 1.0}), d({9: 1.0})) == pytest.approx(math.log(2))
-
-    def test_total_variation_disjoint_is_one(self):
-        assert total_variation(d({1: 1.0}), d({9: 1.0})) == pytest.approx(1.0)
-
-    def test_total_variation_half_overlap(self):
-        a = d({1: 0.5, 2: 0.5})
-        b = d({2: 0.5, 3: 0.5})
-        assert total_variation(a, b) == pytest.approx(0.5)
-
-    def test_hellinger_bounds(self):
-        assert hellinger(d({1: 1.0}), d({9: 1.0})) == pytest.approx(1.0)
-        a = d({1: 0.5, 2: 0.5})
-        assert hellinger(a, a) == pytest.approx(0.0, abs=1e-9)
-
-    def test_wasserstein_point_masses(self):
-        assert wasserstein(d({0: 1.0}), d({7: 1.0})) == pytest.approx(7.0)
-
-    def test_wasserstein_triangle_inequality(self):
-        a = d({0: 1.0})
-        b = d({3: 0.5, 5: 0.5})
-        c = d({9: 1.0})
-        assert wasserstein(a, c) <= wasserstein(a, b) + wasserstein(b, c) + 1e-9

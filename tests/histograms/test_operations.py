@@ -5,7 +5,6 @@ import pytest
 
 from repro.histograms import (
     DiscreteDistribution,
-    delay_profile,
     from_delay_profile,
     from_delay_profiles,
     mixture,
@@ -134,22 +133,8 @@ class TestBlockReanchor:
 class TestDelayProfile:
     def test_profile_and_reconstruction(self):
         a = d({10: 0.5, 12: 0.5})
-        profile = delay_profile(a, num_bins=4)
-        assert profile == pytest.approx([0.5, 0.0, 0.5, 0.0])
-        back = from_delay_profile(profile, offset=10)
+        back = from_delay_profile(np.array([0.5, 0.0, 0.5, 0.0]), offset=10)
         assert back.allclose(a)
-
-    def test_tail_accumulates(self):
-        a = d({0: 0.25, 1: 0.25, 5: 0.5})
-        profile = delay_profile(a, num_bins=3)
-        assert profile == pytest.approx([0.25, 0.25, 0.5])
-
-    def test_single_bin(self):
-        assert delay_profile(d({3: 1.0}), num_bins=1) == pytest.approx([1.0])
-
-    def test_rejects_zero_bins(self):
-        with pytest.raises(ValueError):
-            delay_profile(d({1: 1.0}), num_bins=0)
 
 
 class TestShapeProfile:

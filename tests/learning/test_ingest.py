@@ -72,7 +72,6 @@ class TestDedup:
         result = ingestor.ingest([first, second])
         assert result.num_matched == 1
         assert result.num_deduped == 1
-        assert ingestor.dedup_hit_rate == 0.5
         # Both trips landed; the dedup shares the *route*, not the samples.
         assert ingestor.store.num_trajectories == 2
         routes = [tuple(t.edge_ids) for t in ingestor.store]

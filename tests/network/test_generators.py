@@ -8,8 +8,6 @@ from repro.network import (
     denmark_like_network,
     diamond_network,
     grid_network,
-    random_geometric_network,
-    ring_radial_network,
     two_edge_network,
 )
 
@@ -60,42 +58,6 @@ class TestGrid:
     def test_bad_spacing_raises(self):
         with pytest.raises(ValueError):
             grid_network(3, 3, spacing=0.0)
-
-
-class TestRingRadial:
-    def test_structure(self):
-        net = ring_radial_network(rings=3, spokes=6)
-        assert net.num_vertices == 1 + 3 * 6
-        assert nx.is_strongly_connected(as_digraph(net))
-
-    def test_centre_degree(self):
-        net = ring_radial_network(rings=2, spokes=8)
-        assert net.out_degree(0) == 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ring_radial_network(rings=0)
-        with pytest.raises(ValueError):
-            ring_radial_network(spokes=2)
-
-
-class TestRandomGeometric:
-    def test_always_strongly_connected(self):
-        for seed in range(3):
-            net = random_geometric_network(60, seed=seed)
-            assert nx.is_strongly_connected(as_digraph(net))
-
-    def test_vertex_count(self):
-        assert random_geometric_network(40, seed=1).num_vertices == 40
-
-    def test_deterministic(self):
-        a = random_geometric_network(30, seed=5)
-        b = random_geometric_network(30, seed=5)
-        assert a.num_edges == b.num_edges
-
-    def test_too_few_vertices_raises(self):
-        with pytest.raises(ValueError):
-            random_geometric_network(1)
 
 
 class TestDenmarkLike:

@@ -71,9 +71,6 @@ class TestAdjacency:
         assert triangle.out_degree(0) == 2
         assert triangle.in_degree(0) == 2
 
-    def test_neighbors(self, triangle):
-        assert sorted(triangle.neighbors(0)) == [1, 2]
-
     def test_edge_between_missing(self, triangle):
         net = RoadNetwork()
         net.add_vertex(0, 0.0, 0.0)
@@ -100,14 +97,6 @@ class TestEdgePairs:
         without = list(triangle.edge_pairs())
         assert len(with_u) > len(without)
 
-    def test_pairs_at_vertex(self, triangle):
-        pairs = triangle.pairs_at(1)
-        assert all(pair.intersection == 1 for pair in pairs)
-
-    def test_pair_key(self, triangle):
-        pair = next(triangle.edge_pairs())
-        assert pair.key == (pair.first.id, pair.second.id)
-
 
 class TestPaths:
     def test_path_edges_roundtrip(self, triangle):
@@ -122,12 +111,6 @@ class TestPaths:
         with pytest.raises(ValueError):
             net.path_edges([0, 1])
 
-    def test_path_length(self, triangle):
-        edges = triangle.path_edges([0, 1, 2])
-        assert triangle.path_length(edges) == pytest.approx(
-            sum(edge.length for edge in edges)
-        )
-
     def test_is_path_rejects_gap(self, triangle):
         e1 = triangle.edge_between(0, 1)
         e2 = triangle.edge_between(2, 0)
@@ -135,15 +118,6 @@ class TestPaths:
 
 
 class TestMisc:
-    def test_bounding_box(self, triangle):
-        assert triangle.bounding_box() == (0.0, 0.0, 100.0, 100.0)
-
-    def test_bounding_box_empty_raises(self):
-        with pytest.raises(ValueError):
-            RoadNetwork().bounding_box()
-
-    def test_euclidean_distance(self, triangle):
-        assert triangle.euclidean_distance(0, 1) == pytest.approx(100.0)
 
     def test_repr(self, triangle):
         assert "vertices=3" in repr(triangle)

@@ -56,23 +56,6 @@ class TestGridIndex:
         net = grid_network(6, 6, spacing=100.0)
         return net, GridIndex(net, cell_size=150.0)
 
-    def test_nearest_vertex_exact_hit(self, indexed):
-        net, index = indexed
-        for vertex in list(net.vertices())[:10]:
-            assert index.nearest_vertex(vertex.x, vertex.y).id == vertex.id
-
-    def test_nearest_vertex_matches_bruteforce(self, indexed):
-        net, index = indexed
-        queries = [(37.0, 512.0), (250.0, 250.0), (599.0, 1.0), (-50.0, -50.0)]
-        for x, y in queries:
-            expected = min(
-                net.vertices(), key=lambda v: math.hypot(v.x - x, v.y - y)
-            )
-            got = index.nearest_vertex(x, y)
-            assert math.hypot(got.x - x, got.y - y) == pytest.approx(
-                math.hypot(expected.x - x, expected.y - y)
-            )
-
     def test_edges_within_radius_sorted(self, indexed):
         _, index = indexed
         hits = index.edges_within(250.0, 250.0, 120.0)

@@ -16,9 +16,12 @@ from repro.routing import (
     RoutingStrategy,
     SearchStats,
     available_strategies,
+    budget_ticks_for_departure,
+    normalize_budgets,
     register_strategy,
 )
 from repro.routing import engine as engine_module
+from repro.routing.query import departure_budgets
 from repro.trajectories import CongestionModel
 
 
@@ -55,7 +58,6 @@ class TestQueryConstruction:
         query = RoutingQuery.from_seconds(0, 1, 275.0, resolution=5.0)
         assert query.budget == 55  # exact multiple lands on its own tick
         assert RoutingQuery.from_seconds(0, 1, 279.9, resolution=5.0).budget == 55
-        assert query.budget_seconds(5.0) == pytest.approx(275.0)
 
     def test_from_seconds_rejects_sub_tick_budget(self):
         with pytest.raises(ValueError, match="below one grid tick"):
@@ -93,6 +95,37 @@ class TestQueryConstruction:
         assert engine.resolution == 5.0
         query = engine.query_from_seconds(0, 24, 200.0)
         assert query == engine.query(0, 24, 40)
+
+
+class TestBudgetVectors:
+    def test_budgets_sorted_and_deduplicated(self):
+        assert normalize_budgets([40, np.int64(20), 40, 30]) == (20, 30, 40)
+        assert all(type(b) is int for b in normalize_budgets([np.int32(5)]))
+
+    def test_empty_budget_vector_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            normalize_budgets([])
+
+    @pytest.mark.parametrize("bad", [0, -3, MAX_BUDGET_TICKS + 1])
+    def test_out_of_grid_budgets_rejected(self, bad):
+        with pytest.raises(ValueError):
+            normalize_budgets([20, bad])
+
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_non_integral_budgets_rejected(self, bad):
+        with pytest.raises(TypeError, match="from_seconds"):
+            normalize_budgets([bad])
+
+    def test_departure_budgets_floor_the_window_and_zero_the_infeasible(self):
+        # 300 s at 5 s/tick is exactly 60 ticks; 299 s floors to 59; leaving
+        # at or after the deadline has no budget at all.
+        budgets = departure_budgets([0.0, 1.0, 300.0, 400.0], 300.0, 5.0)
+        assert budgets == (60, 59, 0, 0)
+        assert budgets[0] == RoutingQuery.from_seconds(0, 1, 300.0, resolution=5.0).budget
+
+    def test_departure_budget_needs_a_positive_resolution(self):
+        with pytest.raises(ValueError, match="resolution"):
+            budget_ticks_for_departure(0.0, 60.0, 0.0)
 
 
 class TestStrategyRegistry:

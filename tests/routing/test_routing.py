@@ -61,7 +61,6 @@ class TestHeuristic:
         h = OptimisticHeuristic(net, costs, target=0)
         assert h.reachable(0)
         assert not h.reachable(1)
-        assert h.upper_bound_probability(DiscreteDistribution.point(1), 1, 100) == 0.0
 
     def test_remaining_ticks_lower_bounds(self, world):
         net, conv = world
@@ -69,14 +68,6 @@ class TestHeuristic:
         path = exhaustive_best_path(net, conv, RoutingQuery(0, 24, 100), max_edges=8).path
         true_min = sum(conv.costs.min_ticks(e) for e in path)
         assert h.remaining_ticks(0) <= true_min
-
-    def test_shifted_bound_tighter(self, world):
-        net, conv = world
-        h = OptimisticHeuristic(net, conv.costs, target=24)
-        dist = conv.edge_cost(net.edges[0])
-        loose = h.upper_bound_probability(dist, 1, 20, use_shift=False)
-        tight = h.upper_bound_probability(dist, 1, 20, use_shift=True)
-        assert tight <= loose + 1e-12
 
 
 class TestCorrectness:
@@ -240,19 +231,6 @@ class TestLegacyRoutersRemoved:
 
         assert not hasattr(routing, "ProbabilisticBudgetRouter")
         assert not hasattr(routing, "AnytimeRouter")
-
-    def test_anytime_point_summarises_stream(self, engine):
-        from repro.routing import AnytimePoint
-
-        limits = [0.001, 0.05, 0.2]
-        points = [
-            AnytimePoint.from_result(limit, result)
-            for limit, result in zip(
-                limits, engine.route_stream(RoutingQuery(0, 24, 40), limits)
-            )
-        ]
-        assert [p.time_limit_seconds for p in points] == limits
-        assert points[-1].completed
 
 
 class TestBaselines:

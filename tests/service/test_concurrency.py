@@ -253,6 +253,31 @@ class TestEntryTTL:
         with pytest.raises(ValueError, match="ttl_seconds"):
             cache.put("k", 1, ttl_seconds=bad)
 
+    def test_get_hit_counts_a_hit_and_nothing_else(self):
+        """The try-locked lookup: a hit is counted and refreshed as
+        :meth:`get` counts one; a miss or a dead entry moves no counter and
+        stays where it is, for the caller's fallback :meth:`get` to count."""
+        clock = FakeClock()
+        cache = ResultCache(max_entries=2, clock=clock)
+        cache.put("a", 1)
+        cache.put("dead", 2, ttl_seconds=5.0)
+        assert cache.get_hit("missing") is None
+        clock.now = 10.0
+        assert cache.get_hit("dead") is None
+        assert cache.counters() == (0, 0, 0, 0, 2)  # nothing counted or dropped
+        assert cache.get_hit("a") == 1
+        assert cache.counters()[:2] == (1, 0)
+        assert cache.get("dead") is None  # the fallback counts what get_hit left
+        assert cache.counters() == (1, 1, 0, 1, 1)
+
+    def test_get_hit_refreshes_recency(self):
+        cache = ResultCache(max_entries=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.get_hit("a") == 1  # "b" is now least recent
+        cache.put("c", 3)
+        assert "b" not in cache and "a" in cache
+
     def test_service_level_ttl_expires_served_answers(self, world):
         clock = FakeClock()
         service = fresh_service(world, cache_ttl_seconds=60.0, clock=clock)
@@ -415,6 +440,46 @@ class TestReadWriteLock:
         for thread in (first, writing, late):
             thread.join(5.0)
         assert order == ["writer", "reader"]
+
+    def test_try_acquire_read_enters_a_free_lock(self):
+        lock = ReadWriteLock()
+        assert lock.try_acquire_read()
+        assert lock.try_acquire_read()  # readers share, even when tried
+        lock.release_read()
+        lock.release_read()
+        with pytest.raises(RuntimeError, match="acquire_read"):
+            lock.release_read()  # both tried reads were counted, no more
+
+    def test_try_acquire_read_never_waits_on_a_writer(self):
+        lock = ReadWriteLock()
+        with lock.write_locked():
+            started = time.monotonic()
+            assert not lock.try_acquire_read()
+            assert time.monotonic() - started < 1.0
+        assert lock.try_acquire_read()
+        lock.release_read()
+
+    def test_try_acquire_read_defers_to_a_waiting_writer(self):
+        """Writer preference holds for the non-blocking path too: a queued
+        writer turns the try away rather than letting it jump the queue."""
+        lock = ReadWriteLock()
+        lock.acquire_read()
+        writer_in = threading.Event()
+
+        def writer():
+            with lock.write_locked():
+                writer_in.set()
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while not lock._writers_waiting and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert lock._writers_waiting
+        assert not lock.try_acquire_read()
+        lock.release_read()
+        assert writer_in.wait(5.0)
+        thread.join(5.0)
 
     def test_unbalanced_releases_raise(self):
         lock = ReadWriteLock()

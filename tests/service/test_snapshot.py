@@ -14,6 +14,7 @@ in the process that wrote them.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +36,7 @@ from repro.service import (
     TimeSlice,
     time_sliced_cost_tables,
 )
-from repro.service.snapshots import _decode_key_part, _encode_key_part
+from repro.service.snapshots import _decode_key_part, _encode_key_part, check_envelope
 from repro.trajectories import CongestionModel
 
 NETWORK = grid_network(5, 5, seed=2)
@@ -109,7 +110,7 @@ class TestCostTableDumps:
         )
         target = base_costs().copy()  # version restarts at 0
         assert target.version != source.version
-        returned = target.restore(json_round_trip(source.to_dict()))
+        returned = target.publish(target.decode(json_round_trip(source.to_dict())))
         assert returned == target.version == source.version
         for edge in NETWORK.edges:
             assert target.cost(edge) == source.cost(edge)
@@ -118,7 +119,7 @@ class TestCostTableDumps:
         dump = base_costs().to_dict()
         other = EdgeCostTable(NETWORK, resolution=10.0)
         with pytest.raises(ValueError, match="resolution"):
-            other.restore(dump)
+            other.decode(dump)
 
     def test_from_dict_rejects_wrong_kind_and_bad_version(self):
         dump = base_costs().to_dict()
@@ -273,6 +274,24 @@ class TestSnapshotRestore:
         served = successor.route(query)
         assert served.cost_version == reference.cost_version
         assert_same_answer(served.result, reference.result)
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_both_readable_formats_pass(self, version):
+        check_envelope({"kind": "service_snapshot", "format_version": version})
+
+    @pytest.mark.parametrize("version", [None, 0, 3, "2"])
+    def test_other_format_versions_are_named_in_the_error(self, version):
+        document = {"kind": "service_snapshot", "format_version": version}
+        expected = f"format: {version!r} (this build reads formats [1, 2])"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            check_envelope(document)
+
+    @pytest.mark.parametrize("document", [[], "service_snapshot", {"format_version": 2}])
+    def test_non_snapshot_documents_rejected(self, document):
+        with pytest.raises(ValueError, match="service.snapshot"):
+            check_envelope(document)
 
 
 class TestRestoreRejections:

@@ -182,7 +182,7 @@ class TestLifetime:
         gc.collect()
         return sorted(name for name, ref in refs.items() if ref() is not None)
 
-    @pytest.mark.parametrize("publication", ["set_cost", "apply_deltas", "publish", "restore"])
+    @pytest.mark.parametrize("publication", ["set_cost", "apply_deltas", "publish"])
     def test_every_publication_drops_the_tables_derived_state(self, publication):
         network, costs = built_world()
         refs = warm(network, costs)
@@ -192,10 +192,8 @@ class TestLifetime:
             costs.set_cost(0, DiscreteDistribution.point(7))
         elif publication == "apply_deltas":
             costs.apply_deltas({0: DiscreteDistribution.point(7)})
-        elif publication == "publish":
-            costs.publish(costs.decode(dump))
         else:
-            costs.restore(dump)
+            costs.publish(costs.decode(dump))
         assert self._alive(refs) == []
 
     def test_clear_heuristic_cache_drops_bounds_and_keeps_blocks(self):

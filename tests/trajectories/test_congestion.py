@@ -58,12 +58,18 @@ class TestDependenceField:
     def test_rho_deterministic_per_seed(self, net):
         a = CongestionModel(net, seed=5)
         b = CongestionModel(net, seed=5)
-        assert all(a.rho(v) == b.rho(v) for v in net.vertex_ids())
+        assert all(
+            np.array_equal(a.transition_matrix(v), b.transition_matrix(v))
+            for v in net.vertex_ids()
+        )
 
     def test_rho_changes_with_seed(self, net):
         a = CongestionModel(net, seed=5)
         b = CongestionModel(net, seed=6)
-        assert any(a.rho(v) != b.rho(v) for v in net.vertex_ids())
+        assert any(
+            not np.array_equal(a.transition_matrix(v), b.transition_matrix(v))
+            for v in net.vertex_ids()
+        )
 
     def test_dependent_fraction_near_config(self, net):
         config = CongestionConfig(dependence_probability=0.75)
@@ -239,10 +245,6 @@ class TestPathDistribution:
         assert model.path_probability_within(route, budget) == pytest.approx(
             dist.prob_within(budget)
         )
-
-    def test_tick_conversions(self, model):
-        assert model.seconds_to_ticks(10.0) == 2
-        assert model.ticks_to_seconds(2) == 10.0
 
 
 class TestSampling:

@@ -90,7 +90,7 @@ class TestPairIndexConservation:
         store = load(trips)
         expected_pairs = sum(max(0, len(t) - 1) for t in trips)
         assert expected_pairs == sum(
-            store.pair_sample_count(k) for k in store.pair_keys_with_data()
+            len(store.pair_samples(k)) for k in store.pair_keys_with_data()
         )
 
     @given(corpora())
@@ -111,21 +111,11 @@ class TestPairIndexConservation:
                 assert law.prob_at(total_ticks) == pytest.approx(count / n)
             assert sum(law.probs) == pytest.approx(1.0)
 
-    @given(corpora())
-    def test_pair_joint_marginal_mass(self, trips):
-        store = load(trips)
-        for key in store.pair_keys_with_data():
-            joint = store.pair_joint(key)
-            samples = store.pair_samples(key)
-            assert len(samples) == store.pair_sample_count(key)
-            total = sum(sum(row) for row in joint.probs)
-            assert total == pytest.approx(1.0)
-
     @given(corpora(), st.integers(min_value=2, max_value=6))
     def test_pair_min_samples_gate_is_exact(self, trips, min_samples):
         store = load(trips)
         for key in store.pair_keys_with_data():
-            count = store.pair_sample_count(key)
+            count = len(store.pair_samples(key))
             if count >= min_samples:
                 store.pair_total_cost(key, min_samples=min_samples)
             else:
