@@ -245,9 +245,9 @@ def resilience(network, traffic) -> None:
         f"error kinds {kinds or '(none)'}"
     )
 
-    # The circuit breaker: an impossibly tight deadline misses twice in a
-    # row, the breaker opens (fallbacks answer instantly), and after the
-    # cooldown one successful probe closes it.  The service clock is
+    # The circuit breaker: an impossibly tight deadline misses five times in
+    # a row, the breaker opens (fallbacks answer instantly), and after its
+    # one-second cooldown one successful probe closes it.  The service clock is
     # injectable, so the demo controls time instead of sleeping: the frozen
     # clock keeps the deadline "unexpired" while the search's real wall
     # clock overruns its cooperative limit.
@@ -258,18 +258,12 @@ def resilience(network, traffic) -> None:
             return self.now
 
     clock = ManualClock()
-    guarded = build_service(
-        network,
-        traffic,
-        clock=clock,
-        breaker_failure_threshold=2,
-        breaker_cooldown_seconds=30.0,
-    )
-    for _ in range(2):
+    guarded = build_service(network, traffic, clock=clock)
+    for _ in range(5):
         miss = guarded.route(trip, deadline_seconds=1e-6)
         assert miss.degraded and miss.fallback_strategy == "anytime"
-    print(f"after 2 misses: breakers={guarded.stats().breakers}")
-    clock.now += 30.0  # the cooldown elapses; the next request is the probe
+    print(f"after 5 misses: breakers={guarded.stats().breakers}")
+    clock.now += 1.0  # the cooldown elapses; the next request is the probe
     probe = guarded.route(trip, deadline_seconds=5.0)
     print(
         f"probe: degraded={probe.degraded} -> breakers="
@@ -338,7 +332,7 @@ async def scale_out(network, traffic) -> None:
         costs.set_cost(edge.id, traffic.edge_marginal(edge))
     service = RoutingService(network, ConvolutionModel(costs), coalesce_in_flight=True)
     demand = DemandMatrix()
-    warmer = CacheWarmer(service, demand, top_k=32)
+    warmer = CacheWarmer(service, demand)
 
     async with AsyncFrontend(
         service, num_workers=4, demand=demand, warmer=warmer, port=0

@@ -165,9 +165,7 @@ class ParetoFrontier:
 
     The PBR search keeps one frontier per vertex; a new label is inserted only
     when no resident distribution weakly dominates it, and inserting it evicts
-    every resident it dominates.  ``max_size`` optionally bounds the frontier
-    (labels beyond the bound are rejected pessimistically), which turns the
-    exact search into the bounded-memory variant used for large graphs.
+    every resident it dominates.
 
     Residents' CDFs are stored row-wise in one padded 2-D matrix spanning the
     union of their supports (zeros before each support, the distribution's
@@ -178,16 +176,13 @@ class ParetoFrontier:
     slowly-changing resident set — reallocates rarely.
     """
 
-    __slots__ = ("_members", "max_size", "_matrix", "_scratch", "_lo", "_hi")
+    __slots__ = ("_members", "_matrix", "_scratch", "_lo", "_hi")
 
     #: Fraction of extra grid columns allocated beyond a requested widening.
     _GRID_MARGIN = 4
 
-    def __init__(self, *, max_size: int | None = None) -> None:
-        if max_size is not None and max_size < 1:
-            raise ValueError("max_size must be >= 1 when given")
+    def __init__(self) -> None:
         self._members: list[DiscreteDistribution] = []
-        self.max_size = max_size
         #: Row capacity >= ``len(_members)``; rows ``[0, len(_members))`` are
         #: live, each holding that member's CDF on every tick of
         #: ``[_lo, _hi]`` (the grid may carry headroom beyond the supports).
@@ -286,8 +281,6 @@ class ParetoFrontier:
             self._members = [self._members[i] for i in survivors]
             count = survivors.size
             self._matrix[:count] = live[survivors]
-        if self.max_size is not None and count >= self.max_size:
-            return False
         if count == self._matrix.shape[0]:
             self._matrix = np.concatenate(
                 [self._matrix, np.zeros_like(self._matrix)], axis=0

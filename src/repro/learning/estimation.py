@@ -43,24 +43,30 @@ __all__ = [
 ]
 
 
+#: Per-edge mean movement (ticks) below which an edge counts as converged.
+TOLERANCE_TICKS = 0.05
+
+#: Sample weight below which a road category's pool gives way to the
+#: network-wide pool in :func:`pooled_fallbacks`.
+MIN_POOL_WEIGHT = 30.0
+
+
 @dataclass(frozen=True)
 class EstimationConfig:
     """Re-estimation tuning parameters.
 
     ``max_iterations == 0`` disables reallocation (the store's observed
     allocations are used as-is — right when trips carry exact per-edge
-    times, e.g. loop-detector joins).  ``tolerance_ticks`` is the per-edge
-    mean movement below which an edge counts as converged; the loop stops
-    early when *every* edge converges.  ``min_samples`` is the sufficiency
-    bar an edge must clear to be estimated at all (the paper's "pairs with
-    sufficient data" criterion).  ``prior_weight`` is the pseudo-count
-    mass of the prior histogram blended into every estimate (0 = pure
-    empirical).
+    times, e.g. loop-detector joins); the loop stops early when *every*
+    edge's mean moved by at most ``TOLERANCE_TICKS``.  ``min_samples`` is
+    the sufficiency bar an edge must clear to be estimated at all (the
+    paper's "pairs with sufficient data" criterion).  ``prior_weight`` is
+    the pseudo-count mass of the prior histogram blended into every
+    estimate (0 = pure empirical).
     """
 
     min_samples: int = 5
     max_iterations: int = 8
-    tolerance_ticks: float = 0.05
     prior_weight: float = 0.0
 
     def __post_init__(self) -> None:
@@ -68,8 +74,6 @@ class EstimationConfig:
             raise ValueError("min_samples must be >= 1")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
-        if self.tolerance_ticks < 0:
-            raise ValueError("tolerance_ticks must be >= 0")
         if self.prior_weight < 0:
             raise ValueError("prior_weight must be >= 0")
 
@@ -181,7 +185,7 @@ class HistogramEstimator:
             }
             samples = new_samples
             iterations += 1
-            if max(deltas.values()) <= self.config.tolerance_ticks:
+            if max(deltas.values()) <= TOLERANCE_TICKS:
                 break
 
         estimates: dict[int, EdgeEstimate] = {}
@@ -196,7 +200,7 @@ class HistogramEstimator:
                 distribution=distribution,
                 num_samples=len(values),
                 mean_delta_ticks=delta,
-                converged=delta <= self.config.tolerance_ticks,
+                converged=delta <= TOLERANCE_TICKS,
             )
         return EstimationResult(
             estimates=estimates,
@@ -222,7 +226,6 @@ def pooled_fallbacks(
     estimates: Mapping[int, EdgeEstimate],
     *,
     resolution: float,
-    min_pool_weight: float = 30.0,
 ) -> dict[int, DiscreteDistribution]:
     """Partial pooling: histograms for edges the corpus never covered.
 
@@ -239,7 +242,7 @@ def pooled_fallbacks(
     road category — congestion severity is category-structured (arterials
     suffer more than side streets), so pooling by category captures the
     first-order signal.  A category whose pooled sample weight is below
-    ``min_pool_weight`` falls back to the network-wide pool.  An unobserved
+    ``MIN_POOL_WEIGHT`` falls back to the network-wide pool.  An unobserved
     edge then gets the pool's inflation distribution rescaled to its own
     free-flow time.
 
@@ -267,7 +270,7 @@ def pooled_fallbacks(
         if edge.id in estimates:
             continue
         pool = pools.get(edge.category, [])
-        if sum(weight for _, weight in pool) < min_pool_weight:
+        if sum(weight for _, weight in pool) < MIN_POOL_WEIGHT:
             pool = global_pool
         free_flow = max(1, int(round(edge.free_flow_time / resolution)))
         mapping: dict[int, float] = defaultdict(float)

@@ -9,13 +9,13 @@ fold's estimator trains on the other folds' trips and is scored on the
 held-out fold, against the histograms the service is *currently serving*.
 
 The score is held-out **per-traversal log-likelihood**: for every held-out
-traversal ``(edge, t)``, ``log(P_model(t) + smoothing)`` under (a) the
+traversal ``(edge, t)``, ``log(P_model(t) + SMOOTHING)`` under (a) the
 candidate histograms and (b) the serving baseline (which also backstops
 edges the candidate never observed — published tables keep serving the old
 histogram there, so the comparison mirrors exactly what routing would see).
 The batch may publish only when the candidate beats the baseline by at
 least ``min_improvement`` nats on the fold mean *and* wins at least
-``required_win_fraction`` of the folds — a single lucky fold is not
+``REQUIRED_WIN_FRACTION`` of the folds — a single lucky fold is not
 evidence.
 """
 
@@ -33,9 +33,12 @@ from .estimation import EstimationConfig, HistogramEstimator
 __all__ = ["GateConfig", "FoldScore", "GateReport", "CrossValidationGate"]
 
 #: Additive likelihood smoothing: held-out mass outside a histogram's
-#: support costs ``log(smoothing)`` instead of ``-inf`` (matches the KL
+#: support costs ``log(SMOOTHING)`` instead of ``-inf`` (matches the KL
 #: smoothing convention in :mod:`repro.histograms.metrics`).
-DEFAULT_SMOOTHING = 1e-9
+SMOOTHING = 1e-9
+
+#: The fraction of folds the candidate must win outright.
+REQUIRED_WIN_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -44,23 +47,16 @@ class GateConfig:
 
     ``min_improvement`` is in nats of mean per-traversal log-likelihood —
     ``0.0`` publishes on any strict-or-equal improvement, a positive value
-    demands a margin.  ``required_win_fraction`` is the fraction of folds
-    the candidate must win outright.
+    demands a margin.
     """
 
     folds: int = 4
     min_improvement: float = 0.0
-    required_win_fraction: float = 0.5
-    smoothing: float = DEFAULT_SMOOTHING
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if not 0.0 <= self.required_win_fraction <= 1.0:
-            raise ValueError("required_win_fraction must be in [0, 1]")
-        if self.smoothing <= 0:
-            raise ValueError("smoothing must be positive")
 
 
 @dataclass(frozen=True)
@@ -174,7 +170,7 @@ class CrossValidationGate:
                     distribution = self.baseline_cost(traversal.edge_id)
                 total += math.log(
                     distribution.prob_at(traversal.travel_time)
-                    + self.config.smoothing
+                    + SMOOTHING
                 )
                 count += 1
         return (total / count if count else 0.0), count
@@ -222,7 +218,7 @@ class CrossValidationGate:
         win_fraction = wins / len(scores)
         passed = (
             candidate_mean - baseline_mean >= self.config.min_improvement
-            and win_fraction >= self.config.required_win_fraction
+            and win_fraction >= REQUIRED_WIN_FRACTION
         )
         return GateReport(
             passed=passed,

@@ -61,11 +61,6 @@ class PipelineConfig:
     ingest: IngestConfig | None = None
     estimation: EstimationConfig | None = None
     gate: GateConfig | None = None
-    #: Extend accepted publishes to *unobserved* edges with category-pooled
-    #: relative-inflation histograms (:func:`pooled_fallbacks`).  Without
-    #: this, partially learned tables steer the router onto whatever edge
-    #: still serves an optimistic free-flow point mass.
-    publish_fallbacks: bool = True
 
     def __post_init__(self) -> None:
         if self.min_trips_per_update < 1:
@@ -273,14 +268,17 @@ class LearningPipeline:
         published: tuple[PublishResult, ...] | None = None
         if report.passed and estimation.estimates:
             batch = estimation.histograms()
-            if self.config.publish_fallbacks:
-                batch.update(
-                    pooled_fallbacks(
-                        self.matcher.network,
-                        estimation.estimates,
-                        resolution=self.matcher.resolution,
-                    )
+            # Accepted publishes extend to *unobserved* edges with
+            # category-pooled relative-inflation histograms: without them,
+            # partially learned tables steer the router onto whatever edge
+            # still serves an optimistic free-flow point mass.
+            batch.update(
+                pooled_fallbacks(
+                    self.matcher.network,
+                    estimation.estimates,
+                    resolution=self.matcher.resolution,
                 )
+            )
             results = self.publisher.publish(batch)
             published = tuple(results)
         with self._lock:

@@ -84,13 +84,10 @@ class PruningConfig:
     use_pivot: bool = True
     use_cost_shifting: bool = True
     use_dominance: bool = True
-    max_frontier_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.use_cost_shifting and not self.use_heuristic:
             raise ValueError("cost shifting requires the optimistic heuristic")
-        if self.max_frontier_size is not None and self.max_frontier_size < 1:
-            raise ValueError("max_frontier_size must be >= 1 when given")
 
 
 #: The optimistically fastest route and its cost distribution.
@@ -339,9 +336,8 @@ class _BudgetSearch:
 
         The columnar core needs a combiner whose ``combine`` is a plain
         convolution (``vectorized_convolution``), a bounded budget window for
-        its dense rows, unbounded frontiers (``max_frontier_size`` eviction
-        is a scalar-core policy), and clipping enabled (the dense window *is*
-        the clip).  Under ``"auto"`` it additionally requires a network large
+        its dense rows, and clipping enabled (the dense window *is* the
+        clip).  Under ``"auto"`` it additionally requires a network large
         enough that the batched kernels beat the scalar loop's lower setup
         cost — which also keeps every small-world test and golden fixture on
         the scalar core's exact exploration order.
@@ -352,7 +348,6 @@ class _BudgetSearch:
             return False
         capable = (
             getattr(self.combiner, "vectorized_convolution", False)
-            and self.pruning.max_frontier_size is None
             and self.clip_distributions
             and query.budget + 2 <= COLUMNAR_MAX_WINDOW
         )
@@ -360,7 +355,7 @@ class _BudgetSearch:
             if not capable:
                 raise ValueError(
                     "backend='columnar' requires a vectorized-convolution "
-                    "combiner, no max_frontier_size, clipping enabled, and "
+                    "combiner, clipping enabled, and "
                     f"budget + 2 <= {COLUMNAR_MAX_WINDOW}"
                 )
             return True
@@ -452,7 +447,7 @@ class _BudgetSearch:
             if use_dominance and vertex != target:
                 frontier = frontiers.get(vertex)
                 if frontier is None:
-                    frontier = ParetoFrontier(max_size=pruning.max_frontier_size)
+                    frontier = ParetoFrontier()
                     frontiers[vertex] = frontier
                 if not frontier.add(dist):
                     stats.pruned_by_dominance += 1

@@ -2,12 +2,12 @@
 
 :class:`RoutingService` wraps :class:`~repro.routing.RoutingEngine` with a
 bounded, cost-table-version-keyed LRU result cache (thread-safe, with
-per-entry TTLs and a compute-cost admission policy), live cost-table
-hot-swap (:class:`CostUpdate` / :meth:`RoutingService.apply_cost_update`,
-snapshot-consistent against in-flight requests via per-slice read-write
-locks), departure-time scenarios (named time-of-day cost-table slices
-behind a :class:`ScenarioSchedule`) and a JSON request/response wire
-protocol with :class:`ServiceStats` observability.
+per-entry TTLs), live cost-table hot-swap (:class:`CostUpdate` /
+:meth:`RoutingService.apply_cost_update`, snapshot-consistent against
+in-flight requests via per-slice read-write locks), departure-time
+scenarios (named time-of-day cost-table slices behind a
+:class:`ScenarioSchedule`) and a JSON request/response wire protocol with
+:class:`ServiceStats` observability.
 :class:`ThreadedFrontend` drives one service from a worker pool over a
 request queue — the concurrent deployment shape.
 

@@ -49,19 +49,22 @@ def _check_rate(value: Any, name: str) -> float:
     )
 
 
+#: Each retry waits this many times longer than the one before.
+BACKOFF_MULTIPLIER = 2.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with multiplicative backoff.
 
     ``max_attempts`` counts the first try: ``3`` means one try plus up to
-    two retries.  The n-th retry sleeps ``backoff_seconds * multiplier**n``
-    (n = 0 for the first retry); ``backoff_seconds=0`` retries immediately,
-    which is what deterministic tests use.
+    two retries.  The n-th retry sleeps ``backoff_seconds * 2**n`` (n = 0
+    for the first retry); ``backoff_seconds=0`` retries immediately, which
+    is what deterministic tests use.
     """
 
     max_attempts: int = 3
     backoff_seconds: float = 0.05
-    multiplier: float = 2.0
 
     def __post_init__(self) -> None:
         max_attempts = require_integer(
@@ -72,49 +75,33 @@ class RetryPolicy:
             "backoff_seconds must be a non-negative finite number",
             low=0,
         )
-        multiplier = require_number(
-            self.multiplier, "multiplier must be a finite number >= 1", low=1
-        )
         object.__setattr__(self, "max_attempts", max_attempts)
         object.__setattr__(self, "backoff_seconds", backoff_seconds)
-        object.__setattr__(self, "multiplier", multiplier)
 
     def delay_before_retry(self, retry_index: int) -> float:
         """Seconds to sleep before retry number ``retry_index`` (0-based)."""
-        return self.backoff_seconds * (self.multiplier**retry_index)
+        return self.backoff_seconds * (BACKOFF_MULTIPLIER**retry_index)
 
 
 class CircuitBreaker:
     """A thread-safe three-state circuit breaker keyed on failure streaks.
 
-    ``record_failure`` on ``failure_threshold`` *consecutive* failures
+    ``record_failure`` on ``FAILURE_THRESHOLD`` *consecutive* failures
     trips the breaker open; :meth:`allow` then fast-fails every caller
-    until ``cooldown_seconds`` elapse on ``clock``, after which exactly one
+    until ``COOLDOWN_SECONDS`` elapse on ``clock``, after which exactly one
     probe is admitted (``half_open``).  The probe's ``record_success``
     closes the breaker; its ``record_failure`` re-opens it for another
-    cooldown.  ``clock`` is injectable so breaker tests are deterministic.
+    cooldown; :meth:`release_probe` frees its slot without a verdict.
+    ``clock`` is injectable so breaker tests are deterministic.
     """
 
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half_open"
+    FAILURE_THRESHOLD = 5
+    COOLDOWN_SECONDS = 1.0
 
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 5,
-        cooldown_seconds: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.failure_threshold = require_integer(
-            failure_threshold, "failure_threshold must be a positive integer", low=1
-        )
-        self.cooldown_seconds = require_number(
-            cooldown_seconds,
-            "cooldown_seconds must be a positive finite number",
-            low=0,
-            open_low=True,
-        )
+    def __init__(self, *, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._state = self.CLOSED
@@ -129,7 +116,7 @@ class CircuitBreaker:
         with self._lock:
             if (
                 self._state == self.OPEN
-                and self._clock() - self._opened_at >= self.cooldown_seconds
+                and self._clock() - self._opened_at >= self.COOLDOWN_SECONDS
             ):
                 return self.HALF_OPEN  # a probe would be admitted now
             return self._state
@@ -151,7 +138,7 @@ class CircuitBreaker:
                 return True
             if (
                 self._state == self.OPEN
-                and self._clock() - self._opened_at >= self.cooldown_seconds
+                and self._clock() - self._opened_at >= self.COOLDOWN_SECONDS
             ):
                 self._state = self.HALF_OPEN
                 self._probe_in_flight = False
@@ -159,6 +146,12 @@ class CircuitBreaker:
                 self._probe_in_flight = True
                 return True
             return False
+
+    def release_probe(self) -> None:
+        """The probe ended without a verdict: the next caller may probe."""
+        with self._lock:
+            if self._state == self.HALF_OPEN:
+                self._probe_in_flight = False
 
     def record_success(self) -> None:
         """The protected operation succeeded: close and reset the streak."""
@@ -180,7 +173,7 @@ class CircuitBreaker:
             self._consecutive_failures += 1
             if (
                 self._state == self.CLOSED
-                and self._consecutive_failures >= self.failure_threshold
+                and self._consecutive_failures >= self.FAILURE_THRESHOLD
             ):
                 self._state = self.OPEN
                 self._opened_at = self._clock()

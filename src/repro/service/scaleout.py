@@ -17,8 +17,8 @@ frontend that holds up under production-shaped load:
   the service after each cost hot-swap, so a version bump (which strands
   every cached answer by construction) does not crater the hit rate for
   the next thousand live requests.  Warming runs at background priority:
-  bounded concurrency, optional yield between replays, and an immediate
-  abort when yet another version bump lands mid-warm.
+  one replay at a time, and an immediate abort when yet another version
+  bump lands mid-warm.
 
 Everything here *wires into* the existing stack — the service's
 ``handle_request`` contract, ``FrontendStats``, the coalescing and
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import json
 import threading
 import time
@@ -43,7 +42,6 @@ from .errors import (
     decode_request,
     error_document,
     require_integer,
-    require_number,
 )
 from .frontend import FrontendCore
 from .service import RoutingService
@@ -244,16 +242,16 @@ class CacheWarmer:
     A cost-version bump strands every cached answer for its slice, so the
     next request for each hot OD pair pays a full search at live-traffic
     latency.  The warmer pays those searches *off* the request path
-    instead: :meth:`warm` replays the demand matrix's top ``top_k`` pairs
+    instead: :meth:`warm` replays the demand matrix's top ``TOP_K`` pairs
     through the ordinary :meth:`RoutingService.route` path (same cache,
-    same admission policy, same coalescing — a live request arriving
-    mid-warm simply coalesces onto the warm search).
+    same coalescing — a live request arriving mid-warm simply coalesces
+    onto the warm search).
 
-    Background priority, by construction: at most ``concurrency`` replays
-    in flight (default 1), an optional ``yield_seconds`` sleep between
-    replays, and an abort as soon as the slice's version moves again
-    mid-warm — the freshly warmed entries would be stranded anyway, and
-    the warm for the *new* version is about to be scheduled.
+    Background priority, by construction: the replays run one at a time
+    on the calling thread, and the run aborts as soon as the slice's
+    version moves again mid-warm — the freshly warmed entries would be
+    stranded anyway, and the warm for the *new* version is about to be
+    scheduled.
 
     Counters (:attr:`stats`): ``warmed`` replays that really searched,
     ``warm_hits`` replays that found the entry already present (live
@@ -261,26 +259,12 @@ class CacheWarmer:
     replays that failed, ``aborted`` warms cut short by a version change.
     """
 
-    def __init__(
-        self,
-        service: RoutingService,
-        demand: DemandMatrix,
-        *,
-        top_k: int = 256,
-        concurrency: int = 1,
-        yield_seconds: float = 0.0,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
+    #: How many of the hottest demand entries one warm replays.
+    TOP_K = 256
+
+    def __init__(self, service: RoutingService, demand: DemandMatrix) -> None:
         self.service = service
         self.demand = demand
-        self.top_k = require_integer(top_k, "top_k must be a positive integer", low=1)
-        self.concurrency = require_integer(
-            concurrency, "concurrency must be a positive integer", low=1
-        )
-        self.yield_seconds = require_number(
-            yield_seconds, "yield_seconds must be a non-negative number", low=0, finite=False
-        )
-        self._sleep = sleep
         self.stats = WarmerStats()
         self._warm_lock = threading.Lock()  # one warm run at a time
         self._state_lock = threading.Lock()
@@ -314,7 +298,7 @@ class CacheWarmer:
             target_version = self.service.cost_version(name)
             entries = [
                 entry
-                for entry in self.demand.top(self.top_k)
+                for entry in self.demand.top(self.TOP_K)
                 if (
                     entry.slice_name
                     if entry.slice_name is not None
@@ -325,24 +309,12 @@ class CacheWarmer:
             self.stats._bump("runs")
             attempted = 0
             aborted = False
-            with contextlib.ExitStack() as stack:
-                replay = self._replay  # inline unless a pool is worth having
-                if self.concurrency > 1 and len(entries) > 1:
-                    pool = stack.enter_context(
-                        ThreadPoolExecutor(
-                            max_workers=self.concurrency,
-                            thread_name_prefix="cache-warmer",
-                        )
-                    )
-                    replay = functools.partial(pool.submit, self._replay)
-                for entry in entries:
-                    if self.service.cost_version(name) != target_version:
-                        aborted = True
-                        break
-                    replay(entry, name, target_version)
-                    attempted += 1
-                    if self.yield_seconds > 0:
-                        self._sleep(self.yield_seconds)
+            for entry in entries:
+                if self.service.cost_version(name) != target_version:
+                    aborted = True
+                    break
+                self._replay(entry, name, target_version)
+                attempted += 1
             if aborted:
                 self.stats._bump("aborted")
             else:
@@ -398,13 +370,16 @@ class AsyncFrontend(FrontendCore):
     With ``port`` given (0 = ephemeral), :meth:`start` also listens for
     newline-delimited JSON over TCP: one request per line, one response
     per line, responses in request order per connection while up to
-    ``pipeline_depth`` requests per connection execute concurrently.
+    ``PIPELINE_DEPTH`` requests per connection execute concurrently.
 
     Use as an async context manager::
 
         async with AsyncFrontend(service, port=0) as frontend:
             response = await frontend.submit({"op": "stats"})
     """
+
+    #: Requests one connection may have in flight before reading pauses.
+    PIPELINE_DEPTH = 64
 
     def __init__(
         self,
@@ -417,7 +392,6 @@ class AsyncFrontend(FrontendCore):
         clock: Callable[[], float] = time.monotonic,
         host: str = "127.0.0.1",
         port: int | None = None,
-        pipeline_depth: int = 64,
     ) -> None:
         super().__init__(
             service, num_workers=num_workers, max_pending=max_pending, clock=clock
@@ -426,9 +400,6 @@ class AsyncFrontend(FrontendCore):
         self.warmer = warmer
         self.host = host
         self.port = port
-        self.pipeline_depth = require_integer(
-            pipeline_depth, "pipeline_depth must be a positive integer", low=1
-        )
         self._warm_executor: ThreadPoolExecutor | None = None
         self._server: asyncio.AbstractServer | None = None
         #: The ``max_pending`` semaphore once started; unbounded until then.
@@ -624,12 +595,12 @@ class AsyncFrontend(FrontendCore):
 
         Each request line is decoded once, on arrival: a fresh cache hit is
         answered there and then (:meth:`_answer_inline`), anything else
-        starts executing immediately (up to ``pipeline_depth`` per
+        starts executing immediately (up to ``PIPELINE_DEPTH`` per
         connection).  A single writer coroutine awaits the responses in
         arrival order, so they line up with requests without any
         client-side correlation ids.
         """
-        in_order: asyncio.Queue = asyncio.Queue(maxsize=self.pipeline_depth)
+        in_order: asyncio.Queue = asyncio.Queue(maxsize=self.PIPELINE_DEPTH)
 
         async def write_responses() -> None:
             while True:

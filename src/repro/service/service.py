@@ -27,7 +27,6 @@ serve repeated OD traffic:
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
 from collections.abc import Mapping  # the abc, not typing's alias: 3x cheaper to isinstance
@@ -43,7 +42,6 @@ from ..routing import (
     DepartWhenResult,
     KBestResult,
     MultiBudgetResult,
-    PruningConfig,
     RoutingEngine,
     RoutingQuery,
     RoutingResult,
@@ -269,7 +267,6 @@ class ServiceStats:
     cache_evictions: int = 0
     cache_expirations: int = 0
     cache_entries: int = 0
-    admission_skips: int = 0
     updates_applied: int = 0
     deadline_misses: int = 0
     served_degraded: int = 0
@@ -326,8 +323,9 @@ _STAT_COUNTERS = tuple(
 )
 
 #: The ones every ``service_stats`` document has carried; the later ones
-#: (TTL/admission, resilience, scale-out, temporal) default to zero on
-#: read so old recorded stats stay readable.
+#: (TTL, resilience, scale-out, temporal) default to zero on read, and a
+#: retired counter (``admission_skips``) is ignored, so old recorded stats
+#: stay readable.
 _STAT_ALWAYS_PRESENT = frozenset(
     {"requests", "cache_hits", "cache_misses", "cache_evictions",
      "cache_entries", "updates_applied"}
@@ -342,7 +340,7 @@ class _ServiceCounters(Counters):
     """
 
     FIELDS = (
-        "requests", "admission_skips", "updates_applied", "deadline_misses",
+        "requests", "updates_applied", "deadline_misses",
         "served_degraded", "served_stale", "coalesced",
     )
 
@@ -414,12 +412,8 @@ class RoutingService:
 
     ``cache_ttl_seconds`` ages cached answers out by wall clock (``None``
     = version bumps are the only invalidation).  A per-request TTL can
-    override it (:meth:`route`'s ``cache_ttl_seconds``).
-    ``admission_min_compute_seconds`` is the cache admission policy: an
-    answer whose search took less than this many seconds is *not* cached —
-    recomputing it costs less than the cache slot it would occupy (an LRU
-    slot evicted from a popular expensive answer).  ``0.0`` admits
-    everything.
+    override it (:meth:`route`'s ``cache_ttl_seconds``).  Every answer a
+    completed search produces is cached.
 
     **Resilience** (see PERFORMANCE.md "Resilient serving"): a request may
     carry a deadline (:meth:`route`'s ``deadline_seconds``, ``deadline_ms``
@@ -428,9 +422,8 @@ class RoutingService:
     anytime pivot, then the deterministic ``expected_time`` fallback, then
     a stale-but-version-tagged cache entry — instead of blocking a worker.
     A per-strategy :class:`~repro.service.faults.CircuitBreaker` trips on
-    ``breaker_failure_threshold`` consecutive deadline misses and
-    fast-fails that strategy onto the fallback rungs for
-    ``breaker_cooldown_seconds``, probing half-open afterwards.  ``clock``
+    five consecutive deadline misses and fast-fails that strategy onto the
+    fallback rungs for one second, probing half-open afterwards.  ``clock``
     is the monotonic time source for deadlines, TTLs and breakers —
     injectable so every one of those behaviours tests deterministically.
 
@@ -453,26 +446,14 @@ class RoutingService:
         *,
         slice_name: str = DEFAULT_SLICE,
         schedule: ScenarioSchedule | None = None,
-        pruning: PruningConfig | None = None,
         max_cache_entries: int = 4096,
         cache_ttl_seconds: float | None = None,
-        admission_min_compute_seconds: float = 0.0,
         clock: Callable[[], float] = time.monotonic,
-        breaker_failure_threshold: int = 5,
-        breaker_cooldown_seconds: float = 1.0,
         coalesce_in_flight: bool = False,
     ) -> None:
-        self.admission_min_compute_seconds = require_number(
-            admission_min_compute_seconds,
-            "admission_min_compute_seconds must be a non-negative number "
-            "(inf = cache nothing)",
-            low=0,
-            finite=False,
-        )
         self.network = network
         self.default_slice = slice_name
         self.schedule = schedule
-        self._pruning = pruning
         self._clock = clock
         self._engines: dict[str, RoutingEngine] = {}
         self._slice_locks: dict[str, ReadWriteLock] = {}
@@ -486,15 +467,6 @@ class RoutingService:
         # version*, stored together with the version it was computed under.
         # No TTL — "stale but tagged" is the whole point of the rung.
         self._stale = ResultCache(max_entries=max_cache_entries, clock=clock)
-        # Validate the breaker knobs now (one throwaway instance) so a bad
-        # configuration fails at construction, not on the first deadline.
-        CircuitBreaker(
-            failure_threshold=breaker_failure_threshold,
-            cooldown_seconds=breaker_cooldown_seconds,
-            clock=clock,
-        )
-        self._breaker_failure_threshold = breaker_failure_threshold
-        self._breaker_cooldown_seconds = breaker_cooldown_seconds
         self._breakers: dict[str, CircuitBreaker] = {}
         # Single-flight coalescing: cache key -> the in-flight search for
         # it.  Opt-in because it changes the accounting contract (a
@@ -524,39 +496,34 @@ class RoutingService:
         slice_tables: Mapping[str, EdgeCostTable],
         *,
         schedule: ScenarioSchedule | None = None,
-        default_slice: str | None = None,
-        combiner_factory: Callable[[EdgeCostTable], CostCombiner] = ConvolutionModel,
         **options: Any,
     ) -> "RoutingService":
         """Build a scenario service from named per-slice cost tables.
 
         ``slice_tables`` usually comes from
-        :func:`~repro.service.scenarios.time_sliced_cost_tables`;
-        ``combiner_factory`` wraps each table in the cost model to serve
-        (convolution by default).  The default slice is ``default_slice`` or
+        :func:`~repro.service.scenarios.time_sliced_cost_tables`; each table
+        is served under a :class:`ConvolutionModel`.  The default slice is
         the first table; ``schedule`` defaults to
         :meth:`ScenarioSchedule.default` and must name only known slices.
-        ``options`` are the constructor's serving options (``pruning`` …
-        ``coalesce_in_flight``), forwarded as given: their defaults and
-        their validation live there, once.
+        ``options`` are the constructor's serving options
+        (``max_cache_entries`` … ``coalesce_in_flight``), forwarded as
+        given: their defaults and their validation live there, once.
         """
         if not slice_tables:
             raise ValueError("need at least one slice table")
         if schedule is None:
             schedule = ScenarioSchedule.default()
-        first = default_slice if default_slice is not None else next(iter(slice_tables))
-        if first not in slice_tables:
-            raise ValueError(f"default slice {first!r} is not a slice table")
+        first = next(iter(slice_tables))
         service = cls(
             network,
-            combiner_factory(slice_tables[first]),
+            ConvolutionModel(slice_tables[first]),
             slice_name=first,
             schedule=schedule,
             **options,
         )
         for name, table in slice_tables.items():
             if name != first:
-                service.add_slice(name, combiner_factory(table))
+                service.add_slice(name, ConvolutionModel(table))
         missing = set(schedule.slice_names) - set(service.slice_names)
         if missing:
             raise ValueError(
@@ -581,9 +548,8 @@ class RoutingService:
         no plans) serves the very anchor tables and schedule it was built
         from, bit for bit.  The profile is kept on ``temporal_profile`` so
         snapshots can carry its spec and incidents can resolve their
-        time windows to regime slices.  ``options`` are
-        :meth:`from_time_slices`'s ``default_slice`` / ``combiner_factory``
-        and the constructor's serving options, forwarded as given.
+        time windows to regime slices.  ``options`` are the constructor's
+        serving options, forwarded as given.
         """
         if not isinstance(profile, TemporalCostProfile):
             raise TypeError(
@@ -619,7 +585,7 @@ class RoutingService:
             raise ValueError("slice name must be a non-empty string")
         if name in self._engines:
             raise ValueError(f"slice {name!r} is already registered")
-        engine = RoutingEngine(self.network, combiner, pruning=self._pruning)
+        engine = RoutingEngine(self.network, combiner)
         # The lock is published before the engine: a concurrent request can
         # only reach a slice it can resolve, and resolving requires the
         # engine entry — by then the lock exists.
@@ -666,8 +632,7 @@ class RoutingService:
         the cache entirely (their answers depend on machine load, not only
         on the query), as do requests whose kwargs cannot be canonicalised
         into a key.  ``cache_ttl_seconds`` gives this request's answer its
-        own expiry instead of the service default; answers whose search ran
-        faster than ``admission_min_compute_seconds`` are not cached at all.
+        own expiry instead of the service default.
 
         ``deadline_seconds`` (``deadline_ms / 1000`` on the wire) is the
         request's remaining time budget.  Unlike ``time_limit_seconds`` it
@@ -772,10 +737,17 @@ class RoutingService:
                     limit = time_limit_seconds
                     if remaining is not None and engine.supports_time_limit(strategy):
                         limit = remaining if limit is None else min(remaining, limit)
-                    compute_begin = time.perf_counter()
-                    result = engine.route(
-                        query, strategy=strategy, time_limit_seconds=limit, **kwargs
-                    )
+                    try:
+                        result = engine.route(
+                            query, strategy=strategy, time_limit_seconds=limit, **kwargs
+                        )
+                    except BaseException:
+                        # A search that raises (a bad request, a crash) is
+                        # no verdict on the strategy's latency, but it must
+                        # not keep a half-open probe slot from the next one.
+                        if breaker is not None:
+                            breaker.release_probe()
+                        raise
                     if deadline_at is None or (result is not None and result.stats.completed):
                         # The search finished within its budget: a normal
                         # answer, cacheable (a completed bounded search is
@@ -788,9 +760,7 @@ class RoutingService:
                             # need the answer object, not the cache entry.
                             self._finish_flight(key, flight, outcome="ok", result=result)
                         if key is not None and result is not None:
-                            # Admission judges pure search time, not
-                            # queueing/lock wait.
-                            self._admit(key, result, time.perf_counter() - compute_begin, ttl)
+                            self._admit(key, result, ttl)
                         return ServedResult(result, False, version, name, strategy)
                     # The deadline bit: count the miss, feed the breaker.
                     breaker.record_failure()
@@ -1032,8 +1002,6 @@ class RoutingService:
         next request.  Like :meth:`route`, the whole batch holds the
         slice's read lock, so one ``cost_version`` tags every member — a
         mid-batch update cannot split the batch across two tables.
-        Admission judges each member by the batch's mean per-miss search
-        time.
 
         ``deadline_seconds`` bounds the whole batch: the remaining budget
         at dispatch time is split evenly across the miss members as their
@@ -1079,7 +1047,6 @@ class RoutingService:
                 if remaining is not None and engine.supports_time_limit(strategy):
                     per_member = remaining / len(miss_indices)
                     limit = per_member if limit is None else min(limit, per_member)
-                compute_begin = time.perf_counter()
                 try:
                     sub_batch = engine.route_many(
                         [query_list[index] for index in miss_indices],
@@ -1096,9 +1063,6 @@ class RoutingService:
                         self._cache.refund_hit(len(query_list) - len(miss_indices))
                     self._counters.record_request(strategy, time.perf_counter() - begin)
                     raise
-                mean_compute = (
-                    time.perf_counter() - compute_begin
-                ) / len(miss_indices)
                 for index, result in zip(miss_indices, sub_batch):
                     results[index] = result
                     if result is None:
@@ -1109,7 +1073,7 @@ class RoutingService:
                         degraded = True
                         continue
                     if keys[index] is not None:
-                        self._admit(keys[index], result, mean_compute, ttl)
+                        self._admit(keys[index], result, ttl)
                 if degraded:
                     self._counters._bump("deadline_misses")
                     self._counters._bump("served_degraded")
@@ -1359,9 +1323,9 @@ class RoutingService:
         self._cache.clear()
         self._stale.clear()
         for key, answer in state.cache:
-            # Admitted as if freshly searched (no bar is above infinity): the
-            # entry gets its encoded result, and the stale rung is warmed too.
-            self._admit(key, answer, math.inf, None)
+            # Admitted as if freshly searched: the entry gets its encoded
+            # result, and the stale rung is warmed too.
+            self._admit(key, answer, None)
 
     # ------------------------------------------------------------------
     # Observability
@@ -1786,37 +1750,22 @@ class RoutingService:
         with self._stats_lock:
             breaker = self._breakers.get(strategy)
             if breaker is None:
-                breaker = self._breakers[strategy] = CircuitBreaker(
-                    failure_threshold=self._breaker_failure_threshold,
-                    cooldown_seconds=self._breaker_cooldown_seconds,
-                    clock=self._clock,
-                )
+                breaker = self._breakers[strategy] = CircuitBreaker(clock=self._clock)
             return breaker
 
     def _admit(
-        self,
-        key: tuple,
-        result: ServiceAnswer,
-        compute_seconds: float,
-        request_ttl: float | None,
+        self, key: tuple, result: ServiceAnswer, request_ttl: float | None
     ) -> None:
-        """Cache ``result`` if the admission policy accepts it.
+        """Cache ``result``.
 
-        An answer computed faster than ``admission_min_compute_seconds`` is
-        cheaper to recompute than to store — caching it can only displace
-        an answer worth keeping, so it is skipped (and counted).  The
-        answer also refreshes the degradation ladder's stale store, under
-        the version-*less* key — exactly the cache key minus its trailing
-        version component, so the store always holds the most recently
-        admitted answer for the request shape across every cost-table
-        version — together with the version it was computed under (same
-        admission bar: an answer too cheap to cache is too cheap to be
-        worth serving stale).  The cache entry is ``(result, its JSON)``,
-        encoded once here for :meth:`probe_hit`: the text dies with its entry.
+        The answer also refreshes the degradation ladder's stale store,
+        under the version-*less* key — exactly the cache key minus its
+        trailing version component, so the store always holds the most
+        recently admitted answer for the request shape across every
+        cost-table version — together with the version it was computed
+        under.  The cache entry is ``(result, its JSON)``, encoded once here
+        for :meth:`probe_hit`: the text dies with its entry.
         """
-        if compute_seconds < self.admission_min_compute_seconds:
-            self._counters._bump("admission_skips")
-            return
         entry = (result, json.dumps(result.to_dict()))
         if request_ttl is not None:
             self._cache.put(key, entry, ttl_seconds=request_ttl)

@@ -283,11 +283,10 @@ class ScheduledIncident:
         start_time: float,
         end_time: float,
         *,
-        blocked_ticks: int = CLOSURE_TICKS,
         slices: Sequence[str] | None = None,
     ) -> "ScheduledIncident":
-        """A full closure: every listed edge priced at ``blocked_ticks``."""
-        blocked = DiscreteDistribution.point(int(blocked_ticks))
+        """A full closure: every listed edge priced at ``CLOSURE_TICKS``."""
+        blocked = DiscreteDistribution.point(CLOSURE_TICKS)
         return cls(
             incident_id=incident_id,
             start_time=start_time,

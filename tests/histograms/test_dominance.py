@@ -1,7 +1,5 @@
 """Unit tests for stochastic dominance and the Pareto frontier."""
 
-import pytest
-
 from repro.histograms import (
     DiscreteDistribution,
     ParetoFrontier,
@@ -66,12 +64,3 @@ class TestParetoFrontier:
         assert frontier.add(d({5: 1.0}))
         assert not frontier.add(d({5: 1.0}))
 
-    def test_max_size_bounds_membership(self):
-        frontier = ParetoFrontier(max_size=1)
-        assert frontier.add(d({18: 1.0}))
-        assert not frontier.add(d({10: 0.5, 30: 0.5}))  # incomparable, over cap
-        assert len(frontier) == 1
-
-    def test_max_size_validation(self):
-        with pytest.raises(ValueError):
-            ParetoFrontier(max_size=0)

@@ -44,9 +44,8 @@ def naive_dominates(p, q):
 class NaiveFrontier:
     """List-of-members frontier with pairwise naive dominance checks."""
 
-    def __init__(self, *, max_size=None):
+    def __init__(self):
         self.members = []
-        self.max_size = max_size
 
     def add(self, candidate):
         if any(naive_weakly_dominates(kept, candidate) for kept in self.members):
@@ -54,8 +53,6 @@ class NaiveFrontier:
         self.members = [
             kept for kept in self.members if not naive_weakly_dominates(candidate, kept)
         ]
-        if self.max_size is not None and len(self.members) >= self.max_size:
-            return False
         self.members.append(candidate)
         return True
 
@@ -122,12 +119,11 @@ class TestDominanceEquivalence:
 
 
 class TestFrontierEquivalence:
-    @pytest.mark.parametrize("max_size", [None, 1, 2, 3])
-    def test_add_sequence_matches_naive(self, max_size):
-        rng = np.random.default_rng(99 + (max_size or 0))
+    def test_add_sequence_matches_naive(self):
+        rng = np.random.default_rng(99)
         for _ in range(120):
-            frontier = ParetoFrontier(max_size=max_size)
-            naive = NaiveFrontier(max_size=max_size)
+            frontier = ParetoFrontier()
+            naive = NaiveFrontier()
             for _ in range(35):
                 candidate = _random_distribution(rng)
                 assert frontier.add(candidate) == naive.add(candidate)

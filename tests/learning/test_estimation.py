@@ -3,7 +3,13 @@
 import pytest
 
 from repro.histograms import DiscreteDistribution
-from repro.learning import EstimationConfig, HistogramEstimator
+from repro.learning import (
+    EdgeEstimate,
+    EstimationConfig,
+    HistogramEstimator,
+    pooled_fallbacks,
+)
+from repro.network import RoadCategory, RoadNetwork
 from repro.trajectories import MatchedTrajectory, TrajectoryStore
 
 
@@ -134,10 +140,60 @@ class TestConfigValidation:
         [
             {"min_samples": 0},
             {"max_iterations": -1},
-            {"tolerance_ticks": -0.1},
             {"prior_weight": -1.0},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EstimationConfig(**kwargs)
+
+
+def line_network():
+    """Four edges on a line: two primary, then two residential."""
+    network = RoadNetwork()
+    for vertex_id in range(5):
+        network.add_vertex(vertex_id, 100.0 * vertex_id, 0.0)
+    for source, category in enumerate(
+        (RoadCategory.PRIMARY, RoadCategory.PRIMARY,
+         RoadCategory.RESIDENTIAL, RoadCategory.RESIDENTIAL)
+    ):
+        network.add_edge(source, source + 1, category=category)
+    return network
+
+
+def inflated(network, edge_id, factor, num_samples, resolution):
+    """An estimate whose every sample took ``factor`` × free flow."""
+    ticks = max(1, round(network.edge(edge_id).free_flow_time / resolution))
+    return EdgeEstimate(
+        edge_id=edge_id,
+        distribution=DiscreteDistribution.point(factor * ticks),
+        num_samples=num_samples,
+        mean_delta_ticks=0.0,
+        converged=True,
+    )
+
+
+class TestPooledFallbacks:
+    RESOLUTION = 0.5
+
+    def ticks(self, network, edge_id):
+        return max(1, round(network.edge(edge_id).free_flow_time / self.RESOLUTION))
+
+    def test_a_category_pool_serves_only_at_the_minimum_weight(self):
+        """Primary's pool (30 samples) is heavy enough to serve primary
+        edges alone; residential's (29) falls back to the network pool."""
+        network = line_network()
+        estimates = {
+            0: inflated(network, 0, 2, 30, self.RESOLUTION),
+            2: inflated(network, 2, 3, 29, self.RESOLUTION),
+        }
+        fallbacks = pooled_fallbacks(network, estimates, resolution=self.RESOLUTION)
+        assert set(fallbacks) == {1, 3}  # exactly the unobserved edges
+        assert fallbacks[1] == DiscreteDistribution.point(2 * self.ticks(network, 1))
+        ticks = self.ticks(network, 3)
+        assert fallbacks[3].allclose(
+            DiscreteDistribution.from_mapping({2 * ticks: 30.0, 3 * ticks: 29.0})
+        )
+
+    def test_no_estimates_synthesise_nothing(self):
+        assert pooled_fallbacks(line_network(), {}, resolution=self.RESOLUTION) == {}

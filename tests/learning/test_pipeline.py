@@ -12,6 +12,7 @@ from repro.learning import (
     LearningStats,
     PipelineConfig,
 )
+from repro.trajectories import TripGenerator
 
 
 def make_pipeline(service, matcher, **overrides):
@@ -53,6 +54,23 @@ class TestCadence:
         update = pipeline.run_update()
         assert update.gate.num_trips == 24
         assert update.estimation.num_trips == 24
+
+    def test_accepted_update_publishes_fallbacks_for_unobserved_edges(
+        self, world, service
+    ):
+        """An accepted publish covers the whole network: estimated edges
+        plus pooled fallbacks for every edge the corpus never observed."""
+        network, truth, matcher, _ = world
+        # A fresh generator: the shared one's position depends on test order.
+        trips = TripGenerator(network, truth, seed=7).generate(60)
+        pipeline = make_pipeline(service, matcher)
+        pipeline.ingest(list(trips))
+        update = pipeline.run_update()
+        assert update.accepted
+        assert len(update.estimation.estimates) < network.num_edges
+        (published,) = update.published
+        assert published.num_edges == network.num_edges
+        assert pipeline.stats().edges_published == network.num_edges
 
     def test_gate_refusal_publishes_nothing(self, world, service):
         _, _, matcher, generator = world

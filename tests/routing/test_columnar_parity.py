@@ -247,17 +247,6 @@ class TestBackendDispatch:
         with pytest.raises(ValueError, match="vectorized-convolution"):
             search.route(RoutingQuery(0, 2, 10))
 
-    def test_forced_columnar_rejects_frontier_cap(self):
-        network, costs = _tiny_world()
-        search = _BudgetSearch(
-            network,
-            ConvolutionModel(costs),
-            pruning=PruningConfig(max_frontier_size=4),
-            backend="columnar",
-        )
-        with pytest.raises(ValueError, match="max_frontier_size"):
-            search.route(RoutingQuery(0, 2, 10))
-
     def test_forced_columnar_rejects_unclipped_search(self):
         network, costs = _tiny_world()
         search = _BudgetSearch(
@@ -278,14 +267,12 @@ class TestBackendDispatch:
     def test_forced_columnar_budget_vector_rejects_like_route(self):
         network, costs = _tiny_world()
         incapable = [
-            (dict(pruning=PruningConfig(max_frontier_size=4)), 10),
-            (dict(clip_distributions=False), 10),
-            ({}, 1 << 20),  # oversized window
+            (_OpaqueCombiner(costs), {}, 10),
+            (ConvolutionModel(costs), dict(clip_distributions=False), 10),
+            (ConvolutionModel(costs), {}, 1 << 20),  # oversized window
         ]
-        for options, budget in incapable:
-            search = _BudgetSearch(
-                network, ConvolutionModel(costs), backend="columnar", **options
-            )
+        for combiner, options, budget in incapable:
+            search = _BudgetSearch(network, combiner, backend="columnar", **options)
             query = RoutingQuery(0, 2, budget)
             with pytest.raises(ValueError) as single:
                 search.route(query)

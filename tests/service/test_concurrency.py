@@ -9,9 +9,8 @@ The contract locked down here (the serving layer's thread-safety story):
   interleaved into the request stream, every answer is bit-equal to what
   a cold engine built on the cost table *at the answer's tagged version*
   produces: no torn version tags, no mixed-table answers, no lost bumps;
-* **TTL and admission** — per-entry expiry behaves exactly like absence
-  (and is counted), and the admission policy keeps cheap answers out of
-  the cache;
+* **TTL** — per-entry expiry behaves exactly like absence (and is
+  counted);
 * the **ThreadedFrontend** drives all of the above through a worker pool
   without losing, duplicating or crashing a single request.
 
@@ -321,49 +320,6 @@ class TestEntryTTL:
         # The failed request must not leave a phantom lookup behind.
         stats = service.stats()
         assert (stats.cache_hits, stats.cache_misses) == (0, 0)
-
-
-# ----------------------------------------------------------------------
-# Admission policy
-# ----------------------------------------------------------------------
-
-
-class TestAdmissionPolicy:
-    def test_cheap_answers_are_not_cached(self, world):
-        """``inf`` means nothing is ever worth a cache slot — every repeat
-        recomputes, and each skip is counted for the operator."""
-        service = fresh_service(
-            world, admission_min_compute_seconds=float("inf")
-        )
-        query = HOT_QUERIES[0]
-        first = service.route(query)
-        second = service.route(query)
-        assert not first.cache_hit and not second.cache_hit
-        assert_same_answer(first.result, second.result)  # still correct
-        stats = service.stats()
-        assert stats.cache_entries == 0
-        assert stats.admission_skips == 2
-        assert (stats.cache_hits, stats.cache_misses) == (0, 2)
-
-    def test_zero_threshold_admits_everything(self, world):
-        service = fresh_service(world, admission_min_compute_seconds=0.0)
-        service.route(HOT_QUERIES[0])
-        assert service.route(HOT_QUERIES[0]).cache_hit
-        assert service.stats().admission_skips == 0
-
-    def test_batches_apply_admission_per_member(self, world):
-        service = fresh_service(
-            world, admission_min_compute_seconds=float("inf")
-        )
-        first = service.route_many(HOT_QUERIES)
-        second = service.route_many(HOT_QUERIES)
-        assert first.cache_misses == second.cache_misses == len(HOT_QUERIES)
-        assert service.stats().admission_skips == 2 * len(HOT_QUERIES)
-
-    @pytest.mark.parametrize("bad", [-0.5, float("nan"), True, "fast"])
-    def test_invalid_thresholds_rejected(self, world, bad):
-        with pytest.raises(ValueError, match="admission_min_compute_seconds"):
-            fresh_service(world, admission_min_compute_seconds=bad)
 
 
 # ----------------------------------------------------------------------

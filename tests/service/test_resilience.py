@@ -318,25 +318,22 @@ class TestDeadlineBatches:
 class TestCircuitBreakerUnit:
     def test_trips_on_consecutive_failures_only(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_seconds=5.0,
-                                 clock=clock)
-        for _ in range(2):
+        breaker = CircuitBreaker(clock=clock)
+        for _ in range(4):
             breaker.record_failure()
         breaker.record_success()  # streak broken
-        for _ in range(2):
+        for _ in range(4):
             breaker.record_failure()
         assert breaker.state == "closed" and breaker.trips == 0
-        breaker.record_failure()  # third consecutive
+        breaker.record_failure()  # fifth consecutive
         assert breaker.state == "open" and breaker.trips == 1
         assert not breaker.allow()
 
     def test_half_open_admits_exactly_one_probe(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=5.0,
-                                 clock=clock)
-        breaker.record_failure()
+        breaker = trip(CircuitBreaker(clock=clock))
         assert not breaker.allow()
-        clock.advance(5.0)
+        clock.advance(1.0)
         assert breaker.state == "half_open"
         assert breaker.allow()  # the probe slot
         assert not breaker.allow()  # everyone else keeps fast-failing
@@ -346,57 +343,84 @@ class TestCircuitBreakerUnit:
 
     def test_failed_probe_reopens_for_a_fresh_cooldown(self):
         clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=5.0,
-                                 clock=clock)
-        breaker.record_failure()
-        clock.advance(5.0)
+        breaker = trip(CircuitBreaker(clock=clock))
+        clock.advance(1.0)
         assert breaker.allow()
         breaker.record_failure()  # probe failed
         assert breaker.state == "open" and breaker.trips == 2
-        clock.advance(4.9)
+        clock.advance(0.9)
         assert not breaker.allow()
         clock.advance(0.2)
         assert breaker.allow()
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
-    def test_bad_threshold_rejected(self, bad):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            CircuitBreaker(failure_threshold=bad)
+    def test_probe_is_admitted_at_exactly_the_cooldown(self):
+        clock = FakeClock()
+        clock.advance(100.0)
+        breaker = trip(CircuitBreaker(clock=clock))
+        clock.now = 100.0 + CircuitBreaker.COOLDOWN_SECONDS - 1e-9
+        assert breaker.state == "open"
+        assert not breaker.allow()
+        clock.now = 100.0 + CircuitBreaker.COOLDOWN_SECONDS
+        assert breaker.state == "half_open"
+        assert breaker.allow()
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), True])
-    def test_bad_cooldown_rejected(self, bad):
-        with pytest.raises(ValueError, match="cooldown_seconds"):
-            CircuitBreaker(cooldown_seconds=bad)
+    def test_released_probe_frees_the_slot_without_a_verdict(self):
+        clock = FakeClock()
+        breaker = trip(CircuitBreaker(clock=clock))
+        clock.advance(1.0)
+        assert breaker.allow()
+        breaker.release_probe()
+        assert breaker.state == "half_open" and breaker.trips == 1
+        assert breaker.allow()  # the next caller probes
+        assert not breaker.allow()
+
+    def test_release_probe_never_admits_past_an_open_breaker(self):
+        clock = FakeClock()
+        breaker = CircuitBreaker(clock=clock)
+        breaker.release_probe()  # closed: nothing to release
+        assert breaker.state == "closed" and breaker.allow()
+        trip(breaker)
+        breaker.release_probe()
+        assert breaker.state == "open" and not breaker.allow()
+
+
+def trip(breaker):
+    """Drive ``breaker`` open with exactly its failure threshold."""
+    for _ in range(CircuitBreaker.FAILURE_THRESHOLD):
+        breaker.record_failure()
+    assert breaker.state == "open"
+    return breaker
+
+
+def miss(service, name, times):
+    """``times`` deadline requests on ``name``; each must come back degraded."""
+    for _ in range(times):
+        assert service.route(QUERY, strategy=name, deadline_seconds=5.0).degraded
 
 
 class TestServiceBreakerRecovery:
     def test_trip_fast_fail_half_open_probe_close(self, world, flaky_strategy):
-        """The ISSUE's acceptance cycle: consecutive deadline misses trip
-        the breaker, an open breaker skips straight to the fallback rungs,
-        and after the cooldown one probe closes it again."""
+        """Consecutive deadline misses trip the breaker, an open breaker
+        skips straight to the fallback rungs, and after the cooldown one
+        probe closes it again."""
         clock = FakeClock()
-        service = fresh_service(
-            world, clock=clock,
-            breaker_failure_threshold=2, breaker_cooldown_seconds=10.0,
-        )
+        service = fresh_service(world, clock=clock)
         name = "flaky_for_resilience_test"
         flaky_strategy.broken = True
-        for _ in range(2):  # two consecutive misses: trip
-            served = service.route(QUERY, strategy=name, deadline_seconds=5.0)
-            assert served.degraded
+        miss(service, name, 5)  # five consecutive misses: trip
         stats = service.stats()
         assert stats.breakers[name] == "open"
         assert stats.breaker_trips == 1
-        assert stats.deadline_misses == 2
+        assert stats.deadline_misses == 5
 
         # Open: the primary is never attempted (no new deadline miss),
         # the fallback rung answers immediately.
         served = service.route(QUERY, strategy=name, deadline_seconds=5.0)
         assert served.degraded and served.fallback_strategy == "expected_time"
-        assert service.stats().deadline_misses == 2
+        assert service.stats().deadline_misses == 5
 
         # Cooldown elapses; the strategy recovers; the probe closes it.
-        clock.advance(10.0)
+        clock.advance(1.0)
         assert service.stats().breakers[name] == "half_open"
         flaky_strategy.broken = False
         served = service.route(QUERY, strategy=name, deadline_seconds=5.0)
@@ -407,38 +431,100 @@ class TestServiceBreakerRecovery:
 
     def test_failed_probe_reopens_the_service_breaker(self, world, flaky_strategy):
         clock = FakeClock()
-        service = fresh_service(
-            world, clock=clock,
-            breaker_failure_threshold=1, breaker_cooldown_seconds=10.0,
-        )
+        service = fresh_service(world, clock=clock)
         name = "flaky_for_resilience_test"
         flaky_strategy.broken = True
-        service.route(QUERY, strategy=name, deadline_seconds=5.0)
+        miss(service, name, 5)
         assert service.stats().breakers[name] == "open"
-        clock.advance(10.0)
+        clock.advance(1.0)
         service.route(QUERY, strategy=name, deadline_seconds=5.0)  # probe fails
         stats = service.stats()
         assert stats.breakers[name] == "open"
         assert stats.breaker_trips == 2
 
     def test_breakers_are_per_strategy(self, world, flaky_strategy):
-        service = fresh_service(
-            world, clock=FakeClock(), breaker_failure_threshold=1
-        )
+        service = fresh_service(world, clock=FakeClock())
         flaky_strategy.broken = True
-        service.route(QUERY, strategy="flaky_for_resilience_test",
-                      deadline_seconds=5.0)
+        miss(service, "flaky_for_resilience_test", 5)
         served = service.route(QUERY, strategy="pbr", deadline_seconds=5.0)
         assert not served.degraded  # pbr's breaker is untouched
         breakers = service.stats().breakers
         assert breakers["flaky_for_resilience_test"] == "open"
         assert breakers["pbr"] == "closed"
 
-    def test_bad_breaker_config_fails_at_construction(self, world):
-        with pytest.raises(ValueError, match="failure_threshold"):
-            fresh_service(world, breaker_failure_threshold=0)
-        with pytest.raises(ValueError, match="cooldown_seconds"):
-            fresh_service(world, breaker_cooldown_seconds=-1.0)
+    def test_service_breaker_trips_on_exactly_the_fifth_miss(
+        self, world, flaky_strategy
+    ):
+        service = fresh_service(world, clock=FakeClock())
+        name = "flaky_for_resilience_test"
+        flaky_strategy.broken = True
+        miss(service, name, 4)
+        stats = service.stats()
+        assert stats.breakers[name] == "closed" and stats.breaker_trips == 0
+        miss(service, name, 1)
+        stats = service.stats()
+        assert stats.breakers[name] == "open" and stats.breaker_trips == 1
+
+    def test_service_probe_is_admitted_at_exactly_one_second(
+        self, world, flaky_strategy
+    ):
+        clock = FakeClock()
+        service = fresh_service(world, clock=clock)
+        name = "flaky_for_resilience_test"
+        flaky_strategy.broken = True
+        miss(service, name, 5)
+        flaky_strategy.broken = False
+        clock.advance(0.5)
+        served = service.route(QUERY, strategy=name, deadline_seconds=5.0)
+        assert served.fallback_strategy == "expected_time"  # still open
+        clock.advance(0.5)
+        served = service.route(QUERY, strategy=name, deadline_seconds=5.0)
+        assert not served.degraded  # the probe ran the primary and closed it
+        assert service.stats().breakers[name] == "closed"
+
+
+class TestRaisingProbeReleasesItsSlot:
+    """A half-open probe whose search raises gives the slot back unjudged.
+
+    A slot kept by a raising probe would be taken forever: the breaker
+    would sit in ``half_open`` and every later deadline request for the
+    strategy would be served degraded by ``expected_time``, its search
+    never run.
+    """
+
+    @pytest.mark.parametrize("cause", ["bad_request", "internal"])
+    def test_over_the_wire(self, world, monkeypatch, cause):
+        clock = FakeClock()
+        service = fresh_service(world, clock=clock)
+
+        def kbest(k, deadline_ms):
+            return service.handle_request({
+                "op": "route", "query": QUERY.to_dict(), "strategy": "kbest",
+                "kwargs": {"k": k}, "deadline_ms": deadline_ms,
+            })
+
+        for _ in range(5):  # a nanosecond deadline under a frozen clock: misses
+            assert kbest(3, 1e-6)["degraded"]
+        assert service.stats().breakers["kbest"] == "open"
+        clock.advance(1.0)
+        engine = service.engine()
+        if cause == "internal":
+            def crash(*args, **kwargs):
+                raise RuntimeError("search crashed")
+
+            monkeypatch.setattr(engine, "route", crash)
+        probe = kbest(0 if cause == "bad_request" else 3, 5000)
+        assert probe["ok"] is False and probe["error_kind"] == cause
+        monkeypatch.undo()
+        stats = service.stats()
+        assert stats.breakers["kbest"] == "half_open"  # no verdict either way
+        assert stats.breaker_trips == 1
+        clock.advance(3600.0)
+        served = kbest(3, 5000)
+        assert served["ok"] and not served["degraded"]
+        expected = engine.route(QUERY, strategy="kbest", k=3).to_dict()
+        assert served["result"]["routes"] == expected["routes"]
+        assert service.stats().breakers["kbest"] == "closed"
 
 
 # ----------------------------------------------------------------------
@@ -655,17 +741,15 @@ class TestEveryPipelineExitKeepsTheBooks:
         return service, act, 1, 0, DeadlineExceededError
 
     def open_breaker_serves_expected_time(self, world):
-        service = fresh_service(
-            world, clock=FakeClock(), breaker_failure_threshold=1
-        )
+        service = fresh_service(world, clock=FakeClock())
         name = "decline_for_resilience_test"
-        service.route(QUERY, strategy=name, deadline_seconds=5.0)  # trips it
+        miss(service, name, 5)  # trips it
         assert service.stats().breakers[name] == "open"
 
         def act():
             served = service.route(QUERY, strategy=name, deadline_seconds=5.0)
             assert served.fallback_strategy == "expected_time"
-            assert service.stats().deadline_misses == 1  # primary never ran
+            assert service.stats().deadline_misses == 5  # primary never ran
 
         return service, act, 1, 1, None
 
@@ -836,10 +920,10 @@ class TestFaultInjector:
 
 class TestRetryPolicy:
     def test_backoff_is_multiplicative(self):
-        policy = RetryPolicy(max_attempts=4, backoff_seconds=0.1, multiplier=3.0)
+        policy = RetryPolicy(max_attempts=4, backoff_seconds=0.1)
         assert policy.delay_before_retry(0) == pytest.approx(0.1)
-        assert policy.delay_before_retry(1) == pytest.approx(0.3)
-        assert policy.delay_before_retry(2) == pytest.approx(0.9)
+        assert policy.delay_before_retry(1) == pytest.approx(0.2)
+        assert policy.delay_before_retry(2) == pytest.approx(0.4)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -848,8 +932,6 @@ class TestRetryPolicy:
             {"max_attempts": True},
             {"backoff_seconds": -1.0},
             {"backoff_seconds": float("inf")},
-            {"multiplier": 0.5},
-            {"multiplier": float("nan")},
         ],
     )
     def test_bad_policies_rejected(self, kwargs):
@@ -920,7 +1002,7 @@ class TestFrontendResilience:
             service,
             num_workers=1,
             faults=FaultInjector(seed=0, crash_rate=1.0),
-            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.5, multiplier=2.0),
+            retry=RetryPolicy(max_attempts=3, backoff_seconds=0.5),
             sleep=sleeps.append,
         )
         with frontend:

@@ -482,20 +482,22 @@ class TestCacheWarmer:
         assert warmer.notify_update() is False
         assert warmer.stats.read()["runs"] == 2
 
-    def test_warm_aborts_when_the_version_moves_mid_warm(self, world):
+    def test_warm_aborts_when_the_version_moves_mid_warm(self, world, monkeypatch):
         """A bump landing mid-warm makes the remaining replays pointless;
         the run stops, counts itself aborted, and stays re-warmable."""
         service = fresh_service(world)
         demand = self._demand_for(HOT_QUERIES)
         bumps = []
+        real_route = service.route
 
-        def bump_between_replays(seconds):
+        def route_then_bump(*args, **kwargs):
+            served = real_route(*args, **kwargs)
             if not bumps:
                 bumps.append(service.apply_cost_update(one_update(world)))
+            return served
 
-        warmer = CacheWarmer(
-            service, demand, yield_seconds=0.001, sleep=bump_between_replays
-        )
+        monkeypatch.setattr(service, "route", route_then_bump)
+        warmer = CacheWarmer(service, demand)
         attempted = warmer.warm()
         assert attempted == 1  # first replay ran, then the bump was seen
         counters = warmer.stats.read()
@@ -520,25 +522,29 @@ class TestCacheWarmer:
         assert warmer.warm() == 1  # the "other" entry is not replayed here
         assert warmer.stats.read()["warm_errors"] == 0
 
-    def test_concurrent_warm_pool_warms_everything(self, world):
-        service = fresh_service(world)
-        demand = self._demand_for(HOT_QUERIES)
-        warmer = CacheWarmer(service, demand, concurrency=3)
-        assert warmer.warm() == len(HOT_QUERIES)
-        counters = warmer.stats.read()
-        assert counters["warmed"] + counters["warm_hits"] == len(HOT_QUERIES)
-        for query in HOT_QUERIES:
-            assert service.route(query).cache_hit is True
-
-    def test_validation(self, world):
+    def test_warm_replays_at_most_the_top_256_shapes(self, world, monkeypatch):
+        """A warm replays the 256 hottest shapes, hottest first, on the
+        calling thread, and never the cold tail beyond them."""
         service = fresh_service(world)
         demand = DemandMatrix()
-        with pytest.raises(ValueError, match="top_k"):
-            CacheWarmer(service, demand, top_k=0)
-        with pytest.raises(ValueError, match="concurrency"):
-            CacheWarmer(service, demand, concurrency=0)
-        with pytest.raises(ValueError, match="yield_seconds"):
-            CacheWarmer(service, demand, yield_seconds=-0.1)
+        shapes = [(s, t, b) for s in range(25) for t in range(25) if s != t
+                  for b in (30, 40)][:300]
+        for rank, shape in enumerate(shapes):
+            demand.record(*shape, count=len(shapes) - rank)
+        replayed = []
+
+        def record_route(query, **kwargs):
+            assert threading.current_thread() is threading.main_thread()
+            replayed.append((query.source, query.target, query.budget))
+            return real_route(query, **kwargs)
+
+        real_route = service.route
+        monkeypatch.setattr(service, "route", record_route)
+        warmer = CacheWarmer(service, demand)
+        assert CacheWarmer.TOP_K == 256
+        assert warmer.warm() == 256
+        assert replayed == shapes[:256]
+        assert warmer.stats.read()["warmed"] + warmer.stats.read()["warm_hits"] == 256
 
 
 # ----------------------------------------------------------------------
@@ -774,8 +780,6 @@ class TestAsyncFrontend:
             AsyncFrontend(service, num_workers=0)
         with pytest.raises(ValueError, match="max_pending"):
             AsyncFrontend(service, max_pending=-1)
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            AsyncFrontend(service, pipeline_depth=0)
 
         async def bad_concurrency():
             async with AsyncFrontend(service) as frontend:

@@ -468,6 +468,21 @@ class TestDepartureTimeScenarios:
             reference = RoutingEngine(network, ConvolutionModel(table)).route(QUERY)
             assert_same_answer(served.result, reference, name)
 
+    def test_default_slice_is_the_first_table(self, world):
+        """The default slice follows the mapping's order, and a route that
+        names no slice is served from that table."""
+        network, model, _ = world
+        tables = time_sliced_cost_tables(network, model)
+        for names in (list(tables), list(reversed(tables))):
+            service = RoutingService.from_time_slices(
+                network, {name: tables[name] for name in names}
+            )
+            assert service.default_slice == names[0]
+            reference = RoutingEngine(
+                network, ConvolutionModel(tables[names[0]])
+            ).route(QUERY)
+            assert_same_answer(service.route(QUERY).result, reference, names[0])
+
     def test_schedule_must_only_name_known_slices(self, world):
         network, model, _ = world
         tables = time_sliced_cost_tables(

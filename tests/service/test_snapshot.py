@@ -207,6 +207,23 @@ class TestSnapshotRestore:
         assert served.result == warmed.result
         assert served.cost_version == warmed.cost_version
 
+    def test_every_dumped_entry_is_admitted(self):
+        """No admission bar stands between a dump and the successor's cache:
+        every entry comes back, and the successor dumps the same document."""
+        predecessor = fresh_service()
+        for query in QUERIES:
+            predecessor.route(query)
+            predecessor.route(query, strategy="kbest", k=2)
+        document = json_round_trip(predecessor.snapshot(include_cache=True))
+        assert len(document["cache"]) == 2 * len(QUERIES)
+
+        successor = fresh_service()
+        successor.restore(document)
+        assert successor.stats().cache_entries == 2 * len(QUERIES)
+        assert json_round_trip(successor.snapshot(include_cache=True)) == document
+        for query in QUERIES:
+            assert successor.route(query, strategy="kbest", k=2).cache_hit
+
     def test_cache_dump_warms_the_stale_rung_too(self):
         predecessor = fresh_service()
         warmed = predecessor.route(QUERY)
@@ -316,9 +333,10 @@ class TestRestoreRejections:
     def test_default_slice_must_match(self):
         tables = time_sliced_cost_tables(NETWORK, MODEL)
         predecessor = RoutingService.from_time_slices(NETWORK, tables)
-        successor = RoutingService.from_time_slices(
-            NETWORK, tables, default_slice="night"
-        )
+        night_first = {"night": tables["night"]}
+        night_first.update(tables)  # the same tables; the first is the default
+        successor = RoutingService.from_time_slices(NETWORK, night_first)
+        assert successor.default_slice == "night" != predecessor.default_slice
         with pytest.raises(ValueError, match="default slice"):
             successor.restore(predecessor.snapshot())
 

@@ -186,7 +186,6 @@ def service_stats(draw):
         cache_evictions=draw(counter),
         cache_expirations=draw(counter),
         cache_entries=draw(counter),
-        admission_skips=draw(counter),
         updates_applied=draw(counter),
         deadline_misses=draw(counter),
         served_degraded=draw(counter),
@@ -360,15 +359,38 @@ class TestKindTaggedRoundTrips:
 
     @given(service_stats())
     def test_service_stats_pre_ttl_documents_still_parse(self, stats):
-        """Documents recorded before the TTL/admission counters existed
-        must keep deserialising (the new fields default to zero)."""
+        """Documents recorded before the TTL counter existed must keep
+        deserialising (the new field defaults to zero)."""
         document = json_round_trip(stats.to_dict())
         del document["cache_expirations"]
-        del document["admission_skips"]
         restored = ServiceStats.from_dict(document)
         assert restored.cache_expirations == 0
-        assert restored.admission_skips == 0
         assert restored.cache_hits == stats.cache_hits
+
+    @given(service_stats(), st.integers(min_value=0, max_value=10**6))
+    def test_service_stats_with_admission_skips_still_parse(self, stats, skips):
+        """Documents written while the service had a cache admission policy
+        carry ``admission_skips`` after ``cache_entries``; the retired
+        counter is ignored and every other field reads back unchanged."""
+        written = json_round_trip(stats.to_dict())
+        document = {}
+        for name, value in written.items():
+            document[name] = value
+            if name == "cache_entries":
+                document["admission_skips"] = skips
+        assert ServiceStats.from_dict(document) == stats
+
+    def test_service_stats_key_order(self):
+        """The wire order of every key is the order before ``admission_skips``
+        was retired, with only that key gone."""
+        assert list(ServiceStats().to_dict()) == [
+            "kind", "requests", "cache_hits", "cache_misses", "cache_evictions",
+            "cache_expirations", "cache_entries", "updates_applied",
+            "deadline_misses", "served_degraded", "served_stale", "coalesced",
+            "breaker_trips", "incidents_activated", "incidents_cleared",
+            "incidents_pending", "incidents_active", "breakers", "hit_rate",
+            "strategies",
+        ]
 
     @given(service_stats())
     def test_service_stats_pre_resilience_documents_still_parse(self, stats):
