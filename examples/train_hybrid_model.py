@@ -8,7 +8,7 @@ through disk persistence.
 import tempfile
 from pathlib import Path
 
-from repro.core import PathCostComputer, load_hybrid, save_hybrid
+from repro.core import load_hybrid, path_cost, save_hybrid
 from repro.experiments import get_runner
 
 
@@ -41,8 +41,8 @@ def main() -> None:
             if e.target != route[-1].source
         ]
         route.append(options[0])
-    original = PathCostComputer(trained.hybrid_model()).cost(route)
-    restored = PathCostComputer(reloaded.hybrid_model()).cost(route)
+    original = path_cost(trained.hybrid_model(), route)
+    restored = path_cost(reloaded.hybrid_model(), route)
     print(f"persistence roundtrip exact: {original.allclose(restored)}")
 
 

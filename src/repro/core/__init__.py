@@ -16,7 +16,7 @@ from .models import (
     HybridModel,
     HybridStats,
 )
-from .path_cost import PathCostComputer
+from .path_cost import path_cost
 from .persistence import load_hybrid, save_hybrid
 from .training import (
     PairExample,
@@ -41,11 +41,11 @@ __all__ = [
     "IntersectionStats",
     "PairExample",
     "PairFeatureExtractor",
-    "PathCostComputer",
     "TrainedHybrid",
     "TrainingConfig",
     "TrainingReport",
     "load_hybrid",
+    "path_cost",
     "save_hybrid",
     "train_hybrid",
 ]

@@ -8,13 +8,12 @@ routes over the full network, not just the observed edges).
 
 from __future__ import annotations
 
-import math
-import numbers
 from typing import Any, Mapping
 
 from ..derived import Memo, rebind
 from ..histograms import DiscreteDistribution
 from ..network import Edge, RoadNetwork
+from ..scalars import require_integer, require_number
 from ..trajectories import TrajectoryStore
 
 __all__ = ["EdgeCostTable"]
@@ -117,12 +116,7 @@ class EdgeCostTable:
         feed typo would silently install histograms under keys routing
         never reads.
         """
-        if (
-            isinstance(edge_id, bool)
-            or not isinstance(edge_id, numbers.Integral)
-            or edge_id < 0
-        ):
-            raise IndexError(f"unknown edge id {edge_id!r}")
+        require_integer(edge_id, "unknown edge id", low=0, error=IndexError)
         self.network.edge(int(edge_id))  # raises IndexError beyond the edge list
 
     def set_cost(self, edge_id: int, distribution: DiscreteDistribution) -> None:
@@ -202,9 +196,10 @@ class EdgeCostTable:
     ) -> "EdgeCostTable":
         """Rebuild a table dumped by :meth:`to_dict` onto ``network``.
 
-        The histograms are installed verbatim (no renormalisation — floats
-        round-trip exactly through JSON) and the dumped version is restored
-        as-is, unlike :meth:`copy` which deliberately restarts at zero.
+        Each histogram passes :meth:`DiscreteDistribution.from_payload`
+        (floats round-trip exactly through JSON, so a dump restores bit for
+        bit) and the dumped version is restored as-is, unlike :meth:`copy`
+        which deliberately restarts at zero.
         """
         if data.get("kind") != "cost_table":
             raise ValueError(
@@ -215,15 +210,9 @@ class EdgeCostTable:
         for raw_id, payload in data["costs"].items():
             edge_id = int(raw_id)
             table._check_edge_id(edge_id)
-            costs[edge_id] = DiscreteDistribution(
-                int(payload["offset"]),
-                [float(p) for p in payload["probs"]],
-                normalize=False,
-            )
-        version = data["version"]
-        if isinstance(version, bool) or not isinstance(version, numbers.Integral):
-            raise ValueError(f"cost_table version must be an integer, got {version!r}")
-        table._versioned = (costs, int(version))
+            costs[edge_id] = DiscreteDistribution.from_payload(payload, f"edge {raw_id}")
+        version = require_integer(data["version"], "cost_table version must be an integer")
+        table._versioned = (costs, version)
         return table
 
     def decode(
@@ -284,9 +273,7 @@ class EdgeCostTable:
             raise ValueError(
                 f"anchor resolutions differ: {left.resolution} vs {right.resolution}"
             )
-        w = float(weight)
-        if not 0.0 <= w <= 1.0 or not math.isfinite(w):
-            raise ValueError(f"interpolation weight must be in [0, 1], got {weight!r}")
+        w = require_number(weight, "interpolation weight must be in [0, 1]", low=0, high=1)
         table = cls(left.network, resolution=left.resolution)
         edge_ids = set(left._table) | set(right._table)
         if not edge_ids:

@@ -397,11 +397,9 @@ def train_hybrid(
     # model's own recursive estimate (closing the train/inference gap of the
     # virtual-edge trick), then retrain estimator and classifier.
     for _ in range(config.refinement_rounds):
-        from .path_cost import PathCostComputer
+        from .path_cost import path_cost
 
-        recursion = PathCostComputer(
-            HybridModel(costs, estimator, classifier, extractor)
-        )
+        recursion = HybridModel(costs, estimator, classifier, extractor)
         recursive_examples = _virtual_examples(
             network,
             traffic_model,
@@ -411,7 +409,7 @@ def train_hybrid(
             count=config.num_virtual_examples,
             max_prepath=config.virtual_max_prepath,
             rng=rng,
-            pre_fn=recursion.cost,
+            pre_fn=lambda path: path_cost(recursion, path),
         )
         train_examples = train_examples + recursive_examples
         estimator = DistributionEstimator(config.estimator)

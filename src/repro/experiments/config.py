@@ -57,7 +57,7 @@ class ExperimentPreset:
     # corpus
     num_trips: int
     max_trip_edges: int
-    congestion: CongestionConfig = STRUCTURED_CONFIG
+    congestion = STRUCTURED_CONFIG  # not a field: every preset's ground truth
     # training
     training: TrainingConfig = field(default_factory=TrainingConfig)
     # workload

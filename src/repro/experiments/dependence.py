@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..trajectories import CongestionModel, TrajectoryStore, dependence_report
+from ..trajectories.statistics import ALPHA
 from .tables import format_percent, render_table
 
 __all__ = ["DependenceResult", "run_dependence_experiment"]
@@ -23,7 +24,6 @@ class DependenceResult:
     measured_fraction: float
     num_pairs_tested: int
     true_vertex_fraction: float
-    alpha: float
     min_samples: int
 
     def render(self) -> str:
@@ -35,7 +35,7 @@ class DependenceResult:
         return render_table(
             ["Statistic", "Value"],
             rows,
-            title=f"Edge-pair dependence (chi-square, alpha={self.alpha:g})",
+            title=f"Edge-pair dependence (chi-square, alpha={ALPHA:g})",
         )
 
 
@@ -44,14 +44,12 @@ def run_dependence_experiment(
     model: CongestionModel,
     *,
     min_samples: int = 30,
-    alpha: float = 0.05,
 ) -> DependenceResult:
     """Test every sufficiently observed pair for dependence."""
-    report = dependence_report(store, min_samples=min_samples, alpha=alpha)
+    report = dependence_report(store, min_samples=min_samples)
     return DependenceResult(
         measured_fraction=report.dependent_fraction,
         num_pairs_tested=report.num_pairs_tested,
         true_vertex_fraction=model.dependent_vertex_fraction(),
-        alpha=alpha,
         min_samples=min_samples,
     )

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 from ..core.models import CostCombiner
 from ..network import RoadNetwork
-from ..routing import PruningConfig, RoutingEngine
-from ._engines import require_matching_engine
+from ..routing import RoutingEngine
 from .config import DistanceBand
 from .tables import format_seconds, render_table
 from .workloads import BandedQuery
@@ -59,21 +58,20 @@ def run_efficiency_experiment(
     combiner: CostCombiner,
     workload: dict[DistanceBand, list[BandedQuery]],
     *,
-    pruning: PruningConfig | None = None,
     engine: RoutingEngine | None = None,
 ) -> EfficiencyTable:
     """Time the unbounded PBR search on every workload query.
 
     ``engine`` lets the orchestration runner supply its shared
     :class:`RoutingEngine` (warm caches); by default a fresh one is built
-    over ``(network, combiner, pruning)``.  A supplied engine must agree
-    with the explicit arguments — a mismatch would time one configuration
-    while the table claims another.
+    over ``(network, combiner)`` with full pruning.  A supplied engine
+    must agree with the explicit arguments — a mismatch would time one
+    configuration while the table claims another.
     """
     if engine is None:
-        engine = RoutingEngine(network, combiner, pruning=pruning)
-    else:
-        require_matching_engine(engine, network, combiner, pruning=pruning)
+        engine = RoutingEngine(network, combiner)
+    elif engine.network is not network or engine.combiner is not combiner:
+        raise ValueError("engine disagrees with the explicit network/combiner arguments")
     rows = []
     for band, queries in workload.items():
         seconds: list[float] = []

@@ -33,7 +33,6 @@ from ..core.models import CostCombiner
 from ..network import RoadNetwork
 from ..routing import RoutingEngine, RoutingResult, normalize_budgets
 from ..trajectories import CongestionModel
-from ._engines import require_matching_engine
 from .config import DistanceBand
 from .tables import format_percent, render_table
 from .workloads import BandedQuery
@@ -206,7 +205,6 @@ def run_budget_sweep_experiment(
     workload: dict[DistanceBand, list[BandedQuery]],
     *,
     factors: Sequence[float] = (1.1, 1.3, 1.6, 2.0),
-    engine: RoutingEngine | None = None,
 ) -> BudgetSweepTable:
     """Answer every workload query over a budget-factor vector at once.
 
@@ -218,10 +216,7 @@ def run_budget_sweep_experiment(
     factors = tuple(factors)
     if not factors or any(f <= 1.0 for f in factors):
         raise ValueError("budget factors must all exceed 1")
-    if engine is None:
-        engine = RoutingEngine(network, combiner)
-    else:
-        require_matching_engine(engine, network, combiner)
+    engine = RoutingEngine(network, combiner)
     rows = []
     for band, members in workload.items():
         sums = [0.0] * len(factors)

@@ -23,6 +23,8 @@ from .config import DistanceBand
 
 __all__ = ["BandedQuery", "WorkloadGenerator"]
 
+MAX_ATTEMPTS = 200  # sources tried per sample before a band counts one failure
+
 
 @dataclass(frozen=True)
 class BandedQuery:
@@ -53,8 +55,8 @@ class WorkloadGenerator:
         self._rng = np.random.default_rng(seed)
         self._vertex_ids = sorted(network.vertex_ids())
 
-    def _sample_one(self, band: DistanceBand, *, max_attempts: int = 200) -> BandedQuery | None:
-        for _ in range(max_attempts):
+    def _sample_one(self, band: DistanceBand) -> BandedQuery | None:
+        for _ in range(MAX_ATTEMPTS):
             source = int(self._rng.choice(self._vertex_ids))
             lengths, _ = dijkstra(
                 self.network, source, weight=lambda edge: edge.length
@@ -80,9 +82,7 @@ class WorkloadGenerator:
             )
         return None
 
-    def generate_band(
-        self, band: DistanceBand, count: int, *, max_attempts: int = 200
-    ) -> list[BandedQuery]:
+    def generate_band(self, band: DistanceBand, count: int) -> list[BandedQuery]:
         """``count`` queries in one band.
 
         Raises ``RuntimeError`` when the network simply does not contain OD
@@ -92,7 +92,7 @@ class WorkloadGenerator:
         out: list[BandedQuery] = []
         failures = 0
         while len(out) < count:
-            sample = self._sample_one(band, max_attempts=max_attempts)
+            sample = self._sample_one(band)
             if sample is None:
                 failures += 1
                 if failures >= 3:

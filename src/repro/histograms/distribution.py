@@ -34,6 +34,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..scalars import require_integer, require_number
+
 __all__ = ["DiscreteDistribution"]
 
 #: Probability mass below this threshold is treated as zero when trimming.
@@ -450,6 +452,36 @@ class DiscreteDistribution:
     def to_payload(self) -> dict:
         """The JSON-ready ``{offset, probs}`` form every wire document embeds."""
         return {"offset": self.offset, "probs": [float(p) for p in self.probs]}
+
+    @classmethod
+    def from_payload(cls, payload: object, what: str = "distribution") -> "DiscreteDistribution":
+        """The inverse of :meth:`to_payload`, and the one trust rule for it.
+
+        Every decoder of an ``{offset, probs}`` payload — result documents,
+        cost updates, incidents, snapshots, time plans — comes here.  The
+        offset must be a grid integer (not ``2.7``, ``true`` or ``"3"``),
+        the probabilities finite and non-negative, and their mass within
+        ``1e-6`` of 1: pruning is only sound over unit-mass histograms, so
+        a truncated payload is rejected, not repaired.  The vector is then
+        renormalised, a no-op within ``1e-9`` of unit mass, so
+        ``from_payload(d.to_payload())`` is bit-equal to ``d``.  Every
+        failure is a ``ValueError``.
+        """
+        if not isinstance(payload, Mapping) or not {"offset", "probs"} <= payload.keys():
+            raise ValueError(f"{what} must be an offset/probs mapping, got {payload!r}")
+        offset = require_integer(
+            payload["offset"], f"{what}: histogram offset must be a grid integer"
+        )
+        if not isinstance(payload["probs"], (list, tuple)):
+            raise ValueError(f"{what}: histogram probabilities must be a list, got {payload['probs']!r}")
+        probs = [
+            require_number(p, f"{what}: histogram probabilities must be finite and >= 0", low=0)
+            for p in payload["probs"]
+        ]
+        total = math.fsum(probs)
+        if not abs(total - 1.0) <= 1e-6:
+            raise ValueError(f"{what}: cost histogram mass is {total!r}, not 1")
+        return cls(offset, probs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiscreteDistribution):

@@ -14,7 +14,7 @@ candidate histograms and (b) the serving baseline (which also backstops
 edges the candidate never observed — published tables keep serving the old
 histogram there, so the comparison mirrors exactly what routing would see).
 The batch may publish only when the candidate beats the baseline by at
-least ``min_improvement`` nats on the fold mean *and* wins at least
+least :data:`MIN_IMPROVEMENT` nats on the fold mean *and* wins at least
 ``REQUIRED_WIN_FRACTION`` of the folds — a single lucky fold is not
 evidence.
 """
@@ -40,18 +40,17 @@ SMOOTHING = 1e-9
 #: The fraction of folds the candidate must win outright.
 REQUIRED_WIN_FRACTION = 0.5
 
+#: The margin, in nats of mean per-traversal log-likelihood, by which the
+#: candidate must beat the baseline: ``0.0`` publishes on any
+#: strict-or-equal improvement.
+MIN_IMPROVEMENT = 0.0
+
 
 @dataclass(frozen=True)
 class GateConfig:
-    """Quality-gate tuning parameters.
-
-    ``min_improvement`` is in nats of mean per-traversal log-likelihood —
-    ``0.0`` publishes on any strict-or-equal improvement, a positive value
-    demands a margin.
-    """
+    """Quality-gate tuning parameters."""
 
     folds: int = 4
-    min_improvement: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -217,7 +216,7 @@ class CrossValidationGate:
         wins = sum(1 for s in scores if s.improvement > 0)
         win_fraction = wins / len(scores)
         passed = (
-            candidate_mean - baseline_mean >= self.config.min_improvement
+            candidate_mean - baseline_mean >= MIN_IMPROVEMENT
             and win_fraction >= REQUIRED_WIN_FRACTION
         )
         return GateReport(

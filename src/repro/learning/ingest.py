@@ -37,6 +37,11 @@ from ..trajectories.types import EdgeTraversal
 
 __all__ = ["IngestConfig", "IngestResult", "TripIngestor"]
 
+#: Bound on the dedup signature cache: the oldest half is dropped on
+#: overflow, keeping memory proportional to the *active* OD set, not the
+#: corpus.
+MAX_CACHED_ROUTES = 10_000
+
 
 @dataclass(frozen=True)
 class IngestConfig:
@@ -46,19 +51,14 @@ class IngestConfig:
     square grid (nearest cell); two traces whose endpoints land in the same
     cell pair share one map-matching result.  The cell should be comparable to the GPS noise
     level — too small and nothing dedupes, too large and distinct OD pairs
-    alias.  ``0`` disables deduplication entirely.  ``max_cached_routes``
-    bounds the signature cache (oldest half is dropped on overflow, keeping
-    memory proportional to the *active* OD set, not the corpus).
+    alias.  ``0`` disables deduplication entirely.
     """
 
     dedup_cell_metres: float = 50.0
-    max_cached_routes: int = 10_000
 
     def __post_init__(self) -> None:
         if self.dedup_cell_metres < 0:
             raise ValueError("dedup_cell_metres must be >= 0 (0 disables dedup)")
-        if self.max_cached_routes < 1:
-            raise ValueError("max_cached_routes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class TripIngestor:
     def _remember(
         self, signature: tuple[int, int, int, int], edge_ids: tuple[int, ...]
     ) -> None:
-        if len(self._route_cache) >= self.config.max_cached_routes:
+        if len(self._route_cache) >= MAX_CACHED_ROUTES:
             # Drop the oldest half in one sweep — amortised O(1) per insert.
             survivors = list(self._route_cache.items())
             self._route_cache = dict(survivors[len(survivors) // 2 :])

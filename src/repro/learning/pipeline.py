@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 from ..service import RoutingService
 from ..trajectories import (
@@ -168,22 +168,13 @@ class LearningPipeline:
         matcher: HmmMapMatcher,
         *,
         config: PipelineConfig | None = None,
-        slice_names: Sequence[str] | None = None,
-        store: TrajectoryStore | None = None,
-        start_sequence: int = 1,
     ) -> None:
         self.config = config or PipelineConfig()
         self.service = service
         self.matcher = matcher
-        self.ingestor = TripIngestor(
-            matcher, store, config=self.config.ingest
-        )
-        self.publisher = CostPublisher(
-            service,
-            slice_names=slice_names,
-            source="learning",
-            start_sequence=start_sequence,
-        )
+        self.ingestor = TripIngestor(matcher, config=self.config.ingest)
+        # Publishes to the service's default slice, numbering from 1.
+        self.publisher = CostPublisher(service, source="learning")
         self._lock = threading.Lock()
         self._stats = LearningStats()
         self._trips_since_update = 0

@@ -27,6 +27,9 @@ __all__ = [
     "diamond_network",
 ]
 
+#: Metres between neighbouring vertices of a town grid.
+TOWN_SPACING = 220.0
+
 
 def _category_for_grid_line(index: int) -> RoadCategory:
     """Assign a road class to a grid row/column, arterials every 4th line."""
@@ -88,7 +91,6 @@ def denmark_like_network(
     num_towns: int = 4,
     town_rows: int = 8,
     town_cols: int = 8,
-    town_spacing: float = 220.0,
     intercity_distance: float = 4_000.0,
     seed: int = 0,
 ) -> RoadNetwork:
@@ -115,10 +117,10 @@ def denmark_like_network(
         base = next_vertex
         for r in range(town_rows):
             for c in range(town_cols):
-                x = cx + (c - town_cols / 2) * town_spacing
-                y = cy + (r - town_rows / 2) * town_spacing
-                x += float(rng.uniform(-0.1, 0.1)) * town_spacing
-                y += float(rng.uniform(-0.1, 0.1)) * town_spacing
+                x = cx + (c - town_cols / 2) * TOWN_SPACING
+                y = cy + (r - town_rows / 2) * TOWN_SPACING
+                x += float(rng.uniform(-0.1, 0.1)) * TOWN_SPACING
+                y += float(rng.uniform(-0.1, 0.1)) * TOWN_SPACING
                 network.add_vertex(next_vertex, x, y)
                 next_vertex += 1
         for r in range(town_rows):
@@ -185,20 +187,18 @@ def denmark_like_network(
     return network
 
 
-def two_edge_network(
-    *, length_first: float = 300.0, length_second: float = 500.0
-) -> RoadNetwork:
-    """The paper's motivating example topology: ``0 -> 1 -> 2``."""
+def two_edge_network() -> RoadNetwork:
+    """The paper's motivating example topology: ``0 -> 1 -> 2``, 300 m then 500 m."""
     network = RoadNetwork()
     network.add_vertex(0, 0.0, 0.0)
-    network.add_vertex(1, length_first, 0.0)
-    network.add_vertex(2, length_first + length_second, 0.0)
-    network.add_edge(0, 1, length=length_first)
-    network.add_edge(1, 2, length=length_second)
+    network.add_vertex(1, 300.0, 0.0)
+    network.add_vertex(2, 800.0, 0.0)
+    network.add_edge(0, 1, length=300.0)
+    network.add_edge(1, 2, length=500.0)
     return network
 
 
-def diamond_network(*, scale: float = 1_000.0) -> RoadNetwork:
+def diamond_network() -> RoadNetwork:
     """Two disjoint routes between a source and a destination.
 
     The minimal topology where the risk-averse path (P1) and the
@@ -207,9 +207,9 @@ def diamond_network(*, scale: float = 1_000.0) -> RoadNetwork:
     """
     network = RoadNetwork()
     network.add_vertex(0, 0.0, 0.0)
-    network.add_vertex(1, scale, scale / 2)
-    network.add_vertex(2, scale, -scale / 2)
-    network.add_vertex(3, 2 * scale, 0.0)
+    network.add_vertex(1, 1_000.0, 500.0)
+    network.add_vertex(2, 1_000.0, -500.0)
+    network.add_vertex(3, 2_000.0, 0.0)
     network.add_edge(0, 1, category=RoadCategory.SECONDARY)
     network.add_edge(1, 3, category=RoadCategory.SECONDARY)
     network.add_edge(0, 2, category=RoadCategory.PRIMARY)

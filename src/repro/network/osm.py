@@ -100,16 +100,17 @@ def read_osm(source: str | Path | IO[bytes]) -> RoadNetwork:
     return network
 
 
-def write_osm(network: RoadNetwork, destination: str | Path, *, lat0: float = 56.0, lon0: float = 10.0) -> None:
+def write_osm(network: RoadNetwork, destination: str | Path) -> None:
     """Serialise a network as OSM XML (inverse of :func:`read_osm`).
 
-    Planar coordinates are unprojected back to WGS84 around ``(lat0, lon0)``
-    (defaults sit in Denmark).  Each bidirectional vertex pair becomes two
+    Planar coordinates are unprojected back to WGS84 around a fixed
+    anchor in Denmark.  Each bidirectional vertex pair becomes two
     ``oneway=yes`` ways so the round trip is exact for any directed network.
     """
     import math
 
     root = ET.Element("osm", version="0.6", generator="repro")
+    lat0, lon0 = 56.0, 10.0
     cos_lat0 = math.cos(math.radians(lat0))
     for vertex in network.vertices():
         lat = lat0 + math.degrees(vertex.y / 6_371_000.0)

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 from ..core.models import CostCombiner
-from ..core.path_cost import PathCostComputer
+from ..core.path_cost import path_cost
 from ..network import Edge, RoadNetwork
 from ..network.paths import dijkstra, reconstruct_path
 from .query import RoutingQuery, RoutingResult, SearchStats
@@ -38,7 +38,7 @@ def expected_time_path(
     if query.target not in dist_map:
         return RoutingResult(query, (), None, 0.0, stats)
     path = tuple(reconstruct_path(parent, query.source, query.target))
-    distribution = PathCostComputer(combiner).cost(path)
+    distribution = path_cost(combiner, path)
     return RoutingResult(
         query, path, distribution, distribution.prob_within(query.budget), stats
     )
@@ -95,14 +95,13 @@ def exhaustive_best_path(
     Ties on probability are broken towards fewer edges, then lexicographic
     edge ids, so results are deterministic and comparable across runs.
     """
-    computer = PathCostComputer(combiner)
     best_path: list[Edge] | None = None
     best_probability = -1.0
     best_distribution = None
     paths = all_simple_paths(network, query.source, query.target, max_edges=max_edges)
     stats = SearchStats(labels_generated=len(paths))
     for path in sorted(paths, key=lambda p: (len(p), [e.id for e in p])):
-        distribution = computer.cost(path)
+        distribution = path_cost(combiner, path)
         probability = distribution.prob_within(query.budget)
         if probability > best_probability + 1e-12:
             best_path = path

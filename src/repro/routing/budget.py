@@ -527,9 +527,9 @@ class _BudgetSearch:
             )
         except ValueError:
             return None
-        from ..core.path_cost import PathCostComputer
+        from ..core.path_cost import path_cost
 
-        return tuple(path), PathCostComputer(self.combiner).cost(path)
+        return tuple(path), path_cost(self.combiner, path)
 
     def _budget_vector(
         self,
@@ -621,16 +621,10 @@ class _BudgetSearch:
         per budget to 2e-12.
 
         ``budgets`` must be ascending, unique, with ``budgets[-1] ==
-        query.budget`` (the engine's ``route_multi_budget`` helper constructs
-        both consistently).
+        query.budget``; the ``multi_budget`` strategy checks that
+        (:func:`~repro.routing.query.normalize_budgets`).
         """
         budgets = tuple(budgets)
-        if not budgets or any(
-            b <= a for a, b in zip(budgets, budgets[1:])
-        ):
-            raise ValueError("budgets must be non-empty and strictly ascending")
-        if budgets[-1] != query.budget:
-            raise ValueError("query.budget must equal max(budgets)")
         stats, results = self._budget_vector(
             query, budgets, time_limit_seconds, heuristic
         )
@@ -665,10 +659,9 @@ class _BudgetSearch:
         (see tests/routing/test_clip_boundary.py).
 
         With ``k == 1`` the answer's single route carries the same maximal
-        probability as :meth:`route`.
+        probability as :meth:`route`.  ``k >= 1`` is the ``kbest``
+        strategy's check.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
         policy = _KBestPivots(k, query.budget)
         stats, fallback = self._run(query, policy, time_limit_seconds, heuristic)
         # Stable sort: equal probabilities stay in arrival order.

@@ -38,13 +38,12 @@ See PERFORMANCE.md ("Engine API") for the cache-reuse contract.
 from __future__ import annotations
 
 import abc
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..core.models import CostCombiner
 from ..network import RoadNetwork
+from ..scalars import require_integer
 from .baselines import exhaustive_best_path, expected_time_path
 from .budget import PruningConfig, _BudgetSearch
 from .heuristics import OptimisticHeuristic
@@ -55,7 +54,8 @@ from .query import (
     RoutingQuery,
     RoutingResult,
     SearchStats,
-    departure_budgets,
+    check_time_limit,
+    depart_when_search,
     normalize_budgets,
     normalize_departures,
     result_from_dict,
@@ -115,23 +115,9 @@ class RoutingStrategy(abc.ABC):
         answer type exposing ``found``, ``stats`` and ``to_dict``).
         Returning ``None`` means "no answer" (e.g. a time limit expired
         before the strategy had anything) and is reported distinctly from a
-        found-nothing result by :class:`BatchResult`.
+        found-nothing result by :class:`BatchResult`.  ``time_limit_seconds``
+        arrives checked (:meth:`RoutingEngine.route`).
         """
-
-    def check_time_limit(self, time_limit_seconds: float | None) -> float | None:
-        """Validate the limit against this strategy's capabilities."""
-        if time_limit_seconds is None:
-            return None
-        if not self.supports_time_limit:
-            raise ValueError(
-                f"strategy {self.name!r} does not support time_limit_seconds"
-            )
-        # NaN/inf would pass a bare `<= 0` check and then never trip the
-        # search's wall-clock comparison — an unbounded run disguised as a
-        # bounded one.
-        if not math.isfinite(time_limit_seconds) or time_limit_seconds <= 0:
-            raise ValueError("time_limit_seconds must be a positive finite number")
-        return float(time_limit_seconds)
 
 
 _STRATEGIES: dict[str, type[RoutingStrategy]] = {}
@@ -189,9 +175,7 @@ class PBRStrategy(RoutingStrategy):
         heuristic: OptimisticHeuristic | None = None,
     ) -> RoutingResult:
         return engine._search.route(
-            query,
-            time_limit_seconds=self.check_time_limit(time_limit_seconds),
-            heuristic=heuristic,
+            query, time_limit_seconds=time_limit_seconds, heuristic=heuristic
         )
 
 
@@ -255,10 +239,7 @@ class MultiBudgetStrategy(RoutingStrategy):
                 "RoutingEngine.route_multi_budget to build both consistently"
             )
         return engine._search.route_multi_budget(
-            query,
-            budget_vector,
-            time_limit_seconds=self.check_time_limit(time_limit_seconds),
-            heuristic=heuristic,
+            query, budget_vector, time_limit_seconds=time_limit_seconds, heuristic=heuristic
         )
 
 
@@ -284,12 +265,10 @@ class KBestStrategy(RoutingStrategy):
     ) -> KBestResult:
         if k is None:
             raise ValueError("the 'kbest' strategy requires k=<positive int>")
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise ValueError(f"k must be a positive integer, got {k!r}")
         return engine._search.route_kbest(
             query,
-            int(k),
-            time_limit_seconds=self.check_time_limit(time_limit_seconds),
+            require_integer(k, "k must be a positive integer", low=1),
+            time_limit_seconds=time_limit_seconds,
             heuristic=heuristic,
         )
 
@@ -334,20 +313,15 @@ class DepartWhenStrategy(RoutingStrategy):
                 "departure_times=<seconds vector>"
             )
         departures = normalize_departures(departure_times)
-        limit = self.check_time_limit(time_limit_seconds)
-        if arrive_by_seconds is None:
-            budgets = (query.budget,) * len(departures)
-        else:
-            budgets = departure_budgets(
-                departures, arrive_by_seconds, engine.resolution
-            )
-        feasible = sorted({b for b in budgets if b >= 1})
-        if not feasible:
-            raise ValueError(
-                "every departure is at or past arrive_by_seconds; "
-                "nothing to search"
-            )
-        if feasible[-1] != query.budget:
+        budgets, feasible, search = depart_when_search(
+            query.source,
+            query.target,
+            departures,
+            query.budget if arrive_by_seconds is None else None,
+            arrive_by_seconds,
+            engine.resolution,
+        )
+        if search.budget != query.budget:
             raise ValueError(
                 "query.budget must equal the largest feasible departure "
                 "budget; use RoutingEngine.route_depart_when to build both "
@@ -355,8 +329,8 @@ class DepartWhenStrategy(RoutingStrategy):
             )
         multi = engine._search.route_multi_budget(
             query,
-            tuple(feasible),
-            time_limit_seconds=limit,
+            feasible,
+            time_limit_seconds=time_limit_seconds,
             heuristic=heuristic,
         )
         results = tuple(
@@ -385,7 +359,6 @@ class ExpectedTimeStrategy(RoutingStrategy):
         *,
         time_limit_seconds: float | None = None,
     ) -> RoutingResult:
-        self.check_time_limit(time_limit_seconds)
         return expected_time_path(engine.network, engine.combiner, query)
 
 
@@ -401,7 +374,6 @@ class OracleStrategy(RoutingStrategy):
         time_limit_seconds: float | None = None,
         max_edges: int = 12,
     ) -> RoutingResult:
-        self.check_time_limit(time_limit_seconds)
         return exhaustive_best_path(
             engine.network, engine.combiner, query, max_edges=max_edges
         )
@@ -638,11 +610,17 @@ class RoutingEngine:
         strategy-specific options (e.g. the oracle's ``max_edges``, the
         multi-budget vector ``budgets``, the k-best ``k``) pass through
         ``kwargs``.  ``None`` means the strategy declined to answer — a
-        different outcome than a result with ``found == False``.
+        different outcome than a result with ``found == False``.  The limit
+        is checked here, once, for every strategy.
         """
-        return self.strategy(strategy).route(
-            self, query, time_limit_seconds=time_limit_seconds, **kwargs
-        )
+        instance = self.strategy(strategy)
+        if time_limit_seconds is not None:
+            if not instance.supports_time_limit:
+                raise ValueError(
+                    f"strategy {strategy!r} does not support time_limit_seconds"
+                )
+            time_limit_seconds = check_time_limit(time_limit_seconds)
+        return instance.route(self, query, time_limit_seconds=time_limit_seconds, **kwargs)
 
     def route_multi_budget(
         self,
@@ -689,7 +667,6 @@ class RoutingEngine:
         *,
         budget: int | None = None,
         arrive_by_seconds: float | None = None,
-        time_limit_seconds: float | None = None,
     ) -> DepartWhenResult:
         """Best budget-reliability over a departure window, in one search.
 
@@ -701,29 +678,15 @@ class RoutingEngine:
         (budget 0, ``None`` result).  Raises when *no* departure is
         feasible — an empty search would answer nothing.
         """
-        if (budget is None) == (arrive_by_seconds is None):
-            raise ValueError(
-                "pass exactly one of budget= or arrive_by_seconds="
-            )
         departures = normalize_departures(departure_times)
-        if budget is not None:
-            query = RoutingQuery(source, target, budget)
-        else:
-            largest = max(
-                departure_budgets(departures, arrive_by_seconds, self.resolution)
-            )
-            if largest < 1:
-                raise ValueError(
-                    "every departure is at or past arrive_by_seconds; "
-                    "nothing to search"
-                )
-            query = RoutingQuery(source, target, largest)
+        _, _, query = depart_when_search(
+            source, target, departures, budget, arrive_by_seconds, self.resolution
+        )
         return self.route(
             query,
             strategy="depart_when",
             departure_times=departures,
             arrive_by_seconds=arrive_by_seconds,
-            time_limit_seconds=time_limit_seconds,
         )
 
     def route_many(
@@ -781,9 +744,7 @@ class RoutingEngine:
         built up front and shared by every run so the stream measures
         search time, not repeated reverse Dijkstras.
         """
-        limits = [float(limit) for limit in time_limits]
-        if any(not math.isfinite(limit) or limit <= 0 for limit in limits):
-            raise ValueError("route_stream time limits must be positive and finite")
+        limits = [check_time_limit(limit) for limit in time_limits]
         if any(b <= a for a, b in zip(limits, limits[1:])):
             raise ValueError(
                 "route_stream time limits must be strictly increasing; "

@@ -15,12 +15,12 @@ non-dominated routes.  All are JSON-serialisable via ``to_dict`` /
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..histograms import DOMINANCE_TOL, DiscreteDistribution
 from ..network import Edge, RoadNetwork
+from ..scalars import require_integer, require_number
 
 __all__ = [
     "MAX_BUDGET_TICKS",
@@ -30,8 +30,10 @@ __all__ = [
     "MultiBudgetResult",
     "KBestResult",
     "DepartWhenResult",
+    "NoFeasibleDeparture",
     "budget_ticks_for_departure",
-    "departure_budgets",
+    "check_time_limit",
+    "depart_when_search",
     "normalize_budgets",
     "normalize_departures",
     "result_from_dict",
@@ -52,15 +54,8 @@ def _as_grid_int(value: Any, name: str) -> int:
     a float budget is almost always a seconds value that belongs in
     :meth:`RoutingQuery.from_seconds` instead of silently truncating.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        message = f"{name} must be an integer, got {value!r}"
-        if name == "budget":
-            message += (
-                "; budgets in seconds go through "
-                "RoutingQuery.from_seconds(..., resolution=...)"
-            )
-        raise TypeError(message)
-    return int(value)
+    hint = " (budgets in seconds go through RoutingQuery.from_seconds)" if name == "budget" else ""
+    return require_integer(value, f"{name} must be an integer{hint}", error=TypeError)
 
 
 @dataclass(frozen=True)
@@ -111,17 +106,9 @@ class RoutingQuery:
         beyond the stated deadline — and sub-tick budgets are rejected
         rather than rounded up to a full tick the caller never granted.
         """
-        if not (isinstance(resolution, numbers.Real) and math.isfinite(resolution)):
-            raise ValueError(f"resolution must be a finite number, got {resolution!r}")
-        if resolution <= 0:
+        if require_number(resolution, "resolution must be a finite number") <= 0:
             raise ValueError("resolution must be positive seconds per tick")
-        if not (
-            isinstance(budget_seconds, numbers.Real) and math.isfinite(budget_seconds)
-        ):
-            raise ValueError(
-                f"budget_seconds must be a finite number, got {budget_seconds!r}"
-            )
-        if budget_seconds <= 0:
+        if require_number(budget_seconds, "budget_seconds must be a finite number") <= 0:
             raise ValueError("budget_seconds must be positive")
         # The 1e-9 relative slack absorbs float division noise so exact
         # multiples of the resolution land on their own tick.
@@ -175,17 +162,10 @@ def normalize_departures(departure_times: Iterable[Any]) -> tuple[float, ...]:
     """
     if isinstance(departure_times, (str, bytes)):
         raise TypeError("departure_times must be a sequence of seconds values")
-    values = []
-    for value in departure_times:
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)
-        ):
-            raise ValueError(
-                f"departure times must be finite numbers, got {value!r}"
-            )
-        values.append(float(value))
+    values = [
+        require_number(value, "departure times must be finite numbers")
+        for value in departure_times
+    ]
     if not values:
         raise ValueError("departure_times must contain at least one time")
     return tuple(sorted(set(values)))
@@ -212,27 +192,52 @@ def budget_ticks_for_departure(
     return max(0, ticks)
 
 
-def departure_budgets(
-    departures: Iterable[float], arrive_by_seconds: Any, resolution: float
-) -> tuple[int, ...]:
-    """Per-departure tick budgets toward one arrive-by deadline (0 = infeasible).
+class NoFeasibleDeparture(ValueError):
+    """Every departure of a window is at or past its arrive-by deadline."""
 
-    The single place the deadline is validated: engine, strategy and service
-    all derive their budget vectors here, so a non-finite, boolean or
-    non-numeric ``arrive_by_seconds`` is the same ``ValueError`` (a wire
-    ``bad_request``) on every entry point.
+
+def depart_when_search(
+    source: int, target: int, departures: tuple[float, ...],
+    budget: Any, arrive_by_seconds: Any, resolution: float,
+) -> tuple[tuple[int, ...], tuple[int, ...], "RoutingQuery"]:
+    """A departure window's budgets, its ascending feasible vector and its query.
+
+    Exactly one of ``budget`` (every departure gets it) or
+    ``arrive_by_seconds`` (each departure gets the window left until the
+    deadline, floored onto the grid; 0 marks an infeasible departure) must
+    be given.  The query carries the largest budget; when no departure is
+    feasible this raises :class:`NoFeasibleDeparture`.  Every ``depart_when``
+    entry point derives its search here, so a non-finite, boolean or
+    non-numeric deadline is the same ``ValueError`` (a wire ``bad_request``).
     """
-    if (
-        isinstance(arrive_by_seconds, bool)
-        or not isinstance(arrive_by_seconds, numbers.Real)
-        or not math.isfinite(arrive_by_seconds)
-    ):
-        raise ValueError(
-            f"arrive_by_seconds must be a finite number, got {arrive_by_seconds!r}"
-        )
-    return tuple(
+    if (budget is None) == (arrive_by_seconds is None):
+        raise ValueError("pass exactly one of budget= or arrive_by_seconds=")
+    if budget is not None:
+        query = RoutingQuery(source, target, budget)
+        return (query.budget,) * len(departures), (query.budget,), query
+    require_number(arrive_by_seconds, "arrive_by_seconds must be a finite number")
+    budgets = tuple(
         budget_ticks_for_departure(departure, arrive_by_seconds, resolution)
         for departure in departures
+    )
+    feasible = tuple(sorted({b for b in budgets if b >= 1}))
+    if not feasible:
+        raise NoFeasibleDeparture(
+            f"every departure is at or past arrive_by_seconds ({arrive_by_seconds!r}); "
+            "nothing to search"
+        )
+    return budgets, feasible, RoutingQuery(source, target, feasible[-1])
+
+
+def check_time_limit(time_limit_seconds: Any) -> float:
+    """A wall-clock search limit: a positive finite number of seconds.
+
+    NaN or infinity would never trip the search's clock, and ``True`` would
+    pass for one second; ``None`` (no limit) is the caller's to skip.
+    """
+    return require_number(
+        time_limit_seconds, "time_limit_seconds must be a positive finite number",
+        low=0, open_low=True,
     )
 
 
@@ -349,17 +354,12 @@ class RoutingResult:
     ) -> "RoutingResult":
         """Rebuild a result against ``network`` (edge ids -> edges)."""
         dist_data = data.get("distribution")
-        distribution = (
-            None
-            if dist_data is None
-            else DiscreteDistribution(
-                dist_data["offset"], dist_data["probs"], normalize=False
-            )
-        )
         return cls(
             query=RoutingQuery.from_dict(data["query"]),
             path=tuple(network.edge(edge_id) for edge_id in data["path"]),
-            distribution=distribution,
+            distribution=(
+                None if dist_data is None else DiscreteDistribution.from_payload(dist_data)
+            ),
             probability=float(data["probability"]),
             stats=SearchStats.from_dict(data.get("stats", {})),
         )

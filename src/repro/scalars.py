@@ -1,0 +1,73 @@
+"""What counts as a real number, written once.
+
+Every number that crosses a trust boundary — a wire field, a
+configuration knob, a search input, a histogram offset — goes through
+:func:`require_number` or :func:`require_integer` over the :func:`is_real`
+predicate.  The module imports nothing from the package, so the
+histogram, core, routing and service layers all share it.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+from typing import Any
+
+__all__ = ["is_real", "require_integer", "require_number"]
+
+
+def is_real(value: Any) -> bool:
+    """Whether ``value`` is a real scalar — numpy scalars yes, ``bool`` no.
+
+    ``True`` is an ``int`` to Python, so an unguarded ``float(...)`` turns
+    a JSON ``true`` into a legal-looking ``1.0``; every number crossing
+    the trust boundary is checked here first.
+    """
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def require_number(
+    value: Any,
+    expected: str,
+    *,
+    low: float = -math.inf,
+    high: float = math.inf,
+    open_low: bool = False,
+    finite: bool = True,
+    error: type[Exception] = ValueError,
+) -> float:
+    """``float(value)``, or raise ``error(f"{expected}, got {value!r}")``.
+
+    Accepts a real, non-bool, non-NaN scalar within ``[low, high]``
+    (``(low, high]`` with ``open_low``); ``finite=False`` admits the
+    infinities as well.  NaN needs no branch of its own: it fails every
+    comparison, so it can never satisfy the bounds.
+    """
+    if (
+        not is_real(value)
+        or not (low < value <= high if open_low else low <= value <= high)
+        or (finite and math.isinf(value))
+    ):
+        raise error(f"{expected}, got {value!r}")
+    return float(value)
+
+
+def require_integer(
+    value: Any,
+    expected: str,
+    *,
+    low: float = -math.inf,
+    error: type[Exception] = ValueError,
+) -> int:
+    """``int(value)``, or raise ``error(f"{expected}, got {value!r}")``.
+
+    The integer form of :func:`require_number`: an integral, non-bool
+    scalar (numpy integers normalise to plain ints), at least ``low``.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < low
+    ):
+        raise error(f"{expected}, got {value!r}")
+    return int(value)

@@ -32,7 +32,7 @@ import threading
 import time
 from typing import Any, Callable, Hashable, Mapping
 
-from .errors import require_integer, require_number
+from ..scalars import require_integer, require_number
 
 __all__ = ["ResultCache", "check_ttl_seconds", "freeze_kwargs"]
 

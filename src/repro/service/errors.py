@@ -23,17 +23,14 @@ The codes are part of the wire contract (tests pin them); the exception
 string-matching.
 
 The rest of the trust boundary lives here too, once each: the error
-document shape (:func:`error_document`), JSON-line parsing
-(:func:`decode_request`), and the scalar validator every configuration
-knob and wire number goes through (:func:`require_number` /
-:func:`require_integer` over the :func:`is_real` predicate).
+document shape (:func:`error_document`) and JSON-line parsing
+(:func:`decode_request`).  The scalar validators every configuration knob
+and wire number goes through live in :mod:`repro.scalars`.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from typing import Any, Mapping
 
 __all__ = [
@@ -43,9 +40,6 @@ __all__ = [
     "decode_request",
     "error_document",
     "error_kind",
-    "is_real",
-    "require_integer",
-    "require_number",
 ]
 
 
@@ -121,60 +115,3 @@ def decode_request(line: str) -> Mapping[str, Any]:
     if not isinstance(request, Mapping):
         raise TypeError("request must be an object")
     return request
-
-
-def is_real(value: Any) -> bool:
-    """Whether ``value`` is a real scalar — numpy scalars yes, ``bool`` no.
-
-    ``True`` is an ``int`` to Python, so an unguarded ``float(...)`` turns
-    a JSON ``true`` into a legal-looking ``1.0``; every number crossing
-    the trust boundary is checked here first.
-    """
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def require_number(
-    value: Any,
-    expected: str,
-    *,
-    low: float = -math.inf,
-    high: float = math.inf,
-    open_low: bool = False,
-    finite: bool = True,
-    error: type[Exception] = ValueError,
-) -> float:
-    """``float(value)``, or raise ``error(f"{expected}, got {value!r}")``.
-
-    Accepts a real, non-bool, non-NaN scalar within ``[low, high]``
-    (``(low, high]`` with ``open_low``); ``finite=False`` admits the
-    infinities as well.  NaN needs no branch of its own: it fails every
-    comparison, so it can never satisfy the bounds.
-    """
-    if (
-        not is_real(value)
-        or not (low < value <= high if open_low else low <= value <= high)
-        or (finite and math.isinf(value))
-    ):
-        raise error(f"{expected}, got {value!r}")
-    return float(value)
-
-
-def require_integer(
-    value: Any,
-    expected: str,
-    *,
-    low: float = -math.inf,
-    error: type[Exception] = ValueError,
-) -> int:
-    """``int(value)``, or raise ``error(f"{expected}, got {value!r}")``.
-
-    The integer form of :func:`require_number`: an integral, non-bool
-    scalar (numpy integers normalise to plain ints), at least ``low``.
-    """
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Integral)
-        or value < low
-    ):
-        raise error(f"{expected}, got {value!r}")
-    return int(value)

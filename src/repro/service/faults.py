@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from .errors import require_integer, require_number
+from ..scalars import require_integer, require_number
 
 __all__ = ["CircuitBreaker", "FaultInjector", "InjectedFault", "RetryPolicy"]
 

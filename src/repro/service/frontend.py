@@ -35,7 +35,8 @@ from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any
 
-from .errors import FrontendClosedError, error_document, is_real, require_integer
+from ..scalars import is_real, require_integer
+from .errors import FrontendClosedError, error_document
 from .faults import FaultInjector, RetryPolicy
 from .service import RoutingService
 from .sync import Counters

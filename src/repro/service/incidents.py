@@ -27,8 +27,7 @@ from typing import Any, Callable, Mapping
 
 from ..core.costs import EdgeCostTable
 from ..histograms import DiscreteDistribution
-from .errors import require_number
-from .scenarios import _distribution_from_payload
+from ..scalars import require_number
 from .updates import ScheduledIncident
 
 __all__ = ["ActiveIncident", "IncidentController", "IncidentState"]
@@ -224,7 +223,7 @@ class IncidentController:
             targets = self._resolve(replace(incident, slices=tuple(entry["targets"])))
             preimages = {
                 name: {
-                    int(edge_id): _distribution_from_payload(
+                    int(edge_id): DiscreteDistribution.from_payload(
                         payload, f"incident {iid!r} preimage for edge {edge_id}"
                     )
                     for edge_id, payload in mapping.items()

@@ -37,11 +37,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from ..routing import RoutingQuery
+from ..scalars import require_integer
 from .errors import (
     FrontendClosedError,
     decode_request,
     error_document,
-    require_integer,
 )
 from .frontend import FrontendCore
 from .service import RoutingService

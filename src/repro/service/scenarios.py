@@ -34,13 +34,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..core.costs import EdgeCostTable
 from ..histograms import DiscreteDistribution
 from ..network import RoadNetwork
 from ..trajectories import CongestionModel
-from .errors import is_real, require_integer, require_number
+from ..scalars import is_real, require_integer, require_number
 
 __all__ = [
     "DAY_SECONDS",
@@ -63,20 +63,6 @@ DEFAULT_SLICE_WEIGHTS: Mapping[str, tuple[float, ...]] = {
     "off_peak": (0.6, 0.3, 0.1),
     "night": (0.92, 0.07, 0.01),
 }
-
-
-def _require_finite_number(value: Any, what: str) -> float:
-    """Validate a wire-supplied number: a real, finite, non-bool scalar.
-
-    Raises ``ValueError`` (mapped to ``bad_request`` by the service error
-    taxonomy) instead of letting ``float(...)`` surface a ``TypeError``
-    with no context, or NaN slip through comparisons silently.  Two
-    messages: "must be a number" for a non-number, "must be finite" for
-    NaN and the infinities.
-    """
-    if not is_real(value):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return require_number(value, f"{what} must be finite")
 
 
 @dataclass(frozen=True)
@@ -243,8 +229,8 @@ class ScenarioSchedule:
                     f"slices[{index}]: 'name' must be a non-empty string, "
                     f"got {name!r}"
                 )
-            start = _require_finite_number(item.get("start"), f"slices[{index}].start")
-            end = _require_finite_number(item.get("end"), f"slices[{index}].end")
+            start = require_number(item.get("start"), f"slices[{index}].start must be a finite number")
+            end = require_number(item.get("end"), f"slices[{index}].end must be a finite number")
             members.append(TimeSlice(name, start, end))
         return cls(members)
 
@@ -258,20 +244,6 @@ class ScenarioSchedule:
             f"{s.name}[{s.start / 3600:g}h,{s.end / 3600:g}h)" for s in self.slices
         )
         return f"ScenarioSchedule({parts})"
-
-
-def _distribution_from_payload(payload: Any, what: str) -> DiscreteDistribution:
-    if not isinstance(payload, Mapping):
-        raise ValueError(f"{what} must be an offset/probs mapping")
-    try:
-        offset = int(payload["offset"])
-        probs = [float(p) for p in payload["probs"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{what} has a malformed histogram payload: {exc}") from exc
-    dist = DiscreteDistribution(offset, probs, normalize=False)
-    if abs(sum(dist.probs) - 1.0) > 1e-6:
-        raise ValueError(f"{what} histogram mass must sum to 1")
-    return dist
 
 
 @dataclass(frozen=True)
@@ -308,8 +280,8 @@ class TimePlan:
     def __post_init__(self) -> None:
         node = require_integer(self.node, "time plan node must be an integer")
         object.__setattr__(self, "node", node)
-        start = _require_finite_number(self.start, "time plan start")
-        end = _require_finite_number(self.end, "time plan end")
+        start = require_number(self.start, "time plan start must be a finite number")
+        end = require_number(self.end, "time plan end must be a finite number")
         if not 0 <= start < end <= DAY_SECONDS:
             raise ValueError(
                 f"time plan window must satisfy 0 <= start < end <= "
@@ -410,7 +382,7 @@ class TimePlan:
         if not isinstance(raw, Mapping):
             raise ValueError("time plan document needs an 'approach_delays' mapping")
         delays = {
-            int(edge_id): _distribution_from_payload(
+            int(edge_id): DiscreteDistribution.from_payload(
                 payload, f"approach_delays[{edge_id}]"
             )
             for edge_id, payload in raw.items()
@@ -503,7 +475,9 @@ class TemporalCostProfile:
         )
         if interpolation_points < 0:
             raise ValueError("interpolation_points must be >= 0")
-        transition = _require_finite_number(transition_seconds, "transition_seconds")
+        transition = require_number(
+            transition_seconds, "transition_seconds must be a finite number"
+        )
         if transition <= 0:
             raise ValueError("transition_seconds must be positive")
         tables = dict(anchor_tables)
@@ -702,12 +676,10 @@ class TemporalCostProfile:
         fan-out helper scheduled incidents use to hit every table a
         departure inside their active window could resolve to.
         """
-        start = _require_finite_number(start, "window start")
-        if not is_real(end):
-            raise ValueError(f"window end must be a number, got {end!r}")
-        end = float(end)
-        if math.isnan(end) or end <= start:
-            raise ValueError(f"window end must exceed start, got [{start}, {end})")
+        start = require_number(start, "window start must be a finite number")
+        end = require_number(
+            end, "window end must exceed start", low=start, open_low=True, finite=False
+        )
         if end - start >= DAY_SECONDS:
             return tuple(
                 dict.fromkeys(s.name for s in self._expanded.slices)

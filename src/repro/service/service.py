@@ -49,16 +49,10 @@ from ..routing import (
     normalize_departures,
     result_from_dict,
 )
-from ..routing.query import departure_budgets
+from ..routing.query import NoFeasibleDeparture, check_time_limit, depart_when_search
+from ..scalars import require_integer, require_number
 from .cache import ResultCache, check_ttl_seconds, freeze_kwargs
-from .errors import (
-    DeadlineExceededError,
-    NoRouteError,
-    decode_request,
-    error_document,
-    require_integer,
-    require_number,
-)
+from .errors import DeadlineExceededError, NoRouteError, decode_request, error_document
 from .faults import CircuitBreaker
 from .incidents import IncidentController
 from .scenarios import ScenarioSchedule, TemporalCostProfile
@@ -907,10 +901,6 @@ class RoutingService:
                 "depart_when needs a ScenarioSchedule; construct the service "
                 "with schedule=... or use from_time_slices"
             )
-        if (budget is None) == (arrive_by_seconds is None):
-            raise ValueError(
-                "exactly one of budget or arrive_by_seconds must be given"
-            )
         departures = normalize_departures(departure_times)
         groups: dict[str, list[float]] = {}
         for departure in departures:
@@ -921,28 +911,29 @@ class RoutingService:
         served_parts: list[tuple[str, ServedResult]] = []
         for name, group in groups.items():
             name = self._resolve_slice(name)
-            if arrive_by_seconds is not None:
-                largest = max(
-                    departure_budgets(
-                        group, arrive_by_seconds, self._engines[name].resolution
+            try:
+                _, _, group_query = depart_when_search(
+                    source,
+                    target,
+                    tuple(group),
+                    budget,
+                    arrive_by_seconds,
+                    self._engines[name].resolution,
+                )
+            except NoFeasibleDeparture as error:
+                # The whole regime is past the deadline: synthesise the
+                # all-infeasible fragment locally, no search to run.
+                infeasible = error
+                parts.append(
+                    DepartWhenResult(
+                        query=RoutingQuery(source, target, 1),
+                        departures=tuple(group),
+                        budgets=(0,) * len(group),
+                        results=(None,) * len(group),
+                        arrive_by_seconds=float(arrive_by_seconds),
                     )
                 )
-                if largest < 1:
-                    # The whole regime is past the deadline: synthesise the
-                    # all-infeasible fragment locally, no search to run.
-                    parts.append(
-                        DepartWhenResult(
-                            query=RoutingQuery(source, target, 1),
-                            departures=tuple(group),
-                            budgets=(0,) * len(group),
-                            results=(None,) * len(group),
-                            arrive_by_seconds=float(arrive_by_seconds),
-                        )
-                    )
-                    continue
-                group_query = RoutingQuery(source, target, largest)
-            else:
-                group_query = RoutingQuery(source, target, budget)
+                continue
             served = self.route(
                 group_query,
                 strategy="depart_when",
@@ -958,10 +949,7 @@ class RoutingService:
             parts.append(served.result)
             served_parts.append((name, served))
         if not served_parts:
-            raise ValueError(
-                "every departure is at or past arrive_by_seconds "
-                f"({arrive_by_seconds!r}); nothing to optimise"
-            )
+            raise infeasible
         merged = DepartWhenResult.merge(parts)
         # Tag the answer with the regime that produced the winning
         # departure (first searched regime when nothing routes anywhere).
@@ -1651,7 +1639,8 @@ class RoutingService:
         name = self._resolve_slice(slice_name)
         self._engines[name].strategy(strategy)
         ttl = check_ttl_seconds(cache_ttl_seconds, name="cache_ttl_seconds")
-        time_limit_seconds = self._check_time_limit(time_limit_seconds)
+        if time_limit_seconds is not None:
+            time_limit_seconds = check_time_limit(time_limit_seconds)
         deadline_at = self._deadline_at(deadline_seconds)
         try:
             extras = None if time_limit_seconds is not None else freeze_kwargs(kwargs)
@@ -1675,22 +1664,6 @@ class RoutingService:
             return version, None, None
         key = (name, strategy, query.source, query.target, query.budget, extras, version)
         return version, key, get(key)
-
-    @staticmethod
-    def _check_time_limit(time_limit_seconds: float | None) -> float | None:
-        """Validate a wall-clock search limit (``None`` = unlimited).
-
-        The engine applies the same rule, but only after ``True`` has
-        passed for ``1.0`` — wire input is checked before it gets there.
-        """
-        if time_limit_seconds is None:
-            return None
-        return require_number(
-            time_limit_seconds,
-            "time_limit_seconds must be a positive finite number",
-            low=0,
-            open_low=True,
-        )
 
     def _deadline_at(self, deadline_seconds: float | None) -> float | None:
         """The service-clock instant a request's deadline expires at.

@@ -31,7 +31,7 @@ from typing import Any, Mapping, Sequence
 from ..histograms import DiscreteDistribution
 from ..network import Edge
 from ..trajectories import CongestionModel
-from .errors import is_real, require_integer, require_number
+from ..scalars import require_integer, require_number
 
 __all__ = ["CostUpdate", "ScheduledIncident"]
 
@@ -137,26 +137,17 @@ class CostUpdate:
         trust boundary: a histogram whose mass is not 1 (a truncated or
         hand-built payload) would be hot-swapped into the live table and
         silently deflate every probability routed over that edge.  Such
-        payloads are rejected here, not repaired.
+        payloads are rejected (:meth:`DiscreteDistribution.from_payload`),
+        not repaired.
         """
         raw = data["costs"]
         if not isinstance(raw, Mapping):
             raise ValueError("update 'costs' must be a mapping")
-        costs: dict[int, DiscreteDistribution] = {}
-        for edge_id, payload in raw.items():
-            offset = require_integer(
-                payload["offset"],
-                f"edge {edge_id}: histogram offset must be a grid integer",
-            )
-            probs = [float(p) for p in payload["probs"]]
-            total = math.fsum(probs)
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(
-                    f"edge {edge_id}: cost histogram mass is {total!r}, not 1"
-                )
-            costs[int(edge_id)] = DiscreteDistribution(offset, probs)
         return cls(
-            costs=costs,
+            costs={
+                int(edge_id): DiscreteDistribution.from_payload(payload, f"edge {edge_id}")
+                for edge_id, payload in raw.items()
+            },
             slice_name=data.get("slice"),
             source=data.get("source", "feed"),
             # Absent in pre-resilience documents: default to unnumbered.
@@ -200,19 +191,10 @@ class ScheduledIncident:
             raise ValueError(
                 f"incident_id must be a non-empty string, got {self.incident_id!r}"
             )
-        for label, value in (("start_time", self.start_time), ("end_time", self.end_time)):
-            if not is_real(value):
-                raise ValueError(f"{label} must be a number, got {value!r}")
-        start = float(self.start_time)
-        end = float(self.end_time)
-        if math.isnan(start) or math.isinf(start) or start < 0:
-            raise ValueError(
-                f"start_time must be finite and >= 0, got {self.start_time!r}"
-            )
-        if math.isnan(end) or end <= start:
-            raise ValueError(
-                f"end_time must exceed start_time, got [{start}, {end})"
-            )
+        start = require_number(self.start_time, "start_time must be finite and >= 0", low=0)
+        end = require_number(
+            self.end_time, "end_time must exceed start_time", low=start, open_low=True, finite=False
+        )
         object.__setattr__(self, "start_time", start)
         object.__setattr__(self, "end_time", end)
         if (self.costs is None) == (self.scale is None):

@@ -20,6 +20,9 @@ from .types import GpsPoint, GpsTrajectory, MatchedTrajectory
 
 __all__ = ["TripConfig", "TripGenerator", "emit_gps"]
 
+#: OD draws allowed per requested trip before :meth:`TripGenerator.generate` gives up.
+MAX_ATTEMPTS_FACTOR = 20
+
 
 @dataclass(frozen=True)
 class TripConfig:
@@ -87,18 +90,17 @@ class TripGenerator:
         self._next_id += 1
         return trip
 
-    def generate(self, num_trips: int, *, max_attempts_factor: int = 20) -> Iterator[MatchedTrajectory]:
+    def generate(self, num_trips: int) -> Iterator[MatchedTrajectory]:
         """Yield ``num_trips`` trips (skipping rejected OD draws).
 
         Raises ``RuntimeError`` when the rejection rate is so high that
-        ``num_trips * max_attempts_factor`` draws do not suffice — a sign the
+        ``num_trips * MAX_ATTEMPTS_FACTOR`` draws do not suffice — a sign the
         network or config is degenerate, better surfaced than looped forever.
         """
         produced = 0
         attempts = 0
-        budget = num_trips * max_attempts_factor
         while produced < num_trips:
-            if attempts >= budget:
+            if attempts >= num_trips * MAX_ATTEMPTS_FACTOR:
                 raise RuntimeError(
                     f"only generated {produced}/{num_trips} trips in {attempts} attempts"
                 )

@@ -21,6 +21,9 @@ __all__ = [
     "DependenceReport",
 ]
 
+#: Significance level of the chi-square independence test.
+ALPHA = 0.05
+
 
 @dataclass(frozen=True)
 class PairDependence:
@@ -32,9 +35,9 @@ class PairDependence:
     p_value: float
     mutual_information: float
 
-    def is_dependent(self, *, alpha: float = 0.05) -> bool:
-        """Reject independence at significance level ``alpha``."""
-        return self.p_value < alpha
+    def is_dependent(self) -> bool:
+        """Reject independence at significance level :data:`ALPHA`."""
+        return self.p_value < ALPHA
 
 
 def pair_dependence(
@@ -62,7 +65,6 @@ class DependenceReport:
 
     num_pairs_tested: int
     num_dependent: int
-    alpha: float
     min_samples: int
 
     @property
@@ -77,18 +79,16 @@ def dependence_report(
     store: TrajectoryStore,
     *,
     min_samples: int = 30,
-    alpha: float = 0.05,
 ) -> DependenceReport:
     """Test every pair with >= ``min_samples`` observations for dependence."""
     keys = store.pair_keys_with_data(min_samples=min_samples)
     dependent = 0
     for key in keys:
         result = pair_dependence(store, key, min_samples=min_samples)
-        if result.is_dependent(alpha=alpha):
+        if result.is_dependent():
             dependent += 1
     return DependenceReport(
         num_pairs_tested=len(keys),
         num_dependent=dependent,
-        alpha=alpha,
         min_samples=min_samples,
     )

@@ -28,7 +28,7 @@ from repro.core import (
     DependenceClassifier,
     HybridModel,
     HybridStats,
-    PathCostComputer,
+    path_cost,
 )
 from repro.histograms import from_delay_profile
 from repro.ml import LogisticRegression
@@ -119,12 +119,11 @@ def pres(world):
     hybrid-recursed, from short and long walks."""
     network, trained = world
     rng = np.random.default_rng(11)
-    folds = [PathCostComputer(trained.convolution_model()),
-             PathCostComputer(trained.hybrid_model())]
+    folds = [trained.convolution_model(), trained.hybrid_model()]
     out = []
     for i in range(8):
         vertex = int(rng.integers(network.num_vertices))
-        out.append(folds[i % 2].cost(pre_path_into(network, vertex, rng)))
+        out.append(path_cost(folds[i % 2], pre_path_into(network, vertex, rng)))
     return out
 
 
@@ -263,7 +262,7 @@ class TestBlockParity:
         expected = [0, 0]  # convolutions, estimations
         for vertex in sorted(network.vertex_ids()):
             for _ in range(2):
-                pre = PathCostComputer(hybrid).cost(pre_path_into(network, vertex, rng))
+                pre = path_cost(hybrid, pre_path_into(network, vertex, rng))
                 hybrid.stats.reset()
                 edges = network.out_edges(vertex)
                 block = hybrid.combine_edges(pre, edges)

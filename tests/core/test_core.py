@@ -16,7 +16,7 @@ from repro.core import (
     HybridModel,
     IntersectionStats,
     PairFeatureExtractor,
-    PathCostComputer,
+    path_cost,
 )
 from repro.histograms import DiscreteDistribution
 from repro.ml import MlpConfig
@@ -305,7 +305,6 @@ class TestCombinersAndPathCost:
 
     def test_path_cost_matches_manual_fold(self, net, costs):
         conv = ConvolutionModel(costs)
-        computer = PathCostComputer(conv)
         route = [net.edges[0]]
         for _ in range(3):
             options = [
@@ -316,31 +315,17 @@ class TestCombinersAndPathCost:
         manual = costs.cost(route[0])
         for edge in route[1:]:
             manual = manual.convolve(costs.cost(edge))
-        assert computer.cost(route).allclose(manual)
-
-    def test_prefix_costs_last_equals_cost(self, net, costs):
-        conv = ConvolutionModel(costs)
-        computer = PathCostComputer(conv)
-        route = net.path_edges([0, 1, 2])
-        prefixes = list(computer.prefix_costs(route))
-        assert len(prefixes) == 2
-        assert prefixes[-1].allclose(computer.cost(route))
-
-    def test_truncation_bounds_support(self, net, costs):
-        conv = ConvolutionModel(costs)
-        computer = PathCostComputer(conv, max_support=4)
-        route = net.path_edges([0, 1, 2, 3, 4])
-        assert computer.cost(route).support_size <= 4
+        assert path_cost(conv, route).allclose(manual)
 
     def test_empty_path_raises(self, net, costs):
         with pytest.raises(ValueError):
-            PathCostComputer(ConvolutionModel(costs)).cost([])
+            path_cost(ConvolutionModel(costs), [])
 
     def test_disconnected_path_raises(self, net, costs):
         e1 = net.edges[0]
         e2 = next(e for e in net.edges if e.source != e1.target)
         with pytest.raises(ValueError):
-            PathCostComputer(ConvolutionModel(costs)).cost([e1, e2])
+            path_cost(ConvolutionModel(costs), [e1, e2])
 
     def test_hybrid_records_decisions(self, net, costs):
         # constant-estimate classifier and a trivially fitted estimator
@@ -356,7 +341,7 @@ class TestCombinersAndPathCost:
         )
         hybrid = HybridModel(costs, est, clf, extractor)
         route = net.path_edges([0, 1, 2])
-        PathCostComputer(hybrid).cost(route)
+        path_cost(hybrid, route)
         assert hybrid.stats.estimations == 1
         assert hybrid.stats.convolutions == 0
         assert hybrid.stats.estimation_fraction == 1.0

@@ -171,20 +171,6 @@ class TestEngineConsistency:
         with pytest.raises(ValueError, match="disagrees"):
             run_efficiency_experiment(net, other, workload, engine=engine)
 
-    def test_efficiency_rejects_mismatched_pruning(self, world):
-        from repro.experiments import run_efficiency_experiment
-        from repro.routing import PruningConfig
-
-        net, combiner, workload, engine = world
-        with pytest.raises(ValueError, match="disagrees"):
-            run_efficiency_experiment(
-                net,
-                combiner,
-                workload,
-                pruning=PruningConfig(use_dominance=False),
-                engine=engine,
-            )
-
 
 class TestBudgetSweep:
     @pytest.fixture(scope="class")

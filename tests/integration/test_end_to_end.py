@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    PathCostComputer,
     TrainingConfig,
     load_hybrid,
+    path_cost,
     save_hybrid,
     train_hybrid,
 )
@@ -78,8 +78,8 @@ class TestModelAccuracy:
         in aggregate (mean KL over random 8-edge walks)."""
         network, traffic, _, trained = world
         rng = np.random.default_rng(0)
-        hybrid = PathCostComputer(trained.hybrid_model())
-        convolution = PathCostComputer(trained.convolution_model())
+        hybrid = trained.hybrid_model()
+        convolution = trained.convolution_model()
         kl_hybrid = []
         kl_convolution = []
         for _ in range(15):
@@ -91,8 +91,8 @@ class TestModelAccuracy:
                 ]
                 route.append(options[int(rng.integers(0, len(options)))])
             truth = traffic.path_distribution(route)
-            kl_hybrid.append(kl_divergence(truth, hybrid.cost(route)))
-            kl_convolution.append(kl_divergence(truth, convolution.cost(route)))
+            kl_hybrid.append(kl_divergence(truth, path_cost(hybrid, route)))
+            kl_convolution.append(kl_divergence(truth, path_cost(convolution, route)))
         assert float(np.mean(kl_hybrid)) < float(np.mean(kl_convolution))
 
     def test_hybrid_stats_accumulate_during_routing(self, world):
@@ -133,8 +133,8 @@ class TestPersistence:
 
         assert reloaded.report == trained.report
         route = network.path_edges([0, 1, 2, 3])
-        original = PathCostComputer(trained.hybrid_model()).cost(route)
-        restored = PathCostComputer(reloaded.hybrid_model()).cost(route)
+        original = path_cost(trained.hybrid_model(), route)
+        restored = path_cost(reloaded.hybrid_model(), route)
         assert original.allclose(restored)
 
     def test_roundtrip_preserves_routing(self, world, tmp_path):

@@ -13,6 +13,7 @@ from repro.learning import (
     GateConfig,
     GateReport,
 )
+from repro.learning import gates
 from repro.learning.gates import SMOOTHING
 from repro.ml import kfold_indices
 from repro.trajectories import MatchedTrajectory
@@ -62,7 +63,7 @@ class TestVerdicts:
         trips = [trip(i, [(0, 4), (1, 4)]) for i in range(24)]
         gate = CrossValidationGate(
             free_flow_baseline(4),
-            config=GateConfig(folds=4, min_improvement=1e-6),
+            config=GateConfig(folds=4),
             estimation=EstimationConfig(min_samples=2),
         )
         report = gate.evaluate(trips)
@@ -77,17 +78,17 @@ class TestVerdicts:
         assert report.folds == ()
         assert report.num_trips == 3
 
-    def test_min_improvement_margin_is_enforced(self, congested_corpus):
-        lenient = CrossValidationGate(
-            free_flow_baseline(),
-            config=GateConfig(folds=4, min_improvement=0.0),
-            estimation=EstimationConfig(min_samples=2),
-        ).evaluate(congested_corpus)
-        greedy = CrossValidationGate(
-            free_flow_baseline(),
-            config=GateConfig(folds=4, min_improvement=1e9),
-            estimation=EstimationConfig(min_samples=2),
-        ).evaluate(congested_corpus)
+    def test_min_improvement_margin_is_enforced(self, congested_corpus, monkeypatch):
+        def evaluate():
+            return CrossValidationGate(
+                free_flow_baseline(),
+                config=GateConfig(folds=4),
+                estimation=EstimationConfig(min_samples=2),
+            ).evaluate(congested_corpus)
+
+        lenient = evaluate()
+        monkeypatch.setattr(gates, "MIN_IMPROVEMENT", 1e9)
+        greedy = evaluate()
         assert lenient.passed
         assert not greedy.passed
         # Same evidence either way — only the verdict moved.
@@ -100,7 +101,7 @@ class TestVerdicts:
         gate = CrossValidationGate(
             free_flow_baseline(4),
             # min_samples high enough that nothing is ever estimated.
-            config=GateConfig(folds=3, min_improvement=1e-6),
+            config=GateConfig(folds=3),
             estimation=EstimationConfig(min_samples=1000),
         )
         report = gate.evaluate(trips)

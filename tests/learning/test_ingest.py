@@ -3,6 +3,7 @@
 import pytest
 
 from repro.learning import IngestConfig, TripIngestor
+from repro.learning.ingest import MAX_CACHED_ROUTES
 from repro.trajectories import GpsTrajectory, TrajectoryStore
 from repro.trajectories.types import GpsPoint
 
@@ -102,23 +103,20 @@ class TestDedup:
 
     def test_cache_overflow_drops_oldest_half(self, world, gps_rng, as_gps):
         network, _, matcher, generator = world
-        ingestor = TripIngestor(
-            matcher, config=IngestConfig(max_cached_routes=4)
-        )
+        ingestor = TripIngestor(matcher)
+        # A synthetic fill brings the cache to its bound.
+        ingestor._route_cache = {(i, 0, 0, 0): () for i in range(MAX_CACHED_ROUTES)}
         trips = list(generator.generate(6))
         for trip in trips:
             ingestor.ingest_one(as_gps(network, trip, rng=gps_rng))
-        assert len(ingestor._route_cache) <= 4
+        assert len(ingestor._route_cache) <= MAX_CACHED_ROUTES
+        assert (0, 0, 0, 0) not in ingestor._route_cache
 
 
 class TestConfigValidation:
     def test_negative_cell_rejected(self):
         with pytest.raises(ValueError):
             IngestConfig(dedup_cell_metres=-1.0)
-
-    def test_zero_cache_rejected(self):
-        with pytest.raises(ValueError):
-            IngestConfig(max_cached_routes=0)
 
     def test_result_round_trip(self, world):
         import json

@@ -21,7 +21,7 @@ from repro.routing import (
     register_strategy,
 )
 from repro.routing import engine as engine_module
-from repro.routing.query import departure_budgets
+from repro.routing.query import depart_when_search
 from repro.trajectories import CongestionModel
 
 
@@ -119,8 +119,8 @@ class TestBudgetVectors:
     def test_departure_budgets_floor_the_window_and_zero_the_infeasible(self):
         # 300 s at 5 s/tick is exactly 60 ticks; 299 s floors to 59; leaving
         # at or after the deadline has no budget at all.
-        budgets = departure_budgets([0.0, 1.0, 300.0, 400.0], 300.0, 5.0)
-        assert budgets == (60, 59, 0, 0)
+        budgets, feasible, query = depart_when_search(0, 1, (0.0, 1.0, 300.0, 400.0), None, 300.0, 5.0)
+        assert budgets == (60, 59, 0, 0) and feasible == (59, 60) and query.budget == 60
         assert budgets[0] == RoutingQuery.from_seconds(0, 1, 300.0, resolution=5.0).budget
 
     def test_departure_budget_needs_a_positive_resolution(self):
@@ -193,6 +193,17 @@ class TestStrategies:
         with pytest.raises(ValueError):
             engine.route(
                 RoutingQuery(0, 24, 40), strategy="anytime", time_limit_seconds=bad
+            )
+
+    @pytest.mark.parametrize("bad", [True, "5"])
+    @pytest.mark.parametrize("strategy", ["pbr", "anytime", "kbest"])
+    def test_time_limit_must_be_a_real_number(self, engine, strategy, bad):
+        """``True`` is not a 1 s limit and ``"5"`` is not a bare TypeError:
+        both are the one number rule's ValueError, naming the field."""
+        kwargs = {"k": 2} if strategy == "kbest" else {}
+        with pytest.raises(ValueError, match="time_limit_seconds"):
+            engine.route(
+                RoutingQuery(0, 24, 40), strategy=strategy, time_limit_seconds=bad, **kwargs
             )
 
     def test_oracle_rejects_time_limit(self, engine):
@@ -320,6 +331,11 @@ class TestRouteStream:
         # wall-clock comparison — an unbounded run disguised as bounded.
         with pytest.raises(ValueError, match="finite"):
             engine.route_stream(RoutingQuery(0, 24, 40), [0.1, bad])
+
+    @pytest.mark.parametrize("bad", [True, "5"])
+    def test_limits_must_be_real_numbers(self, engine, bad):
+        with pytest.raises(ValueError, match="time_limit_seconds"):
+            engine.route_stream(RoutingQuery(0, 24, 40), [bad])
 
     def test_empty_sweep_yields_nothing(self, engine):
         assert list(engine.route_stream(RoutingQuery(0, 24, 40), [])) == []

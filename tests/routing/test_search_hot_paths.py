@@ -207,9 +207,9 @@ class TestTruncationExactness:
             assert clipped.probability == pytest.approx(full.probability, abs=1e-9)
             # The clipped label distribution agrees with the untruncated path
             # cost everywhere at or below the budget.
-            from repro.core.path_cost import PathCostComputer
+            from repro.core.path_cost import path_cost
 
-            exact = PathCostComputer(untruncated).cost(clipped.path)
+            exact = path_cost(untruncated, clipped.path)
             for tick in range(exact.min_value, query.budget + 1):
                 assert clipped.distribution.cdf_at(tick) == pytest.approx(
                     exact.cdf_at(tick), abs=1e-9

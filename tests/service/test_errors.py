@@ -13,13 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.service.errors import (
-    decode_request,
-    error_document,
-    is_real,
-    require_integer,
-    require_number,
-)
+from repro.scalars import is_real, require_integer, require_number
+from repro.service.errors import decode_request, error_document
 
 
 class TestIsReal:

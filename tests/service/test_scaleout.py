@@ -701,6 +701,23 @@ class TestAsyncFrontend:
             + counters["delivery_failures"]
         )
 
+    def test_listener_binds_the_host_it_is_given(self, world):
+        service = fresh_service(world)
+
+        async def scenario():
+            async with AsyncFrontend(service, host="::1", port=0) as frontend:
+                reader, writer = await asyncio.open_connection(*frontend.addresses[0])
+                writer.write(b'{"op": "stats"}\n')
+                await writer.drain()
+                raw = await asyncio.wait_for(reader.readline(), timeout=30)
+                writer.close()
+                await writer.wait_closed()
+                return frontend.addresses, json.loads(raw)
+
+        addresses, response = asyncio.run(scenario())
+        assert [host for host, _ in addresses] == ["::1"]
+        assert response["kind"] == "service_stats"
+
     def test_tcp_pipelining_returns_responses_in_request_order(self, world):
         """Many lines written before any response is read come back in
         request order — including the error document for a garbage line,

@@ -11,6 +11,11 @@ fake, a value persisted in a snapshot document, or a value the tests force
 to reach a path.  Passing an unset option on
 (``failure_threshold=self._breaker_failure_threshold``) sets nothing.
 Anything else is a module or class constant.
+
+The rule covers every public function, method and dataclass in ``src/``,
+not only the constructors ``KEEP`` names: ``KEEP_ELSEWHERE`` holds the
+rest of the reasons, keyed by qualified name (a function that moves
+between modules keeps its row).
 """
 
 import ast
@@ -45,6 +50,10 @@ SEAM = "test seam: substitutes a fake"
 WIRING = "deployment setting: wires the demand census and the cache warmer in"
 PENDING = "deployment setting: bounds memory under overload; frontend contract races use it"
 SCHEDULE = "persisted: snapshot documents carry the schedule"
+FORCED = "forced path: tests set it to reach the path it selects"
+REFERENCE = "reference path: the tests compare the default against it"
+INDIRECT = "set positionally through run_in_executor"
+TUNING = "deployment setting: tuned to the data a deployment feeds it"
 
 #: constructor -> {option: why it stays without a caller}.
 KEEP = {
@@ -58,16 +67,16 @@ KEEP = {
     ThreadedFrontend: {"max_pending": PENDING, "clock": SEAM, "sleep": SEAM},
     AsyncFrontend: {
         "max_pending": PENDING, "demand": WIRING, "warmer": WIRING, "clock": SEAM,
-        "host": "deployment setting",
+        "host": "deployment setting: the address the listener binds",
     },
     CacheWarmer: {},
     CircuitBreaker: {"clock": SEAM},
     RetryPolicy: {},
     PruningConfig: {},
     EstimationConfig: {},
-    GateConfig: {"min_improvement": "tests force the gate's refusal through it", "seed": SEAM},
-    IngestConfig: {"max_cached_routes": "tests force the route-cache eviction through it"},
-    PipelineConfig: {"ingest": "carries IngestConfig.max_cached_routes, kept as above"},
+    GateConfig: {"seed": SEAM},
+    IngestConfig: {},
+    PipelineConfig: {"ingest": "deployment setting: carries the dedup cell, sized to the feed's GPS noise"},
     ParetoFrontier: {},
     ScheduledIncident.closure: {},
     pooled_fallbacks: {},
@@ -150,3 +159,237 @@ def orphans():
 def test_every_option_has_a_caller_or_a_reason(constructor):
     assert orphans()[constructor] == [], f"{constructor.__qualname__}: make these constants"
     assert set(KEEP[constructor]) <= set(options(constructor)), "KEEP names a gone option"
+
+
+#: Options of every other public function, method and dataclass that stay
+#: without a caller: qualified name -> {option: why}.
+KEEP_ELSEWHERE = {
+    "run_budget_sweep_experiment": {"factors": TUNING},
+    "DiscreteDistribution.from_samples": {"resolution": FORCED},
+    "DiscreteDistribution.sample": {"size": FORCED},
+    "JointDistribution.from_samples": {"resolution": FORCED},
+    "JointDistribution.is_independent": {"tol": FORCED},
+    "CostPublisher": {"slice_names": FORCED, "start_sequence": FORCED},
+    "TripIngestor": {"store": FORCED},
+    "MlpConfig": {
+        "batch_size": TUNING,
+        "early_stopping_patience": TUNING,
+        "l2": TUNING,
+        "validation_fraction": TUNING,
+    },
+    "grid_network": {"bidirectional": FORCED},
+    "RoadNetwork.edge_pairs": {"exclude_u_turns": FORCED},
+    "reverse_dijkstra": {"weight": REFERENCE},
+    "all_simple_paths": {"max_paths": FORCED},
+    "_BudgetSearch": {"clip_distributions": REFERENCE},
+    "RoutingEngine.route_depart_when": {"budget": FORCED},
+    "require_number": {"error": FORCED},
+    "FaultInjector": {"clock": SEAM, "sleep": SEAM, "clock_skew_seconds": FORCED, "poison_rate": FORCED},
+    "ThreadedFrontend.close": {"drain": FORCED},
+    "TemporalCostProfile": {
+        "interpolation_points": TUNING,
+        "transition_seconds": TUNING,
+        "time_plans": "deployment setting: a city's signal plans",
+    },
+    "CostUpdate.from_congestion": {"slice_name": "deployment setting: the slice a feed targets"},
+    "ScheduledIncident.capacity_drop": {"slices": "deployment setting: the regimes an incident hits"},
+    "CacheWarmer.notify_update": {"slice_name": INDIRECT},
+    "time_sliced_cost_tables": {"weights": "deployment setting: a city's per-slice congestion mix"},
+    "CongestionConfig": {
+        "multipliers": FORCED,
+        "relative_spread": FORCED,
+        "rho_range": FORCED,
+        "stationary": FORCED,
+    },
+    "TripConfig": {"min_edges": FORCED},
+    "emit_gps": {"interval": TUNING},
+    "HmmMapMatcher": {"index": "deployment setting: one spatial index shared by matchers"},
+    "MatcherConfig": {"beta": TUNING, "gps_noise_std": TUNING, "max_candidates": TUNING},
+    "TrajectoryStore.edge_histogram": {"min_samples": FORCED},
+}
+
+
+def decorated(node, name):
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(getattr(t, "attr", getattr(t, "id", None)) == name for t in targets)
+
+
+def keyword_options(function, bound):
+    """``[(option, position or None)]``: the parameters that have a default."""
+    args = function.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0 :]
+    first = len(positional) - len(args.defaults)
+    found = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+    return found + [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+
+
+def field_options(cls):
+    """A dataclass's fields with a default, ``field(...)`` without one excluded."""
+    found, position = [], 0
+    for item in cls.body:
+        if not isinstance(item, ast.AnnAssign) or "ClassVar" in ast.unparse(item.annotation):
+            continue
+        value = item.value
+        required = value is None or (
+            isinstance(value, ast.Call)
+            and getattr(value.func, "id", None) == "field"
+            and not {"default", "default_factory"} & {k.arg for k in value.keywords}
+        )
+        if not required:
+            found.append((item.target.id, position))
+        position += 1
+    return found
+
+
+@functools.cache
+def definitions():
+    """``{(path, qualname): (callee name, options, is a dataclass, node)}`` over
+    every public function, method and dataclass in ``src/``; a class's
+    ``__init__`` is the class, and so is a private class's constructor."""
+    found = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found[path, node.name] = (node.name, keyword_options(node, False), False, node)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if decorated(node, "dataclass"):
+                found[path, node.name] = (node.name, field_options(node), True, node)
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                bound = not decorated(item, "staticmethod")
+                if item.name == "__init__":
+                    found[path, node.name] = (node.name, keyword_options(item, True), False, item)
+                elif not (item.name.startswith("_") or node.name.startswith("_")):
+                    qualname = f"{node.name}.{item.name}"
+                    found[path, qualname] = (item.name, keyword_options(item, bound), False, item)
+    return found
+
+
+@functools.cache
+def scoped_calls():
+    """``(path, callee, call, enclosing class name, enclosing function)`` for every
+    call in ``src/``, ``bench/`` and ``benchmarks/``, with ``cls(...)`` and
+    ``super().__init__(...)`` resolved to the class they construct; and the
+    attribute names ``src/`` writes (a dataclass field written is state)."""
+    found, written = [], set()
+    for folder in ("src", "bench", "benchmarks"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scope = {}
+            for top in tree.body:
+                members = top.body if isinstance(top, ast.ClassDef) else [top]
+                for function in members:
+                    if isinstance(function, ast.FunctionDef):
+                        for node in ast.walk(function):
+                            scope[node] = (top if top is not function else None, function)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    cls, function = scope.get(node, (None, None))
+                    name = callee(node)
+                    if cls is not None and name == "cls":
+                        name = cls.name
+                    elif cls is not None and name == "__init__" and cls.bases:
+                        name = getattr(cls.bases[0], "id", None)
+                    found.append((path.resolve(), name, node, cls and cls.name, function))
+                elif folder == "src" and isinstance(node, (ast.Assign, ast.AugAssign)):
+                    for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                        target = target.value if isinstance(target, ast.Subscript) else target
+                        if isinstance(target, ast.Attribute):
+                            written.add(target.attr)
+    return found, written
+
+
+def kept():
+    """``{qualname: options}`` that ``KEEP`` and ``KEEP_ELSEWHERE`` keep."""
+    rows = {getattr(c, "__qualname__", c.__name__): set(keep) for c, keep in KEEP.items()}
+    for name, keep in KEEP_ELSEWHERE.items():
+        rows.setdefault(name, set()).update(keep)
+    return rows
+
+
+def unset_options():
+    """Every keyword option no call sets, to a fixpoint: passing an unset
+    option on (``clock=clock``, ``clock=self._clock``) sets nothing."""
+    calls, written = scoped_calls()
+    keep = kept()
+    unset = set()
+    while True:
+        found = set()
+        for (path, qualname), (name, options, is_dataclass, node) in definitions().items():
+            relevant = [
+                (cls, function, call)
+                for where, called, call, cls, function in calls
+                if called == name and not (where == path.resolve() and function is node)
+            ]
+            for option, position in options:
+                if option in keep.get(qualname, ()) or (is_dataclass and option in written):
+                    continue
+                if not any(
+                    sets(call, option, position, unset, cls, function)
+                    for cls, function, call in relevant
+                ):
+                    found.add((qualname, option))
+        if found == unset:
+            return sorted(f"{q}.{o}" for q, o in unset)
+        unset = found
+
+
+def sets(call, option, position, unset, cls, function):
+    """Whether ``call`` sets ``option`` by name, by position or through ``**``."""
+    if any(keyword.arg is None for keyword in call.keywords):
+        return True
+    if position is not None and (
+        len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+    ):
+        return True
+    for keyword in call.keywords:
+        if keyword.arg == option:
+            value = keyword.value
+            forwarded = getattr(value, "id", getattr(value, "attr", "_")).lstrip("_")
+            enclosing = {cls, function and function.name, function and f"{cls}.{function.name}"}
+            return not any((q, forwarded) in unset for q in enclosing if q)
+    return False
+
+
+def test_every_public_option_has_a_caller_or_a_reason():
+    assert unset_options() == [], "make these constants, or keep them with a reason"
+
+
+def test_every_kept_option_exists():
+    options = {}
+    for (_, qualname), (_, found, _, _) in definitions().items():
+        options.setdefault(qualname, set()).update(name for name, _ in found)
+    for qualname, keep in KEEP_ELSEWHERE.items():
+        assert set(keep) <= options.get(qualname, set()), f"{qualname}: KEEP_ELSEWHERE names a gone option"
+
+
+@functools.cache
+def every_call():
+    """Every call in the repository's Python, tests and examples included."""
+    return [
+        node
+        for folder in ("src", "bench", "benchmarks", "tests", "examples")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    ]
+
+
+def test_every_kept_option_is_set_somewhere():
+    """A keep reason needs a call that sets the option, a test's at least:
+    an option nothing sets is a constant, whatever reason it could be given."""
+    keep, unset = kept(), []
+    for (_, qualname), (name, found, _, _) in definitions().items():
+        for option, position in found:
+            if option not in keep.get(qualname, ()):
+                continue
+            if KEEP_ELSEWHERE.get(qualname, {}).get(option) == INDIRECT:
+                continue
+            if not any(
+                callee(call) == name and sets(call, option, position, set(), None, None)
+                for call in every_call()
+            ):
+                unset.append(f"{qualname}.{option}")
+    assert unset == [], "make these constants"
