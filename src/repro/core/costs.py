@@ -205,7 +205,11 @@ class EdgeCostTable:
             raise ValueError(
                 f"expected a cost_table document, got kind={data.get('kind')!r}"
             )
-        table = cls(network, resolution=float(data["resolution"]))
+        resolution = require_number(
+            data["resolution"], "cost_table resolution must be a positive finite number",
+            low=0, open_low=True,
+        )
+        table = cls(network, resolution=resolution)
         costs: dict[int, DiscreteDistribution] = {}
         for raw_id, payload in data["costs"].items():
             edge_id = int(raw_id)
@@ -223,12 +227,13 @@ class EdgeCostTable:
         Returns the cell :meth:`publish` installs.  The dump's resolution
         must match this table's.
         """
-        if float(data["resolution"]) != self.resolution:
+        dumped = EdgeCostTable.from_dict(self.network, data)
+        if dumped.resolution != self.resolution:
             raise ValueError(
                 f"cost_table dump has resolution {data['resolution']!r}, "
                 f"this table serves {self.resolution!r}"
             )
-        return EdgeCostTable.from_dict(self.network, data)._versioned
+        return dumped._versioned
 
     def publish(self, cell: tuple[dict[int, DiscreteDistribution], int]) -> int:
         """Install a cell :meth:`decode` returned; cannot fail.  Returns its version."""

@@ -458,8 +458,9 @@ class DiscreteDistribution:
         """The inverse of :meth:`to_payload`, and the one trust rule for it.
 
         Every decoder of an ``{offset, probs}`` payload — result documents,
-        cost updates, incidents, snapshots, time plans — comes here.  The
-        offset must be a grid integer (not ``2.7``, ``true`` or ``"3"``),
+        cost updates, incidents and snapshots — comes here.  The offset must
+        be a grid integer (not ``2.7``, ``true`` or ``"3"``) no larger in
+        magnitude than ``2**53``, the largest integer float64 holds exactly;
         the probabilities finite and non-negative, and their mass within
         ``1e-6`` of 1: pruning is only sound over unit-mass histograms, so
         a truncated payload is rejected, not repaired.  The vector is then
@@ -472,6 +473,9 @@ class DiscreteDistribution:
         offset = require_integer(
             payload["offset"], f"{what}: histogram offset must be a grid integer"
         )
+        # The bound graph holds offsets as float64, the kernel block as int64.
+        if abs(offset) > 2**53:
+            raise ValueError(f"{what}: histogram offset exceeds 2**53 in magnitude, got {offset!r}")
         if not isinstance(payload["probs"], (list, tuple)):
             raise ValueError(f"{what}: histogram probabilities must be a list, got {payload['probs']!r}")
         probs = [

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..histograms import DiscreteDistribution
 from ..ml import kfold_indices
@@ -71,27 +71,10 @@ class FoldScore:
     def improvement(self) -> float:
         return self.candidate_loglik - self.baseline_loglik
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "fold": self.fold,
-            "candidate_loglik": self.candidate_loglik,
-            "baseline_loglik": self.baseline_loglik,
-            "num_traversals": self.num_traversals,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FoldScore":
-        return cls(
-            fold=int(data["fold"]),
-            candidate_loglik=float(data["candidate_loglik"]),
-            baseline_loglik=float(data["baseline_loglik"]),
-            num_traversals=int(data["num_traversals"]),
-        )
-
 
 @dataclass(frozen=True)
 class GateReport:
-    """The gate's verdict with the evidence behind it (wire-ready)."""
+    """The gate's verdict with the evidence behind it."""
 
     passed: bool
     folds: tuple[FoldScore, ...]
@@ -104,30 +87,6 @@ class GateReport:
     def improvement(self) -> float:
         """Mean per-traversal log-likelihood gain of the candidate (nats)."""
         return self.candidate_loglik - self.baseline_loglik
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (exact :meth:`from_dict` round-trip)."""
-        return {
-            "kind": "gate_report",
-            "passed": self.passed,
-            "candidate_loglik": self.candidate_loglik,
-            "baseline_loglik": self.baseline_loglik,
-            "improvement": self.improvement,
-            "win_fraction": self.win_fraction,
-            "num_trips": self.num_trips,
-            "folds": [fold.to_dict() for fold in self.folds],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GateReport":
-        return cls(
-            passed=bool(data["passed"]),
-            folds=tuple(FoldScore.from_dict(item) for item in data["folds"]),
-            candidate_loglik=float(data["candidate_loglik"]),
-            baseline_loglik=float(data["baseline_loglik"]),
-            win_fraction=float(data["win_fraction"]),
-            num_trips=int(data["num_trips"]),
-        )
 
 
 class CrossValidationGate:

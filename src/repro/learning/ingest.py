@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Iterable
 
 from ..network import free_flow_weight
 from ..trajectories import (
@@ -76,26 +76,6 @@ class IngestResult:
     num_deduped: int
     num_rejected: int
     elapsed_seconds: float
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": "ingest_result",
-            "num_trips": self.num_trips,
-            "num_matched": self.num_matched,
-            "num_deduped": self.num_deduped,
-            "num_rejected": self.num_rejected,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "IngestResult":
-        return cls(
-            num_trips=int(data["num_trips"]),
-            num_matched=int(data["num_matched"]),
-            num_deduped=int(data["num_deduped"]),
-            num_rejected=int(data["num_rejected"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-        )
 
 
 class TripIngestor:

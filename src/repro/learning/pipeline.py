@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from ..service import RoutingService
 from ..trajectories import (
@@ -72,8 +72,8 @@ class LearningStats:
     """One observability snapshot of a :class:`LearningPipeline`.
 
     Counters are cumulative over the pipeline's lifetime, mirroring
-    :class:`~repro.service.ServiceStats`; the snapshot is wire-ready via
-    :meth:`to_dict` / :meth:`from_dict` (the ``learning_stats`` op).
+    :class:`~repro.service.ServiceStats`; :meth:`to_dict` is the
+    ``learning_stats`` op's document.
     """
 
     trips_ingested: int = 0
@@ -111,7 +111,7 @@ class LearningStats:
         return self.publish_seconds / self.updates_published
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (exact :meth:`from_dict` round-trip)."""
+        """JSON-ready representation."""
         return {
             "kind": "learning_stats",
             **{f.name: getattr(self, f.name) for f in fields(self)},
@@ -119,20 +119,6 @@ class LearningStats:
             "gate_pass_rate": self.gate_pass_rate,
             "mean_publish_seconds": self.mean_publish_seconds,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LearningStats":
-        # Every field is required and read back as its default's type
-        # (int counters, float seconds) — except the nullable sequence.
-        values = {
-            f.name: type(f.default)(data[f.name])
-            for f in fields(cls)
-            if f.name != "last_sequence"
-        }
-        last_sequence = data.get("last_sequence")
-        return cls(
-            **values, last_sequence=None if last_sequence is None else int(last_sequence)
-        )
 
 
 @dataclass(frozen=True)

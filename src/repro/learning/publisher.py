@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..histograms import DiscreteDistribution
 from ..service import CostUpdate, RoutingService
@@ -36,27 +36,6 @@ class PublishResult:
     cost_version: int
     num_edges: int
     elapsed_seconds: float
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (exact :meth:`from_dict` round-trip)."""
-        return {
-            "kind": "publish_result",
-            "slice": self.slice_name,
-            "sequence": self.sequence,
-            "cost_version": self.cost_version,
-            "num_edges": self.num_edges,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PublishResult":
-        return cls(
-            slice_name=data["slice"],
-            sequence=int(data["sequence"]),
-            cost_version=int(data["cost_version"]),
-            num_edges=int(data["num_edges"]),
-            elapsed_seconds=float(data["elapsed_seconds"]),
-        )
 
 
 class CostPublisher:

@@ -759,18 +759,3 @@ class RoutingEngine:
                 )
 
         return stream()
-
-    # ------------------------------------------------------------------
-    # Serialisation convenience
-    # ------------------------------------------------------------------
-
-    def result_from_dict(
-        self, data: Mapping[str, Any]
-    ) -> RoutingResult | MultiBudgetResult | KBestResult | BatchResult:
-        """Rebuild any serialised answer against this engine's network.
-
-        Dispatches on the payload's ``kind`` tag (``"route"`` /
-        ``"multi_budget"`` / ``"kbest"`` / ``"batch"``; untagged payloads
-        are plain results).
-        """
-        return result_from_dict(data, self.network)

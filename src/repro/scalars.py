@@ -39,17 +39,21 @@ def require_number(
     """``float(value)``, or raise ``error(f"{expected}, got {value!r}")``.
 
     Accepts a real, non-bool, non-NaN scalar within ``[low, high]``
-    (``(low, high]`` with ``open_low``); ``finite=False`` admits the
-    infinities as well.  NaN needs no branch of its own: it fails every
-    comparison, so it can never satisfy the bounds.
+    (``(low, high]`` with ``open_low``) that float64 can hold;
+    ``finite=False`` admits the infinities as well.  An integer too large
+    for float64 (JSON decodes a 401-digit number to one) reads as NaN
+    here, and NaN fails every comparison.
     """
+    try:
+        number = float(value) if is_real(value) else math.nan
+    except OverflowError:
+        number = math.nan
     if (
-        not is_real(value)
-        or not (low < value <= high if open_low else low <= value <= high)
-        or (finite and math.isinf(value))
+        not (low < number <= high if open_low else low <= number <= high)
+        or (finite and math.isinf(number))
     ):
         raise error(f"{expected}, got {value!r}")
-    return float(value)
+    return number
 
 
 def require_integer(

@@ -18,10 +18,10 @@ cache is safe to hammer from a thread-pool frontend — the LRU dict cannot
 be corrupted mid-reorder and ``hits + misses`` equals the number of
 lookups *exactly*, never approximately.
 
-Entries may carry a TTL (time-to-live): a default for the whole cache,
-overridable per entry at :meth:`ResultCache.put` time.  An expired entry
-behaves exactly like an absent one (the lookup is a miss, counted under
-``expirations`` as well), which keeps answers computed under
+Entries may carry a TTL (time-to-live), given per entry at
+:meth:`ResultCache.put` time; without one an entry never expires.  An
+expired entry behaves exactly like an absent one (the lookup is a miss,
+counted under ``expirations`` as well), which keeps answers computed under
 slow-drifting assumptions — a cost table nobody has updated in hours —
 from being served forever.
 """
@@ -102,19 +102,14 @@ def freeze_kwargs(kwargs: Mapping[str, Any]) -> tuple:
     )
 
 
-#: Sentinel distinguishing "no per-entry TTL given, use the cache default"
-#: from an explicit ``ttl_seconds=None`` ("this entry never expires").
-_USE_DEFAULT_TTL = object()
-
-
 class ResultCache:
     """A bounded, thread-safe LRU mapping of cache keys to routing answers.
 
     ``max_entries`` bounds memory; the eviction policy is plain LRU, which
     under version-keyed invalidation doubles as garbage collection — stale
     -version entries are never touched again, so they are exactly the
-    least-recently-used ones.  ``ttl_seconds`` (optional) ages entries out
-    by wall clock as well; ``clock`` is injectable for deterministic tests.
+    least-recently-used ones.  A per-entry TTL (:meth:`put`) ages entries
+    out by wall clock as well; ``clock`` is injectable for deterministic tests.
     ``hits`` / ``misses`` / ``evictions`` / ``expirations`` are cumulative
     counters surfaced through :meth:`repro.service.RoutingService.stats`.
     """
@@ -123,13 +118,11 @@ class ResultCache:
         self,
         max_entries: int = 4096,
         *,
-        ttl_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.max_entries = require_integer(
             max_entries, "max_entries must be a positive integer", low=1
         )
-        self.default_ttl_seconds = check_ttl_seconds(ttl_seconds)
         self._clock = clock
         self._lock = threading.Lock()
         #: key -> (value, expiry deadline on the clock, or None = immortal)
@@ -191,19 +184,15 @@ class ResultCache:
         key: Hashable,
         value: Any,
         *,
-        ttl_seconds: float | None | object = _USE_DEFAULT_TTL,
+        ttl_seconds: float | None = None,
     ) -> None:
         """Insert ``value``, evicting least-recently-used entries if full.
 
-        ``ttl_seconds`` overrides the cache-wide default for this one entry
-        (``None`` = never expires); omitted, the default applies.
+        ``ttl_seconds`` is this entry's time to live (``None`` = never expires).
         """
         if value is None:
             raise ValueError("None is the miss sentinel and cannot be cached")
-        if ttl_seconds is _USE_DEFAULT_TTL:
-            ttl = self.default_ttl_seconds
-        else:
-            ttl = check_ttl_seconds(ttl_seconds)  # type: ignore[arg-type]
+        ttl = check_ttl_seconds(ttl_seconds)
         deadline = None if ttl is None else self._clock() + ttl
         with self._lock:
             self._entries.pop(key, None)

@@ -35,7 +35,7 @@ from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import Any
 
-from ..scalars import is_real, require_integer
+from ..scalars import require_integer, require_number
 from .errors import FrontendClosedError, error_document
 from .faults import FaultInjector, RetryPolicy
 from .service import RoutingService
@@ -55,16 +55,20 @@ def charge_queue_wait(
     finally picked the request up — so the service must receive the budget
     that is actually left.  The adjusted budget may be negative: the
     service treats an expired budget as a valid request that goes straight
-    to the stale rung.  Requests without a numeric deadline pass through
-    untouched (a malformed one — not even an object, say — fails
+    to the stale rung.  Only a deadline the service would accept is
+    charged; anything else passes through untouched (a malformed one — not
+    a number, too large for a float, or not even an object — fails
     validation at the service, as it would have anyway).
     """
     raw = request.get("deadline_ms") if isinstance(request, Mapping) else None
-    if raw is None or not is_real(raw):
+    if raw is None:
         return request
-    waited_ms = (clock() - arrival) * 1000.0
+    try:
+        deadline_ms = require_number(raw, "deadline_ms", finite=False)
+    except ValueError:
+        return request
     adjusted = dict(request)
-    adjusted["deadline_ms"] = float(raw) - waited_ms
+    adjusted["deadline_ms"] = deadline_ms - (clock() - arrival) * 1000.0
     return adjusted
 
 

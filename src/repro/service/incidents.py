@@ -210,7 +210,10 @@ class IncidentController:
         """
         if temporal is None:
             return IncidentState()
-        state = IncidentState(clock=float(temporal["clock"]))
+        clock = require_number(
+            temporal["clock"], "snapshot incident clock must be a finite number >= 0", low=0
+        )
+        state = IncidentState(clock=clock)
         for payload in temporal.get("pending", ()):
             incident = ScheduledIncident.from_dict(payload)
             self._resolve(incident)  # the same check scheduling it ran

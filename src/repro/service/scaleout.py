@@ -72,16 +72,6 @@ class DemandEntry:
     slice_name: str | None
     count: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "budget": self.budget,
-            "strategy": self.strategy,
-            "slice": self.slice_name,
-            "count": self.count,
-        }
-
 
 class DemandMatrix:
     """A bounded, thread-safe census of served OD-pair demand.
@@ -89,7 +79,7 @@ class DemandMatrix:
     Keys are the *cacheable request shape* —
     ``(slice, strategy, source, target, budget)`` — which is exactly the
     cache key minus kwargs and version, so replaying a hot entry produces
-    the cache entry live traffic will hit.  ``max_pairs`` bounds memory:
+    the cache entry live traffic will hit.  :attr:`MAX_PAIRS` bounds memory:
     at the cap, recording a new shape evicts the lowest-count one
     (ties broken against the most recently first-seen shape, so
     long-standing demand survives churn).
@@ -98,10 +88,10 @@ class DemandMatrix:
     deliver hook) or offline via :meth:`record`; read it via :meth:`top`.
     """
 
-    def __init__(self, *, max_pairs: int = 4096) -> None:
-        self.max_pairs = require_integer(
-            max_pairs, "max_pairs must be a positive integer", low=1
-        )
+    #: The most request shapes the census tracks at once.
+    MAX_PAIRS = 4096
+
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         #: key -> [count, first-seen sequence number]
         self._pairs: dict[tuple, list[int]] = {}
@@ -135,7 +125,7 @@ class DemandMatrix:
             if entry is None:
                 self._pairs[key] = [count, self._seq]
                 self._seq += 1
-                while len(self._pairs) > self.max_pairs:
+                while len(self._pairs) > self.MAX_PAIRS:
                     coldest = min(
                         self._pairs,
                         key=lambda k: (self._pairs[k][0], -self._pairs[k][1]),
@@ -197,32 +187,6 @@ class DemandMatrix:
             )
             for key, entry in ranked
         ]
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready dump (exact :meth:`from_dict` round-trip), hot first."""
-        return {
-            "kind": "demand_matrix",
-            "max_pairs": self.max_pairs,
-            "pairs": [entry.to_dict() for entry in self.top()],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DemandMatrix":
-        if data.get("kind") != "demand_matrix":
-            raise ValueError(
-                f"expected a demand_matrix document, got kind={data.get('kind')!r}"
-            )
-        matrix = cls(max_pairs=data["max_pairs"])
-        for pair in data["pairs"]:
-            matrix.record(
-                pair["source"],
-                pair["target"],
-                pair["budget"],
-                strategy=pair["strategy"],
-                slice_name=pair.get("slice"),
-                count=pair["count"],
-            )
-        return matrix
 
 
 # ----------------------------------------------------------------------

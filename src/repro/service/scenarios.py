@@ -368,42 +368,6 @@ class TimePlan:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "TimePlan":
-        if not isinstance(data, Mapping):
-            raise ValueError(
-                f"time plan document must be a mapping, got {type(data).__name__}"
-            )
-        if data.get("kind", "time_plan") != "time_plan":
-            raise ValueError(
-                f"expected a time_plan document, got kind={data.get('kind')!r}"
-            )
-        raw = data.get("approach_delays")
-        if not isinstance(raw, Mapping):
-            raise ValueError("time plan document needs an 'approach_delays' mapping")
-        delays = {
-            int(edge_id): DiscreteDistribution.from_payload(
-                payload, f"approach_delays[{edge_id}]"
-            )
-            for edge_id, payload in raw.items()
-        }
-        return cls(
-            data.get("node"),
-            data.get("start"),
-            data.get("end"),
-            delays,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TimePlan):
-            return NotImplemented
-        return (
-            self.node == other.node
-            and self.start == other.start
-            and self.end == other.end
-            and dict(self.approach_delays) == dict(other.approach_delays)
-        )
-
 
 @dataclass(frozen=True)
 class _TransitionBand:

@@ -237,13 +237,6 @@ class StrategyLatency:
             "mean_seconds": self.mean_seconds,
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StrategyLatency":
-        return cls(
-            requests=int(data["requests"]),
-            total_seconds=float(data["total_seconds"]),
-        )
-
 
 @dataclass
 class ServiceStats:
@@ -251,8 +244,8 @@ class ServiceStats:
 
     The cache counters are cumulative over the service's lifetime;
     ``strategies`` maps each strategy that served at least one request to
-    its :class:`StrategyLatency`.  Like :class:`~repro.routing.SearchStats`,
-    the snapshot is wire-ready via :meth:`to_dict` / :meth:`from_dict`.
+    its :class:`StrategyLatency`.  :meth:`to_dict` is the ``stats`` op's
+    document.
     """
 
     requests: int = 0
@@ -292,37 +285,10 @@ class ServiceStats:
             },
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServiceStats":
-        return cls(
-            **{
-                name: int(data[name] if name in _STAT_ALWAYS_PRESENT else data.get(name, 0))
-                for name in _STAT_COUNTERS
-            },
-            # Absent in pre-resilience documents: no breakers.
-            breakers={
-                str(name): str(state)
-                for name, state in data.get("breakers", {}).items()
-            },
-            strategies={
-                name: StrategyLatency.from_dict(payload)
-                for name, payload in data.get("strategies", {}).items()
-            },
-        )
-
 
 #: :class:`ServiceStats`' integer fields, in declaration (= wire) order.
 _STAT_COUNTERS = tuple(
     f.name for f in fields(ServiceStats) if f.name not in ("breakers", "strategies")
-)
-
-#: The ones every ``service_stats`` document has carried; the later ones
-#: (TTL, resilience, scale-out, temporal) default to zero on read, and a
-#: retired counter (``admission_skips``) is ignored, so old recorded stats
-#: stay readable.
-_STAT_ALWAYS_PRESENT = frozenset(
-    {"requests", "cache_hits", "cache_misses", "cache_evictions",
-     "cache_entries", "updates_applied"}
 )
 
 
@@ -404,10 +370,9 @@ class RoutingService:
     and those inner locks are leaves, so the service cannot deadlock
     against itself.
 
-    ``cache_ttl_seconds`` ages cached answers out by wall clock (``None``
-    = version bumps are the only invalidation).  A per-request TTL can
-    override it (:meth:`route`'s ``cache_ttl_seconds``).  Every answer a
-    completed search produces is cached.
+    Version bumps invalidate cached answers; a request may also age its
+    answer out by wall clock (:meth:`route`'s ``cache_ttl_seconds``).  Every
+    answer a completed search produces is cached.
 
     **Resilience** (see PERFORMANCE.md "Resilient serving"): a request may
     carry a deadline (:meth:`route`'s ``deadline_seconds``, ``deadline_ms``
@@ -441,7 +406,6 @@ class RoutingService:
         slice_name: str = DEFAULT_SLICE,
         schedule: ScenarioSchedule | None = None,
         max_cache_entries: int = 4096,
-        cache_ttl_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
         coalesce_in_flight: bool = False,
     ) -> None:
@@ -451,11 +415,7 @@ class RoutingService:
         self._clock = clock
         self._engines: dict[str, RoutingEngine] = {}
         self._slice_locks: dict[str, ReadWriteLock] = {}
-        self._cache = ResultCache(
-            max_entries=max_cache_entries,
-            ttl_seconds=cache_ttl_seconds,
-            clock=clock,
-        )
+        self._cache = ResultCache(max_entries=max_cache_entries, clock=clock)
         # The degradation ladder's last rung: the freshest answer ever
         # admitted per (slice, strategy, query, kwargs) *regardless of cost
         # version*, stored together with the version it was computed under.
@@ -1739,9 +1699,5 @@ class RoutingService:
         under.  The cache entry is ``(result, its JSON)``, encoded once here
         for :meth:`probe_hit`: the text dies with its entry.
         """
-        entry = (result, json.dumps(result.to_dict()))
-        if request_ttl is not None:
-            self._cache.put(key, entry, ttl_seconds=request_ttl)
-        else:
-            self._cache.put(key, entry)
+        self._cache.put(key, (result, json.dumps(result.to_dict())), ttl_seconds=request_ttl)
         self._stale.put(key[:-1], (result, key[-1]))

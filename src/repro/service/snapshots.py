@@ -23,6 +23,7 @@ from typing import Any, Callable
 from ..core.costs import EdgeCostTable
 from ..histograms import DiscreteDistribution
 from ..routing import result_from_dict
+from ..scalars import require_integer
 from .incidents import IncidentState
 from .scenarios import ScenarioSchedule, TemporalCostProfile
 
@@ -142,7 +143,9 @@ def decode_snapshot(
     }
     feed_position = document.get("feed_position")
     if feed_position is not None:
-        feed_position = int(feed_position)
+        feed_position = require_integer(
+            feed_position, "snapshot feed_position must be a non-negative integer or null", low=0
+        )
     incidents = decode_incidents(document.get("temporal"))
     network = tables[default_slice].network
     cache: list[tuple[tuple, Any]] = []

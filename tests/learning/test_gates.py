@@ -1,18 +1,11 @@
 """CrossValidationGate: held-out likelihood, fold wins, fail-closed."""
 
-import json
 import math
 
 import pytest
 
 from repro.histograms import DiscreteDistribution
-from repro.learning import (
-    CrossValidationGate,
-    EstimationConfig,
-    FoldScore,
-    GateConfig,
-    GateReport,
-)
+from repro.learning import CrossValidationGate, EstimationConfig, GateConfig
 from repro.learning import gates
 from repro.learning.gates import SMOOTHING
 from repro.ml import kfold_indices
@@ -154,17 +147,6 @@ class TestVerdicts:
 
 
 class TestReportShape:
-    def test_report_round_trip(self, congested_corpus):
-        gate = CrossValidationGate(
-            free_flow_baseline(),
-            config=GateConfig(folds=4),
-            estimation=EstimationConfig(min_samples=2),
-        )
-        report = gate.evaluate(congested_corpus)
-        document = json.loads(json.dumps(report.to_dict()))
-        assert document["kind"] == "gate_report"
-        assert GateReport.from_dict(document) == report
-
     def test_fold_scores_carry_the_evidence(self, congested_corpus):
         gate = CrossValidationGate(
             free_flow_baseline(),
@@ -177,12 +159,6 @@ class TestReportShape:
             assert fold.improvement == pytest.approx(
                 fold.candidate_loglik - fold.baseline_loglik
             )
-
-    def test_fold_score_round_trip(self):
-        score = FoldScore(
-            fold=2, candidate_loglik=-1.5, baseline_loglik=-20.0, num_traversals=17
-        )
-        assert FoldScore.from_dict(json.loads(json.dumps(score.to_dict()))) == score
 
 
 class TestConfigValidation:

@@ -118,19 +118,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             IngestConfig(dedup_cell_metres=-1.0)
 
-    def test_result_round_trip(self, world):
-        import json
-
-        from repro.learning import IngestResult
-
-        result = IngestResult(
-            num_trips=5, num_matched=3, num_deduped=1, num_rejected=1,
-            elapsed_seconds=0.25,
-        )
-        document = json.loads(json.dumps(result.to_dict()))
-        assert document["kind"] == "ingest_result"
-        assert IngestResult.from_dict(document) == result
-
     def test_shared_store_accumulates(self, world):
         _, _, matcher, generator = world
         store = TrajectoryStore()

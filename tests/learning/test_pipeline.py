@@ -130,7 +130,7 @@ class TestStats:
         stats = pipeline.stats()
         document = json.loads(json.dumps(stats.to_dict()))
         assert document["kind"] == "learning_stats"
-        assert LearningStats.from_dict(document) == stats
+        assert document == stats.to_dict()
 
     def test_derived_rates(self):
         stats = LearningStats(
@@ -158,7 +158,7 @@ class TestWireIntegration:
         response = service.handle_request({"op": "learning_stats"})
         assert response["ok"]
         assert response["kind"] == "learning_stats"
-        assert LearningStats.from_dict(response) == pipeline.stats()
+        assert response == {"ok": True, **pipeline.stats().to_dict()}
 
     def test_unattached_service_answers_with_an_error_document(self, service):
         response = service.handle_request({"op": "learning_stats"})

@@ -1,12 +1,10 @@
 """CostPublisher: sequencing, fan-out, replay idempotence, validation."""
 
-import json
-
 import pytest
 
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.histograms import DiscreteDistribution
-from repro.learning import CostPublisher, PublishResult
+from repro.learning import CostPublisher
 from repro.service import CostUpdate, RoutingService, time_sliced_cost_tables
 from repro.trajectories import CongestionModel
 
@@ -92,18 +90,6 @@ class TestValidation:
         publisher = CostPublisher(service, start_sequence=41)
         results = publisher.publish(histogram_batch([0]))
         assert results[0].sequence == 41
-
-    def test_result_round_trip(self):
-        result = PublishResult(
-            slice_name="peak",
-            sequence=7,
-            cost_version=3,
-            num_edges=12,
-            elapsed_seconds=0.002,
-        )
-        document = json.loads(json.dumps(result.to_dict()))
-        assert document["kind"] == "publish_result"
-        assert PublishResult.from_dict(document) == result
 
 
 def test_world_fixture_builds_sliced_tables(world):

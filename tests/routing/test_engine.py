@@ -19,6 +19,7 @@ from repro.routing import (
     budget_ticks_for_departure,
     normalize_budgets,
     register_strategy,
+    result_from_dict,
 )
 from repro.routing import engine as engine_module
 from repro.routing.query import depart_when_search
@@ -376,7 +377,7 @@ class TestSerialisation:
     def test_unreachable_result_round_trip(self, island_world):
         result = island_world.route(RoutingQuery(0, 2, 10))
         payload = json.loads(json.dumps(result.to_dict()))
-        restored = island_world.result_from_dict(payload)
+        restored = result_from_dict(payload, island_world.network)
         assert not restored.found
         assert restored.distribution is None
         assert restored.path == ()
@@ -447,7 +448,7 @@ class TestMultiBudgetStrategy:
         answer = engine.route_multi_budget(0, 24, [20, 40])
         payload = json.loads(json.dumps(answer.to_dict()))
         assert payload["kind"] == "multi_budget"
-        restored = engine.result_from_dict(payload)
+        restored = result_from_dict(payload, engine.network)
         assert restored.budgets == answer.budgets
         assert restored.probabilities == answer.probabilities
         assert [m.path for m in restored] == [m.path for m in answer]
@@ -487,7 +488,7 @@ class TestKBestStrategy:
         answer = engine.route_kbest(RoutingQuery(2, 22, 38), 3)
         payload = json.loads(json.dumps(answer.to_dict()))
         assert payload["kind"] == "kbest"
-        restored = engine.result_from_dict(payload)
+        restored = result_from_dict(payload, engine.network)
         assert restored.k == answer.k
         assert [r.path for r in restored] == [r.path for r in answer]
 

@@ -181,8 +181,8 @@ class TestResultCacheThreadSafety:
 class TestEntryTTL:
     def test_expired_entries_behave_like_absent_ones(self):
         clock = FakeClock()
-        cache = ResultCache(ttl_seconds=10.0, clock=clock)
-        cache.put("a", 1)
+        cache = ResultCache(clock=clock)
+        cache.put("a", 1, ttl_seconds=10.0)
         assert "a" in cache
         assert cache.get("a") == 1
         clock.now = 10.0  # deadline is exclusive: now >= put-time + ttl
@@ -231,23 +231,21 @@ class TestEntryTTL:
         assert expirations == 1  # "dead"
         assert entries == 2
 
-    def test_per_entry_ttl_overrides_the_default(self):
+    def test_each_entry_keeps_its_own_ttl(self):
         clock = FakeClock()
-        cache = ResultCache(ttl_seconds=100.0, clock=clock)
+        cache = ResultCache(clock=clock)
         cache.put("short", 1, ttl_seconds=5.0)
-        cache.put("default", 2)
-        cache.put("immortal", 3, ttl_seconds=None)
+        cache.put("long", 2, ttl_seconds=100.0)
+        cache.put("immortal", 3)
         clock.now = 6.0
         assert cache.get("short") is None
-        assert cache.get("default") == 2
+        assert cache.get("long") == 2
         clock.now = 1e9
-        assert cache.get("default") is None
+        assert cache.get("long") is None
         assert cache.get("immortal") == 3
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_invalid_ttls_rejected(self, bad):
-        with pytest.raises(ValueError, match="ttl_seconds"):
-            ResultCache(ttl_seconds=bad)
         cache = ResultCache()
         with pytest.raises(ValueError, match="ttl_seconds"):
             cache.put("k", 1, ttl_seconds=bad)
@@ -279,12 +277,12 @@ class TestEntryTTL:
 
     def test_service_level_ttl_expires_served_answers(self, world):
         clock = FakeClock()
-        service = fresh_service(world, cache_ttl_seconds=60.0, clock=clock)
+        service = fresh_service(world, clock=clock)
         query = HOT_QUERIES[0]
-        assert not service.route(query).cache_hit
-        assert service.route(query).cache_hit
+        assert not service.route(query, cache_ttl_seconds=60.0).cache_hit
+        assert service.route(query, cache_ttl_seconds=60.0).cache_hit
         clock.now = 61.0
-        refreshed = service.route(query)
+        refreshed = service.route(query, cache_ttl_seconds=60.0)
         assert not refreshed.cache_hit  # aged out, recomputed
         stats = service.stats()
         assert stats.cache_expirations == 1

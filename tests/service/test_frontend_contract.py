@@ -202,6 +202,20 @@ def test_queue_wait_is_charged_with_the_injected_clock(drive):
     assert stub.seen[2] == {"op": "route"}  # no deadline: nothing to charge
 
 
+def test_a_deadline_too_large_for_a_float_is_not_charged_or_retried(drive, service):
+    """Charging ``float(10**400)`` raised ``OverflowError`` inside the pump,
+    which retried twice and answered ``internal``: an uncharged deadline
+    passes through, and the service rejects it once."""
+    driver = drive(service, num_workers=1)
+    driver.start()
+    request = {"op": "route", "query": QUERY.to_dict(), "deadline_ms": 10**400}
+    response = driver.submit(request).result(WAIT)
+    driver.close()
+    assert response["ok"] is False
+    assert response["error_kind"] == "bad_request"
+    assert driver.frontend.stats.read()["retries"] == 0
+
+
 def test_submit_before_start_and_after_close_is_refused(drive, service):
     driver = drive(service, num_workers=1)
     with pytest.raises(FrontendClosedError, match="start"):

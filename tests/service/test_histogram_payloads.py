@@ -1,7 +1,7 @@
 """One trust rule for every ``{offset, probs}`` histogram payload.
 
 :meth:`DiscreteDistribution.from_payload` is the only decoder: a
-grid-integer offset, finite non-negative probabilities and mass within
+grid-integer offset within ±2**53, finite non-negative probabilities and mass within
 1e-6 of 1.  The same malformed payloads are sent through every entry
 point that decodes one; each is a ``ValueError`` (``bad_request`` on the
 wire), and a rejected ``restore`` leaves the service as it was.
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.network import grid_network
-from repro.service import RoutingService, TimePlan
+from repro.service import RoutingService
 from repro.trajectories import CongestionModel
 
 NETWORK = grid_network(4, 4, seed=2)
@@ -36,6 +36,10 @@ MALFORMED = {
     "string probs": {"offset": 3, "probs": "1"},
     "mapping probs": {"offset": 3, "probs": {"1": 0}},
     "not a mapping": [3, [1.0]],
+    "offset past 2**53": {"offset": 2**53 + 1, "probs": [1.0]},
+    "offset 10**30": {"offset": 10**30, "probs": [1.0]},
+    "offset 10**400": {"offset": 10**400, "probs": [1.0]},
+    "probability 10**400": {"offset": 3, "probs": [10**400]},
 }
 
 cases = pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
@@ -93,15 +97,3 @@ def test_restore(payload):
         served.restore(document)
     assert served.snapshot(include_cache=True) == before
 
-
-@cases
-def test_time_plan_from_dict(payload):
-    document = {
-        "kind": "time_plan",
-        "node": 1,
-        "start": 0.0,
-        "end": 3600.0,
-        "approach_delays": {"0": payload},
-    }
-    with pytest.raises(ValueError):
-        TimePlan.from_dict(document)

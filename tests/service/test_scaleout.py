@@ -363,8 +363,9 @@ class TestDemandMatrix:
         demand.record(1, 2, 10, slice_name="peak")
         assert len(demand) == 4
 
-    def test_cap_evicts_the_lowest_count_shape(self):
-        demand = DemandMatrix(max_pairs=2)
+    def test_cap_evicts_the_lowest_count_shape(self, monkeypatch):
+        monkeypatch.setattr(DemandMatrix, "MAX_PAIRS", 2)
+        demand = DemandMatrix()
         demand.record(1, 2, 10, count=3)
         demand.record(3, 4, 10, count=2)
         demand.record(5, 6, 10)  # coldest on arrival: evicted immediately
@@ -397,23 +398,7 @@ class TestDemandMatrix:
         )  # malformed-but-ok: swallowed, not raised
         assert demand.total == 1
 
-    def test_round_trip(self):
-        demand = DemandMatrix(max_pairs=7)
-        demand.record(1, 2, 10, count=4, strategy="kbest", slice_name="peak")
-        demand.record(3, 4, 12)
-        document = json.loads(json.dumps(demand.to_dict()))
-        assert document["kind"] == "demand_matrix"
-        restored = DemandMatrix.from_dict(document)
-        assert restored.max_pairs == 7
-        assert restored.top() == demand.top()
-        with pytest.raises(ValueError, match="demand_matrix"):
-            DemandMatrix.from_dict({"kind": "served"})
-
     def test_validation(self):
-        with pytest.raises(ValueError, match="max_pairs"):
-            DemandMatrix(max_pairs=0)
-        with pytest.raises(ValueError, match="max_pairs"):
-            DemandMatrix(max_pairs=True)
         demand = DemandMatrix()
         with pytest.raises(ValueError, match="count"):
             demand.record(1, 2, 10, count=0)

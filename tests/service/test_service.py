@@ -829,6 +829,50 @@ class TestWireProtocol:
             assert named in response["error"]
         assert service.stats().requests == len(documents)  # only the valid ones
 
+    #: Where a JSON number lands in a wire document: ``HUGE`` marks the spot.
+    HUGE = 10**400
+    OVERSIZED = {
+        "deadline_ms": {"op": "route", "query": QUERY.to_dict(), "deadline_ms": HUGE},
+        "time_limit_seconds": {"op": "route", "query": QUERY.to_dict(), "time_limit_seconds": HUGE},
+        "cache_ttl_seconds": {"op": "route", "query": QUERY.to_dict(), "cache_ttl_seconds": HUGE},
+        "route_at departure": {
+            "op": "route_at", "query": QUERY.to_dict(), "departure_time_seconds": HUGE,
+        },
+        "depart_when departure": {
+            "op": "depart_when", "source": QUERY.source, "target": QUERY.target,
+            "departure_times": [HUGE], "budget": QUERY.budget,
+        },
+        "depart_when arrive_by": {
+            "op": "depart_when", "source": QUERY.source, "target": QUERY.target,
+            "departure_times": [8 * 3600.0], "arrive_by_seconds": HUGE,
+        },
+        "advance_clock": {"op": "advance_clock", "now_seconds": HUGE},
+        "incident start": {"op": "schedule_incident", "incident": {
+            "kind": "scheduled_incident", "incident_id": "x", "start_time": HUGE,
+            "end_time": 10.0, "costs": {"0": {"offset": 3, "probs": [1.0]}},
+        }},
+        "incident end": {"op": "schedule_incident", "incident": {
+            "kind": "scheduled_incident", "incident_id": "x", "start_time": 0.0,
+            "end_time": HUGE, "costs": {"0": {"offset": 3, "probs": [1.0]}},
+        }},
+        "update probability": {"op": "apply_update", "update": {
+            "kind": "cost_update", "costs": {"0": {"offset": 3, "probs": [HUGE]}},
+        }},
+    }
+
+    @pytest.mark.parametrize("document", OVERSIZED.values(), ids=OVERSIZED)
+    def test_integers_too_large_for_a_float_are_bad_requests(self, world, document):
+        """JSON decodes a 401-digit integer without complaint, and
+        ``float()`` of it raises ``OverflowError``: out of float64's range
+        is out of domain, a bad request like any other."""
+        network, model, _ = world
+        service = RoutingService.from_time_slices(
+            network, time_sliced_cost_tables(network, model)
+        )
+        response = json.loads(service.handle_json(json.dumps(document)))
+        assert response["ok"] is False
+        assert response["error_kind"] == "bad_request", response
+
     def test_depart_when_rejects_a_deadline_it_cannot_honour(self, world):
         """``deadline_ms`` on ``depart_when`` was silently dropped — a 50 ms
         deadline bought an unbounded search.  Unsupported is said out loud,

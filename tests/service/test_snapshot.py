@@ -14,6 +14,7 @@ in the process that wrote them.
 """
 
 import json
+import math
 import re
 
 import pytest
@@ -389,6 +390,35 @@ CORRUPTIONS = {
     ),
     "cache-entry": lambda doc: doc["cache"][0].update(result={"kind": "mystery"}),
 }
+
+
+def first_cost_table(doc):
+    return doc["slices"][list(doc["slices"])[0]]["cost_table"]
+
+
+#: Numbers the decoder once coerced with a bare ``int()`` / ``float()``:
+#: the feed position is a non-negative integer or null, the incident clock
+#: a finite number >= 0, a cost table's resolution a positive finite number.
+CORRUPTIONS.update(
+    {
+        **{
+            f"feed-position-{name}": lambda doc, value=value: doc.update(feed_position=value)
+            for name, value in {"2.7": 2.7, "true": True, "string": "7", "-1": -1}.items()
+        },
+        **{
+            f"incident-clock-{name}": lambda doc, value=value: doc["temporal"].update(
+                clock=value
+            )
+            for name, value in {
+                "true": True, "string": "5", "nan": math.nan, "-1": -1.0, "10**400": 10**400,
+            }.items()
+        },
+        "resolution-string": lambda doc: first_cost_table(doc).update(
+            resolution=str(first_cost_table(doc)["resolution"])
+        ),
+        "resolution-true": lambda doc: first_cost_table(doc).update(resolution=True),
+    }
+)
 
 
 class TestRejectedRestoreIsTheIdentity:

@@ -295,14 +295,6 @@ class TestTimePlan:
                 ScenarioSchedule.default(), tables, time_plans=[plan]
             )
 
-    def test_wire_round_trip_is_exact(self, world):
-        network, _ = world
-        edge_id = self.approaches(network, 12)[0]
-        plan = TimePlan.from_phase_times(
-            12, 7 * 3600.0, 9 * 3600.0, {edge_id: (30.0, 90.0)}, resolution=5.0
-        )
-        assert TimePlan.from_dict(json.loads(json.dumps(plan.to_dict()))) == plan
-
 
 # ----------------------------------------------------------------------
 # TemporalCostProfile compilation

@@ -61,7 +61,6 @@ KEEP = {
         "slice_name": "persisted: snapshot documents name their slices",
         "schedule": SCHEDULE,
         "clock": SEAM,
-        "cache_ttl_seconds": "service-wide default of the TTL bench_temporal sets per request",
     },
     RoutingService.from_time_slices: {"schedule": SCHEDULE},
     ThreadedFrontend: {"max_pending": PENDING, "clock": SEAM, "sleep": SEAM},
@@ -393,3 +392,61 @@ def test_every_kept_option_is_set_somewhere():
             ):
                 unset.append(f"{qualname}.{option}")
     assert unset == [], "make these constants"
+
+
+# ----------------------------------------------------------------------
+# Decoders: a document keeps one only if the product reads it back
+# ----------------------------------------------------------------------
+
+DECODERS = ("from_dict", "from_payload")
+WIRE = "wire guardrail: kind-tagged served envelopes keep parsing"
+
+#: Decoders that stay though nothing in ``src/`` or ``bench/`` calls them: class -> why.
+DECODER_KEEP = {"ServedResult": WIRE, "ServedBatch": WIRE}
+
+
+@functools.cache
+def decoders():
+    """``{(class, name)}`` for every ``from_dict`` / ``from_payload`` classmethod in ``src/``."""
+    return {
+        (node.name, item.name)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+        and item.name in DECODERS
+        and decorated(item, "classmethod")
+    }
+
+
+def unread_decoders():
+    """Decoders no ``<Class>.from_dict(...)`` call in ``src/`` or ``bench/``
+    reaches from outside its own body, to a fixpoint: a call inside a
+    decoder counts only once that decoder is reached itself."""
+    found = decoders()
+    product = [
+        (call.func.value.id, call.func.attr, (cls, function and function.name))
+        for path, _, call, cls, function in scoped_calls()[0]
+        if not path.is_relative_to(ROOT / "benchmarks")
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr in DECODERS
+        and isinstance(call.func.value, ast.Name)
+    ]
+    reached = {decoder for decoder in found if decoder[0] in DECODER_KEEP}
+    while True:
+        more = reached | {
+            (target, name)
+            for target, name, within in product
+            if (target, name) in found
+            and within != (target, name)
+            and (within not in found or within in reached)
+        }
+        if more == reached:
+            return sorted(f"{cls}.{name}" for cls, name in found - reached)
+        reached = more
+
+
+def test_every_decoder_is_read_by_the_product_or_kept():
+    assert unread_decoders() == [], "delete these decoders, or keep them with a reason"
+    assert set(DECODER_KEEP) <= {cls for cls, _ in decoders()}, "DECODER_KEEP names a gone decoder"
