@@ -148,10 +148,9 @@ def main() -> None:
         if update is not None:
             gate = update.gate
             if update.accepted:
-                sequences = ", ".join(str(p.sequence) for p in update.published)
                 verdict = (
                     f"gate PASS (+{gate.improvement:.3f} nats held-out) -> "
-                    f"published seq {sequences}, cost version "
+                    f"published seq {update.published.sequence}, cost version "
                     f"{service.cost_version()}"
                 )
             else:

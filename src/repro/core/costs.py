@@ -13,7 +13,7 @@ from typing import Any, Mapping
 from ..derived import Memo, rebind
 from ..histograms import DiscreteDistribution
 from ..network import Edge, RoadNetwork
-from ..scalars import require_integer, require_number
+from ..scalars import require_edge_key, require_integer, require_number
 from ..trajectories import TrajectoryStore
 
 __all__ = ["EdgeCostTable"]
@@ -212,7 +212,7 @@ class EdgeCostTable:
         table = cls(network, resolution=resolution)
         costs: dict[int, DiscreteDistribution] = {}
         for raw_id, payload in data["costs"].items():
-            edge_id = int(raw_id)
+            edge_id = require_edge_key(raw_id)
             table._check_edge_id(edge_id)
             costs[edge_id] = DiscreteDistribution.from_payload(payload, f"edge {raw_id}")
         version = require_integer(data["version"], "cost_table version must be an integer")

@@ -13,11 +13,10 @@ Stages (each usable standalone):
   re-estimation with serving-table priors (:mod:`repro.learning.estimation`);
 - :class:`CrossValidationGate` — k-fold held-out log-likelihood gate
   against the serving baseline (:mod:`repro.learning.gates`);
-- :class:`CostPublisher` — sequenced, replay-idempotent
-  :class:`~repro.service.CostUpdate` feed (:mod:`repro.learning.publisher`);
 - :class:`LearningPipeline` — the orchestrator tying them into one
-  closed loop with a :class:`LearningStats` observability surface
-  (:mod:`repro.learning.pipeline`).
+  closed loop with a :class:`LearningStats` observability surface; it
+  publishes each accepted batch as one sequenced
+  :class:`~repro.service.CostUpdate` (:mod:`repro.learning.pipeline`).
 
 ``repro.service`` never imports this package; the coupling is one-way
 (learning → service) plus the duck-typed stats hook
@@ -34,7 +33,6 @@ from .estimation import (
 from .gates import CrossValidationGate, FoldScore, GateConfig, GateReport
 from .ingest import IngestConfig, IngestResult, TripIngestor
 from .pipeline import LearningPipeline, LearningStats, LearningUpdate, PipelineConfig
-from .publisher import CostPublisher, PublishResult
 
 __all__ = [
     "IngestConfig",
@@ -49,8 +47,6 @@ __all__ = [
     "FoldScore",
     "GateReport",
     "CrossValidationGate",
-    "PublishResult",
-    "CostPublisher",
     "PipelineConfig",
     "LearningStats",
     "LearningUpdate",

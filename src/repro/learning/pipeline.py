@@ -10,9 +10,9 @@
    the table the service is *currently serving*;
 3. **gate** — :class:`CrossValidationGate` cross-validates the candidate
    against that same serving baseline on held-out trips;
-4. **publish** — :class:`CostPublisher` pushes accepted batches as
-   sequenced :class:`~repro.service.CostUpdate` events, hot-swapping the
-   live cost tables with no restart.
+4. **publish** — an accepted batch becomes one
+   :class:`~repro.service.CostUpdate` on the default slice, numbered one
+   past the service's feed position and hot-swapped in with no restart.
 
 The pipeline keeps a :class:`LearningStats` counter surface mirroring the
 service's :class:`~repro.service.ServiceStats`, and registers it with the
@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, fields, replace
 from typing import Any, Iterable
 
-from ..service import RoutingService
+from ..service import CostUpdate, RoutingService
 from ..trajectories import (
     GpsTrajectory,
     HmmMapMatcher,
@@ -42,7 +42,6 @@ from .estimation import (
 )
 from .gates import CrossValidationGate, GateConfig, GateReport
 from .ingest import IngestConfig, IngestResult, TripIngestor
-from .publisher import CostPublisher, PublishResult
 
 __all__ = ["PipelineConfig", "LearningStats", "LearningUpdate", "LearningPipeline"]
 
@@ -125,13 +124,14 @@ class LearningStats:
 class LearningUpdate:
     """The outcome of one estimate→gate→publish cycle.
 
-    ``published`` is ``None`` exactly when the gate refused the batch —
-    the service kept serving its previous tables untouched.
+    ``published`` is the applied update, ``None`` exactly when the gate
+    refused the batch — the service kept serving its previous tables
+    untouched.
     """
 
     estimation: EstimationResult
     gate: GateReport
-    published: tuple[PublishResult, ...] | None = None
+    published: CostUpdate | None = None
 
     @property
     def accepted(self) -> bool:
@@ -159,8 +159,6 @@ class LearningPipeline:
         self.service = service
         self.matcher = matcher
         self.ingestor = TripIngestor(matcher, config=self.config.ingest)
-        # Publishes to the service's default slice, numbering from 1.
-        self.publisher = CostPublisher(service, source="learning")
         self._lock = threading.Lock()
         self._stats = LearningStats()
         self._trips_since_update = 0
@@ -177,19 +175,9 @@ class LearningPipeline:
     # Serving-table views
     # ------------------------------------------------------------------
 
-    def _serving_table(self):
-        """The cost table behind the *first* published slice.
-
-        Priors and the gate baseline come from here: when the publisher
-        fans one batch out to several slices, the first configured slice
-        is the reference deployment.
-        """
-        return self.service.engine(
-            self.publisher.slice_names[0]
-        ).combiner.costs
-
     def _serving_cost(self, edge_id: int):
-        table = self._serving_table()
+        """The default slice's live histogram: priors and gate baseline."""
+        table = self.service.engine().combiner.costs
         return table.cost(self.matcher.network.edge(edge_id))
 
     def _priors(self) -> dict[int, Any]:
@@ -224,8 +212,11 @@ class LearningPipeline:
         """One estimate→gate→publish cycle over the whole corpus.
 
         Estimation and gate priors/baseline are read from the live serving
-        table *now*; the publish (if the gate passes) is one sequenced
-        hot-swap per configured slice.  Resets the batch-cadence counter.
+        table *now*; the publish (if the gate passes) is one hot-swap of the
+        default slice, numbered one past the service's feed position as it
+        stands at publish time, so a service restored from a snapshot
+        applies it rather than skipping it.  Resets the batch-cadence
+        counter.
         """
         trips = list(self.store)
         priors = self._priors()
@@ -242,7 +233,8 @@ class LearningPipeline:
             priors=priors,
         )
         report = gate.evaluate(trips)
-        published: tuple[PublishResult, ...] | None = None
+        published: CostUpdate | None = None
+        publish_seconds = 0.0
         if report.passed and estimation.estimates:
             batch = estimation.histograms()
             # Accepted publishes extend to *unobserved* edges with
@@ -256,22 +248,25 @@ class LearningPipeline:
                     resolution=self.matcher.resolution,
                 )
             )
-            results = self.publisher.publish(batch)
-            published = tuple(results)
+            begin = time.perf_counter()
+            published = CostUpdate(
+                costs=batch,
+                slice_name=self.service.default_slice,
+                source="learning",
+                sequence=(self.service.feed_position or 0) + 1,
+            )
+            self.service.apply_cost_update(published)
+            publish_seconds = time.perf_counter() - begin
         with self._lock:
             self._stats.estimations_run += 1
             self._stats.edges_estimated += len(estimation.estimates)
             self._stats.estimation_seconds += estimation_seconds
             if published is not None:
                 self._stats.gate_passes += 1
-                self._stats.updates_published += len(published)
-                self._stats.edges_published += sum(
-                    item.num_edges for item in published
-                )
-                self._stats.publish_seconds += sum(
-                    item.elapsed_seconds for item in published
-                )
-                self._stats.last_sequence = published[-1].sequence
+                self._stats.updates_published += 1
+                self._stats.edges_published += len(published)
+                self._stats.publish_seconds += publish_seconds
+                self._stats.last_sequence = published.sequence
             else:
                 self._stats.gate_failures += 1
             self._trips_since_update = 0

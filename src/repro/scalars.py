@@ -13,7 +13,7 @@ import math
 import numbers
 from typing import Any
 
-__all__ = ["is_real", "require_integer", "require_number"]
+__all__ = ["is_real", "require_edge_key", "require_integer", "require_number"]
 
 
 def is_real(value: Any) -> bool:
@@ -75,3 +75,17 @@ def require_integer(
     ):
         raise error(f"{expected}, got {value!r}")
     return int(value)
+
+
+def require_edge_key(key: Any) -> int:
+    """The edge id a JSON object key names: exactly ``str(n)``, ``n >= 0``.
+
+    ``int()`` also reads ``"+3"``, ``"03"``, ``"1_0"`` and non-ASCII
+    digits, so two keys could name one edge and either silently win; only
+    the form the product writes is accepted.
+    """
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()) or (
+        key[0] == "0" and key != "0"
+    ):
+        raise ValueError(f"an edge id key must be str(n) for an integer n >= 0, got {key!r}")
+    return int(key)

@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping
 
 from ..core.costs import EdgeCostTable
 from ..histograms import DiscreteDistribution
-from ..scalars import require_number
+from ..scalars import require_edge_key, require_number
 from .updates import ScheduledIncident
 
 __all__ = ["ActiveIncident", "IncidentController", "IncidentState"]
@@ -226,7 +226,7 @@ class IncidentController:
             targets = self._resolve(replace(incident, slices=tuple(entry["targets"])))
             preimages = {
                 name: {
-                    int(edge_id): DiscreteDistribution.from_payload(
+                    require_edge_key(edge_id): DiscreteDistribution.from_payload(
                         payload, f"incident {iid!r} preimage for edge {edge_id}"
                     )
                     for edge_id, payload in mapping.items()

@@ -182,6 +182,30 @@ class ScenarioSchedule:
         t %= DAY_SECONDS
         return self.slices[bisect_right(self._starts, t) - 1].name
 
+    def slices_in_window(self, start: float, end: float) -> tuple[str, ...]:
+        """Slice names serving any departure in ``[start, end)``.
+
+        Wrap-aware: the window is on the service-clock axis (it may span
+        midnight or several days) while slices repeat daily.  This is the
+        fan-out helper scheduled incidents use to hit every table a
+        departure inside their active window could resolve to.
+        """
+        start = require_number(start, "window start must be a finite number")
+        end = require_number(
+            end, "window end must exceed start", low=start, open_low=True, finite=False
+        )
+        if end - start >= DAY_SECONDS:
+            return self.slice_names
+        lo = start % DAY_SECONDS
+        span = end - start
+        names: dict[str, None] = {}
+        for member in self.slices:
+            for shift in (0.0, float(DAY_SECONDS)):
+                if member.start + shift < lo + span and member.end + shift > lo:
+                    names.setdefault(member.name, None)
+                    break
+        return tuple(names)
+
     def to_dict(self) -> dict:
         """JSON-ready representation (exact :meth:`from_dict` round-trip)."""
         return {
@@ -631,32 +655,6 @@ class TemporalCostProfile:
         """``(regime name, table)`` serving a departure time."""
         name = self._expanded.slice_at(departure_time_seconds)
         return name, self._tables[name]
-
-    def slices_in_window(self, start: float, end: float) -> tuple[str, ...]:
-        """Regime names serving any departure in ``[start, end)``.
-
-        Wrap-aware: the window is on the service-clock axis (it may span
-        midnight or several days) while regimes repeat daily.  This is the
-        fan-out helper scheduled incidents use to hit every table a
-        departure inside their active window could resolve to.
-        """
-        start = require_number(start, "window start must be a finite number")
-        end = require_number(
-            end, "window end must exceed start", low=start, open_low=True, finite=False
-        )
-        if end - start >= DAY_SECONDS:
-            return tuple(
-                dict.fromkeys(s.name for s in self._expanded.slices)
-            )
-        lo = start % DAY_SECONDS
-        span = end - start
-        names: dict[str, None] = {}
-        for member in self._expanded.slices:
-            for shift in (0.0, float(DAY_SECONDS)):
-                if member.start + shift < lo + span and member.end + shift > lo:
-                    names.setdefault(member.name, None)
-                    break
-        return tuple(names)
 
     # ------------------------------------------------------------------
     # Snapshot spec

@@ -1041,6 +1041,12 @@ class RoutingService:
     # Live cost updates
     # ------------------------------------------------------------------
 
+    @property
+    def feed_position(self) -> int | None:
+        """The highest :attr:`CostUpdate.sequence` applied (``None``: none yet)."""
+        with self._stats_lock:
+            return self._last_update_sequence
+
     def apply_cost_update(
         self,
         update: CostUpdate | Mapping[int, DiscreteDistribution],
@@ -1137,10 +1143,11 @@ class RoutingService:
     def _incident_targets(self, incident: ScheduledIncident) -> tuple[str, ...]:
         """Resolve (and validate) which slices an incident lands on.
 
-        Explicit ``slices`` win; otherwise a temporal-profile service fans
-        the incident across every regime whose time-of-day interval
-        intersects the incident window (profile × active incidents), and a
-        plain service targets its default slice.  An edge id the network
+        Explicit ``slices`` win; otherwise a scheduled service fans the
+        incident across every slice whose time-of-day interval intersects
+        the incident window (a temporal-profile service's schedule is its
+        expanded one, so that is every regime), and an unscheduled service
+        targets its default slice.  An edge id the network
         does not have is refused here too (the incident itself only
         guarantees non-negative integers), as ``apply_deltas`` would at
         activation — by which time it is too late to refuse the request.
@@ -1150,13 +1157,12 @@ class RoutingService:
             raise IndexError(
                 f"incident {incident.incident_id!r} names unknown edge ids {unknown}"
             )
-        if incident.slices is not None:
-            return tuple(self._resolve_slice(name) for name in incident.slices)
-        if self.temporal_profile is not None:
-            return self.temporal_profile.slices_in_window(
-                incident.start_time, incident.end_time
+        names = incident.slices
+        if names is None:
+            names = (self.default_slice,) if self.schedule is None else (
+                self.schedule.slices_in_window(incident.start_time, incident.end_time)
             )
-        return (self.default_slice,)
+        return tuple(self._resolve_slice(name) for name in names)
 
     def schedule_incident(self, incident: ScheduledIncident) -> None:
         """Register an incident to activate when the clock reaches it.
@@ -1198,7 +1204,7 @@ class RoutingService:
 
         Captures every slice's cost table *with its exact version*
         (:meth:`EdgeCostTable.to_dict`), the update-feed position
-        (highest :attr:`CostUpdate.sequence` applied), the incident
+        (:attr:`feed_position`, the highest sequence applied), the incident
         scheduler's state, and — with ``include_cache`` — a dump of the
         live result-cache entries.  Each table is read under its slice's
         read lock, so per-slice state is coherent; cross-slice coherence
@@ -1213,8 +1219,6 @@ class RoutingService:
         for name, engine in self._engines.items():
             with self._slice_locks[name].read_locked():
                 slices[name] = {"cost_table": engine.combiner.costs.to_dict()}
-        with self._stats_lock:
-            feed_position = self._last_update_sequence
         profile = self.temporal_profile
         document: dict[str, Any] = {
             "kind": "service_snapshot",
@@ -1223,7 +1227,7 @@ class RoutingService:
             "schedule": None if self.schedule is None else self.schedule.to_dict(),
             "profile": None if profile is None else profile.to_dict(),
             "temporal": self._incidents.to_dict(durable=True),
-            "feed_position": feed_position,
+            "feed_position": self.feed_position,
             "updates_applied": self._counters.read()["updates_applied"],
             "slices": slices,
         }

@@ -31,7 +31,7 @@ from typing import Any, Mapping, Sequence
 from ..histograms import DiscreteDistribution
 from ..network import Edge
 from ..trajectories import CongestionModel
-from ..scalars import require_integer, require_number
+from ..scalars import require_edge_key, require_integer, require_number
 
 __all__ = ["CostUpdate", "ScheduledIncident"]
 
@@ -145,7 +145,7 @@ class CostUpdate:
             raise ValueError("update 'costs' must be a mapping")
         return cls(
             costs={
-                int(edge_id): DiscreteDistribution.from_payload(payload, f"edge {edge_id}")
+                require_edge_key(edge_id): DiscreteDistribution.from_payload(payload, f"edge {edge_id}")
                 for edge_id, payload in raw.items()
             },
             slice_name=data.get("slice"),
@@ -162,10 +162,11 @@ class ScheduledIncident:
     ``start_time`` / ``end_time`` are seconds on the service's incident
     clock (not seconds of day): start inclusive, end exclusive, with
     ``math.inf`` allowed for open-ended incidents.  ``slices`` names the
-    slice tables the incident hits when it activates (``None`` means the
-    service's default slice; a temporal-profile service typically fans it
-    across every regime the active window can resolve to, see
-    :meth:`~repro.service.scenarios.TemporalCostProfile.slices_in_window`).
+    slice tables the incident hits when it activates; ``None`` fans it
+    across every slice of the service's schedule that the active window
+    can resolve to (see
+    :meth:`~repro.service.scenarios.ScenarioSchedule.slices_in_window`),
+    or the default slice on a service without a schedule.
 
     Exactly one effect form must be given:
 

@@ -241,9 +241,9 @@ class TestClosedLoop:
         stats = loop_run["pipeline"].stats()
         assert stats.trips_ingested == NUM_TRIPS
         assert stats.estimations_run == len(loop_run["updates"])
-        assert stats.updates_published == sum(
-            len(u.published) for u in loop_run["updates"] if u.accepted
-        )
+        published = [u.published for u in loop_run["updates"] if u.accepted]
+        assert stats.updates_published == len(published)
+        assert stats.edges_published == sum(len(update) for update in published)
         assert stats.last_sequence is not None
 
     def test_wire_surface_serves_learning_stats(self, loop_run):

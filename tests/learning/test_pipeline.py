@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core import ConvolutionModel, EdgeCostTable
 from repro.learning import (
     EstimationConfig,
     GateConfig,
@@ -12,6 +13,7 @@ from repro.learning import (
     LearningStats,
     PipelineConfig,
 )
+from repro.service import CostUpdate, RoutingService, time_sliced_cost_tables
 from repro.trajectories import MatchedTrajectory, TripGenerator
 
 
@@ -24,6 +26,24 @@ def make_pipeline(service, matcher, **overrides):
     )
     defaults.update(overrides)
     return LearningPipeline(service, matcher, config=PipelineConfig(**defaults))
+
+
+def accepted_cycle(world, service):
+    """One cycle over a corpus the free-flow tables lose to: accepted."""
+    network, truth, matcher, _ = world
+    pipeline = make_pipeline(service, matcher)
+    # A fresh generator: the shared one's position depends on test order.
+    pipeline.ingest(list(TripGenerator(network, truth, seed=7).generate(60)))
+    update = pipeline.run_update()
+    assert update.accepted
+    return pipeline, update
+
+
+def free_flow_update(network, table, sequence):
+    """A numbered feed event resetting every edge to its free-flow cost."""
+    return CostUpdate(
+        {edge.id: table.free_flow_cost(edge) for edge in network.edges}, sequence=sequence
+    )
 
 
 class TestCadence:
@@ -60,16 +80,10 @@ class TestCadence:
     ):
         """An accepted publish covers the whole network: estimated edges
         plus pooled fallbacks for every edge the corpus never observed."""
-        network, truth, matcher, _ = world
-        # A fresh generator: the shared one's position depends on test order.
-        trips = TripGenerator(network, truth, seed=7).generate(60)
-        pipeline = make_pipeline(service, matcher)
-        pipeline.ingest(list(trips))
-        update = pipeline.run_update()
-        assert update.accepted
+        network = world[0]
+        pipeline, update = accepted_cycle(world, service)
         assert len(update.estimation.estimates) < network.num_edges
-        (published,) = update.published
-        assert published.num_edges == network.num_edges
+        assert len(update.published) == network.num_edges
         assert pipeline.stats().edges_published == network.num_edges
 
     def test_gate_refusal_publishes_nothing(self, world, service):
@@ -94,6 +108,74 @@ class TestCadence:
         stats = pipeline.stats()
         assert stats.gate_failures == 1
         assert stats.updates_published == 0
+
+
+class TestPublish:
+    """An accepted batch is one update on the default slice, numbered one
+    past the service's feed position."""
+
+    def test_published_histograms_are_served(self, world, service):
+        network = world[0]
+        version = service.cost_version()
+        _, update = accepted_cycle(world, service)
+        assert update.published.sequence == 1
+        assert update.published.source == "learning"
+        assert service.cost_version() == version + 1
+        table = service.engine().combiner.costs
+        for edge_id, histogram in update.published.costs.items():
+            assert table.cost(network.edge(edge_id)) == histogram
+
+    def test_replaying_a_published_update_is_skipped(self, world, service):
+        _, update = accepted_cycle(world, service)
+        version = service.cost_version()
+        assert service.apply_cost_update(update.published) == version
+        assert service.cost_version() == version
+
+    def test_sequences_stay_monotone_across_cycles(self, world, service):
+        network = world[0]
+        pipeline, first = accepted_cycle(world, service)
+        # A feed event in between puts the free-flow tables back, numbered 7.
+        service.apply_cost_update(free_flow_update(network, service.engine().combiner.costs, 7))
+        second = pipeline.run_update()
+        assert (first.published.sequence, second.published.sequence) == (1, 8)
+        assert pipeline.stats().last_sequence == service.feed_position == 8
+
+    def test_publishes_past_a_restored_feed_position(self, world, service):
+        """The blue/green successor: restored at feed position 4, its next
+        accepted batch is sequence 5 and applies instead of being skipped."""
+        network = world[0]
+        donor = RoutingService(network, ConvolutionModel(EdgeCostTable(network, resolution=5.0)))
+        for sequence in range(1, 5):
+            donor.apply_cost_update(free_flow_update(network, donor.engine().combiner.costs, sequence))
+        service.restore(json.loads(json.dumps(donor.snapshot())))
+        assert service.feed_position == 4
+        version = service.cost_version()
+        pipeline, update = accepted_cycle(world, service)
+        assert update.published.sequence == 5
+        assert service.cost_version() == version + 1
+        assert service.feed_position == 5
+        stats = pipeline.stats()
+        assert (stats.updates_published, stats.last_sequence) == (1, 5)
+
+    def test_time_sliced_service_learns_on_the_default_slice_only(self, world):
+        network, truth, matcher, _ = world
+        tables = time_sliced_cost_tables(network, truth)
+        # The default slice starts at free flow, which the corpus beats.
+        tables[next(iter(tables))] = EdgeCostTable(network, resolution=5.0)
+        service = RoutingService.from_time_slices(network, tables)
+        pipeline = make_pipeline(service, matcher)
+        pipeline.ingest(list(TripGenerator(network, truth, seed=7).generate(60)))
+        default = service.engine().combiner.costs
+        other = next(name for name in service.slice_names if name != service.default_slice)
+        priors = pipeline._priors()
+        assert priors == {e: default.cost(network.edge(e)) for e in priors}
+        assert priors != {e: service.engine(other).combiner.costs.cost(network.edge(e)) for e in priors}
+        versions = {name: service.cost_version(name) for name in service.slice_names}
+        update = pipeline.run_update()
+        assert update.accepted and update.published.slice_name == service.default_slice
+        assert {name: service.cost_version(name) for name in service.slice_names} == {
+            **versions, service.default_slice: versions[service.default_slice] + 1
+        }
 
 
 class TestStats:

@@ -4,7 +4,8 @@
 grid-integer offset within ±2**53, finite non-negative probabilities and mass within
 1e-6 of 1.  The same malformed payloads are sent through every entry
 point that decodes one; each is a ``ValueError`` (``bad_request`` on the
-wire), and a rejected ``restore`` leaves the service as it was.
+wire), and a rejected ``restore`` leaves the service as it was.  The wire
+columns also send edge-id keys in any form but ``str(n)``.
 """
 
 import json
@@ -44,6 +45,30 @@ MALFORMED = {
 
 cases = pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
 
+#: Edge-id keys other than ``str(n)`` for n >= 0, each beside a valid
+#: payload, and a mapping with no edge at all.
+GOOD = {"offset": 3, "probs": [1.0]}
+BAD_KEYS = {
+    "no edge": {},
+    "key +3 beside 3": {"3": GOOD, "+3": GOOD},
+    "key 03": {"03": GOOD},
+    "key 1_0": {"1_0": GOOD},
+    "key with a space": {" 3": GOOD},
+    "key -1": {"-1": GOOD},
+    "key 3.0": {"3.0": GOOD},
+    "empty key": {"": GOOD},
+    "arabic-indic key": {"\u0663": GOOD},
+    "fullwidth key": {"\uff13": GOOD},
+}
+
+#: The wire columns take a whole ``costs`` mapping: each malformed payload
+#: under edge 0, then each malformed key.
+wire_cases = pytest.mark.parametrize(
+    "costs",
+    [{"0": payload} for payload in MALFORMED.values()] + list(BAD_KEYS.values()),
+    ids=list(MALFORMED) + list(BAD_KEYS),
+)
+
 
 def service() -> RoutingService:
     costs = EdgeCostTable(NETWORK, resolution=5.0)
@@ -58,27 +83,27 @@ def assert_bad_request(response):
     assert response["error"].startswith("ValueError")
 
 
-@cases
-def test_wire_apply_update(payload):
+@wire_cases
+def test_wire_apply_update(costs):
     served = service()
     version = served.cost_version()
     assert_bad_request(
         served.handle_request(
-            {"op": "apply_update", "update": {"kind": "cost_update", "costs": {"0": payload}}}
+            {"op": "apply_update", "update": {"kind": "cost_update", "costs": costs}}
         )
     )
     assert served.cost_version() == version
 
 
-@cases
-def test_wire_schedule_incident(payload):
+@wire_cases
+def test_wire_schedule_incident(costs):
     served = service()
     incident = {
         "kind": "scheduled_incident",
         "incident_id": "bad",
         "start_time": 0.0,
         "end_time": 10.0,
-        "costs": {"0": payload},
+        "costs": costs,
     }
     assert_bad_request(served.handle_request({"op": "schedule_incident", "incident": incident}))
     assert served.incidents() == service().incidents()

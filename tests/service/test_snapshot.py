@@ -421,6 +421,42 @@ CORRUPTIONS.update(
 )
 
 
+#: Edge-id key forms a bare ``int()`` once read as the edge ``str(n)`` names.
+KEY_FORMS = {
+    "plus": lambda key: "+" + key,
+    "leading-zero": lambda key: "0" + key,
+    "space": lambda key: " " + key,
+    "underscore": lambda key: "0_" + key,
+    "arabic-indic": lambda key: "".join(chr(0x660 + int(digit)) for digit in key),
+}
+
+
+def rekey(mapping, key, form):
+    mapping[KEY_FORMS[form](key)] = mapping.pop(key)
+
+
+CORRUPTIONS.update(
+    {
+        **{
+            f"cost-table-key-{form}": lambda doc, form=form: rekey(
+                first_cost_table(doc)["costs"], "10", form
+            )
+            for form in KEY_FORMS
+        },
+        **{
+            f"preimage-key-{form}": lambda doc, form=form: rekey(
+                next(iter(doc["temporal"]["active"][0]["preimages"].values())), "0", form
+            )
+            for form in KEY_FORMS
+        },
+        # Two keys for one edge: whichever came later used to win.
+        "cost-table-key-twins": lambda doc: first_cost_table(doc)["costs"].update(
+            {"00": first_cost_table(doc)["costs"]["0"]}
+        ),
+    }
+)
+
+
 class TestRejectedRestoreIsTheIdentity:
     """Decode-then-commit: a document ``restore`` rejects — whichever
     section is at fault — leaves the service exactly as it was."""
@@ -436,8 +472,10 @@ class TestRejectedRestoreIsTheIdentity:
         predecessor = self.build()
         default = predecessor.default_slice
         predecessor.apply_cost_update(slower_everywhere(sequence=9))
+        # Incidents pinned to the default slice: unsliced ones fan out over
+        # the schedule, and the version match below is on the default slice.
         predecessor.schedule_incident(
-            ScheduledIncident.closure("i1", [NETWORK.edges[0].id], 0.5, 100.0)
+            ScheduledIncident.closure("i1", [NETWORK.edges[0].id], 0.5, 100.0, slices=[default])
         )
         predecessor.advance_clock(1.0)
         predecessor.route(QUERY)
@@ -453,7 +491,7 @@ class TestRejectedRestoreIsTheIdentity:
         successor.apply_cost_update(shifted_update(2, sequence=2))
         assert successor.cost_version(default) == predecessor.cost_version(default)
         successor.schedule_incident(
-            ScheduledIncident.closure("own", [NETWORK.edges[1].id], 50.0, 60.0)
+            ScheduledIncident.closure("own", [NETWORK.edges[1].id], 50.0, 60.0, slices=[default])
         )
         successor.advance_clock(0.25)
         for name in successor.slice_names:

@@ -389,25 +389,25 @@ class TestTemporalProfile:
         assert profile.table_for(8.6 * 3600.0)[1] is tables["peak"]
 
     def test_slices_in_window_is_wrap_aware(self, tables):
-        profile = TemporalCostProfile(ScenarioSchedule.default(), tables)
-        assert profile.slices_in_window(7.5 * 3600, 8 * 3600) == ("peak",)
-        assert set(profile.slices_in_window(6.5 * 3600, 9.5 * 3600)) == {
+        schedule = TemporalCostProfile(ScenarioSchedule.default(), tables).expanded_schedule()
+        assert schedule.slices_in_window(7.5 * 3600, 8 * 3600) == ("peak",)
+        assert set(schedule.slices_in_window(6.5 * 3600, 9.5 * 3600)) == {
             "off_peak",
             "peak",
         }
         # Crossing midnight picks up both sides.
-        assert set(profile.slices_in_window(23 * 3600, 25 * 3600)) == {"night"}
+        assert set(schedule.slices_in_window(23 * 3600, 25 * 3600)) == {"night"}
         assert set(
-            profile.slices_in_window(21 * 3600, 30.5 * 3600)
+            schedule.slices_in_window(21 * 3600, 30.5 * 3600)
         ) == {"off_peak", "night"}
         # A window of a day or more covers everything.
-        assert set(profile.slices_in_window(0.0, DAY_SECONDS)) == {
+        assert set(schedule.slices_in_window(0.0, DAY_SECONDS)) == {
             "night",
             "off_peak",
             "peak",
         }
         with pytest.raises(ValueError, match="exceed"):
-            profile.slices_in_window(100.0, 100.0)
+            schedule.slices_in_window(100.0, 100.0)
 
     def test_spec_round_trips_and_compares(self, world, tables):
         profile = TemporalCostProfile(
@@ -626,6 +626,26 @@ class TestIncidentLifecycle:
         assert service.cost_version("off_peak") == versions["off_peak"] + 1
         assert service.cost_version("peak") == versions["peak"] + 1
         assert service.cost_version("night") == versions["night"]
+
+    @pytest.mark.parametrize("hours", [(2, 3), (7.5, 8.5), (10, 11)], ids=str)
+    def test_fanout_does_not_depend_on_the_constructor(self, world, hours):
+        """A sliced service and a degenerate profile over the same tables
+        and schedule fan one unsliced closure out to the same slices: the
+        regime its window resolves to, not the default slice."""
+        network, model = world
+        sliced = RoutingService.from_time_slices(
+            network, time_sliced_cost_tables(network, model), schedule=ScenarioSchedule.default()
+        )
+        profiled, _ = fresh_profile_service(world, time_sliced_cost_tables(network, model))
+        start, end = (hour * 3600.0 for hour in hours)
+        timelines = []
+        for service in (sliced, profiled):
+            service.schedule_incident(
+                ScheduledIncident.closure("c", [network.edges[0].id], start, end)
+            )
+            timelines.append([service.advance_clock(start + 1.0), service.advance_clock(end)])
+        assert timelines[0] == timelines[1]
+        assert timelines[0][0][0]["slices"] == [ScenarioSchedule.default().slice_at(start)]
 
     def test_plain_service_defaults_to_the_default_slice(self, world):
         network, model = world

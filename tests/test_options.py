@@ -168,7 +168,6 @@ KEEP_ELSEWHERE = {
     "DiscreteDistribution.sample": {"size": FORCED},
     "JointDistribution.from_samples": {"resolution": FORCED},
     "JointDistribution.is_independent": {"tol": FORCED},
-    "CostPublisher": {"slice_names": FORCED, "start_sequence": FORCED},
     "TripIngestor": {"store": FORCED},
     "MlpConfig": {
         "batch_size": TUNING,

@@ -92,6 +92,13 @@ def unreached_names(out, package):
     return {name for rows in report.values() for _, name, _ in rows}
 
 
+def test_entry_points_run_every_benchmark_workload():
+    declared = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())["workloads"]
+    runs = load_report().entry_points()
+    traced = {run[run.index("--workload") + 1] for run in runs if "--workload" in run}
+    assert traced == {workload["name"] for workload in declared}
+
+
 def test_called_functions_are_matched_and_the_rest_reported(tmp_path):
     script = "import repro.probe as p; p.decorated(); box = p.Box(); box.size; box.method()"
     done, out, package = trace(tmp_path, PROBE, script)

@@ -23,14 +23,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 HERE = Path(__file__).resolve().parent
-WORKLOADS = (
-    "hit_replay", "warm_miss", "cold_miss", "shared_frontier", "hybrid_search", "update_churn",
-)
 
 
 def entry_points() -> list[list[str]]:
+    """Every workload ``BENCHMARK.json`` names, one traced run, the examples
+    and the benchmark suite."""
+    workloads = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     bench = [sys.executable, "bench/run.py", "--seconds", "2", "--workload"]
-    runs = [bench + [name, "--trace", "0"] for name in WORKLOADS]
+    runs = [bench + [w["name"], "--trace", "0"] for w in workloads]
     # The per-layer probes run only in traced mode.
     runs.append(bench + ["hit_replay", "--trace", "1"])
     runs += [[sys.executable, str(p)] for p in sorted((ROOT / "examples").glob("*.py"))]
