@@ -122,6 +122,17 @@ class HybridStats:
             self.estimations = 0
 
 
+#: Blocks kept per published cost cell and set of trained stages, least
+#: recently used first out: the bench hybrid world's whole working set is
+#: 7,242 blocks at ~4.5 KiB resident each (PERFORMANCE.md "Hybrid expansion
+#: blocks").
+BLOCK_MEMO_SIZE = 8192
+
+
+def _block_memo() -> Memo:
+    return Memo(bound=lambda: BLOCK_MEMO_SIZE)  # read at every insert
+
+
 class HybridModel(CostCombiner):
     """The paper's Hybrid Model: classifier-arbitrated combination.
 
@@ -137,6 +148,10 @@ class HybridModel(CostCombiner):
     and its shares of both maps are built once per published cost cell, in
     a store on the table's holder keyed on the ``token`` of the extractor
     and of both stages, and a block adds its pre half's shares to them.
+    A block is a pure function of the pre-path distribution and the edge ids
+    within that store's scope, so a bounded memo beside it answers a repeated
+    block with one lookup; every call still counts its decisions in
+    :attr:`stats` and gets fresh distribution objects.
     """
 
     def __init__(
@@ -160,6 +175,18 @@ class HybridModel(CostCombiner):
     ) -> list[DiscreteDistribution]:
         if not edges:
             return []
+        tokens = (self.features.token, self.classifier.token, self.estimator.token)
+        blocks = self.costs.derived(self.features.network).get(("blocks", *tokens), _block_memo)
+        key = (pre.offset, pre.probs.tobytes(), tuple(edge.id for edge in edges))
+        rows, counts = blocks.get(key, partial(self._block, pre, edges))
+        self.stats.add(*counts)
+        return [DiscreteDistribution._trusted(offset, probs) for offset, probs in rows]
+
+    def _block(
+        self, pre: DiscreteDistribution, edges: Sequence[Edge]
+    ) -> tuple[list[tuple[int, np.ndarray]], tuple[int, int]]:
+        """One block computed: its rows as ``(offset, probs)`` pairs, and its
+        ``(convolutions, estimations)`` counts."""
         extractor, classifier, estimator = self.features, self.classifier, self.estimator
         key = ("edge_rows", extractor.token, classifier.token, estimator.token)
         store = self.costs.derived(extractor.network).get(key, Memo)
@@ -179,11 +206,11 @@ class HybridModel(CostCombiner):
             if picked
             else ()
         )
-        self.stats.add(len(edges) - len(picked), len(picked))
-        return [
+        rows = [
             next(estimated) if chosen else pre.convolve(cost)
             for chosen, cost in zip(estimate, costs)
         ]
+        return [(row.offset, row.probs) for row in rows], (len(edges) - len(picked), len(picked))
 
     def _edge_row(
         self, edge: Edge, cost: DiscreteDistribution

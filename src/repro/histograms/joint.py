@@ -159,7 +159,7 @@ class JointDistribution:
 
         Interprets the joint as an empirical table of ``num_samples``
         observations.  Returns ``(statistic, degrees_of_freedom)``; callers
-        compare against ``scipy.stats.chi2`` to get a p-value.  Cells with
+        take the chi-square tail (``scipy.special.chdtrc``) for a p-value.  Cells with
         zero expected count are skipped (standard practice for sparse
         contingency tables).
         """

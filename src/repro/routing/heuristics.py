@@ -44,8 +44,9 @@ HEURISTIC_CACHE_SIZE = 128
 
 
 def clear_heuristic_cache() -> None:
-    """Drop every shared lower-bound precomputation in the process (tests
-    and long-lived servers); CSR arrays and kernel blocks stay."""
+    """Drop every shared lower-bound precomputation and every memoised Hybrid
+    Model block in the process (tests and long-lived servers); CSR arrays and
+    kernel blocks stay."""
     clear_bounded()
 
 

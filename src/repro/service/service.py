@@ -1228,7 +1228,6 @@ class RoutingService:
             "profile": None if profile is None else profile.to_dict(),
             "temporal": self._incidents.to_dict(durable=True),
             "feed_position": self.feed_position,
-            "updates_applied": self._counters.read()["updates_applied"],
             "slices": slices,
         }
         if include_cache:

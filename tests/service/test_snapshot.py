@@ -186,6 +186,21 @@ class TestSnapshotRestore:
             assert served.cost_version == reference.cost_version
             assert_same_answer(served.result, reference.result, str(query))
 
+    def test_a_successors_snapshot_equals_the_document_it_restored(self):
+        """Serving counters (``requests``, ``updates_applied``) belong to the
+        process, so the durable document carries none of them and restore →
+        snapshot is the identity; an older document that still carries
+        ``updates_applied`` restores all the same."""
+        predecessor = fresh_service()
+        predecessor.apply_cost_update(shifted_update(1, sequence=1))
+        document = json_round_trip(predecessor.snapshot())
+        assert "updates_applied" not in document
+        for restored in (document, {**document, "updates_applied": 1}):
+            successor = fresh_service()
+            successor.restore(restored)
+            assert json_round_trip(successor.snapshot()) == document
+            assert successor.stats().updates_applied == 0
+
     def test_snapshot_is_plain_json_and_kind_tagged(self):
         document = fresh_service().snapshot()
         assert document["kind"] == "service_snapshot"

@@ -1,7 +1,15 @@
 """Unit tests for the trajectory store, types and dependence statistics."""
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+from scipy.stats import chi2
+
+from repro.histograms import JointDistribution
 from repro.network import grid_network
 from repro.trajectories import (
     CongestionConfig,
@@ -193,3 +201,36 @@ class TestDependenceStatistics:
         report = dependence_report(TrajectoryStore(), min_samples=10)
         assert report.num_pairs_tested == 0
         assert report.dependent_fraction == 0.0
+
+    # The chi-square tail is the special function ``scipy.stats.chi2.sf``
+    # itself calls, so serving never imports ``scipy.stats`` (tens of MiB
+    # and most of a second per process).
+    def test_serving_imports_leave_scipy_stats_out(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        script = (
+            "import sys, repro.service, repro.routing, repro.core; "
+            "print('scipy.stats' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_p_values_equal_chi2_sf_bit_for_bit(self, corpus, monkeypatch):
+        _, stores = corpus
+        store, _ = stores["dep"]
+        key = store.pair_keys_with_data(min_samples=40)[0]
+        statistics = [0.0, 1e-300, 1e-3, 0.5, 1.0, 3.84, 10.0, 57.3, 400.0, 1e4, np.inf]
+        checked = 0
+        for dof in (1, 2, 3, 4, 7, 12, 30, 99, 400):
+            for statistic in statistics:
+                monkeypatch.setattr(
+                    JointDistribution, "chi_square_statistic", lambda self, n: (statistic, dof)
+                )
+                p_value = pair_dependence(store, key, min_samples=40).p_value
+                expected = float(chi2.sf(statistic, dof))
+                assert np.array_equal(p_value, expected), (statistic, dof)
+                checked += 1
+        assert checked == 99
