@@ -40,7 +40,7 @@ class EdgeCostTable:
         # readers can never observe a torn pair — new histograms tagged with
         # the old version, or a half-applied batch.  `apply_deltas` publishes
         # a brand-new pair in a single assignment (atomic under the GIL);
-        # readers that need coherence snapshot the cell once via `versioned`.
+        # readers that need coherence read the cell once, as `derived` does.
         self._versioned: tuple[dict[int, DiscreteDistribution], int] = ({}, 0)
         self._free_flow: dict[int, DiscreteDistribution] = {}
         self._derived: tuple | None = None  # (cell, network, topology, memo)
@@ -59,17 +59,6 @@ class EdgeCostTable:
         state is fresh — the identity of the cell does (:meth:`derived`).
         """
         return self._versioned[1]
-
-    @property
-    def versioned(self) -> tuple[Mapping[int, DiscreteDistribution], int]:
-        """One coherent ``(histograms, version)`` snapshot of the table.
-
-        Reading :attr:`version` and then the costs as two steps can tear
-        around a concurrent :meth:`apply_deltas`; this property reads the
-        single publication cell once, so the pair is always consistent.
-        Treat the mapping as read-only.
-        """
-        return self._versioned
 
     def derived(self, network: RoadNetwork) -> Memo:
         """The holder of everything computed from the current publication cell.

@@ -106,20 +106,10 @@ class HybridStats:
             self.estimations += estimations
 
     @property
-    def total(self) -> int:
-        with self._lock:  # both counters of one update, never half of one
-            return self.convolutions + self.estimations
-
-    @property
     def estimation_fraction(self) -> float:
         with self._lock:
             total = self.convolutions + self.estimations
             return self.estimations / total if total else 0.0
-
-    def reset(self) -> None:
-        with self._lock:
-            self.convolutions = 0
-            self.estimations = 0
 
 
 #: Blocks kept per published cost cell and set of trained stages, least

@@ -1,27 +1,22 @@
-"""Persistence: trained hybrids and service snapshots on disk.
+"""Persistence: trained hybrids on disk.
 
-Two independent envelopes live here:
+:func:`save_hybrid` / :func:`load_hybrid` write and read one ``model.npz``
+holding every numeric array (MLP weights, scalers, classifier coefficients,
+edge-cost histograms, intersection stats) plus a ``meta.json`` with
+configuration and layout, so a trained model can be reused across experiment
+runs without retraining.
 
-* **trained hybrids** (:func:`save_hybrid` / :func:`load_hybrid`) — one
-  ``model.npz`` holding every numeric array (MLP weights, scalers,
-  classifier coefficients, edge-cost histograms, intersection stats) plus
-  a ``meta.json`` with configuration and layout, so a trained model can be
-  reused across experiment runs without retraining;
-* **service snapshots** (:func:`save_service_snapshot` /
-  :func:`load_service_snapshot`) — the kind-tagged JSON document
-  :meth:`repro.service.RoutingService.snapshot` produces (per-slice cost
-  tables with their exact versions, the update-feed position, optionally a
-  cache dump), written as one self-describing file.  The document is plain
-  JSON all the way down, so a blue/green successor on another host can
-  :meth:`~repro.service.RoutingService.restore` from it byte-for-byte —
-  Python floats round-trip exactly through JSON.
+A service snapshot needs no file format of its own: the document
+:meth:`repro.service.RoutingService.snapshot` returns is plain JSON all the
+way down, so ``json.dumps`` puts it on disk and ``restore(json.loads(...))``
+reads it back byte-for-byte (Python floats round-trip exactly through JSON);
+``restore`` runs the envelope check itself.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -34,56 +29,11 @@ from .estimator import DistributionEstimator, EstimatorConfig
 from .features import FeatureConfig, IntersectionStats, PairFeatureExtractor
 from .training import TrainedHybrid, TrainingReport
 
-__all__ = [
-    "load_hybrid",
-    "load_service_snapshot",
-    "save_hybrid",
-    "save_service_snapshot",
-]
+__all__ = ["load_hybrid", "save_hybrid"]
 
 _FORMAT_VERSION = 1
 #: The classifier learner ``meta.json`` names; the only one there is.
 _CLASSIFIER_BACKEND = "logistic"
-
-
-def _check_service_snapshot(document: Mapping[str, Any]) -> None:
-    """Reject anything that is not a readable-format service snapshot.
-
-    The format belongs to :mod:`repro.service.snapshots`; imported here,
-    not at module level, because ``repro.core`` must stay importable
-    without the serving layer (which itself imports ``repro.core``).
-    """
-    from ..service.snapshots import check_envelope
-
-    check_envelope(document)
-
-
-def save_service_snapshot(
-    document: Mapping[str, Any], path: str | Path
-) -> Path:
-    """Write one service-snapshot document to ``path`` as JSON.
-
-    The document is validated (kind tag and format version) *before*
-    anything is written, so a typo'd payload cannot shadow a good snapshot
-    file.  Returns the path written.
-    """
-    _check_service_snapshot(document)
-    path = Path(path)
-    if path.parent != Path(""):
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(document))
-    return path
-
-
-def load_service_snapshot(path: str | Path) -> dict[str, Any]:
-    """Read and validate a snapshot written by :func:`save_service_snapshot`.
-
-    Hand the returned document to
-    :meth:`repro.service.RoutingService.restore`.
-    """
-    document = json.loads(Path(path).read_text())
-    _check_service_snapshot(document)
-    return document
 
 
 def save_hybrid(trained: TrainedHybrid, directory: str | Path) -> None:

@@ -9,12 +9,9 @@ from .dependence import DependenceResult, run_dependence_experiment
 from .efficiency import EfficiencyRow, EfficiencyTable, run_efficiency_experiment
 from .model_eval import ModelEvaluation, evaluate_model
 from .quality import (
-    BudgetSweepRow,
-    BudgetSweepTable,
     QualityCell,
     QualityRow,
     QualityTable,
-    run_budget_sweep_experiment,
     run_quality_experiment,
 )
 from .runner import ReproductionRunner, get_runner
@@ -23,8 +20,6 @@ from .workloads import BandedQuery, WorkloadGenerator
 
 __all__ = [
     "BandedQuery",
-    "BudgetSweepRow",
-    "BudgetSweepTable",
     "DependenceResult",
     "DistanceBand",
     "EfficiencyRow",
@@ -43,7 +38,6 @@ __all__ = [
     "get_preset",
     "get_runner",
     "render_table",
-    "run_budget_sweep_experiment",
     "run_dependence_experiment",
     "run_efficiency_experiment",
     "run_quality_experiment",

@@ -15,35 +15,24 @@ relative improvement of the hybrid path's on-time probability::
 
 averaged over the band's queries (queries where both paths coincide
 contribute zero gain).
-
-:func:`run_budget_sweep_experiment` is the paper's budget-vs-reliability
-trade-off at workload scale: every workload query is answered for a whole
-vector of budget factors through the ``multi_budget`` strategy (one label
-search per query instead of one per factor), and the table reports the mean
-arrival probability per band and factor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from ..core.models import CostCombiner
 from ..network import RoadNetwork
-from ..routing import RoutingEngine, RoutingResult, normalize_budgets
+from ..routing import RoutingEngine, RoutingResult
 from ..trajectories import CongestionModel
 from .config import DistanceBand
 from .tables import format_percent, render_table
 from .workloads import BandedQuery
 
 __all__ = [
-    "BudgetSweepRow",
-    "BudgetSweepTable",
     "QualityCell",
     "QualityRow",
     "QualityTable",
-    "run_budget_sweep_experiment",
     "run_quality_experiment",
 ]
 
@@ -168,74 +157,3 @@ def run_quality_experiment(
             )
         rows.append(QualityRow(band=band, cells=tuple(cells)))
     return QualityTable(rows=tuple(rows), anytime_limits=tuple(anytime_limits))
-
-
-@dataclass(frozen=True)
-class BudgetSweepRow:
-    """Mean arrival probability per budget factor for one distance band."""
-
-    band: DistanceBand
-    factors: tuple[float, ...]
-    mean_probabilities: tuple[float, ...]
-    num_queries: int
-
-
-@dataclass(frozen=True)
-class BudgetSweepTable:
-    rows: tuple[BudgetSweepRow, ...]
-
-    def render(self) -> str:
-        factors = self.rows[0].factors if self.rows else ()
-        headers = ["Dist (km)", *(f"x{factor:g}" for factor in factors)]
-        body = [
-            [
-                row.band.label,
-                *(format_percent(p, digits=1) for p in row.mean_probabilities),
-            ]
-            for row in self.rows
-        ]
-        return render_table(
-            headers, body, title="Arrival probability vs budget factor"
-        )
-
-
-def run_budget_sweep_experiment(
-    network: RoadNetwork,
-    combiner: CostCombiner,
-    workload: dict[DistanceBand, list[BandedQuery]],
-    *,
-    factors: Sequence[float] = (1.1, 1.3, 1.6, 2.0),
-) -> BudgetSweepTable:
-    """Answer every workload query over a budget-factor vector at once.
-
-    Each query's budget vector is ``ceil(factor * optimistic_ticks)`` per
-    factor, served by one ``multi_budget`` search; probabilities are read
-    back per factor (factors that collapse onto the same tick budget share
-    one answer).
-    """
-    factors = tuple(factors)
-    if not factors or any(f <= 1.0 for f in factors):
-        raise ValueError("budget factors must all exceed 1")
-    engine = RoutingEngine(network, combiner)
-    rows = []
-    for band, members in workload.items():
-        sums = [0.0] * len(factors)
-        for banded in members:
-            per_factor = [
-                max(1, int(math.ceil(factor * banded.optimistic_ticks)))
-                for factor in factors
-            ]
-            answer = engine.route_multi_budget(
-                banded.query.source, banded.query.target, normalize_budgets(per_factor)
-            )
-            for i, budget in enumerate(per_factor):
-                sums[i] += answer.best_for(budget).probability
-        rows.append(
-            BudgetSweepRow(
-                band=band,
-                factors=factors,
-                mean_probabilities=tuple(s / len(members) for s in sums),
-                num_queries=len(members),
-            )
-        )
-    return BudgetSweepTable(rows=tuple(rows))

@@ -88,30 +88,6 @@ class JointDistribution:
         np.add.at(probs, (ticks[:, 0] - lo1, ticks[:, 1] - lo2), 1.0)
         return cls(lo1, lo2, probs)
 
-    @classmethod
-    def independent(
-        cls, first: DiscreteDistribution, second: DiscreteDistribution
-    ) -> "JointDistribution":
-        """Product joint ``P(t1) * P(t2)`` — what convolution assumes."""
-        probs = np.outer(first.probs, second.probs)
-        return cls(first.offset, second.offset, probs, normalize=False)
-
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self._probs
-
-    def prob_at(self, t1: int, t2: int) -> float:
-        """``P(t1, t2)`` for exact tick values."""
-        i = int(t1) - self._offset1
-        j = int(t2) - self._offset2
-        if i < 0 or j < 0 or i >= self._probs.shape[0] or j >= self._probs.shape[1]:
-            return 0.0
-        return float(self._probs[i, j])
-
     # ------------------------------------------------------------------
     # Derived distributions
     # ------------------------------------------------------------------
@@ -175,12 +151,6 @@ class JointDistribution:
             (int(np.sum(p2 > _MASS_EPSILON)) - 1), 1
         )
         return stat, dof
-
-    def is_independent(self, *, tol: float = 1e-9) -> bool:
-        """Exact independence test: joint equals the product of marginals."""
-        p1 = self._probs.sum(axis=1)
-        p2 = self._probs.sum(axis=0)
-        return bool(np.allclose(self._probs, np.outer(p1, p2), atol=tol, rtol=0.0))
 
     def __repr__(self) -> str:
         return (

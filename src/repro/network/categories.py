@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-__all__ = ["RoadCategory", "FREE_FLOW_SPEED_KMH", "OSM_HIGHWAY_TO_CATEGORY"]
+__all__ = ["RoadCategory", "FREE_FLOW_SPEED_KMH"]
 
 
 class RoadCategory(Enum):
@@ -33,18 +33,6 @@ class RoadCategory(Enum):
         """0 for the highest-capacity class, increasing downwards."""
         return _RANK[self]
 
-    @classmethod
-    def from_osm_highway(cls, tag: str) -> "RoadCategory":
-        """Map an OSM ``highway`` tag value onto a category.
-
-        Unknown drivable values map to :attr:`SERVICE` (the paper's network
-        keeps all drivable ways); link roads inherit their parent class.
-        """
-        tag = tag.strip().lower()
-        if tag.endswith("_link"):
-            tag = tag[: -len("_link")]
-        return OSM_HIGHWAY_TO_CATEGORY.get(tag, cls.SERVICE)
-
 
 #: Free-flow speeds (km/h) per category — Danish speed limits.
 FREE_FLOW_SPEED_KMH: dict[RoadCategory, float] = {
@@ -59,17 +47,4 @@ FREE_FLOW_SPEED_KMH: dict[RoadCategory, float] = {
 
 _RANK: dict[RoadCategory, int] = {
     category: index for index, category in enumerate(RoadCategory)
-}
-
-#: OSM ``highway=*`` values accepted by the parser.
-OSM_HIGHWAY_TO_CATEGORY: dict[str, RoadCategory] = {
-    "motorway": RoadCategory.MOTORWAY,
-    "trunk": RoadCategory.TRUNK,
-    "primary": RoadCategory.PRIMARY,
-    "secondary": RoadCategory.SECONDARY,
-    "tertiary": RoadCategory.TERTIARY,
-    "unclassified": RoadCategory.TERTIARY,
-    "residential": RoadCategory.RESIDENTIAL,
-    "living_street": RoadCategory.RESIDENTIAL,
-    "service": RoadCategory.SERVICE,
 }

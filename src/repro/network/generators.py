@@ -23,7 +23,6 @@ from .graph import RoadNetwork
 __all__ = [
     "grid_network",
     "denmark_like_network",
-    "two_edge_network",
     "diamond_network",
 ]
 
@@ -184,17 +183,6 @@ def denmark_like_network(
         seen_corridors.add((u, v))
         add_chain(u, v, RoadCategory.MOTORWAY, bow=0.0)
         add_chain(u, v, RoadCategory.PRIMARY, bow=900.0)
-    return network
-
-
-def two_edge_network() -> RoadNetwork:
-    """The paper's motivating example topology: ``0 -> 1 -> 2``, 300 m then 500 m."""
-    network = RoadNetwork()
-    network.add_vertex(0, 0.0, 0.0)
-    network.add_vertex(1, 300.0, 0.0)
-    network.add_vertex(2, 800.0, 0.0)
-    network.add_edge(0, 1, length=300.0)
-    network.add_edge(1, 2, length=500.0)
     return network
 
 

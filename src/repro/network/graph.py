@@ -1,9 +1,8 @@
 """The road-network graph.
 
-A directed multigraph tailored to stochastic routing: dense integer edge ids
-(so per-edge data — histograms, model features — lives in flat arrays),
-constant-time out/in adjacency, and first-class *edge pair* iteration, since
-the paper's hybrid model is trained per consecutive-edge pair.
+A directed graph tailored to stochastic routing: dense integer edge ids (so
+per-edge data — histograms, model features — lives in flat arrays) and
+constant-time out/in adjacency.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from typing import Iterator, Sequence
 
 from ..derived import Memo, rebind
 from .categories import RoadCategory
-from .types import Edge, EdgePair, Vertex
+from .types import Edge, Vertex
 
 __all__ = ["RoadNetwork"]
 
@@ -120,21 +119,11 @@ class RoadNetwork:
     def vertex(self, vertex_id: int) -> Vertex:
         return self._vertices[vertex_id]
 
-    def vertices(self) -> Iterator[Vertex]:
-        return iter(self._vertices.values())
-
     def vertex_ids(self) -> Iterator[int]:
         return iter(self._vertices.keys())
 
-    def has_vertex(self, vertex_id: int) -> bool:
-        return vertex_id in self._vertices
-
     def edge(self, edge_id: int) -> Edge:
         return self._edges[edge_id]
-
-    def edge_between(self, source: int, target: int) -> Edge | None:
-        """The edge ``source -> target`` or ``None``."""
-        return self._by_endpoints.get((source, target))
 
     def out_edges(self, vertex_id: int) -> Sequence[Edge]:
         return self._out[vertex_id]
@@ -147,40 +136,6 @@ class RoadNetwork:
 
     def in_degree(self, vertex_id: int) -> int:
         return len(self._in[vertex_id])
-
-    # ------------------------------------------------------------------
-    # Edge pairs and paths
-    # ------------------------------------------------------------------
-
-    def edge_pairs(self, *, exclude_u_turns: bool = True) -> Iterator[EdgePair]:
-        """Iterate every consecutive edge pair in the network.
-
-        ``exclude_u_turns`` drops ``a -> b`` followed by ``b -> a``, which the
-        trajectory corpus essentially never contains and which would pollute
-        pair statistics.
-        """
-        for first in self._edges:
-            for second in self._out[first.target]:
-                if exclude_u_turns and second.target == first.source:
-                    continue
-                yield EdgePair(first, second)
-
-    def path_edges(self, vertex_path: Sequence[int]) -> list[Edge]:
-        """Resolve a vertex sequence into its edge sequence.
-
-        Raises ``ValueError`` when two consecutive vertices are not connected.
-        """
-        edges = []
-        for source, target in zip(vertex_path, vertex_path[1:]):
-            edge = self._by_endpoints.get((source, target))
-            if edge is None:
-                raise ValueError(f"no edge {source} -> {target} in network")
-            edges.append(edge)
-        return edges
-
-    def is_path(self, edges: Sequence[Edge]) -> bool:
-        """True when consecutive edges share endpoints."""
-        return all(a.target == b.source for a, b in zip(edges, edges[1:]))
 
     # ------------------------------------------------------------------
     # Misc

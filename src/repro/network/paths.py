@@ -24,7 +24,6 @@ __all__ = [
     "shortest_path",
     "reconstruct_path",
     "free_flow_weight",
-    "length_weight",
 ]
 
 WeightFn = Callable[[Edge], float]
@@ -33,11 +32,6 @@ WeightFn = Callable[[Edge], float]
 def free_flow_weight(edge: Edge) -> float:
     """Free-flow traversal time in seconds."""
     return edge.free_flow_time
-
-
-def length_weight(edge: Edge) -> float:
-    """Edge length in metres."""
-    return edge.length
 
 
 def dijkstra(

@@ -1,4 +1,4 @@
-"""Spatial helpers: geodesic distance and a uniform grid index.
+"""Spatial helpers: point-to-segment distance and a uniform grid index.
 
 The grid index answers the map matcher's candidate queries (edges near a GPS
 point) without an external spatial library.
@@ -13,31 +13,7 @@ from typing import Iterable
 from .graph import RoadNetwork
 from .types import Edge
 
-__all__ = ["haversine_m", "project_equirectangular", "GridIndex", "point_segment_distance"]
-
-_EARTH_RADIUS_M = 6_371_000.0
-
-
-def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance between two WGS84 points, in metres."""
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlmb = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2) ** 2
-    return 2 * _EARTH_RADIUS_M * math.asin(math.sqrt(a))
-
-
-def project_equirectangular(
-    lat: float, lon: float, *, lat0: float, lon0: float
-) -> tuple[float, float]:
-    """Project WGS84 onto local planar metres around ``(lat0, lon0)``.
-
-    Adequate at the country scale of the paper's Danish network (error well
-    under the GPS noise floor for Denmark's latitude span).
-    """
-    x = math.radians(lon - lon0) * _EARTH_RADIUS_M * math.cos(math.radians(lat0))
-    y = math.radians(lat - lat0) * _EARTH_RADIUS_M
-    return x, y
+__all__ = ["GridIndex", "point_segment_distance"]
 
 
 def point_segment_distance(

@@ -531,8 +531,7 @@ class RoutingEngine:
         scanning, no registration protocol.
 
         Concurrency: the underlying table publishes its histograms and its
-        version together in one atomic cell
-        (:attr:`~repro.core.costs.EdgeCostTable.versioned`), so a version
+        version together in one atomic cell, so a version
         read here is a coherent snapshot tag — a request that reads it once
         up front, computes, and caches under it can never tag an answer
         with a version the costs it read did not belong to.  (Keeping the

@@ -165,8 +165,8 @@ class OptimisticHeuristic:
         """The ``vertex -> optimistic remaining ticks`` map of reachable vertices.
 
         A view of :attr:`bounds` derived on first use, for the scalar search
-        loop, which wants one dictionary probe per label instead of separate
-        ``reachable``/``remaining_ticks`` calls.  Treat it as read-only.
+        loop, which wants one dictionary probe per label (a vertex missing
+        from it cannot reach the destination).  Treat it as read-only.
         """
         table = self._table
         if table is None:
@@ -175,14 +175,10 @@ class OptimisticHeuristic:
             }
         return table
 
-    def reachable(self, vertex_id: int) -> bool:
-        """True when the destination is reachable from ``vertex_id``."""
-        return vertex_id in self.table
-
     def remaining_ticks(self, vertex_id: int) -> int:
         """Lower bound on ticks from ``vertex_id`` to the destination.
 
-        Raises ``KeyError`` for vertices that cannot reach the destination;
-        call :meth:`reachable` first.
+        Raises ``KeyError`` for vertices that cannot reach the destination
+        (those missing from :attr:`table`).
         """
         return int(self.table[vertex_id])

@@ -651,11 +651,6 @@ class TemporalCostProfile:
         """Departure second → resolved regime name, as a plain schedule."""
         return self._expanded
 
-    def table_for(self, departure_time_seconds: float) -> tuple[str, EdgeCostTable]:
-        """``(regime name, table)`` serving a departure time."""
-        name = self._expanded.slice_at(departure_time_seconds)
-        return name, self._tables[name]
-
     # ------------------------------------------------------------------
     # Snapshot spec
     # ------------------------------------------------------------------

@@ -1212,8 +1212,9 @@ class RoutingService:
         snapshots are taken with the feed quiesced or replayed over the
         restored copy, which the sequence skip makes idempotent).
 
-        Persist with :func:`repro.core.persistence.save_service_snapshot`;
-        hand the loaded document to :meth:`restore`.
+        The document is plain JSON: ``json.dumps`` it to persist, and hand
+        ``json.loads`` of that text to :meth:`restore`, which checks the
+        envelope.
         """
         slices: dict[str, Any] = {}
         for name, engine in self._engines.items():

@@ -1,9 +1,8 @@
 """The service-snapshot codec: the one owner of snapshot formats 1 and 2.
 
 What :meth:`RoutingService.snapshot` writes is read back here and nowhere
-else: the format numbers, the envelope check (shared with
-:func:`repro.core.persistence.save_service_snapshot`), the cache-key part
-codec and the per-section decoding.  Decoding is all-or-nothing:
+else: the format numbers, the envelope check, the cache-key part codec and
+the per-section decoding.  Decoding is all-or-nothing:
 :func:`decode_snapshot` returns a fully built, fully validated
 :class:`DecodedSnapshot` — or raises — *before* the service touches any of
 its state, so :meth:`RoutingService.restore` is "decode, then commit" and

@@ -79,9 +79,6 @@ class TrajectoryStore:
             if len(samples) >= min_samples
         )
 
-    def edge_sample_count(self, edge_id: int) -> int:
-        return len(self._edge_samples.get(edge_id, ()))
-
     def edge_histogram(self, edge_id: int, *, min_samples: int = 1) -> DiscreteDistribution:
         """Empirical travel-time distribution of one edge.
 

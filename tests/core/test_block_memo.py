@@ -17,7 +17,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core import HybridModel, path_cost
+from repro.core import HybridModel, HybridStats, path_cost
 from repro.core import models
 from repro.histograms import DiscreteDistribution
 from repro.routing.heuristics import clear_heuristic_cache
@@ -83,7 +83,7 @@ def mixed(world, cases):
     _, trained = world
     probe = private(trained, MemoFree)
     for pre, edges in cases:
-        probe.stats.reset()
+        probe.stats = HybridStats()
         probe.combine_edges(pre, edges)
         counts = (probe.stats.convolutions, probe.stats.estimations)
         if min(counts) > 0:
@@ -177,7 +177,7 @@ class TestSingleFlight:
         assert len(served) == threads
         for block_ in served[1:]:
             assert_same_block(block_, served[0])
-        assert hybrid.stats.total == threads * len(edges)
+        assert hybrid.stats.convolutions + hybrid.stats.estimations == threads * len(edges)
 
 
 class TestPublication:

@@ -170,39 +170,3 @@ class TestEngineConsistency:
         other = ConvolutionModel(combiner.costs)
         with pytest.raises(ValueError, match="disagrees"):
             run_efficiency_experiment(net, other, workload, engine=engine)
-
-
-class TestBudgetSweep:
-    @pytest.fixture(scope="class")
-    def world(self):
-        net = grid_network(4, 4, spacing=250.0, seed=1)
-        model = CongestionModel(net, seed=2)
-        costs = EdgeCostTable(net, resolution=5.0)
-        for edge in net.edges:
-            costs.set_cost(edge.id, model.edge_marginal(edge))
-        generator = WorkloadGenerator(net, costs, seed=0)
-        bands = (DistanceBand(0.2, 0.6), DistanceBand(0.6, 1.2))
-        workload = {band: generator.generate_band(band, 3) for band in bands}
-        return net, ConvolutionModel(costs), workload
-
-    def test_probability_monotone_in_budget_factor(self, world):
-        from repro.experiments import run_budget_sweep_experiment
-
-        net, combiner, workload = world
-        factors = (1.1, 1.3, 1.6, 2.0)
-        table = run_budget_sweep_experiment(net, combiner, workload, factors=factors)
-        assert [row.band for row in table.rows] == list(workload)
-        for row in table.rows:
-            assert row.factors == factors
-            assert row.num_queries == 3
-            # More budget never hurts: monotone within every band's row.
-            probs = row.mean_probabilities
-            assert all(b >= a - 1e-9 for a, b in zip(probs, probs[1:]))
-        assert "Arrival probability vs budget factor" in table.render()
-
-    def test_factors_must_exceed_one(self, world):
-        from repro.experiments import run_budget_sweep_experiment
-
-        net, combiner, workload = world
-        with pytest.raises(ValueError, match="exceed 1"):
-            run_budget_sweep_experiment(net, combiner, workload, factors=(1.0, 1.5))

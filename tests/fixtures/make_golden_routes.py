@@ -38,7 +38,7 @@ from pathlib import Path
 
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.network import grid_network
-from repro.network.io import network_to_dict
+from network_codec import network_to_dict
 from repro.routing import RoutingEngine, RoutingQuery
 from repro.service import CostUpdate, RoutingService
 from repro.trajectories import CongestionModel

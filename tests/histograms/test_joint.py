@@ -6,6 +6,12 @@ import pytest
 from repro.histograms import DiscreteDistribution, JointDistribution, kl_divergence
 
 
+def product_joint(first, second):
+    """The joint convolution assumes: ``P(t1) * P(t2)``."""
+    probs = np.outer(first.probs, second.probs)
+    return JointDistribution(first.offset, second.offset, probs, normalize=False)
+
+
 def paper_joint():
     """The motivating example: T1=(10,20), T2=(15,25) perfectly correlated."""
     return JointDistribution.from_samples([(10, 20), (15, 25)])
@@ -21,13 +27,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             JointDistribution.from_samples([])
 
-    def test_independent_product(self):
-        a = DiscreteDistribution.from_mapping({1: 0.5, 2: 0.5})
-        b = DiscreteDistribution.from_mapping({3: 0.25, 4: 0.75})
-        j = JointDistribution.independent(a, b)
-        assert j.prob_at(1, 3) == pytest.approx(0.125)
-        assert j.is_independent()
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             JointDistribution(0, 0, np.array([[0.5, -0.5]]))
@@ -38,14 +37,15 @@ class TestConstruction:
 
     def test_normalizes(self):
         j = JointDistribution(0, 0, np.ones((2, 2)))
-        assert j.prob_at(0, 0) == pytest.approx(0.25)
+        assert j.marginal_first().to_mapping() == pytest.approx({0: 0.5, 1: 0.5})
+        assert j.total_cost().to_mapping() == pytest.approx({0: 0.25, 1: 0.5, 2: 0.25})
 
     def test_trims_zero_margins(self):
         probs = np.zeros((3, 3))
         probs[1, 1] = 1.0
         j = JointDistribution(0, 0, probs)
-        assert j.probs.shape == (1, 1)
-        assert j.prob_at(1, 1) == pytest.approx(1.0)
+        assert "offset1=1, offset2=1, shape=(1, 1)" in repr(j)
+        assert j.total_cost().to_mapping() == pytest.approx({2: 1.0})
 
 
 class TestDerivedDistributions:
@@ -60,7 +60,7 @@ class TestDerivedDistributions:
     def test_total_cost_equals_convolution_when_independent(self):
         a = DiscreteDistribution.from_mapping({1: 0.3, 2: 0.7})
         b = DiscreteDistribution.from_mapping({4: 0.4, 5: 0.6})
-        j = JointDistribution.independent(a, b)
+        j = product_joint(a, b)
         assert j.total_cost().allclose(j.convolved_marginals())
 
     def test_total_cost_mass_sums_to_one(self):
@@ -77,12 +77,12 @@ class TestDependenceMeasures:
 
     def test_mutual_information_zero_when_independent(self):
         a = DiscreteDistribution.from_mapping({1: 0.5, 2: 0.5})
-        j = JointDistribution.independent(a, a)
+        j = product_joint(a, a)
         assert j.mutual_information() == pytest.approx(0.0, abs=1e-9)
 
     def test_chi_square_zero_when_independent(self):
         a = DiscreteDistribution.from_mapping({1: 0.5, 2: 0.5})
-        j = JointDistribution.independent(a, a)
+        j = product_joint(a, a)
         stat, dof = j.chi_square_statistic(100)
         assert stat == pytest.approx(0.0, abs=1e-9)
         assert dof == 1

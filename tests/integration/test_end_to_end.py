@@ -7,6 +7,7 @@ experiments rely on.
 """
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ class TestModelAccuracy:
         combiner = trained.hybrid_model()
         router = RoutingEngine(network, combiner)
         router.route(RoutingQuery(0, 48, budget=60))
-        assert combiner.stats.total > 0
+        assert combiner.stats.convolutions + combiner.stats.estimations > 0
 
 
 class TestRoutingIntegration:
@@ -109,7 +110,8 @@ class TestRoutingIntegration:
         router = RoutingEngine(network, trained.hybrid_model())
         result = router.route(RoutingQuery(0, 48, budget=60))
         assert result.found
-        assert network.is_path(list(result.path))
+        path = list(result.path)
+        assert all(a.target == b.source for a, b in zip(path, path[1:]))
         truth_probability = traffic.path_probability_within(
             list(result.path), 60
         )
@@ -132,7 +134,7 @@ class TestPersistence:
         reloaded = load_hybrid(tmp_path, network)
 
         assert reloaded.report == trained.report
-        route = network.path_edges([0, 1, 2, 3])
+        route = [next(e for e in network.out_edges(u) if e.target == u + 1) for u in range(3)]
         original = path_cost(trained.hybrid_model(), route)
         restored = path_cost(reloaded.hybrid_model(), route)
         assert original.allclose(restored)
@@ -163,10 +165,8 @@ class TestCorpusFidelity:
     def test_empirical_marginals_match_model(self, world):
         """Edge histograms from the corpus converge to the exact marginals."""
         network, traffic, store, _ = world
-        edge_id = max(
-            store.edge_ids_with_data(min_samples=100),
-            key=store.edge_sample_count,
-        )
+        counts = Counter(t.edge_id for trip in store for t in trip.traversals)
+        edge_id = max(store.edge_ids_with_data(min_samples=100), key=counts.__getitem__)
         empirical = store.edge_histogram(edge_id)
         exact = traffic.edge_marginal(network.edge(edge_id))
         assert kl_divergence(exact, empirical) < 0.05

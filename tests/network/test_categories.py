@@ -19,21 +19,6 @@ class TestRoadCategory:
         assert RoadCategory.SERVICE.rank == len(RoadCategory) - 1
         assert RoadCategory.PRIMARY.rank < RoadCategory.RESIDENTIAL.rank
 
-    def test_osm_mapping(self):
-        assert RoadCategory.from_osm_highway("motorway") is RoadCategory.MOTORWAY
-        assert RoadCategory.from_osm_highway("unclassified") is RoadCategory.TERTIARY
-        assert RoadCategory.from_osm_highway("living_street") is RoadCategory.RESIDENTIAL
-
-    def test_osm_link_inherits_parent(self):
-        assert RoadCategory.from_osm_highway("primary_link") is RoadCategory.PRIMARY
-        assert RoadCategory.from_osm_highway("motorway_link") is RoadCategory.MOTORWAY
-
-    def test_osm_unknown_defaults_to_service(self):
-        assert RoadCategory.from_osm_highway("footway") is RoadCategory.SERVICE
-
-    def test_osm_mapping_case_insensitive(self):
-        assert RoadCategory.from_osm_highway("  Motorway ") is RoadCategory.MOTORWAY
-
     def test_danish_speed_limits(self):
         assert RoadCategory.MOTORWAY.free_flow_speed_kmh == 110.0
         assert RoadCategory.PRIMARY.free_flow_speed_kmh == 80.0

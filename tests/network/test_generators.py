@@ -8,8 +8,11 @@ from repro.network import (
     denmark_like_network,
     diamond_network,
     grid_network,
-    two_edge_network,
 )
+
+
+def coordinates(network):
+    return [(v.x, v.y) for v in map(network.vertex, network.vertex_ids())]
 
 
 def as_digraph(network):
@@ -40,12 +43,12 @@ class TestGrid:
     def test_deterministic_given_seed(self):
         a = grid_network(4, 4, jitter=0.1, seed=3)
         b = grid_network(4, 4, jitter=0.1, seed=3)
-        assert [(v.x, v.y) for v in a.vertices()] == [(v.x, v.y) for v in b.vertices()]
+        assert coordinates(a) == coordinates(b)
 
     def test_jitter_changes_coordinates(self):
         a = grid_network(4, 4, jitter=0.0)
         b = grid_network(4, 4, jitter=0.2, seed=1)
-        assert [(v.x, v.y) for v in a.vertices()] != [(v.x, v.y) for v in b.vertices()]
+        assert coordinates(a) != coordinates(b)
 
     def test_unidirectional_option(self):
         net = grid_network(3, 3, bidirectional=False)
@@ -93,12 +96,6 @@ class TestDenmarkLike:
 
 
 class TestFixtureNetworks:
-    def test_two_edge_network(self):
-        net = two_edge_network()
-        assert net.num_vertices == 3
-        assert net.num_edges == 2
-        assert len(list(net.edge_pairs())) == 1
-
     def test_diamond_two_routes(self):
         net = diamond_network()
         from repro.routing import all_simple_paths

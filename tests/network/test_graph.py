@@ -24,7 +24,8 @@ class TestConstruction:
             assert edge.id == i
 
     def test_default_length_is_euclidean(self, triangle):
-        edge = triangle.edge_between(0, 1)
+        edge = triangle.edges[0]
+        assert (edge.source, edge.target) == (0, 1)
         assert edge.length == pytest.approx(100.0)
 
     def test_explicit_length(self):
@@ -71,50 +72,10 @@ class TestAdjacency:
         assert triangle.out_degree(0) == 2
         assert triangle.in_degree(0) == 2
 
-    def test_edge_between_missing(self, triangle):
-        net = RoadNetwork()
-        net.add_vertex(0, 0.0, 0.0)
-        net.add_vertex(1, 1.0, 0.0)
-        assert net.edge_between(0, 1) is None
-
     def test_out_in_edges_consistent(self, triangle):
         for edge in triangle.edges:
             assert edge in triangle.out_edges(edge.source)
             assert edge in triangle.in_edges(edge.target)
-
-
-class TestEdgePairs:
-    def test_pairs_share_intersection(self, triangle):
-        for pair in triangle.edge_pairs():
-            assert pair.first.target == pair.second.source
-
-    def test_u_turns_excluded_by_default(self, triangle):
-        for pair in triangle.edge_pairs():
-            assert pair.second.target != pair.first.source
-
-    def test_u_turns_included_on_request(self, triangle):
-        with_u = list(triangle.edge_pairs(exclude_u_turns=False))
-        without = list(triangle.edge_pairs())
-        assert len(with_u) > len(without)
-
-
-class TestPaths:
-    def test_path_edges_roundtrip(self, triangle):
-        edges = triangle.path_edges([0, 1, 2])
-        assert len(edges) == 2
-        assert triangle.is_path(edges)
-
-    def test_path_edges_disconnected_raises(self):
-        net = RoadNetwork()
-        net.add_vertex(0, 0.0, 0.0)
-        net.add_vertex(1, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            net.path_edges([0, 1])
-
-    def test_is_path_rejects_gap(self, triangle):
-        e1 = triangle.edge_between(0, 1)
-        e2 = triangle.edge_between(2, 0)
-        assert not triangle.is_path([e1, e2])
 
 
 class TestMisc:

@@ -7,11 +7,14 @@ from repro.network import (
     dijkstra,
     free_flow_weight,
     grid_network,
-    length_weight,
     reconstruct_path,
     reverse_dijkstra,
     shortest_path,
 )
+
+
+def edge_length(edge):
+    return edge.length
 
 
 @pytest.fixture
@@ -55,16 +58,16 @@ class TestDijkstra:
 
 class TestReverseDijkstra:
     def test_symmetric_on_bidirectional_grid(self, grid):
-        forward, _ = dijkstra(grid, 7, weight=length_weight)
-        backward = reverse_dijkstra(grid, 7, weight=length_weight)
+        forward, _ = dijkstra(grid, 7, weight=edge_length)
+        backward = reverse_dijkstra(grid, 7, weight=edge_length)
         for vertex in grid.vertex_ids():
             assert forward[vertex] == pytest.approx(backward[vertex])
 
     def test_lower_bounds_any_path(self, grid):
         """h(v) must lower-bound the cost of every v->target path."""
         target = 24
-        h = reverse_dijkstra(grid, target, weight=length_weight)
-        path = shortest_path(grid, 0, target, weight=length_weight)
+        h = reverse_dijkstra(grid, target, weight=edge_length)
+        path = shortest_path(grid, 0, target, weight=edge_length)
         # walk the path: remaining true cost is always >= h at each vertex
         remaining = sum(edge.length for edge in path)
         assert h[0] <= remaining + 1e-9
@@ -94,5 +97,5 @@ class TestReconstruction:
 
     def test_shortest_path_optimality(self, grid):
         """Manhattan distance in a uniform grid: length = |dx| + |dy|."""
-        path = shortest_path(grid, 0, 24, weight=length_weight)
+        path = shortest_path(grid, 0, 24, weight=edge_length)
         assert sum(edge.length for edge in path) == pytest.approx(800.0)

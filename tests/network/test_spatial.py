@@ -1,42 +1,8 @@
 """Unit tests for spatial helpers and the grid index."""
 
-import math
-
 import pytest
 
-from repro.network import (
-    GridIndex,
-    grid_network,
-    haversine_m,
-    point_segment_distance,
-    project_equirectangular,
-)
-
-
-class TestHaversine:
-    def test_zero_distance(self):
-        assert haversine_m(56.0, 10.0, 56.0, 10.0) == 0.0
-
-    def test_one_degree_latitude(self):
-        value = haversine_m(56.0, 10.0, 57.0, 10.0)
-        assert value == pytest.approx(111_195, rel=0.01)
-
-    def test_symmetry(self):
-        a = haversine_m(55.0, 9.0, 56.0, 11.0)
-        b = haversine_m(56.0, 11.0, 55.0, 9.0)
-        assert a == pytest.approx(b)
-
-
-class TestProjection:
-    def test_origin_maps_to_zero(self):
-        x, y = project_equirectangular(56.0, 10.0, lat0=56.0, lon0=10.0)
-        assert (x, y) == (0.0, 0.0)
-
-    def test_consistent_with_haversine_locally(self):
-        x, y = project_equirectangular(56.01, 10.01, lat0=56.0, lon0=10.0)
-        planar = math.hypot(x, y)
-        true = haversine_m(56.0, 10.0, 56.01, 10.01)
-        assert planar == pytest.approx(true, rel=0.01)
+from repro.network import GridIndex, grid_network, point_segment_distance
 
 
 class TestPointSegmentDistance:

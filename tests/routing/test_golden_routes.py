@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.histograms import DiscreteDistribution
-from repro.network.io import network_from_dict
+from fixtures.network_codec import network_from_dict, network_to_dict
 from repro.routing import RoutingEngine, RoutingQuery
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -128,3 +128,11 @@ class TestFixtureHygiene:
     def test_kbest_fixture_exercises_a_real_frontier(self, golden):
         """At least one golden case must pin more than the argmax."""
         assert any(len(case["routes"]) > 1 for case in golden["kbest"])
+
+    def test_world_network_round_trips_through_the_codec(self):
+        """The codec rebuilds the committed network and writes it back
+        unchanged, so the goldens run on exactly the recorded graph."""
+        world = json.loads((FIXTURE_DIR / "golden_world.json").read_text())
+        network = network_from_dict(world["network"])
+        assert [e.id for e in network.edges] == list(range(network.num_edges))
+        assert network_to_dict(network) == world["network"]

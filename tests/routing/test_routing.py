@@ -59,8 +59,8 @@ class TestHeuristic:
         net.add_edge(0, 1)
         costs = EdgeCostTable(net, resolution=5.0)
         h = OptimisticHeuristic(net, costs, target=0)
-        assert h.reachable(0)
-        assert not h.reachable(1)
+        assert 0 in h.table
+        assert 1 not in h.table
 
     def test_remaining_ticks_lower_bounds(self, world):
         net, conv = world

@@ -763,16 +763,23 @@ class TestOneSwapSite:
         base_version = {name: table.version for name, table in live.items()}
 
         # Every table a slice ever serves, by version.  apply_deltas runs
-        # under the slice's write lock, so the cell read right after it is
-        # exactly the one that call published.
-        cells = {name: {table.version: table.versioned[0]} for name, table in live.items()}
+        # under the slice's write lock, so the histograms read right after
+        # it are exactly the ones that call published.
+        def observed(table):
+            return {
+                edge.id: table.cost(edge)
+                for edge in network.edges
+                if table.has_observed_cost(edge.id)
+            }
+
+        cells = {name: {table.version: observed(table)} for name, table in live.items()}
 
         def record(name, table):
             apply_deltas = table.apply_deltas
 
             def recording(updates):
                 version = apply_deltas(updates)
-                cells[name][version] = table.versioned[0]
+                cells[name][version] = observed(table)
                 return version
 
             table.apply_deltas = recording

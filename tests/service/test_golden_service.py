@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.histograms import DiscreteDistribution
-from repro.network.io import network_from_dict
+from fixtures.network_codec import network_from_dict
 from repro.service import RoutingService
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"

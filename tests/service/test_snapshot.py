@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ConvolutionModel, EdgeCostTable
-from repro.core.persistence import load_service_snapshot, save_service_snapshot
 from repro.histograms import DiscreteDistribution
 from repro.network import grid_network
 from repro.routing import OptimisticHeuristic, RoutingEngine, RoutingQuery
@@ -698,33 +697,14 @@ class TestSnapshotPersistence:
         predecessor = fresh_service()
         predecessor.apply_cost_update(shifted_update(1))
         reference = predecessor.route(QUERY)
-        path = save_service_snapshot(
-            predecessor.snapshot(include_cache=True),
-            tmp_path / "snapshots" / "blue.json",
-        )
+        path = tmp_path / "blue.json"
+        path.write_text(json.dumps(predecessor.snapshot(include_cache=True)))
         successor = fresh_service()
-        successor.restore(load_service_snapshot(path))
+        successor.restore(json.loads(path.read_text()))
         served = successor.route(QUERY)
         assert served.cache_hit
         assert served.cost_version == reference.cost_version
         assert_same_answer(served.result, reference.result)
-
-    def test_save_validates_before_writing(self, tmp_path):
-        target = tmp_path / "never.json"
-        with pytest.raises(ValueError, match="service_snapshot"):
-            save_service_snapshot({"kind": "mystery"}, target)
-        assert not target.exists()  # a bad payload cannot shadow a file
-        with pytest.raises(ValueError, match="format"):
-            save_service_snapshot(
-                {"kind": "service_snapshot", "format_version": 99}, target
-            )
-        assert not target.exists()
-
-    def test_load_rejects_tampered_files(self, tmp_path):
-        path = tmp_path / "snap.json"
-        path.write_text(json.dumps({"kind": "mystery"}))
-        with pytest.raises(ValueError, match="service_snapshot"):
-            load_service_snapshot(path)
 
     def test_snapshot_over_the_wire(self):
         service = fresh_service()

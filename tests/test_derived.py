@@ -23,6 +23,7 @@ from repro.core import (
     EdgeCostTable,
     EstimatorConfig,
     HybridModel,
+    HybridStats,
     IntersectionStats,
     PairFeatureExtractor,
 )
@@ -312,7 +313,7 @@ class TestEdgeRowStore:
         def assert_served_like_cold(model):
             cold_costs = EdgeCostTable.from_dict(network, costs.to_dict())
             cold = HybridModel(cold_costs, model.estimator, model.classifier, model.features)
-            model.stats.reset()
+            model.stats = HybridStats()
             for vertex in (7, 14, 21, 28):
                 pre, edges = costs.cost(network.in_edges(vertex)[0]), network.out_edges(vertex)
                 for mine, theirs in zip(model.combine_edges(pre, edges), cold.combine_edges(pre, edges)):

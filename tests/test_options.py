@@ -163,11 +163,9 @@ def test_every_option_has_a_caller_or_a_reason(constructor):
 #: Options of every other public function, method and dataclass that stay
 #: without a caller: qualified name -> {option: why}.
 KEEP_ELSEWHERE = {
-    "run_budget_sweep_experiment": {"factors": TUNING},
     "DiscreteDistribution.from_samples": {"resolution": FORCED},
     "DiscreteDistribution.sample": {"size": FORCED},
     "JointDistribution.from_samples": {"resolution": FORCED},
-    "JointDistribution.is_independent": {"tol": FORCED},
     "TripIngestor": {"store": FORCED},
     "MlpConfig": {
         "batch_size": TUNING,
@@ -176,7 +174,10 @@ KEEP_ELSEWHERE = {
         "validation_fraction": TUNING,
     },
     "grid_network": {"bidirectional": FORCED},
-    "RoadNetwork.edge_pairs": {"exclude_u_turns": FORCED},
+    "RoadNetwork.add_edge": {
+        "length": "persisted: the golden world's network file carries each edge's length; "
+        "hand-built test graphs set lengths apart from their coordinates",
+    },
     "reverse_dijkstra": {"weight": REFERENCE},
     "all_simple_paths": {"max_paths": FORCED},
     "_BudgetSearch": {"clip_distributions": REFERENCE},

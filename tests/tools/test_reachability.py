@@ -196,3 +196,122 @@ def test_dump_entries_outside_the_package_are_ignored(tmp_path):
     outside = os.path.realpath(tmp_path / "elsewhere" / "repro" / "probe.py")
     (out / "1.json").write_text(json.dumps([[inside, 3, "f"], [outside, 3, "g"]]))
     assert load_report().called(out, package) == {("probe.py", 3, "f")}
+
+
+# ----------------------------------------------------------------------
+# The keep list: a ratchet on what may stay unreached
+# ----------------------------------------------------------------------
+
+
+def probe_verdict(tmp_path, rows):
+    """Trace a run of ``PROBE`` that leaves ``idle``, ``never`` and
+    ``Box.unused`` unreached, and match it against ``rows``."""
+    script = "import repro.probe as p; p.decorated(); box = p.Box(); box.size; box.method()"
+    done, out, package = trace(tmp_path, PROBE, script)
+    assert done.returncode == 0, done.stderr
+    report = load_report()
+    return report.unkept(report.unreached(out, package), package, rows)
+
+
+KEPT = [
+    ("probe.py:idle", "reference", "an oracle"),
+    ("probe.py:never", "error", "a fault path"),
+    ("probe.py:Box.unused", "protocol", "a dunder"),
+]
+
+
+def test_every_unreached_function_with_a_row_passes(tmp_path):
+    assert probe_verdict(tmp_path, KEPT) == []
+
+
+def test_an_unreached_function_without_a_row_fails(tmp_path):
+    assert probe_verdict(tmp_path, KEPT[1:]) == ["unreached, no keep.txt row: probe.py:idle"]
+
+
+def test_a_row_for_a_reached_function_is_stale(tmp_path):
+    rows = KEPT + [("probe.py:Box.method", "protocol", "was a dunder")]
+    assert probe_verdict(tmp_path, rows) == ["stale keep.txt row: probe.py:Box.method is reached"]
+
+
+def test_a_row_for_a_deleted_function_is_stale(tmp_path):
+    rows = KEPT + [("probe.py:gone", "codec", "was a decoder")]
+    assert probe_verdict(tmp_path, rows) == ["stale keep.txt row: probe.py:gone is not defined"]
+
+
+def test_keep_rows_skip_comments_and_keep_the_reason_whole(tmp_path):
+    path = tmp_path / "keep.txt"
+    path.write_text("# header\n\na.py:f  codec  reads the wire document\n  # indented\nb.py:g  error\n")
+    assert load_report().keep_rows(path) == [
+        ("a.py:f", "codec", "reads the wire document"),
+        ("b.py:g", "error", ""),
+    ]
+
+
+def test_committed_keep_list_names_existing_definitions_once_with_a_rule_and_reason():
+    """The AST-only half of the ratchet: a function deleted with its row
+    still in place fails here, without the traced run."""
+    report = load_report()
+    defined = report.qualnames(TOOL.parents[1] / "src" / "repro")
+    rows = report.keep_rows(report.KEEP)
+    keys = [key for key, _, _ in rows]
+    assert rows, "keep.txt has no rows"
+    assert sorted(set(keys) - defined) == [], "rows name functions that are not defined"
+    assert sorted({key for key in keys if keys.count(key) > 1}) == [], "rows named twice"
+    assert [key for key, rule, _ in rows if rule not in report.RULES] == [], "unknown rules"
+    assert [key for key, _, reason in rows if not reason] == [], "rows without a reason"
+
+
+# ----------------------------------------------------------------------
+# A verdict that does not depend on the machine's speed
+# ----------------------------------------------------------------------
+
+
+def suite_outcome(tmp_path, body):
+    """Run a one-file pytest suite as a traced entry point; ``None`` if the
+    report counts it as passed."""
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    (suite / "pytest.ini").write_text("[pytest]\n")
+    (suite / "test_suite.py").write_text(textwrap.dedent(body))
+    out = tmp_path / "out"
+    out.mkdir()
+    env = dict(os.environ, REACH_OUT=str(out), PYTHONPATH=str(TOOL))
+    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(suite)]
+    return load_report().outcome(command, env)
+
+
+def test_a_test_that_fails_only_under_the_tracer_leaves_the_report_green(tmp_path):
+    body = '''
+        import sys
+
+
+        def test_untraced():
+            assert sys.getprofile() is None
+
+
+        def test_plain():
+            assert True
+    '''
+    assert suite_outcome(tmp_path, body) is None
+
+
+def test_a_test_that_fails_untraced_too_turns_the_report_red(tmp_path):
+    body = '''
+        import sys
+
+
+        def test_untraced():
+            assert sys.getprofile() is None
+
+
+        def test_always():
+            assert False, "fails everywhere"
+    '''
+    failure = suite_outcome(tmp_path, body)
+    assert failure is not None and failure.startswith("exit 1 untraced")
+    assert "test_always" in failure and "fails everywhere" in failure
+
+
+def test_a_pytest_that_cannot_collect_fails_without_a_rerun(tmp_path):
+    failure = suite_outcome(tmp_path, "import no_such_module_anywhere\n")
+    assert failure is not None and failure.startswith("exit 2:")

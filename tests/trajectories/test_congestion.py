@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from repro.histograms import DiscreteDistribution, JointDistribution, kl_divergence
-from repro.network import grid_network, two_edge_network
+from repro.network import EdgePair, RoadNetwork, grid_network
 from repro.trajectories import STRUCTURED_CONFIG, CongestionConfig, CongestionModel
+
+
+def first_pair(network):
+    """The first consecutive, non-U-turn edge pair in edge-id order."""
+    first = network.edges[0]
+    second = next(e for e in network.out_edges(first.target) if e.target != first.source)
+    return EdgePair(first, second)
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +145,7 @@ class TestEdgeDistributions:
 
 class TestExactJoints:
     def test_joint_marginals_match_edge_marginals(self, net, model):
-        pair = next(net.edge_pairs())
+        pair = first_pair(net)
         joint = model.pair_joint(pair)
         assert joint.marginal_first().allclose(model.edge_marginal(pair.first), atol=1e-9)
         assert joint.marginal_second().allclose(model.edge_marginal(pair.second), atol=1e-9)
@@ -146,17 +153,19 @@ class TestExactJoints:
     def test_independent_vertex_joint_is_product(self, net):
         config = CongestionConfig(dependence_probability=0.0)
         model = CongestionModel(net, config, seed=0)
-        pair = next(net.edge_pairs())
-        assert model.pair_joint(pair).is_independent(tol=1e-9)
+        pair = first_pair(net)
+        # Mutual information is zero exactly when the joint is the product
+        # of its marginals.
+        assert model.pair_joint(pair).mutual_information() == pytest.approx(0.0, abs=1e-12)
 
     def test_dependent_vertex_joint_positive_mi(self, net):
         config = CongestionConfig(dependence_probability=1.0)
         model = CongestionModel(net, config, seed=0)
-        pair = next(net.edge_pairs())
+        pair = first_pair(net)
         assert model.pair_joint(pair).mutual_information() > 0.001
 
     def test_pair_ground_truth_is_total_cost(self, net, model):
-        pair = next(net.edge_pairs())
+        pair = first_pair(net)
         assert model.pair_ground_truth(pair).allclose(
             model.pair_joint(pair).total_cost()
         )
@@ -164,7 +173,7 @@ class TestExactJoints:
     def test_joint_matches_sampling(self, net):
         config = CongestionConfig(dependence_probability=1.0, rho_range=(0.9, 0.9))
         model = CongestionModel(net, config, seed=3)
-        pair = next(net.edge_pairs())
+        pair = first_pair(net)
         rng = np.random.default_rng(0)
         samples = [
             tuple(model.sample_path_times([pair.first, pair.second], rng))
@@ -252,7 +261,7 @@ class TestSampling:
         assert model.sample_path_times([], np.random.default_rng(0)) == []
 
     def test_sample_lengths_match(self, net, model):
-        pair = next(net.edge_pairs())
+        pair = first_pair(net)
         times = model.sample_path_times(
             [pair.first, pair.second], np.random.default_rng(0)
         )
@@ -261,7 +270,11 @@ class TestSampling:
 
     def test_motivating_example_regime(self):
         """Perfect persistence reproduces the paper's dependent two-edge case."""
-        net = two_edge_network()
+        net = RoadNetwork()  # 0 -> 1 -> 2, 300 m then 500 m
+        for vertex, x in enumerate((0.0, 300.0, 800.0)):
+            net.add_vertex(vertex, x, 0.0)
+        net.add_edge(0, 1)
+        net.add_edge(1, 2)
         config = CongestionConfig(
             dependence_probability=1.0,
             rho_range=(1.0, 1.0),
@@ -270,7 +283,7 @@ class TestSampling:
             stationary=(0.5, 0.5),
         )
         model = CongestionModel(net, config, seed=0)
-        pair = next(net.edge_pairs())
+        pair = first_pair(net)
         joint = model.pair_joint(pair)
         truth = joint.total_cost()
         conv = joint.convolved_marginals()
