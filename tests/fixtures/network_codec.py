@@ -9,11 +9,14 @@ from typing import Any
 
 from repro.network import RoadCategory, RoadNetwork
 
+FORMAT_VERSION = 1
+
+
 def network_to_dict(network: RoadNetwork) -> dict[str, Any]:
     """Serialise a network to a JSON-compatible dictionary."""
     vertices = map(network.vertex, network.vertex_ids())
     return {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "vertices": [{"id": v.id, "x": v.x, "y": v.y} for v in vertices],
         "edges": [
             {
@@ -28,7 +31,12 @@ def network_to_dict(network: RoadNetwork) -> dict[str, Any]:
 
 
 def network_from_dict(payload: dict[str, Any]) -> RoadNetwork:
-    """Inverse of :func:`network_to_dict`; edge ids follow list order."""
+    """Inverse of :func:`network_to_dict`; edge ids follow list order.
+
+    A document of any other ``format_version`` raises ``ValueError``.
+    """
+    if payload.get("format_version") != FORMAT_VERSION:
+        raise ValueError(f"unknown network format: {payload.get('format_version')!r}")
     network = RoadNetwork()
     for vertex in payload["vertices"]:
         network.add_vertex(int(vertex["id"]), float(vertex["x"]), float(vertex["y"]))

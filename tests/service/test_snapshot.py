@@ -706,6 +706,35 @@ class TestSnapshotPersistence:
         assert served.cost_version == reference.cost_version
         assert_same_answer(served.result, reference.result)
 
+    def test_a_restored_service_writes_the_same_file(self):
+        """The document is JSON all the way down: read back and snapshot
+        again, it is the same text."""
+        predecessor = fresh_service()
+        predecessor.apply_cost_update(shifted_update(1))
+        predecessor.route(QUERY)
+        text = json.dumps(predecessor.snapshot(include_cache=True))
+        successor = fresh_service()
+        successor.restore(json.loads(text))
+        assert json.dumps(successor.snapshot(include_cache=True)) == text
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [({"kind": "mystery"}, "service_snapshot"), ({"format_version": 99}, "format")],
+        ids=["kind", "format"],
+    )
+    def test_a_tampered_file_is_refused_and_the_service_kept(self, tmp_path, tamper, message):
+        predecessor = fresh_service()
+        predecessor.apply_cost_update(shifted_update(1))
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps({**predecessor.snapshot(), **tamper}))
+        successor = fresh_service()
+        before = successor.route(QUERY)
+        with pytest.raises(ValueError, match=message):
+            successor.restore(json.loads(path.read_text()))
+        after = successor.route(QUERY)
+        assert after.cost_version == before.cost_version
+        assert_same_answer(after.result, before.result)
+
     def test_snapshot_over_the_wire(self):
         service = fresh_service()
         service.route(QUERY)

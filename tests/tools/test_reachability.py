@@ -1,7 +1,10 @@
 """The reachability report's matcher: what a traced process called is never
 listed, what it did not call is, and nested functions are not listed alone.
 The tracer itself follows every thread, survives SIGTERM and stays off unless
-``REACH_OUT`` is set."""
+``REACH_OUT`` is set.  ``keep.txt`` is a ratchet: the report exits 1 on an
+unreached function without a row, on a stale row and on a failed entry
+point, and a pytest entry point's failures count only if they recur
+untraced."""
 
 import importlib.util
 import json
@@ -11,6 +14,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+import pytest
 
 TOOL = Path(__file__).resolve().parents[2] / "tools" / "reachability"
 
@@ -315,3 +320,113 @@ def test_a_test_that_fails_untraced_too_turns_the_report_red(tmp_path):
 def test_a_pytest_that_cannot_collect_fails_without_a_rerun(tmp_path):
     failure = suite_outcome(tmp_path, "import no_such_module_anywhere\n")
     assert failure is not None and failure.startswith("exit 2:")
+
+
+def test_failed_tests_reads_the_ids_of_failed_and_error_summary_lines():
+    output = textwrap.dedent(
+        """\
+        ..F.E
+        =========================== short test summary info ============================
+        FAILED benchmarks/test_speed.py::test_floor - assert 1.8 >= 3.0
+        ERROR benchmarks/test_setup.py::TestWorld::test_build
+        FAILED
+        1 failed, 1 error in 0.12s
+        """
+    )
+    assert load_report().failed_tests(output) == [
+        "benchmarks/test_speed.py::test_floor",
+        "benchmarks/test_setup.py::TestWorld::test_build",
+    ]
+
+
+def test_the_pytest_entry_point_ends_with_its_test_path():
+    """``outcome`` swaps the last argument for the failed ids."""
+    (run,) = [run for run in load_report().entry_points() if "pytest" in run]
+    assert (TOOL.parents[1] / run[-1]).is_dir()
+
+
+def test_a_passing_suite_is_counted_passed(tmp_path):
+    assert suite_outcome(tmp_path, "def test_plain():\n    assert True\n") is None
+
+
+def test_an_entry_point_that_is_not_pytest_is_not_rerun(tmp_path):
+    """Only a pytest run's failures are re-run; any other exit 1 fails."""
+    script = "print('FAILED test_suite.py::test_x'); raise SystemExit(1)"
+    env = dict(os.environ, REACH_OUT=str(tmp_path), PYTHONPATH=str(TOOL))
+    failure = load_report().outcome([sys.executable, "-c", script], env)
+    assert failure is not None and failure.startswith("exit 1:")
+
+
+def test_complaints_list_missing_rows_then_stale_rows_each_sorted(tmp_path):
+    rows = [
+        ("probe.py:Box.unused", "protocol", "a dunder"),
+        ("probe.py:zeta", "codec", "was a decoder"),
+        ("probe.py:Box.method", "protocol", "was a dunder"),
+    ]
+    assert probe_verdict(tmp_path, rows) == [
+        "unreached, no keep.txt row: probe.py:idle",
+        "unreached, no keep.txt row: probe.py:never",
+        "stale keep.txt row: probe.py:Box.method is reached",
+        "stale keep.txt row: probe.py:zeta is not defined",
+    ]
+
+
+# ----------------------------------------------------------------------
+# The whole report: entry points, listing and exit code
+# ----------------------------------------------------------------------
+
+
+def run_report(tmp_path, rows, script=None):
+    """Run ``main`` on a tree whose package is ``PROBE`` and whose one entry
+    point is ``script``; returns the exit code."""
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "probe.py").write_text(PROBE)
+    keep = tmp_path / "keep.txt"
+    keep.write_text("".join(f"{key}  {rule}  {reason}\n" for key, rule, reason in rows))
+    script = script or (
+        "import repro.probe as p; p.decorated(); box = p.Box(); box.size; box.method()"
+    )
+    report = load_report()
+    report.ROOT, report.KEEP = tmp_path, keep
+    report.entry_points = lambda: [[sys.executable, "-c", script]]
+    return report.main()
+
+
+@pytest.mark.parametrize(
+    "rows, complaint",
+    [
+        (KEPT, None),
+        (KEPT[1:], "unreached, no keep.txt row: probe.py:idle"),
+        (
+            KEPT + [("probe.py:Box.method", "protocol", "was a dunder")],
+            "stale keep.txt row: probe.py:Box.method is reached",
+        ),
+        (
+            KEPT + [("probe.py:gone", "codec", "was a decoder")],
+            "stale keep.txt row: probe.py:gone is not defined",
+        ),
+    ],
+    ids=["every-row", "unlisted", "reached-row", "deleted-row"],
+)
+def test_the_report_exits_1_on_any_complaint(tmp_path, capsys, rows, complaint):
+    code = run_report(tmp_path, rows)
+    printed = capsys.readouterr().out
+    assert "probe.py  (3 unreached, " in printed
+    assert "total: 3 unreached" in printed
+    if complaint is None:
+        assert code == 0
+    else:
+        assert code == 1 and complaint in printed.splitlines()
+
+
+def test_a_failed_entry_point_fails_the_report_even_with_every_row(tmp_path, capsys):
+    script = (
+        "import repro.probe as p; p.decorated(); box = p.Box(); box.size; box.method(); "
+        "raise SystemExit(3)"
+    )
+    assert run_report(tmp_path, KEPT, script) == 1
+    captured = capsys.readouterr()
+    assert "keep.txt" not in captured.out  # no complaint: the failure alone fails it
+    assert "exit 3:" in captured.err
