@@ -15,7 +15,6 @@ historical dependence score).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -97,34 +96,17 @@ class DependenceClassifier:
         return bool(self.decide_rows(features)[0])
 
     def decide_rows(self, features: np.ndarray) -> np.ndarray:
-        """Decisions for whole feature rows, each a :meth:`decide_block` of
-        its own with the seam at its end."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return self.decide_block(features, features[:, :0], 0.0)
-
-    def logit_terms(self, halves: np.ndarray, start: int = 0) -> np.ndarray | None:
-        """Each row's share of the logistic logit from the feature columns
-        ``start ..`` (``StandardScaler.project``); ``None`` for a constant,
-        which has no logit."""
+        """Decisions for whole feature rows, each row's logit its own
+        ``(1, d)`` product, so row ``i`` is bit for bit its one-row call's
+        (``X @ w`` on a block may pick a kernel that rounds otherwise); a
+        constant reads no feature."""
         if not self._fitted:
             raise RuntimeError("DependenceClassifier is not fitted")
         if self._constant_label is not None:
-            return None
-        model = self._model
-        return self._scaler.project(halves, model.coef_, model.intercept_, start)
-
-    def decide_block(
-        self, head: np.ndarray, tails: Sequence[np.ndarray], logits: Sequence[float] | float
-    ) -> np.ndarray:
-        """Decisions for the Hybrid Model block of feature rows
-        ``[head | tails[i]]``, ``logits[i]`` being ``tails[i]``'s
-        :meth:`logit_terms`: the logit is one add and a sigmoid a row, a
-        constant reads neither.  Row ``i`` is bit for bit its one-row
-        block's."""
-        if self._constant_label is not None:
-            return np.full(len(tails), self._constant_label == USE_ESTIMATION)
-        probs = LogisticRegression._sigmoid(self.logit_terms(np.atleast_2d(head)) + logits)
-        return probs >= self.config.threshold
+            return np.full(len(np.atleast_2d(features)), self._constant_label == USE_ESTIMATION)
+        model, scaled = self._model, self._scaler.transform(features)
+        logits = (scaled[:, None, :] @ model.coef_)[:, 0] + model.intercept_
+        return LogisticRegression._sigmoid(logits) >= self.config.threshold
 
     def decide_batch(self, features: np.ndarray) -> np.ndarray:
         """Vectorised decisions (bool array) for a feature batch."""

@@ -135,31 +135,15 @@ class DistributionEstimator:
         edge_costs: list[DiscreteDistribution],
     ) -> list[DiscreteDistribution]:
         """Predicted cost of ``pre`` then each edge, one whole feature row per
-        edge: :meth:`predict_block` with each row's seam at its end."""
-        return self.predict_block(self.first_layer_terms(features), pre, edge_costs)
-
-    def first_layer_terms(self, halves: np.ndarray, start: int = 0) -> np.ndarray:
-        """Each row's share of the MLP's first-layer pre-activation from the
-        feature columns ``start ..`` (``StandardScaler.project``)."""
+        edge: every MLP layer takes each row alone
+        (:meth:`~repro.ml.MlpDistributionRegressor.predict_rows`) and one
+        :func:`from_delay_profiles` pass re-anchors them all.  Each bin's
+        mass is spread uniformly over the ``width`` ticks it covers, so
+        wide-bin predictions stay smooth instead of spiking at boundaries.
+        """
         if not self._fitted:
             raise RuntimeError("DistributionEstimator is not fitted")
-        network = self._mlp.network
-        return self._scaler.project(halves, network.weights[0], network.biases[0], start)
-
-    def predict_block(
-        self,
-        first: np.ndarray,
-        pre: DiscreteDistribution,
-        edge_costs: list[DiscreteDistribution],
-    ) -> list[DiscreteDistribution]:
-        """Predicted cost of ``pre`` then each edge from each row's first-layer
-        pre-activation, the sum of its halves' :meth:`first_layer_terms`: the
-        deeper layers take each row alone and one :func:`from_delay_profiles`
-        pass re-anchors them all.  Each bin's mass is spread uniformly over
-        the ``width`` ticks it covers, so wide-bin predictions stay smooth
-        instead of spiking at boundaries.
-        """
-        profiles = self._mlp.predict_from_first_layer(first)
+        profiles = self._mlp.predict_rows(self._scaler.transform(features))
         widths = [self.bin_width(pre, edge_cost) for edge_cost in edge_costs]
         return from_delay_profiles(
             [np.repeat(p / w, w) if w > 1 else p for p, w in zip(profiles, widths)],

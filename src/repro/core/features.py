@@ -17,7 +17,8 @@ feature vector describing:
 The same extractor serves training pairs (pre-path = first edge) and routing
 (pre-path = the accumulated virtual edge), which is exactly what makes the
 paper's virtual-edge trick work.  A vector is two halves, the pre-path's and
-the edge's; the Hybrid Model builds the second once per published cost cell.
+the edge's; the Hybrid Model builds the second once per published cost cell
+and sets a block's first beside it, so both learned stages read whole rows.
 """
 
 from __future__ import annotations
@@ -71,13 +72,6 @@ class PairFeatureExtractor:
         self.network = network
         self.config = config or FeatureConfig()
         self.set_intersection_stats(intersection_stats or {})
-
-    @property
-    def num_features(self) -> int:
-        """Length of the produced feature vector."""
-        # pre-path summary (5) + pre shape profile + edge numeric (5) + edge
-        # cost shape profile + category one-hot + intersection (4)
-        return 5 + 2 * self.config.profile_bins + 5 + len(_CATEGORIES) + 4
 
     def set_intersection_stats(self, stats: dict[int, IntersectionStats]) -> None:
         """Install historical dependence evidence (training-time product) and

@@ -133,11 +133,13 @@ class HybridModel(CostCombiner):
 
     :meth:`combine_edges` answers a label's out-edges as one block (see
     PERFORMANCE.md "Hybrid expansion blocks"); ``combine`` is its one-edge
-    case.  Both learned stages open with a linear map of the feature row
-    ``[pre half | edge half]``, so they split at the seam: each edge's half
-    and its shares of both maps are built once per published cost cell, in
-    a store on the table's holder keyed on the ``token`` of the extractor
-    and of both stages, and a block adds its pre half's shares to them.
+    case.  A feature row is ``[pre half | edge half]``: each edge's half is
+    built once per published cost cell, in a store on the table's holder
+    keyed on the extractor's ``token``, and a block sets its pre half beside
+    them and asks both stages for the whole rows at once
+    (:meth:`~DependenceClassifier.decide_rows`,
+    :meth:`~DistributionEstimator.predict_distributions`), each row its own
+    product, so row ``i`` is its one-row call's bit for bit.
     A block is a pure function of the pre-path distribution and the edge ids
     within that store's scope, so a bounded memo beside it answers a repeated
     block with one lookup; every call still counts its decisions in
@@ -177,22 +179,18 @@ class HybridModel(CostCombiner):
     ) -> tuple[list[tuple[int, np.ndarray]], tuple[int, int]]:
         """One block computed: its rows as ``(offset, probs)`` pairs, and its
         ``(convolutions, estimations)`` counts."""
-        extractor, classifier, estimator = self.features, self.classifier, self.estimator
-        key = ("edge_rows", extractor.token, classifier.token, estimator.token)
-        store = self.costs.derived(extractor.network).get(key, Memo)
+        extractor = self.features
+        store = self.costs.derived(extractor.network).get(("edge_rows", extractor.token), Memo)
         costs = [self.edge_cost(edge) for edge in edges]
-        tails, logits, firsts = zip(*[
-            store.get(edge.id, partial(self._edge_row, edge, cost))
+        tails = [
+            store.get(edge.id, partial(extractor.edge_features, edge, cost))
             for edge, cost in zip(edges, costs)
-        ])
-        head = extractor.pre_features(pre)[None]
-        estimate = classifier.decide_block(head, tails, logits).tolist()
+        ]
+        X = np.concatenate((extractor.pre_features(pre)[None].repeat(len(tails), 0), tails), 1)
+        estimate = self.classifier.decide_rows(X).tolist()
         picked = [i for i, chosen in enumerate(estimate) if chosen]
-        first = [firsts[i] for i in picked]
         estimated = iter(
-            estimator.predict_block(
-                estimator.first_layer_terms(head) + first, pre, [costs[i] for i in picked]
-            )
+            self.estimator.predict_distributions(X[picked], pre, [costs[i] for i in picked])
             if picked
             else ()
         )
@@ -201,17 +199,6 @@ class HybridModel(CostCombiner):
             for chosen, cost in zip(estimate, costs)
         ]
         return [(row.offset, row.probs) for row in rows], (len(edges) - len(picked), len(picked))
-
-    def _edge_row(
-        self, edge: Edge, cost: DiscreteDistribution
-    ) -> tuple[np.ndarray, float | None, np.ndarray]:
-        """An edge's half of the feature row, with its shares of the classifier
-        logit (``None``: no linear logit) and of the MLP's first layer."""
-        features = self.features.edge_features(edge, cost)[None]
-        start = self.features.num_features - features.shape[1]
-        logit = self.classifier.logit_terms(features, start)
-        first = self.estimator.first_layer_terms(features, start)
-        return features[0], logit if logit is None else float(logit[0]), first[0]
 
 
 class EstimationModel(HybridModel):

@@ -68,17 +68,17 @@ class Memo:
             # Another caller is building this key: wait, then look again (the
             # entry is there, or the build failed and this caller may lead).
             flight.wait()
+        value = flight  # stays the flight when build() raises: no entry
         try:
             value = build()
-            with self._lock:
-                self._entries[key] = value
-                while self._bound is not None and len(self._entries) > self._bound():
-                    self._entries.popitem(last=False)
-            return value
         finally:
-            with self._lock:
-                del self._flights[key]
-            flight.set()
+            with self._lock:  # one round: insert, trim, release the flight
+                if value is not flight:
+                    self._entries[key] = value
+                    while self._bound is not None and len(self._entries) > self._bound():
+                        self._entries.popitem(last=False)
+                self._flights.pop(key).set()
+        return value
 
 
 def rebind(owner: Any, seen: tuple | None, tag: tuple) -> tuple:

@@ -225,15 +225,14 @@ class MlpDistributionRegressor:
         assert self.network is not None
         return softmax(self.network.predict_logits(check_2d(X)))
 
-    def predict_from_first_layer(self, Z: np.ndarray) -> np.ndarray:
-        """:meth:`predict` resumed at the first layer's pre-activations ``Z``
-        (one row per sample).  The deeper layers take each row as its own
-        ``(1, h)`` matrix: numpy loops the one-row BLAS call, so row ``i`` is
-        bit for bit the one-row call's (``Z @ W`` on a block may pick a
+    def predict_rows(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`predict` with every layer taking each row as its own
+        ``(1, d)`` matrix: numpy loops the one-row BLAS call, so row ``i`` is
+        bit for bit the one-row call's (``X @ W`` on a block may pick a
         kernel that rounds otherwise)."""
         check_fitted(self)
         assert self.network is not None
-        network, h = self.network, np.asarray(Z, dtype=np.float64)[:, None, :]
-        for W, b in zip(network.weights[1:], network.biases[1:]):
-            h = network._act(h) @ W + b
+        network, h = self.network, np.asarray(X, dtype=np.float64)[:, None, :]
+        for layer, (W, b) in enumerate(zip(network.weights, network.biases)):
+            h = (network._act(h) if layer else h) @ W + b
         return softmax(h[:, 0])

@@ -44,19 +44,3 @@ class StandardScaler:
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
-
-    def project(
-        self, X: np.ndarray, weights: np.ndarray, bias: np.ndarray | float, start: int = 0
-    ) -> np.ndarray:
-        """``transform(X) @ weights + bias`` for ``X`` holding the feature
-        columns ``start ..`` and the bias riding with the leading ones, so a
-        row split at any seam projects to the sum of its halves' projections.
-        Each row is its own ``(1, d)`` product, bit for bit the one-row call's
-        (``X @ W`` on a block may pick a kernel that rounds otherwise)."""
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("StandardScaler is not fitted")
-        X = check_2d(X)
-        cols = slice(start, start + X.shape[1])
-        scaled = (X - self.mean_[cols]) / self.scale_[cols]
-        terms = (scaled[:, None, :] @ weights[cols])[:, 0]
-        return terms + bias if start == 0 else terms

@@ -30,7 +30,9 @@ hit/miss)::
     PYTHONPATH=src python tests/fixtures/make_golden_routes.py
 
 The script is deterministic: seeded generators, no time or randomness
-outside the fixed seeds.
+outside the fixed seeds.  :func:`render` returns the three texts without
+writing them; ``tests/routing/test_golden_routes.py`` compares each with
+its committed file, so an unchanged tree regenerates byte for byte.
 """
 
 import json
@@ -159,7 +161,12 @@ def make_service_trace() -> dict:
     update = CostUpdate.from_congestion(
         traffic, first_path, traffic.config.num_states - 1
     )
-    response = replay({"op": "apply_update", "update": update.to_dict()})
+    document = update.to_dict()
+    # The fixture's update is unnumbered, written without the key: it
+    # predates ``sequence``, and ``CostUpdate.from_dict`` reads an absent
+    # one as unnumbered.
+    del document["sequence"]
+    response = replay({"op": "apply_update", "update": document})
     expect.append(
         {
             "op": "apply_update",
@@ -191,7 +198,8 @@ def make_service_trace() -> dict:
     }
 
 
-def main() -> None:
+def render() -> dict[str, str]:
+    """Each fixture's text by file name, exactly as :func:`main` writes it."""
     network, costs, _ = build_world()
     engine = RoutingEngine(network, ConvolutionModel(costs))
 
@@ -245,29 +253,32 @@ def main() -> None:
             }
         )
 
-    (FIXTURE_DIR / "golden_world.json").write_text(
-        json.dumps(serialise_world(network, costs), indent=1) + "\n"
-    )
-    (FIXTURE_DIR / "golden_routes.json").write_text(
-        json.dumps(
-            {
-                "comment": "Regenerate with tests/fixtures/make_golden_routes.py "
-                "(see its docstring); never edit by hand.",
-                "pbr": pbr,
-                "multi_budget": multi,
-                "kbest": kbest,
-            },
-            indent=1,
+    routes = {
+        "comment": "Regenerate with tests/fixtures/make_golden_routes.py "
+        "(see its docstring); never edit by hand.",
+        "pbr": pbr,
+        "multi_budget": multi,
+        "kbest": kbest,
+    }
+    return {
+        name: json.dumps(document, indent=1) + "\n"
+        for name, document in (
+            ("golden_world.json", serialise_world(network, costs)),
+            ("golden_routes.json", routes),
+            ("golden_service.json", make_service_trace()),
         )
-        + "\n"
-    )
-    trace = make_service_trace()
-    (FIXTURE_DIR / "golden_service.json").write_text(
-        json.dumps(trace, indent=1) + "\n"
-    )
+    }
+
+
+def main() -> None:
+    texts = render()
+    for name, text in texts.items():
+        (FIXTURE_DIR / name).write_text(text)
+    routes = json.loads(texts["golden_routes.json"])
+    trace = json.loads(texts["golden_service.json"])
     print(
-        f"wrote {len(pbr)} pbr, {len(multi)} multi-budget, "
-        f"{len(kbest)} k-best golden cases, "
+        f"wrote {len(routes['pbr'])} pbr, {len(routes['multi_budget'])} multi-budget, "
+        f"{len(routes['kbest'])} k-best golden cases, "
         f"{len(trace['requests'])} service-trace requests"
     )
 

@@ -126,33 +126,16 @@ class TestPreprocessing:
         with pytest.raises(ValueError, match="non-finite"):
             StandardScaler().fit(np.asarray([[1.0, np.nan], [2.0, 3.0]]))
 
-    def _projection_case(self, seed=0):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(2.0, 3.0, size=(30, 5))
-        scaler = StandardScaler().fit(X)
-        return scaler, X, rng.normal(size=(5, 3)), rng.normal(size=3)
-
-    def test_project_is_transform_then_affine(self):
-        scaler, X, W, b = self._projection_case()
-        assert np.allclose(scaler.project(X, W, b), scaler.transform(X) @ W + b, rtol=1e-12)
-
-    @pytest.mark.parametrize("seam", [1, 3, 4])
-    def test_project_halves_sum_to_the_whole(self, seam):
-        """The bias rides with the leading half only, so the halves add up."""
-        scaler, X, W, b = self._projection_case(seed=seam)
-        lead = scaler.project(X[:, :seam], W, b)
-        trail = scaler.project(X[:, seam:], W, b, start=seam)
-        assert np.allclose(lead + trail, scaler.project(X, W, b), rtol=1e-12)
-
-    def test_project_rows_equal_one_row_calls(self):
-        scaler, X, W, b = self._projection_case(seed=7)
-        block = scaler.project(X[:, 2:], W, b, start=2)
-        for i in range(len(X)):
-            assert np.array_equal(block[i], scaler.project(X[i : i + 1, 2:], W, b, start=2)[0])
-
-    def test_project_unfitted(self):
-        with pytest.raises(RuntimeError):
-            StandardScaler().project(np.zeros((1, 2)), np.zeros((2, 1)), 0.0)
+    @pytest.mark.parametrize("k", [1, 2, 7, 16])
+    def test_transform_rows_equal_one_row_calls(self, k):
+        """The served stages scale each block's rows together: an
+        elementwise map, so row ``i`` is bit for bit its one-row call's."""
+        rng = np.random.default_rng(k)
+        scaler = StandardScaler().fit(rng.normal(2.0, 3.0, size=(30, 5)))
+        X = rng.normal(2.0, 3.0, size=(k, 5))
+        block = scaler.transform(X)
+        for i in range(k):
+            assert np.array_equal(block[i], scaler.transform(X[i])[0])
 
 
 class TestMetrics:

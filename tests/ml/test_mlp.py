@@ -191,17 +191,24 @@ class TestDistributionRegressor:
         config = MlpConfig(hidden_sizes=(8, 6), max_epochs=6, seed=2, **overrides)
         return MlpDistributionRegressor(config).fit(X, Y), X, Y
 
-    def test_predict_from_first_layer_matches_predict(self):
-        reg, X, _ = self._fitted()
-        Z = X @ reg.network.weights[0] + reg.network.biases[0]
-        assert np.allclose(reg.predict_from_first_layer(Z), reg.predict(X), rtol=1e-12)
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_predict_rows_matches_predict(self, activation):
+        reg, X, _ = self._fitted(activation=activation)
+        rows = reg.predict_rows(X)
+        assert np.allclose(rows, reg.predict(X), rtol=1e-12, atol=1e-15)
+        assert np.allclose(rows.sum(axis=1), 1.0)
 
-    def test_first_layer_rows_equal_one_row_calls(self):
-        reg, X, _ = self._fitted()
-        Z = X[:12] @ reg.network.weights[0] + reg.network.biases[0]
-        block = reg.predict_from_first_layer(Z)
-        for i in range(len(Z)):
-            assert np.array_equal(block[i], reg.predict_from_first_layer(Z[i : i + 1])[0])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_predict_rows_equal_one_row_calls(self, activation):
+        reg, X, _ = self._fitted(activation=activation)
+        for k in range(1, 17):
+            block = reg.predict_rows(X[:k])
+            for i in range(k):
+                assert np.array_equal(block[i], reg.predict_rows(X[i : i + 1])[0]), f"k={k}, row {i}"
+
+    def test_predict_rows_unfitted(self):
+        with pytest.raises(RuntimeError):
+            MlpDistributionRegressor().predict_rows(np.zeros((1, 2)))
 
     @pytest.mark.parametrize("rows, fraction", [(80, 0.0), (9, 0.5)])
     def test_without_validation_every_epoch_runs(self, rows, fraction):

@@ -136,3 +136,28 @@ class TestFixtureHygiene:
         network = network_from_dict(world["network"])
         assert [e.id for e in network.edges] == list(range(network.num_edges))
         assert network_to_dict(network) == world["network"]
+
+
+@pytest.fixture(scope="module")
+def rendered():
+    """The generator's three fixture texts, rendered in memory (it imports
+    its sibling codec the way a script run does)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(FIXTURE_DIR))
+        import make_golden_routes
+
+        return make_golden_routes.render()
+
+
+class TestTheGeneratorReproducesTheFixtures:
+    """Run by its documented procedure on an unchanged tree, the generator
+    writes every committed fixture back byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name", ["golden_world.json", "golden_routes.json", "golden_service.json"]
+    )
+    def test_rendered_text_equals_the_committed_file(self, rendered, name):
+        assert rendered[name] == (FIXTURE_DIR / name).read_text()
+
+    def test_it_renders_exactly_the_three_fixtures(self, rendered):
+        assert sorted(rendered) == sorted(p.name for p in FIXTURE_DIR.glob("golden_*.json"))

@@ -63,10 +63,16 @@ def min_tick_graphs(network, costs):
     )
 
 
+def feature_width(extractor):
+    """The length of ``extractor``'s rows, read off one extracted row."""
+    edge, cost = extractor.network.edges[0], DiscreteDistribution.point(1)
+    return extractor.extract(cost, edge, cost).size
+
+
 def learned(network, costs):
     """A Hybrid Model with untrained-but-fitted parts (both decisions occur)."""
     extractor = PairFeatureExtractor(network)
-    width = extractor.num_features
+    width = feature_width(extractor)
     estimator = DistributionEstimator(
         EstimatorConfig(num_bins=4, mlp=MlpConfig(hidden_sizes=(4,), max_epochs=2))
     )
@@ -86,9 +92,9 @@ def refit(estimator, classifier, width, seed):
 
 
 def edge_rows(network, hybrid):
-    """The resident edge-row store of ``hybrid``'s extractor and trained stages;
-    asking must not build one."""
-    key = ("edge_rows", hybrid.features.token, hybrid.classifier.token, hybrid.estimator.token)
+    """The resident edge-row store of ``hybrid``'s extractor; asking must not
+    build one."""
+    key = ("edge_rows", hybrid.features.token)
     return hybrid.costs.derived(network).get(key, lambda: pytest.fail("no edge-row store"))
 
 
@@ -172,6 +178,57 @@ class TestMemo:
         clear_bounded()
         assert bounded.get("k", lambda: 2) == 2
         assert unbounded.get("k", lambda: 2) == 1
+
+
+class CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self._lock, self.rounds = threading.Lock(), 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.rounds += 1
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+class TestMemoLockRounds:
+    """A miss inserts, trims the LRU and releases its flight in the round
+    after the build: the lock is taken once for a hit and twice for a miss,
+    a build that raises included."""
+
+    @staticmethod
+    def counted(memo):
+        memo._lock = CountingLock()
+        return memo._lock
+
+    @pytest.mark.parametrize("bound", [None, lambda: 2], ids=["unbounded", "bounded"])
+    def test_a_hit_takes_one_round_and_a_miss_two(self, bound):
+        memo = Memo(bound=bound)
+        lock = self.counted(memo)
+        assert memo.get("k", lambda: 1) == 1
+        assert lock.rounds == 2
+        assert memo.get("k", lambda: 2) == 1
+        assert lock.rounds == 3
+        assert memo._flights == {}
+
+    def test_a_miss_that_evicts_still_takes_two_rounds(self):
+        memo = Memo(bound=lambda: 1)
+        memo.get("a", lambda: "A")
+        lock = self.counted(memo)
+        assert memo.get("b", lambda: "B") == "B"
+        assert lock.rounds == 2 and list(memo._entries) == ["b"]
+
+    def test_a_raising_build_takes_two_rounds_and_leaves_nothing(self):
+        memo = Memo(bound=lambda: 4)
+        lock = self.counted(memo)
+        with pytest.raises(ZeroDivisionError):
+            memo.get("k", lambda: 1 // 0)
+        assert lock.rounds == 2
+        assert dict(memo._entries) == {} and memo._flights == {}
+        assert memo.get("k", lambda: "rebuilt") == "rebuilt"
 
 
 class TestLifetime:
@@ -287,8 +344,7 @@ class TestEdgeRowStore:
             """Combine the block, then read back the rows it was served from."""
             hybrid.combine_edges(pre, edges)
             store = edge_rows(network, hybrid)
-            # Each entry is (edge half, its logit share, its first-layer share).
-            return np.vstack([store.get(e.id, lambda: pytest.fail("not built"))[0] for e in edges])
+            return np.vstack([store.get(e.id, lambda: pytest.fail("not built")) for e in edges])
 
         before = fresh()
         assert np.array_equal(served(), before)
@@ -301,14 +357,15 @@ class TestEdgeRowStore:
 
     def test_each_set_of_trained_stages_is_served_its_own_terms(self):
         """A refinement round's shape: two models over one cell and one
-        extractor with different trained stages.  Each must be served the
-        shares of its own stages, and a stage refitted in place never its old
-        ones: every block equals a cold model's built from the same parts."""
+        extractor with different trained stages, sharing the edge halves.
+        Each must be served the blocks of its own stages, and a stage
+        refitted in place never its old ones: every block equals a cold
+        model's built from the same parts."""
         network, costs = built_world()
         first = learned(network, costs)
         second = HybridModel(costs, *refit(DistributionEstimator(
             EstimatorConfig(num_bins=4, mlp=MlpConfig(hidden_sizes=(4,), max_epochs=2))
-        ), DependenceClassifier(), first.features.num_features, seed=1), first.features)
+        ), DependenceClassifier(), feature_width(first.features), seed=1), first.features)
 
         def assert_served_like_cold(model):
             cold_costs = EdgeCostTable.from_dict(network, costs.to_dict())
@@ -323,8 +380,42 @@ class TestEdgeRowStore:
 
         for model in (first, second, first):
             assert_served_like_cold(model)
-        refit(second.estimator, second.classifier, first.features.num_features, seed=2)
+        refit(second.estimator, second.classifier, feature_width(first.features), seed=2)
         assert_served_like_cold(second)
+
+    @pytest.mark.parametrize("stage", ["classifier", "estimator"])
+    def test_a_refitted_stage_reuses_the_edge_halves_and_misses_the_block_memo(self, stage):
+        network, costs = built_world()
+        hybrid = learned(network, costs)
+        vertex = 7
+        pre, edges = costs.cost(network.in_edges(vertex)[0]), network.out_edges(vertex)
+        hybrid.combine_edges(pre, edges)
+        store = edge_rows(network, hybrid)
+        halves = [store.get(e.id, lambda: pytest.fail("not built")) for e in edges]
+        width = feature_width(hybrid.features)
+        builds, block = [], hybrid._block
+        hybrid._block = lambda *args: builds.append(args) or block(*args)
+        hybrid.features.edge_features = lambda *args: pytest.fail("an edge half was rebuilt")
+        hybrid.combine_edges(pre, edges)
+        assert builds == []  # the block memo answers the repeated block
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(16, width))
+        if stage == "classifier":
+            hybrid.classifier.fit(rows, (rows[:, 1] > 0).astype(int))
+        else:
+            hybrid.estimator.fit(rows, rng.dirichlet(np.ones(4), size=16))
+        served = hybrid.combine_edges(pre, edges)
+        assert len(builds) == 1  # new stage tokens: the block memo misses
+        assert edge_rows(network, hybrid) is store
+        for edge, half in zip(edges, halves):
+            assert store.get(edge.id, lambda: pytest.fail("not built")) is half
+        cold = HybridModel(
+            EdgeCostTable.from_dict(network, costs.to_dict()),
+            hybrid.estimator, hybrid.classifier, PairFeatureExtractor(network),
+        )
+        for mine, theirs in zip(served, cold.combine_edges(pre, edges)):
+            assert mine.offset == theirs.offset
+            assert np.array_equal(mine.probs, theirs.probs)
 
 
 class TestOwnersPickleWithoutDerivedState:
