@@ -73,6 +73,13 @@ class PairFeatureExtractor:
         self.config = config or FeatureConfig()
         self.set_intersection_stats(intersection_stats or {})
 
+    @property
+    def num_features(self) -> int:
+        """Length of the produced feature vector."""
+        # pre-path summary (5) + pre shape profile + edge numeric (5) + edge
+        # cost shape profile + category one-hot + intersection (4)
+        return 5 + 2 * self.config.profile_bins + 5 + len(_CATEGORIES) + 4
+
     def set_intersection_stats(self, stats: dict[int, IntersectionStats]) -> None:
         """Install historical dependence evidence (training-time product) and
         a new :attr:`token`, the key of the Hybrid Model's edge-row store."""

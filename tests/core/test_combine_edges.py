@@ -129,17 +129,6 @@ class TestRowInvariance:
         if backend == "constant":  # no feature is read: any width, any value
             assert classifier.decide_rows(np.full((3, 2), np.nan)).tolist() == [True] * 3
 
-    def test_predict_rows_equal_one_row_calls(self, world, pres):
-        _, trained = world
-        scaler, mlp = trained.estimator._scaler, trained.estimator._mlp
-        for _, _, X in random_blocks(world, pres):
-            scaled = scaler.transform(X)
-            block = mlp.predict_rows(scaled)
-            assert block.shape == (len(X), trained.estimator.config.num_bins)
-            for i, row in enumerate(scaled):
-                assert np.array_equal(block[i], mlp.predict_rows(row[None])[0]), f"k={len(X)}"
-                assert np.array_equal(block[i], mlp.predict(row[None])[0]), f"k={len(X)}"
-
     def test_predict_distributions_rows_equal_one_row_calls(self, world, pres):
         _, trained = world
         estimator = trained.estimator
@@ -161,8 +150,9 @@ class TestRowsAgainstTheMatrixPath:
     ``sum_j |w_j * s_j| + |b|``, the scale a dot product's rounding error is
     bounded by (a result that cancels to near zero has far finer ulps of its
     own than its rounding ever had).  Reordering a 45- or 64-term dot product
-    moves it by a few such ulps: 1.6 on the logit and 5, 5 and 4 on the MLP's
-    three layers over these blocks, bounded here at 8."""
+    moves it by a few such ulps: 1.6 on the logit over these blocks, held at
+    the 4 the seam split had, and 5, 5 and 4 on the MLP's three layers, each
+    bounded at 6 (the split bounded only the first, at 4)."""
 
     @staticmethod
     def ulps(rows, scaled, weights, bias):
@@ -170,7 +160,7 @@ class TestRowsAgainstTheMatrixPath:
         scale = np.abs(scaled) @ np.abs(weights) + np.abs(bias)
         return float((np.abs(rows - fused) / np.spacing(scale)).max())
 
-    def test_rows_stay_within_8_ulp_of_the_matrix_path(self, world, pres):
+    def test_rows_stay_within_a_few_ulp_of_the_matrix_path(self, world, pres):
         _, trained = world
         classifier, estimator = trained.classifier, trained.estimator
         model, network = classifier._model, estimator._mlp.network
@@ -196,7 +186,9 @@ class TestRowsAgainstTheMatrixPath:
             rows += len(X)
         print(f"\n{rows} rows: logit <= {worst[0]:g} ulp, MLP layers <= {worst[1:]} ulp, "
               f"profiles moved <= {moved:.3g}, {flips} decisions flipped")
-        assert max(worst) <= 8
+        assert worst[0] <= 4, "logit"
+        for layer, ulps in enumerate(worst[1:]):
+            assert ulps <= 6, f"MLP layer {layer}"
         assert flips == 0 and moved <= 1e-14
 
 

@@ -20,7 +20,7 @@ from repro.core import (
 )
 from repro.histograms import DiscreteDistribution
 from repro.ml import MlpConfig
-from repro.network import EdgePair, RoadCategory, grid_network
+from repro.network import EdgePair, grid_network
 from repro.trajectories import CongestionModel
 
 
@@ -29,12 +29,6 @@ def first_pair(network):
     first = network.edges[0]
     second = next(e for e in network.out_edges(first.target) if e.target != first.source)
     return EdgePair(first, second)
-
-
-def feature_width(extractor, costs):
-    """The length of ``extractor``'s rows, read off one extracted row."""
-    pair = first_pair(extractor.network)
-    return extractor.extract(costs.cost(pair.first), pair.second, costs.cost(pair.second)).size
 
 
 @pytest.fixture(scope="module")
@@ -132,9 +126,7 @@ class TestFeatures:
         vector = extractor.extract(
             costs.cost(pair.first), pair.second, costs.cost(pair.second)
         )
-        # pre-path summary (5) + pre shape profile + edge numeric (5) + edge
-        # cost shape profile + category one-hot + intersection (4)
-        assert vector.shape == (5 + 2 * 8 + 5 + len(RoadCategory) + 4,)
+        assert vector.shape == (extractor.num_features,)
         assert np.all(np.isfinite(vector))
 
     def test_intersection_stats_default_zero(self, net):
@@ -348,11 +340,11 @@ class TestCombinersAndPathCost:
         est = DistributionEstimator(
             EstimatorConfig(num_bins=4, mlp=MlpConfig(hidden_sizes=(4,), max_epochs=2))
         )
-        X = np.zeros((10, feature_width(extractor, costs)))
+        X = np.zeros((10, extractor.num_features))
         Y = np.tile([0.25, 0.25, 0.25, 0.25], (10, 1))
         est.fit(X, Y)
         clf = DependenceClassifier().fit(
-            np.zeros((4, feature_width(extractor, costs))), np.asarray([1, 1, 1, 1])
+            np.zeros((4, extractor.num_features)), np.asarray([1, 1, 1, 1])
         )
         hybrid = HybridModel(costs, est, clf, extractor)
         route = [next(e for e in net.out_edges(u) if e.target == u + 1) for u in (0, 1)]
@@ -367,7 +359,7 @@ class TestCombinersAndPathCost:
             EstimatorConfig(num_bins=4, mlp=MlpConfig(hidden_sizes=(4,), max_epochs=2))
         )
         est.fit(
-            np.zeros((10, feature_width(extractor, costs))),
+            np.zeros((10, extractor.num_features)),
             np.tile([0.25, 0.25, 0.25, 0.25], (10, 1)),
         )
         em = EstimationModel(costs, est, extractor)

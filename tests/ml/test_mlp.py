@@ -204,7 +204,9 @@ class TestDistributionRegressor:
         for k in range(1, 17):
             block = reg.predict_rows(X[:k])
             for i in range(k):
-                assert np.array_equal(block[i], reg.predict_rows(X[i : i + 1])[0]), f"k={k}, row {i}"
+                alone = X[i : i + 1]
+                assert np.array_equal(block[i], reg.predict_rows(alone)[0]), f"k={k}, row {i}"
+                assert np.array_equal(block[i], reg.predict(alone)[0]), f"k={k}, row {i}"
 
     def test_predict_rows_unfitted(self):
         with pytest.raises(RuntimeError):

@@ -63,16 +63,10 @@ def min_tick_graphs(network, costs):
     )
 
 
-def feature_width(extractor):
-    """The length of ``extractor``'s rows, read off one extracted row."""
-    edge, cost = extractor.network.edges[0], DiscreteDistribution.point(1)
-    return extractor.extract(cost, edge, cost).size
-
-
 def learned(network, costs):
     """A Hybrid Model with untrained-but-fitted parts (both decisions occur)."""
     extractor = PairFeatureExtractor(network)
-    width = feature_width(extractor)
+    width = extractor.num_features
     estimator = DistributionEstimator(
         EstimatorConfig(num_bins=4, mlp=MlpConfig(hidden_sizes=(4,), max_epochs=2))
     )
@@ -365,7 +359,7 @@ class TestEdgeRowStore:
         first = learned(network, costs)
         second = HybridModel(costs, *refit(DistributionEstimator(
             EstimatorConfig(num_bins=4, mlp=MlpConfig(hidden_sizes=(4,), max_epochs=2))
-        ), DependenceClassifier(), feature_width(first.features), seed=1), first.features)
+        ), DependenceClassifier(), first.features.num_features, seed=1), first.features)
 
         def assert_served_like_cold(model):
             cold_costs = EdgeCostTable.from_dict(network, costs.to_dict())
@@ -380,7 +374,7 @@ class TestEdgeRowStore:
 
         for model in (first, second, first):
             assert_served_like_cold(model)
-        refit(second.estimator, second.classifier, feature_width(first.features), seed=2)
+        refit(second.estimator, second.classifier, first.features.num_features, seed=2)
         assert_served_like_cold(second)
 
     @pytest.mark.parametrize("stage", ["classifier", "estimator"])
@@ -392,7 +386,7 @@ class TestEdgeRowStore:
         hybrid.combine_edges(pre, edges)
         store = edge_rows(network, hybrid)
         halves = [store.get(e.id, lambda: pytest.fail("not built")) for e in edges]
-        width = feature_width(hybrid.features)
+        width = hybrid.features.num_features
         builds, block = [], hybrid._block
         hybrid._block = lambda *args: builds.append(args) or block(*args)
         hybrid.features.edge_features = lambda *args: pytest.fail("an edge half was rebuilt")
