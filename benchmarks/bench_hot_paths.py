@@ -286,8 +286,8 @@ def test_columnar_scale_preset(benchmark):
     generous budget.  Auto dispatch must also pick the columnar core at
     this scale.
     """
-    from repro.routing import RoutingQuery
-    from repro.routing.budget import _BudgetSearch
+    from repro.routing import RoutingEngine, RoutingQuery
+    from repro.routing.budget import _columnar_applicable
     from repro.routing.heuristics import OptimisticHeuristic
 
     network, combiner = _scale_world()
@@ -295,13 +295,13 @@ def test_columnar_scale_preset(benchmark):
     target = 25 * _SCALE_GRID[1] + 25
     table = OptimisticHeuristic.shared(network, combiner.costs, target).table
     base = int(table[0])
-    columnar = _BudgetSearch(network, combiner, backend="columnar")
-    scalar = _BudgetSearch(network, combiner, backend="scalar")
-    auto = _BudgetSearch(network, combiner, backend="auto")
+    columnar = RoutingEngine(network, combiner, backend="columnar")
+    scalar = RoutingEngine(network, combiner, backend="scalar")
+    auto = RoutingEngine(network, combiner, backend="auto")
     lines = []
     for slack in _SCALE_BUDGET_SLACKS:
         query = RoutingQuery(0, target, base + slack)
-        assert auto._columnar_applicable(query)
+        assert _columnar_applicable(auto, query)
         col = columnar.route(query)  # also warms CSR/kernel caches
         ref = scalar.route(query)
         assert col.found == ref.found

@@ -11,7 +11,7 @@ from repro.network import denmark_like_network
 from repro.core import TrainingConfig, train_hybrid
 from repro.core.estimator import EstimatorConfig
 from repro.ml import MlpConfig
-from repro.routing import RoutingEngine
+from repro.routing import RoutingEngine, RoutingQuery
 from repro.trajectories import (
     STRUCTURED_CONFIG,
     CongestionModel,
@@ -59,7 +59,7 @@ def main() -> None:
         "convolution": RoutingEngine(network, trained.convolution_model()),
     }
     optimistic = engines["hybrid"].heuristic_for(target).remaining_ticks(source)
-    query = engines["hybrid"].query(source, target, budget=int(1.5 * optimistic))
+    query = RoutingQuery(source, target, budget=int(1.5 * optimistic))
     print(f"\nintercity query {source} -> {target}, budget {query.budget} ticks")
 
     for name, engine in engines.items():

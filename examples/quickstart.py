@@ -14,7 +14,7 @@ from repro.core.estimator import EstimatorConfig
 from repro.experiments import render_table
 from repro.ml import MlpConfig
 from repro.network import grid_network
-from repro.routing import RoutingEngine
+from repro.routing import RoutingEngine, RoutingQuery
 from repro.trajectories import CongestionModel, TrajectoryStore, TripGenerator
 
 
@@ -83,7 +83,7 @@ def main() -> None:
 
     # 7. Batch mode amortises the per-target setup across a workload and
     #    aggregates the search stats; results are wire-ready dicts.
-    queries = [query, engine.query(0, 62, 60), engine.query(8, 63, 60)]
+    queries = [query, RoutingQuery(0, 62, 60), RoutingQuery(8, 63, 60)]
     batch = engine.route_many(queries)
     print(
         f"batch: {batch.num_found}/{len(batch)} routed, "

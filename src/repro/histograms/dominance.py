@@ -202,27 +202,21 @@ class ParetoFrontier:
     # Matrix bookkeeping
     # ------------------------------------------------------------------
 
-    def _fill_row(self, dist: DiscreteDistribution) -> tuple[np.ndarray, bool]:
+    def _fill_row(self, dist: DiscreteDistribution) -> np.ndarray:
         """``dist``'s CDF over every tick of the current grid, in ``_scratch``.
 
-        Requires ``dist.min_value >= self._lo``.  Returns ``(row, overhang)``
-        where ``overhang`` is True when the support continues past the grid
-        (the caller must then also compare each resident's plateau against
-        ``dist``'s total mass — beyond the grid residents are flat while the
-        candidate's CDF keeps rising to its own plateau).
+        Requires the grid to cover ``dist``'s support (``add`` builds the
+        grid from the candidate or grows it first): zeros before the
+        support, the CDF over it and its plateau after it.
         """
         cdf = dist.cdf()
         row = self._scratch
-        width = row.size
         start = dist.min_value - self._lo
         end = start + cdf.size
-        row[: min(start, width)] = 0.0
-        if start < width:
-            on_grid = min(end, width) - start
-            row[start : start + on_grid] = cdf[:on_grid]
-            if end <= width:
-                row[end:] = cdf[-1]
-        return row, end > width
+        row[:start] = 0.0
+        row[start:end] = cdf
+        row[end:] = cdf[-1]
+        return row
 
     def _grow_grid(self, lo: int, hi: int) -> None:
         """Re-pad live rows to a wider grid covering ``[lo, hi]`` (+ margin)."""
@@ -261,7 +255,7 @@ class ParetoFrontier:
             width = self._hi - self._lo + 1
             self._matrix = np.zeros((4, width), dtype=np.float64)
             self._scratch = np.empty(width, dtype=np.float64)
-            self._matrix[0], _ = self._fill_row(candidate)
+            self._matrix[0] = self._fill_row(candidate)
             self._members.append(candidate)
             return True
         if candidate.min_value < self._lo or candidate.max_value > self._hi:
@@ -269,8 +263,7 @@ class ParetoFrontier:
                 min(self._lo, candidate.min_value),
                 max(self._hi, candidate.max_value),
             )
-        # The grid now covers the candidate, so there is never an overhang.
-        row, _ = self._fill_row(candidate)
+        row = self._fill_row(candidate)
         count = len(self._members)
         live = self._matrix[:count]
         if bool(np.all(live >= row - _TOL, axis=1).any()):

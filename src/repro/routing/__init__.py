@@ -13,7 +13,6 @@ from .budget import PruningConfig
 from .engine import (
     BatchResult,
     RoutingEngine,
-    RoutingStrategy,
     available_strategies,
     register_strategy,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "RoutingEngine",
     "RoutingQuery",
     "RoutingResult",
-    "RoutingStrategy",
     "SearchStats",
     "all_simple_paths",
     "available_strategies",

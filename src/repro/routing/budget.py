@@ -24,14 +24,16 @@ wall clock expires the search stops and returns the pivot path (the paper's
 
 One loop, two pivot policies
 ----------------------------
-:meth:`_BudgetSearch._run` is the only scalar search loop.  ``route``,
-``route_multi_budget`` and ``route_kbest`` differ solely in pruning (b) —
-what "cannot beat the pivot" means — so each hands the loop a small policy
-object (:class:`_BudgetVectorPivots`, of which scalar PBR is the one-element
-case, or :class:`_KBestPivots`) and assembles its result type from what the
-policy collected.  Budget vectors (``route`` included) run on the columnar
-core of :mod:`repro.routing.columnar` instead when the search's backend
-picks it; ``route_kbest`` always runs here.
+:func:`_run` is the only scalar search loop.  :func:`search_vector` (an
+ascending budget vector; scalar PBR is its one-element case) and
+:func:`search_kbest` differ solely in pruning (b) — what "cannot beat the
+pivot" means — so each hands the loop a small policy object
+(:class:`_BudgetVectorPivots` or :class:`_KBestPivots`) and assembles its
+result type from what the policy collected.  Budget vectors run on the
+columnar core of :mod:`repro.routing.columnar` instead when the engine's
+``backend`` picks it; k-best always runs here.  The engine's strategies
+call these two functions; they read the network, combiner, pruning and
+backend settings off the :class:`~repro.routing.engine.RoutingEngine`.
 
 Hot-path design (see PERFORMANCE.md)
 ------------------------------------
@@ -49,12 +51,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.models import CostCombiner
 from ..histograms import DiscreteDistribution, ParetoFrontier, weakly_dominates
-from ..network import Edge, RoadNetwork
+from ..network import Edge
 from .heuristics import OptimisticHeuristic
 from .query import (
     KBestResult,
@@ -64,7 +65,7 @@ from .query import (
     SearchStats,
 )
 
-__all__ = ["PruningConfig"]
+__all__ = ["PruningConfig", "search_kbest", "search_vector"]
 
 #: Anytime deadline granularity: inside a single expansion the wall clock is
 #: re-checked every this-many *generated* labels.  Checking only per heap pop
@@ -151,7 +152,7 @@ class _BudgetVectorPivots:
 
     def __init__(self, budgets: tuple[int, ...]) -> None:
         self.budgets = budgets
-        #: Labels fold at the largest budget (see ``_BudgetSearch._clip``);
+        #: Labels fold at the largest budget (see :func:`_clip`);
         #: the CDF below it — all any smaller budget reads — is untouched.
         self.clip_budget = budgets[-1]
         #: Best complete probability per budget (-1 = no positive-probability
@@ -216,7 +217,7 @@ class _KBestPivots:
     least k frontier members >= threshold always survive.
     """
 
-    #: No folding: see :meth:`_BudgetSearch.route_kbest`.
+    #: No folding: see :func:`search_kbest`.
     clip_budget = None
 
     def __init__(self, k: int, budget: int) -> None:
@@ -251,311 +252,282 @@ class _KBestPivots:
         return not self.candidates
 
 
-class _BudgetSearch:
-    """Best-first PBR search over any cost combiner (engine internal).
+def _clip(dist: DiscreteDistribution, budget: int | None) -> DiscreteDistribution:
+    """Fold all mass beyond ``budget`` into one cell (``None`` = never fold).
+
+    Exact for the objective *under convolution*: mass above the budget
+    contributes nothing to ``P(cost <= budget)`` wherever it sits, and
+    folding both operands of any dominance comparison at the same boundary
+    preserves the CDF comparison below it.
+    """
+    if budget is None:
+        return dist
+    max_support = budget + 2 - dist.offset
+    if max_support < 1:
+        # Entire support is beyond the budget; keep a single cell.
+        return dist.truncate(1)
+    return dist.truncate(max_support)
+
+
+def _columnar_applicable(engine, query: RoutingQuery) -> bool:
+    """Whether this budget-vector query (``query.budget`` is the vector's
+    maximum) should run on the columnar core.
+
+    The columnar core needs a combiner whose ``combine`` is a plain
+    convolution (``vectorized_convolution``), a bounded budget window for
+    its dense rows, and clipping enabled (the dense window *is* the clip).
+    Under ``"auto"`` it additionally requires a network large enough that
+    the batched kernels beat the scalar loop's lower setup cost — which
+    also keeps every small-world test and golden fixture on the scalar
+    core's exact exploration order.
+    """
+    from .columnar import COLUMNAR_AUTO_MIN_EDGES, COLUMNAR_MAX_WINDOW
+
+    if engine.backend == "scalar":
+        return False
+    capable = (
+        getattr(engine.combiner, "vectorized_convolution", False)
+        and engine.clip_distributions
+        and query.budget + 2 <= COLUMNAR_MAX_WINDOW
+    )
+    if engine.backend == "columnar":
+        if not capable:
+            raise ValueError(
+                "backend='columnar' requires a vectorized-convolution "
+                "combiner, clipping enabled, and "
+                f"budget + 2 <= {COLUMNAR_MAX_WINDOW}"
+            )
+        return True
+    return capable and engine.network.num_edges >= COLUMNAR_AUTO_MIN_EDGES
+
+
+# ----------------------------------------------------------------------
+# The one label-search loop
+# ----------------------------------------------------------------------
+
+
+def _run(
+    engine,
+    query: RoutingQuery,
+    policy: "_BudgetVectorPivots | _KBestPivots",
+    time_limit_seconds: float | None,
+) -> tuple[SearchStats, _Fallback | None]:
+    """Best-first label search over ``engine``; ``policy`` owns the pivot rule.
 
     The search explores simple paths (no vertex revisits within a label's
-    own path) — with non-negative travel times a revisit can never increase
-    the arrival probability.
-
-    This class is the implementation behind the public
-    :class:`~repro.routing.engine.RoutingEngine` facade; external callers
-    should go through the engine, which owns the shared heuristic state and
-    exposes the strategy registry, batch and streaming modes.
+    own path) — with non-negative travel times a revisit can never
+    increase the arrival probability.  The loop owns everything the
+    searches share — heap, admission (deadline tick, heuristic probe,
+    cost-shifted bound, dominance frontier), the pop/terminate/expand cycle
+    and the simple-path walk — and asks ``policy`` only what "cannot beat
+    the pivot" means (see :class:`_BudgetVectorPivots`,
+    :class:`_KBestPivots`).  Arrivals accumulate on ``policy``; the return
+    value is the search's stats plus the optimistically fastest route when
+    the policy was left without an answer (``None`` when not needed or no
+    route exists).  The heuristic is the cost table's
+    :meth:`OptimisticHeuristic.shared` one, so repeated queries to one
+    destination pay for the reverse Dijkstra once.
     """
+    start_time = time.perf_counter()
+    stats = SearchStats()
+    network = engine.network
+    combiner = engine.combiner
+    h_table = OptimisticHeuristic.shared(network, combiner.costs, query.target).table
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        combiner: CostCombiner,
-        *,
-        pruning: PruningConfig | None = None,
-        backend: str = "auto",
-        landmarks: int | None = None,
-        clip_distributions: bool = True,
-    ) -> None:
-        if backend not in ("auto", "scalar", "columnar"):
-            raise ValueError(
-                f"backend must be 'auto', 'scalar' or 'columnar', got {backend!r}"
-            )
-        if landmarks is not None and landmarks < 1:
-            raise ValueError("landmarks must be >= 1 when given")
-        self.network = network
-        self.combiner = combiner
-        self.pruning = pruning or PruningConfig()
-        #: Search-core selection for ``route`` and ``route_multi_budget``
-        #: (``kbest`` always runs the scalar loop).
-        #: ``"scalar"`` is the label-at-a-time reference core; ``"columnar"``
-        #: forces the generation-at-a-time numpy core (raises when the
-        #: combiner cannot support it); ``"auto"`` picks columnar only on
-        #: networks large enough for the batched kernels to pay for their
-        #: setup, so small worlds (and every golden fixture) keep the scalar
-        #: core's exploration order bit for bit.
-        self.backend = backend
-        #: When set, the columnar core derives its lower bounds from a
-        #: ``k``-landmark ALT table (built once per cost-table version and
-        #: shared across *all* targets) instead of the per-target reverse
-        #: Dijkstra.  Weaker bounds, no per-target setup cost.
-        self.landmarks = landmarks
-        #: Debug knob for the clip-boundary equivalence suite: ``False``
-        #: disables `_clip` so searches run on full, unfolded distributions.
-        self.clip_distributions = clip_distributions
+    if query.source not in h_table:
+        stats.runtime_seconds = time.perf_counter() - start_time
+        return stats, None
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
+    pruning = engine.pruning
+    use_heuristic = pruning.use_heuristic
+    use_pivot = pruning.use_pivot
+    use_cost_shifting = pruning.use_cost_shifting
+    use_dominance = pruning.use_dominance
+    budget = query.budget
+    target = query.target
+    # Learned combiners extract features from the label distribution, so
+    # folding would corrupt their inputs: labels fold only under combiners
+    # that declare ``exact_under_truncation``.
+    clip_budget = (
+        policy.clip_budget
+        if combiner.exact_under_truncation and engine.clip_distributions
+        else None
+    )
+    prunable = policy.prunable
 
-    def _clip(
-        self, dist: DiscreteDistribution, budget: int | None
-    ) -> DiscreteDistribution:
-        """Fold all mass beyond ``budget`` into one cell (``None`` = never fold).
+    frontiers: dict[int, ParetoFrontier] = {}
+    counter = itertools.count()
+    heap: list[tuple[float, int, _Label, int]] = []
+    heappush = heapq.heappush
+    deadline = (
+        None
+        if time_limit_seconds is None
+        else start_time + time_limit_seconds
+    )
+    expired = False
 
-        Exact for the objective *under convolution*: mass above the budget
-        contributes nothing to ``P(cost <= budget)`` wherever it sits, and
-        folding both operands of any dominance comparison at the same
-        boundary preserves the CDF comparison below it.  Learned combiners
-        extract features from the label distribution, so folding would
-        corrupt their inputs — clipping is skipped unless the combiner
-        declares ``exact_under_truncation``.
-        """
+    def consider(label: _Label) -> None:
+        """Apply admission prunings and push the label."""
+        nonlocal expired
+        stats.labels_generated += 1
         if (
-            budget is None
-            or not self.combiner.exact_under_truncation
-            or not self.clip_distributions
+            deadline is not None
+            and stats.labels_generated % _DEADLINE_CHECK_INTERVAL == 0
+            and time.perf_counter() > deadline
         ):
-            return dist
-        max_support = budget + 2 - dist.offset
-        if max_support < 1:
-            # Entire support is beyond the budget; keep a single cell.
-            return dist.truncate(1)
-        return dist.truncate(max_support)
-
-    def _columnar_applicable(self, query: RoutingQuery) -> bool:
-        """Whether this budget-vector query (``query.budget`` is the vector's
-        maximum) should run on the columnar core.
-
-        The columnar core needs a combiner whose ``combine`` is a plain
-        convolution (``vectorized_convolution``), a bounded budget window for
-        its dense rows, and clipping enabled (the dense window *is* the
-        clip).  Under ``"auto"`` it additionally requires a network large
-        enough that the batched kernels beat the scalar loop's lower setup
-        cost — which also keeps every small-world test and golden fixture on
-        the scalar core's exact exploration order.
-        """
-        from .columnar import COLUMNAR_AUTO_MIN_EDGES, COLUMNAR_MAX_WINDOW
-
-        if self.backend == "scalar":
-            return False
-        capable = (
-            getattr(self.combiner, "vectorized_convolution", False)
-            and self.clip_distributions
-            and query.budget + 2 <= COLUMNAR_MAX_WINDOW
-        )
-        if self.backend == "columnar":
-            if not capable:
-                raise ValueError(
-                    "backend='columnar' requires a vectorized-convolution "
-                    "combiner, clipping enabled, and "
-                    f"budget + 2 <= {COLUMNAR_MAX_WINDOW}"
-                )
-            return True
-        return capable and self.network.num_edges >= COLUMNAR_AUTO_MIN_EDGES
-
-    # ------------------------------------------------------------------
-    # The one label-search loop
-    # ------------------------------------------------------------------
-
-    def _run(
-        self,
-        query: RoutingQuery,
-        policy: "_BudgetVectorPivots | _KBestPivots",
-        time_limit_seconds: float | None,
-        heuristic: OptimisticHeuristic | None,
-    ) -> tuple[SearchStats, _Fallback | None]:
-        """Best-first label search; ``policy`` owns the pivot rule.
-
-        The loop owns everything the three public searches share — heap,
-        admission (deadline tick, heuristic probe, cost-shifted bound,
-        dominance frontier), the pop/terminate/expand cycle and the
-        simple-path walk — and asks ``policy`` only what "cannot beat the
-        pivot" means (see :class:`_BudgetVectorPivots`, :class:`_KBestPivots`).
-        Arrivals accumulate on ``policy``; the return value is the search's
-        stats plus the optimistically fastest route when the policy was left
-        without an answer (``None`` when not needed or no route exists).
-        """
-        start_time = time.perf_counter()
-        stats = SearchStats()
-        if heuristic is None:
-            heuristic = OptimisticHeuristic.shared(
-                self.network, self.combiner.costs, query.target
-            )
-        h_table = heuristic.table
-
-        if query.source not in h_table:
-            stats.runtime_seconds = time.perf_counter() - start_time
-            return stats, None
-
-        pruning = self.pruning
-        use_heuristic = pruning.use_heuristic
-        use_pivot = pruning.use_pivot
-        use_cost_shifting = pruning.use_cost_shifting
-        use_dominance = pruning.use_dominance
-        budget = query.budget
-        target = query.target
-        clip_budget = policy.clip_budget
-        prunable = policy.prunable
-
-        frontiers: dict[int, ParetoFrontier] = {}
-        counter = itertools.count()
-        heap: list[tuple[float, int, _Label, int]] = []
-        heappush = heapq.heappush
-        deadline = (
-            None
-            if time_limit_seconds is None
-            else start_time + time_limit_seconds
-        )
-        expired = False
-
-        def consider(label: _Label) -> None:
-            """Apply admission prunings and push the label."""
-            nonlocal expired
-            stats.labels_generated += 1
-            if (
-                deadline is not None
-                and stats.labels_generated % _DEADLINE_CHECK_INTERVAL == 0
-                and time.perf_counter() > deadline
-            ):
-                # Re-check the clock *inside* the expansion so one
-                # high-out-degree vertex cannot blow the anytime deadline by
-                # a whole expansion; the flag stops the enclosing edge loop.
-                expired = True
+            # Re-check the clock *inside* the expansion so one
+            # high-out-degree vertex cannot blow the anytime deadline by
+            # a whole expansion; the flag stops the enclosing edge loop.
+            expired = True
+            return
+        vertex = label.vertex
+        dist = label.distribution
+        shift = 0
+        if use_heuristic:
+            remaining = h_table.get(vertex)
+            if remaining is None:
+                stats.pruned_unreachable += 1
                 return
-            vertex = label.vertex
-            dist = label.distribution
-            shift = 0
-            if use_heuristic:
-                remaining = h_table.get(vertex)
-                if remaining is None:
-                    stats.pruned_unreachable += 1
-                    return
-                if use_cost_shifting:
-                    shift = int(remaining)
-            bound = dist.prob_within(budget - shift)
-            if bound <= 0.0 or (use_pivot and prunable(dist, shift, bound)):
-                stats.pruned_by_bound += 1
+            if use_cost_shifting:
+                shift = int(remaining)
+        bound = dist.prob_within(budget - shift)
+        if bound <= 0.0 or (use_pivot and prunable(dist, shift, bound)):
+            stats.pruned_by_bound += 1
+            return
+        if use_dominance and vertex != target:
+            frontier = frontiers.get(vertex)
+            if frontier is None:
+                frontier = ParetoFrontier()
+                frontiers[vertex] = frontier
+            if not frontier.add(dist):
+                stats.pruned_by_dominance += 1
                 return
-            if use_dominance and vertex != target:
-                frontier = frontiers.get(vertex)
-                if frontier is None:
-                    frontier = ParetoFrontier()
-                    frontiers[vertex] = frontier
-                if not frontier.add(dist):
-                    stats.pruned_by_dominance += 1
-                    return
-            heappush(heap, (-bound, next(counter), label, shift))
+        heappush(heap, (-bound, next(counter), label, shift))
 
-        for edge in self.network.out_edges(query.source):
+    for edge in network.out_edges(query.source):
+        if expired:
+            break
+        if edge.target == query.source:
+            continue
+        dist = _clip(combiner.edge_cost(edge), clip_budget)
+        consider(_Label(edge.target, dist, edge, None))
+
+    out_edges = network.out_edges
+    combine_edges = combiner.combine_edges
+    while heap:
+        if expired or (
+            deadline is not None and time.perf_counter() > deadline
+        ):
+            expired = True
+            break
+        neg_bound, _, label, shift = heapq.heappop(heap)
+        bound = -neg_bound
+        if use_pivot and bound <= policy.floor:
+            # Best-first order: nothing left can beat the pivot(s).
+            stats.bound_terminations += 1
+            break
+        if label.vertex == target:
+            if policy.arrive(label):
+                stats.pivot_updates += 1
+            continue
+        if use_pivot and prunable(label.distribution, shift, bound):
+            # Pivots may have moved since this label was queued.
+            stats.pruned_by_bound += 1
+            continue
+        stats.labels_expanded += 1
+        # Simple-path constraint: collect this label's path vertices by
+        # one parent-chain walk (cost bounded by path length), shared by
+        # every outgoing edge below.
+        path_vertices = {query.source}
+        node: _Label | None = label
+        while node is not None:
+            path_vertices.add(node.vertex)
+            node = node.parent
+        # One combiner call per expansion: learned combiners share one
+        # feature matrix and one model pass across the block.
+        edges = [e for e in out_edges(label.vertex) if e.target not in path_vertices]
+        for edge, combined in zip(edges, combine_edges(label.distribution, edges)):
             if expired:
                 break
-            if edge.target == query.source:
-                continue
-            dist = self._clip(self.combiner.edge_cost(edge), clip_budget)
-            consider(_Label(edge.target, dist, edge, None))
+            combined = _clip(combined, clip_budget)
+            consider(_Label(edge.target, combined, edge, label))
 
-        out_edges = self.network.out_edges
-        combine_edges = self.combiner.combine_edges
-        while heap:
-            if expired or (
-                deadline is not None and time.perf_counter() > deadline
-            ):
-                expired = True
-                break
-            neg_bound, _, label, shift = heapq.heappop(heap)
-            bound = -neg_bound
-            if use_pivot and bound <= policy.floor:
-                # Best-first order: nothing left can beat the pivot(s).
-                stats.bound_terminations += 1
-                break
-            if label.vertex == target:
-                if policy.arrive(label):
-                    stats.pivot_updates += 1
-                continue
-            if use_pivot and prunable(label.distribution, shift, bound):
-                # Pivots may have moved since this label was queued.
-                stats.pruned_by_bound += 1
-                continue
-            stats.labels_expanded += 1
-            # Simple-path constraint: collect this label's path vertices by
-            # one parent-chain walk (cost bounded by path length), shared by
-            # every outgoing edge below.
-            path_vertices = {query.source}
-            node: _Label | None = label
-            while node is not None:
-                path_vertices.add(node.vertex)
-                node = node.parent
-            # One combiner call per expansion: learned combiners share one
-            # feature matrix and one model pass across the block.
-            edges = [e for e in out_edges(label.vertex) if e.target not in path_vertices]
-            for edge, combined in zip(edges, combine_edges(label.distribution, edges)):
-                if expired:
-                    break
-                combined = self._clip(combined, clip_budget)
-                consider(_Label(edge.target, combined, edge, label))
+    stats.completed = not expired
+    stats.runtime_seconds = time.perf_counter() - start_time
+    # No complete path beat probability 0 within the budget (or the
+    # anytime limit fired before any arrival) — fall back to the
+    # optimistically fastest path so callers always get a route.
+    fallback = (
+        _fallback_route(engine, query.source, query.target)
+        if policy.unanswered()
+        else None
+    )
+    return stats, fallback
 
-        stats.completed = not expired
-        stats.runtime_seconds = time.perf_counter() - start_time
-        # No complete path beat probability 0 within the budget (or the
-        # anytime limit fired before any arrival) — fall back to the
-        # optimistically fastest path so callers always get a route.
-        fallback = (
-            self._fallback_route(query.source, query.target)
-            if policy.unanswered()
-            else None
+
+def _fallback_route(engine, source: int, target: int) -> _Fallback | None:
+    """The optimistically fastest path and its cost, or None if none."""
+    from ..core.path_cost import path_cost
+    from ..network.paths import shortest_path
+
+    try:
+        path = shortest_path(
+            engine.network,
+            source,
+            target,
+            weight=lambda edge: float(engine.combiner.costs.min_ticks(edge)),
         )
-        return stats, fallback
+    except ValueError:
+        return None
+    return tuple(path), path_cost(engine.combiner, path)
 
-    def _fallback_route(self, source: int, target: int) -> _Fallback | None:
-        """The optimistically fastest path and its cost, or None if none."""
-        from ..network.paths import shortest_path
 
-        try:
-            path = shortest_path(
-                self.network,
-                source,
-                target,
-                weight=lambda edge: float(self.combiner.costs.min_ticks(edge)),
-            )
-        except ValueError:
-            return None
-        from ..core.path_cost import path_cost
+# ----------------------------------------------------------------------
+# The searches: a pivot policy plus result assembly
+# ----------------------------------------------------------------------
 
-        return tuple(path), path_cost(self.combiner, path)
 
-    def _budget_vector(
-        self,
-        query: RoutingQuery,
-        budgets: tuple[int, ...],
-        time_limit_seconds: float | None,
-        heuristic: OptimisticHeuristic | None,
-    ) -> tuple[SearchStats, tuple[RoutingResult, ...]]:
-        """One search over an ascending budget vector, on either core.
+def search_vector(
+    engine,
+    query: RoutingQuery,
+    budgets: Sequence[int],
+    limit: float | None,
+) -> MultiBudgetResult:
+    """Answer one source/target pair for a whole budget vector in one search.
 
-        Returns the search's stats and one result per budget; member
-        results carry empty stats.
-        """
-        if self._columnar_applicable(query):
-            from .columnar import columnar_route
+    A single label search serves every budget: per-vertex Pareto frontiers
+    (dominance is budget-independent), the optimistic heuristic and every
+    convolution are shared, while the pivot pruning generalises to a
+    per-budget pivot vector — a label survives when it can still improve
+    the answer of *some* budget.  Per-budget answers match independent
+    one-element runs (identical probabilities; routes identical up to
+    equal-probability ties, which the two exploration orders may break
+    differently).  Scalar PBR is the one-element vector.
 
-            return columnar_route(
-                self,
-                query,
-                budgets,
-                time_limit_seconds=time_limit_seconds,
-                heuristic=heuristic,
-            )
+    Each answer is the optimal path when the search ran to completion
+    (``stats.completed``), the pivot path when the ``limit`` (seconds,
+    checked by the caller; ``None`` = unbounded) expired, the
+    optimistically fastest path when no path has positive probability
+    within its budget, and an empty path when the target is unreachable.
+    Member results carry empty stats; the search's stats are the vector's.
+
+    Depending on ``engine.backend`` the vector runs on the scalar
+    label-at-a-time loop or on the batched generation-at-a-time core of
+    :mod:`repro.routing.columnar` (same probabilities to 2e-12; routes
+    identical up to equal-probability ties).
+
+    ``budgets`` must be ascending and unique with ``budgets[-1] ==
+    query.budget`` (:func:`~repro.routing.query.normalize_budgets`).
+    """
+    budgets = tuple(budgets)
+    if _columnar_applicable(engine, query):
+        from .columnar import columnar_route
+
+        stats, results = columnar_route(engine, query, budgets, limit)
+    else:
         policy = _BudgetVectorPivots(budgets)
-        stats, fallback = self._run(query, policy, time_limit_seconds, heuristic)
-        return stats, tuple(
+        stats, fallback = _run(engine, query, policy, limit)
+        results = tuple(
             _answer(
                 query if b == query.budget else RoutingQuery(query.source, query.target, b),
                 label,
@@ -564,109 +536,38 @@ class _BudgetSearch:
             )
             for b, label, p in zip(budgets, policy.best, policy.pivots)
         )
+    return MultiBudgetResult(query=query, budgets=budgets, results=results, stats=stats)
 
-    # ------------------------------------------------------------------
-    # Public searches: a pivot policy plus result assembly
-    # ------------------------------------------------------------------
 
-    def route(
-        self,
-        query: RoutingQuery,
-        *,
-        time_limit_seconds: float | None = None,
-        heuristic: OptimisticHeuristic | None = None,
-    ) -> RoutingResult:
-        """Answer one query; ``time_limit_seconds`` enables anytime mode.
+def search_kbest(
+    engine, query: RoutingQuery, k: int, limit: float | None
+) -> KBestResult:
+    """The top-``k`` non-dominated routes at the target, best first.
 
-        Always returns a result: the optimal path when the search ran to
-        completion (``stats.completed``), the pivot path when the anytime
-        limit expired, and an empty path when the target is unreachable.
+    The search is the PBR best-first label search with one change: the
+    pivot pruning threshold is the k-th best arrival probability among the
+    current target frontier (instead of the single best), so every route
+    that can still enter the top k stays alive.  Complete arrivals are kept
+    as an antichain under weak stochastic dominance — a route whose arrival
+    distribution is dominated offers no budget at which it would be the
+    better choice, mirroring the interior dominance pruning.
 
-        ``heuristic`` lets callers inject a pre-built (shared) optimistic
-        heuristic for the query target; by default one is taken from the
-        cost table's :meth:`OptimisticHeuristic.shared` cache, so repeated
-        queries to one destination pay for the reverse Dijkstra once.
+    Unlike :func:`search_vector`, this search always runs on the scalar
+    loop and on *unclipped* distributions: folding mass beyond the budget
+    is exact for the single-budget objective, but dominance on folded
+    distributions only compares CDFs inside the window — a strictly
+    stronger relation that would evict antichain members which are merely
+    better *beyond* the queried budget, returning a different route set
+    than the unclipped search (see tests/routing/test_clip_boundary.py).
 
-        Depending on :attr:`backend`, the query is answered by the scalar
-        label-at-a-time loop (as the one-element budget vector) or by the
-        batched generation-at-a-time core in :mod:`repro.routing.columnar`
-        (same probabilities to 2e-12; routes identical up to
-        equal-probability ties).
-        """
-        stats, (result,) = self._budget_vector(
-            query, (query.budget,), time_limit_seconds, heuristic
-        )
-        return replace(result, stats=stats)
-
-    def route_multi_budget(
-        self,
-        query: RoutingQuery,
-        budgets: Sequence[int],
-        *,
-        time_limit_seconds: float | None = None,
-        heuristic: OptimisticHeuristic | None = None,
-    ) -> MultiBudgetResult:
-        """Answer one source/target pair for a whole budget vector at once.
-
-        A single label search serves every budget: per-vertex Pareto
-        frontiers (dominance is budget-independent), the optimistic
-        heuristic and every convolution are shared, while the pivot pruning
-        generalises to a per-budget pivot vector — a label survives when it
-        can still improve the answer of *some* budget.  Per-budget answers
-        match independent :meth:`route` runs (identical probabilities; routes
-        identical up to equal-probability ties, which the two exploration
-        orders may break differently).  The vector runs on whichever core
-        :meth:`route` would pick for ``query`` (:meth:`route` *is* the
-        one-element vector); the columnar core agrees with the scalar loop
-        per budget to 2e-12.
-
-        ``budgets`` must be ascending, unique, with ``budgets[-1] ==
-        query.budget``; the ``multi_budget`` strategy checks that
-        (:func:`~repro.routing.query.normalize_budgets`).
-        """
-        budgets = tuple(budgets)
-        stats, results = self._budget_vector(
-            query, budgets, time_limit_seconds, heuristic
-        )
-        return MultiBudgetResult(
-            query=query, budgets=budgets, results=results, stats=stats
-        )
-
-    def route_kbest(
-        self,
-        query: RoutingQuery,
-        k: int,
-        *,
-        time_limit_seconds: float | None = None,
-        heuristic: OptimisticHeuristic | None = None,
-    ) -> KBestResult:
-        """The top-``k`` non-dominated routes at the target, best first.
-
-        The search is the PBR best-first label search with one change: the
-        pivot pruning threshold is the k-th best arrival probability among
-        the current target frontier (instead of the single best), so every
-        route that can still enter the top k stays alive.  Complete arrivals
-        are kept as an antichain under weak stochastic dominance — a route
-        whose arrival distribution is dominated offers no budget at which it
-        would be the better choice, mirroring the interior dominance pruning.
-
-        Unlike :meth:`route`, this search runs on *unclipped* distributions:
-        folding mass beyond the budget is exact for the single-budget
-        objective, but dominance on folded distributions only compares CDFs
-        inside the window — a strictly stronger relation that would evict
-        antichain members which are merely better *beyond* the queried
-        budget, returning a different route set than the unclipped search
-        (see tests/routing/test_clip_boundary.py).
-
-        With ``k == 1`` the answer's single route carries the same maximal
-        probability as :meth:`route`.  ``k >= 1`` is the ``kbest``
-        strategy's check.
-        """
-        policy = _KBestPivots(k, query.budget)
-        stats, fallback = self._run(query, policy, time_limit_seconds, heuristic)
-        # Stable sort: equal probabilities stay in arrival order.
-        ranked = sorted(policy.candidates, key=lambda kept: -kept[1])[:k]
-        routes = tuple(_answer(query, label, p, None) for label, p in ranked)
-        if not routes and fallback is not None:
-            routes = (_answer(query, None, 0.0, fallback),)
-        return KBestResult(query=query, k=k, routes=routes, stats=stats)
+    With ``k == 1`` the answer's single route carries the same maximal
+    probability as ``pbr``.  ``k >= 1`` is the ``kbest`` strategy's check.
+    """
+    policy = _KBestPivots(k, query.budget)
+    stats, fallback = _run(engine, query, policy, limit)
+    # Stable sort: equal probabilities stay in arrival order.
+    ranked = sorted(policy.candidates, key=lambda kept: -kept[1])[:k]
+    routes = tuple(_answer(query, label, p, None) for label, p in ranked)
+    if not routes and fallback is not None:
+        routes = (_answer(query, None, 0.0, fallback),)
+    return KBestResult(query=query, k=k, routes=routes, stats=stats)

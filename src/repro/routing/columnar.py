@@ -57,6 +57,7 @@ import numpy as np
 from ..histograms import DiscreteDistribution
 from ..histograms.dominance import cdf_dominance_matrix
 from ..histograms.operations import batched_window_convolve, trim_window_rows
+from .budget import _fallback_route
 from .heuristics import OptimisticHeuristic, vertex_indexing
 from .query import RoutingQuery, RoutingResult, SearchStats
 
@@ -359,12 +360,10 @@ def _bit_rows(bits: np.ndarray) -> list:
 
 
 def columnar_route(
-    search,
+    engine,
     query: RoutingQuery,
     budgets: tuple[int, ...],
-    *,
-    time_limit_seconds: float | None = None,
-    heuristic: OptimisticHeuristic | None = None,
+    time_limit_seconds: float | None,
 ) -> tuple[SearchStats, tuple[RoutingResult, ...]]:
     """Answer one query over an ascending budget vector, generation at a time.
 
@@ -372,15 +371,16 @@ def columnar_route(
     one-element vector.  Returns the one search's stats and one result per
     budget — its own arrival chain, its own dive path, or the shared
     fallback route — with empty member stats, as the scalar loop's are.
-    ``search`` is the owning :class:`~repro.routing.budget._BudgetSearch`;
-    dispatch (combiner capability, backend selection, window bounds) already
-    happened there.
+    ``engine`` is the :class:`~repro.routing.engine.RoutingEngine` whose
+    network, combiner, pruning and landmarks the search reads; dispatch
+    (combiner capability, backend selection, window bounds) already
+    happened in :func:`~repro.routing.budget.search_vector`.
     """
     start_time = time.perf_counter()
     stats = SearchStats()
-    network = search.network
-    combiner = search.combiner
-    pruning = search.pruning
+    network = engine.network
+    combiner = engine.combiner
+    pruning = engine.pruning
     budget = query.budget
     width = budget + 2
     budget_cols = np.asarray(budgets, dtype=np.int64)
@@ -394,19 +394,17 @@ def columnar_route(
     source_i = csr.index_of[query.source]
     target_i = csr.index_of[query.target]
 
-    if search.landmarks:
+    if engine.landmarks:
         from .landmarks import LandmarkTable
 
         table = LandmarkTable.shared(
-            network, combiner.costs, k=search.landmarks
+            network, combiner.costs, k=engine.landmarks
         )
         bounds = table.bounds_to(query.target)
     else:
-        if heuristic is None:
-            heuristic = OptimisticHeuristic.shared(
-                network, combiner.costs, query.target
-            )
-        bounds = heuristic.bounds
+        bounds = OptimisticHeuristic.shared(
+            network, combiner.costs, query.target
+        ).bounds
 
     if not np.isfinite(bounds[source_i]):
         # Provably unreachable (exact heuristic: not settled by the reverse
@@ -472,7 +470,7 @@ def columnar_route(
     # the incumbent, the result construction below returns the dive path
     # itself: the scalar core's answer, up to equal-probability ties.
     # ------------------------------------------------------------------
-    dive_exact = not search.landmarks
+    dive_exact = not engine.landmarks
     min_ticks = kernels.min_ticks
     target_row = np.zeros(width)
     target_row[0] = 1.0
@@ -839,7 +837,7 @@ def columnar_route(
 
     fallback = None
     if any(answer is None for answer in answers):
-        fallback = search._fallback_route(query.source, query.target)
+        fallback = _fallback_route(engine, query.source, query.target)
     realised: dict[int, tuple] = {}
     results = []
     for member, answer, probability in zip(member_queries, answers, pivots):

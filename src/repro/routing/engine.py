@@ -7,45 +7,44 @@ combiner, budget-in-ticks conversion and heuristic-cache management
 together.  The engine centralises that wiring the way production
 trip-dispatch stacks do:
 
-* it **owns** the network, the combiner and the shared
+* it **owns** the network, the combiner, the pruning and search-core
+  settings, and reads the shared
   :class:`~repro.routing.heuristics.OptimisticHeuristic` state, so repeated
   and batched queries amortise the reverse-Dijkstra and cached-CDF costs;
 * :meth:`RoutingEngine.route` answers one query under any registered
   **strategy** (``"pbr"``, ``"anytime"``, ``"expected_time"``, ``"oracle"``,
-  ``"multi_budget"``, ``"kbest"`` out of the box);
+  ``"multi_budget"``, ``"kbest"``, ``"depart_when"`` out of the box);
 * :meth:`RoutingEngine.route_many` serves batch workloads, grouping
   queries by target so the heuristic LRU stays hot, and returns a
   :class:`BatchResult` with aggregated :class:`SearchStats`;
 * :meth:`RoutingEngine.route_stream` yields improving anytime pivots over
-  an ascending sweep of wall-clock limits, sharing one heuristic across
-  the whole sweep;
+  an ascending sweep of wall-clock limits;
 * :meth:`RoutingEngine.route_multi_budget` answers one source/target pair
   for a whole budget vector in a single label search, and
   :meth:`RoutingEngine.route_kbest` surfaces the top-k non-dominated routes
   at the target instead of just the argmax.
 
-New workloads plug in through the :func:`register_strategy` decorator
-without touching the engine:
+A strategy is a plain function over the engine, registered with the
+:func:`register_strategy` decorator; new workloads plug in without
+touching the engine:
 
     >>> @register_strategy("my_strategy")
-    ... class MyStrategy(RoutingStrategy):
-    ...     def route(self, engine, query, *, time_limit_seconds=None):
-    ...         ...
+    ... def my_strategy(engine, query, *, time_limit_seconds):
+    ...     ...
 
 See PERFORMANCE.md ("Engine API") for the cache-reuse contract.
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..core.models import CostCombiner
 from ..network import RoadNetwork
 from ..scalars import require_integer
 from .baselines import exhaustive_best_path, expected_time_path
-from .budget import PruningConfig, _BudgetSearch
+from .budget import PruningConfig, search_kbest, search_vector
 from .heuristics import OptimisticHeuristic
 from .query import (
     DepartWhenResult,
@@ -64,7 +63,6 @@ from .query import (
 __all__ = [
     "BatchResult",
     "RoutingEngine",
-    "RoutingStrategy",
     "available_strategies",
     "register_strategy",
 ]
@@ -77,54 +75,36 @@ StrategyAnswer = (
     RoutingResult | MultiBudgetResult | KBestResult | DepartWhenResult | None
 )
 
+#: ``(engine, query, *, time_limit_seconds, **options) -> StrategyAnswer``.
+Strategy = Callable[..., StrategyAnswer]
+
 
 # ----------------------------------------------------------------------
 # Strategy registry
 # ----------------------------------------------------------------------
 
-
-class RoutingStrategy(abc.ABC):
-    """One way of answering a :class:`RoutingQuery` through the engine.
-
-    Strategies are stateless policy objects: the engine hands them itself
-    (network, combiner, shared search and heuristic state) plus the query.
-    Register implementations with :func:`register_strategy`.
-    """
-
-    #: Registry name; assigned by :func:`register_strategy`.
-    name: str = "<unregistered>"
-
-    #: Whether the strategy honours ``time_limit_seconds``.  Strategies that
-    #: cannot bound their latency reject a limit instead of silently
-    #: ignoring it — a service must not promise latency it cannot keep.
-    supports_time_limit: bool = False
-
-    @abc.abstractmethod
-    def route(
-        self,
-        engine: "RoutingEngine",
-        query: RoutingQuery,
-        *,
-        time_limit_seconds: float | None = None,
-        **kwargs: Any,
-    ) -> StrategyAnswer:
-        """Answer ``query`` using ``engine``'s shared state.
-
-        Most strategies return a :class:`RoutingResult`; richer strategies
-        may return :class:`MultiBudgetResult` / :class:`KBestResult` (any
-        answer type exposing ``found``, ``stats`` and ``to_dict``).
-        Returning ``None`` means "no answer" (e.g. a time limit expired
-        before the strategy had anything) and is reported distinctly from a
-        found-nothing result by :class:`BatchResult`.  ``time_limit_seconds``
-        arrives checked (:meth:`RoutingEngine.route`).
-        """
+#: name -> (strategy function, whether it honours ``time_limit_seconds``).
+_STRATEGIES: dict[str, tuple[Strategy, bool]] = {}
 
 
-_STRATEGIES: dict[str, type[RoutingStrategy]] = {}
+def register_strategy(name: str, *, time_limit: bool = False):
+    """Decorator registering a strategy function under ``name``.
 
+    A strategy answers ``query`` with ``engine``'s shared state:
+    ``strategy(engine, query, *, time_limit_seconds, **options)``, where
+    ``options`` are its own keyword arguments, passed through
+    :meth:`RoutingEngine.route`.  Most strategies return a
+    :class:`RoutingResult`; richer ones a :class:`MultiBudgetResult`,
+    :class:`KBestResult` or :class:`DepartWhenResult` (any answer exposing
+    ``found``, ``stats`` and ``to_dict``).  Returning ``None`` means "no
+    answer" (e.g. a time limit expired before the strategy had anything)
+    and is reported distinctly from a found-nothing result by
+    :class:`BatchResult`.
 
-def register_strategy(name: str):
-    """Class decorator registering a :class:`RoutingStrategy` under ``name``.
+    ``time_limit`` declares that the strategy honours
+    ``time_limit_seconds`` (which arrives checked, or ``None``).  A
+    strategy that cannot bound its latency has a limit rejected instead of
+    silently ignored — a service must not promise latency it cannot keep.
 
     The registry is process-wide: any module can add a strategy and every
     :class:`RoutingEngine` can serve it immediately.  Names are unique —
@@ -134,14 +114,13 @@ def register_strategy(name: str):
     if not isinstance(name, str) or not name:
         raise ValueError("strategy name must be a non-empty string")
 
-    def decorator(cls: type[RoutingStrategy]) -> type[RoutingStrategy]:
-        if not (isinstance(cls, type) and issubclass(cls, RoutingStrategy)):
-            raise TypeError("@register_strategy expects a RoutingStrategy subclass")
+    def decorator(function: Strategy) -> Strategy:
+        if isinstance(function, type) or not callable(function):
+            raise TypeError("@register_strategy expects a strategy function")
         if name in _STRATEGIES:
             raise ValueError(f"routing strategy {name!r} is already registered")
-        cls.name = name
-        _STRATEGIES[name] = cls
-        return cls
+        _STRATEGIES[name] = (function, time_limit)
+        return function
 
     return decorator
 
@@ -151,130 +130,117 @@ def available_strategies() -> tuple[str, ...]:
     return tuple(sorted(_STRATEGIES))
 
 
+def _registered(name: str) -> tuple[Strategy, bool]:
+    """The strategy registered as ``name`` and its time-limit flag."""
+    entry = _STRATEGIES.get(name)
+    if entry is None:
+        raise KeyError(
+            f"unknown routing strategy {name!r}; available: "
+            f"{', '.join(available_strategies())}"
+        )
+    return entry
+
+
 # ----------------------------------------------------------------------
 # Built-in strategies
 # ----------------------------------------------------------------------
 
 
-@register_strategy("pbr")
-class PBRStrategy(RoutingStrategy):
+@register_strategy("pbr", time_limit=True)
+def pbr(
+    engine: "RoutingEngine", query: RoutingQuery, *, time_limit_seconds: float | None
+) -> RoutingResult:
     """The paper's algorithm: best-first PBR search with all prunings.
 
     Optionally anytime — with ``time_limit_seconds`` the search returns the
-    pivot path when the wall clock expires.
+    pivot path when the wall clock expires.  Always returns a result: the
+    optimal path when the search ran to completion (``stats.completed``),
+    the pivot path when the limit expired, and an empty path when the
+    target is unreachable.  The one-element budget vector of
+    :func:`~repro.routing.budget.search_vector`.
     """
-
-    supports_time_limit = True
-
-    def route(
-        self,
-        engine: "RoutingEngine",
-        query: RoutingQuery,
-        *,
-        time_limit_seconds: float | None = None,
-        heuristic: OptimisticHeuristic | None = None,
-    ) -> RoutingResult:
-        return engine._search.route(
-            query, time_limit_seconds=time_limit_seconds, heuristic=heuristic
-        )
+    answer = search_vector(engine, query, (query.budget,), time_limit_seconds)
+    return replace(answer.results[0], stats=answer.stats)
 
 
-@register_strategy("anytime")
-class AnytimeStrategy(PBRStrategy):
+@register_strategy("anytime", time_limit=True)
+def anytime(
+    engine: "RoutingEngine", query: RoutingQuery, *, time_limit_seconds: float | None
+) -> RoutingResult:
     """PBR under a mandatory wall-clock budget (pivot path on expiry).
 
     Identical search to ``"pbr"``; the separate strategy makes the
     bounded-latency contract explicit — a missing limit is a caller bug,
     not an accidental unbounded search.
     """
-
-    def route(
-        self,
-        engine: "RoutingEngine",
-        query: RoutingQuery,
-        *,
-        time_limit_seconds: float | None = None,
-        heuristic: OptimisticHeuristic | None = None,
-    ) -> RoutingResult:
-        if time_limit_seconds is None:
-            raise ValueError("the 'anytime' strategy requires time_limit_seconds")
-        return super().route(
-            engine,
-            query,
-            time_limit_seconds=time_limit_seconds,
-            heuristic=heuristic,
-        )
+    if time_limit_seconds is None:
+        raise ValueError("the 'anytime' strategy requires time_limit_seconds")
+    return pbr(engine, query, time_limit_seconds=time_limit_seconds)
 
 
-@register_strategy("multi_budget")
-class MultiBudgetStrategy(RoutingStrategy):
+@register_strategy("multi_budget", time_limit=True)
+def multi_budget(
+    engine: "RoutingEngine",
+    query: RoutingQuery,
+    *,
+    time_limit_seconds: float | None,
+    budgets: Iterable[int] | None = None,
+) -> MultiBudgetResult:
     """One source/target pair answered for a whole budget vector.
 
-    A single label search serves every budget — the per-vertex Pareto
-    frontiers, the optimistic heuristic and every convolution are shared —
-    instead of re-running ``"pbr"`` once per budget.  Pass the vector as
-    ``budgets=``; ``query.budget`` must be its maximum (use
+    A single label search serves every budget (see
+    :func:`~repro.routing.budget.search_vector`) instead of re-running
+    ``"pbr"`` once per budget.  Pass the vector as ``budgets=``;
+    ``query.budget`` must be its maximum (use
     :meth:`RoutingEngine.route_multi_budget` to construct both together).
     """
-
-    supports_time_limit = True
-
-    def route(
-        self,
-        engine: "RoutingEngine",
-        query: RoutingQuery,
-        *,
-        time_limit_seconds: float | None = None,
-        budgets: Iterable[int] | None = None,
-        heuristic: OptimisticHeuristic | None = None,
-    ) -> MultiBudgetResult:
-        if budgets is None:
-            raise ValueError(
-                "the 'multi_budget' strategy requires budgets=<tick vector>"
-            )
-        budget_vector = normalize_budgets(budgets)
-        if budget_vector[-1] != query.budget:
-            raise ValueError(
-                "query.budget must equal max(budgets); use "
-                "RoutingEngine.route_multi_budget to build both consistently"
-            )
-        return engine._search.route_multi_budget(
-            query, budget_vector, time_limit_seconds=time_limit_seconds, heuristic=heuristic
+    if budgets is None:
+        raise ValueError(
+            "the 'multi_budget' strategy requires budgets=<tick vector>"
         )
+    budget_vector = normalize_budgets(budgets)
+    if budget_vector[-1] != query.budget:
+        raise ValueError(
+            "query.budget must equal max(budgets); use "
+            "RoutingEngine.route_multi_budget to build both consistently"
+        )
+    return search_vector(engine, query, budget_vector, time_limit_seconds)
 
 
-@register_strategy("kbest")
-class KBestStrategy(RoutingStrategy):
+@register_strategy("kbest", time_limit=True)
+def kbest(
+    engine: "RoutingEngine",
+    query: RoutingQuery,
+    *,
+    time_limit_seconds: float | None,
+    k: int | None = None,
+) -> KBestResult:
     """Top-k non-dominated routes at the target (``k=...`` required).
 
     Same label search as ``"pbr"`` with the pivot pruning relaxed to the
     k-th best arrival, so the whole top of the target's Pareto frontier
-    survives — alternatives a dispatcher can offer, not just the argmax.
+    survives — alternatives a dispatcher can offer, not just the argmax
+    (see :func:`~repro.routing.budget.search_kbest`).
     """
-
-    supports_time_limit = True
-
-    def route(
-        self,
-        engine: "RoutingEngine",
-        query: RoutingQuery,
-        *,
-        time_limit_seconds: float | None = None,
-        k: int | None = None,
-        heuristic: OptimisticHeuristic | None = None,
-    ) -> KBestResult:
-        if k is None:
-            raise ValueError("the 'kbest' strategy requires k=<positive int>")
-        return engine._search.route_kbest(
-            query,
-            require_integer(k, "k must be a positive integer", low=1),
-            time_limit_seconds=time_limit_seconds,
-            heuristic=heuristic,
-        )
+    if k is None:
+        raise ValueError("the 'kbest' strategy requires k=<positive int>")
+    return search_kbest(
+        engine,
+        query,
+        require_integer(k, "k must be a positive integer", low=1),
+        time_limit_seconds,
+    )
 
 
-@register_strategy("depart_when")
-class DepartWhenStrategy(RoutingStrategy):
+@register_strategy("depart_when", time_limit=True)
+def depart_when(
+    engine: "RoutingEngine",
+    query: RoutingQuery,
+    *,
+    time_limit_seconds: float | None,
+    departure_times: Iterable[float] | None = None,
+    arrive_by_seconds: float | None = None,
+) -> DepartWhenResult:
     """Best budget-reliability over a departure window ("leave when?").
 
     Pass the candidate departures as ``departure_times=<seconds vector>``.
@@ -294,89 +260,65 @@ class DepartWhenStrategy(RoutingStrategy):
       its keep at the service layer, where each temporal regime in the
       window contributes its own table.
     """
-
-    supports_time_limit = True
-
-    def route(
-        self,
-        engine: "RoutingEngine",
-        query: RoutingQuery,
-        *,
-        time_limit_seconds: float | None = None,
-        departure_times: Iterable[float] | None = None,
-        arrive_by_seconds: float | None = None,
-        heuristic: OptimisticHeuristic | None = None,
-    ) -> DepartWhenResult:
-        if departure_times is None:
-            raise ValueError(
-                "the 'depart_when' strategy requires "
-                "departure_times=<seconds vector>"
-            )
-        departures = normalize_departures(departure_times)
-        budgets, feasible, search = depart_when_search(
-            query.source,
-            query.target,
-            departures,
-            query.budget if arrive_by_seconds is None else None,
-            arrive_by_seconds,
-            engine.resolution,
+    if departure_times is None:
+        raise ValueError(
+            "the 'depart_when' strategy requires "
+            "departure_times=<seconds vector>"
         )
-        if search.budget != query.budget:
-            raise ValueError(
-                "query.budget must equal the largest feasible departure "
-                "budget; use RoutingEngine.route_depart_when to build both "
-                "consistently"
-            )
-        multi = engine._search.route_multi_budget(
-            query,
-            feasible,
-            time_limit_seconds=time_limit_seconds,
-            heuristic=heuristic,
+    departures = normalize_departures(departure_times)
+    budgets, feasible, search = depart_when_search(
+        query.source,
+        query.target,
+        departures,
+        query.budget if arrive_by_seconds is None else None,
+        arrive_by_seconds,
+        engine.resolution,
+    )
+    if search.budget != query.budget:
+        raise ValueError(
+            "query.budget must equal the largest feasible departure "
+            "budget; use RoutingEngine.route_depart_when to build both "
+            "consistently"
         )
-        results = tuple(
-            multi.best_for(budget) if budget >= 1 else None for budget in budgets
-        )
-        return DepartWhenResult(
-            query=query,
-            departures=departures,
-            budgets=budgets,
-            results=results,
-            arrive_by_seconds=(
-                None if arrive_by_seconds is None else float(arrive_by_seconds)
-            ),
-            stats=multi.stats,
-        )
+    multi = search_vector(engine, query, feasible, time_limit_seconds)
+    results = tuple(
+        multi.best_for(budget) if budget >= 1 else None for budget in budgets
+    )
+    return DepartWhenResult(
+        query=query,
+        departures=departures,
+        budgets=budgets,
+        results=results,
+        arrive_by_seconds=(
+            None if arrive_by_seconds is None else float(arrive_by_seconds)
+        ),
+        stats=multi.stats,
+    )
 
 
 @register_strategy("expected_time")
-class ExpectedTimeStrategy(RoutingStrategy):
+def expected_time(
+    engine: "RoutingEngine", query: RoutingQuery, *, time_limit_seconds: float | None
+) -> RoutingResult:
     """Baseline: deterministic shortest path over average travel times."""
-
-    def route(
-        self,
-        engine: "RoutingEngine",
-        query: RoutingQuery,
-        *,
-        time_limit_seconds: float | None = None,
-    ) -> RoutingResult:
-        return expected_time_path(engine.network, engine.combiner, query)
+    return expected_time_path(engine.network, engine.combiner, query)
 
 
 @register_strategy("oracle")
-class OracleStrategy(RoutingStrategy):
+def oracle(
+    engine: "RoutingEngine",
+    query: RoutingQuery,
+    *,
+    time_limit_seconds: float | None,
+    max_edges: int = 12,
+) -> RoutingResult:
     """Baseline: exhaustive enumeration of simple paths (small graphs only)."""
-
-    def route(
-        self,
-        engine: "RoutingEngine",
-        query: RoutingQuery,
-        *,
-        time_limit_seconds: float | None = None,
-        max_edges: int = 12,
-    ) -> RoutingResult:
-        return exhaustive_best_path(
-            engine.network, engine.combiner, query, max_edges=max_edges
-        )
+    return exhaustive_best_path(
+        engine.network,
+        engine.combiner,
+        query,
+        max_edges=require_integer(max_edges, "max_edges must be a positive integer", low=1),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -475,8 +417,8 @@ class RoutingEngine:
     """Unified entry point for PBR, anytime, baseline and batch routing.
 
     One engine per (network, combiner) pair; it is what a routing service
-    instantiates once and serves all traffic through.  All strategies share
-    the engine's search state and the cost table's per-version
+    instantiates once and serves all traffic through.  Every strategy reads
+    the engine's settings and the cost table's per-version
     optimistic-heuristic LRU, so heavy traffic to popular destinations pays
     the per-target setup cost once.
     """
@@ -489,22 +431,35 @@ class RoutingEngine:
         pruning: PruningConfig | None = None,
         backend: str = "auto",
         landmarks: int | None = None,
+        clip_distributions: bool = True,
     ) -> None:
+        if backend not in ("auto", "scalar", "columnar"):
+            raise ValueError(
+                f"backend must be 'auto', 'scalar' or 'columnar', got {backend!r}"
+            )
+        if landmarks is not None and landmarks < 1:
+            raise ValueError("landmarks must be >= 1 when given")
         self.network = network
         self.combiner = combiner
         self.pruning = pruning or PruningConfig()
-        # ``backend`` (``"auto"`` / ``"scalar"`` / ``"columnar"``) and the
-        # optional ALT landmark count are forwarded to the search; see
-        # :class:`~repro.routing.budget._BudgetSearch` and PERFORMANCE.md
-        # "Columnar search core".
-        self._search = _BudgetSearch(
-            network,
-            combiner,
-            pruning=self.pruning,
-            backend=backend,
-            landmarks=landmarks,
-        )
-        self._strategies: dict[str, RoutingStrategy] = {}
+        #: Search-core selection for budget vectors (``pbr``,
+        #: ``multi_budget``, ``depart_when``; ``kbest`` always runs the
+        #: scalar loop).  ``"scalar"`` is the label-at-a-time reference
+        #: core; ``"columnar"`` forces the generation-at-a-time numpy core
+        #: (raises when the combiner cannot support it); ``"auto"`` picks
+        #: columnar only on networks large enough for the batched kernels
+        #: to pay for their setup, so small worlds (and every golden
+        #: fixture) keep the scalar core's exploration order bit for bit.
+        #: See PERFORMANCE.md "Columnar search core".
+        self.backend = backend
+        #: When set, the columnar core derives its lower bounds from a
+        #: ``k``-landmark ALT table (built once per cost-table version and
+        #: shared across *all* targets) instead of the per-target reverse
+        #: Dijkstra.  Weaker bounds, no per-target setup cost.
+        self.landmarks = landmarks
+        #: Reference knob for the clip-boundary equivalence suite: ``False``
+        #: disables folding so searches run on full, unfolded distributions.
+        self.clip_distributions = clip_distributions
 
     def __repr__(self) -> str:
         return (
@@ -540,10 +495,6 @@ class RoutingEngine:
         """
         return self.combiner.costs.version
 
-    def query(self, source: int, target: int, budget: int) -> RoutingQuery:
-        """Build a validated tick-budget query."""
-        return RoutingQuery(source, target, budget)
-
     def query_from_seconds(
         self, source: int, target: int, budget_seconds: float
     ) -> RoutingQuery:
@@ -556,35 +507,16 @@ class RoutingEngine:
     # Strategies
     # ------------------------------------------------------------------
 
-    def strategy(self, name: str) -> RoutingStrategy:
-        """The (per-engine cached) strategy instance registered as ``name``.
-
-        Safe under concurrent callers: two threads racing the first lookup
-        may both construct an instance, but ``setdefault`` publishes exactly
-        one and strategies are stateless policy objects, so the loser's
-        instance is simply garbage.
-        """
-        instance = self._strategies.get(name)
-        if instance is None:
-            cls = _STRATEGIES.get(name)
-            if cls is None:
-                raise KeyError(
-                    f"unknown routing strategy {name!r}; available: "
-                    f"{', '.join(available_strategies())}"
-                )
-            instance = self._strategies.setdefault(name, cls())
-        return instance
-
     def supports_time_limit(self, name: str) -> bool:
         """Whether strategy ``name`` honours ``time_limit_seconds``.
 
         The serving layer's degradation ladder keys off this: a strategy
         that can bound its own latency is run with the request's remaining
         deadline as a cooperative limit, while one that cannot is run as-is
-        and only judged afterwards.  Unknown names raise, exactly like
-        :meth:`strategy`.
+        and only judged afterwards.  Unknown names raise ``KeyError``,
+        exactly like :meth:`route`.
         """
-        return self.strategy(name).supports_time_limit
+        return _registered(name)[1]
 
     def heuristic_for(self, target: int) -> OptimisticHeuristic:
         """The shared optimistic heuristic for ``target`` (LRU-cached)."""
@@ -612,51 +544,32 @@ class RoutingEngine:
         different outcome than a result with ``found == False``.  The limit
         is checked here, once, for every strategy.
         """
-        instance = self.strategy(strategy)
+        function, bounded = _registered(strategy)
         if time_limit_seconds is not None:
-            if not instance.supports_time_limit:
+            if not bounded:
                 raise ValueError(
                     f"strategy {strategy!r} does not support time_limit_seconds"
                 )
             time_limit_seconds = check_time_limit(time_limit_seconds)
-        return instance.route(self, query, time_limit_seconds=time_limit_seconds, **kwargs)
+        return function(self, query, time_limit_seconds=time_limit_seconds, **kwargs)
 
     def route_multi_budget(
-        self,
-        source: int,
-        target: int,
-        budgets: Iterable[int],
-        *,
-        time_limit_seconds: float | None = None,
+        self, source: int, target: int, budgets: Iterable[int]
     ) -> MultiBudgetResult:
         """Answer one source/target pair for a whole budget vector.
 
-        One label search serves every budget (the Pareto frontier work is
-        shared instead of re-run per budget); per-budget answers match
-        independent ``"pbr"`` runs.  ``budgets`` may arrive unsorted or with
-        duplicates — it is normalised exactly like a single
-        :attr:`RoutingQuery.budget`.
+        The ``"multi_budget"`` strategy: one label search serves every
+        budget (:func:`~repro.routing.budget.search_vector` states the
+        contract).  ``budgets`` may arrive unsorted or with duplicates — it
+        is normalised exactly like a single :attr:`RoutingQuery.budget`.
         """
         budget_vector = normalize_budgets(budgets)
         query = RoutingQuery(source, target, budget_vector[-1])
-        return self.route(
-            query,
-            strategy="multi_budget",
-            budgets=budget_vector,
-            time_limit_seconds=time_limit_seconds,
-        )
+        return self.route(query, strategy="multi_budget", budgets=budget_vector)
 
-    def route_kbest(
-        self,
-        query: RoutingQuery,
-        k: int,
-        *,
-        time_limit_seconds: float | None = None,
-    ) -> KBestResult:
+    def route_kbest(self, query: RoutingQuery, k: int) -> KBestResult:
         """The top-``k`` non-dominated routes for ``query``, best first."""
-        return self.route(
-            query, strategy="kbest", k=k, time_limit_seconds=time_limit_seconds
-        )
+        return self.route(query, strategy="kbest", k=k)
 
     def route_depart_when(
         self,
@@ -739,9 +652,10 @@ class RoutingEngine:
         pivot.  ``time_limits`` must be strictly increasing and positive —
         a non-increasing sweep would re-spend wall clock for answers the
         stream already delivered, so it is rejected (at the call site, not
-        on first iteration) as a caller bug.  One optimistic heuristic is
-        built up front and shared by every run so the stream measures
-        search time, not repeated reverse Dijkstras.
+        on first iteration) as a caller bug.  The target's shared
+        optimistic heuristic is warmed once, before the first limit's clock
+        starts, so no step of the sweep pays for the reverse Dijkstra and
+        the stream measures search time.
         """
         limits = [check_time_limit(limit) for limit in time_limits]
         if any(b <= a for a, b in zip(limits, limits[1:])):
@@ -751,10 +665,8 @@ class RoutingEngine:
             )
 
         def stream() -> Iterator[RoutingResult]:
-            heuristic = self.heuristic_for(query.target)
+            self.heuristic_for(query.target)
             for limit in limits:
-                yield self._search.route(
-                    query, time_limit_seconds=limit, heuristic=heuristic
-                )
+                yield pbr(self, query, time_limit_seconds=limit)
 
         return stream()

@@ -1601,7 +1601,7 @@ class RoutingService:
         that cannot be frozen.
         """
         name = self._resolve_slice(slice_name)
-        self._engines[name].strategy(strategy)
+        self._engines[name].supports_time_limit(strategy)
         ttl = check_ttl_seconds(cache_ttl_seconds, name="cache_ttl_seconds")
         if time_limit_seconds is not None:
             time_limit_seconds = check_time_limit(time_limit_seconds)

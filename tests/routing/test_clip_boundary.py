@@ -1,12 +1,12 @@
 """`_clip` boundary audit: clipped vs unclipped search equivalence.
 
-``_BudgetSearch._clip`` folds all probability mass beyond ``budget + 1``
+``routing.budget._clip`` folds all probability mass beyond ``budget + 1``
 ticks into a single cell.  That is exact for the search objective under
 convolution — mass above the budget contributes nothing to
 ``P(cost <= budget)`` wherever it sits, and folding both operands of a
 dominance comparison at the same boundary preserves the CDF ordering below
 it.  This suite locks the claim empirically: with the
-``clip_distributions=False`` debug knob the search runs on full, unfolded
+``clip_distributions=False`` reference knob of ``RoutingEngine`` the search runs on full, unfolded
 distributions, and every mode must report the same probabilities.
 
 The strategy deliberately concentrates edge offsets and budgets so queries
@@ -15,7 +15,7 @@ land *exactly* at the clip boundary (``offset == budget``,
 support exceeds the budget), the regimes where an off-by-one in the fold
 index would flip an answer.
 
-`route_kbest` runs **fully unclipped** by design (see the docstring in
+k-best runs **fully unclipped** by design (see the docstring in
 ``repro/routing/budget.py``): its antichain frontier must rank members by
 their whole distributions, and window-folded dominance is strictly stronger
 than full-axis dominance — clipping there would over-evict routes whose
@@ -31,8 +31,7 @@ from hypothesis import strategies as st
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.histograms import DiscreteDistribution
 from repro.network import RoadNetwork
-from repro.routing import RoutingQuery
-from repro.routing.budget import PruningConfig, _BudgetSearch
+from repro.routing import PruningConfig, RoutingEngine, RoutingQuery
 
 ALL_PRUNINGS = [
     PruningConfig(
@@ -98,8 +97,8 @@ def boundary_worlds(draw):
 def test_pbr_clip_is_observationally_exact(world, pruning):
     network, costs, n, budget = world
     combiner = ConvolutionModel(costs)
-    clipped = _BudgetSearch(network, combiner, pruning=pruning, backend="scalar")
-    unclipped = _BudgetSearch(
+    clipped = RoutingEngine(network, combiner, pruning=pruning, backend="scalar")
+    unclipped = RoutingEngine(
         network,
         combiner,
         pruning=pruning,
@@ -119,14 +118,14 @@ def test_pbr_clip_is_observationally_exact(world, pruning):
 def test_multi_budget_clip_is_observationally_exact(world):
     network, costs, n, budget = world
     combiner = ConvolutionModel(costs)
-    clipped = _BudgetSearch(network, combiner, backend="scalar")
-    unclipped = _BudgetSearch(
+    clipped = RoutingEngine(network, combiner, backend="scalar")
+    unclipped = RoutingEngine(
         network, combiner, backend="scalar", clip_distributions=False
     )
     budgets = tuple(sorted({max(1, budget - 1), budget, budget + 1, budget + 4}))
     query = RoutingQuery(0, n - 1, budgets[-1])
-    a = clipped.route_multi_budget(query, budgets)
-    u = unclipped.route_multi_budget(query, budgets)
+    a = clipped.route_multi_budget(query.source, query.target, budgets)
+    u = unclipped.route_multi_budget(query.source, query.target, budgets)
     for (b, member_a), (_, member_u) in zip(a.items(), u.items()):
         assert member_a.found == member_u.found
         assert member_a.probability == pytest.approx(member_u.probability, abs=1e-12)
@@ -138,8 +137,8 @@ def test_kbest_route_sets_survive_clip_knob(world, k):
     """kbest ignores the knob entirely — it already runs unclipped."""
     network, costs, n, budget = world
     combiner = ConvolutionModel(costs)
-    default = _BudgetSearch(network, combiner, backend="scalar")
-    knob_off = _BudgetSearch(
+    default = RoutingEngine(network, combiner, backend="scalar")
+    knob_off = RoutingEngine(
         network, combiner, backend="scalar", clip_distributions=False
     )
     query = RoutingQuery(0, n - 1, budget)
@@ -163,7 +162,7 @@ def test_single_edge_support_entirely_beyond_budget():
     costs.set_cost(edge.id, DiscreteDistribution(9, np.array([0.5, 0.5])))
     combiner = ConvolutionModel(costs)
     for clip in (True, False):
-        search = _BudgetSearch(
+        search = RoutingEngine(
             network, combiner, backend="scalar", clip_distributions=clip
         )
         result = search.route(RoutingQuery(0, 1, 5))
@@ -181,7 +180,7 @@ def test_support_edge_exactly_at_budget():
     costs.set_cost(edge.id, DiscreteDistribution(4, np.array([0.25, 0.75])))
     combiner = ConvolutionModel(costs)
     for clip in (True, False):
-        search = _BudgetSearch(
+        search = RoutingEngine(
             network, combiner, backend="scalar", clip_distributions=clip
         )
         at_lower = search.route(RoutingQuery(0, 1, 4)).probability

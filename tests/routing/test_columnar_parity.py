@@ -30,8 +30,8 @@ from repro.histograms import (
     trim_window_rows,
 )
 from repro.network import RoadNetwork
-from repro.routing import RoutingEngine, RoutingQuery, SearchStats
-from repro.routing.budget import PruningConfig, _BudgetSearch
+from repro.routing import PruningConfig, RoutingEngine, RoutingQuery, SearchStats
+from repro.routing.budget import _columnar_applicable
 from repro.routing.columnar import COLUMNAR_AUTO_MIN_EDGES
 from repro.routing.heuristics import OptimisticHeuristic
 from repro.routing.landmarks import LandmarkTable
@@ -117,8 +117,8 @@ def _assert_parity(scalar_result, columnar_result, budget):
 def test_columnar_matches_scalar_all_prunings(world, pruning, budget):
     network, costs, n = world
     combiner = ConvolutionModel(costs)
-    scalar = _BudgetSearch(network, combiner, pruning=pruning, backend="scalar")
-    columnar = _BudgetSearch(network, combiner, pruning=pruning, backend="columnar")
+    scalar = RoutingEngine(network, combiner, pruning=pruning, backend="scalar")
+    columnar = RoutingEngine(network, combiner, pruning=pruning, backend="columnar")
     for source, target in [(0, n - 1), (0, n - 2), (1, n - 1)]:
         query = RoutingQuery(source, target, budget)
         _assert_parity(scalar.route(query), columnar.route(query), budget)
@@ -136,12 +136,12 @@ def test_columnar_budget_vector_matches_scalar_all_prunings(world, pruning, budg
     budget: found flags, |dP| <= 2e-12, real simple source -> target paths."""
     network, costs, n = world
     combiner = ConvolutionModel(costs)
-    scalar = _BudgetSearch(network, combiner, pruning=pruning, backend="scalar")
-    columnar = _BudgetSearch(network, combiner, pruning=pruning, backend="columnar")
+    scalar = RoutingEngine(network, combiner, pruning=pruning, backend="scalar")
+    columnar = RoutingEngine(network, combiner, pruning=pruning, backend="columnar")
     for source, target in [(0, n - 1), (0, n - 2), (1, n - 1)]:
         query = RoutingQuery(source, target, budgets[-1])
-        reference = scalar.route_multi_budget(query, budgets)
-        answer = columnar.route_multi_budget(query, budgets)
+        reference = scalar.route_multi_budget(query.source, query.target, budgets)
+        answer = columnar.route_multi_budget(query.source, query.target, budgets)
         assert answer.budgets == budgets
         for budget, mine, theirs in zip(budgets, answer.results, reference.results):
             assert mine.query == theirs.query == RoutingQuery(source, target, budget)
@@ -187,8 +187,8 @@ def test_zero_tick_descent_cycle_matches_scalar():
     combiner = ConvolutionModel(costs)
     for budget in range(2, 9):
         query = RoutingQuery(0, 3, budget)
-        scalar = _BudgetSearch(network, combiner, backend="scalar").route(query)
-        columnar = _BudgetSearch(network, combiner, backend="columnar").route(query)
+        scalar = RoutingEngine(network, combiner, backend="scalar").route(query)
+        columnar = RoutingEngine(network, combiner, backend="columnar").route(query)
         _assert_parity(scalar, columnar, budget)
 
 
@@ -198,8 +198,8 @@ def test_columnar_landmark_mode_matches_scalar(world, k, budget):
     """ALT bounds are weaker but sound: identical answers, any k."""
     network, costs, n = world
     combiner = ConvolutionModel(costs)
-    scalar = _BudgetSearch(network, combiner, backend="scalar")
-    columnar = _BudgetSearch(network, combiner, backend="columnar", landmarks=k)
+    scalar = RoutingEngine(network, combiner, backend="scalar")
+    columnar = RoutingEngine(network, combiner, backend="columnar", landmarks=k)
     query = RoutingQuery(0, n - 1, budget)
     _assert_parity(scalar.route(query), columnar.route(query), budget)
 
@@ -243,13 +243,13 @@ class _OpaqueCombiner(CostCombiner):
 class TestBackendDispatch:
     def test_forced_columnar_rejects_non_vectorized_combiner(self):
         network, costs = _tiny_world()
-        search = _BudgetSearch(network, _OpaqueCombiner(costs), backend="columnar")
+        search = RoutingEngine(network, _OpaqueCombiner(costs), backend="columnar")
         with pytest.raises(ValueError, match="vectorized-convolution"):
             search.route(RoutingQuery(0, 2, 10))
 
     def test_forced_columnar_rejects_unclipped_search(self):
         network, costs = _tiny_world()
-        search = _BudgetSearch(
+        search = RoutingEngine(
             network,
             ConvolutionModel(costs),
             backend="columnar",
@@ -260,7 +260,7 @@ class TestBackendDispatch:
 
     def test_forced_columnar_rejects_oversized_window(self):
         network, costs = _tiny_world()
-        search = _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
+        search = RoutingEngine(network, ConvolutionModel(costs), backend="columnar")
         with pytest.raises(ValueError, match="budget"):
             search.route(RoutingQuery(0, 2, 1 << 20))
 
@@ -272,12 +272,12 @@ class TestBackendDispatch:
             (ConvolutionModel(costs), {}, 1 << 20),  # oversized window
         ]
         for combiner, options, budget in incapable:
-            search = _BudgetSearch(network, combiner, backend="columnar", **options)
+            search = RoutingEngine(network, combiner, backend="columnar", **options)
             query = RoutingQuery(0, 2, budget)
             with pytest.raises(ValueError) as single:
                 search.route(query)
             with pytest.raises(ValueError) as vector:
-                search.route_multi_budget(query, (budget // 2, budget))
+                search.route_multi_budget(query.source, query.target, (budget // 2, budget))
             assert str(vector.value) == str(single.value), options
 
     def test_kbest_on_a_forced_columnar_search_runs_the_scalar_loop(self, monkeypatch):
@@ -286,33 +286,33 @@ class TestBackendDispatch:
         network, costs = _tiny_world()
         combiner = ConvolutionModel(costs)
         query = RoutingQuery(0, 2, 10)
-        reference = _BudgetSearch(network, combiner, backend="scalar").route_kbest(query, 2)
+        reference = RoutingEngine(network, combiner, backend="scalar").route_kbest(query, 2)
 
         def unreachable(*args, **kwargs):
             raise AssertionError("kbest must not reach the columnar core")
 
         monkeypatch.setattr(columnar, "columnar_route", unreachable)
-        answer = _BudgetSearch(network, combiner, backend="columnar").route_kbest(query, 2)
+        answer = RoutingEngine(network, combiner, backend="columnar").route_kbest(query, 2)
         assert answer.found
         assert [r.probability for r in answer.routes] == [
             r.probability for r in reference.routes
         ]
         assert [r.path for r in answer.routes] == [r.path for r in reference.routes]
         with pytest.raises(AssertionError, match="columnar core"):
-            _BudgetSearch(network, combiner, backend="columnar").route_multi_budget(
-                query, (5, 10)
+            RoutingEngine(network, combiner, backend="columnar").route_multi_budget(
+                query.source, query.target, (5, 10)
             )
 
     def test_auto_stays_scalar_below_edge_threshold(self):
         network, costs = _tiny_world()
-        search = _BudgetSearch(network, ConvolutionModel(costs), backend="auto")
+        search = RoutingEngine(network, ConvolutionModel(costs), backend="auto")
         assert network.num_edges < COLUMNAR_AUTO_MIN_EDGES
-        assert not search._columnar_applicable(RoutingQuery(0, 2, 10))
+        assert not _columnar_applicable(search, RoutingQuery(0, 2, 10))
 
     def test_unknown_backend_rejected_eagerly(self):
         network, costs = _tiny_world()
         with pytest.raises(ValueError, match="backend"):
-            _BudgetSearch(network, ConvolutionModel(costs), backend="gpu")
+            RoutingEngine(network, ConvolutionModel(costs), backend="gpu")
 
 
 class TestWindowKernels:
@@ -447,7 +447,7 @@ class TestKernelCells:
         network, _ = _tiny_world()
         (costs,) = self._tables(network, 1)
         builds = self._count_builds(monkeypatch)
-        search = _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
+        search = RoutingEngine(network, ConvolutionModel(costs), backend="columnar")
         search.route(RoutingQuery(0, 2, 20))
         # Blocks are slotted (no weakrefs); their arrays live exactly as long.
         block = weakref.ref(columnar._kernels_for(network, search.combiner).probs)
@@ -468,7 +468,7 @@ class TestKernelCells:
         network, _ = _tiny_world()
         tables = self._tables(network, 6)
         searches = [
-            _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
+            RoutingEngine(network, ConvolutionModel(costs), backend="columnar")
             for costs in tables
         ]
         expected = [s.route(RoutingQuery(0, 2, 20)).probability for s in searches]

@@ -22,8 +22,8 @@ import pytest
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.histograms import DiscreteDistribution
 from repro.network import RoadNetwork
-from repro.routing import RoutingQuery
-from repro.routing.budget import _DEADLINE_CHECK_INTERVAL, _BudgetSearch
+from repro.routing import RoutingEngine, RoutingQuery
+from repro.routing.budget import _DEADLINE_CHECK_INTERVAL, search_kbest, search_vector
 from repro.routing.query import SearchStats
 
 
@@ -48,18 +48,17 @@ def _star_world(num_spokes: int):
     return network, costs, target
 
 
-def _expired_search(search, entry_point, query):
-    """Run one entry point past its deadline -> (stats, the route it offers)."""
-    if entry_point == "route":
-        result = search.route(query, time_limit_seconds=0.0)
-        return result.stats, result
-    if entry_point == "route_multi_budget":
-        answer = search.route_multi_budget(
-            query, (query.budget // 2, query.budget), time_limit_seconds=0.0
-        )
-        return answer.stats, answer.results[-1]
-    answer = search.route_kbest(query, 2, time_limit_seconds=0.0)
-    return answer.stats, answer.best
+def _expired_search(engine, entry_point, query):
+    """Run one search past its deadline -> (stats, the route it offers).
+
+    A 0 s limit is already expired; the engine refuses it, so the searches
+    are called directly."""
+    if entry_point == "route_kbest":
+        answer = search_kbest(engine, query, 2, 0.0)
+        return answer.stats, answer.best
+    budgets = (query.budget,) if entry_point == "route" else (query.budget // 2, query.budget)
+    answer = search_vector(engine, query, budgets, 0.0)
+    return answer.stats, answer.results[-1]
 
 
 # Every public search is the one loop under a different pivot policy, so the
@@ -71,9 +70,9 @@ def test_star_vertex_deadline_overrun_is_bounded(entry_point):
     """An already-expired deadline stops mid-expansion, not after it."""
     num_spokes = 4 * _DEADLINE_CHECK_INTERVAL  # hub expansion alone is 4 windows
     network, costs, target = _star_world(num_spokes)
-    search = _BudgetSearch(network, ConvolutionModel(costs), backend="scalar")
+    engine = RoutingEngine(network, ConvolutionModel(costs), backend="scalar")
     stats, result = _expired_search(
-        search, entry_point, RoutingQuery(0, target, 100)
+        engine, entry_point, RoutingQuery(0, target, 100)
     )
     assert not stats.completed
     # The clock fires at the first interval boundary; without the in-loop
@@ -90,16 +89,14 @@ def test_star_vertex_deadline_overrun_is_bounded_columnar():
     """The columnar core honours the same deadline contract per chunk."""
     num_spokes = 4 * _DEADLINE_CHECK_INTERVAL
     network, costs, target = _star_world(num_spokes)
-    search = _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
+    engine = RoutingEngine(network, ConvolutionModel(costs), backend="columnar")
     # Budget 4 keeps the seeded incumbent below certainty (three {1,2}-tick
     # edges: P(<=4) = 0.5) so the hub label survives the pivot screen and
     # the spoke fan-out is genuinely pending when the clock fires.  A loose
     # budget would let the seed prune the whole frontier instantly — a
     # legitimately *completed* search, which is not what this test is for.
-    result = search.route(
-        RoutingQuery(0, target, 4), time_limit_seconds=0.0
-    )
-    stats = result.stats
+    answer = search_vector(engine, RoutingQuery(0, target, 4), (4,), 0.0)
+    stats, result = answer.stats, answer.results[0]
     assert not stats.completed
     # Generation granularity: the seed generation (1 label) may land before
     # the first clock check, but the hub's spoke fan-out must not complete.
@@ -110,8 +107,8 @@ def test_star_vertex_deadline_overrun_is_bounded_columnar():
 def test_unlimited_search_completes_star():
     network, costs, target = _star_world(_DEADLINE_CHECK_INTERVAL)
     for backend in ("scalar", "columnar"):
-        search = _BudgetSearch(network, ConvolutionModel(costs), backend=backend)
-        result = search.route(RoutingQuery(0, target, 100))
+        engine = RoutingEngine(network, ConvolutionModel(costs), backend=backend)
+        result = engine.route(RoutingQuery(0, target, 100))
         assert result.stats.completed
         assert result.found
         assert result.probability == pytest.approx(1.0, abs=1e-12)
@@ -141,8 +138,8 @@ def _chain_world(n: int):
 def test_bound_termination_counted_once_not_as_label_prune():
     """A best-first early exit increments bound_terminations exactly once."""
     network, costs = _chain_world(8)
-    search = _BudgetSearch(network, ConvolutionModel(costs), backend="scalar")
-    result = search.route(RoutingQuery(0, 7, 7))
+    engine = RoutingEngine(network, ConvolutionModel(costs), backend="scalar")
+    result = engine.route(RoutingQuery(0, 7, 7))
     stats = result.stats
     assert result.found
     assert result.probability == pytest.approx(1.0, abs=1e-12)

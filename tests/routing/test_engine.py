@@ -13,7 +13,6 @@ from repro.routing import (
     RoutingEngine,
     RoutingQuery,
     RoutingResult,
-    RoutingStrategy,
     SearchStats,
     available_strategies,
     budget_ticks_for_departure,
@@ -95,7 +94,7 @@ class TestQueryConstruction:
     def test_engine_query_helpers(self, engine):
         assert engine.resolution == 5.0
         query = engine.query_from_seconds(0, 24, 200.0)
-        assert query == engine.query(0, 24, 40)
+        assert query == RoutingQuery(0, 24, 40)
 
 
 class TestBudgetVectors:
@@ -143,35 +142,106 @@ class TestStrategyRegistry:
         with pytest.raises(ValueError, match="already registered"):
 
             @register_strategy("pbr")
-            class Clone(RoutingStrategy):
-                def route(self, engine, query, *, time_limit_seconds=None):
-                    raise AssertionError
+            def clone(engine, query, *, time_limit_seconds):
+                raise AssertionError
 
     def test_custom_strategy_plugs_in(self, engine):
         @register_strategy("always_direct")
-        class AlwaysDirect(RoutingStrategy):
+        def always_direct(eng, query, *, time_limit_seconds):
             """Toy strategy: delegate to pbr but tag nothing — plug-in check."""
-
-            def route(self, eng, query, *, time_limit_seconds=None):
-                return eng.route(query, strategy="pbr")
+            return eng.route(query, strategy="pbr")
 
         try:
             result = engine.route(RoutingQuery(0, 24, 40), strategy="always_direct")
             reference = engine.route(RoutingQuery(0, 24, 40))
             assert result.path == reference.path
             assert "always_direct" in available_strategies()
+            assert not engine.supports_time_limit("always_direct")
         finally:
             engine_module._STRATEGIES.pop("always_direct", None)
 
-    def test_strategy_instances_cached_per_engine(self, engine):
-        assert engine.strategy("pbr") is engine.strategy("pbr")
+    def test_time_limit_flag_is_declared_at_registration(self, engine):
+        """``time_limit=True`` lets a limit through, checked, to the function."""
+        seen = []
 
-    def test_non_strategy_class_rejected(self):
-        with pytest.raises(TypeError):
+        @register_strategy("records_its_limit", time_limit=True)
+        def records_its_limit(eng, query, *, time_limit_seconds):
+            seen.append(time_limit_seconds)
+            return None
 
-            @register_strategy("bogus")
-            class NotAStrategy:
-                pass
+        try:
+            assert engine.supports_time_limit("records_its_limit")
+            engine.route(RoutingQuery(0, 24, 40), strategy="records_its_limit")
+            engine.route(
+                RoutingQuery(0, 24, 40), strategy="records_its_limit", time_limit_seconds=2
+            )
+            assert seen == [None, 2.0] and type(seen[1]) is float
+        finally:
+            engine_module._STRATEGIES.pop("records_its_limit", None)
+
+    def test_unknown_name_is_the_same_key_error_everywhere(self, engine):
+        with pytest.raises(KeyError, match="available") as routed:
+            engine.route(RoutingQuery(0, 24, 40), strategy="teleport")
+        with pytest.raises(KeyError, match="available") as asked:
+            engine.supports_time_limit("teleport")
+        assert str(routed.value) == str(asked.value)
+
+    @pytest.mark.parametrize("not_a_function", [object(), 42, type("Old", (), {})])
+    def test_non_function_rejected(self, not_a_function):
+        with pytest.raises(TypeError, match="strategy function"):
+            register_strategy("bogus")(not_a_function)
+        assert "bogus" not in available_strategies()
+
+    @pytest.mark.parametrize("name", ["", None, 3])
+    def test_strategy_name_must_be_a_non_empty_string(self, name):
+        with pytest.raises(ValueError, match="non-empty string"):
+            register_strategy(name)
+
+
+def without_runtime(document):
+    """``document`` minus every ``runtime_seconds``: wall clocks vary."""
+    if isinstance(document, dict):
+        return {k: without_runtime(v) for k, v in document.items() if k != "runtime_seconds"}
+    if isinstance(document, list):
+        return [without_runtime(item) for item in document]
+    return document
+
+
+class TestStrategyFunctions:
+    """A built-in strategy is a plain function: called directly with its
+    options by name, it answers exactly as :meth:`RoutingEngine.route` does."""
+
+    def test_direct_calls_answer_as_the_engine_does(self, engine):
+        query, small = RoutingQuery(0, 24, 40), RoutingQuery(0, 6, 30)
+        cases = [
+            (
+                engine_module.kbest(engine, query, time_limit_seconds=None, k=2),
+                engine.route_kbest(query, 2),
+            ),
+            (
+                engine_module.multi_budget(
+                    engine, query, time_limit_seconds=None, budgets=(30, 40)
+                ),
+                engine.route_multi_budget(0, 24, (30, 40)),
+            ),
+            (
+                engine_module.depart_when(
+                    engine, query, time_limit_seconds=None,
+                    departure_times=(0.0, 30.0), arrive_by_seconds=200.0,
+                ),
+                engine.route_depart_when(0, 24, (0.0, 30.0), arrive_by_seconds=200.0),
+            ),
+            (
+                engine_module.oracle(engine, small, time_limit_seconds=None, max_edges=8),
+                engine.route(small, strategy="oracle", max_edges=8),
+            ),
+            (
+                engine_module.anytime(engine, query, time_limit_seconds=60.0),
+                engine.route(query),
+            ),
+        ]
+        for direct, routed in cases:
+            assert without_runtime(direct.to_dict()) == without_runtime(routed.to_dict())
 
 
 class TestStrategies:
@@ -556,14 +626,12 @@ class TestRouteManySerial:
         routed = []
 
         @register_strategy("explode_on_target_3")
-        class ExplodeOnTarget3(RoutingStrategy):
+        def explode_on_target_3(eng, query, *, time_limit_seconds):
             """Succeeds until it meets target 3 partway through the batch."""
-
-            def route(self, eng, query, *, time_limit_seconds=None):
-                if query.target == 3:
-                    raise RuntimeError("boom at target 3")
-                routed.append(query.target)
-                return eng.route(query, strategy="pbr")
+            if query.target == 3:
+                raise RuntimeError("boom at target 3")
+            routed.append(query.target)
+            return eng.route(query, strategy="pbr")
 
         # Target groups run in ascending target order, so target 2's group
         # is answered before target 3's raises: a genuinely partial batch.
@@ -600,11 +668,9 @@ class TestBatchOutcomeAccounting:
 
     def test_declining_strategy_is_unanswered_not_no_route(self, engine):
         @register_strategy("gives_up")
-        class GivesUp(RoutingStrategy):
+        def gives_up(eng, query, *, time_limit_seconds):
             """Times out before producing anything: returns None."""
-
-            def route(self, eng, query, *, time_limit_seconds=None):
-                return None
+            return None
 
         try:
             batch = engine.route_many(
@@ -625,11 +691,10 @@ class TestBatchOutcomeAccounting:
 
     def test_mixed_batch_counts_every_outcome_once(self, island_world):
         @register_strategy("gives_up_on_reachable")
-        class GivesUpOnReachable(RoutingStrategy):
-            def route(self, eng, query, *, time_limit_seconds=None):
-                if query.target == 1:
-                    return None
-                return eng.route(query, strategy="pbr")
+        def gives_up_on_reachable(eng, query, *, time_limit_seconds):
+            if query.target == 1:
+                return None
+            return eng.route(query, strategy="pbr")
 
         try:
             batch = island_world.route_many(

@@ -23,7 +23,6 @@ from repro.routing import (
     clear_heuristic_cache,
 )
 from repro.routing import heuristics as heuristics_module
-from repro.routing.budget import _BudgetSearch
 from repro.trajectories import CongestionModel
 
 
@@ -96,7 +95,7 @@ class TestHeuristicCache:
             costs.set_cost(edge.id, DiscreteDistribution(2, [0.5, 0.5]))
         rollback = costs.to_dict()
         costs.apply_deltas({e.id: DiscreteDistribution(9, [1.0]) for e in net.edges[:20]})
-        search = _BudgetSearch(net, ConvolutionModel(costs), backend="columnar")
+        search = RoutingEngine(net, ConvolutionModel(costs), backend="columnar")
         query = RoutingQuery(0, 24, 22)
         stale_number = costs.version
         stale_answer = search.route(query)  # builds bounds and kernel block
@@ -107,7 +106,7 @@ class TestHeuristicCache:
         fresh_costs = EdgeCostTable.from_dict(net, costs.to_dict())
         fresh_heuristic = OptimisticHeuristic(net, fresh_costs, target=24)
         assert OptimisticHeuristic.shared(net, costs, target=24).table == fresh_heuristic.table
-        fresh = _BudgetSearch(net, ConvolutionModel(fresh_costs), backend="columnar").route(query)
+        fresh = RoutingEngine(net, ConvolutionModel(fresh_costs), backend="columnar").route(query)
         served = search.route(query)
         assert served.probability == fresh.probability != stale_answer.probability
         assert served.path == fresh.path and served.distribution == fresh.distribution

@@ -30,8 +30,7 @@ from hypothesis import strategies as st
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.histograms import DiscreteDistribution, dominates
 from repro.network import RoadNetwork
-from repro.routing import RoutingEngine, RoutingQuery
-from repro.routing.budget import PruningConfig, _BudgetSearch
+from repro.routing import PruningConfig, RoutingEngine, RoutingQuery
 
 #: Every valid flag combination (cost shifting requires the heuristic).
 ALL_PRUNINGS = [
@@ -200,11 +199,11 @@ def test_pbr_is_the_one_element_budget_vector(world, budget):
     query = RoutingQuery(0, n - 1, budget)
     for backend, pruning in itertools.product(("scalar", "columnar"), ALL_PRUNINGS):
         where = (backend, pruning)
-        search = _BudgetSearch(
+        search = RoutingEngine(
             engine.network, engine.combiner, pruning=pruning, backend=backend
         )
         single = search.route(query)
-        vector = search.route_multi_budget(query, (budget,))
+        vector = search.route_multi_budget(query.source, query.target, (budget,))
         member = vector.results[0]
         assert member.path == single.path, where
         assert member.probability == single.probability, where  # bit for bit

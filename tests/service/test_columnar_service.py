@@ -18,6 +18,7 @@ from repro.core import ConvolutionModel, EdgeCostTable
 from repro.histograms import DiscreteDistribution
 from repro.network import grid_network
 from repro.routing import DepartWhenResult, RoutingEngine, RoutingQuery
+from repro.routing.budget import _columnar_applicable
 from repro.routing.columnar import COLUMNAR_AUTO_MIN_EDGES
 from repro.service import CostUpdate, RoutingService, ScenarioSchedule, TimeSlice
 
@@ -78,7 +79,7 @@ def check_all(service: RoutingService, where: str) -> None:
     for name in ("am", "pm"):
         h = floor_ticks(service, name)
         query = RoutingQuery(SOURCE, TARGET, h + 8)
-        assert service.engine(name)._search._columnar_applicable(query)
+        assert _columnar_applicable(service.engine(name), query)
         budgets = [h + 2, h + 4, h + 6, h + 8]
         version, cold = cold_engine(service, name)
         served = service.route(query, strategy="multi_budget", slice_name=name, budgets=budgets)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.network import grid_network
+from repro.routing import RoutingQuery
 from repro.service import RoutingService
 from repro.trajectories import CongestionModel
 
@@ -116,7 +117,7 @@ def test_restore(payload):
     (entry,) = document["slices"].values()
     entry["cost_table"]["costs"]["0"] = payload
     served = service()
-    served.route(served.engine().query(0, 15, 60))
+    served.route(RoutingQuery(0, 15, 60))
     before = served.snapshot(include_cache=True)
     with pytest.raises(ValueError):
         served.restore(document)

@@ -21,13 +21,14 @@ The resilience contract locked down here:
 import functools
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ConvolutionModel, EdgeCostTable
 from repro.network import RoadNetwork, grid_network
-from repro.routing import RoutingQuery, RoutingStrategy, register_strategy
+from repro.routing import RoutingQuery, register_strategy
 from repro.routing import engine as engine_module
 from repro.service import (
     CircuitBreaker,
@@ -88,12 +89,9 @@ def declining_strategy():
     ladder's lower rungs (and the breaker) deterministically.
     """
 
-    @register_strategy("decline_for_resilience_test")
-    class Decline(RoutingStrategy):
-        supports_time_limit = True
-
-        def route(self, engine, query, *, time_limit_seconds=None):
-            return None
+    @register_strategy("decline_for_resilience_test", time_limit=True)
+    def decline(engine, query, *, time_limit_seconds):
+        return None
 
     yield "decline_for_resilience_test"
     engine_module._STRATEGIES.pop("decline_for_resilience_test", None)
@@ -103,17 +101,15 @@ def declining_strategy():
 def flaky_strategy():
     """A registered strategy whose health the test controls via a flag."""
 
-    @register_strategy("flaky_for_resilience_test")
-    class Flaky(RoutingStrategy):
-        supports_time_limit = True
-        broken = True
+    health = SimpleNamespace(broken=True)
 
-        def route(self, engine, query, *, time_limit_seconds=None):
-            if Flaky.broken:
-                return None
-            return engine.route(query, strategy="pbr")
+    @register_strategy("flaky_for_resilience_test", time_limit=True)
+    def flaky(engine, query, *, time_limit_seconds):
+        if health.broken:
+            return None
+        return engine.route(query, strategy="pbr")
 
-    yield Flaky
+    yield health
     engine_module._STRATEGIES.pop("flaky_for_resilience_test", None)
 
 
@@ -537,16 +533,12 @@ def scratch_strategies():
     """Two throwaway strategies: one takes any ``blob`` kwarg, one crashes."""
 
     @register_strategy("blob_for_pipeline_test")
-    class Blob(RoutingStrategy):
-        def route(self, engine, query, *, time_limit_seconds=None, blob=None):
-            return engine.route(query, strategy="pbr")
+    def blob(engine, query, *, time_limit_seconds, blob=None):
+        return engine.route(query, strategy="pbr")
 
-    @register_strategy("explode_for_pipeline_test")
-    class Explode(RoutingStrategy):
-        supports_time_limit = True
-
-        def route(self, engine, query, *, time_limit_seconds=None):
-            raise RuntimeError("search crashed")
+    @register_strategy("explode_for_pipeline_test", time_limit=True)
+    def explode(engine, query, *, time_limit_seconds):
+        raise RuntimeError("search crashed")
 
     yield
     engine_module._STRATEGIES.pop("blob_for_pipeline_test", None)

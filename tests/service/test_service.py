@@ -1027,13 +1027,12 @@ class TestWireProtocol:
 
     def test_any_exception_becomes_an_error_document(self, world):
         """The always-answer contract covers engine-level RuntimeErrors."""
-        from repro.routing import RoutingStrategy, register_strategy
+        from repro.routing import register_strategy
         from repro.routing import engine as engine_module
 
         @register_strategy("explode_for_service_test")
-        class Explode(RoutingStrategy):
-            def route(self, eng, query, *, time_limit_seconds=None):
-                raise RuntimeError("pool worker died")
+        def explode(eng, query, *, time_limit_seconds):
+            raise RuntimeError("pool worker died")
 
         try:
             service = fresh_service(world)
@@ -1118,15 +1117,14 @@ class TestServiceStats:
 
     def test_failed_batch_refunds_its_hits_too(self, world):
         """Cached members of a failing batch were never served either."""
-        from repro.routing import RoutingStrategy, register_strategy
+        from repro.routing import register_strategy
         from repro.routing import engine as engine_module
 
         @register_strategy("explode_on_second_target")
-        class ExplodeOnSecond(RoutingStrategy):
-            def route(self, eng, query, *, time_limit_seconds=None):
-                if query.target == 3:
-                    raise RuntimeError("mid-batch failure")
-                return eng.route(query, strategy="pbr")
+        def explode_on_second(eng, query, *, time_limit_seconds):
+            if query.target == 3:
+                raise RuntimeError("mid-batch failure")
+            return eng.route(query, strategy="pbr")
 
         try:
             service = fresh_service(world)

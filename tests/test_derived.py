@@ -31,8 +31,7 @@ from repro.derived import Memo, clear_bounded
 from repro.histograms import DiscreteDistribution
 from repro.ml import MlpConfig
 from repro.network import grid_network
-from repro.routing import OptimisticHeuristic, RoutingQuery
-from repro.routing.budget import _BudgetSearch
+from repro.routing import OptimisticHeuristic, RoutingEngine, RoutingQuery
 from repro.routing.columnar import _csr_for, _kernels_for
 from repro.routing.heuristics import min_tick_bounds, vertex_indexing
 from repro.routing.landmarks import LandmarkTable
@@ -94,7 +93,7 @@ def edge_rows(network, hybrid):
 
 def warm(network, costs):
     """Build every kind of table-derived state; weakrefs to each, by name."""
-    search = _BudgetSearch(network, ConvolutionModel(costs), backend="columnar")
+    search = RoutingEngine(network, ConvolutionModel(costs), backend="columnar")
     target = network.num_vertices - 1
     assert search.route(RoutingQuery(0, target, 60)).found
     hybrid = learned(network, costs)

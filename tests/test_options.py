@@ -54,6 +54,7 @@ FORCED = "forced path: tests set it to reach the path it selects"
 REFERENCE = "reference path: the tests compare the default against it"
 INDIRECT = "set positionally through run_in_executor"
 TUNING = "deployment setting: tuned to the data a deployment feeds it"
+STRATEGY = "strategy option: RoutingEngine.route passes it through by name, from a request's kwargs too"
 
 #: constructor -> {option: why it stays without a caller}.
 KEEP = {
@@ -180,7 +181,11 @@ KEEP_ELSEWHERE = {
     },
     "reverse_dijkstra": {"weight": REFERENCE},
     "all_simple_paths": {"max_paths": FORCED},
-    "_BudgetSearch": {"clip_distributions": REFERENCE},
+    "RoutingEngine": {"clip_distributions": REFERENCE},
+    "multi_budget": {"budgets": STRATEGY},
+    "kbest": {"k": STRATEGY},
+    "depart_when": {"departure_times": STRATEGY, "arrive_by_seconds": STRATEGY},
+    "oracle": {"max_edges": STRATEGY},
     "RoutingEngine.route_depart_when": {"budget": FORCED},
     "require_number": {"error": FORCED},
     "FaultInjector": {"clock": SEAM, "sleep": SEAM, "clock_skew_seconds": FORCED, "poison_rate": FORCED},
